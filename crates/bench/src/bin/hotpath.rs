@@ -24,7 +24,7 @@ use pcc_intra::{
     IntraFrame,
 };
 use pcc_morton::{encode, encode_slice, sort_codes_into, MortonCode, SortScratch, SortedCodes};
-use pcc_stream::{Chunk, ChunkKind, FramePayload, Subscription};
+use pcc_stream::{Chunk, ChunkKind, FramePayload, SharedRing, StampMemo, Subscription};
 use pcc_types::{FrameKind, Point3, PointCloud, Rgb, VoxelCoord, VoxelizedCloud};
 
 // ---------------------------------------------------------------------------
@@ -80,8 +80,13 @@ const FRAMES: usize = 10;
 const SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Broadcast fan-out leg: subscribers stamping one shared coded payload
 /// each, at a realistic chunk size (~8.5 KiB/frame, see live_stream).
+/// Every `FANOUT_ARQ_STRIDE`-th subscriber parks its chunks in an ARQ
+/// ring of `FANOUT_RING` chunks, the share and depth of the perfbench
+/// `broadcast` workload.
 const FANOUT_SUBSCRIBERS: usize = 64;
 const FANOUT_PAYLOAD_BYTES: usize = 8_704;
+const FANOUT_ARQ_STRIDE: usize = 4;
+const FANOUT_RING: usize = 16;
 
 struct XorShift(u64);
 
@@ -176,6 +181,7 @@ struct Report {
     inter_frame_ms: f64,
     inter_allocs_per_frame: f64,
     fanout_chunk_ns_per_subscriber: f64,
+    fanout_allocs_per_subscriber: f64,
     decode_brick_ns_per_point: f64,
     brick_parallel_decode_speedup: f64,
 }
@@ -219,6 +225,7 @@ impl Report {
              \"intra_frame_ms\": {:.3},\n  \"intra_allocs_per_frame\": {:.2},\n  \
              \"inter_frame_ms\": {:.3},\n  \"inter_allocs_per_frame\": {:.2},\n  \
              \"fanout_chunk_ns_per_subscriber\": {:.1},\n  \
+             \"fanout_allocs_per_subscriber\": {:.2},\n  \
              \"decode_brick_ns_per_point\": {:.3},\n  \
              \"brick_parallel_decode_speedup\": {:.2}\n}}\n",
             cfg!(feature = "simd"),
@@ -234,6 +241,7 @@ impl Report {
             self.inter_frame_ms,
             self.inter_allocs_per_frame,
             self.fanout_chunk_ns_per_subscriber,
+            self.fanout_allocs_per_subscriber,
             self.decode_brick_ns_per_point,
             self.brick_parallel_decode_speedup,
         )
@@ -332,13 +340,15 @@ fn run() -> Report {
         inter.encode_into(vox, &reference, &device, &mut inter_arena, &mut inter_out);
     });
 
-    // -- Broadcast fan-out: one shared coded payload stamped into many
-    //    subscribers' chunk framing (seq numbering + CRC reuse + write).
-    //    The payload CRC is computed once in FramePayload; per subscriber
-    //    only header assembly, the payload memcpy, and the sink write
-    //    remain — the cost the encode-once architecture pays per viewer.
+    // -- Broadcast fan-out: one shared coded payload sent to many
+    //    subscribers through the path `Broadcast::fan_out` takes — one
+    //    StampMemo threaded through the loop, so the seq group stamps
+    //    its chunk image once and every subscriber writes that image and
+    //    (with ARQ) parks a header plus a payload reference. The payload
+    //    CRC is computed once in FramePayload, outside the timed loop.
     let mut rng = XorShift(SEED ^ 0x0FA9);
     let payload: Vec<u8> = (0..FANOUT_PAYLOAD_BYTES).map(|_| rng.next() as u8).collect();
+    let shared = FramePayload::from_bytes(0, FrameKind::Predicted, payload);
     let header = Chunk {
         kind: ChunkKind::StreamHeader,
         frame_kind: None,
@@ -348,18 +358,34 @@ fn run() -> Report {
         payload: vec![1, 3, FRAME_DEPTH],
     };
     let mut subs: Vec<Subscription<std::io::Sink>> = (0..FANOUT_SUBSCRIBERS)
-        .map(|_| Subscription::attach(std::io::sink(), &header).expect("sink cannot fail"))
+        .map(|i| {
+            let sub = Subscription::attach(std::io::sink(), &header).expect("sink cannot fail");
+            if i % FANOUT_ARQ_STRIDE == FANOUT_ARQ_STRIDE - 1 {
+                sub.with_arq(SharedRing::new(FANOUT_RING))
+            } else {
+                sub
+            }
+        })
         .collect();
+    let mut memo = StampMemo::new();
     let mut frame_index = 0u32;
-    let fanout_ns = min_ns(|| {
+    let mut fan_out = || {
         // P-frame kind: the steady-state (non-flushing) fan-out cost.
-        let shared = FramePayload::from_bytes(frame_index, FrameKind::Predicted, payload.clone());
+        let frame = FramePayload { frame_index, ..shared.clone() };
         frame_index += 1;
         for sub in &mut subs {
-            sub.send_payload(black_box(&shared)).expect("sink cannot fail");
+            sub.send_payload(black_box(&frame), &mut memo).expect("sink cannot fail");
         }
         black_box(&subs);
-    });
+    };
+    let fanout_ns = min_ns(&mut fan_out);
+    // min_ns warmed the memo's image buffer and filled every ring, so
+    // these frames are the steady state the allocation gate pins.
+    let before = alloc_count();
+    for _ in 0..REPS {
+        fan_out();
+    }
+    let fanout_allocs = (alloc_count() - before) as f64 / (REPS * FANOUT_SUBSCRIBERS) as f64;
 
     // -- Brick-partitioned decode: the per-point cost of the parallel
     //    brick decoder at 1 thread (gated), and the wall-clock speedup of
@@ -394,6 +420,7 @@ fn run() -> Report {
         inter_frame_ms: inter_frame_ns / 1e6,
         inter_allocs_per_frame: inter_allocs,
         fanout_chunk_ns_per_subscriber: fanout_ns / FANOUT_SUBSCRIBERS as f64,
+        fanout_allocs_per_subscriber: fanout_allocs,
         decode_brick_ns_per_point: decode_1_ns / brick_vox.len() as f64,
         brick_parallel_decode_speedup: decode_1_ns / decode_n_ns,
     }
@@ -499,6 +526,7 @@ fn main() {
         for (key, now) in [
             ("intra_allocs_per_frame", report.intra_allocs_per_frame),
             ("inter_allocs_per_frame", report.inter_allocs_per_frame),
+            ("fanout_allocs_per_subscriber", report.fanout_allocs_per_subscriber),
         ] {
             let base = json_num(&baseline, key)
                 .unwrap_or_else(|| panic!("baseline is missing \"{key}\""));

@@ -8,7 +8,7 @@ use pcc_core::PccCodec;
 use pcc_edge::Device;
 use pcc_stream::{
     FramePayload, FrameSource, RecoveryRequest, SharedRepairRing, SharedRing, SharedStats,
-    StreamConfig, StreamStats, Subscription,
+    StampMemo, StreamConfig, StreamStats, Subscription,
 };
 use pcc_types::{Aabb, FrameKind, GofPattern, PointCloud};
 use std::io::{self, Write};
@@ -120,8 +120,10 @@ impl std::fmt::Debug for Slot {
 /// out to any number of [`Subscription`]s.
 ///
 /// Every [`push_frame`](Self::push_frame) enters the codec exactly
-/// once; subscribers only ever cost chunk stamping and transport
-/// writes. Per subscriber, the broadcast optionally:
+/// once, and each distinct chunk image is stamped once per seq group
+/// (one [`StampMemo`] threads through the fan-out): a subscriber costs
+/// a transport write and, with ARQ, one parked header. Per subscriber,
+/// the broadcast optionally:
 ///
 /// * replays the [`ResyncCache`] on subscribe, so a late joiner is
 ///   bit-exact from the current GOF's I-frame instead of waiting a
@@ -140,6 +142,9 @@ pub struct Broadcast<'d> {
     sheddable: bool,
     slots: Vec<Slot>,
     cache: ResyncCache,
+    /// The chunk image stamped last, shared by every send of the same
+    /// seq group (fan-out and replays alike).
+    memo: StampMemo,
     stats: ServeStats,
     liveness: Option<LivenessPolicy>,
     next_id: u64,
@@ -170,6 +175,7 @@ impl<'d> Broadcast<'d> {
             source,
             slots: Vec::new(),
             cache: ResyncCache::new(),
+            memo: StampMemo::new(),
             stats: ServeStats::default(),
             liveness: None,
             next_id: 0,
@@ -246,7 +252,7 @@ impl<'d> Broadcast<'d> {
         if late {
             let replay_sp = pcc_probe::span("serve/replay");
             for frame in self.cache.frames() {
-                sub.send_payload(frame)?;
+                sub.send_payload(frame, &mut self.memo)?;
                 self.stats.replayed_frames += 1;
             }
             self.stats.aggregate.add_stage_ns("serve/replay", replay_sp.stop());
@@ -307,7 +313,7 @@ impl<'d> Broadcast<'d> {
         let replay_sp = pcc_probe::span("serve/replay");
         let mut replayed = 0usize;
         for frame in self.cache.frames() {
-            sub.send_payload(frame)?;
+            sub.send_payload(frame, &mut self.memo)?;
             replayed += 1;
         }
         self.stats.aggregate.add_stage_ns("serve/replay", replay_sp.stop());
@@ -415,7 +421,8 @@ impl<'d> Broadcast<'d> {
         self.cache.observe(frame);
 
         // The shed variant is shared too: computed at most once per
-        // frame, however many subscribers are on a stripped rung.
+        // frame, however many subscribers are on a stripped rung, and
+        // stamped once per seq group like the full payload.
         let mut shed: Option<Option<FramePayload>> = None;
         let sheddable = self.sheddable;
         let fanout_sp = pcc_probe::span("serve/fanout");
@@ -463,7 +470,7 @@ impl<'d> Broadcast<'d> {
                 frame
             };
             let sent_at = slot.clock.now();
-            let result = slot.sub.send_payload(outgoing);
+            let result = slot.sub.send_payload(outgoing, &mut self.memo);
             let send_time = slot.clock.now().checked_sub(sent_at).unwrap_or_default();
             let send_ms = send_time.as_secs_f64() * 1000.0;
             match result {

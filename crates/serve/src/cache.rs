@@ -6,7 +6,10 @@
 //! encoded after it; a late joiner's stream opens with
 //! `[header, cached I, cached P...]` and is bit-exact with the live
 //! fan-out from its join point onward. Memory is bounded by one GOF:
-//! each new I-frame replaces the whole cache.
+//! each new I-frame replaces the whole cache. Cached payloads share
+//! their bytes with the live fan-out and the ARQ rings (a clone of a
+//! [`FramePayload`] is a reference-count bump), so the cache adds no
+//! copy of a frame.
 
 use pcc_stream::FramePayload;
 use pcc_types::FrameKind;

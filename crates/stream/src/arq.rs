@@ -14,6 +14,13 @@
 //!                └──── retransmitted chunk ──▶ pending queue
 //! ```
 //!
+//! A ring never copies a frame: it parks each chunk as its 26-byte
+//! stamped header plus a reference to the frame payload the sender
+//! already shares with every other subscriber and cache
+//! ([`ChunkParts`]), and rebuilds the chunk bytes only when a NACK asks
+//! for them. Ring memory is therefore headers plus shared payload
+//! references, however many ARQ subscribers a broadcast serves.
+//!
 //! Recovery is bounded on every axis so a hostile or dead link can never
 //! wedge the session: the ring holds the last `ring_chunks` encoded
 //! chunks (older gaps are immediately *degraded*), each missing sequence
@@ -25,6 +32,7 @@
 //!
 //! [`Receiver::with_arq`]: crate::Receiver::with_arq
 
+use crate::chunk::ChunkParts;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -40,7 +48,8 @@ pub trait Retransmit {
     fn retransmit(&mut self, seq: u32) -> Option<Vec<u8>>;
 }
 
-/// Bounded ring of the most recently sent encoded chunks.
+/// Bounded ring of the most recently sent chunks, parked as
+/// [`ChunkParts`].
 ///
 /// Capacity is in chunks; inserting past it evicts the oldest entry, so
 /// memory stays proportional to the configured window no matter how long
@@ -48,7 +57,7 @@ pub trait Retransmit {
 #[derive(Debug)]
 pub struct RetransmitRing {
     capacity: usize,
-    entries: VecDeque<(u32, Vec<u8>)>,
+    entries: VecDeque<(u32, ChunkParts)>,
 }
 
 impl RetransmitRing {
@@ -57,22 +66,17 @@ impl RetransmitRing {
         RetransmitRing { capacity: capacity.max(1), entries: VecDeque::new() }
     }
 
-    /// Parks the encoded bytes of chunk `seq`, evicting the oldest entry
-    /// when full.
-    pub fn insert(&mut self, seq: u32, bytes: Vec<u8>) {
+    /// Parks chunk `seq`, evicting the oldest entry when full.
+    pub fn insert(&mut self, seq: u32, chunk: ChunkParts) {
         if self.entries.len() == self.capacity {
             self.entries.pop_front();
         }
-        self.entries.push_back((seq, bytes));
+        self.entries.push_back((seq, chunk));
     }
 
-    /// The encoded bytes of chunk `seq`, if still held.
-    pub fn get(&self, seq: u32) -> Option<&[u8]> {
-        self.entries
-            .iter()
-            .rev()
-            .find(|(s, _)| *s == seq)
-            .map(|(_, b)| b.as_slice())
+    /// Chunk `seq`, if still held.
+    pub fn get(&self, seq: u32) -> Option<&ChunkParts> {
+        self.entries.iter().rev().find(|(s, _)| *s == seq).map(|(_, c)| c)
     }
 
     /// Maximum chunks the ring holds.
@@ -93,7 +97,7 @@ impl RetransmitRing {
 
 impl Retransmit for RetransmitRing {
     fn retransmit(&mut self, seq: u32) -> Option<Vec<u8>> {
-        self.get(seq).map(<[u8]>::to_vec)
+        self.get(seq).map(ChunkParts::to_bytes)
     }
 }
 
@@ -112,9 +116,9 @@ impl SharedRing {
         SharedRing(Arc::new(Mutex::new(RetransmitRing::new(capacity))))
     }
 
-    /// Parks the encoded bytes of chunk `seq`.
-    pub fn insert(&self, seq: u32, bytes: Vec<u8>) {
-        self.lock().insert(seq, bytes);
+    /// Parks chunk `seq`.
+    pub fn insert(&self, seq: u32, chunk: ChunkParts) {
+        self.lock().insert(seq, chunk);
     }
 
     /// Maximum chunks the ring holds.
@@ -124,7 +128,7 @@ impl SharedRing {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, RetransmitRing> {
         // A poisoned ring only means another thread panicked mid-insert;
-        // the entries themselves are plain bytes, still safe to serve.
+        // the entries themselves are immutable parts, still safe to serve.
         self.0.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
@@ -183,19 +187,34 @@ impl ArqConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::{decode_chunk, encode_chunk, Chunk, ChunkKind};
+    use pcc_types::FrameKind;
+
+    fn chunk(seq: u32) -> Chunk {
+        Chunk {
+            kind: ChunkKind::Frame,
+            frame_kind: Some(FrameKind::Predicted),
+            stream_id: 1,
+            seq,
+            frame_index: seq,
+            payload: vec![seq as u8; 5],
+        }
+    }
 
     #[test]
     fn ring_evicts_oldest_and_serves_newest() {
         let mut ring = RetransmitRing::new(3);
         assert!(ring.is_empty());
         for seq in 0..5u32 {
-            ring.insert(seq, vec![seq as u8]);
+            ring.insert(seq, ChunkParts::from_chunk(&chunk(seq)));
         }
         assert_eq!(ring.len(), 3);
         assert_eq!(ring.retransmit(0), None, "oldest must age out");
         assert_eq!(ring.retransmit(1), None);
         for seq in 2..5u32 {
-            assert_eq!(ring.retransmit(seq), Some(vec![seq as u8]));
+            let bytes = ring.retransmit(seq).unwrap();
+            assert_eq!(bytes, encode_chunk(&chunk(seq)), "rebuilt image must be the wire image");
+            assert_eq!(decode_chunk(&bytes), Some(chunk(seq)));
         }
     }
 
@@ -203,8 +222,8 @@ mod tests {
     fn shared_ring_clones_see_each_others_inserts() {
         let ring = SharedRing::new(8);
         let mut reader = ring.clone();
-        ring.insert(7, vec![1, 2, 3]);
-        assert_eq!(reader.retransmit(7), Some(vec![1, 2, 3]));
+        ring.insert(7, ChunkParts::from_chunk(&chunk(7)));
+        assert_eq!(reader.retransmit(7), Some(encode_chunk(&chunk(7))));
         assert_eq!(reader.retransmit(8), None);
         assert_eq!(ring.capacity(), 8);
     }

@@ -26,9 +26,11 @@
 //! chunked stream and the monolithic `.pccv` container share one frame
 //! byte layout.
 
-use crate::crc::{crc32, Crc32};
+use pcc_types::crc::{crc32, Crc32};
 use pcc_types::FrameKind;
 use std::io::{self, Read, Write};
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// The four-byte chunk synchronization marker.
 pub const SYNC: [u8; 4] = *b"PCS1";
@@ -106,47 +108,128 @@ pub struct Chunk {
 
 /// Serializes a chunk to its wire bytes.
 pub fn encode_chunk(chunk: &Chunk) -> Vec<u8> {
-    encode_chunk_parts(
+    let mut out = Vec::with_capacity(HEADER_LEN + chunk.payload.len() + 4);
+    write_image(&mut out, &header_of(chunk), &chunk.payload, crc32(&chunk.payload));
+    out
+}
+
+fn header_of(chunk: &Chunk) -> [u8; HEADER_LEN] {
+    chunk_header(
         chunk.kind,
         chunk.frame_kind,
         chunk.stream_id,
         chunk.seq,
         chunk.frame_index,
-        &chunk.payload,
-        crc32(&chunk.payload),
+        chunk.payload.len(),
     )
 }
 
-/// [`encode_chunk`] from loose fields and a precomputed payload CRC.
-///
-/// A broadcast fan-out stamps the *same* frame payload with a different
-/// sequence number per subscriber; the payload CRC depends only on the
-/// payload bytes, so computing it once at encode time and reusing it
-/// here keeps the per-subscriber cost at header-size work. The byte
-/// image is identical to [`encode_chunk`] when `payload_crc` is
-/// `crc32(payload)`.
-pub fn encode_chunk_parts(
+/// The [`HEADER_LEN`]-byte header of a chunk carrying `payload_len`
+/// payload bytes, header CRC included.
+pub(crate) fn chunk_header(
     kind: ChunkKind,
     frame_kind: Option<FrameKind>,
     stream_id: u32,
     seq: u32,
     frame_index: u32,
-    payload: &[u8],
-    payload_crc: u32,
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + 4);
-    out.extend_from_slice(&SYNC);
-    out.push(kind.to_byte());
-    out.push(frame_kind_byte(frame_kind));
-    out.extend_from_slice(&stream_id.to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&frame_index.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let header_crc = crc32(&out);
-    out.extend_from_slice(&header_crc.to_le_bytes());
+    payload_len: usize,
+) -> [u8; HEADER_LEN] {
+    let mut header = [0u8; HEADER_LEN];
+    let fields = SYNC
+        .into_iter()
+        .chain([kind.to_byte(), frame_kind_byte(frame_kind)])
+        .chain(stream_id.to_le_bytes())
+        .chain(seq.to_le_bytes())
+        .chain(frame_index.to_le_bytes())
+        .chain((payload_len as u32).to_le_bytes());
+    for (slot, byte) in header.iter_mut().zip(fields) {
+        *slot = byte;
+    }
+    let (fields, crc) = header.split_at_mut(HEADER_LEN - 4);
+    crc.copy_from_slice(&crc32(fields).to_le_bytes());
+    header
+}
+
+/// Appends the wire image of a chunk — header, payload, payload CRC —
+/// to `out`.
+fn write_image(out: &mut Vec<u8>, header: &[u8; HEADER_LEN], payload: &[u8], payload_crc: u32) {
+    out.extend_from_slice(header);
     out.extend_from_slice(payload);
     out.extend_from_slice(&payload_crc.to_le_bytes());
-    out
+}
+
+/// Immutable payload bytes shared by reference count.
+///
+/// One coded frame is written to many wires, parked in many ARQ rings,
+/// and held by the resync cache; every holder clones this handle (a
+/// reference-count bump) instead of the bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SharedBytes(Arc<[u8]>);
+
+impl SharedBytes {
+    /// The bytes as a slice.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.0
+    }
+
+    /// Whether `self` and `other` are handles to the same allocation
+    /// (not merely equal bytes).
+    pub fn ptr_eq(&self, other: &SharedBytes) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Deref for SharedBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl From<Vec<u8>> for SharedBytes {
+    fn from(bytes: Vec<u8>) -> Self {
+        SharedBytes(bytes.into())
+    }
+}
+
+/// A chunk held in parts: its stamped header and a shared payload with
+/// its CRC. Its [`to_bytes`](Self::to_bytes) image is exactly what
+/// [`encode_chunk`] produces, so a retransmit ring can park a chunk as
+/// a few dozen bytes and rebuild it only when a NACK asks.
+#[derive(Debug, Clone)]
+pub struct ChunkParts {
+    /// The header bytes, header CRC included.
+    pub(crate) header: [u8; HEADER_LEN],
+    /// The payload, shared with every other holder of the frame.
+    pub(crate) payload: SharedBytes,
+    /// CRC32 of `payload`.
+    pub(crate) payload_crc: u32,
+}
+
+impl ChunkParts {
+    /// The parts of `chunk`, its payload copied into a new shared
+    /// buffer (for the small header and end chunks; frame chunks are
+    /// stamped from a payload that is shared already).
+    pub fn from_chunk(chunk: &Chunk) -> Self {
+        ChunkParts {
+            header: header_of(chunk),
+            payload_crc: crc32(&chunk.payload),
+            payload: chunk.payload.clone().into(),
+        }
+    }
+
+    /// Appends the chunk's wire image to `out`.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        write_image(out, &self.header, &self.payload, self.payload_crc);
+    }
+
+    /// The chunk's wire image.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len() + 4);
+        self.write_to(&mut out);
+        out
+    }
 }
 
 /// Parses one standalone encoded chunk: the exact byte image produced by
@@ -745,7 +828,7 @@ mod tests {
         // the sanity bound can reject it.
         let huge = (MAX_PAYLOAD as u32) + 1;
         bytes[18..22].copy_from_slice(&huge.to_le_bytes());
-        let crc = crate::crc::crc32(&bytes[..22]);
+        let crc = crc32(&bytes[..22]);
         bytes[22..26].copy_from_slice(&crc.to_le_bytes());
         let (got, corrupt) = read_all(&bytes);
         assert!(got.is_empty());

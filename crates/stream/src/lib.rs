@@ -75,7 +75,6 @@
 
 pub mod arq;
 pub mod chunk;
-pub mod crc;
 pub mod plan;
 pub mod recovery;
 pub mod session;
@@ -86,11 +85,11 @@ pub mod supervise;
 pub use arq::{ArqConfig, Retransmit, RetransmitRing, SharedRing};
 pub use recovery::{RecoveryRequest, RepairRing, RepairSource, SharedRepairRing};
 pub use chunk::{
-    decode_chunk, encode_chunk, encode_chunk_parts, Chunk, ChunkKind, ChunkReader, ChunkWriter,
+    decode_chunk, encode_chunk, Chunk, ChunkKind, ChunkParts, ChunkReader, ChunkWriter,
+    SharedBytes,
 };
-pub use crc::crc32;
 pub use plan::{plan_session, plan_subscribers, FanoutPlan, SessionPlan, MUX_OVERHEAD_BYTES};
 pub use session::{stream_video, Delivered, Receiver, Sender, StreamConfig, STREAM_VERSION};
-pub use source::{FramePayload, FrameSource, Subscription};
+pub use source::{FramePayload, FrameSource, StampMemo, Subscription};
 pub use stats::{SharedStats, StreamStats};
 pub use supervise::{stream_video_supervised, Supervisor};

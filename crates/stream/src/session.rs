@@ -91,6 +91,7 @@ pub(crate) fn end_chunk(stream_id: u32, seq: u32, total_frames: u32) -> Chunk {
 pub struct Sender<'d, W: Write> {
     source: crate::FrameSource<'d>,
     sub: crate::Subscription<W>,
+    memo: crate::StampMemo,
     /// Receiver feedback slot; drained for recovery requests before each
     /// encode so an intra-refresh ask re-anchors at the next slot.
     feedback: Option<SharedStats>,
@@ -111,7 +112,7 @@ impl<'d, W: Write> Sender<'d, W> {
     ) -> io::Result<Self> {
         let source = crate::FrameSource::new(codec, depth, device, config);
         let sub = crate::Subscription::attach(writer, &source.header())?;
-        Ok(Sender { source, sub, feedback: None })
+        Ok(Sender { source, sub, memo: crate::StampMemo::new(), feedback: None })
     }
 
     /// Voxelizes every frame in a common bounding box (see
@@ -166,7 +167,7 @@ impl<'d, W: Write> Sender<'d, W> {
         }
         let frame = self.source.encode_next(cloud);
         self.sub.record_encode(&frame);
-        self.sub.send_payload(&frame)?;
+        self.sub.send_payload(&frame, &mut self.memo)?;
         Ok(frame.kind)
     }
 

@@ -10,10 +10,14 @@
 //!   payload CRC, both shareable across any number of subscribers.
 //! * [`Subscription`] owns everything per-subscriber: the
 //!   [`ChunkWriter`], the wire sequence space, the optional ARQ ring,
-//!   and a private [`StreamStats`]. Stamping a shared payload into a
-//!   subscriber's stream is header-size work (the payload CRC is
-//!   reused), so fan-out cost does not scale with frame size per
-//!   subscriber beyond the unavoidable byte copy onto each wire.
+//!   and a private [`StreamStats`].
+//! * [`StampMemo`] is the chunk image last stamped. The payload is a
+//!   reference-counted [`SharedBytes`], and subscribers that joined at
+//!   the same GOF share a sequence number, so their next chunks are
+//!   byte-identical: the first one stamps the image (header, payload,
+//!   CRC) and the rest of its seq group write that same image. A
+//!   subscriber costs one transport write and, with ARQ, one parked
+//!   header — no payload copy, no allocation.
 //!
 //! `Sender` is rebuilt as exactly one `FrameSource` plus one
 //! `Subscription`, so every existing session test and golden PCS1
@@ -21,13 +25,13 @@
 //! with many subscriptions.
 
 use crate::arq::SharedRing;
-use crate::chunk::{encode_chunk, encode_chunk_parts, Chunk, ChunkKind, ChunkWriter};
-use crate::crc::crc32;
+use crate::chunk::{chunk_header, Chunk, ChunkKind, ChunkParts, ChunkWriter, SharedBytes};
 use crate::recovery::SharedRepairRing;
 use crate::session::{end_chunk, header_chunk, StreamConfig};
 use crate::stats::StreamStats;
-use pcc_core::{container, Design, FrameEncoder, PccCodec};
-use pcc_edge::Device;
+use pcc_core::{container, Design, EncodedFrame, FrameEncoder, PccCodec};
+use pcc_edge::{Device, Timeline};
+use pcc_types::crc::crc32;
 use pcc_types::{Aabb, FrameKind, GofPattern, PointCloud};
 use std::io::{self, Write};
 
@@ -36,7 +40,8 @@ use std::io::{self, Write};
 /// The payload is the muxed wire record of
 /// [`pcc_core::container::mux_frame`] — byte-identical to what the 1:1
 /// [`Sender`](crate::Sender) puts in a frame chunk — and the CRC is
-/// `crc32(payload)`, computed once so N subscribers share it.
+/// `crc32(payload)`, computed once so N subscribers share it. Cloning a
+/// payload shares its bytes.
 #[derive(Debug, Clone)]
 pub struct FramePayload {
     /// Display index of the frame within the video.
@@ -44,7 +49,7 @@ pub struct FramePayload {
     /// How the frame was coded.
     pub kind: FrameKind,
     /// The muxed frame record (chunk payload bytes).
-    pub payload: Vec<u8>,
+    pub payload: SharedBytes,
     /// CRC32 of `payload`, precomputed for [`Subscription::send_payload`].
     pub payload_crc: u32,
     /// Measured encode wall-clock (0 when probes are off).
@@ -59,17 +64,17 @@ pub struct FramePayload {
 }
 
 impl FramePayload {
-    /// Builds a payload record from raw muxed bytes, computing the CRC.
+    /// Builds a payload record from raw muxed bytes, computing the CRC
+    /// and moving the bytes into a shared buffer.
     ///
-    /// Degradation paths (e.g. a broadcast shedding the refinement
-    /// layer) use this to wrap a transformed record under the original
-    /// frame's index and kind.
+    /// The source's encode paths and degradation paths (e.g. a broadcast
+    /// shedding the refinement layer) both wrap their records this way.
     pub fn from_bytes(frame_index: u32, kind: FrameKind, payload: Vec<u8>) -> Self {
         let payload_crc = crc32(&payload);
         FramePayload {
             frame_index,
             kind,
-            payload,
+            payload: payload.into(),
             payload_crc,
             encode_ns: 0,
             over_budget: false,
@@ -225,20 +230,7 @@ impl<'d> FrameSource<'d> {
         self.refresh_pending = false;
         let encode_sp = pcc_probe::span("stream/encode");
         let (encoded, timeline) = self.encoder.encode_frame(cloud);
-        let kind = encoded.kind();
-        if kind == FrameKind::Intra {
-            if let Some(ring) = &self.repair {
-                ring.park(frame_index, &encoded);
-            }
-        }
-        let mut payload = Vec::new();
-        container::mux_frame(&mut payload, &encoded);
-        let payload_crc = crc32(&payload);
-        let encode_ns = encode_sp.stop();
-        let modeled_ms = timeline.total_modeled_ms().as_f64();
-        let over_budget = self.frame_budget_ms.is_some_and(|b| modeled_ms > b);
-        self.frames_encoded += 1;
-        FramePayload { frame_index, kind, payload, payload_crc, encode_ns, over_budget, refresh }
+        self.package(frame_index, refresh, &encoded, &timeline, encode_sp)
     }
 
     /// [`encode_next`](Self::encode_next) behind a supervision boundary:
@@ -272,20 +264,99 @@ impl<'d> FrameSource<'d> {
             return None;
         };
         self.refresh_pending = false;
+        Some(self.package(frame_index, refresh, &encoded, &timeline, encode_sp))
+    }
+
+    /// The post-encode tail shared by both encode paths: parks brick
+    /// repair state, muxes the record into a shared payload, computes
+    /// its CRC once, and books the encode against the frame budget.
+    fn package(
+        &mut self,
+        frame_index: u32,
+        refresh: bool,
+        encoded: &EncodedFrame,
+        timeline: &Timeline,
+        encode_sp: pcc_probe::Span,
+    ) -> FramePayload {
         let kind = encoded.kind();
         if kind == FrameKind::Intra {
             if let Some(ring) = &self.repair {
-                ring.park(frame_index, &encoded);
+                ring.park(frame_index, encoded);
             }
         }
-        let mut payload = Vec::new();
-        container::mux_frame(&mut payload, &encoded);
-        let payload_crc = crc32(&payload);
+        let mut record = Vec::new();
+        container::mux_frame(&mut record, encoded);
+        let frame = FramePayload::from_bytes(frame_index, kind, record);
         let encode_ns = encode_sp.stop();
         let modeled_ms = timeline.total_modeled_ms().as_f64();
         let over_budget = self.frame_budget_ms.is_some_and(|b| modeled_ms > b);
         self.frames_encoded += 1;
-        Some(FramePayload { frame_index, kind, payload, payload_crc, encode_ns, over_budget, refresh })
+        FramePayload { encode_ns, over_budget, refresh, ..frame }
+    }
+}
+
+/// The frame chunk image stamped last, reused while the next
+/// subscriber's chunk would be byte-identical.
+///
+/// A fan-out loop threads one memo through every
+/// [`Subscription::send_payload`] of a frame. A subscription reuses the
+/// image when its seq, stream id, frame index, and kind match and the
+/// payload is the same [`SharedBytes`] allocation (not merely equal
+/// bytes); otherwise it stamps a fresh image into the memo's buffer.
+/// Subscribers that joined at the same GOF share a seq, so a whole seq
+/// group writes one image. The buffer is kept across frames, so a warm
+/// memo stamps without allocating.
+#[derive(Debug, Default)]
+pub struct StampMemo {
+    stamped: Option<Stamped>,
+    /// Wire image of `stamped`.
+    image: Vec<u8>,
+}
+
+#[derive(Debug)]
+struct Stamped {
+    /// `(kind, stream id, seq, frame index)` of the chunk.
+    key: (FrameKind, u32, u32, u32),
+    parts: ChunkParts,
+}
+
+impl StampMemo {
+    /// An empty memo: its first stamp always misses.
+    pub fn new() -> Self {
+        StampMemo::default()
+    }
+
+    /// The chunk of `frame` at `seq` on stream `stream_id`, stamped
+    /// unless the memo already holds it, and its wire image.
+    fn stamp(&mut self, stream_id: u32, seq: u32, frame: &FramePayload) -> (&ChunkParts, &[u8]) {
+        let key = (frame.kind, stream_id, seq, frame.frame_index);
+        let stale = self.stamped.as_ref().is_some_and(|held| {
+            held.key != key
+                || !held.parts.payload.ptr_eq(&frame.payload)
+                || held.parts.payload_crc != frame.payload_crc
+        });
+        if stale {
+            self.stamped = None;
+        }
+        let image = &mut self.image;
+        let stamped = self.stamped.get_or_insert_with(|| {
+            let parts = ChunkParts {
+                header: chunk_header(
+                    ChunkKind::Frame,
+                    Some(frame.kind),
+                    stream_id,
+                    seq,
+                    frame.frame_index,
+                    frame.payload.len(),
+                ),
+                payload: frame.payload.clone(),
+                payload_crc: frame.payload_crc,
+            };
+            image.clear();
+            parts.write_to(image);
+            Stamped { key, parts }
+        });
+        (&stamped.parts, &self.image)
     }
 }
 
@@ -302,8 +373,8 @@ pub struct Subscription<W: Write> {
     stream_id: u32,
     seq: u32,
     stats: StreamStats,
-    /// Encoded header chunk, kept so a late `with_arq` can park it.
-    header_bytes: Vec<u8>,
+    /// The stream header chunk, kept so a late `with_arq` can park it.
+    header: ChunkParts,
     arq_ring: Option<SharedRing>,
     /// Wire bytes carried over from a previous life of this subscriber
     /// (reconnect/resume); `bytes_sent` is always `bytes_base` plus the
@@ -320,8 +391,8 @@ impl<W: Write> Subscription<W> {
     /// Propagates transport errors.
     pub fn attach(writer: W, header: &Chunk) -> io::Result<Self> {
         let mut writer = ChunkWriter::new(writer);
-        let header_bytes = encode_chunk(header);
-        writer.write_encoded(&header_bytes)?;
+        let parts = ChunkParts::from_chunk(header);
+        writer.write_encoded(&parts.to_bytes())?;
         writer.flush()?;
         let stats = StreamStats {
             chunks_sent: 1,
@@ -333,7 +404,7 @@ impl<W: Write> Subscription<W> {
             stream_id: header.stream_id,
             seq: 1,
             stats,
-            header_bytes,
+            header: parts,
             arq_ring: None,
             bytes_base: 0,
         })
@@ -354,7 +425,7 @@ impl<W: Write> Subscription<W> {
     /// header) in `ring` so an ARQ receiver holding a clone can NACK
     /// gaps against it. See [`crate::arq`].
     pub fn with_arq(mut self, ring: SharedRing) -> Self {
-        ring.insert(0, self.header_bytes.clone());
+        ring.insert(0, self.header.clone());
         self.arq_ring = Some(ring);
         self
     }
@@ -370,29 +441,23 @@ impl<W: Write> Subscription<W> {
         }
     }
 
-    /// Stamps one frame payload into this subscriber's stream: encodes
-    /// the chunk under the local sequence number (reusing the payload
-    /// CRC), parks it in the ARQ ring, writes it, and flushes at
-    /// I-frames so resync points hit the wire immediately.
+    /// Stamps one frame payload into this subscriber's stream under the
+    /// local sequence number — reusing `memo`'s image when it already
+    /// holds this exact chunk — parks the chunk's parts in the ARQ ring,
+    /// writes the image in one write, and flushes at I-frames so resync
+    /// points hit the wire immediately.
     ///
     /// # Errors
     ///
     /// Propagates transport errors.
-    pub fn send_payload(&mut self, frame: &FramePayload) -> io::Result<()> {
+    pub fn send_payload(&mut self, frame: &FramePayload, memo: &mut StampMemo) -> io::Result<()> {
         let send_sp = pcc_probe::span("stream/send");
-        let bytes = encode_chunk_parts(
-            ChunkKind::Frame,
-            Some(frame.kind),
-            self.stream_id,
-            self.seq,
-            frame.frame_index,
-            &frame.payload,
-            frame.payload_crc,
-        );
+        let (parts, image) = memo.stamp(self.stream_id, self.seq, frame);
         if let Some(ring) = &self.arq_ring {
-            ring.insert(self.seq, bytes.clone());
+            ring.insert(self.seq, parts.clone());
         }
-        self.writer.write_encoded(&bytes)?;
+        self.writer.write_encoded(image)?;
+        let wire_len = image.len() as u64;
         self.seq += 1;
         if frame.kind == FrameKind::Intra {
             // GOF boundary: the resync anchor must not sit in a buffer
@@ -405,7 +470,7 @@ impl<W: Write> Subscription<W> {
         self.stats.bytes_sent = self.bytes_base + self.writer.bytes_written();
         if frame.refresh {
             self.stats.refresh_frames += 1;
-            self.stats.refresh_bytes += bytes.len() as u64;
+            self.stats.refresh_bytes += wire_len;
         }
         Ok(())
     }
@@ -437,11 +502,11 @@ impl<W: Write> Subscription<W> {
     ///
     /// Propagates transport errors.
     pub fn finish(mut self, total_frames: u32) -> io::Result<(W, StreamStats)> {
-        let bytes = encode_chunk(&end_chunk(self.stream_id, self.seq, total_frames));
+        let parts = ChunkParts::from_chunk(&end_chunk(self.stream_id, self.seq, total_frames));
         if let Some(ring) = &self.arq_ring {
-            ring.insert(self.seq, bytes.clone());
+            ring.insert(self.seq, parts.clone());
         }
-        self.writer.write_encoded(&bytes)?;
+        self.writer.write_encoded(&parts.to_bytes())?;
         self.writer.flush()?;
         self.stats.chunks_sent += 1;
         self.stats.bytes_sent = self.bytes_base + self.writer.bytes_written();
@@ -482,6 +547,7 @@ mod tests {
         let device = Device::jetson_agx_xavier(PowerMode::W15);
         let config = StreamConfig::default();
         let mut source = FrameSource::new(&codec, 6, &device, &config);
+        let mut memo = StampMemo::new();
         let header = source.header();
         let mut subs: Vec<Subscription<Vec<u8>>> = (0..3)
             .map(|_| Subscription::attach(Vec::new(), &header).unwrap())
@@ -490,7 +556,7 @@ mod tests {
             let fp = source.encode_next(&frame.cloud);
             assert_eq!(fp.payload_crc, crc32(&fp.payload));
             for sub in &mut subs {
-                sub.send_payload(&fp).unwrap();
+                sub.send_payload(&fp, &mut memo).unwrap();
             }
         }
         assert_eq!(source.frames_encoded(), video.len() as u64);
@@ -509,6 +575,38 @@ mod tests {
     }
 
     #[test]
+    fn memo_reuses_an_image_only_for_the_same_payload_allocation() {
+        let header = Chunk {
+            kind: ChunkKind::StreamHeader,
+            frame_kind: None,
+            stream_id: 1,
+            seq: 0,
+            frame_index: 0,
+            payload: vec![1, 3, 6],
+        };
+        let mut memo = StampMemo::new();
+        let mut stamped = Vec::new();
+        let a = FramePayload::from_bytes(0, FrameKind::Intra, vec![1; 64]);
+        // Equal bytes in another allocation, and other bytes under a
+        // forged equal CRC: every header field and the CRC match `a`,
+        // so only the allocation tells the memo the images differ.
+        let copy = FramePayload::from_bytes(0, FrameKind::Intra, vec![1; 64]);
+        let forged = FramePayload { payload: vec![2; 64].into(), ..a.clone() };
+        for frame in [&a, &a, &copy, &forged] {
+            let mut sub = Subscription::attach(Vec::new(), &header).unwrap();
+            sub.send_payload(frame, &mut memo).unwrap();
+            let (wire, _) = sub.into_parts().unwrap();
+            let mut fresh = Subscription::attach(Vec::new(), &header).unwrap();
+            fresh.send_payload(frame, &mut StampMemo::new()).unwrap();
+            assert_eq!(wire, fresh.into_parts().unwrap().0);
+            stamped.push(wire);
+        }
+        assert_eq!(stamped[0], stamped[1]);
+        assert_eq!(stamped[0], stamped[2]);
+        assert_ne!(stamped[0], stamped[3], "a memoised image leaked onto another payload");
+    }
+
+    #[test]
     fn source_plus_subscription_matches_sender_bytes() {
         let video = clip();
         let codec = PccCodec::new(Design::IntraInterV1);
@@ -523,11 +621,13 @@ mod tests {
         let (sender_wire, sender_stats) = sender.finish().unwrap();
 
         let mut source = FrameSource::new(&codec, 6, &device, &config);
+
+        let mut memo = StampMemo::new();
         let mut sub = Subscription::attach(Vec::new(), &source.header()).unwrap();
         for frame in video.iter() {
             let fp = source.encode_next(&frame.cloud);
             sub.record_encode(&fp);
-            sub.send_payload(&fp).unwrap();
+            sub.send_payload(&fp, &mut memo).unwrap();
         }
         let (split_wire, split_stats) = sub.finish(video.len() as u32).unwrap();
 
@@ -555,6 +655,7 @@ mod tests {
         let codec = PccCodec::new(Design::IntraInterV1);
         let device = Device::jetson_agx_xavier(PowerMode::W15);
         let mut source = FrameSource::new(&codec, 6, &device, &StreamConfig::default());
+        let mut memo = StampMemo::new();
         let mut sub = Subscription::attach(Vec::new(), &source.header()).unwrap();
 
         let f0 = source.encode_next(&video.frame(0).unwrap().cloud);
@@ -578,7 +679,7 @@ mod tests {
         assert!(!f3.refresh);
 
         for f in [&f0, &f1, &f2, &f3] {
-            sub.send_payload(f).unwrap();
+            sub.send_payload(f, &mut memo).unwrap();
         }
         let (_, stats) = sub.finish(4).unwrap();
         assert_eq!(stats.refresh_frames, 1);
@@ -592,17 +693,18 @@ mod tests {
         let codec = PccCodec::new(Design::IntraInterV1);
         let device = Device::jetson_agx_xavier(PowerMode::W15);
         let mut source = FrameSource::new(&codec, 6, &device, &StreamConfig::default());
+        let mut memo = StampMemo::new();
 
         let mut first = Subscription::attach(Vec::new(), &source.header()).unwrap();
         let f0 = source.encode_next(&video.frame(0).unwrap().cloud);
-        first.send_payload(&f0).unwrap();
+        first.send_payload(&f0, &mut memo).unwrap();
         let (wire1, prior) = first.into_parts().unwrap();
         assert_eq!(prior.bytes_sent, wire1.len() as u64);
 
         let mut second = Subscription::attach(Vec::new(), &source.header_at(1)).unwrap();
         second.carry_over(&prior);
         let f1 = source.encode_next(&video.frame(1).unwrap().cloud);
-        second.send_payload(&f1).unwrap();
+        second.send_payload(&f1, &mut memo).unwrap();
         let (wire2, total) = second.finish(2).unwrap();
 
         assert_eq!(total.frames_sent, 2, "both lives' frames count");
@@ -620,9 +722,10 @@ mod tests {
         let codec = PccCodec::new(Design::IntraInterV1);
         let device = Device::jetson_agx_xavier(PowerMode::W15);
         let mut source = FrameSource::new(&codec, 6, &device, &StreamConfig::default());
+        let mut memo = StampMemo::new();
         let mut sub = Subscription::attach(Vec::new(), &source.header()).unwrap();
         let fp = source.encode_next(&video.frame(0).unwrap().cloud);
-        sub.send_payload(&fp).unwrap();
+        sub.send_payload(&fp, &mut memo).unwrap();
         let (wire, stats) = sub.into_parts().unwrap();
         assert!(!stats.clean_shutdown);
         assert_eq!(stats.frames_sent, 1);

@@ -43,7 +43,8 @@ echo "== perf trajectory: hot-path benchmark gate =="
 # Re-measures the per-kernel ns/point, steady-state allocs/frame, and
 # end-to-end frame latency of BENCH_hotpath.json; any timed metric more
 # than 15% over the committed baseline (PCC_BENCH_TOLERANCE overrides),
-# or a steady-state frame that starts allocating, fails the gate.
+# or a steady-state frame or fan-out send that starts allocating, fails
+# the gate.
 # Re-baseline an intentional change with PCC_BENCH_REFRESH=1.
 cargo run -q --release --offline -p pcc-bench --features simd --bin hotpath -- --check
 
@@ -78,6 +79,14 @@ echo "== broadcast soak: encode-once fan-out to 100+ subscribers =="
 # along with its own assertions.
 cargo test -q --offline --release --test broadcast_soak
 cargo run -q --release --offline --example broadcast
+
+echo "== stream/serve crate suites: stamp memo, ARQ rings, resync cache =="
+# The crates' own suites are outside the root package's test run. The
+# stamp-memo proptest drives random mixes of on-time, late, resubscribed,
+# refinement-shed, P-strided, ARQ and plain subscribers through one
+# broadcast: every wire must equal a fresh stamp per subscriber, and
+# every ARQ ring must serve exactly the chunk sent under each seq.
+cargo test -q --offline --release -p pcc-stream -p pcc-serve
 
 echo "== chaos soak: recovery plane under seeded faults =="
 # The recovery plane replayed deterministically: a dropped I-frame must
