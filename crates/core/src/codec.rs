@@ -730,7 +730,7 @@ impl<'d> FrameDecoder<'d> {
     /// cursor so the repaired decode lands on the same index. For every
     /// brick whose payload fails its per-entry CRC, `fetch(cell)` is asked
     /// for the original `geometry ++ attribute` bytes (a NACK answered
-    /// from the sender's repair ring); the returned bytes are re-verified
+    /// from the sender's frame history); the returned bytes are re-verified
     /// against the index's length and CRC before being spliced in, so a
     /// lying repair source can never install a corrupt reference.
     ///

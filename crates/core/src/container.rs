@@ -27,6 +27,7 @@ use pcc_intra::IntraFrame;
 use pcc_entropy::varint;
 use pcc_types::{LimitExceeded, Limits};
 use std::fmt;
+use std::ops::Range;
 
 const MAGIC: &[u8; 4] = b"PCCV";
 const VERSION: u8 = 1;
@@ -171,41 +172,48 @@ pub fn mux(video: &EncodedVideo) -> Vec<u8> {
     out
 }
 
-/// Appends one frame record (tag, payloads, metadata) to `out`.
+/// Appends one frame record (tag, payloads, metadata) to `out` and
+/// returns the byte ranges of the frame's geometry and attribute
+/// payloads within `out`.
 ///
 /// This is exactly the per-frame byte layout of [`mux`]; a container is
 /// the header followed by `mux_frame` records back to back. Transports
 /// that deliver frames individually (chunked streaming) use this
-/// directly.
-pub fn mux_frame(out: &mut Vec<u8>, frame: &EncodedFrame) {
+/// directly. Both payloads are written verbatim, so a holder of the
+/// record can slice either one out of it without re-parsing.
+pub fn mux_frame(out: &mut Vec<u8>, frame: &EncodedFrame) -> [Range<usize>; 2] {
     match frame {
         EncodedFrame::Tmc13(f) => {
             out.push(0x01);
-            write_payloads(out, &f.geometry, &f.attribute);
+            let payloads = write_payloads(out, &f.geometry, &f.attribute);
             varint::write_u64(out, f.unique_voxels as u64);
             varint::write_u64(out, f.raw_points as u64);
+            payloads
         }
         EncodedFrame::Cwipc(f) => {
             out.push(if f.predicted { 0x03 } else { 0x02 });
-            write_payloads(out, &f.geometry, &f.attribute);
+            let payloads = write_payloads(out, &f.geometry, &f.attribute);
             varint::write_u64(out, f.unique_voxels as u64);
             varint::write_u64(out, f.raw_points as u64);
             varint::write_u64(out, f.matched_blocks as u64);
             varint::write_u64(out, f.total_blocks as u64);
+            payloads
         }
         EncodedFrame::Intra(f) => {
             out.push(0x04);
-            write_payloads(out, &f.geometry, &f.attribute);
+            let payloads = write_payloads(out, &f.geometry, &f.attribute);
             varint::write_u64(out, f.unique_voxels as u64);
             varint::write_u64(out, f.raw_points as u64);
+            payloads
         }
         EncodedFrame::Inter(f) => {
             out.push(0x05);
-            write_payloads(out, &f.frame.geometry, &f.frame.attribute);
+            let payloads = write_payloads(out, &f.frame.geometry, &f.frame.attribute);
             varint::write_u64(out, f.frame.unique_voxels as u64);
             varint::write_u64(out, f.frame.raw_points as u64);
             varint::write_u64(out, f.stats.reused as u64);
             varint::write_u64(out, f.stats.delta as u64);
+            payloads
         }
     }
 }
@@ -362,11 +370,14 @@ pub fn design_from_tag(tag: u8) -> Option<Design> {
     })
 }
 
-fn write_payloads(out: &mut Vec<u8>, geometry: &[u8], attribute: &[u8]) {
+fn write_payloads(out: &mut Vec<u8>, geometry: &[u8], attribute: &[u8]) -> [Range<usize>; 2] {
     varint::write_u64(out, geometry.len() as u64);
+    let geometry_at = out.len();
     out.extend_from_slice(geometry);
     varint::write_u64(out, attribute.len() as u64);
+    let attribute_at = out.len();
     out.extend_from_slice(attribute);
+    [geometry_at..geometry_at + geometry.len(), attribute_at..out.len()]
 }
 
 fn read_payloads(

@@ -52,7 +52,7 @@ pub use codec::{
     SalvagedIntra,
 };
 // The brick index types travel up to the stream layer: the sender's
-// repair ring parks per-brick payload ranges so a receiver can NACK and
+// frame history keeps per-brick payload ranges so a receiver can NACK and
 // re-fetch individual damaged bricks.
 pub use pcc_intra::{BrickEntry, BrickIndex};
 pub use design::Design;

@@ -1,14 +1,13 @@
 //! One broadcast session: a shared encoder fanned out to N subscribers.
 
-use crate::cache::ResyncCache;
 use crate::shed::shed_refinement;
 use crate::stats::ServeStats;
 use pcc_adapt::{Clock, Controller, FrameObservation, SystemClock};
 use pcc_core::PccCodec;
 use pcc_edge::Device;
 use pcc_stream::{
-    FramePayload, FrameSource, RecoveryRequest, SharedRepairRing, SharedRing, SharedStats,
-    StampMemo, StreamConfig, StreamStats, Subscription,
+    FrameHistory, FramePayload, FrameSource, RecoveryRequest, SharedRing, SharedStats, StampMemo,
+    StreamConfig, StreamStats, Subscription,
 };
 use pcc_types::{Aabb, FrameKind, GofPattern, PointCloud};
 use std::io::{self, Write};
@@ -125,9 +124,9 @@ impl std::fmt::Debug for Slot {
 /// a transport write and, with ARQ, one parked header. Per subscriber,
 /// the broadcast optionally:
 ///
-/// * replays the [`ResyncCache`] on subscribe, so a late joiner is
-///   bit-exact from the current GOF's I-frame instead of waiting a
-///   GOF;
+/// * replays the source's [`FrameHistory`] on subscribe, so a late
+///   joiner is bit-exact from the current GOF's I-frame instead of
+///   waiting a GOF;
 /// * degrades the *transmission* under a `pcc-adapt`
 ///   [`Controller`] — stripping the refinement attribute layer from
 ///   I-frames ([`shed_refinement`]) and/or striding P-frames — while
@@ -141,7 +140,6 @@ pub struct Broadcast<'d> {
     /// decode-contract knobs no ladder may move).
     sheddable: bool,
     slots: Vec<Slot>,
-    cache: ResyncCache,
     /// The chunk image stamped last, shared by every send of the same
     /// seq group (fan-out and replays alike).
     memo: StampMemo,
@@ -162,8 +160,8 @@ impl std::fmt::Debug for Broadcast<'_> {
 
 impl<'d> Broadcast<'d> {
     /// Opens a broadcast session. No bytes move until a subscriber
-    /// attaches; frames pushed before the first subscriber still warm
-    /// the resync cache.
+    /// attaches; frames pushed before the first subscriber are still
+    /// recorded in the source's history for late joiners.
     pub fn new(codec: &PccCodec, depth: u8, device: &'d Device, config: &StreamConfig) -> Self {
         let source = FrameSource::new(codec, depth, device, config);
         let intra = source.inter_config().intra;
@@ -174,7 +172,6 @@ impl<'d> Broadcast<'d> {
             sheddable: intra.two_layer && !intra.entropy && intra.brick_depth == 0,
             source,
             slots: Vec::new(),
-            cache: ResyncCache::new(),
             memo: StampMemo::new(),
             stats: ServeStats::default(),
             liveness: None,
@@ -190,11 +187,13 @@ impl<'d> Broadcast<'d> {
         self
     }
 
-    /// Parks every encoded brick I-frame in `ring` so receivers can NACK
-    /// individual damaged bricks ([`pcc_stream::RepairSource`]) instead
-    /// of waiting out a whole-frame refresh.
-    pub fn with_repair(mut self, ring: SharedRepairRing) -> Self {
-        self.source = self.source.with_repair(ring);
+    /// Records every encoded frame in `history` so receivers holding a
+    /// clone can NACK individual damaged bricks
+    /// ([`pcc_stream::Receiver::with_repair`]) instead of waiting out a
+    /// whole-frame refresh. Late joins replay from the same history.
+    /// Call it before the first frame.
+    pub fn with_repair(mut self, history: FrameHistory) -> Self {
+        self.source = self.source.with_repair(history);
         self
     }
 
@@ -221,27 +220,25 @@ impl<'d> Broadcast<'d> {
     }
 
     /// Attaches a subscriber: writes its stream header and, when the
-    /// session is already past its first frame, replays the resync
-    /// cache so the subscriber is bit-exact from the current GOF's
+    /// session is already past its first frame, replays the history's
+    /// resync run so the subscriber is bit-exact from the current GOF's
     /// I-frame. The header announces the join point, so the
     /// subscriber's [`Receiver`](pcc_stream::Receiver) books nothing
     /// before it as loss.
     ///
     /// # Errors
     ///
-    /// Propagates transport errors from the header write or the cache
-    /// replay (the subscriber is not registered on error).
+    /// Propagates transport errors from the header write or the replay
+    /// (the subscriber is not registered on error).
     pub fn subscribe<W: Write + Send + 'static>(
         &mut self,
         transport: W,
         config: SubscriberConfig,
     ) -> io::Result<SubscriberId> {
-        let late = self.source.frame_index() > 0;
-        let join_at = if late {
-            self.cache.join_index().unwrap_or(self.source.frame_index() as u32)
-        } else {
-            0
-        };
+        let frame_index = self.source.frame_index() as u32;
+        let late = frame_index > 0;
+        let replay = if late { self.source.history().resync() } else { Vec::new() };
+        let join_at = replay.first().map_or(frame_index, |f| f.frame_index);
         let header = self.source.header_at(join_at);
         let boxed: Box<dyn Write + Send> = Box::new(transport);
         let mut sub = Subscription::attach(boxed, &header)?;
@@ -251,7 +248,7 @@ impl<'d> Broadcast<'d> {
         }
         if late {
             let replay_sp = pcc_probe::span("serve/replay");
-            for frame in self.cache.frames() {
+            for frame in &replay {
                 sub.send_payload(frame, &mut self.memo)?;
                 self.stats.replayed_frames += 1;
             }
@@ -279,24 +276,25 @@ impl<'d> Broadcast<'d> {
     /// Resumes a dead (failed or evicted) subscriber on a fresh
     /// transport, keeping its identity, ARQ ring, and counters.
     ///
-    /// The new transport gets a stream header at the resync cache's
-    /// join point and the cached GOF replayed, exactly like a late
-    /// join, then the slot's counters are carried over so
-    /// `bytes_sent` / `frames_sent` keep counting across lives.
+    /// The new transport gets a stream header at the history's join
+    /// point and the current GOF replayed, exactly like a late join,
+    /// then the slot's counters are carried over so `bytes_sent` /
+    /// `frames_sent` keep counting across lives.
     /// Returns `Ok(false)` for unknown ids and for slots that are still
     /// live (resubscribing a healthy slot would fork its stream).
     ///
     /// # Errors
     ///
-    /// Propagates transport errors from the header write or cache
-    /// replay; the slot then stays dead and can be retried.
+    /// Propagates transport errors from the header write or the replay;
+    /// the slot then stays dead and can be retried.
     pub fn resubscribe<W: Write + Send + 'static>(
         &mut self,
         id: SubscriberId,
         transport: W,
     ) -> io::Result<bool> {
         let frame_index = self.source.frame_index() as u32;
-        let join_at = self.cache.join_index().unwrap_or(frame_index);
+        let replay = self.source.history().resync();
+        let join_at = replay.first().map_or(frame_index, |f| f.frame_index);
         let header = self.source.header_at(join_at);
         let Some(at) = self
             .slots
@@ -311,10 +309,8 @@ impl<'d> Broadcast<'d> {
             sub = sub.with_arq(ring);
         }
         let replay_sp = pcc_probe::span("serve/replay");
-        let mut replayed = 0usize;
-        for frame in self.cache.frames() {
+        for frame in &replay {
             sub.send_payload(frame, &mut self.memo)?;
-            replayed += 1;
         }
         self.stats.aggregate.add_stage_ns("serve/replay", replay_sp.stop());
         let Some(slot) = self.slots.get_mut(at) else {
@@ -330,7 +326,7 @@ impl<'d> Broadcast<'d> {
         slot.sub.carry_over(&checkpoint);
         slot.health = SlotHealth::Live;
         slot.misses = 0;
-        self.stats.replayed_frames += replayed;
+        self.stats.replayed_frames += replay.len();
         self.stats.resubscribes += 1;
         pcc_probe::add_count("serve/resubscribes", 1);
         Ok(true)
@@ -369,8 +365,8 @@ impl<'d> Broadcast<'d> {
     /// behind a supervision boundary (see
     /// [`FrameSource::encode_next_contained`]): a panic from `fault` or
     /// the codec is contained as one skipped frame — counted in the
-    /// aggregate's `panics_contained`, fanned out to nobody, invisible
-    /// to the resync cache — and `None` is returned. Subscribers observe
+    /// aggregate's `panics_contained`, fanned out to nobody, recorded
+    /// in no history — and `None` is returned. Subscribers observe
     /// a frame-index gap exactly as if the frame was lost at the source.
     /// Deterministic simulation harnesses drive encode-panic schedules
     /// through this hook.
@@ -418,7 +414,6 @@ impl<'d> Broadcast<'d> {
         if frame.over_budget {
             self.stats.aggregate.frames_over_budget += 1;
         }
-        self.cache.observe(frame);
 
         // The shed variant is shared too: computed at most once per
         // frame, however many subscribers are on a stripped rung, and

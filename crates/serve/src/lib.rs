@@ -11,9 +11,10 @@
 //! * [`Broadcast`] — one session: encode once per frame, stamp each
 //!   subscriber's own chunk framing (sequence space, ARQ ring, stats)
 //!   around the shared payload bytes.
-//! * [`ResyncCache`] — the current GOF's payloads; late joiners replay
-//!   `[header, cached I, cached P...]` and are bit-exact immediately
-//!   instead of waiting for the next I-frame.
+//! * Late joins — the source's
+//!   [`FrameHistory`](pcc_stream::FrameHistory) holds the current GOF's
+//!   payloads; late joiners replay `[header, I, P...]` from it and are
+//!   bit-exact immediately instead of waiting for the next I-frame.
 //! * [`shed_refinement`] — transmit-side degradation: strip the coded
 //!   refinement attribute layer from an I-frame record for subscribers
 //!   that can't keep up, without touching the shared encoder. Driven
@@ -25,7 +26,7 @@
 //!   audience.
 //! * Recovery plane — a dead slot keeps its identity ([`SlotHealth`]),
 //!   ARQ ring, and counters so [`Broadcast::resubscribe`] can resume it
-//!   on a fresh transport (header + cached-GOF replay + carried-over
+//!   on a fresh transport (header + GOF replay + carried-over
 //!   byte accounting); a [`LivenessPolicy`] evicts stalled consumers by
 //!   missed send deadlines instead of serving a wedged wire forever;
 //!   and receiver intra-refresh asks drained from the feedback channel
@@ -60,13 +61,11 @@
 #![cfg_attr(test, allow(clippy::indexing_slicing))]
 
 mod broadcast;
-mod cache;
 mod registry;
 mod shed;
 mod stats;
 
 pub use broadcast::{Broadcast, LivenessPolicy, SlotHealth, SubscriberConfig, SubscriberId};
-pub use cache::ResyncCache;
 pub use registry::Registry;
 pub use shed::shed_refinement;
 pub use stats::ServeStats;

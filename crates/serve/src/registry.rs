@@ -10,7 +10,7 @@ use std::collections::HashMap;
 /// Hosts concurrent [`Broadcast`] sessions, each on its own stream id.
 ///
 /// The registry is bookkeeping, not I/O: sessions stay independent
-/// (their own encoder, cache, subscribers), the registry only enforces
+/// (their own encoder, frame history, subscribers), the registry only enforces
 /// stream-id uniqueness and owns their lifetimes.
 #[derive(Default)]
 pub struct Registry<'d> {

@@ -30,9 +30,9 @@ pub struct ServeStats {
     /// ([`Broadcast::resubscribe`](crate::Broadcast::resubscribe)).
     pub resubscribes: usize,
     /// Subscribers that attached after the first frame and were
-    /// resynced from the cache.
+    /// resynced from the frame history.
     pub late_joins: usize,
-    /// Cached frame payloads replayed to late joiners in total.
+    /// Frame payloads replayed to late joiners in total.
     pub replayed_frames: usize,
     /// I-frames sent with the refinement attribute layer stripped
     /// (counted per subscriber per frame).

@@ -27,7 +27,7 @@ use pcc_edge::{Device, PowerMode};
 use pcc_inter::InterConfig;
 use pcc_serve::{Broadcast, LivenessPolicy, ServeStats, SlotHealth, SubscriberConfig, SubscriberId};
 use pcc_stream::{
-    ArqConfig, Delivered, Receiver, SharedRepairRing, SharedRing, SharedStats, StreamConfig,
+    ArqConfig, Delivered, FrameHistory, Receiver, SharedRing, SharedStats, StreamConfig,
     StreamStats,
 };
 use pcc_types::{FrameKind, PointCloud};
@@ -105,7 +105,7 @@ impl SimReport {
 /// What flavor of receiver rides a link (assigned round-robin).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Role {
-    /// Recovery asks + brick repair from the shared ring.
+    /// Recovery asks + brick repair from the shared frame history.
     Recovery,
     /// ARQ over a shared retransmit ring, plus recovery + repair.
     Arq,
@@ -219,15 +219,15 @@ fn build_receiver<'d>(
     device: &'d Device,
     role: Role,
     fb: &SharedStats,
-    ring: &SharedRepairRing,
+    history: &FrameHistory,
     arq: Option<&SharedRing>,
     clock: &FakeClock,
 ) -> Receiver<'d, SimPipe> {
     let rx = Receiver::new(pipe, device).with_streaming().with_feedback(fb.clone());
     match role {
         Role::Plain => rx,
-        Role::Recovery => rx.with_recovery().with_repair(ring.clone()),
-        Role::Arq => rx.with_recovery().with_repair(ring.clone()).with_arq_clock(
+        Role::Recovery => rx.with_recovery().with_repair(history.clone()),
+        Role::Arq => rx.with_recovery().with_repair(history.clone()).with_arq_clock(
             arq.cloned().expect("arq role carries a ring"),
             ArqConfig::default(),
             Arc::new(clock.clone()),
@@ -253,12 +253,12 @@ pub fn run(schedule: &FaultSchedule, config: &SimConfig) -> SimReport {
     inter.intra.brick_depth = 2; // brick-partitioned I-frames: repair plane live
     let codec = PccCodec::with_inter_config(inter);
     let clock = FakeClock::new();
-    let ring = SharedRepairRing::new(4);
+    let history = FrameHistory::new(4);
     let bb = video.bounding_box().expect("synthetic clips have points");
 
     let mut session = Broadcast::new(&codec, 6, &device, &StreamConfig::default())
         .with_bounding_box(bb)
-        .with_repair(ring.clone())
+        .with_repair(history.clone())
         .with_liveness(LIVENESS);
     let period = session.gof_pattern().period().max(1);
     let starvation_limit = 2 * period + 2;
@@ -293,7 +293,7 @@ pub fn run(schedule: &FaultSchedule, config: &SimConfig) -> SimReport {
                 },
             )
             .expect("fresh link cannot fail");
-        let rx = build_receiver(pipe.clone(), &device, role, &fb, &ring, arq.as_ref(), &clock);
+        let rx = build_receiver(pipe.clone(), &device, role, &fb, &history, arq.as_ref(), &clock);
         slots.push(Slot {
             id,
             role,
@@ -382,7 +382,7 @@ pub fn run(schedule: &FaultSchedule, config: &SimConfig) -> SimReport {
                         &device,
                         slot.role,
                         &slot.fb,
-                        &ring,
+                        &history,
                         slot.arq.as_ref(),
                         &clock,
                     );

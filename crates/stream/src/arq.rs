@@ -3,20 +3,20 @@
 //! The base session layer is purely feed-forward: a lost chunk is a lost
 //! frame, and a lost I-frame costs its whole group. When the deployment
 //! has *some* back channel — even a simulated one — a sender can park
-//! recently sent chunks in a bounded [`RetransmitRing`] and a receiver
-//! can NACK sequence gaps against it ([`Receiver::with_arq`]):
+//! recently sent chunks in a bounded [`SharedRing`] and a receiver can
+//! NACK sequence gaps against it ([`Receiver::with_arq`]):
 //!
 //! ```text
 //!   sender ──chunks──▶ lossy transport ──▶ receiver
 //!     │                                       │ seq gap detected
-//!     └──── RetransmitRing ◀───── NACK(seq) ──┘
+//!     └────── SharedRing ◀─────── NACK(seq) ──┘
 //!                │
 //!                └──── retransmitted chunk ──▶ pending queue
 //! ```
 //!
 //! A ring never copies a frame: it parks each chunk as its 26-byte
 //! stamped header plus a reference to the frame payload the sender
-//! already shares with every other subscriber and cache
+//! already shares with every other subscriber and its frame history
 //! ([`ChunkParts`]), and rebuilds the chunk bytes only when a NACK asks
 //! for them. Ring memory is therefore headers plus shared payload
 //! references, however many ARQ subscribers a broadcast serves.
@@ -34,7 +34,7 @@
 
 use crate::chunk::ChunkParts;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// A source the receiver can pull lost chunks back out of.
@@ -48,94 +48,48 @@ pub trait Retransmit {
     fn retransmit(&mut self, seq: u32) -> Option<Vec<u8>>;
 }
 
-/// Bounded ring of the most recently sent chunks, parked as
-/// [`ChunkParts`].
-///
-/// Capacity is in chunks; inserting past it evicts the oldest entry, so
-/// memory stays proportional to the configured window no matter how long
-/// the session runs.
-#[derive(Debug)]
-pub struct RetransmitRing {
-    capacity: usize,
-    entries: VecDeque<(u32, ChunkParts)>,
-}
-
-impl RetransmitRing {
-    /// Creates a ring holding at most `capacity` chunks (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        RetransmitRing { capacity: capacity.max(1), entries: VecDeque::new() }
-    }
-
-    /// Parks chunk `seq`, evicting the oldest entry when full.
-    pub fn insert(&mut self, seq: u32, chunk: ChunkParts) {
-        if self.entries.len() == self.capacity {
-            self.entries.pop_front();
-        }
-        self.entries.push_back((seq, chunk));
-    }
-
-    /// Chunk `seq`, if still held.
-    pub fn get(&self, seq: u32) -> Option<&ChunkParts> {
-        self.entries.iter().rev().find(|(s, _)| *s == seq).map(|(_, c)| c)
-    }
-
-    /// Maximum chunks the ring holds.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Chunks currently held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the ring holds no chunks.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-impl Retransmit for RetransmitRing {
-    fn retransmit(&mut self, seq: u32) -> Option<Vec<u8>> {
-        self.get(seq).map(ChunkParts::to_bytes)
-    }
-}
-
-/// A cloneable, thread-safe [`RetransmitRing`] handle.
+/// A clonable, thread-safe ring of the most recently sent chunks,
+/// parked as [`ChunkParts`].
 ///
 /// The sender half inserts every chunk as it hits the wire
 /// ([`Sender::with_arq`](crate::Sender::with_arq)); a clone handed to
 /// the receiver serves its NACKs. Sessions whose halves run on separate
-/// threads (the loopback examples) share one ring this way.
+/// threads (the loopback examples) share one ring this way. Capacity is
+/// in chunks; inserting past it evicts the oldest entry, so memory stays
+/// proportional to the configured window no matter how long the session
+/// runs.
 #[derive(Debug, Clone)]
-pub struct SharedRing(Arc<Mutex<RetransmitRing>>);
+pub struct SharedRing {
+    capacity: usize,
+    entries: Arc<Mutex<VecDeque<(u32, ChunkParts)>>>,
+}
 
 impl SharedRing {
-    /// Creates a shared ring holding at most `capacity` chunks.
+    /// Creates a ring holding at most `capacity` chunks (minimum 1).
     pub fn new(capacity: usize) -> Self {
-        SharedRing(Arc::new(Mutex::new(RetransmitRing::new(capacity))))
+        SharedRing { capacity: capacity.max(1), entries: Arc::default() }
     }
 
-    /// Parks chunk `seq`.
+    /// Parks chunk `seq`, evicting the oldest entry when full.
     pub fn insert(&self, seq: u32, chunk: ChunkParts) {
-        self.lock().insert(seq, chunk);
+        let mut entries = self.lock();
+        if entries.len() == self.capacity {
+            entries.pop_front();
+        }
+        entries.push_back((seq, chunk));
     }
 
-    /// Maximum chunks the ring holds.
-    pub fn capacity(&self) -> usize {
-        self.lock().capacity()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, RetransmitRing> {
+    fn lock(&self) -> MutexGuard<'_, VecDeque<(u32, ChunkParts)>> {
         // A poisoned ring only means another thread panicked mid-insert;
         // the entries themselves are immutable parts, still safe to serve.
-        self.0.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 impl Retransmit for SharedRing {
     fn retransmit(&mut self, seq: u32) -> Option<Vec<u8>> {
-        self.lock().retransmit(seq)
+        let entries = self.lock();
+        entries.iter().rev().find(|(s, _)| *s == seq).map(|(_, c)| c.to_bytes())
     }
 }
 
@@ -203,12 +157,11 @@ mod tests {
 
     #[test]
     fn ring_evicts_oldest_and_serves_newest() {
-        let mut ring = RetransmitRing::new(3);
-        assert!(ring.is_empty());
+        let mut ring = SharedRing::new(3);
+        assert_eq!(ring.retransmit(0), None);
         for seq in 0..5u32 {
             ring.insert(seq, ChunkParts::from_chunk(&chunk(seq)));
         }
-        assert_eq!(ring.len(), 3);
         assert_eq!(ring.retransmit(0), None, "oldest must age out");
         assert_eq!(ring.retransmit(1), None);
         for seq in 2..5u32 {
@@ -225,7 +178,6 @@ mod tests {
         ring.insert(7, ChunkParts::from_chunk(&chunk(7)));
         assert_eq!(reader.retransmit(7), Some(encode_chunk(&chunk(7))));
         assert_eq!(reader.retransmit(8), None);
-        assert_eq!(ring.capacity(), 8);
     }
 
     #[test]

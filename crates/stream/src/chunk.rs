@@ -161,7 +161,7 @@ fn write_image(out: &mut Vec<u8>, header: &[u8; HEADER_LEN], payload: &[u8], pay
 /// Immutable payload bytes shared by reference count.
 ///
 /// One coded frame is written to many wires, parked in many ARQ rings,
-/// and held by the resync cache; every holder clones this handle (a
+/// and held by the sender's frame history; every holder clones this handle (a
 /// reference-count bump) instead of the bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SharedBytes(Arc<[u8]>);
@@ -238,7 +238,7 @@ impl ChunkParts {
 /// Returns `None` when the bytes are not a single intact chunk (bad sync
 /// marker, failed header or payload CRC, wrong length). Retransmission
 /// paths use this to validate a chunk pulled back out of a
-/// [`RetransmitRing`](crate::arq::RetransmitRing) before trusting it.
+/// [`SharedRing`](crate::arq::SharedRing) before trusting it.
 pub fn decode_chunk(bytes: &[u8]) -> Option<Chunk> {
     let header = bytes.get(..HEADER_LEN)?;
     let (kind, frame_kind, stream_id, seq, frame_index, payload_len) = parse_header(header)?;

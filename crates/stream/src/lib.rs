@@ -33,7 +33,10 @@
 //!   [`RecoveryRequest`]s (intra-refresh asks, per-brick repair NACKs)
 //!   ride the feedback channel back to the sender, which re-anchors
 //!   with an out-of-schedule I-frame or retransmits individual brick
-//!   payloads from a bounded [`RepairRing`].
+//!   payloads from its [`FrameHistory`].
+//! * [`history`] — the [`FrameHistory`] every [`FrameSource`] records
+//!   into: one store of shared frame payloads that a broadcast replays
+//!   late joiners from and that answers brick-repair NACKs.
 //! * [`StreamStats`] — delivery accounting: frames sent / delivered /
 //!   dropped, resyncs, wire bytes, corruption events.
 //!
@@ -75,6 +78,7 @@
 
 pub mod arq;
 pub mod chunk;
+pub mod history;
 pub mod plan;
 pub mod recovery;
 pub mod session;
@@ -82,8 +86,9 @@ pub mod source;
 pub mod stats;
 pub mod supervise;
 
-pub use arq::{ArqConfig, Retransmit, RetransmitRing, SharedRing};
-pub use recovery::{RecoveryRequest, RepairRing, RepairSource, SharedRepairRing};
+pub use arq::{ArqConfig, Retransmit, SharedRing};
+pub use history::{FrameHistory, SharedRepairRing};
+pub use recovery::RecoveryRequest;
 pub use chunk::{
     decode_chunk, encode_chunk, Chunk, ChunkKind, ChunkParts, ChunkReader, ChunkWriter,
     SharedBytes,

@@ -16,7 +16,8 @@
 
 use crate::arq::{ArqConfig, Retransmit, SharedRing};
 use crate::chunk::{decode_chunk, Chunk, ChunkKind, ChunkReader};
-use crate::recovery::{RecoveryRequest, RepairSource, SharedRepairRing};
+use crate::history::FrameHistory;
+use crate::recovery::RecoveryRequest;
 use crate::stats::{SharedStats, StreamStats};
 use pcc_adapt::{Clock, SystemClock};
 use pcc_core::{container, Design, EncodedFrame, FrameDecoder, PccCodec};
@@ -141,11 +142,11 @@ impl<'d, W: Write> Sender<'d, W> {
         self
     }
 
-    /// Parks every brick-partitioned I-frame in `ring` so a receiver
-    /// holding a clone can NACK individually damaged bricks (see
+    /// Records every frame in `history` so a receiver holding a clone
+    /// can NACK individually damaged bricks (see
     /// [`Receiver::with_repair`]).
-    pub fn with_repair(mut self, ring: SharedRepairRing) -> Self {
-        self.source = self.source.with_repair(ring);
+    pub fn with_repair(mut self, history: FrameHistory) -> Self {
+        self.source = self.source.with_repair(history);
         self
     }
 
@@ -286,9 +287,9 @@ pub struct Receiver<'d, R: Read> {
     arq: Option<ArqState>,
     /// Counter snapshots published to the sender side after every frame.
     feedback: Option<SharedStats>,
-    /// Where brick-repair NACKs go: answers with the original
-    /// `geometry ++ attribute` bytes of one damaged brick.
-    repair: Option<Box<dyn RepairSource + Send>>,
+    /// Where brick-repair NACKs go: the sender's history answers with
+    /// the original `geometry ++ attribute` bytes of one damaged brick.
+    repair: Option<FrameHistory>,
     /// Recovery mode: publish intra-refresh requests when the reference
     /// breaks, and treat any counted gap as a potential lost anchor
     /// (out-of-schedule refresh I-frames make the static GOF cadence an
@@ -393,7 +394,7 @@ impl<'d, R: Read> Receiver<'d, R> {
     /// Declares that this receiver joined the stream at display index
     /// `frame`: frames before it were produced before the subscription
     /// existed and must not be booked as loss. A broadcast replaying
-    /// its resync cache announces the same fact in the extended stream
+    /// its frame history announces the same fact in the extended stream
     /// header, so explicit use of this builder is only needed when the
     /// join point is known out of band; the larger of the two wins.
     pub fn with_join_at(mut self, frame: usize) -> Self {
@@ -433,13 +434,13 @@ impl<'d, R: Read> Receiver<'d, R> {
 
     /// Enables brick-level repair: when a brick-partitioned I-frame
     /// arrives with individually damaged bricks, each broken cell is
-    /// NACKed against `source` (typically a clone of the sender's
-    /// [`SharedRepairRing`]) and the retransmitted payload is CRC
+    /// NACKed against `history` (a clone of the sender's
+    /// [`FrameHistory`]) and the retransmitted payload is CRC
     /// re-verified and spliced back in. A fully mended frame is
     /// delivered bit-exact and re-anchors the reference chain; a repair
     /// that cannot complete falls back to partial salvage.
-    pub fn with_repair<S: RepairSource + Send + 'static>(mut self, source: S) -> Self {
-        self.repair = Some(Box::new(source));
+    pub fn with_repair(mut self, history: FrameHistory) -> Self {
+        self.repair = Some(history);
         self
     }
 
@@ -853,13 +854,13 @@ impl<'d, R: Read> Receiver<'d, R> {
     /// [`with_repair`](Self::with_repair)); `None` leaves the session
     /// exactly as the failed decode left it.
     fn try_repair(&mut self, index: usize, frame: &EncodedFrame) -> Option<Delivered> {
-        let repair = self.repair.as_mut()?;
+        let repair = self.repair.as_ref()?;
         let decoder = self.decoder.as_mut()?;
         let mut nacks = 0usize;
         let frame_index = index as u32;
         let outcome = decoder.repair_intra(frame, &mut |cell| {
             nacks += 1;
-            repair.repair(&RecoveryRequest::BrickRepair { frame_index, cell })
+            repair.repair(frame_index, cell)
         });
         self.stats.brick_nacks += nacks;
         pcc_probe::add_count("stream/brick_nack", nacks as u64);

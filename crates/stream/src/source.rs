@@ -4,10 +4,12 @@
 //! transport; a broadcast server needs the same coded frames on N
 //! transports without re-entering the codec. This module is that split:
 //!
-//! * [`FrameSource`] owns the encoder and the frame/GOF position. Each
+//! * [`FrameSource`] owns the encoder, the frame/GOF position, and the
+//!   stream's [`FrameHistory`]. Each
 //!   [`encode_next`](FrameSource::encode_next) runs the codec **once**
 //!   and yields a [`FramePayload`] — the muxed wire record plus its
-//!   payload CRC, both shareable across any number of subscribers.
+//!   payload CRC, both shareable across any number of subscribers — and
+//!   records it in the history for late-join replay and brick repair.
 //! * [`Subscription`] owns everything per-subscriber: the
 //!   [`ChunkWriter`], the wire sequence space, the optional ARQ ring,
 //!   and a private [`StreamStats`].
@@ -26,7 +28,7 @@
 
 use crate::arq::SharedRing;
 use crate::chunk::{chunk_header, Chunk, ChunkKind, ChunkParts, ChunkWriter, SharedBytes};
-use crate::recovery::SharedRepairRing;
+use crate::history::FrameHistory;
 use crate::session::{end_chunk, header_chunk, StreamConfig};
 use crate::stats::StreamStats;
 use pcc_core::{container, Design, EncodedFrame, FrameEncoder, PccCodec};
@@ -96,9 +98,9 @@ pub struct FrameSource<'d> {
     /// A receiver asked for an intra refresh; the next encoded frame
     /// re-anchors as an out-of-schedule I-frame.
     refresh_pending: bool,
-    /// Where brick-partitioned I-frames are parked so receivers can NACK
-    /// individual damaged bricks.
-    repair: Option<SharedRepairRing>,
+    /// Every encoded frame is recorded here: late joiners replay its
+    /// resync run and receivers NACK damaged bricks against it.
+    history: FrameHistory,
 }
 
 impl<'d> FrameSource<'d> {
@@ -113,19 +115,25 @@ impl<'d> FrameSource<'d> {
             frame_budget_ms: config.frame_budget_ms,
             frames_encoded: 0,
             refresh_pending: false,
-            repair: None,
+            history: FrameHistory::new(1),
         }
     }
 
-    /// Parks every brick-partitioned I-frame this source encodes in
-    /// `ring`, so receivers holding a clone can NACK individually
-    /// damaged bricks ([`RecoveryRequest::BrickRepair`]
+    /// Records into `history` instead of the source's own one-anchor
+    /// history, so receivers holding a clone can NACK individually
+    /// damaged bricks of its last `capacity` brick I-frames
+    /// ([`RecoveryRequest::BrickRepair`]
     /// (`crate::RecoveryRequest::BrickRepair`)) and get just those
-    /// payload bytes back. Monolithic frames are not parked — they have
-    /// no brick granularity to repair at.
-    pub fn with_repair(mut self, ring: SharedRepairRing) -> Self {
-        self.repair = Some(ring);
+    /// payload bytes back. Call it before the first frame: what the
+    /// replaced history held is dropped.
+    pub fn with_repair(mut self, history: FrameHistory) -> Self {
+        self.history = history;
         self
+    }
+
+    /// The history this source records every encoded frame into.
+    pub fn history(&self) -> &FrameHistory {
+        &self.history
     }
 
     /// Stages an out-of-schedule intra refresh: the next
@@ -267,9 +275,10 @@ impl<'d> FrameSource<'d> {
         Some(self.package(frame_index, refresh, &encoded, &timeline, encode_sp))
     }
 
-    /// The post-encode tail shared by both encode paths: parks brick
-    /// repair state, muxes the record into a shared payload, computes
-    /// its CRC once, and books the encode against the frame budget.
+    /// The post-encode tail shared by both encode paths: muxes the
+    /// record into a shared payload, computes its CRC once, books the
+    /// encode against the frame budget, and records the frame in the
+    /// history.
     fn package(
         &mut self,
         frame_index: u32,
@@ -278,20 +287,18 @@ impl<'d> FrameSource<'d> {
         timeline: &Timeline,
         encode_sp: pcc_probe::Span,
     ) -> FramePayload {
-        let kind = encoded.kind();
-        if kind == FrameKind::Intra {
-            if let Some(ring) = &self.repair {
-                ring.park(frame_index, encoded);
-            }
-        }
         let mut record = Vec::new();
-        container::mux_frame(&mut record, encoded);
-        let frame = FramePayload::from_bytes(frame_index, kind, record);
+        let payloads = container::mux_frame(&mut record, encoded);
+        let frame = FramePayload::from_bytes(frame_index, encoded.kind(), record);
         let encode_ns = encode_sp.stop();
         let modeled_ms = timeline.total_modeled_ms().as_f64();
         let over_budget = self.frame_budget_ms.is_some_and(|b| modeled_ms > b);
         self.frames_encoded += 1;
-        FramePayload { encode_ns, over_budget, refresh, ..frame }
+        let frame = FramePayload { encode_ns, over_budget, refresh, ..frame };
+        // Only codec intra frames can be brick-partitioned.
+        let intra = matches!(encoded, EncodedFrame::Intra(_)).then_some(payloads);
+        self.history.record(&frame, intra);
+        frame
     }
 }
 

@@ -6,7 +6,7 @@
 //! striding P-frames — without ever touching the shared encoder.
 //!
 //! A fourth viewer joins mid-stream and is replayed the current GOF from
-//! the resync cache, so it renders immediately instead of waiting for
+//! the frame history, so it renders immediately instead of waiting for
 //! the next I-frame.
 //!
 //! Run with:
@@ -100,7 +100,7 @@ fn main() {
         session.push_frame(&frame.cloud);
     }
 
-    // ...then a fourth viewer arrives mid-GOF: the resync cache replays
+    // ...then a fourth viewer arrives mid-GOF: the frame history replays
     // the current group's I-frame (and trailing P-frames) so it renders
     // now, not at the next GOF boundary.
     let joiner = SharedBuf::default();

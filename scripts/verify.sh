@@ -72,27 +72,31 @@ cargo test -q --offline --release --test overload_soak --test arq_timing
 echo "== broadcast soak: encode-once fan-out to 100+ subscribers =="
 # One shared encoder serving 112 heterogeneous subscribers (healthy,
 # seeded-lossy, fake-clock-throttled under per-subscriber degradation,
-# late joiners replayed from the resync cache, dead transports): exactly
+# late joiners replayed from the frame history, dead transports): exactly
 # one encode per frame, healthy wires byte-identical to the 1:1 sender,
 # throttled rung traces asserted exactly, late joiners lossless from the
-# cached I-frame. The broadcast example (1 source -> 4 viewers) rides
+# replayed I-frame. The broadcast example (1 source -> 4 viewers) rides
 # along with its own assertions.
 cargo test -q --offline --release --test broadcast_soak
 cargo run -q --release --offline --example broadcast
 
-echo "== stream/serve crate suites: stamp memo, ARQ rings, resync cache =="
+echo "== stream/serve/sim/fault crate suites: stamp memo, ARQ rings, frame history =="
 # The crates' own suites are outside the root package's test run. The
 # stamp-memo proptest drives random mixes of on-time, late, resubscribed,
 # refinement-shed, P-strided, ARQ and plain subscribers through one
 # broadcast: every wire must equal a fresh stamp per subscriber, and
-# every ARQ ring must serve exactly the chunk sent under each seq.
-cargo test -q --offline --release -p pcc-stream -p pcc-serve
+# every ARQ ring must serve exactly the chunk sent under each seq. The
+# frame-history proptest checks late-join replay and brick repair
+# against a model of the separate resync cache and repair ring it
+# replaced. The sim and fault suites cover ddmin, the corpus format,
+# links, invariants, and LossyRetransmit over the ring trait.
+cargo test -q --offline --release -p pcc-stream -p pcc-serve -p pcc-sim -p pcc-fault
 
 echo "== chaos soak: recovery plane under seeded faults =="
 # The recovery plane replayed deterministically: a dropped I-frame must
 # trigger exactly one receiver-driven intra refresh and re-anchor at the
-# next slot; a corrupted brick must repair bit-exact from the repair
-# ring with no refresh; a dead subscriber must resume losslessly via
+# next slot; a corrupted brick must repair bit-exact from the frame
+# history with no refresh; a dead subscriber must resume losslessly via
 # resubscribe with carried-over accounting; a stalled consumer must be
 # evicted by the liveness policy and be able to return; and the full
 # four-subscriber soak must replay identically from its seed (trace and

@@ -32,7 +32,7 @@ use pcc::fault::{FaultConfig, FaultyTransport, MortalTransport, ThrottledTranspo
 use pcc::inter::InterConfig;
 use pcc::serve::{Broadcast, LivenessPolicy, SlotHealth, SubscriberConfig};
 use pcc::stream::{
-    decode_chunk, encode_chunk, Delivered, Receiver, Sender, SharedRepairRing, SharedStats,
+    decode_chunk, encode_chunk, Delivered, FrameHistory, Receiver, Sender, SharedStats,
     StreamConfig,
 };
 use pcc::types::{FrameKind, Limits, Video};
@@ -231,7 +231,7 @@ fn damaged_brick_is_repaired_bit_exact_without_a_refresh() {
     let geometry_at = find_subslice(&chunk_payload(&clean_wire, 1), &rf.geometry)
         .expect("record embeds the geometry stream verbatim");
 
-    let ring = SharedRepairRing::new(4);
+    let ring = FrameHistory::new(4);
     let pipe = Pipe::default();
     let feedback = SharedStats::new();
     let wire = CorruptDeep {
@@ -405,7 +405,7 @@ fn stalled_consumer_is_evicted_by_liveness_and_can_return() {
     assert_eq!(stats.subscribers_active(), 2);
 }
 
-/// One composite soak: brick codec, repair ring, seeded lossy wire with
+/// One composite soak: brick codec, frame history, seeded lossy wire with
 /// receiver-driven refresh, a mid-GOF transport death with resume, and
 /// a fake-clock-stalled consumer that gets evicted. Returns a full
 /// digest of everything observable: per-receiver delivery traces, both
@@ -415,7 +415,7 @@ fn soak(seed: u64) -> (String, pcc::stream::StreamStats, pcc::stream::StreamStat
     let video = clip(12);
     let d = device();
     let codec = brick_codec();
-    let ring = SharedRepairRing::new(4);
+    let ring = FrameHistory::new(4);
     let policy = LivenessPolicy { send_deadline: Duration::from_millis(10), max_misses: 2 };
     let mut session = Broadcast::new(&codec, 6, &d, &StreamConfig::default())
         .with_repair(ring.clone())

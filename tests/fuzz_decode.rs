@@ -287,7 +287,7 @@ impl Write for SharedBuf {
 
 #[test]
 fn mutated_resync_replays_never_panic_a_joiner_or_desync_the_room() {
-    // A broadcast whose late joiner is served from the resync cache:
+    // A broadcast whose late joiner is served from the frame history:
     // its wire opens [extended header, cached I3, cached P4, live ...].
     // That replayed prefix is attacker-visible bytes like any other —
     // mutations must never panic the joiner's receiver, and since each
