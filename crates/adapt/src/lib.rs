@@ -21,8 +21,8 @@
 //! The controller is a pure function of the observations fed to it —
 //! time enters only through whatever [`Clock`] the caller samples — so
 //! the same observation sequence always yields the same rung trace.
-//! `pcc-stream` wires this into `stream_video_supervised`; nothing here
-//! depends on the transport.
+//! `pcc-stream` wires this into `stream_video` through its `Supervisor`;
+//! nothing here depends on the transport.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -724,12 +724,12 @@ impl<'d> FrameDecoder<'d> {
     /// brick payloads and decodes the mended frame as the session's next
     /// reference.
     ///
-    /// Call this immediately after a failed [`decode_frame`]
-    /// (`Self::decode_frame`) for the same frame: the failed attempt
-    /// already consumed the frame's slot, and this method rewinds the
-    /// cursor so the repaired decode lands on the same index. For every
-    /// brick whose payload fails its per-entry CRC, `fetch(cell)` is asked
-    /// for the original `geometry ++ attribute` bytes (a NACK answered
+    /// Call this immediately after a failed
+    /// [`decode_frame`](Self::decode_frame) for the same frame: the
+    /// failed attempt already consumed the frame's slot, and this method
+    /// rewinds the cursor so the repaired decode lands on the same index.
+    /// For every brick whose payload fails its per-entry CRC,
+    /// `fetch(cell)` is asked for the original `geometry ++ attribute` bytes (a NACK answered
     /// from the sender's frame history); the returned bytes are re-verified
     /// against the index's length and CRC before being spliced in, so a
     /// lying repair source can never install a corrupt reference.

@@ -400,8 +400,9 @@ impl<W: Write> Write for MortalTransport<W> {
 }
 
 /// An encode-fault hook that panics on the listed frame indices —
-/// plug it into `Supervisor::with_encode_fault` to prove a worker panic
-/// costs one frame, not the session.
+/// plug it into `pcc_stream::Supervisor::with_encode_fault` and run
+/// `stream_video` to prove a worker panic costs one frame, not the
+/// session.
 pub fn panic_on_frames(frames: &[usize]) -> impl FnMut(usize) + Send {
     let frames = frames.to_vec();
     move |idx: usize| {

@@ -288,8 +288,8 @@ impl ParallelOctree {
         self.levels[..self.depth as usize].iter().map(|l| l.codes.len()).sum()
     }
 
-    /// Serializes the tree into a self-describing [`OccupancyStream`]
-    /// byte buffer.
+    /// Serializes the tree into a self-describing
+    /// [`OccupancyStream`](crate::OccupancyStream) byte buffer.
     pub fn serialize(&self) -> Vec<u8> {
         crate::serialize_occupancy(self.depth, self.leaf_count(), &self.occupancy())
     }

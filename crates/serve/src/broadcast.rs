@@ -173,7 +173,12 @@ impl<'d> Broadcast<'d> {
             source,
             slots: Vec::new(),
             memo: StampMemo::new(),
-            stats: ServeStats::default(),
+            // An empty fold is clean: `merge` ANDs each subscriber's
+            // shutdown flag in, so the seed must be `true`.
+            stats: ServeStats {
+                aggregate: StreamStats { clean_shutdown: true, ..StreamStats::default() },
+                ..ServeStats::default()
+            },
             liveness: None,
             next_id: 0,
         }
@@ -252,7 +257,7 @@ impl<'d> Broadcast<'d> {
                 sub.send_payload(frame, &mut self.memo)?;
                 self.stats.replayed_frames += 1;
             }
-            self.stats.aggregate.add_stage_ns("serve/replay", replay_sp.stop());
+            replay_sp.stop();
             self.stats.late_joins += 1;
             pcc_probe::add_count("serve/late_joins", 1);
         }
@@ -312,7 +317,7 @@ impl<'d> Broadcast<'d> {
         for frame in &replay {
             sub.send_payload(frame, &mut self.memo)?;
         }
-        self.stats.aggregate.add_stage_ns("serve/replay", replay_sp.stop());
+        replay_sp.stop();
         let Some(slot) = self.slots.get_mut(at) else {
             return Ok(false);
         };
@@ -356,7 +361,7 @@ impl<'d> Broadcast<'d> {
         self.drain_recovery_asks();
         let encode_sp = pcc_probe::span("serve/encode");
         let frame = self.source.encode_next(cloud);
-        self.stats.aggregate.add_stage_ns("serve/encode", encode_sp.stop());
+        encode_sp.stop();
         self.fan_out(&frame);
         frame.kind
     }
@@ -378,7 +383,7 @@ impl<'d> Broadcast<'d> {
         self.drain_recovery_asks();
         let encode_sp = pcc_probe::span("serve/encode");
         let frame = self.source.encode_next_contained(cloud, fault);
-        self.stats.aggregate.add_stage_ns("serve/encode", encode_sp.stop());
+        encode_sp.stop();
         let Some(frame) = frame else {
             self.stats.aggregate.panics_contained += 1;
             pcc_probe::add_count("serve/panics_contained", 1);
@@ -511,7 +516,7 @@ impl<'d> Broadcast<'d> {
                 }
             }
         }
-        self.stats.aggregate.add_stage_ns("serve/fanout", fanout_sp.stop());
+        fanout_sp.stop();
     }
 
     /// This subscriber's counters so far (`None` for unknown ids).

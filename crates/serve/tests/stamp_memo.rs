@@ -11,7 +11,7 @@ use pcc_core::{Design, PccCodec};
 use pcc_datasets::catalog;
 use pcc_edge::{Device, PowerMode};
 use pcc_inter::InterConfig;
-use pcc_serve::{shed_refinement, Broadcast, SubscriberConfig, SubscriberId};
+use pcc_serve::{shed_refinement, Broadcast, ServeStats, SubscriberConfig, SubscriberId};
 use pcc_stream::{
     encode_chunk, Chunk, ChunkKind, FramePayload, FrameSource, Retransmit, SharedRing, StreamConfig,
 };
@@ -250,7 +250,12 @@ fn config(role: Role, ring: &Option<SharedRing>) -> SubscriberConfig {
 
 /// Runs the broadcast: subscribers that are due attach (or come back)
 /// before each push, in their listed order.
-fn run(device: &Device, codec: &PccCodec, clouds: &[PointCloud], subs: &mut [Subscriber]) {
+fn run(
+    device: &Device,
+    codec: &PccCodec,
+    clouds: &[PointCloud],
+    subs: &mut [Subscriber],
+) -> ServeStats {
     let mut bc = Broadcast::new(codec, DEPTH, device, &StreamConfig::default());
     for pushed in 0..=FRAMES {
         for s in subs.iter_mut() {
@@ -285,6 +290,7 @@ fn run(device: &Device, codec: &PccCodec, clouds: &[PointCloud], subs: &mut [Sub
     }
     let stats = bc.finish();
     assert_eq!(stats.frames_encoded, FRAMES as u64);
+    stats
 }
 
 proptest! {
@@ -308,7 +314,13 @@ proptest! {
                 id: None,
             })
             .collect();
-        run(&device, &codec, &clouds, &mut subs);
+        let stats = run(&device, &codec, &clouds, &mut subs);
+        // Every slot still dead at `finish` (left, failed and never
+        // resubscribed, or evicted) dirties the aggregate; every other
+        // slot was sealed with an end chunk.
+        let dead = stats.subscribers_left + stats.subscribers_failed + stats.subscribers_evicted
+            - stats.resubscribes;
+        prop_assert_eq!(stats.aggregate.clean_shutdown, dead == 0, "stats: {:?}", stats);
 
         for (n, s) in subs.iter_mut().enumerate() {
             let lives = model(s.role, &reference);

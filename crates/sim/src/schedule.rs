@@ -44,8 +44,9 @@ pub enum FaultAction {
         steps: u32,
     },
     /// The transport dies: in-flight records are destroyed and every
-    /// later write fails with `BrokenPipe` until a [`Reconnect`]
-    /// (`FaultAction::Reconnect`) resumes the slot on a fresh link.
+    /// later write fails with `BrokenPipe` until a
+    /// [`Reconnect`](FaultAction::Reconnect) resumes the slot on a fresh
+    /// link.
     KillTransport,
     /// If the subscriber's slot is dead (failed or evicted), resume it:
     /// a fresh link life, a fresh receiver, and a

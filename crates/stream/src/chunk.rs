@@ -293,28 +293,16 @@ fn parse_header(buf: &[u8]) -> Option<(ChunkKind, Option<FrameKind>, u32, u32, u
 pub struct ChunkWriter<W: Write> {
     inner: W,
     bytes_written: u64,
-    chunks_written: u64,
 }
 
 impl<W: Write> ChunkWriter<W> {
     /// Wraps a transport.
     pub fn new(inner: W) -> Self {
-        ChunkWriter { inner, bytes_written: 0, chunks_written: 0 }
+        ChunkWriter { inner, bytes_written: 0 }
     }
 
-    /// Writes one chunk.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport errors.
-    pub fn write_chunk(&mut self, chunk: &Chunk) -> io::Result<()> {
-        let bytes = encode_chunk(chunk);
-        self.write_encoded(&bytes)
-    }
-
-    /// Writes one already-encoded chunk (the byte image of
-    /// [`encode_chunk`]) without re-encoding it. Senders that also park
-    /// the encoded bytes in a retransmit ring use this to serialize once.
+    /// Writes one encoded chunk (the byte image of [`encode_chunk`] or
+    /// [`ChunkParts::write_to`]) with a single `write_all`.
     ///
     /// # Errors
     ///
@@ -322,7 +310,6 @@ impl<W: Write> ChunkWriter<W> {
     pub fn write_encoded(&mut self, bytes: &[u8]) -> io::Result<()> {
         self.inner.write_all(bytes)?;
         self.bytes_written += bytes.len() as u64;
-        self.chunks_written += 1;
         Ok(())
     }
 
@@ -339,11 +326,6 @@ impl<W: Write> ChunkWriter<W> {
     /// Total wire bytes written so far.
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
-    }
-
-    /// Total chunks written so far.
-    pub fn chunks_written(&self) -> u64 {
-        self.chunks_written
     }
 
     /// Unwraps the transport.
@@ -744,9 +726,8 @@ mod tests {
         let chunks = sample_chunks();
         let mut w = ChunkWriter::new(Vec::new());
         for c in &chunks {
-            w.write_chunk(c).unwrap();
+            w.write_encoded(&encode_chunk(c)).unwrap();
         }
-        assert_eq!(w.chunks_written(), chunks.len() as u64);
         assert_eq!(w.bytes_written(), wire(&chunks).len() as u64);
         assert_eq!(w.into_inner(), wire(&chunks));
     }

@@ -12,8 +12,7 @@
 //!   corruption.
 //! * [`session`] — [`Sender`] / [`Receiver`] state machines. The sender
 //!   encodes incrementally and flushes the transport at I-frame (GOF)
-//!   boundaries; [`stream_video`] overlaps encode and transmit threads
-//!   through a bounded queue. The receiver decodes incrementally,
+//!   boundaries. The receiver decodes incrementally,
 //!   drops frames it cannot trust (CRC failures, gaps, P-frames whose
 //!   I-frame was lost), and resynchronizes at the next intact I-frame.
 //! * [`source`] — the encode/transmit split behind broadcast fan-out:
@@ -24,11 +23,12 @@
 //! * [`plan`] — pre-flight fitting of a session to a link rate and
 //!   frame-rate budget via the rate controller, plus mid-session
 //!   [`SessionPlan::replan`] from live observations.
-//! * [`supervise`] — encoder-side overload control for live sessions:
-//!   [`stream_video_supervised`] runs the pipeline under a
-//!   [`Supervisor`] that walks a `pcc-adapt` quality ladder on live
-//!   feedback, abandons over-deadline P-frames (deadline watchdog), and
-//!   contains encode-worker panics as single dropped frames.
+//! * [`supervise`] — the pipelined whole-video sender: [`stream_video`]
+//!   overlaps a [`FrameSource`] encode thread and a [`Subscription`]
+//!   transmit loop through a bounded queue, under a [`Supervisor`] that
+//!   can walk a `pcc-adapt` quality ladder on live feedback, abandon
+//!   over-deadline P-frames (deadline watchdog), and contain
+//!   encode-worker panics as single dropped frames.
 //! * [`recovery`] — the recovery plane: receiver-driven
 //!   [`RecoveryRequest`]s (intra-refresh asks, per-brick repair NACKs)
 //!   ride the feedback channel back to the sender, which re-anchors
@@ -47,14 +47,16 @@
 //! use pcc_core::{Design, PccCodec};
 //! use pcc_datasets::catalog;
 //! use pcc_edge::{Device, PowerMode};
-//! use pcc_stream::{stream_video, Receiver, StreamConfig};
+//! use pcc_stream::{stream_video, Receiver, StreamConfig, Supervisor};
 //!
 //! let video = catalog::by_name("Loot").unwrap().generate_scaled(6, 1_500);
 //! let codec = PccCodec::new(Design::IntraInterV1);
 //! let device = Device::jetson_agx_xavier(PowerMode::W15);
 //!
+//! let config = StreamConfig::default();
+//! let mut supervisor = Supervisor::default();
 //! let (wire, tx) =
-//!     stream_video(&codec, &video, 7, &device, Vec::new(), &StreamConfig::default()).unwrap();
+//!     stream_video(&codec, &video, 7, &device, Vec::new(), &config, &mut supervisor).unwrap();
 //!
 //! let mut rx = Receiver::new(wire.as_slice(), &device);
 //! let mut delivered = 0;
@@ -94,7 +96,7 @@ pub use chunk::{
     SharedBytes,
 };
 pub use plan::{plan_session, plan_subscribers, FanoutPlan, SessionPlan, MUX_OVERHEAD_BYTES};
-pub use session::{stream_video, Delivered, Receiver, Sender, StreamConfig, STREAM_VERSION};
+pub use session::{Delivered, Receiver, Sender, StreamConfig, STREAM_VERSION};
 pub use source::{FramePayload, FrameSource, StampMemo, Subscription};
 pub use stats::{SharedStats, StreamStats};
-pub use supervise::{stream_video_supervised, Supervisor};
+pub use supervise::{stream_video, Supervisor};

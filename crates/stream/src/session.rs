@@ -22,7 +22,7 @@ use crate::stats::{SharedStats, StreamStats};
 use pcc_adapt::{Clock, SystemClock};
 use pcc_core::{container, Design, EncodedFrame, FrameDecoder, PccCodec};
 use pcc_edge::Device;
-use pcc_types::{Aabb, FrameKind, GofPattern, PointCloud, Video};
+use pcc_types::{Aabb, FrameKind, GofPattern, PointCloud};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
@@ -37,12 +37,13 @@ pub struct StreamConfig {
     /// from foreign streams.
     pub stream_id: u32,
     /// Coded frames buffered between the encode and transmit threads of
-    /// [`stream_video`] — the backpressure bound.
+    /// [`stream_video`](crate::stream_video) — the backpressure bound.
     pub queue_depth: usize,
     /// Per-frame modeled encode latency budget in milliseconds; frames
     /// that exceed it are counted in
-    /// [`StreamStats::frames_over_budget`]. [`stream_video`] defaults to
-    /// the video's frame period (1000 / fps) when unset.
+    /// [`StreamStats::frames_over_budget`].
+    /// [`stream_video`](crate::stream_video) defaults to the video's
+    /// frame period (1000 / fps) when unset.
     pub frame_budget_ms: Option<f64>,
 }
 
@@ -87,7 +88,7 @@ pub(crate) fn end_chunk(stream_id: u32, seq: u32, total_frames: u32) -> Chunk {
 /// subscriptions instead (see the `pcc-serve` crate).
 ///
 /// For whole-video sending with encode/transmit overlap, use
-/// [`stream_video`].
+/// [`stream_video`](crate::stream_video).
 #[derive(Debug)]
 pub struct Sender<'d, W: Write> {
     source: crate::FrameSource<'d>,
@@ -117,7 +118,7 @@ impl<'d, W: Write> Sender<'d, W> {
     }
 
     /// Voxelizes every frame in a common bounding box (see
-    /// [`FrameEncoder::with_bounding_box`]).
+    /// [`FrameEncoder::with_bounding_box`](pcc_core::FrameEncoder::with_bounding_box)).
     pub fn with_bounding_box(mut self, bb: Aabb) -> Self {
         self.source = self.source.with_bounding_box(bb);
         self
@@ -186,45 +187,6 @@ impl<'d, W: Write> Sender<'d, W> {
         let total = self.sub.stats().frames_sent as u32;
         self.sub.finish(total)
     }
-}
-
-/// Streams a whole video with the encode and transmit stages overlapped.
-///
-/// The encode thread drives a [`FrameEncoder`] (whose hot path fans out
-/// across `pcc-parallel` threads) and hands coded frames through a
-/// bounded [`queue`](pcc_parallel::queue) of `config.queue_depth` frames
-/// to the transmit loop — when the wire is slower than the encoder, the
-/// queue fills and encoding blocks instead of buffering the video. The
-/// transport is flushed at every I-frame boundary.
-///
-/// The per-frame latency budget defaults to the video's frame period
-/// (1000 / fps); frames whose modeled edge encode time exceeds it are
-/// counted in [`StreamStats::frames_over_budget`].
-///
-/// # Errors
-///
-/// Propagates transport errors (encoding stops early when the transport
-/// dies).
-pub fn stream_video<W: Write>(
-    codec: &PccCodec,
-    video: &Video,
-    depth: u8,
-    device: &Device,
-    writer: W,
-    config: &StreamConfig,
-) -> io::Result<(W, StreamStats)> {
-    // The unsupervised path is the supervised one with every control
-    // mechanism off — byte- and stats-identical to the historical
-    // implementation (`tests/overload_soak.rs` pins this).
-    crate::supervise::stream_video_supervised(
-        codec,
-        video,
-        depth,
-        device,
-        writer,
-        config,
-        &mut crate::supervise::Supervisor::passthrough(),
-    )
 }
 
 /// One frame delivered by a [`Receiver`].
@@ -766,7 +728,7 @@ impl<'d, R: Read> Receiver<'d, R> {
         // payload sat in the transport, so a corruption report points at
         // the broken byte of the *stream*, not of the frame.
         let demuxed = container::demux_frame(&mut input, self.payload_offset as usize);
-        self.stats.add_stage_ns("stream/demux", demux_sp.stop());
+        demux_sp.stop();
         let frame = match demuxed {
             Ok(frame) if input.is_empty() => frame,
             // CRC-intact but unparseable payload (a sender bug or a
@@ -785,7 +747,7 @@ impl<'d, R: Read> Receiver<'d, R> {
         };
         let decode_sp = pcc_probe::span("stream/decode");
         let decoded = decoder.decode_frame(&frame);
-        self.stats.add_stage_ns("stream/decode", decode_sp.stop());
+        decode_sp.stop();
         match decoded {
             Ok((cloud, timeline)) => {
                 if kind == FrameKind::Intra {

@@ -21,10 +21,10 @@
 //!   subscriber costs one transport write and, with ARQ, one parked
 //!   header — no payload copy, no allocation.
 //!
-//! `Sender` is rebuilt as exactly one `FrameSource` plus one
-//! `Subscription`, so every existing session test and golden PCS1
-//! digest pins this refactor. The `pcc-serve` crate composes one source
-//! with many subscriptions.
+//! `Sender` and the pipelined [`stream_video`](crate::stream_video) are
+//! each exactly one `FrameSource` plus one `Subscription`, so every
+//! session test and golden PCS1 digest pins this split. The `pcc-serve`
+//! crate composes one source with many subscriptions.
 
 use crate::arq::SharedRing;
 use crate::chunk::{chunk_header, Chunk, ChunkKind, ChunkParts, ChunkWriter, SharedBytes};
@@ -54,8 +54,9 @@ pub struct FramePayload {
     pub payload: SharedBytes,
     /// CRC32 of `payload`, precomputed for [`Subscription::send_payload`].
     pub payload_crc: u32,
-    /// Measured encode wall-clock (0 when probes are off).
-    pub encode_ns: u64,
+    /// Modeled edge encode latency in milliseconds (0 for records built
+    /// with [`from_bytes`](Self::from_bytes)).
+    pub modeled_ms: f64,
     /// Whether the modeled encode latency blew the per-frame budget.
     pub over_budget: bool,
     /// Whether this frame is an out-of-schedule I-frame emitted in
@@ -78,7 +79,7 @@ impl FramePayload {
             kind,
             payload: payload.into(),
             payload_crc,
-            encode_ns: 0,
+            modeled_ms: 0.0,
             over_budget: false,
             refresh: false,
         }
@@ -122,10 +123,9 @@ impl<'d> FrameSource<'d> {
     /// Records into `history` instead of the source's own one-anchor
     /// history, so receivers holding a clone can NACK individually
     /// damaged bricks of its last `capacity` brick I-frames
-    /// ([`RecoveryRequest::BrickRepair`]
-    /// (`crate::RecoveryRequest::BrickRepair`)) and get just those
-    /// payload bytes back. Call it before the first frame: what the
-    /// replaced history held is dropped.
+    /// ([`RecoveryRequest::BrickRepair`](crate::RecoveryRequest::BrickRepair))
+    /// and get just those payload bytes back. Call it before the first
+    /// frame: what the replaced history held is dropped.
     pub fn with_repair(mut self, history: FrameHistory) -> Self {
         self.history = history;
         self
@@ -140,10 +140,9 @@ impl<'d> FrameSource<'d> {
     /// [`encode_next`](Self::encode_next) re-anchors with an I-frame
     /// even if the GOF cursor says the slot is predicted. Called by the
     /// session layer when a receiver publishes
-    /// [`RecoveryRequest::IntraRefresh`]
-    /// (`crate::RecoveryRequest::IntraRefresh`) over the feedback
-    /// channel. Idempotent; a refresh landing on a scheduled I-frame
-    /// slot costs nothing extra.
+    /// [`RecoveryRequest::IntraRefresh`](crate::RecoveryRequest::IntraRefresh)
+    /// over the feedback channel. Idempotent; a refresh landing on a
+    /// scheduled I-frame slot costs nothing extra.
     pub fn request_refresh(&mut self) {
         self.refresh_pending = true;
     }
@@ -204,6 +203,18 @@ impl<'d> FrameSource<'d> {
     /// subscriber.
     pub fn inter_config(&self) -> pcc_inter::InterConfig {
         self.encoder.inter_config()
+    }
+
+    /// Stages a live inter-configuration change for the next I-frame
+    /// slot (see [`FrameEncoder::set_inter_config`]).
+    pub fn set_inter_config(&mut self, config: pcc_inter::InterConfig) {
+        self.encoder.set_inter_config(config);
+    }
+
+    /// Spends the next frame slot without encoding it (see
+    /// [`FrameEncoder::skip_frame`]); nothing is recorded in the history.
+    pub fn skip_frame(&mut self) {
+        self.encoder.skip_frame();
     }
 
     /// The stream-header chunk every subscriber's stream opens with.
@@ -290,11 +301,11 @@ impl<'d> FrameSource<'d> {
         let mut record = Vec::new();
         let payloads = container::mux_frame(&mut record, encoded);
         let frame = FramePayload::from_bytes(frame_index, encoded.kind(), record);
-        let encode_ns = encode_sp.stop();
+        encode_sp.stop();
         let modeled_ms = timeline.total_modeled_ms().as_f64();
         let over_budget = self.frame_budget_ms.is_some_and(|b| modeled_ms > b);
         self.frames_encoded += 1;
-        let frame = FramePayload { encode_ns, over_budget, refresh, ..frame };
+        let frame = FramePayload { modeled_ms, over_budget, refresh, ..frame };
         // Only codec intra frames can be brick-partitioned.
         let intra = matches!(encoded, EncodedFrame::Intra(_)).then_some(payloads);
         self.history.record(&frame, intra);
@@ -437,12 +448,11 @@ impl<W: Write> Subscription<W> {
         self
     }
 
-    /// Folds a shared encode's timing and budget verdict into this
-    /// subscriber's counters. The 1:1 [`Sender`](crate::Sender)
-    /// attributes every encode to its only subscriber; a broadcast
-    /// accounts the encode once at the source instead and skips this.
+    /// Folds a shared encode's budget verdict into this subscriber's
+    /// counters. The 1:1 [`Sender`](crate::Sender) attributes every
+    /// encode to its only subscriber; a broadcast accounts the encode
+    /// once at the source instead and skips this.
     pub fn record_encode(&mut self, frame: &FramePayload) {
-        self.stats.add_stage_ns("stream/encode", frame.encode_ns);
         if frame.over_budget {
             self.stats.frames_over_budget += 1;
         }
@@ -471,7 +481,7 @@ impl<W: Write> Subscription<W> {
             // while its group streams out behind it.
             self.writer.flush()?;
         }
-        self.stats.add_stage_ns("stream/send", send_sp.stop());
+        send_sp.stop();
         self.stats.frames_sent += 1;
         self.stats.chunks_sent += 1;
         self.stats.bytes_sent = self.bytes_base + self.writer.bytes_written();

@@ -16,7 +16,7 @@ const RECOVERY_QUEUE_CAP: usize = 32;
 /// [`Receiver`](crate::Receiver) the delivery-side fields; for a
 /// loopback view of a whole session, [`merge`](StreamStats::merge) the
 /// two.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StreamStats {
     /// Frames encoded and handed to the transport.
     pub frames_sent: usize,
@@ -74,8 +74,8 @@ pub struct StreamStats {
     /// I-frame arrives.
     pub partial_frames: usize,
     /// Bricks discarded across all partially delivered frames — the
-    /// per-subtree loss ledger behind [`partial_frames`]
-    /// (`Self::partial_frames`).
+    /// per-subtree loss ledger behind
+    /// [`partial_frames`](Self::partial_frames).
     pub bricks_dropped: usize,
     /// Intra-refresh requests published by a recovery-enabled receiver
     /// whose reference picture broke (at most one per desync episode).
@@ -106,53 +106,10 @@ pub struct StreamStats {
     /// repair — but a nonzero count means the sender is not keeping up
     /// with its receivers' asks.
     pub recovery_dropped: usize,
-    /// Measured wall-clock nanoseconds per pipeline stage, accumulated
-    /// only while `pcc-probe` recording is on (`PCC_PROBE=1`); empty
-    /// otherwise. Stages appear in first-recorded order.
-    pub stage_ns: Vec<(&'static str, u64)>,
 }
-
-// Timing is excluded from equality on purpose: two runs of the same
-// session are "equal" when their delivery accounting matches, whether or
-// not probes happened to be recording.
-impl PartialEq for StreamStats {
-    fn eq(&self, other: &Self) -> bool {
-        self.frames_sent == other.frames_sent
-            && self.frames_delivered == other.frames_delivered
-            && self.frames_dropped == other.frames_dropped
-            && self.resyncs == other.resyncs
-            && self.chunks_sent == other.chunks_sent
-            && self.chunks_dropped == other.chunks_dropped
-            && self.corrupt_events == other.corrupt_events
-            && self.bytes_sent == other.bytes_sent
-            && self.bytes_received == other.bytes_received
-            && self.frames_over_budget == other.frames_over_budget
-            && self.clean_shutdown == other.clean_shutdown
-            && self.arq_nacks == other.arq_nacks
-            && self.arq_recovered == other.arq_recovered
-            && self.arq_degraded == other.arq_degraded
-            && self.frames_degraded == other.frames_degraded
-            && self.rung_changes == other.rung_changes
-            && self.watchdog_skips == other.watchdog_skips
-            && self.panics_contained == other.panics_contained
-            && self.partial_frames == other.partial_frames
-            && self.bricks_dropped == other.bricks_dropped
-            && self.refresh_requests == other.refresh_requests
-            && self.refresh_frames == other.refresh_frames
-            && self.refresh_bytes == other.refresh_bytes
-            && self.brick_nacks == other.brick_nacks
-            && self.bricks_repaired == other.bricks_repaired
-            && self.frames_repaired == other.frames_repaired
-            && self.repairs_failed == other.repairs_failed
-            && self.recovery_dropped == other.recovery_dropped
-    }
-}
-
-impl Eq for StreamStats {}
 
 /// Compact per-session table: one row per counter family, fixed-width
-/// labels, and a trailing `stages` row only when probe timing was
-/// recorded. Examples print this instead of hand-formatting fields.
+/// labels. Examples print this instead of hand-formatting fields.
 impl std::fmt::Display for StreamStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
@@ -203,14 +160,7 @@ impl std::fmt::Display for StreamStats {
             self.watchdog_skips,
             self.panics_contained,
             if self.clean_shutdown { "clean" } else { "dirty" },
-        )?;
-        if !self.stage_ns.is_empty() {
-            write!(f, "\nstages  ")?;
-            for (stage, ns) in &self.stage_ns {
-                write!(f, "  {} {:.2} ms", stage, *ns as f64 / 1e6)?;
-            }
-        }
-        Ok(())
+        )
     }
 }
 
@@ -246,20 +196,6 @@ impl StreamStats {
         self.frames_repaired += other.frames_repaired;
         self.repairs_failed += other.repairs_failed;
         self.recovery_dropped += other.recovery_dropped;
-        for &(stage, ns) in &other.stage_ns {
-            self.add_stage_ns(stage, ns);
-        }
-    }
-
-    /// Accumulates measured nanoseconds against a stage label.
-    pub fn add_stage_ns(&mut self, stage: &'static str, ns: u64) {
-        if ns == 0 {
-            return;
-        }
-        match self.stage_ns.iter_mut().find(|(s, _)| *s == stage) {
-            Some(slot) => slot.1 += ns,
-            None => self.stage_ns.push((stage, ns)),
-        }
     }
 
     /// Fraction of sent frames that were delivered (1.0 when nothing
@@ -403,7 +339,7 @@ mod tests {
 
     #[test]
     fn display_renders_every_counter_family() {
-        let mut stats = StreamStats {
+        let stats = StreamStats {
             frames_sent: 12,
             frames_delivered: 10,
             frames_dropped: 2,
@@ -414,18 +350,19 @@ mod tests {
             ..StreamStats::default()
         };
         let plain = stats.to_string();
-        for needle in
-            ["frames", "chunks", "bytes", "recovery", "control", "12", "10", "9000", "clean"]
-        {
+        for needle in [
+            "frames",
+            "chunks",
+            "bytes",
+            "recovery",
+            "control",
+            "12",
+            "10",
+            "9000",
+            "shutdown clean",
+        ] {
             assert!(plain.contains(needle), "missing {needle:?} in:\n{plain}");
         }
-        // The stages row appears only once timing was recorded.
-        assert!(!plain.contains("stages"));
-        stats.add_stage_ns("stream/encode", 2_500_000);
-        let timed = stats.to_string();
-        assert!(timed.contains("stages"));
-        assert!(timed.contains("stream/encode 2.50 ms"), "{timed}");
-        assert!(!stats.clean_shutdown || timed.contains("shutdown clean"));
     }
 
     #[test]
@@ -461,24 +398,5 @@ mod tests {
         assert_eq!(snap.recovery_dropped, 5);
         assert_eq!(snap.refresh_requests, 2);
         assert!(snap.to_string().contains("asks-dropped    5"), "{snap}");
-    }
-
-    #[test]
-    fn stage_ns_accumulates_and_merges_but_never_breaks_equality() {
-        let mut a = StreamStats::default();
-        a.add_stage_ns("stream/encode", 100);
-        a.add_stage_ns("stream/encode", 50);
-        a.add_stage_ns("stream/mux", 0); // disabled-probe stop() → dropped
-        assert_eq!(a.stage_ns, vec![("stream/encode", 150)]);
-
-        let mut b = StreamStats::default();
-        b.add_stage_ns("stream/encode", 1);
-        b.add_stage_ns("stream/decode", 7);
-        a.merge(&b);
-        assert_eq!(a.stage_ns, vec![("stream/encode", 151), ("stream/decode", 7)]);
-
-        // Timing never participates in equality: same accounting, probes
-        // on vs off, still compares equal.
-        assert_eq!(a, StreamStats::default());
     }
 }

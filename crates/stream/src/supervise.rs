@@ -1,42 +1,47 @@
-//! Encoder-side overload supervision for live sessions.
+//! The pipelined whole-video sender and its overload supervision.
 //!
-//! [`stream_video`](crate::stream_video) keeps real time only as long as
-//! the encoder keeps up with the frame rate; when it falls behind, the
-//! bounded transmit queue fills and the session silently turns into an
-//! offline encode with a growing latency bubble. This module closes the
-//! loop: [`stream_video_supervised`] runs the same encode/transmit
-//! pipeline under a [`Supervisor`] that
+//! [`stream_video`] overlaps encode and transmit: an encode thread owns a
+//! [`FrameSource`] and hands [`FramePayload`]s through a bounded queue to
+//! a transmit loop that owns one [`Subscription`] — the same two
+//! primitives the 1:1 [`Sender`](crate::Sender) composes, so with
+//! [`Supervisor::default`] the wire and the [`StreamStats`] equal those
+//! of a `Sender` given the video's shared bounding box and the same
+//! frame budget.
 //!
-//! * walks a [`QualityLadder`](pcc_adapt::QualityLadder) via a hysteresis
-//!   [`Controller`] fed per-frame observations — encode time against the
-//!   deadline, transmit-queue occupancy, and receiver loss counters fed
-//!   back through [`SharedStats`] — applying rung changes only at GOF
-//!   boundaries so the reference chain never breaks mid-group;
-//! * abandons over-deadline P-frames after the fact (the *watchdog*):
-//!   an encode that blew `abandon_factor ×` the frame budget is dropped
-//!   instead of queued, surfacing on the wire as an ordinary frame-index
-//!   gap every PR-2 receiver already survives;
-//! * contains encode-worker panics ([`pcc_parallel::contain`]): a panic
-//!   becomes one skipped frame plus a
-//!   [`panics_contained`](crate::StreamStats::panics_contained) tick, and
-//!   the session keeps running — an I-slot panic additionally invalidates
-//!   the encoder reference so the following frames re-anchor as
-//!   intra-coded pictures.
+//! The pipeline keeps real time only as long as the encoder keeps up
+//! with the frame rate; when it falls behind, the bounded queue fills
+//! and the session silently turns into an offline encode with a growing
+//! latency bubble. A [`Supervisor`] closes the loop:
+//!
+//! * it walks a [`QualityLadder`](pcc_adapt::QualityLadder) via a
+//!   hysteresis [`Controller`] fed per-frame observations — encode time
+//!   against the deadline, transmit-queue occupancy, and receiver loss
+//!   counters fed back through [`SharedStats`] — applying rung changes
+//!   only at GOF boundaries so the reference chain never breaks
+//!   mid-group;
+//! * it abandons over-deadline P-frames after the fact (the
+//!   *watchdog*): an encode that blew `abandon_factor ×` the frame
+//!   budget is dropped instead of queued, surfacing on the wire as an
+//!   ordinary frame-index gap every receiver already survives;
+//! * it contains encode-worker panics
+//!   ([`FrameSource::encode_next_contained`]): a panic becomes one
+//!   skipped frame plus a
+//!   [`panics_contained`](crate::StreamStats::panics_contained) tick,
+//!   and the session keeps running — an I-slot panic additionally
+//!   invalidates the encoder reference so the following frames
+//!   re-anchor as intra-coded pictures.
 //!
 //! Every decision is a pure function of the observation sequence: the
 //! controller never reads a clock, and the supervisor reads time only
 //! through an injected [`Clock`], so a session driven by a
 //! [`FakeClock`](pcc_adapt::FakeClock) and a deterministic load model
 //! replays to an identical rung trace and wire stream on any machine.
-//! With [`Supervisor::passthrough`] the supervised path is byte- and
-//! stats-identical to plain [`stream_video`](crate::stream_video) —
-//! which is, in fact, implemented as exactly that call.
 
-use crate::chunk::{Chunk, ChunkKind, ChunkWriter};
-use crate::session::{end_chunk, header_chunk, StreamConfig};
+use crate::session::StreamConfig;
+use crate::source::{FramePayload, FrameSource, StampMemo, Subscription};
 use crate::stats::{SharedStats, StreamStats};
 use pcc_adapt::{Clock, Controller, FrameObservation, SystemClock};
-use pcc_core::{container, PccCodec};
+use pcc_core::PccCodec;
 use pcc_edge::Device;
 use pcc_parallel::queue;
 use pcc_types::{FrameKind, Video};
@@ -51,13 +56,13 @@ pub type LoadProfile = Box<dyn FnMut(usize, f64) -> f64 + Send>;
 /// frame encodes; panicking here exercises panic containment.
 pub type EncodeFault = Box<dyn FnMut(usize) + Send>;
 
-/// The supervision policy for one [`stream_video_supervised`] session.
+/// The supervision policy for one [`stream_video`] session.
 ///
-/// [`passthrough`](Supervisor::passthrough) disables every control
-/// mechanism except panic containment; [`new`](Supervisor::new) arms the
-/// overload controller and the deadline watchdog. Builders inject the
-/// clock, the receiver feedback channel, and the deterministic load /
-/// fault hooks tests use.
+/// [`default`](Supervisor::default) disables every control mechanism
+/// except panic containment; [`new`](Supervisor::new) arms the overload
+/// controller and the deadline watchdog. Builders inject the clock, the
+/// receiver feedback channel, and the deterministic load / fault hooks
+/// tests use.
 pub struct Supervisor {
     controller: Option<Controller>,
     clock: Arc<dyn Clock>,
@@ -79,33 +84,26 @@ impl std::fmt::Debug for Supervisor {
     }
 }
 
-impl Supervisor {
-    /// No controller, no watchdog: the pipeline behaves exactly like
-    /// unsupervised [`stream_video`](crate::stream_video) (panic
-    /// containment stays on — it changes nothing unless a worker
-    /// actually panics).
-    pub fn passthrough() -> Self {
+/// No controller, hence no watchdog: only panic containment, which
+/// changes nothing unless a worker actually panics.
+impl Default for Supervisor {
+    fn default() -> Self {
         Supervisor {
             controller: None,
             clock: Arc::new(SystemClock::default()),
             load_profile: None,
             encode_fault: None,
             feedback: None,
-            abandon_factor: f64::INFINITY,
+            abandon_factor: 2.0,
         }
     }
+}
 
+impl Supervisor {
     /// Arms overload control with `controller` and the deadline watchdog
     /// at its default threshold (2× the frame budget).
     pub fn new(controller: Controller) -> Self {
-        Supervisor {
-            controller: Some(controller),
-            clock: Arc::new(SystemClock::default()),
-            load_profile: None,
-            encode_fault: None,
-            feedback: None,
-            abandon_factor: 2.0,
-        }
+        Supervisor { controller: Some(controller), ..Default::default() }
     }
 
     /// Reads time through `clock` instead of the system clock.
@@ -161,9 +159,20 @@ impl Supervisor {
     }
 }
 
-/// [`stream_video`](crate::stream_video) under a [`Supervisor`]: same
-/// overlapped encode/transmit pipeline, same wire format, plus overload
-/// control, a deadline watchdog, and panic containment.
+/// Streams a whole video with the encode and transmit stages overlapped,
+/// under `supervisor`.
+///
+/// The encode thread drives a [`FrameSource`] (whose codec hot path fans
+/// out across `pcc-parallel` threads) and hands coded frames through a
+/// bounded [`queue`] of `config.queue_depth` frames to the transmit
+/// loop's [`Subscription`] — when the wire is slower than the encoder,
+/// the queue fills and encoding blocks instead of buffering the video. Every frame is voxelized in the video's shared
+/// bounding box, and the transport is flushed at every I-frame.
+///
+/// The per-frame latency budget defaults to the video's frame period
+/// (1000 / fps); frames whose modeled edge encode time exceeds it are
+/// counted in [`StreamStats::frames_over_budget`], including frames the
+/// watchdog then abandons.
 ///
 /// Degradation artifacts are all wire-compatible: rung changes only vary
 /// encode-side knobs (reuse threshold, single- vs two-layer intra) that
@@ -175,8 +184,7 @@ impl Supervisor {
 ///
 /// Propagates transport errors (encoding stops early when the transport
 /// dies).
-#[allow(clippy::too_many_arguments)]
-pub fn stream_video_supervised<W: Write>(
+pub fn stream_video<W: Write>(
     codec: &PccCodec,
     video: &Video,
     depth: u8,
@@ -189,82 +197,64 @@ pub fn stream_video_supervised<W: Write>(
         let fps = f64::from(video.fps());
         (fps > 0.0).then_some(1000.0 / fps)
     });
-    let (tx, rx) = queue::bounded::<(u32, FrameKind, Vec<u8>)>(config.queue_depth.max(1));
-
-    let mut writer = ChunkWriter::new(writer);
-    let mut stats = StreamStats::default();
-    let stream_id = config.stream_id;
+    let source_config = StreamConfig { frame_budget_ms: budget, ..config.clone() };
+    let mut source = FrameSource::new(codec, depth, device, &source_config);
+    if let Some(bb) = video.bounding_box() {
+        source = source.with_bounding_box(bb);
+    }
+    let mut sub = Subscription::attach(writer, &source.header())?;
+    let (tx, rx) = queue::bounded::<FramePayload>(config.queue_depth.max(1));
 
     let Supervisor { controller, clock, load_profile, encode_fault, feedback, abandon_factor } =
-        &mut *supervisor;
-    let clock = Arc::clone(clock);
-    let abandon_factor = *abandon_factor;
-    let feedback = feedback.clone();
+        supervisor;
 
-    let io_result: io::Result<()> = std::thread::scope(|s| {
+    std::thread::scope(|s| {
         let encode = s.spawn(move || {
-            let mut encoder = codec.frame_encoder(depth, device);
-            if let Some(bb) = video.bounding_box() {
-                encoder = encoder.with_bounding_box(bb);
-            }
-            let gof = encoder.gof_pattern();
-            let mut sent = 0usize;
-            let mut over_budget = 0usize;
-            let mut encode_ns = 0u64;
-            let mut degraded = 0usize;
-            let mut watchdog_skips = 0usize;
-            let mut panics_contained = 0usize;
+            // Encode-side counters, folded into the subscription's stats
+            // once the session ends.
+            let mut booked = StreamStats::default();
+            let gof = source.gof_pattern();
             // Frames this supervisor withheld from the wire (shed,
             // abandoned, or panic-skipped): the receiver counts them as
             // dropped, but they are not network loss.
             let mut suppressed = 0usize;
             for frame in video.iter() {
-                let idx = encoder.frame_index();
+                let idx = source.frame_index();
                 if let Some(ctl) = controller.as_mut() {
                     if gof.is_gof_start(idx) {
                         if let Some(rung) = ctl.take_rung_change(idx) {
-                            encoder.set_inter_config(rung.config);
+                            source.set_inter_config(rung.config);
                         }
                     }
                     if ctl.should_skip(idx, &gof) {
-                        encoder.skip_frame();
-                        degraded += 1;
+                        source.skip_frame();
+                        booked.frames_degraded += 1;
                         suppressed += 1;
                         continue;
                     }
                 }
 
-                let sp = pcc_probe::span("stream/encode");
                 let t0 = clock.now();
-                let outcome = pcc_parallel::contain(|| {
+                let encoded = source.encode_next_contained(&frame.cloud, || {
                     if let Some(fault) = encode_fault.as_mut() {
                         fault(idx);
                     }
-                    encoder.encode_frame(&frame.cloud)
                 });
                 let wall_ms = clock.now().saturating_sub(t0).as_secs_f64() * 1000.0;
-                encode_ns += sp.stop();
-                let (encoded, timeline) = match outcome {
-                    Ok(out) => out,
-                    Err(_) => {
-                        // The encoder's partial state for this frame is
-                        // untrusted; skip the slot (an I-slot skip also
-                        // invalidates the reference, forcing the group
-                        // to re-anchor intra) and keep the session up.
-                        panics_contained += 1;
-                        suppressed += 1;
-                        encoder.skip_frame();
-                        continue;
-                    }
+                let Some(encoded) = encoded else {
+                    // The source skipped the slot (an I-slot skip also
+                    // invalidates the reference, forcing the group to
+                    // re-anchor intra); keep the session up.
+                    booked.panics_contained += 1;
+                    suppressed += 1;
+                    continue;
                 };
-                let modeled_ms = timeline.total_modeled_ms().as_f64();
-                if budget.is_some_and(|b| modeled_ms > b) {
-                    over_budget += 1;
+                if encoded.over_budget {
+                    booked.frames_over_budget += 1;
                 }
-                let kind = encoded.kind();
                 if let Some(ctl) = controller.as_mut() {
                     let effective_ms = match load_profile.as_mut() {
-                        Some(profile) => profile(idx, modeled_ms),
+                        Some(profile) => profile(idx, encoded.modeled_ms),
                         None => wall_ms,
                     };
                     let fb = feedback.as_ref().map(|f| f.snapshot()).unwrap_or_default();
@@ -277,82 +267,51 @@ pub fn stream_video_supervised<W: Write>(
                         receiver_arq_degraded: fb.arq_degraded,
                         receiver_refresh_requests: fb.refresh_requests,
                     });
-                    if kind == FrameKind::Predicted
-                        && budget.is_some_and(|b| effective_ms > abandon_factor * b)
+                    if encoded.kind == FrameKind::Predicted
+                        && budget.is_some_and(|b| effective_ms > *abandon_factor * b)
                     {
                         // Watchdog: the frame is already encoded (state
                         // consistent, index advanced) but arrived too
-                        // late to be worth transmitting.
-                        watchdog_skips += 1;
-                        degraded += 1;
+                        // late to be worth transmitting. The source's
+                        // history still holds it; nothing replays a
+                        // whole-video session's history, so that is
+                        // harmless.
+                        booked.watchdog_skips += 1;
+                        booked.frames_degraded += 1;
                         suppressed += 1;
                         continue;
                     }
                     if ctl.rung() > 0 {
-                        degraded += 1;
+                        booked.frames_degraded += 1;
                     }
                 }
-                let mut payload = Vec::new();
-                container::mux_frame(&mut payload, &encoded);
-                if tx.send((idx as u32, kind, payload)).is_err() {
+                if tx.send(encoded).is_err() {
                     // The transmit side died; encoding on would be wasted work.
                     break;
                 }
-                sent += 1;
             }
-            let rung_changes = controller.as_ref().map_or(0, |c| c.rung_changes());
+            booked.rung_changes = controller.as_ref().map_or(0, |c| c.rung_changes());
             // thread::scope unblocks when this closure returns, before the
             // thread-local buffers' Drop flush — publish spans now so a
             // take_report() right after the session sees them.
             pcc_probe::flush_thread();
-            (sent, over_budget, encode_ns, degraded, watchdog_skips, panics_contained, rung_changes)
+            booked
         });
 
-        let mut send_ns = 0u64;
-        let mut transmit = |send_ns: &mut u64| -> io::Result<()> {
-            writer.write_chunk(&header_chunk(stream_id, codec.design(), depth))?;
-            writer.flush()?;
-            let mut seq = 1u32;
-            while let Some((frame_index, kind, payload)) = rx.recv() {
-                let sp = pcc_probe::span("stream/send");
-                writer.write_chunk(&Chunk {
-                    kind: ChunkKind::Frame,
-                    frame_kind: Some(kind),
-                    stream_id,
-                    seq,
-                    frame_index,
-                    payload,
-                })?;
-                seq += 1;
-                if kind == FrameKind::Intra {
-                    writer.flush()?;
-                }
-                *send_ns += sp.stop();
+        let mut memo = StampMemo::new();
+        let mut sent = Ok(());
+        while let Some(frame) = rx.recv() {
+            sent = sub.send_payload(&frame, &mut memo);
+            if sent.is_err() {
+                break;
             }
-            writer.write_chunk(&end_chunk(stream_id, seq, video.len() as u32))?;
-            writer.flush()?;
-            Ok(())
-        };
-        let result = transmit(&mut send_ns);
+        }
         // On a transport error the receiver half of the queue is dropped
         // here, which makes the encoder's next send fail and stop early.
         drop(rx);
-        let (sent, over_budget, encode_ns, degraded, watchdog_skips, panics_contained, rung_changes) =
-            encode.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-        stats.frames_sent = sent;
-        stats.frames_over_budget = over_budget;
-        stats.frames_degraded = degraded;
-        stats.watchdog_skips = watchdog_skips;
-        stats.panics_contained = panics_contained;
-        stats.rung_changes = rung_changes;
-        stats.add_stage_ns("stream/encode", encode_ns);
-        stats.add_stage_ns("stream/send", send_ns);
-        result
-    });
-
-    stats.chunks_sent = writer.chunks_written() as usize;
-    stats.bytes_sent = writer.bytes_written();
-    io_result?;
-    stats.clean_shutdown = true;
-    Ok((writer.into_inner(), stats))
+        let booked = encode.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+        sent?;
+        sub.stats_mut().merge(&booked);
+        sub.finish(video.len() as u32)
+    })
 }

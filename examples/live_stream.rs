@@ -41,10 +41,7 @@ use pcc::fault::{panic_on_frames, FaultConfig, FaultyTransport, MortalTransport,
 use pcc::serve::{Broadcast, SlotHealth};
 use pcc::inter::InterConfig;
 use pcc::metrics::attribute_psnr;
-use pcc::stream::{
-    stream_video, stream_video_supervised, ArqConfig, Receiver, Sender, SharedRing, StreamConfig,
-    Supervisor,
-};
+use pcc::stream::{stream_video, ArqConfig, Receiver, Sender, SharedRing, StreamConfig, Supervisor};
 use pcc::types::{FrameKind, Video, VoxelizedCloud};
 
 fn main() {
@@ -69,8 +66,10 @@ fn main() {
     let (tx_stats, delivered, rx_stats) = thread::scope(|s| {
         let sender = s.spawn(|| {
             let socket = TcpStream::connect(addr).expect("connect loopback");
+            let config = StreamConfig::default();
+            let mut supervisor = Supervisor::default();
             let (_socket, stats) =
-                stream_video(&codec, &video, depth, &device, socket, &StreamConfig::default())
+                stream_video(&codec, &video, depth, &device, socket, &config, &mut supervisor)
                     .expect("stream over tcp");
             stats
         });
@@ -289,7 +288,7 @@ fn overload_leg(device: &Device) {
         ..StreamConfig::default()
     };
     let (transport, tx) =
-        stream_video_supervised(&codec, &video, depth, device, transport, &config, &mut supervisor)
+        stream_video(&codec, &video, depth, device, transport, &config, &mut supervisor)
             .expect("supervised stream");
     let wire = transport.into_inner();
 

@@ -64,9 +64,10 @@ echo "== overload soak: degradation ladder, watchdog, panic containment =="
 # when the load lifts, deliver every I-frame with no gap over one
 # frame, and convert an injected worker panic into exactly one skipped
 # frame — all on a FakeClock, so the rung traces are asserted exactly.
-# With the controller off, output stays byte-identical to stream_video
-# (the golden digests above already pin the wire). The ARQ timing suite
-# rides along: backoff/deadline sequences replay on the same clock.
+# With no controller, stream_video's wire and stats equal the push
+# Sender's (tests/stream_transport.rs) and its digest is pinned in
+# tests/golden.rs above. The ARQ timing suite rides along:
+# backoff/deadline sequences replay on the same clock.
 cargo test -q --offline --release --test overload_soak --test arq_timing
 
 echo "== broadcast soak: encode-once fan-out to 100+ subscribers =="
@@ -146,5 +147,10 @@ cargo clippy -q --offline \
     -p pcc-types -p pcc-entropy -p pcc-octree -p pcc-intra -p pcc-inter \
     -p pcc-core -p pcc-stream -p pcc-serve -p pcc-sim -p pcc-fault \
     -p pcc-adapt -p pcc-morton -p pcc-parallel
+
+echo "== rustdoc: no broken intra-doc links =="
+# A doc link to a renamed or deleted item is a compile error here, so
+# API removals cannot leave stale references behind in the docs.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --offline --workspace
 
 echo "verify: all gates passed"

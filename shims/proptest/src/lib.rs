@@ -239,7 +239,7 @@ pub mod prop {
             VecStrategy { element, size: size.into() }
         }
 
-        /// Strategy produced by [`vec`].
+        /// Strategy produced by [`vec()`].
         #[derive(Debug, Clone)]
         pub struct VecStrategy<S> {
             element: S,

@@ -10,7 +10,9 @@ use pcc::core::{container, Design, PccCodec};
 use pcc::datasets::catalog;
 use pcc::edge::{Device, PowerMode};
 use pcc::intra::{IntraCodec, IntraConfig, IntraFrame};
-use pcc::stream::{encode_chunk, stream_video, Chunk, ChunkReader, Receiver, StreamConfig};
+use pcc::stream::{
+    encode_chunk, stream_video, Chunk, ChunkReader, Receiver, StreamConfig, Supervisor,
+};
 use pcc::types::{PointCloud, VoxelizedCloud};
 use proptest::prelude::*;
 
@@ -38,8 +40,10 @@ fn sample_stream() -> &'static (Vec<u8>, Vec<PointCloud>) {
         let video = catalog::by_name("Loot").unwrap().generate_scaled(6, 400);
         let codec = PccCodec::new(Design::IntraInterV1);
         let d = device();
+        let config = StreamConfig::default();
         let (wire, _) =
-            stream_video(&codec, &video, 6, &d, Vec::new(), &StreamConfig::default()).unwrap();
+            stream_video(&codec, &video, 6, &d, Vec::new(), &config, &mut Supervisor::default())
+                .unwrap();
         let mut rx = Receiver::new(wire.as_slice(), &d);
         let mut clean = Vec::new();
         while let Some(frame) = rx.recv_frame().unwrap() {

@@ -14,7 +14,7 @@ use pcc::datasets::catalog;
 use pcc::edge::{Device, PowerMode};
 use pcc::inter::{InterCodec, InterConfig};
 use pcc::intra::{IntraCodec, IntraConfig};
-use pcc::stream::{Sender, StreamConfig};
+use pcc::stream::{stream_video, Sender, StreamConfig, Supervisor};
 use pcc::types::{Video, VoxelizedCloud};
 
 /// FNV-1a, 64-bit: tiny, dependency-free, and stable across platforms.
@@ -175,4 +175,19 @@ fn pcs1_chunk_stream_vector() {
     let (wire, stats) = tx.finish().unwrap();
     assert!(stats.clean_shutdown);
     assert_digest("PCS1 chunk stream (2-frame IntraInterV1)", &[&wire], 0x7988_ced3_8cfe_4086);
+}
+
+#[test]
+fn pipelined_chunk_stream_vector() {
+    let d = device();
+    let codec = PccCodec::new(Design::IntraInterV1);
+    let video = golden_video();
+    // The pipelined sender voxelizes in the video's shared bounding box,
+    // so its wire differs from the push sender's above.
+    let mut supervisor = Supervisor::default();
+    let (wire, stats) =
+        stream_video(&codec, &video, 7, &d, Vec::new(), &StreamConfig::default(), &mut supervisor)
+            .unwrap();
+    assert!(stats.clean_shutdown);
+    assert_digest("pipelined PCS1 stream (2-frame IntraInterV1)", &[&wire], 0x432d_97c3_8d65_b67f);
 }

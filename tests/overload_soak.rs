@@ -2,8 +2,9 @@
 //! scripted 2× encode overload must degrade down the quality ladder
 //! instead of stalling, recover to the top rung when the load lifts,
 //! keep every I-frame on the wire, and convert injected worker panics
-//! into single dropped frames. With supervision off, the pipeline must
-//! be byte-identical to the historical `stream_video`.
+//! into single dropped frames. The unsupervised wire is pinned
+//! elsewhere: by a golden digest (`tests/golden.rs`) and by equality
+//! with the push sender (`tests/stream_transport.rs`).
 //!
 //! Everything here is deterministic: encode times come from a scripted
 //! load profile (not the wall clock), the throttled transport charges a
@@ -18,10 +19,7 @@ use pcc::datasets::catalog;
 use pcc::edge::{Device, PowerMode};
 use pcc::fault::{panic_on_frames, ThrottledTransport};
 use pcc::inter::InterConfig;
-use pcc::stream::{
-    stream_video, stream_video_supervised, Receiver, SharedStats, StreamConfig, StreamStats,
-    Supervisor,
-};
+use pcc::stream::{stream_video, Receiver, SharedStats, StreamConfig, StreamStats, Supervisor};
 use pcc::types::{FrameKind, PointCloud, Video};
 
 const BUDGET_MS: f64 = 33.34;
@@ -61,7 +59,7 @@ fn supervised_wire(
 ) -> (Vec<u8>, StreamStats) {
     let codec = PccCodec::new(Design::IntraInterV1);
     let d = device();
-    stream_video_supervised(&codec, video, 7, &d, Vec::new(), cfg, supervisor).unwrap()
+    stream_video(&codec, video, 7, &d, Vec::new(), cfg, supervisor).unwrap()
 }
 
 /// Receives everything off `wire`, returning the delivered frames and
@@ -77,27 +75,9 @@ fn receive_all(wire: &[u8]) -> (Vec<(usize, FrameKind, PointCloud)>, StreamStats
 }
 
 fn clean_clouds(video: &Video) -> Vec<PointCloud> {
-    let codec = PccCodec::new(Design::IntraInterV1);
-    let d = device();
-    let (wire, _) = stream_video(&codec, video, 7, &d, Vec::new(), &config()).unwrap();
+    let (wire, _) = supervised_wire(video, &mut Supervisor::default(), &config());
     let (frames, _) = receive_all(&wire);
     frames.into_iter().map(|(_, _, cloud)| cloud).collect()
-}
-
-#[test]
-fn passthrough_supervision_is_byte_identical_to_stream_video() {
-    let video = clip(9);
-    let codec = PccCodec::new(Design::IntraInterV1);
-    let d = device();
-    let (plain_wire, plain_tx) =
-        stream_video(&codec, &video, 7, &d, Vec::new(), &config()).unwrap();
-    let (sup_wire, sup_tx) = supervised_wire(&video, &mut Supervisor::passthrough(), &config());
-    assert_eq!(plain_wire, sup_wire, "passthrough supervision must not move a byte");
-    assert_eq!(plain_tx, sup_tx);
-    assert_eq!(sup_tx.frames_degraded, 0);
-    assert_eq!(sup_tx.rung_changes, 0);
-    assert_eq!(sup_tx.watchdog_skips, 0);
-    assert_eq!(sup_tx.panics_contained, 0);
 }
 
 #[test]
@@ -118,8 +98,7 @@ fn soak_degrades_under_overload_and_recovers_when_it_lifts() {
     let codec = PccCodec::new(Design::IntraInterV1);
     let d = device();
     let (transport, tx) =
-        stream_video_supervised(&codec, &video, 7, &d, transport, &config(), &mut supervisor)
-            .unwrap();
+        stream_video(&codec, &video, 7, &d, transport, &config(), &mut supervisor).unwrap();
     let wire = transport.into_inner();
 
     // The rung trace is a pure function of the scripted load: degrade
@@ -192,7 +171,7 @@ fn a_p_frame_panic_costs_one_frame_and_the_rest_stay_bit_exact() {
     let video = clip(9);
     let clean = clean_clouds(&video);
 
-    let mut supervisor = Supervisor::passthrough().with_encode_fault(panic_on_frames(&[4]));
+    let mut supervisor = Supervisor::default().with_encode_fault(panic_on_frames(&[4]));
     let (wire, tx) = supervised_wire(&video, &mut supervisor, &config());
     assert_eq!(tx.panics_contained, 1, "stats: {tx:?}");
     assert_eq!(tx.frames_sent, video.len() - 1);
@@ -212,7 +191,7 @@ fn an_i_frame_panic_reanchors_the_group_as_intra() {
     let video = clip(9);
     let clean = clean_clouds(&video);
 
-    let mut supervisor = Supervisor::passthrough().with_encode_fault(panic_on_frames(&[3]));
+    let mut supervisor = Supervisor::default().with_encode_fault(panic_on_frames(&[3]));
     let (wire, tx) = supervised_wire(&video, &mut supervisor, &config());
     assert_eq!(tx.panics_contained, 1, "stats: {tx:?}");
     assert_eq!(tx.frames_sent, video.len() - 1);

@@ -14,7 +14,9 @@ use pcc::core::{Design, PccCodec};
 use pcc::datasets::catalog;
 use pcc::edge::{Device, PowerMode};
 use pcc::serve::{Broadcast, SubscriberConfig};
-use pcc::stream::{decode_chunk, stream_video, ChunkKind, Sender, SharedRing, StreamConfig};
+use pcc::stream::{
+    decode_chunk, stream_video, ChunkKind, Sender, SharedRing, StreamConfig, Supervisor,
+};
 use pcc::types::Video;
 
 const FRAMES: usize = 7;
@@ -104,7 +106,8 @@ fn every_write_is_exactly_one_chunk() {
 
     // The pipelined whole-video sender.
     let wire = Recorder::default();
-    stream_video(&codec, &video, 6, &d, wire.clone(), &config).unwrap();
+    let mut supervisor = Supervisor::default();
+    stream_video(&codec, &video, 6, &d, wire.clone(), &config, &mut supervisor).unwrap();
     assert_eq!(wire.kinds("stream_video"), session(FRAMES));
 
     // A broadcast: on-time subscribers with and without ARQ share each

@@ -8,7 +8,8 @@ use pcc::core::{Design, PccCodec};
 use pcc::datasets::catalog;
 use pcc::edge::{Device, PowerMode};
 use pcc::stream::{
-    encode_chunk, stream_video, Chunk, ChunkKind, ChunkReader, Delivered, Receiver, StreamConfig,
+    encode_chunk, stream_video, Chunk, ChunkKind, ChunkReader, Delivered, Receiver, Sender,
+    StreamConfig, StreamStats, Supervisor,
 };
 use pcc::types::{PointCloud, Video};
 
@@ -20,7 +21,7 @@ fn clip(frames: usize) -> Video {
     catalog::by_name("Soldier").unwrap().generate_scaled(frames, 1_500)
 }
 
-fn receive_all(wire: &[u8], d: &Device) -> (Vec<Delivered>, pcc::stream::StreamStats) {
+fn receive_all(wire: &[u8], d: &Device) -> (Vec<Delivered>, StreamStats) {
     let mut rx = Receiver::new(wire, d);
     let mut out = Vec::new();
     while let Some(frame) = rx.recv_frame().expect("in-memory transport cannot fail") {
@@ -56,8 +57,7 @@ fn incremental_receive_matches_offline_decode_bit_for_bit() {
                 codec.decode_video(&enc, &d).unwrap()
             };
 
-            let (wire, tx) =
-                stream_video(&codec, &video, 7, &d, Vec::new(), &StreamConfig::default()).unwrap();
+            let (wire, tx) = pipelined(&codec, &video, &d, &StreamConfig::default());
             assert_eq!(tx.frames_sent, video.len(), "{design}");
             assert!(tx.clean_shutdown);
 
@@ -78,23 +78,51 @@ fn incremental_receive_matches_offline_decode_bit_for_bit() {
     }
 }
 
+/// The unsupervised pipelined sender's wire and sender stats.
+fn pipelined(
+    codec: &PccCodec,
+    video: &Video,
+    d: &Device,
+    config: &StreamConfig,
+) -> (Vec<u8>, StreamStats) {
+    stream_video(codec, video, 7, d, Vec::new(), config, &mut Supervisor::default()).unwrap()
+}
+
+/// `stream_video` is a `Sender` given the video's shared bounding box and
+/// its frame period as the budget: same wire, same stats, for every
+/// design, at the default budget and at one every frame blows.
 #[test]
 fn push_sender_wire_matches_pipelined_sender() {
     let video = clip(6);
     let d = device();
-    let codec = PccCodec::new(Design::IntraInterV1);
-    let (pipelined, _) =
-        stream_video(&codec, &video, 7, &d, Vec::new(), &StreamConfig::default()).unwrap();
+    let period_ms = 1000.0 / f64::from(video.fps());
+    for design in Design::ALL {
+        let codec = PccCodec::new(design);
+        for budget in [None, Some(0.001)] {
+            let config = StreamConfig { frame_budget_ms: budget, ..StreamConfig::default() };
+            let (piped, piped_stats) = pipelined(&codec, &video, &d, &config);
 
-    let mut sender = pcc::stream::Sender::new(&codec, 7, &d, Vec::new(), &StreamConfig::default())
-        .unwrap()
-        .with_bounding_box(video.bounding_box().unwrap());
-    for frame in video.iter() {
-        sender.send_frame(&frame.cloud).unwrap();
+            let push_budget = Some(budget.unwrap_or(period_ms));
+            let push_config = StreamConfig { frame_budget_ms: push_budget, ..config };
+            let mut sender = Sender::new(&codec, 7, &d, Vec::new(), &push_config)
+                .unwrap()
+                .with_bounding_box(video.bounding_box().unwrap());
+            for frame in video.iter() {
+                sender.send_frame(&frame.cloud).unwrap();
+            }
+            let (pushed, stats) = sender.finish().unwrap();
+            assert_eq!(stats.frames_sent, video.len());
+            assert_eq!(
+                pushed, piped,
+                "{design} budget {budget:?}: push and pipelined senders must emit identical wires"
+            );
+            assert_eq!(stats, piped_stats, "{design} budget {budget:?}");
+            if budget.is_some() {
+                // Every frame blows a 1 µs budget.
+                assert_eq!(stats.frames_over_budget, video.len(), "{design}");
+            }
+        }
     }
-    let (pushed, stats) = sender.finish().unwrap();
-    assert_eq!(stats.frames_sent, video.len());
-    assert_eq!(pushed, pipelined, "push and pipelined senders must emit identical wires");
 }
 
 #[test]
@@ -139,7 +167,7 @@ fn corrupting_a_full_gof_drops_it_and_resyncs_at_next_intra() {
 }
 
 fn wire_clean(codec: &PccCodec, video: &Video, d: &Device) -> Vec<u8> {
-    stream_video(codec, video, 7, d, Vec::new(), &StreamConfig::default()).unwrap().0
+    pipelined(codec, video, d, &StreamConfig::default()).0
 }
 
 #[test]
@@ -419,19 +447,9 @@ fn foreign_stream_chunks_are_ignored() {
     let video = clip(3);
     let d = device();
     let codec = PccCodec::new(Design::IntraInterV1);
-    let wire_a = stream_video(&codec, &video, 7, &d, Vec::new(), &StreamConfig::default())
-        .unwrap()
-        .0;
-    let wire_b = stream_video(
-        &codec,
-        &video,
-        7,
-        &d,
-        Vec::new(),
-        &StreamConfig { stream_id: 7, ..StreamConfig::default() },
-    )
-    .unwrap()
-    .0;
+    let wire_a = wire_clean(&codec, &video, &d);
+    let config_b = StreamConfig { stream_id: 7, ..StreamConfig::default() };
+    let wire_b = pipelined(&codec, &video, &d, &config_b).0;
 
     // Interleave the two sessions chunk by chunk on one wire; end with
     // stream A's end chunk last so its tail accounting still runs.
