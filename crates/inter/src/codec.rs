@@ -1,7 +1,9 @@
 //! The inter-frame (P-frame) codec facade.
 
 use crate::config::InterConfig;
-use crate::matching::{self, match_blocks_into, BlockMatch, MatchOutcome, ReuseStats};
+use crate::matching::{
+    self, block_range, match_blocks_into, predicted, BlockMatch, MatchOutcome, ReuseStats,
+};
 use pcc_edge::{calib, Device};
 use pcc_entropy::varint;
 use pcc_intra::{
@@ -250,10 +252,9 @@ impl InterCodec {
             if mt.outcome == MatchOutcome::Delta {
                 let p_range = block_range(p_starts, p_colors.len(), p_idx);
                 let i_range = block_range(i_starts, reference.len(), mt.i_block as usize);
-                let i_block = &reference[i_range];
-                let len_p = p_range.len();
-                for (k, &pc) in p_colors[p_range].iter().enumerate() {
-                    let base = predicted(i_block, k, len_p);
+                let p_block = &p_colors[p_range];
+                let refs = predicted(&reference[i_range], p_block.len());
+                for (&pc, base) in p_block.iter().zip(refs) {
                     delta_values.push(pc.delta(base));
                 }
                 delta_starts.push(delta_values.len() as u32);
@@ -366,9 +367,8 @@ impl InterCodec {
             let i_range = block_range(&i_starts, reference.len(), i_block_idx);
             let i_block = reference.get(i_range).unwrap_or(&[]);
             let p_range = block_range(&p_starts, m, p_idx);
-            let len_p = p_range.len();
-            for (k, slot) in p_range.clone().enumerate() {
-                let base = predicted(i_block, k, len_p);
+            let refs = predicted(i_block, p_range.len());
+            for (slot, base) in p_range.zip(refs) {
                 colors[slot] = if reused {
                     base
                 } else {
@@ -392,25 +392,6 @@ impl InterCodec {
     /// available, and by the IPP scheduler for I-frames).
     pub fn encode_intra(&self, cloud: &VoxelizedCloud, device: &Device) -> pcc_intra::IntraFrame {
         IntraCodec::new(self.config.intra).encode(cloud, device)
-    }
-}
-
-fn block_range(starts: &[u32], len: usize, idx: usize) -> std::ops::Range<usize> {
-    let start = starts.get(idx).map_or(len, |&s| s as usize);
-    let end = starts.get(idx + 1).map_or(len, |&e| e as usize);
-    start..end
-}
-
-/// The reference color predicted for P-point `k` of a `len_p`-point block
-/// matched to `i_block` (proportional index mapping, identical to the
-/// matcher's; black when the reference block is empty).
-// `map_index` clamps to `i_block.len() - 1` and emptiness is checked.
-#[allow(clippy::indexing_slicing)]
-fn predicted(i_block: &[Rgb], k: usize, len_p: usize) -> Rgb {
-    if i_block.is_empty() {
-        Rgb::BLACK
-    } else {
-        i_block[matching::map_index(k, len_p, i_block.len())]
     }
 }
 
@@ -553,6 +534,21 @@ mod tests {
         for op in ["diff_squared", "squared_sum", "addr_gen", "reuse_encode"] {
             assert!(t.by_op().contains_key(op), "missing kernel {op}");
         }
+    }
+
+    #[test]
+    fn zero_candidates_code_like_one() {
+        let d = device();
+        let i_frame = frame(0.0, 0);
+        let p_frame = frame(0.3, 40);
+        let reference = reference_colors(&i_frame, &d);
+        let codec_with =
+            |candidates| InterCodec::new(InterConfig { candidates, ..InterConfig::v1() });
+        let zero = codec_with(0).encode(&p_frame, &reference, &d);
+        let one = codec_with(1).encode(&p_frame, &reference, &d);
+        assert_eq!(zero, one);
+        let dec = codec_with(0).decode(&zero, &reference, &d).unwrap();
+        assert_eq!(dec.colors(), codec_with(1).decode(&one, &reference, &d).unwrap().colors());
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use pcc_types::Rgb;
 use std::num::NonZeroUsize;
+use std::ops::Range;
 
 /// How one P-block is coded after matching.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -16,8 +17,9 @@ pub enum MatchOutcome {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockMatch {
     /// Offset of the best-matched I-block inside the candidate window
-    /// (6–7 bits for the paper's 100-candidate window).
-    pub window_offset: u16,
+    /// (6–7 bits for the paper's 100-candidate window; a varint on the
+    /// wire, so wider windows code exactly).
+    pub window_offset: u32,
     /// Index of the matched I-block (window start + offset).
     pub i_block: u32,
     /// Normalized 2-norm distance of the best match (per 20-point block,
@@ -57,7 +59,9 @@ pub struct MatchCharge {
 }
 
 /// The candidate window of I-blocks for P-block `p_idx`: centered on the
-/// proportionally aligned I-block, clamped to the valid range.
+/// proportionally aligned I-block, clamped to the valid range. Encoder
+/// and decoder share it; `candidates == 0` is treated as 1, so the window
+/// is never empty while there are I-blocks.
 pub(crate) fn candidate_window(
     p_idx: usize,
     p_blocks: usize,
@@ -67,6 +71,7 @@ pub(crate) fn candidate_window(
     if i_blocks == 0 {
         return (0, 0);
     }
+    let candidates = candidates.max(1);
     let aligned = p_idx * i_blocks / p_blocks.max(1);
     let half = candidates / 2;
     let start = aligned.saturating_sub(half);
@@ -75,33 +80,102 @@ pub(crate) fn candidate_window(
     (start, end)
 }
 
-/// Proportionally maps index `k` of a `len_p`-point block onto a
-/// `len_i`-point block.
-#[inline]
-pub(crate) fn map_index(k: usize, len_p: usize, len_i: usize) -> usize {
-    if len_p == 0 || len_i == 0 {
-        return 0;
-    }
-    (k * len_i / len_p).min(len_i - 1)
+/// The point range of block `idx` of a `len`-long sequence segmented at
+/// `starts` (empty past the last block).
+pub(crate) fn block_range(starts: &[u32], len: usize, idx: usize) -> Range<usize> {
+    let start = starts.get(idx).map_or(len, |&s| s as usize);
+    let end = starts.get(idx + 1).map_or(len, |&e| e as usize);
+    start..end
 }
 
-/// 2-norm attribute distance between a P-block and an I-block (Equ. 2),
-/// normalized to a 20-point block so the threshold is scale-free.
-// `map_index` clamps to `i.len() - 1` and emptiness is checked first.
-#[allow(clippy::indexing_slicing)]
-pub(crate) fn block_diff(p: &[Rgb], i: &[Rgb]) -> u64 {
-    if p.is_empty() {
-        return 0;
+/// The proportional point map of one (P-block, I-block) pair: yields
+/// `k * len_i / len_p` for each P-point `k` in order. It divides once per
+/// pair, not per point — the index steps by `len_i / len_p` and carries
+/// the remainder — and equal lengths give the identity.
+struct BlockMap {
+    next: usize,
+    carry: usize,
+    step: usize,
+    rem: usize,
+    len_p: usize,
+    left: usize,
+}
+
+impl BlockMap {
+    fn new(len_p: usize, len_i: usize) -> Self {
+        let step = len_i.checked_div(len_p).unwrap_or(0);
+        let rem = len_i.checked_rem(len_p).unwrap_or(0);
+        BlockMap { next: 0, carry: 0, step, rem, len_p, left: len_p }
     }
-    if i.is_empty() {
-        return u64::MAX; // an empty reference block can never match
+}
+
+impl Iterator for BlockMap {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        self.left = self.left.checked_sub(1)?;
+        let idx = self.next;
+        self.next += self.step;
+        self.carry += self.rem;
+        if self.carry >= self.len_p {
+            self.carry -= self.len_p;
+            self.next += 1;
+        }
+        Some(idx)
     }
-    let sum: u64 = p
-        .iter()
-        .enumerate()
-        .map(|(k, &pc)| pc.distance_squared(i[map_index(k, p.len(), i.len())]) as u64)
-        .sum();
-    sum * 20 / p.len() as u64
+}
+
+/// The reference colors predicted for the `len_p` points of a P-block
+/// matched to `i_block`, through the proportional [`BlockMap`] (black
+/// when the reference block is empty). The matcher, delta assembly and
+/// the decoder all read references through this one map.
+pub(crate) fn predicted(i_block: &[Rgb], len_p: usize) -> impl Iterator<Item = Rgb> + '_ {
+    BlockMap::new(len_p, i_block.len())
+        .map(move |j| i_block.get(j).copied().unwrap_or(Rgb::BLACK))
+}
+
+/// P-points summed between two checks of the pruning bound: a divisor of
+/// the 20-point block, in fixed-size chunks the compiler vectorizes.
+const BOUND_STRIDE: usize = 5;
+
+/// Squared attribute distance (the un-normalized sum of Equ. 2) between a
+/// P-block and a non-empty I-block, or `None` once a partial sum reaches
+/// `sum * 20 >= limit`: channel distances are non-negative, so the
+/// candidate can no longer beat the best found so far. Equal lengths
+/// (nearly every pair) take a plain contiguous loop; others go through
+/// the proportional map.
+#[inline]
+fn pair_sum(p: &[Rgb], i: &[Rgb], limit: u64) -> Option<u64> {
+    let mut sum = 0u64;
+    if p.len() == i.len() {
+        let (pc, p_tail) = p.as_chunks::<BOUND_STRIDE>();
+        let (ic, i_tail) = i.as_chunks::<BOUND_STRIDE>();
+        for (pc, ic) in pc.iter().zip(ic) {
+            sum += chunk_sum(pc, ic);
+            if sum * 20 >= limit {
+                return None;
+            }
+        }
+        sum += chunk_sum(p_tail, i_tail);
+    } else {
+        let mut refs = predicted(i, p.len());
+        for pc in p.chunks(BOUND_STRIDE) {
+            let chunk: u32 = pc.iter().zip(&mut refs).map(|(&a, b)| a.distance_squared(b)).sum();
+            sum += chunk as u64;
+            if sum * 20 >= limit {
+                return None;
+            }
+        }
+    }
+    Some(sum)
+}
+
+/// Squared color distance of two equal runs of at most [`BOUND_STRIDE`]
+/// points (small enough for a `u32`).
+#[inline]
+fn chunk_sum(p: &[Rgb], i: &[Rgb]) -> u64 {
+    p.iter().zip(i).map(|(&a, &b)| a.distance_squared(b)).sum::<u32>() as u64
 }
 
 /// Matches every P-block against its candidate I-blocks, deciding
@@ -164,6 +238,15 @@ pub fn match_blocks_with(
 /// (cleared first). The single-threaded path fills `matches` in place
 /// with no heap allocation once its capacity has warmed, which keeps the
 /// inter encoder's steady state allocation-free.
+///
+/// Each P-block takes the first candidate (lowest I-block index) with the
+/// strictly smallest normalized distance `sum * 20 / len_p`. Because
+/// `len_p` is fixed per P-block, a candidate beats the current best `d`
+/// exactly when `sum * 20 < d * len_p`, so the host scan abandons a
+/// candidate once its partial sum fails that bound. The winner is always
+/// summed in full, so the matches equal an exhaustive scan's. The
+/// returned `MatchCharge` still counts every pair in every window: it
+/// charges the modeled GPU kernels, which compare exhaustively.
 // Encoder side: `starts` come from segment_starts over these exact
 // color arrays, so block ranges are in bounds by construction.
 #[allow(clippy::too_many_arguments, clippy::indexing_slicing)]
@@ -181,25 +264,29 @@ pub fn match_blocks_into(
     let i_blocks = i_starts.len();
     matches.clear();
 
-    let block_of = |starts: &[u32], colors: &[Rgb], idx: usize| -> std::ops::Range<usize> {
-        let start = starts[idx] as usize;
-        let end = starts.get(idx + 1).map_or(colors.len(), |&e| e as usize);
-        start..end
-    };
-
-    let match_range = |range: std::ops::Range<usize>, matches: &mut Vec<BlockMatch>| {
+    let match_range = |range: Range<usize>, matches: &mut Vec<BlockMatch>| {
         let mut stats = ReuseStats::default();
         let mut charge = MatchCharge::default();
         for p_idx in range {
-            let p_range = block_of(p_starts, p_colors, p_idx);
-            let p_block = &p_colors[p_range];
+            let p_block = &p_colors[block_range(p_starts, p_colors.len(), p_idx)];
+            let len_p = p_block.len() as u64;
             let (w_start, w_end) = candidate_window(p_idx, p_blocks, i_blocks, candidates);
+            charge.pair_items += p_block.len() * (w_end - w_start);
+            charge.block_pairs += w_end - w_start;
             let mut best: Option<(usize, u64)> = None;
             for i_idx in w_start..w_end {
-                let i_range = block_of(i_starts, i_colors, i_idx);
-                let diff = block_diff(p_block, &i_colors[i_range]);
-                charge.pair_items += p_block.len();
-                charge.block_pairs += 1;
+                let i_block = &i_colors[block_range(i_starts, i_colors.len(), i_idx)];
+                let diff = if p_block.is_empty() {
+                    0
+                } else if i_block.is_empty() {
+                    u64::MAX // an empty reference block can never match
+                } else {
+                    let limit = best.map_or(u64::MAX, |(_, d)| d.saturating_mul(len_p));
+                    match pair_sum(p_block, i_block, limit) {
+                        Some(sum) => sum * 20 / len_p,
+                        None => continue,
+                    }
+                };
                 if best.is_none_or(|(_, d)| diff < d) {
                     best = Some((i_idx, diff));
                 }
@@ -213,7 +300,7 @@ pub fn match_blocks_into(
                 MatchOutcome::Delta
             };
             matches.push(BlockMatch {
-                window_offset: (i_block - w_start) as u16,
+                window_offset: (i_block - w_start) as u32,
                 i_block: i_block as u32,
                 best_diff,
                 outcome,
@@ -257,6 +344,108 @@ mod tests {
 
     fn grays(values: &[u8]) -> Vec<Rgb> {
         values.iter().map(|&v| Rgb::gray(v)).collect()
+    }
+
+    /// The proportional map as the exhaustive scan computed it: one
+    /// division per point.
+    fn map_index(k: usize, len_p: usize, len_i: usize) -> usize {
+        if len_p == 0 || len_i == 0 {
+            return 0;
+        }
+        (k * len_i / len_p).min(len_i - 1)
+    }
+
+    /// Normalized block distance as the exhaustive scan computed it.
+    fn block_diff(p: &[Rgb], i: &[Rgb]) -> u64 {
+        if p.is_empty() {
+            return 0;
+        }
+        if i.is_empty() {
+            return u64::MAX;
+        }
+        let sum: u64 = p
+            .iter()
+            .enumerate()
+            .map(|(k, &pc)| pc.distance_squared(i[map_index(k, p.len(), i.len())]) as u64)
+            .sum();
+        sum * 20 / p.len() as u64
+    }
+
+    /// The oracle: every candidate of every window summed in full, first
+    /// strict minimum wins.
+    fn exhaustive_match(
+        p_colors: &[Rgb],
+        i_colors: &[Rgb],
+        p_starts: &[u32],
+        i_starts: &[u32],
+        candidates: usize,
+        threshold: u32,
+    ) -> (Vec<BlockMatch>, ReuseStats, MatchCharge) {
+        let block_of = |starts: &[u32], colors: &[Rgb], idx: usize| {
+            starts[idx] as usize..starts.get(idx + 1).map_or(colors.len(), |&e| e as usize)
+        };
+        let mut matches = Vec::new();
+        let mut stats = ReuseStats::default();
+        let mut charge = MatchCharge::default();
+        for p_idx in 0..p_starts.len() {
+            let p_block = &p_colors[block_of(p_starts, p_colors, p_idx)];
+            let (w_start, w_end) =
+                candidate_window(p_idx, p_starts.len(), i_starts.len(), candidates);
+            let mut best: Option<(usize, u64)> = None;
+            for i_idx in w_start..w_end {
+                let diff = block_diff(p_block, &i_colors[block_of(i_starts, i_colors, i_idx)]);
+                charge.pair_items += p_block.len();
+                charge.block_pairs += 1;
+                if best.is_none_or(|(_, d)| diff < d) {
+                    best = Some((i_idx, diff));
+                }
+            }
+            let (i_block, best_diff) = best.unwrap_or((0, u64::MAX));
+            let outcome = if best_diff <= threshold as u64 {
+                stats.reused += 1;
+                MatchOutcome::Reuse
+            } else {
+                stats.delta += 1;
+                MatchOutcome::Delta
+            };
+            let window_offset = (i_block - w_start) as u32;
+            matches.push(BlockMatch { window_offset, i_block: i_block as u32, best_diff, outcome });
+        }
+        (matches, stats, charge)
+    }
+
+    /// Block starts for raw `(kind, n)` draws: mostly the segmentation's
+    /// 19–21 points, some short or empty blocks, some longer than 255.
+    fn starts_of(raw: &[(u8, usize)]) -> (Vec<u32>, usize) {
+        let mut starts = Vec::with_capacity(raw.len());
+        let mut len = 0usize;
+        for &(kind, n) in raw {
+            starts.push(len as u32);
+            len += match kind {
+                0..=4 => 19 + n % 3,
+                5 => n % 40,
+                6 => 250 + n % 50,
+                _ => 0,
+            };
+        }
+        (starts, len)
+    }
+
+    /// `n` seeded colors with every channel below `levels` (a small
+    /// `levels` makes equal distances, and so ties, common).
+    fn seeded_colors(n: usize, seed: u64, levels: u16) -> Vec<Rgb> {
+        let mut x = seed;
+        (0..n)
+            .map(|_| {
+                x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^= z >> 31;
+                let ch = |shift: u32| ((z >> shift) as u16 % levels) as u8;
+                Rgb::new(ch(0), ch(16), ch(32))
+            })
+            .collect()
     }
 
     #[test]
@@ -319,13 +508,42 @@ mod tests {
 
     #[test]
     fn unequal_block_lengths_map_proportionally() {
-        assert_eq!(map_index(0, 4, 2), 0);
-        assert_eq!(map_index(3, 4, 2), 1);
-        assert_eq!(map_index(1, 2, 6), 3);
-        assert_eq!(map_index(0, 0, 5), 0);
+        assert_eq!(BlockMap::new(4, 2).collect::<Vec<_>>(), [0, 0, 1, 1]);
+        assert_eq!(BlockMap::new(2, 6).collect::<Vec<_>>(), [0, 3]);
+        assert_eq!(BlockMap::new(3, 3).collect::<Vec<_>>(), [0, 1, 2]);
+        assert_eq!(BlockMap::new(0, 5).count(), 0);
+        for len_p in 0..40 {
+            for len_i in 0..90 {
+                let got: Vec<usize> = BlockMap::new(len_p, len_i).collect();
+                let want: Vec<usize> = (0..len_p).map(|k| map_index(k, len_p, len_i)).collect();
+                assert_eq!(got, want, "len_p {len_p} len_i {len_i}");
+            }
+        }
         let p = grays(&[10, 10, 10, 10]);
         let i = grays(&[10, 10]);
-        assert_eq!(block_diff(&p, &i), 0);
+        assert_eq!(pair_sum(&p, &i, u64::MAX), Some(0));
+        assert_eq!(predicted(&[], 3).collect::<Vec<_>>(), [Rgb::BLACK; 3]);
+    }
+
+    #[test]
+    fn zero_candidates_match_like_one() {
+        let p = grays(&[10, 20, 30, 40]);
+        let zero = match_blocks(&p, &p, &[0, 2], &[0, 2], 0, 0);
+        assert_eq!(zero, match_blocks(&p, &p, &[0, 2], &[0, 2], 1, 0));
+        assert_eq!(candidate_window(1, 2, 2, 0), (1, 2));
+    }
+
+    #[test]
+    fn window_offsets_beyond_u16_point_at_the_match() {
+        let n = 70_000u32;
+        let mut i = vec![Rgb::gray(0); n as usize];
+        i[66_000] = Rgb::gray(200);
+        let i_starts: Vec<u32> = (0..n).collect();
+        let p = grays(&[200]);
+        let (matches, _, _) = match_blocks(&p, &i, &[0], &i_starts, n as usize, 0);
+        let (w_start, _) = candidate_window(0, 1, n as usize, n as usize);
+        assert_eq!(matches[0].i_block, 66_000);
+        assert_eq!(w_start + matches[0].window_offset as usize, matches[0].i_block as usize);
     }
 
     #[test]
@@ -354,6 +572,36 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn pruned_matcher_equals_exhaustive_scan(
+            p_raw in prop::collection::vec((0u8..8, 0usize..300), 0..160),
+            i_raw in prop::collection::vec((0u8..8, 0usize..300), 0..80),
+            seed in any::<u64>(),
+            palette in 0u8..3,
+            cand_raw in 0usize..200,
+            thr in (0u8..3, any::<u32>()),
+        ) {
+            let (p_starts, p_len) = starts_of(&p_raw);
+            let (i_starts, i_len) = starts_of(&i_raw);
+            let levels = [2, 16, 256][palette as usize];
+            let p = seeded_colors(p_len, seed, levels);
+            let i = seeded_colors(i_len, seed ^ 1, levels);
+            let candidates = cand_raw % (i_starts.len() + 4);
+            let threshold = match thr.0 {
+                0 => 0,
+                1 => u32::MAX,
+                _ => thr.1 % 200_000,
+            };
+            let want = exhaustive_match(&p, &i, &p_starts, &i_starts, candidates, threshold);
+            for t in [1usize, 2, 3] {
+                let got = match_blocks_with(
+                    &p, &i, &p_starts, &i_starts, candidates, threshold,
+                    NonZeroUsize::new(t).unwrap(),
+                );
+                prop_assert_eq!(&got, &want, "threads = {}", t);
+            }
+        }
+
         #[test]
         fn reuse_fraction_monotone_in_threshold(
             p in prop::collection::vec(any::<u8>(), 8..64),

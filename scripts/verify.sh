@@ -81,6 +81,16 @@ echo "== broadcast soak: encode-once fan-out to 100+ subscribers =="
 cargo test -q --offline --release --test broadcast_soak
 cargo run -q --release --offline --example broadcast
 
+echo "== codec crate suites: matcher oracle, thread identity, kernels =="
+# The root package's run above covers none of the codec crates' own
+# unit tests and proptests. Among them: the inter matcher's
+# exhaustive-scan oracle (the pruned matcher must return the same
+# matches, stats and modeled charge over random block lengths, empty
+# and >255-point blocks, edge thresholds, window sizes and 1-3 threads)
+# and every crate's thread-count identity proptests.
+cargo test -q --offline --release -p pcc-inter -p pcc-intra -p pcc-core -p pcc-morton \
+    -p pcc-octree -p pcc-parallel -p pcc-types -p pcc-entropy
+
 echo "== stream/serve/sim/fault crate suites: stamp memo, ARQ rings, frame history =="
 # The crates' own suites are outside the root package's test run. The
 # stamp-memo proptest drives random mixes of on-time, late, resubscribed,
