@@ -387,11 +387,12 @@ impl CwipcCodec {
             self.config.threads,
         );
         let mut geometry = grid_header(cloud);
-        geometry.extend_from_slice(&pcc_octree::serialize_occupancy(
+        pcc_octree::serialize_occupancy_into(
             cloud.depth(),
             tree.leaf_count(),
             &occupancy,
-        ));
+            &mut geometry,
+        );
         let geometry = entropy_wrap(&geometry);
         device.charge_cpu(
             "geometry/entropy",
@@ -400,7 +401,7 @@ impl CwipcCodec {
             self.config.threads,
         );
 
-        let (leaf_codes, attrs, _) = leaf_attributes(cloud);
+        let (leaf_codes, attrs, _) = leaf_attributes(cloud, device.host_threads());
         let colors = attrs
             .iter()
             .map(|a| {
@@ -531,6 +532,7 @@ mod tests {
     use super::*;
     use pcc_edge::PowerMode;
     use pcc_types::{Aabb, PointCloud};
+    use std::num::NonZeroUsize;
 
     fn device() -> Device {
         Device::jetson_agx_xavier(PowerMode::W15)
@@ -557,7 +559,7 @@ mod tests {
         let enc = codec.encode_intra(&vox, &d);
         let dec = codec.decode(&enc, None, &d).unwrap();
         assert_eq!(dec.len(), enc.unique_voxels);
-        let (_, attrs, _) = leaf_attributes(&vox);
+        let (_, attrs, _) = leaf_attributes(&vox, NonZeroUsize::MIN);
         let max_err = 1i32 << codec.config().color_shift;
         for (orig, got) in attrs.iter().zip(dec.colors()) {
             for (o, g) in orig.iter().zip(got.to_i32()) {
@@ -628,7 +630,7 @@ mod tests {
         let enc_p = codec.encode_predicted(&p_frame, &dec_i, &d);
         assert!(enc_p.matched_blocks > 0, "blocks should still match");
         let dec_p = codec.decode(&enc_p, Some(&dec_i), &d).unwrap();
-        let (_, attrs, _) = leaf_attributes(&p_frame);
+        let (_, attrs, _) = leaf_attributes(&p_frame, NonZeroUsize::MIN);
         let mut total_err = 0f64;
         for (orig, got) in attrs.iter().zip(dec_p.colors()) {
             total_err += (orig[0] - got.r as f64).abs();

@@ -3,11 +3,12 @@
 
 use pcc_edge::{calib, Device};
 use pcc_entropy::{varint, ByteModel, RangeDecoder, RangeEncoder};
-use pcc_morton::MortonCode;
+use pcc_morton::{MortonCode, SortScratch, SortedCodes};
 use pcc_octree::SequentialOctree;
 use pcc_raht::{forward, inverse, transform_count, RahtEncoded};
 use pcc_types::{Point3, Rgb, VoxelizedCloud};
 use std::fmt;
+use std::num::NonZeroUsize;
 
 /// One TMC13-coded frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -197,7 +198,7 @@ impl Tmc13Codec {
         // After voxelization each occupied voxel is one unit-weight leaf
         // (weights must match the decoder, which cannot know the original
         // per-voxel point counts).
-        let (leaf_codes, attrs, _counts) = leaf_attributes(cloud);
+        let (leaf_codes, attrs, _counts) = leaf_attributes(cloud, device.host_threads());
         let coeffs: Vec<[i64; 3]> = match self.attribute_mode {
             AttributeMode::Raht => {
                 let weights = vec![1.0; leaf_codes.len()];
@@ -278,7 +279,8 @@ impl Tmc13Codec {
         limits.check_points(leaf_count as u64).map_err(pcc_octree::StreamError::from)?;
         limits.check_alloc(occ_len as u64).map_err(pcc_octree::StreamError::from)?;
         let occupancy = pcc_entropy::context::decode_occupancy(input, occ_len);
-        let stream = pcc_octree::serialize_occupancy(depth, leaf_count, &occupancy);
+        let mut stream = Vec::with_capacity(occupancy.len() + 8);
+        pcc_octree::serialize_occupancy_into(depth, leaf_count, &occupancy, &mut stream);
         let coords = pcc_octree::decode_occupancy_with(&stream, limits)?;
         device.charge_cpu("geometry_decode", &calib::OCTREE_SERIALIZE, coords.len().max(1), 1);
 
@@ -350,12 +352,16 @@ impl Tmc13Codec {
     }
 }
 
-/// Unique leaf codes (sorted), their mean attributes, and point weights.
+/// Unique leaf codes (sorted), their mean attributes, and point weights;
+/// the Morton codegen and sort run at `threads` host threads.
 pub(crate) fn leaf_attributes(
     cloud: &VoxelizedCloud,
+    threads: NonZeroUsize,
 ) -> (Vec<MortonCode>, Vec<[f64; 3]>, Vec<f64>) {
-    let codes = pcc_morton::codes_of(cloud);
-    let sorted = pcc_morton::sort_codes(&codes);
+    let mut codes = Vec::new();
+    pcc_morton::codes_of_into(cloud, threads, &mut codes);
+    let mut sorted = SortedCodes::default();
+    pcc_morton::sort_codes_into(&codes, threads, &mut SortScratch::new(), &mut sorted);
     let mut leaf_codes: Vec<MortonCode> = Vec::new();
     let mut sums: Vec<[f64; 3]> = Vec::new();
     let mut counts: Vec<f64> = Vec::new();
@@ -489,7 +495,7 @@ mod tests {
         let d = device();
         let frame = codec.encode(&vox, &d);
         let dec = codec.decode(&frame, &d).unwrap();
-        let (_, attrs, _) = leaf_attributes(&vox);
+        let (_, attrs, _) = leaf_attributes(&vox, NonZeroUsize::MIN);
         for (orig, got) in attrs.iter().zip(dec.colors()) {
             let g = got.to_f64();
             for ch in 0..3 {
@@ -592,7 +598,7 @@ mod attribute_mode_tests {
             let frame = codec.encode(&vox, &d);
             let dec = codec.decode(&frame, &d).unwrap_or_else(|e| panic!("{mode:?}: {e}"));
             assert_eq!(dec.len(), frame.unique_voxels, "{mode:?}");
-            let (_, attrs, _) = leaf_attributes(&vox);
+            let (_, attrs, _) = leaf_attributes(&vox, NonZeroUsize::MIN);
             for (orig, got) in attrs.iter().zip(dec.colors()) {
                 let g = got.to_f64();
                 for ch in 0..3 {

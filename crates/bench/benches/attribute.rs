@@ -5,10 +5,14 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pcc_bench::Scale;
 use pcc_datasets::catalog;
-use pcc_intra::encode_layer;
+use pcc_edge::{Device, PowerMode};
+use pcc_intra::{
+    decode_layer_threaded, encode_layer_with_starts_into, segment_starts_into, LayerEncoded,
+};
 use pcc_morton::MortonCode;
 use pcc_types::VoxelizedCloud;
 use std::hint::black_box;
+use std::num::NonZeroUsize;
 
 struct Workload {
     codes: Vec<MortonCode>,
@@ -48,7 +52,24 @@ fn workload(points: usize) -> Workload {
     Workload { codes, attrs, values, weights, depth }
 }
 
+/// The Mid+Residual layer over the paper's ~33 points per segment, at
+/// `layer.quant_step`, through the caller's reused buffers.
+fn mid_residual(values: &[[i32; 3]], threads: NonZeroUsize, layer: &mut LayerEncoded) {
+    let LayerEncoded { bases, residuals, starts, quant_step } = layer;
+    segment_starts_into(values.len(), (values.len() / 33).max(1), starts);
+    encode_layer_with_starts_into(
+        values,
+        starts,
+        *quant_step,
+        threads,
+        bases,
+        residuals,
+        &mut Vec::new(),
+    );
+}
+
 fn bench_transforms(c: &mut Criterion) {
+    let threads = Device::jetson_agx_xavier(PowerMode::W15).host_threads();
     let mut g = c.benchmark_group("attribute/transform");
     g.sample_size(15);
     for n in [10_000usize, 40_000] {
@@ -65,9 +86,13 @@ fn bench_transforms(c: &mut Criterion) {
                 ))
             })
         });
-        let segments = (w.values.len() / 33).max(1); // paper's ~33 pts/segment
         g.bench_with_input(BenchmarkId::new("mid_residual", n), &w, |b, w| {
-            b.iter(|| black_box(encode_layer(black_box(&w.values), segments, 4)))
+            let mut layer =
+                LayerEncoded { bases: vec![], residuals: vec![], starts: vec![], quant_step: 4 };
+            b.iter(|| {
+                mid_residual(black_box(&w.values), threads, &mut layer);
+                black_box(&layer.residuals);
+            })
         });
         // G-PCC's other attribute methods (paper Sec. II-B3): hierarchical
         // nearest-neighbor prediction across LODs, without and with the
@@ -99,10 +124,12 @@ fn bench_inverse(c: &mut Criterion) {
             )
         })
     });
-    let segments = (w.values.len() / 33).max(1);
-    let layer = encode_layer(&w.values, segments, 4);
+    let threads = Device::jetson_agx_xavier(PowerMode::W15).host_threads();
+    let mut layer =
+        LayerEncoded { bases: vec![], residuals: vec![], starts: vec![], quant_step: 4 };
+    mid_residual(&w.values, threads, &mut layer);
     g.bench_function("mid_residual_decode", |b| {
-        b.iter(|| black_box(pcc_intra::decode_layer(black_box(&layer))))
+        b.iter(|| black_box(decode_layer_threaded(black_box(&layer), threads)))
     });
     g.finish();
 }

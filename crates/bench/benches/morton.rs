@@ -4,8 +4,8 @@
 //! parallel pre-pass, the sort the first heavy step.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pcc_morton::{encode, sort_codes, sort_codes_with, MortonCode, SortScratch};
-use std::num::NonZeroUsize;
+use pcc_edge::{Device, PowerMode};
+use pcc_morton::{encode, sort_codes_into, MortonCode, SortScratch, SortedCodes};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -40,12 +40,17 @@ fn bench_encode(c: &mut Criterion) {
 }
 
 fn bench_sort(c: &mut Criterion) {
+    let threads = Device::jetson_agx_xavier(PowerMode::W15).host_threads();
     let mut g = c.benchmark_group("morton/sort");
     for n in [10_000usize, 100_000] {
         let codes: Vec<MortonCode> = random_coords(n).iter().map(|&c| encode(c)).collect();
         g.throughput(Throughput::Elements(n as u64));
         g.bench_with_input(BenchmarkId::new("radix", n), &codes, |b, codes| {
-            b.iter(|| black_box(sort_codes(black_box(codes))))
+            b.iter(|| {
+                let mut out = SortedCodes::default();
+                sort_codes_into(black_box(codes), threads, &mut SortScratch::new(), &mut out);
+                black_box(out)
+            })
         });
         g.bench_with_input(BenchmarkId::new("std_unstable", n), &codes, |b, codes| {
             b.iter(|| {
@@ -55,14 +60,16 @@ fn bench_sort(c: &mut Criterion) {
             })
         });
         // Frame-loop shape: the encoder sorts every frame, so the scratch
-        // (ping-pong buffers + histogram matrix) is reused across calls
-        // instead of reallocated. Compare against the `radix` case above,
-        // which allocates fresh scratch per sort.
-        let threads = std::thread::available_parallelism()
-            .unwrap_or(NonZeroUsize::new(1).unwrap());
+        // (ping-pong buffers + histogram matrix) and the output are reused
+        // across calls instead of reallocated. Compare against the `radix`
+        // case above, which allocates fresh buffers per sort.
         g.bench_with_input(BenchmarkId::new("radix_reused_scratch", n), &codes, |b, codes| {
             let mut scratch = SortScratch::new();
-            b.iter(|| black_box(sort_codes_with(black_box(codes), threads, &mut scratch)))
+            let mut out = SortedCodes::default();
+            b.iter(|| {
+                sort_codes_into(black_box(codes), threads, &mut scratch, &mut out);
+                black_box(&out.perm);
+            })
         });
     }
     g.finish();

@@ -5,8 +5,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pcc_bench::Scale;
 use pcc_datasets::catalog;
-use pcc_octree::{decode_occupancy, ParallelOctree, SequentialOctree};
-use pcc_types::{VoxelCoord, VoxelizedCloud};
+use pcc_edge::{Device, PowerMode};
+use pcc_octree::{decode_occupancy_with, ParallelOctree, SequentialOctree};
+use pcc_types::{Limits, VoxelCoord, VoxelizedCloud};
 use std::hint::black_box;
 
 fn frame_coords(points: usize) -> (Vec<VoxelCoord>, u8) {
@@ -38,10 +39,20 @@ fn bench_occupancy_and_decode(c: &mut Criterion) {
     g.sample_size(20);
     let (coords, depth) = frame_coords(40_000);
     let tree = ParallelOctree::from_coords(&coords, depth);
-    g.bench_function("occupancy", |b| b.iter(|| black_box(tree.occupancy())));
+    let threads = Device::jetson_agx_xavier(PowerMode::W15).host_threads();
+    g.bench_function("occupancy", |b| {
+        let mut occupancy = Vec::new();
+        b.iter(|| {
+            tree.occupancy_into(threads, &mut occupancy);
+            black_box(&occupancy);
+        })
+    });
     let stream = tree.serialize();
+    let limits = Limits::default();
     g.bench_function("decode", |b| {
-        b.iter(|| black_box(decode_occupancy(black_box(&stream)).expect("valid stream")))
+        b.iter(|| {
+            black_box(decode_occupancy_with(black_box(&stream), &limits).expect("valid stream"))
+        })
     });
     g.finish();
 }

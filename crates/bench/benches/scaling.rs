@@ -14,6 +14,7 @@ use pcc_edge::{Device, PowerMode};
 use pcc_intra::{IntraCodec, IntraConfig};
 use pcc_types::VoxelizedCloud;
 use std::hint::black_box;
+use std::num::NonZeroUsize;
 
 const POINTS: usize = 100_000;
 
@@ -29,13 +30,14 @@ fn bench_intra_scaling(c: &mut Criterion) {
     let scale = Scale { points: POINTS, frames: 1 };
     let video = scale.video(catalog::by_name("Longdress").unwrap());
     let vox = VoxelizedCloud::from_cloud(&video.frame(0).unwrap().cloud, scale.depth());
-    let device = Device::jetson_agx_xavier(PowerMode::W15);
+    let codec = IntraCodec::new(IntraConfig::default());
 
     let mut g = c.benchmark_group("scaling/intra_encode");
     g.sample_size(15);
     g.throughput(Throughput::Elements(vox.len() as u64));
     for t in thread_counts() {
-        let codec = IntraCodec::new(IntraConfig::default().with_threads(t));
+        let device =
+            Device::jetson_agx_xavier(PowerMode::W15).with_host_threads(NonZeroUsize::new(t));
         g.bench_with_input(BenchmarkId::new("threads", t), &vox, |b, vox| {
             b.iter(|| {
                 device.reset();

@@ -313,8 +313,8 @@ fn run() -> Report {
     // -- End-to-end frames: steady-state latency and allocs per frame on
     //    the single-threaded entropy-off path the zero-alloc guarantee
     //    covers (see tests/alloc_steady_state.rs).
-    let intra_cfg = IntraConfig::paper().with_threads(1);
-    let device = Device::jetson_agx_xavier(PowerMode::W15);
+    let intra_cfg = IntraConfig::paper();
+    let device = Device::jetson_agx_xavier(PowerMode::W15).with_host_threads(Some(one));
     let frames: Vec<VoxelizedCloud> = (0..FRAMES).map(frame).collect();
 
     let intra = IntraCodec::new(intra_cfg);
@@ -391,7 +391,7 @@ fn run() -> Report {
     //    brick decoder at 1 thread (gated), and the wall-clock speedup of
     //    the same decode at the machine's full thread count
     //    (informational — it depends on the host's core count).
-    let brick_codec = IntraCodec::new(IntraConfig::paper().with_bricks(3).with_threads(1));
+    let brick_codec = IntraCodec::new(IntraConfig::paper().with_bricks(3));
     let brick_vox = &frames[0];
     let brick_frame = brick_codec.encode(brick_vox, &device);
     device.reset();
@@ -400,11 +400,13 @@ fn run() -> Report {
         let decoded = brick_codec.decode(&brick_frame, &device).expect("self-encoded decodes");
         black_box(decoded.len());
     });
-    let max_threads = std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1);
-    let brick_wide = IntraCodec::new(IntraConfig::paper().with_bricks(3).with_threads(max_threads));
+    let max_threads = std::thread::available_parallelism().unwrap_or(one);
+    let wide_device =
+        Device::jetson_agx_xavier(PowerMode::W15).with_host_threads(Some(max_threads));
     let decode_n_ns = min_ns(|| {
-        device.reset();
-        let decoded = brick_wide.decode(&brick_frame, &device).expect("self-encoded decodes");
+        wide_device.reset();
+        let decoded =
+            brick_codec.decode(&brick_frame, &wide_device).expect("self-encoded decodes");
         black_box(decoded.len());
     });
 

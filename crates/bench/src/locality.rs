@@ -1,5 +1,6 @@
 //! Spatial/temporal attribute-locality analysis (paper Fig. 3).
 
+use pcc_intra::segment_starts_into;
 use pcc_morton::sorted_permutation;
 use pcc_types::{Rgb, Video, VoxelizedCloud};
 
@@ -9,13 +10,13 @@ pub fn spatial_deltas(vox: &VoxelizedCloud, segments: usize) -> Vec<u32> {
     let sorted = sorted_permutation(vox);
     let gathered = vox.gather(&sorted.perm);
     let colors = gathered.colors();
-    split_starts(colors.len(), segments)
+    let mut starts = Vec::new();
+    segment_starts_into(colors.len(), segments, &mut starts);
+    starts
         .iter()
         .enumerate()
         .map(|(s, &start)| {
-            let end = split_starts(colors.len(), segments)
-                .get(s + 1)
-                .map_or(colors.len(), |&e| e as usize);
+            let end = starts.get(s + 1).map_or(colors.len(), |&e| e as usize);
             block_range_red(&colors[start as usize..end])
         })
         .collect()
@@ -41,8 +42,9 @@ pub fn temporal_deltas(
     let p_sorted = sort(p_vox);
     let i_colors = i_sorted.colors();
     let p_colors = p_sorted.colors();
-    let i_starts = split_starts(i_colors.len(), segments);
-    let p_starts = split_starts(p_colors.len(), segments);
+    let (mut i_starts, mut p_starts) = (Vec::new(), Vec::new());
+    segment_starts_into(i_colors.len(), segments, &mut i_starts);
+    segment_starts_into(p_colors.len(), segments, &mut p_starts);
 
     let mean_red = |colors: &[Rgb]| -> i64 {
         if colors.is_empty() {
@@ -103,11 +105,6 @@ pub fn voxelize_video(video: &Video, depth: u8) -> Vec<VoxelizedCloud> {
             None => VoxelizedCloud::from_cloud(&f.cloud, depth),
         })
         .collect()
-}
-
-fn split_starts(len: usize, segments: usize) -> Vec<u32> {
-    let segments = segments.clamp(1, len.max(1));
-    (0..segments).map(|s| (s * len / segments) as u32).collect()
 }
 
 fn block_range_red(colors: &[Rgb]) -> u32 {

@@ -137,10 +137,11 @@ impl Device {
         Device { spec, mode, host_threads: None, records: Mutex::new(Vec::new()) }
     }
 
-    /// Sets an explicit host thread count for data-parallel kernel
-    /// emulation ([`launch_map`](Self::launch_map)). `None` defers to the
+    /// Sets the host thread count the codecs' data-parallel kernels run
+    /// at — the one programmatic thread knob. `None` defers to the
     /// `PCC_THREADS` environment variable, then to the machine's available
-    /// parallelism. Results are byte-identical at every thread count.
+    /// parallelism (see [`host_threads`](Self::host_threads)). Results are
+    /// byte-identical at every thread count.
     pub fn with_host_threads(mut self, threads: Option<std::num::NonZeroUsize>) -> Self {
         self.host_threads = threads;
         self
@@ -239,40 +240,6 @@ impl Device {
         let start = Instant::now();
         let r = f();
         (r, Millis::from_seconds(start.elapsed().as_secs_f64()))
-    }
-
-    /// Executes `f` over every item as one data-parallel kernel launch,
-    /// charging the model for it.
-    ///
-    /// This is the "CUDA kernel as a Rust closure" entry point: `f` must
-    /// be item-independent (no cross-item state), which is exactly the
-    /// contract a GPU grid launch imposes. Host execution fans out over
-    /// [`host_threads`](Self::host_threads) scoped threads in contiguous
-    /// index chunks merged in order, so the output is byte-identical at
-    /// every thread count; the *model* accounts the launch at the device's
-    /// full core count either way.
-    pub fn launch_map<T: Sync, R: Send>(
-        &self,
-        stage: &'static str,
-        kernel: &KernelProfile,
-        items: &[T],
-        f: impl Fn(&T) -> R + Sync,
-    ) -> Vec<R> {
-        let fan = pcc_parallel::effective_threads(self.host_threads(), items.len());
-        let out = if fan <= 1 {
-            items.iter().map(f).collect()
-        } else {
-            let ranges = pcc_parallel::chunk_ranges(items.len(), fan);
-            let chunks =
-                pcc_parallel::scope_map(&ranges, |_, r| items[r].iter().map(&f).collect::<Vec<R>>());
-            let mut out = Vec::with_capacity(items.len());
-            for chunk in chunks {
-                out.extend(chunk);
-            }
-            out
-        };
-        self.charge_gpu(stage, kernel, items.len().max(1));
-        out
     }
 
     /// Snapshot of everything charged so far.

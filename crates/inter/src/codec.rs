@@ -8,7 +8,7 @@ use pcc_edge::{calib, Device};
 use pcc_entropy::varint;
 use pcc_intra::{
     decode_layer_threaded, encode_layer_with_starts_into, geometry::GeometryEncoded,
-    segment_starts, segment_starts_into, write_layer, GeometryScratch, IntraCodec, LayerEncoded,
+    segment_starts_into, write_layer, GeometryScratch, IntraCodec, LayerEncoded,
 };
 use pcc_types::{Point3, Rgb, VoxelizedCloud};
 use std::fmt;
@@ -128,16 +128,11 @@ impl InterCodec {
         &self.config
     }
 
-    /// The host thread count this codec will use on `device`: the intra
-    /// config wins, then the device knob, then `PCC_THREADS`, then the
-    /// machine's available parallelism.
-    pub fn threads_for(&self, device: &Device) -> NonZeroUsize {
-        pcc_parallel::resolve(self.config.intra.threads.or(device.configured_host_threads()))
-    }
-
     /// Encodes a P-frame: geometry via the intra pipeline, attributes via
     /// block matching against `reference` (the decoded I-frame's
-    /// Morton-ordered voxel colors).
+    /// Morton-ordered voxel colors). Host kernels run at the device's
+    /// [`host_threads`](Device::host_threads); the bitstream is
+    /// byte-identical at every thread count.
     pub fn encode(
         &self,
         cloud: &VoxelizedCloud,
@@ -164,7 +159,7 @@ impl InterCodec {
         arena: &mut InterArena,
         out: &mut InterEncoded,
     ) {
-        let threads = self.threads_for(device);
+        let threads = device.host_threads();
         pcc_intra::geometry::encode_in(
             cloud,
             self.config.intra.entropy,
@@ -198,8 +193,8 @@ impl InterCodec {
     /// Attribute-only inter encoding of the arena's gathered
     /// Morton-ordered color sequence, appending to `payload` (cleared
     /// first).
-    // Encoder side: block ranges come from segment_starts over the same
-    // color arrays, so every slice below is in range by construction.
+    // Encoder side: block ranges come from segment_starts_into over the
+    // same color arrays, so every slice below is in range by construction.
     #[allow(clippy::indexing_slicing)]
     fn encode_attributes_in(
         &self,
@@ -344,11 +339,13 @@ impl InterCodec {
             return Err(InterError::Corrupt("voxel count disagrees with geometry"));
         }
         let n_blocks = varint::read_u64(&mut input)? as usize;
-        let p_starts = segment_starts(m, self.config.blocks_for(m));
+        let (mut p_starts, mut i_starts) = (Vec::new(), Vec::new());
+        segment_starts_into(m, self.config.blocks_for(m), &mut p_starts);
         if n_blocks != p_starts.len() {
             return Err(InterError::Corrupt("block count disagrees with segmentation"));
         }
-        let i_starts = segment_starts(reference.len(), self.config.blocks_for(reference.len()));
+        let i_blocks = self.config.blocks_for(reference.len());
+        segment_starts_into(reference.len(), i_blocks, &mut i_starts);
 
         let mut flags = Vec::with_capacity(n_blocks);
         for _ in 0..n_blocks {
@@ -356,7 +353,7 @@ impl InterCodec {
             flags.push(((v >> 1) as usize, v & 1 == 1));
         }
         let delta_layer = LayerEncoded::from_bytes_with(input, limits)?;
-        let deltas = decode_layer_threaded(&delta_layer, self.threads_for(device));
+        let deltas = decode_layer_threaded(&delta_layer, device.host_threads());
 
         let mut colors = vec![Rgb::BLACK; m];
         let mut delta_pos = 0usize;

@@ -63,6 +63,4 @@ mod matching;
 
 pub use codec::{InterArena, InterCodec, InterEncoded, InterError};
 pub use config::InterConfig;
-pub use matching::{
-    match_blocks, match_blocks_into, match_blocks_with, BlockMatch, MatchOutcome, ReuseStats,
-};
+pub use matching::{match_blocks_into, BlockMatch, MatchOutcome, ReuseStats};

@@ -179,65 +179,19 @@ fn chunk_sum(p: &[Rgb], i: &[Rgb]) -> u64 {
 }
 
 /// Matches every P-block against its candidate I-blocks, deciding
-/// reuse-vs-delta at `threshold`.
+/// reuse-vs-delta at `threshold`, and writes one [`BlockMatch`] per
+/// P-block into a caller-owned buffer (cleared first).
 ///
 /// `p_starts`/`i_starts` are the block boundaries over the Morton-ordered
-/// color sequences (as produced by
-/// [`pcc_intra::encode_layer`]'s segmentation helper). Every block is
-/// independent — the modeled GPU runs the whole pass as two kernels.
-pub fn match_blocks(
-    p_colors: &[Rgb],
-    i_colors: &[Rgb],
-    p_starts: &[u32],
-    i_starts: &[u32],
-    candidates: usize,
-    threshold: u32,
-) -> (Vec<BlockMatch>, ReuseStats, MatchCharge) {
-    match_blocks_with(
-        p_colors,
-        i_colors,
-        p_starts,
-        i_starts,
-        candidates,
-        threshold,
-        pcc_parallel::resolve(None),
-    )
-}
-
-/// [`match_blocks`] with an explicit host thread count.
-///
-/// P-blocks are partitioned into contiguous index chunks, searched
-/// independently, and the per-chunk matches/stats/charges are merged in
-/// chunk order — so the result (and any stream derived from it) is
-/// byte-identical at every thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn match_blocks_with(
-    p_colors: &[Rgb],
-    i_colors: &[Rgb],
-    p_starts: &[u32],
-    i_starts: &[u32],
-    candidates: usize,
-    threshold: u32,
-    threads: NonZeroUsize,
-) -> (Vec<BlockMatch>, ReuseStats, MatchCharge) {
-    let mut matches = Vec::new();
-    let (stats, charge) = match_blocks_into(
-        p_colors,
-        i_colors,
-        p_starts,
-        i_starts,
-        candidates,
-        threshold,
-        threads,
-        &mut matches,
-    );
-    (matches, stats, charge)
-}
-
-/// [`match_blocks_with`] writing the matches into a caller-owned buffer
-/// (cleared first). The single-threaded path fills `matches` in place
-/// with no heap allocation once its capacity has warmed, which keeps the
-/// inter encoder's steady state allocation-free.
+/// color sequences (as produced by [`pcc_intra::segment_starts_into`]).
+/// Every block is independent — the modeled GPU runs the whole pass as
+/// two kernels. On the host, P-blocks are partitioned into contiguous
+/// index chunks, searched independently, and the per-chunk
+/// matches/stats/charges are merged in chunk order, so the result (and
+/// any stream derived from it) is byte-identical at every thread count.
+/// The single-threaded path fills `matches` in place with no heap
+/// allocation once its capacity has warmed, which keeps the inter
+/// encoder's steady state allocation-free.
 ///
 /// Each P-block takes the first candidate (lowest I-block index) with the
 /// strictly smallest normalized distance `sum * 20 / len_p`. Because
@@ -247,7 +201,7 @@ pub fn match_blocks_with(
 /// summed in full, so the matches equal an exhaustive scan's. The
 /// returned `MatchCharge` still counts every pair in every window: it
 /// charges the modeled GPU kernels, which compare exhaustively.
-// Encoder side: `starts` come from segment_starts over these exact
+// Encoder side: `starts` come from segment_starts_into over these exact
 // color arrays, so block ranges are in bounds by construction.
 #[allow(clippy::too_many_arguments, clippy::indexing_slicing)]
 pub fn match_blocks_into(
@@ -339,8 +293,25 @@ pub fn match_blocks_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcc_intra::encode_layer; // only to reuse its segmentation in docs
     use proptest::prelude::*;
+
+    /// One matching pass through a fresh buffer.
+    fn run(
+        p: &[Rgb],
+        i: &[Rgb],
+        p_starts: &[u32],
+        i_starts: &[u32],
+        candidates: usize,
+        threshold: u32,
+        threads: usize,
+    ) -> (Vec<BlockMatch>, ReuseStats, MatchCharge) {
+        let mut matches = Vec::new();
+        let threads = NonZeroUsize::new(threads).unwrap();
+        let (stats, charge) = match_blocks_into(
+            p, i, p_starts, i_starts, candidates, threshold, threads, &mut matches,
+        );
+        (matches, stats, charge)
+    }
 
     fn grays(values: &[u8]) -> Vec<Rgb> {
         values.iter().map(|&v| Rgb::gray(v)).collect()
@@ -453,13 +424,12 @@ mod tests {
         let colors = grays(&[10, 20, 30, 40, 50, 60, 70, 80]);
         let starts = vec![0u32, 4];
         let (matches, stats, charge) =
-            match_blocks(&colors, &colors, &starts, &starts, 4, 0);
+            run(&colors, &colors, &starts, &starts, 4, 0, 1);
         assert_eq!(stats.reused, 2);
         assert_eq!(stats.delta, 0);
         assert_eq!(stats.reuse_fraction(), 1.0);
         assert!(matches.iter().all(|m| m.best_diff == 0));
         assert!(charge.block_pairs > 0);
-        let _ = encode_layer(&[[0; 3]], 1, 1); // keep the doc-reference honest
     }
 
     #[test]
@@ -467,7 +437,7 @@ mod tests {
         let p = grays(&[200, 200, 200, 200]);
         let i = grays(&[10, 10, 10, 10]);
         let starts = vec![0u32];
-        let (matches, stats, _) = match_blocks(&p, &i, &starts, &starts, 4, 300);
+        let (matches, stats, _) = run(&p, &i, &starts, &starts, 4, 300, 1);
         assert_eq!(stats.delta, 1);
         assert_eq!(matches[0].outcome, MatchOutcome::Delta);
         // diff = 4 points × 3 channels × 190² × 20/4.
@@ -480,9 +450,9 @@ mod tests {
         let i = grays(&[104, 104]);
         let starts = vec![0u32];
         // diff per point = 3·16 = 48; normalized ×20/2 → 960.
-        let (_, s_tight, _) = match_blocks(&p, &i, &starts, &starts, 1, 300);
+        let (_, s_tight, _) = run(&p, &i, &starts, &starts, 1, 300, 1);
         assert_eq!(s_tight.reused, 0);
-        let (_, s_loose, _) = match_blocks(&p, &i, &starts, &starts, 1, 1200);
+        let (_, s_loose, _) = run(&p, &i, &starts, &starts, 1, 1200, 1);
         assert_eq!(s_loose.reused, 1);
     }
 
@@ -501,7 +471,7 @@ mod tests {
         let i = grays(&[1, 1, 50, 50]);
         let p_starts = vec![0u32, 2];
         let i_starts = vec![0u32, 2];
-        let (matches, _, _) = match_blocks(&p, &i, &p_starts, &i_starts, 4, 0);
+        let (matches, _, _) = run(&p, &i, &p_starts, &i_starts, 4, 0, 1);
         assert_eq!(matches[0].i_block, 1); // found the shifted match
         assert_eq!(matches[0].best_diff, 0);
     }
@@ -528,8 +498,8 @@ mod tests {
     #[test]
     fn zero_candidates_match_like_one() {
         let p = grays(&[10, 20, 30, 40]);
-        let zero = match_blocks(&p, &p, &[0, 2], &[0, 2], 0, 0);
-        assert_eq!(zero, match_blocks(&p, &p, &[0, 2], &[0, 2], 1, 0));
+        let zero = run(&p, &p, &[0, 2], &[0, 2], 0, 0, 1);
+        assert_eq!(zero, run(&p, &p, &[0, 2], &[0, 2], 1, 0, 1));
         assert_eq!(candidate_window(1, 2, 2, 0), (1, 2));
     }
 
@@ -540,7 +510,7 @@ mod tests {
         i[66_000] = Rgb::gray(200);
         let i_starts: Vec<u32> = (0..n).collect();
         let p = grays(&[200]);
-        let (matches, _, _) = match_blocks(&p, &i, &[0], &i_starts, n as usize, 0);
+        let (matches, _, _) = run(&p, &i, &[0], &i_starts, n as usize, 0, 1);
         let (w_start, _) = candidate_window(0, 1, n as usize, n as usize);
         assert_eq!(matches[0].i_block, 66_000);
         assert_eq!(w_start + matches[0].window_offset as usize, matches[0].i_block as usize);
@@ -549,7 +519,7 @@ mod tests {
     #[test]
     fn empty_reference_marks_everything_delta() {
         let p = grays(&[1, 2, 3]);
-        let (matches, stats, _) = match_blocks(&p, &[], &[0], &[], 4, 1000);
+        let (matches, stats, _) = run(&p, &[], &[0], &[], 4, 1000, 1);
         assert_eq!(stats.delta, 1);
         assert_eq!(matches[0].best_diff, u64::MAX);
     }
@@ -560,13 +530,9 @@ mod tests {
         let i: Vec<Rgb> = (0..36_000).map(|i| Rgb::gray((i % 247) as u8)).collect();
         let p_starts: Vec<u32> = (0..p.len() as u32).step_by(20).collect();
         let i_starts: Vec<u32> = (0..i.len() as u32).step_by(20).collect();
-        let baseline = match_blocks_with(
-            &p, &i, &p_starts, &i_starts, 16, 500, NonZeroUsize::new(1).unwrap(),
-        );
+        let baseline = run(&p, &i, &p_starts, &i_starts, 16, 500, 1);
         for t in [2usize, 3, 8] {
-            let got = match_blocks_with(
-                &p, &i, &p_starts, &i_starts, 16, 500, NonZeroUsize::new(t).unwrap(),
-            );
+            let got = run(&p, &i, &p_starts, &i_starts, 16, 500, t);
             assert_eq!(got, baseline, "threads = {t}");
         }
     }
@@ -593,12 +559,19 @@ mod tests {
                 _ => thr.1 % 200_000,
             };
             let want = exhaustive_match(&p, &i, &p_starts, &i_starts, candidates, threshold);
+            // A larger, different pass dirties the reused buffer first.
+            let dirty_starts: Vec<u32> = (0..p_starts.len() as u32 + 10).map(|b| b * 3).collect();
+            let dirty = seeded_colors(dirty_starts.len() * 3, seed ^ 2, 256);
             for t in [1usize, 2, 3] {
-                let got = match_blocks_with(
-                    &p, &i, &p_starts, &i_starts, candidates, threshold,
-                    NonZeroUsize::new(t).unwrap(),
-                );
+                let got = run(&p, &i, &p_starts, &i_starts, candidates, threshold, t);
                 prop_assert_eq!(&got, &want, "threads = {}", t);
+                let threads = NonZeroUsize::new(t).unwrap();
+                let mut warm = Vec::new();
+                match_blocks_into(&dirty, &i, &dirty_starts, &i_starts, 7, 0, threads, &mut warm);
+                let (stats, charge) = match_blocks_into(
+                    &p, &i, &p_starts, &i_starts, candidates, threshold, threads, &mut warm,
+                );
+                prop_assert_eq!(&(warm, stats, charge), &want, "threads = {} (warm buffer)", t);
             }
         }
 
@@ -613,7 +586,7 @@ mod tests {
             let i_starts: Vec<u32> = (0..i.len() as u32).step_by(4).collect();
             let mut last = 0.0;
             for threshold in [0u32, 100, 1_000, 10_000, 1_000_000] {
-                let (_, stats, _) = match_blocks(&p, &i, &p_starts, &i_starts, 8, threshold);
+                let (_, stats, _) = run(&p, &i, &p_starts, &i_starts, 8, threshold, 1);
                 let f = stats.reuse_fraction();
                 prop_assert!(f >= last, "reuse fraction decreased: {f} < {last}");
                 last = f;
@@ -629,13 +602,9 @@ mod tests {
             let i = grays(&i);
             let p_starts: Vec<u32> = (0..p.len() as u32).step_by(4).collect();
             let i_starts: Vec<u32> = (0..i.len() as u32).step_by(4).collect();
-            let baseline = match_blocks_with(
-                &p, &i, &p_starts, &i_starts, 8, 500, NonZeroUsize::new(1).unwrap(),
-            );
+            let baseline = run(&p, &i, &p_starts, &i_starts, 8, 500, 1);
             for t in [2usize, 3, 7] {
-                let got = match_blocks_with(
-                    &p, &i, &p_starts, &i_starts, 8, 500, NonZeroUsize::new(t).unwrap(),
-                );
+                let got = run(&p, &i, &p_starts, &i_starts, 8, 500, t);
                 prop_assert_eq!(&got, &baseline, "threads = {}", t);
             }
         }
@@ -650,7 +619,7 @@ mod tests {
             let i = grays(&i);
             let p_starts: Vec<u32> = (0..p.len() as u32).step_by(4).collect();
             let i_starts: Vec<u32> = (0..i.len() as u32).step_by(4).collect();
-            let (matches, _, _) = match_blocks(&p, &i, &p_starts, &i_starts, candidates, 500);
+            let (matches, _, _) = run(&p, &i, &p_starts, &i_starts, candidates, 500, 1);
             for m in matches {
                 prop_assert!((m.window_offset as usize) < candidates);
             }

@@ -15,28 +15,17 @@ use std::num::NonZeroUsize;
 
 /// Encodes the attributes of a voxelized cloud, reusing the geometry
 /// pass's Morton order (`geo.perm`) and voxel mapping at no extra cost —
-/// the paper's headline reuse.
+/// the paper's headline reuse — at the device's
+/// [`host_threads`](Device::host_threads).
 ///
 /// Points sharing one voxel are averaged (the decoder can only carry one
 /// color per occupied voxel, as in any voxelized codec).
-pub fn encode(
-    cloud: &VoxelizedCloud,
-    geo: &GeometryEncoded,
-    config: &IntraConfig,
-    device: &Device,
-) -> Vec<u8> {
-    let mut scratch = AttributeScratch::default();
-    let mut payload = Vec::new();
-    encode_in(cloud, geo, config, device, &mut scratch, &mut payload);
-    payload
-}
-
-/// [`encode`] writing into arena-owned buffers — the allocation-free core
-/// of the attribute pipeline. `scratch` carries the gather accumulators,
-/// segment starts, and both layers' base/residual buffers across frames;
-/// `payload` is cleared and refilled. The single-threaded entropy-off
-/// path performs no heap allocation once the buffers have warmed
-/// (asserted by `tests/alloc_steady_state.rs`).
+///
+/// This writes into arena-owned buffers: `scratch` carries the gather
+/// accumulators, segment starts, and both layers' base/residual buffers
+/// across frames; `payload` is cleared and refilled. The single-threaded
+/// entropy-off path performs no heap allocation once the buffers have
+/// warmed (asserted by `tests/alloc_steady_state.rs`).
 pub fn encode_in(
     cloud: &VoxelizedCloud,
     geo: &GeometryEncoded,
@@ -46,7 +35,7 @@ pub fn encode_in(
     payload: &mut Vec<u8>,
 ) {
     let n = cloud.len();
-    let threads = pcc_parallel::resolve(config.threads.or(device.configured_host_threads()));
+    let threads = device.host_threads();
 
     // 1. Gather colors into Morton order through the geometry permutation,
     //    averaging duplicates per voxel. Chunk boundaries are aligned to
@@ -137,20 +126,8 @@ pub(crate) fn encode_values_in(
 }
 
 /// Decodes an attribute payload back to per-voxel colors (Morton order,
-/// one per unique voxel) under [`pcc_types::Limits::default`].
-///
-/// # Errors
-///
-/// Propagates varint/layer decoding errors on malformed input.
-pub fn decode(
-    payload: &[u8],
-    config: &IntraConfig,
-    device: &Device,
-) -> Result<Vec<Rgb>, pcc_entropy::Error> {
-    decode_with(payload, config, device, &pcc_types::Limits::default())
-}
-
-/// Decodes an attribute payload under explicit resource
+/// one per unique voxel) at the device's
+/// [`host_threads`](Device::host_threads), under explicit resource
 /// [`pcc_types::Limits`]: the entropy wrapper's declared length is
 /// bounded by `max_alloc_bytes` and the layer headers by
 /// `max_points`/`max_blocks`.
@@ -165,8 +142,7 @@ pub fn decode_with(
     device: &Device,
     limits: &pcc_types::Limits,
 ) -> Result<Vec<Rgb>, pcc_entropy::Error> {
-    let threads = pcc_parallel::resolve(config.threads.or(device.configured_host_threads()));
-    let colors = decode_payload(payload, config, threads, limits)?;
+    let colors = decode_payload(payload, config, device.host_threads(), limits)?;
     device.charge_gpu("attribute_decode", &calib::ATTR_DECODE, colors.len().max(1));
     Ok(colors)
 }
@@ -202,30 +178,15 @@ pub(crate) fn decode_payload(
     Ok(values.into_iter().map(Rgb::from_i32_clamped).collect())
 }
 
-/// Gathers per-voxel mean colors in Morton order.
-pub fn gather_voxel_colors(cloud: &VoxelizedCloud, geo: &GeometryEncoded) -> Vec<Rgb> {
-    gather_voxel_colors_with(cloud, geo, pcc_parallel::resolve(None))
-}
-
-/// [`gather_voxel_colors`] with an explicit host thread count.
+/// Gathers per-voxel mean colors in Morton order into caller-owned
+/// buffers, reading each point's color through the geometry permutation
+/// and averaging the points that share a voxel.
 ///
 /// `geo.point_to_voxel` is non-decreasing over sorted rank, so chunks
 /// aligned to voxel boundaries accumulate into disjoint contiguous slices
 /// of the per-voxel sums — no atomics, and identical sums (hence bytes)
 /// at every thread count.
-pub fn gather_voxel_colors_with(
-    cloud: &VoxelizedCloud,
-    geo: &GeometryEncoded,
-    threads: NonZeroUsize,
-) -> Vec<Rgb> {
-    let mut sums = Vec::new();
-    let mut counts = Vec::new();
-    let mut out = Vec::new();
-    gather_voxel_colors_into(cloud, geo, threads, &mut sums, &mut counts, &mut out);
-    out
-}
-
-/// [`gather_voxel_colors_with`] writing into caller-owned buffers.
+///
 /// `sums`/`counts` are the per-voxel accumulators, `out` the averaged
 /// colors; all three are cleared and refilled, so their capacity persists
 /// across frames and the single-threaded path is allocation-free once
@@ -337,49 +298,56 @@ fn entropy_unwrap(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::GeometryScratch;
     use crate::geometry;
     use pcc_edge::PowerMode;
-    use pcc_types::{Point3, PointCloud};
+    use pcc_types::{Limits, Point3, PointCloud};
     use proptest::prelude::*;
 
     fn device() -> Device {
         Device::jetson_agx_xavier(PowerMode::W15)
     }
 
-    fn encode_decode(cloud: &PointCloud, config: &IntraConfig, depth: u8) -> (Vec<Rgb>, Vec<Rgb>) {
-        let vox = VoxelizedCloud::from_cloud(cloud, depth);
+    /// Geometry and attribute encode through fresh arenas, then the
+    /// attribute decode: `(geometry, payload, gathered colors, decoded
+    /// colors)`.
+    fn round_trip(
+        vox: &VoxelizedCloud,
+        config: &IntraConfig,
+    ) -> (GeometryEncoded, Vec<u8>, Vec<Rgb>, Vec<Rgb>) {
         let d = device();
-        let geo = geometry::encode(&vox, false, &d);
-        let payload = encode(&vox, &geo, config, &d);
-        let decoded = decode(&payload, config, &d).unwrap();
-        let original = gather_voxel_colors(&vox, &geo);
-        (original, decoded)
+        let mut geo = GeometryEncoded::default();
+        let mut geom = GeometryScratch::default();
+        geometry::encode_in(vox, false, &d, d.host_threads(), &mut geom, &mut geo);
+        let mut scratch = AttributeScratch::default();
+        let mut payload = Vec::new();
+        encode_in(vox, &geo, config, &d, &mut scratch, &mut payload);
+        let decoded = decode_with(&payload, config, &d, &Limits::default()).unwrap();
+        (geo, payload, scratch.voxel_colors, decoded)
     }
 
-    fn gradient_cloud(n: usize) -> PointCloud {
-        (0..n)
+    fn gradient_cloud(n: usize) -> VoxelizedCloud {
+        let cloud: PointCloud = (0..n)
             .map(|i| {
                 (
                     Point3::new(i as f32, (i / 8) as f32, 0.0),
                     Rgb::new((i % 256) as u8, 128, (255 - i % 256) as u8),
                 )
             })
-            .collect()
+            .collect();
+        VoxelizedCloud::from_cloud(&cloud, 9)
     }
 
     #[test]
     fn lossless_config_round_trips_exactly() {
-        let cloud = gradient_cloud(300);
-        let cfg = IntraConfig::lossless();
-        let (original, decoded) = encode_decode(&cloud, &cfg, 9);
+        let (_, _, original, decoded) = round_trip(&gradient_cloud(300), &IntraConfig::lossless());
         assert_eq!(original, decoded);
     }
 
     #[test]
     fn quantized_error_bounded_by_half_step() {
-        let cloud = gradient_cloud(300);
         let cfg = IntraConfig::paper();
-        let (original, decoded) = encode_decode(&cloud, &cfg, 9);
+        let (_, _, original, decoded) = round_trip(&gradient_cloud(300), &cfg);
         let half = cfg.quant_step() / 2;
         for (o, d) in original.iter().zip(&decoded) {
             for (oc, dc) in o.to_i32().iter().zip(d.to_i32()) {
@@ -390,19 +358,16 @@ mod tests {
 
     #[test]
     fn single_layer_and_two_layer_agree_on_values() {
-        let cloud = gradient_cloud(200);
+        let vox = gradient_cloud(200);
         let one = IntraConfig { two_layer: false, ..IntraConfig::lossless() };
         let two = IntraConfig::lossless();
-        let (_, d1) = encode_decode(&cloud, &one, 9);
-        let (_, d2) = encode_decode(&cloud, &two, 9);
-        assert_eq!(d1, d2);
+        assert_eq!(round_trip(&vox, &one).3, round_trip(&vox, &two).3);
     }
 
     #[test]
     fn entropy_config_round_trips() {
-        let cloud = gradient_cloud(200);
         let cfg = IntraConfig { entropy: true, ..IntraConfig::lossless() };
-        let (original, decoded) = encode_decode(&cloud, &cfg, 9);
+        let (_, _, original, decoded) = round_trip(&gradient_cloud(200), &cfg);
         assert_eq!(original, decoded);
     }
 
@@ -415,20 +380,16 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let cfg = IntraConfig::lossless();
-        let (original, decoded) = encode_decode(&cloud, &cfg, 4);
+        let vox = VoxelizedCloud::from_cloud(&cloud, 4);
+        let (_, _, original, decoded) = round_trip(&vox, &IntraConfig::lossless());
         assert_eq!(original.len(), 2);
         assert_eq!(decoded[0], Rgb::gray(102));
     }
 
     #[test]
     fn empty_cloud_round_trips() {
-        let cfg = IntraConfig::paper();
         let vox = VoxelizedCloud::from_cloud(&PointCloud::new(), 6);
-        let d = device();
-        let geo = geometry::encode(&vox, false, &d);
-        let payload = encode(&vox, &geo, &cfg, &d);
-        let decoded = decode(&payload, &cfg, &d).unwrap();
+        let (_, _, _, decoded) = round_trip(&vox, &IntraConfig::paper());
         assert!(decoded.is_empty());
     }
 
@@ -443,11 +404,8 @@ mod tests {
                 (Point3::new(x, y, z), Rgb::new((x * 4.0) as u8, (y * 4.0) as u8, (z * 4.0) as u8))
             })
             .collect();
-        let cfg = IntraConfig::paper();
         let vox = VoxelizedCloud::from_cloud(&cloud, 4);
-        let d = device();
-        let geo = geometry::encode(&vox, false, &d);
-        let payload = encode(&vox, &geo, &cfg, &d);
+        let (geo, payload, _, _) = round_trip(&vox, &IntraConfig::paper());
         let bytes_per_voxel = payload.len() as f64 / geo.unique_voxels as f64;
         assert!(bytes_per_voxel < 3.5, "{bytes_per_voxel} bytes/voxel");
     }
@@ -456,11 +414,14 @@ mod tests {
     fn malformed_payload_errors() {
         let cfg = IntraConfig::paper();
         let d = device();
-        assert!(decode(&[], &cfg, &d).is_err());
-        assert!(decode(&[1, 200], &cfg, &d).is_err());
+        assert!(decode_with(&[], &cfg, &d, &Limits::default()).is_err());
+        assert!(decode_with(&[1, 200], &cfg, &d, &Limits::default()).is_err());
     }
 
     proptest! {
+        /// Decoded colors stay within half a quantization step, and the
+        /// gather yields the encoder's colors at 1, 2 and 3 threads even
+        /// through buffers dirtied by a larger, different cloud.
         #[test]
         fn decoded_colors_within_quant_bound(
             pts in prop::collection::vec((0u32..32, 0u32..32, 0u32..32, any::<u8>()), 1..100),
@@ -472,14 +433,26 @@ mod tests {
                     (Point3::new(x as f32, y as f32, z as f32), Rgb::new(c, c.wrapping_add(40), 255 - c))
                 })
                 .collect();
+            let vox = VoxelizedCloud::from_cloud(&cloud, 5);
             let cfg = IntraConfig { quant_shift: shift, ..IntraConfig::paper() };
-            let (original, decoded) = encode_decode(&cloud, &cfg, 5);
+            let (geo, _, original, decoded) = round_trip(&vox, &cfg);
             prop_assert_eq!(original.len(), decoded.len());
             let half = cfg.quant_step() / 2;
             for (o, d) in original.iter().zip(&decoded) {
                 for (oc, dc) in o.to_i32().iter().zip(d.to_i32()) {
                     prop_assert!((oc - dc).abs() <= half);
                 }
+            }
+
+            let dirty = gradient_cloud(pts.len() + 400);
+            let (dirty_geo, ..) = round_trip(&dirty, &cfg);
+            for t in [1usize, 2, 3] {
+                let threads = NonZeroUsize::new(t).unwrap();
+                let (mut sums, mut counts, mut colors) = (Vec::new(), Vec::new(), Vec::new());
+                let (sums, counts) = (&mut sums, &mut counts);
+                gather_voxel_colors_into(&dirty, &dirty_geo, threads, sums, counts, &mut colors);
+                gather_voxel_colors_into(&vox, &geo, threads, sums, counts, &mut colors);
+                prop_assert_eq!(&colors, &original);
             }
         }
     }

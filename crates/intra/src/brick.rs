@@ -733,7 +733,7 @@ mod tests {
     use pcc_types::PointCloud;
 
     fn device() -> Device {
-        Device::jetson_agx_xavier(PowerMode::W15)
+        Device::jetson_agx_xavier(PowerMode::W15).with_host_threads(Some(NonZeroUsize::MIN))
     }
 
     fn cloud(n: usize) -> VoxelizedCloud {
@@ -749,7 +749,7 @@ mod tests {
     }
 
     fn brick_codec(brick_depth: u8) -> IntraCodec {
-        IntraCodec::new(IntraConfig::default().with_bricks(brick_depth).with_threads(1))
+        IntraCodec::new(IntraConfig::default().with_bricks(brick_depth))
     }
 
     #[test]
@@ -760,8 +760,8 @@ mod tests {
         // layout-invariant at any quantization (checked below).
         let vox = cloud(2_000);
         let d = device();
-        let mono = IntraCodec::new(IntraConfig::lossless().with_threads(1));
-        let brick = IntraCodec::new(IntraConfig::lossless().with_bricks(2).with_threads(1));
+        let mono = IntraCodec::new(IntraConfig::lossless());
+        let brick = IntraCodec::new(IntraConfig::lossless().with_bricks(2));
         let mono_cloud = mono.decode(&mono.encode(&vox, &d), &d).unwrap();
         let frame = brick.encode(&vox, &d);
         assert!(BrickIndex::detect(&frame.geometry));
@@ -771,7 +771,7 @@ mod tests {
         // And a brick_depth: 0 receiver auto-detects the layout.
         assert_eq!(mono.decode(&frame, &d).unwrap(), mono_cloud);
         // At the paper's lossy quantization, geometry stays layout-invariant.
-        let lossy_mono = IntraCodec::new(IntraConfig::default().with_threads(1));
+        let lossy_mono = IntraCodec::new(IntraConfig::default());
         let lossy_brick = brick_codec(2);
         let a = lossy_mono.decode(&lossy_mono.encode(&vox, &d), &d).unwrap();
         let b = lossy_brick.decode(&lossy_brick.encode(&vox, &d), &d).unwrap();
@@ -961,13 +961,11 @@ mod tests {
     fn entropy_bricks_round_trip() {
         let vox = cloud(1_500);
         let d = device();
-        let cfg = IntraConfig { entropy: true, ..IntraConfig::lossless() }
-            .with_bricks(2)
-            .with_threads(1);
+        let cfg = IntraConfig { entropy: true, ..IntraConfig::lossless() }.with_bricks(2);
         let codec = IntraCodec::new(cfg);
         let frame = codec.encode(&vox, &d);
         let dec = codec.decode(&frame, &d).unwrap();
-        let mono_cfg = IntraConfig { entropy: true, ..IntraConfig::lossless() }.with_threads(1);
+        let mono_cfg = IntraConfig { entropy: true, ..IntraConfig::lossless() };
         let mono = IntraCodec::new(mono_cfg);
         let want = mono.decode(&mono.encode(&vox, &d), &d).unwrap();
         assert_eq!(dec, want);

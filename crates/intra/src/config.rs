@@ -1,7 +1,5 @@
 //! Intra-codec configuration.
 
-use std::num::NonZeroUsize;
-
 /// Configuration of the intra-frame codec.
 ///
 /// Defaults follow the paper's evaluated operating point (Sec. VI-B):
@@ -33,10 +31,6 @@ pub struct IntraConfig {
     /// `brick_depth: 0` receiver still decodes brick frames; with entropy
     /// on the flag is part of the decode contract like `entropy` itself.
     pub brick_depth: u8,
-    /// Host threads for the parallel hot path (`None` = `PCC_THREADS`
-    /// env var, then [`std::thread::available_parallelism`]). Encoded
-    /// streams are byte-identical at every thread count.
-    pub threads: Option<NonZeroUsize>,
 }
 
 impl IntraConfig {
@@ -48,13 +42,7 @@ impl IntraConfig {
             two_layer: true,
             entropy: false,
             brick_depth: 0,
-            threads: None,
         }
-    }
-
-    /// This configuration with an explicit host thread count.
-    pub fn with_threads(self, threads: usize) -> Self {
-        IntraConfig { threads: NonZeroUsize::new(threads), ..self }
     }
 
     /// This configuration with the frame cut into bricks at `brick_depth`
@@ -73,12 +61,6 @@ impl IntraConfig {
             return None;
         }
         Some(self.brick_depth.min(depth - 1))
-    }
-
-    /// The thread count after applying the resolution chain (explicit
-    /// config → `PCC_THREADS` → available parallelism).
-    pub fn resolved_threads(&self) -> NonZeroUsize {
-        pcc_parallel::resolve(self.threads)
     }
 
     /// A lossless-residual configuration (for tests and ablations).

@@ -129,14 +129,10 @@ impl IntraCodec {
         &self.config
     }
 
-    /// The host thread count this codec will use on `device`: the codec
-    /// config wins, then the device knob, then `PCC_THREADS`, then the
-    /// machine's available parallelism.
-    pub fn threads_for(&self, device: &Device) -> std::num::NonZeroUsize {
-        pcc_parallel::resolve(self.config.threads.or(device.configured_host_threads()))
-    }
-
-    /// Encodes one voxelized frame, charging every stage to `device`.
+    /// Encodes one voxelized frame, charging every stage to `device` and
+    /// running the host kernels at its
+    /// [`host_threads`](Device::host_threads). The bitstream is
+    /// byte-identical at every thread count.
     pub fn encode(&self, cloud: &VoxelizedCloud, device: &Device) -> IntraFrame {
         let mut arena = FrameArena::new();
         let mut out = IntraFrame::default();
@@ -164,7 +160,7 @@ impl IntraCodec {
                 &self.config,
                 brick_depth,
                 device,
-                self.threads_for(device),
+                device.host_threads(),
                 arena,
                 out,
             );
@@ -174,7 +170,7 @@ impl IntraCodec {
             cloud,
             self.config.entropy,
             device,
-            self.threads_for(device),
+            device.host_threads(),
             &mut arena.geom,
             &mut arena.geo,
         );
@@ -186,27 +182,12 @@ impl IntraCodec {
             &mut arena.attr,
             &mut out.attribute,
         );
-        // Copy (not swap) the stream: arena.geo must stay intact so
-        // callers that also want the intermediates (the inter codec) can
-        // read them after this returns.
+        // Copy the stream: `out` and the arena each keep their own
+        // warmed buffer.
         out.geometry.clear();
         out.geometry.extend_from_slice(&arena.geo.stream);
         out.unique_voxels = arena.geo.unique_voxels;
         out.raw_points = cloud.len();
-    }
-
-    /// Encodes a frame and also returns the geometry intermediates (Morton
-    /// permutation, voxel mapping) for pipelines that reuse them — the
-    /// inter-frame codec does.
-    pub fn encode_with_intermediates(
-        &self,
-        cloud: &VoxelizedCloud,
-        device: &Device,
-    ) -> (IntraFrame, geometry::GeometryEncoded) {
-        let mut arena = FrameArena::new();
-        let mut frame = IntraFrame::default();
-        self.encode_into(cloud, device, &mut arena, &mut frame);
-        (frame, arena.geo)
     }
 
     /// Decodes a frame back to a voxelized cloud (one color per unique
@@ -235,7 +216,7 @@ impl IntraCodec {
         limits: &pcc_types::Limits,
     ) -> Result<VoxelizedCloud, IntraError> {
         if BrickIndex::detect(&frame.geometry) {
-            let threads = self.threads_for(device);
+            let threads = device.host_threads();
             if !self.config.entropy {
                 // Entropy off ⇒ a monolithic stream's first byte is a grid
                 // depth (≤ 21), so the magic is unambiguous: route by wire.
@@ -318,7 +299,7 @@ impl IntraCodec {
             &self.config,
             device,
             limits,
-            self.threads_for(device),
+            device.host_threads(),
             &mut filter,
         )
         .map_err(IntraError::from)
@@ -357,7 +338,7 @@ impl IntraCodec {
         device: &Device,
         limits: &pcc_types::Limits,
     ) -> Result<BrickSalvage, IntraError> {
-        brick::decode_lossy(frame, &self.config, device, limits, self.threads_for(device))
+        brick::decode_lossy(frame, &self.config, device, limits, device.host_threads())
             .map_err(IntraError::from)
     }
 }
@@ -430,19 +411,6 @@ mod tests {
         };
         let err = codec.decode(&franken, &d).unwrap_err();
         assert!(matches!(err, IntraError::VoxelCountMismatch { .. }), "got {err}");
-    }
-
-    #[test]
-    fn encode_with_intermediates_matches_encode() {
-        let c = cloud(200);
-        let vox = VoxelizedCloud::from_cloud(&c, 6);
-        let codec = IntraCodec::default();
-        let d = device();
-        let plain = codec.encode(&vox, &d);
-        let (frame, geo) = codec.encode_with_intermediates(&vox, &d);
-        assert_eq!(plain, frame);
-        assert_eq!(geo.unique_voxels, frame.unique_voxels);
-        assert_eq!(geo.perm.len(), c.len());
     }
 
     #[test]

@@ -27,35 +27,19 @@ pub struct GeometryEncoded {
 }
 
 /// Encodes the geometry of a voxelized cloud with the Morton-parallel
-/// pipeline, charging each kernel to `device`.
+/// pipeline at `threads` host threads, charging each kernel to `device`.
+/// Every parallel stage partitions work by index ranges, so the stream is
+/// byte-identical at every thread count.
 ///
 /// `entropy` additionally range-codes the occupancy stream (the paper's
 /// discarded option).
-pub fn encode(cloud: &VoxelizedCloud, entropy: bool, device: &Device) -> GeometryEncoded {
-    encode_with(cloud, entropy, device, pcc_parallel::resolve(device.configured_host_threads()))
-}
-
-/// [`encode`] with an explicit host thread count for every stage of the
-/// pipeline. All parallel stages partition work by index ranges, so the
-/// stream is byte-identical at every thread count.
-pub fn encode_with(
-    cloud: &VoxelizedCloud,
-    entropy: bool,
-    device: &Device,
-    threads: NonZeroUsize,
-) -> GeometryEncoded {
-    let mut scratch = GeometryScratch::default();
-    let mut out = GeometryEncoded::default();
-    encode_in(cloud, entropy, device, threads, &mut scratch, &mut out);
-    out
-}
-
-/// [`encode_with`] writing into arena-owned buffers — the allocation-free
-/// core of the geometry pipeline. `scratch` carries every intermediate
-/// (codes, sort staging, octree levels, occupancy bytes) across frames;
-/// `out` is cleared and refilled. After the buffers warm to the
-/// working-set size, the single-threaded path performs no heap
-/// allocation (asserted by `tests/alloc_steady_state.rs`).
+///
+/// This writes into arena-owned buffers: `scratch` carries every
+/// intermediate (codes, sort staging, octree levels, occupancy bytes)
+/// across frames; `out` is cleared and refilled. After the buffers warm
+/// to the working-set size, the single-threaded entropy-off path
+/// performs no heap allocation (asserted by
+/// `tests/alloc_steady_state.rs`).
 pub fn encode_in(
     cloud: &VoxelizedCloud,
     entropy: bool,
@@ -159,21 +143,7 @@ pub struct GeometryDecoded {
     pub voxel_size: f32,
 }
 
-/// Decodes a stream produced by [`encode`] under
-/// [`pcc_types::Limits::default`].
-///
-/// # Errors
-///
-/// Returns a [`pcc_octree::StreamError`] on malformed input.
-pub fn decode(
-    stream: &[u8],
-    entropy: bool,
-    device: &Device,
-) -> Result<GeometryDecoded, pcc_octree::StreamError> {
-    decode_with(stream, entropy, device, &Limits::default())
-}
-
-/// Decodes a stream produced by [`encode`] under explicit resource
+/// Decodes a stream produced by [`encode_in`] under explicit resource
 /// [`Limits`]: the entropy wrapper's declared payload length is bounded
 /// by `max_alloc_bytes` and the occupancy expansion by
 /// `max_depth`/`max_points`.
@@ -270,6 +240,13 @@ mod tests {
         Device::jetson_agx_xavier(PowerMode::W15)
     }
 
+    /// One encode through a fresh arena at the device's thread count.
+    fn encoded(vox: &VoxelizedCloud, entropy: bool, d: &Device) -> GeometryEncoded {
+        let mut out = GeometryEncoded::default();
+        encode_in(vox, entropy, d, d.host_threads(), &mut GeometryScratch::default(), &mut out);
+        out
+    }
+
     fn vox_from(coords: &[(f32, f32, f32)], depth: u8) -> VoxelizedCloud {
         let cloud: PointCloud = coords
             .iter()
@@ -282,8 +259,8 @@ mod tests {
     fn round_trip_preserves_voxels() {
         let vox = vox_from(&[(0.0, 0.0, 0.0), (1.0, 2.0, 3.0), (7.0, 7.0, 7.0)], 5);
         let d = device();
-        let enc = encode(&vox, false, &d);
-        let dec = decode(&enc.stream, false, &d).unwrap();
+        let enc = encoded(&vox, false, &d);
+        let dec = decode_with(&enc.stream, false, &d, &Limits::default()).unwrap();
         assert_eq!(dec.coords.len(), enc.unique_voxels);
         assert_eq!(dec.depth, 5);
         // Decoded voxels are the sorted unique leaf codes.
@@ -299,9 +276,9 @@ mod tests {
             .collect();
         let vox = vox_from(&coords, 5);
         let d = device();
-        let plain = encode(&vox, false, &d);
-        let coded = encode(&vox, true, &d);
-        let dec = decode(&coded.stream, true, &d).unwrap();
+        let plain = encoded(&vox, false, &d);
+        let coded = encoded(&vox, true, &d);
+        let dec = decode_with(&coded.stream, true, &d, &Limits::default()).unwrap();
         assert_eq!(dec.coords.len(), coded.unique_voxels);
         assert!(
             coded.stream.len() < plain.stream.len(),
@@ -315,7 +292,7 @@ mod tests {
     fn perm_and_point_to_voxel_are_consistent() {
         let vox = vox_from(&[(3.0, 3.0, 3.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)], 4);
         let d = device();
-        let enc = encode(&vox, false, &d);
+        let enc = encoded(&vox, false, &d);
         assert_eq!(enc.perm.len(), 3);
         assert_eq!(enc.point_to_voxel.len(), 3);
         assert_eq!(enc.unique_voxels, 2);
@@ -334,7 +311,7 @@ mod tests {
     fn device_timeline_has_all_stages() {
         let vox = vox_from(&[(1.0, 1.0, 1.0)], 4);
         let d = device();
-        encode(&vox, false, &d);
+        encoded(&vox, false, &d);
         let t = d.timeline();
         for stage in ["geometry/morton", "geometry/sort", "geometry/octree", "geometry/occupy", "geometry/pack"]
         {
@@ -353,7 +330,7 @@ mod tests {
             for entropy in [false, true] {
                 assert!(
                     matches!(
-                        decode(&short[..cut], entropy, &d),
+                        decode_with(&short[..cut], entropy, &d, &Limits::default()),
                         Err(pcc_octree::StreamError::Truncated)
                     ),
                     "len {cut}, entropy {entropy}"
@@ -370,13 +347,13 @@ mod tests {
         let mut bomb = (u32::MAX).to_le_bytes().to_vec();
         bomb.extend_from_slice(&[0u8; 16]);
         assert!(matches!(
-            decode(&bomb, true, &d),
+            decode_with(&bomb, true, &d, &Limits::default()),
             Err(pcc_octree::StreamError::LimitExceeded(e)) if e.what == "alloc bytes"
         ));
         // And a legitimate entropy-coded stream still decodes under a
         // budget that admits it.
         let vox = vox_from(&[(1.0, 1.0, 1.0), (2.0, 2.0, 2.0)], 4);
-        let enc = encode(&vox, true, &d);
+        let enc = encoded(&vox, true, &d);
         let limits = Limits { max_alloc_bytes: 1 << 16, ..Limits::default() };
         assert!(decode_with(&enc.stream, true, &d, &limits).is_ok());
     }
@@ -385,9 +362,9 @@ mod tests {
     fn truncated_stream_errors() {
         let vox = vox_from(&[(1.0, 1.0, 1.0), (2.0, 2.0, 2.0)], 4);
         let d = device();
-        let enc = encode(&vox, false, &d);
+        let enc = encoded(&vox, false, &d);
         for cut in 0..enc.stream.len() {
-            assert!(decode(&enc.stream[..cut], false, &d).is_err());
+            assert!(decode_with(&enc.stream[..cut], false, &d, &Limits::default()).is_err());
         }
     }
 
@@ -401,8 +378,8 @@ mod tests {
             let colors = vec![Rgb::BLACK; coords.len()];
             let vox = VoxelizedCloud::from_grid(coords.clone(), colors, 6).unwrap();
             let d = device();
-            let enc = encode(&vox, false, &d);
-            let dec = decode(&enc.stream, false, &d).unwrap();
+            let enc = encoded(&vox, false, &d);
+            let dec = decode_with(&enc.stream, false, &d, &Limits::default()).unwrap();
             let mut expect: Vec<u64> =
                 coords.iter().map(|&c| pcc_morton::encode(c).value()).collect();
             expect.sort_unstable();

@@ -174,98 +174,37 @@ pub fn write_layer(
 }
 
 /// Splits `len` values into `segments` near-equal contiguous ranges,
-/// returning the start index of each.
-pub fn segment_starts(len: usize, segments: usize) -> Vec<u32> {
-    let mut out = Vec::new();
-    segment_starts_into(len, segments, &mut out);
-    out
-}
-
-/// [`segment_starts`] writing into a caller-owned buffer (cleared first).
+/// writing the start index of each into `out` (cleared first). The
+/// segment count is clamped to `1..=len` (one segment for an empty
+/// sequence), so every range but an empty sequence's is non-empty.
 pub fn segment_starts_into(len: usize, segments: usize, out: &mut Vec<u32>) {
     out.clear();
     let segments = segments.clamp(1, len.max(1));
     out.extend((0..segments).map(|s| (s * len / segments) as u32));
 }
 
-/// Encodes one base+delta layer: per segment, the per-channel median is
-/// the base; every value stores its quantized residual against the base.
+/// Encodes one base+delta layer over caller-chosen segment boundaries
+/// (from [`segment_starts_into`], or the inter-frame codec's matched
+/// blocks): per segment, the per-channel median is the base, and every
+/// value stores its residual against the base quantized at `quant_step`.
 ///
 /// All per-point work is independent (the modeled GPU runs it as two
-/// kernels); the per-segment median is a small local reduction.
-pub fn encode_layer(values: &[[i32; 3]], segments: usize, quant_step: i32) -> LayerEncoded {
-    encode_layer_with_starts(values, segment_starts(values.len(), segments), quant_step)
-}
-
-/// [`encode_layer`] with an explicit host thread count.
-pub fn encode_layer_threaded(
-    values: &[[i32; 3]],
-    segments: usize,
-    quant_step: i32,
-    threads: NonZeroUsize,
-) -> LayerEncoded {
-    encode_layer_with_starts_threaded(
-        values,
-        segment_starts(values.len(), segments),
-        quant_step,
-        threads,
-    )
-}
-
-/// Like [`encode_layer`], but with caller-chosen segment boundaries —
-/// the inter-frame codec aligns segments with its matched blocks.
+/// kernels); the per-segment median is a small local reduction. On the
+/// host, segments are grouped into contiguous chunks, each writing a
+/// disjoint slice of the base and residual arrays (every segment belongs
+/// to exactly one chunk), so the output is byte-identical at every thread
+/// count.
+///
+/// `bases`/`residuals` are cleared and refilled; `median_scratch` is the
+/// per-segment channel scratch reused across segments (it grows to the
+/// largest segment and then stays put). On the single-threaded path this
+/// performs no heap allocation once the three buffers have warmed to the
+/// working-set size.
 ///
 /// # Panics
 ///
 /// Panics if `quant_step < 1`, `starts` is empty or does not begin at 0,
 /// or boundaries are not ascending within the value range.
-pub fn encode_layer_with_starts(
-    values: &[[i32; 3]],
-    starts: Vec<u32>,
-    quant_step: i32,
-) -> LayerEncoded {
-    encode_layer_with_starts_threaded(values, starts, quant_step, pcc_parallel::resolve(None))
-}
-
-/// [`encode_layer_with_starts`] with an explicit host thread count.
-///
-/// Segments are grouped into contiguous chunks; each chunk writes a
-/// disjoint slice of the base and residual arrays (every segment belongs
-/// to exactly one chunk), so the output is byte-identical at every thread
-/// count.
-pub fn encode_layer_with_starts_threaded(
-    values: &[[i32; 3]],
-    starts: Vec<u32>,
-    quant_step: i32,
-    threads: NonZeroUsize,
-) -> LayerEncoded {
-    let mut bases = Vec::new();
-    let mut residuals = Vec::new();
-    let mut median_scratch = Vec::new();
-    encode_layer_with_starts_into(
-        values,
-        &starts,
-        quant_step,
-        threads,
-        &mut bases,
-        &mut residuals,
-        &mut median_scratch,
-    );
-    LayerEncoded { bases, residuals, starts, quant_step }
-}
-
-/// [`encode_layer_with_starts_threaded`] writing into caller-owned
-/// buffers — the allocation-free core every layer-encode entry point
-/// funnels through. `bases`/`residuals` are cleared and refilled;
-/// `median_scratch` is the per-segment channel scratch reused across
-/// segments (it grows to the largest segment and then stays put).
-///
-/// On the single-threaded path this performs no heap allocation once the
-/// three buffers have warmed to the working-set size.
-///
-/// # Panics
-///
-/// Same preconditions as [`encode_layer_with_starts`].
 // Encoder side: the segment-start preconditions are asserted on entry,
 // so every index below is in range.
 #[allow(clippy::indexing_slicing)]
@@ -380,18 +319,11 @@ fn quantize_segment(seg: &[[i32; 3]], base: [i32; 3], q: i32, out: &mut [[i32; 3
 
 /// Decodes one layer back to its (quantization-rounded) values.
 ///
-/// Malformed segment boundaries (from corrupt payloads) are clamped to
-/// the value range rather than panicking; affected values decode as
-/// zeros.
-pub fn decode_layer(layer: &LayerEncoded) -> Vec<[i32; 3]> {
-    decode_layer_threaded(layer, pcc_parallel::resolve(None))
-}
-
-/// [`decode_layer`] with an explicit host thread count.
-///
 /// Well-formed layers decode chunk-parallel over segment groups writing
-/// disjoint output slices (byte-identical at every thread count);
-/// malformed boundaries fall back to the clamping sequential path.
+/// disjoint output slices, byte-identical at every thread count.
+/// Malformed segment boundaries (from corrupt payloads) take a clamping
+/// sequential path instead of panicking; affected values decode as
+/// zeros.
 // Indices are validated by the `well_formed` guard below; malformed
 // (wire-damaged) layers take the clamping sequential path instead.
 #[allow(clippy::indexing_slicing)]
@@ -495,6 +427,20 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    const ONE: NonZeroUsize = NonZeroUsize::MIN;
+
+    /// One layer over `segments` near-equal segments, through fresh
+    /// buffers at one thread.
+    fn layer_of(values: &[[i32; 3]], segments: usize, quant_step: i32) -> LayerEncoded {
+        let mut starts = Vec::new();
+        segment_starts_into(values.len(), segments, &mut starts);
+        let (mut bases, mut residuals) = (Vec::new(), Vec::new());
+        encode_layer_with_starts_into(
+            values, &starts, quant_step, ONE, &mut bases, &mut residuals, &mut Vec::new(),
+        );
+        LayerEncoded { bases, residuals, starts, quant_step }
+    }
+
     #[test]
     fn paper_fig6_example() {
         // Points sorted by Morton code carry attrs 50, 52 | 54 in two
@@ -502,10 +448,10 @@ mod tests {
         let values = [[50; 3], [52; 3], [54; 3]];
         // Two segments: [50, 52] and [54] (starts 0 and 2 - emulate by 2 segments over 3
         // values => starts [0, 1]; to match the paper exactly use explicit grouping).
-        let enc = encode_layer(&values[..2], 1, 1);
+        let enc = layer_of(&values[..2], 1, 1);
         assert_eq!(enc.bases, vec![[52; 3]]); // median of {50,52} = upper mid
         assert_eq!(enc.residuals, vec![[-2; 3], [0; 3]]);
-        let enc2 = encode_layer(&values[2..], 1, 1);
+        let enc2 = layer_of(&values[2..], 1, 1);
         assert_eq!(enc2.bases, vec![[54; 3]]);
         assert_eq!(enc2.residuals, vec![[0; 3]]);
     }
@@ -514,8 +460,8 @@ mod tests {
     fn lossless_round_trip() {
         let values: Vec<[i32; 3]> =
             (0..100).map(|i| [i % 17, 255 - (i % 31), (i * 7) % 256]).collect();
-        let enc = encode_layer(&values, 8, 1);
-        assert_eq!(decode_layer(&enc), values);
+        let enc = layer_of(&values, 8, 1);
+        assert_eq!(decode_layer_threaded(&enc, ONE), values);
     }
 
     #[test]
@@ -523,8 +469,8 @@ mod tests {
         let values: Vec<[i32; 3]> = (0..200).map(|i| [(i * 13) % 256, i % 256, 128]).collect();
         for shift in 1..4u32 {
             let q = 1i32 << shift;
-            let enc = encode_layer(&values, 16, q);
-            let dec = decode_layer(&enc);
+            let enc = layer_of(&values, 16, q);
+            let dec = decode_layer_threaded(&enc, ONE);
             for (v, d) in values.iter().zip(&dec) {
                 for ch in 0..3 {
                     assert!(
@@ -540,19 +486,20 @@ mod tests {
 
     #[test]
     fn empty_and_single_value() {
-        let enc = encode_layer(&[], 5, 2);
-        assert!(decode_layer(&enc).is_empty());
-        let enc = encode_layer(&[[7, 8, 9]], 5, 2);
-        assert_eq!(decode_layer(&enc), vec![[7, 8, 9]]);
+        let enc = layer_of(&[], 5, 2);
+        assert!(decode_layer_threaded(&enc, ONE).is_empty());
+        let enc = layer_of(&[[7, 8, 9]], 5, 2);
+        assert_eq!(decode_layer_threaded(&enc, ONE), vec![[7, 8, 9]]);
         // A single value is its own base: residual 0.
         assert_eq!(enc.residuals, vec![[0; 3]]);
     }
 
     #[test]
     fn more_segments_than_values_collapses() {
-        let starts = segment_starts(3, 100);
+        let mut starts = vec![9; 20];
+        segment_starts_into(3, 100, &mut starts);
         assert_eq!(starts, vec![0, 1, 2]);
-        let starts = segment_starts(0, 10);
+        segment_starts_into(0, 10, &mut starts);
         assert_eq!(starts, vec![0]);
     }
 
@@ -561,7 +508,7 @@ mod tests {
         // The spatial-locality payoff: near-constant segments produce
         // near-zero residuals (1-byte varints).
         let values: Vec<[i32; 3]> = (0..64).map(|i| [100 + (i % 3), 50, 200]).collect();
-        let enc = encode_layer(&values, 2, 1);
+        let enc = layer_of(&values, 2, 1);
         assert!(enc.residuals.iter().all(|r| r.iter().all(|c| c.abs() <= 2)));
         let bytes = enc.to_bytes();
         // ~1 byte per channel per residual + bases.
@@ -571,7 +518,7 @@ mod tests {
     #[test]
     fn serialization_round_trips() {
         let values: Vec<[i32; 3]> = (0..50).map(|i| [i, -i, i * 3]).collect();
-        let enc = encode_layer(&values, 7, 2);
+        let enc = layer_of(&values, 7, 2);
         let back = LayerEncoded::from_bytes(&enc.to_bytes()).unwrap();
         assert_eq!(back, enc);
     }
@@ -597,7 +544,7 @@ mod tests {
             Err(pcc_entropy::Error::LimitExceeded(e)) if e.what == "blocks"
         ));
         // Tight limits reject an otherwise valid payload...
-        let enc = encode_layer(&[[1, 2, 3]; 64], 4, 1);
+        let enc = layer_of(&[[1, 2, 3]; 64], 4, 1);
         let tight = pcc_types::Limits { max_points: 8, ..pcc_types::Limits::default() };
         assert!(LayerEncoded::from_bytes_with(&enc.to_bytes(), &tight).is_err());
         // ...and generous ones decode it unchanged.
@@ -606,7 +553,7 @@ mod tests {
 
     #[test]
     fn truncated_payload_errors() {
-        let enc = encode_layer(&[[1, 2, 3], [4, 5, 6]], 1, 1);
+        let enc = layer_of(&[[1, 2, 3], [4, 5, 6]], 1, 1);
         let bytes = enc.to_bytes();
         assert!(LayerEncoded::from_bytes(&bytes[..bytes.len() - 1]).is_err());
     }
@@ -620,8 +567,8 @@ mod tests {
         ) {
             let values: Vec<[i32; 3]> = values.into_iter().map(|(a, b, c)| [a, b, c]).collect();
             let q = 1i32 << shift;
-            let enc = encode_layer(&values, segments, q);
-            let dec = decode_layer(&enc);
+            let enc = layer_of(&values, segments, q);
+            let dec = decode_layer_threaded(&enc, ONE);
             prop_assert_eq!(dec.len(), values.len());
             for (v, d) in values.iter().zip(&dec) {
                 for ch in 0..3 {
@@ -654,8 +601,10 @@ mod tests {
             }
         }
 
-        // The zero-alloc entry point, the legacy wrapper, and every thread
-        // count must produce the exact same layer.
+        // Every thread count, through fresh buffers and through buffers
+        // dirtied by a larger, different layer, must produce the exact
+        // same segmentation and layer, and that layer must decode to the
+        // same values at every thread count.
         #[test]
         fn encode_into_identical_across_threads(
             values in prop::collection::vec((-300i32..300, -300i32..300, -300i32..300), 1..200),
@@ -664,20 +613,26 @@ mod tests {
         ) {
             let q = [1i32, 2, 4, 8][qi];
             let values: Vec<[i32; 3]> = values.into_iter().map(|(a, b, c)| [a, b, c]).collect();
-            let starts = segment_starts(values.len(), segments);
-            let one = NonZeroUsize::new(1).unwrap();
-            let reference =
-                encode_layer_with_starts_threaded(&values, starts.clone(), q, one);
-            let mut bases = Vec::new();
-            let mut residuals = Vec::new();
-            let mut scratch = Vec::new();
+            let reference = layer_of(&values, segments, q);
+            let decoded = decode_layer_threaded(&reference, ONE);
+            let dirty: Vec<[i32; 3]> =
+                (0..values.len() as i32 + 300).map(|i| [i * 7 % 256, -i, 3 * i]).collect();
             for t in [1usize, 2, 3, 8] {
                 let threads = NonZeroUsize::new(t).unwrap();
+                let mut starts = Vec::new();
+                let (mut bases, mut residuals, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
+                segment_starts_into(dirty.len(), segments + 7, &mut starts);
+                encode_layer_with_starts_into(
+                    &dirty, &starts, 2, threads, &mut bases, &mut residuals, &mut scratch,
+                );
+                segment_starts_into(values.len(), segments, &mut starts);
                 encode_layer_with_starts_into(
                     &values, &starts, q, threads, &mut bases, &mut residuals, &mut scratch,
                 );
+                prop_assert_eq!(&starts, &reference.starts);
                 prop_assert_eq!(&bases, &reference.bases);
                 prop_assert_eq!(&residuals, &reference.residuals);
+                prop_assert_eq!(&decode_layer_threaded(&reference, threads), &decoded);
             }
         }
     }

@@ -58,8 +58,6 @@ pub use brick::{BrickEntry, BrickError, BrickIndex, BrickSalvage, BRICK_MAGIC, B
 pub use config::IntraConfig;
 pub use frame::{IntraCodec, IntraError, IntraFrame};
 pub use layer::{
-    decode_layer, decode_layer_threaded, encode_layer, encode_layer_threaded,
-    encode_layer_with_starts, encode_layer_with_starts_into,
-    encode_layer_with_starts_threaded, segment_starts, segment_starts_into, write_layer,
+    decode_layer_threaded, encode_layer_with_starts_into, segment_starts_into, write_layer,
     LayerEncoded,
 };

@@ -14,7 +14,7 @@
 //!
 //! This crate provides bit-interleaved [`encode`]/[`decode`] (up to 21 bits
 //! per axis, 63-bit codes), tree-navigation helpers on [`MortonCode`], and
-//! an LSD [radix sort](sort::sort_codes) that returns the permutation used
+//! an LSD [radix sort](sort::sort_codes_into) that returns the permutation used
 //! to gather cloud data into Morton order.
 //!
 //! # Examples
@@ -39,7 +39,4 @@ mod code;
 pub mod sort;
 
 pub use code::{decode, encode, encode_slice, MortonCode, MAX_BITS_PER_AXIS};
-pub use sort::{
-    codes_of, codes_of_into, codes_of_with, sort_codes, sort_codes_into, sort_codes_with,
-    sorted_permutation, SortScratch, SortedCodes,
-};
+pub use sort::{codes_of_into, sort_codes_into, sorted_permutation, SortScratch, SortedCodes};

@@ -36,33 +36,21 @@ impl SortedCodes {
     }
 }
 
-/// Computes the Morton code of every voxel of `cloud`, in input order.
+/// Computes the Morton code of every voxel of `cloud`, in input order,
+/// into a caller-owned buffer.
 ///
 /// This is the paper's *Morton Code Generation* kernel: each point is
 /// independent, so on the modeled GPU it is one embarrassingly parallel
-/// pass (≈0.5 ms for a full frame).
-pub fn codes_of(cloud: &VoxelizedCloud) -> Vec<MortonCode> {
-    codes_of_with(cloud, pcc_parallel::resolve(None))
-}
-
-/// [`codes_of`] with an explicit thread count: the coordinate array is cut
-/// into contiguous chunks and each chunk is encoded on its own scoped
-/// thread. Chunking is by index, so the output is byte-identical to the
-/// sequential pass at every thread count.
-pub fn codes_of_with(cloud: &VoxelizedCloud, threads: NonZeroUsize) -> Vec<MortonCode> {
-    let mut out = Vec::new();
-    codes_of_into(cloud, threads, &mut out);
-    out
-}
-
-/// [`codes_of_with`] writing into a caller-owned buffer.
+/// pass (≈0.5 ms for a full frame). On the host the coordinate array is
+/// cut into contiguous chunks, one scoped thread each, and the codes come
+/// from the batched SWAR / SIMD kernel [`crate::encode_slice`]. Chunking
+/// is by index, so the output is byte-identical to the scalar reference
+/// at every thread count.
 ///
 /// `out` is cleared and refilled; its capacity persists across calls, so
 /// a steady-state caller (one codegen per frame, buffer owned by the
 /// frame arena) performs no heap allocation once the buffer has warmed
-/// to the frame size. The codes themselves come from the batched SWAR /
-/// SIMD kernel [`crate::encode_slice`], byte-identical to the scalar
-/// reference at every thread count.
+/// to the frame size.
 pub fn codes_of_into(cloud: &VoxelizedCloud, threads: NonZeroUsize, out: &mut Vec<MortonCode>) {
     let _sp = pcc_probe::span("morton/codegen");
     let coords = cloud.coords();
@@ -80,41 +68,22 @@ pub fn codes_of_into(cloud: &VoxelizedCloud, threads: NonZeroUsize, out: &mut Ve
     });
 }
 
-/// Sorts `codes` ascending with an LSD radix sort, returning the sorted
+/// Sorts `codes` ascending with an LSD radix sort into `out`: the sorted
 /// codes plus the permutation that produced them.
 ///
 /// The sort is stable, so voxels with identical codes keep input order —
 /// this keeps attribute handling deterministic when a voxel holds several
-/// captured points.
-pub fn sort_codes(codes: &[MortonCode]) -> SortedCodes {
-    sort_codes_with(codes, pcc_parallel::resolve(None), &mut SortScratch::new())
-}
-
-/// [`sort_codes`] with an explicit thread count and reusable scratch.
+/// captured points. It runs as a parallel LSD radix sort
+/// ([`pcc_parallel::radix_sort_pairs`]): per-thread digit histograms over
+/// contiguous chunks are merged digit-major into global prefix offsets,
+/// reproducing the exact stable order of the sequential counting sort, so
+/// the output is byte-identical at every thread count.
 ///
-/// The sort runs as a parallel LSD radix sort ([`pcc_parallel::radix_sort_pairs`]):
-/// per-thread digit histograms over contiguous chunks are merged digit-major
-/// into global prefix offsets, reproducing the exact stable order of the
-/// sequential counting sort — the output is byte-identical at every thread
-/// count. `scratch` holds the ping-pong buffers and histogram matrix;
-/// passing the same scratch across frames avoids reallocating them
-/// (see `benches/morton.rs` for the measured effect).
-pub fn sort_codes_with(
-    codes: &[MortonCode],
-    threads: NonZeroUsize,
-    scratch: &mut SortScratch,
-) -> SortedCodes {
-    let mut out = SortedCodes::default();
-    sort_codes_into(codes, threads, scratch, &mut out);
-    out
-}
-
-/// [`sort_codes_with`] writing into a caller-owned result.
-///
-/// `out.codes` / `out.perm` are cleared and refilled, and the `u64` key
-/// array the radix sort works on is borrowed from the scratch's staging
-/// buffer — so once every buffer has warmed to the frame size, a sort
-/// performs no heap allocation at all.
+/// `scratch` holds the ping-pong buffers and histogram matrix, and lends
+/// its staging buffer for the `u64` key array; `out.codes` / `out.perm`
+/// are cleared and refilled. Once every buffer has warmed to the frame
+/// size, a sort performs no heap allocation at all (see
+/// `benches/morton.rs` for the measured effect of scratch reuse).
 pub fn sort_codes_into(
     codes: &[MortonCode],
     threads: NonZeroUsize,
@@ -137,9 +106,15 @@ pub fn sort_codes_into(
     scratch.restore_staging(keys);
 }
 
-/// Convenience: computes codes for `cloud` and sorts them in one call.
+/// Convenience: computes codes for `cloud` and sorts them in one call, at
+/// the process default thread count ([`pcc_parallel::resolve`]).
 pub fn sorted_permutation(cloud: &VoxelizedCloud) -> SortedCodes {
-    sort_codes(&codes_of(cloud))
+    let threads = pcc_parallel::resolve(None);
+    let mut codes = Vec::new();
+    codes_of_into(cloud, threads, &mut codes);
+    let mut out = SortedCodes::default();
+    sort_codes_into(&codes, threads, &mut SortScratch::new(), &mut out);
+    out
 }
 
 #[cfg(test)]
@@ -151,16 +126,40 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
+    fn nz(n: usize) -> NonZeroUsize {
+        NonZeroUsize::new(n).unwrap()
+    }
+
     fn cloud_from(coords: Vec<VoxelCoord>) -> VoxelizedCloud {
         let colors = vec![Rgb::BLACK; coords.len()];
         VoxelizedCloud::from_grid(coords, colors, 21).unwrap()
     }
 
+    fn random_cloud(rng: &mut SmallRng, n: usize, bits: u32) -> VoxelizedCloud {
+        let coords = (0..n)
+            .map(|_| {
+                VoxelCoord::new(
+                    rng.random_range(0..1 << bits),
+                    rng.random_range(0..1 << bits),
+                    rng.random_range(0..1 << bits),
+                )
+            })
+            .collect();
+        cloud_from(coords)
+    }
+
+    /// One sort through fresh buffers.
+    fn sort(codes: &[MortonCode], threads: usize) -> SortedCodes {
+        let mut out = SortedCodes::default();
+        sort_codes_into(codes, nz(threads), &mut SortScratch::new(), &mut out);
+        out
+    }
+
     #[test]
     fn empty_and_single() {
-        let s = sort_codes(&[]);
+        let s = sort(&[], 1);
         assert!(s.is_empty());
-        let s = sort_codes(&[MortonCode::from_raw(42)]);
+        let s = sort(&[MortonCode::from_raw(42)], 1);
         assert_eq!(s.codes[0].value(), 42);
         assert_eq!(s.perm, vec![0]);
     }
@@ -191,7 +190,7 @@ mod tests {
             MortonCode::from_raw(1),
             MortonCode::from_raw(5),
         ];
-        let s = sort_codes(&codes);
+        let s = sort(&codes, 1);
         assert_eq!(s.perm, vec![2, 0, 1, 3]);
     }
 
@@ -201,7 +200,7 @@ mod tests {
         let codes: Vec<MortonCode> = (0..10_000)
             .map(|_| MortonCode::from_raw(rng.random_range(0..1u64 << 63)))
             .collect();
-        let s = sort_codes(&codes);
+        let s = sort(&codes, 2);
         let mut expected: Vec<u64> = codes.iter().map(|c| c.value()).collect();
         expected.sort_unstable();
         let got: Vec<u64> = s.codes.iter().map(|c| c.value()).collect();
@@ -215,7 +214,7 @@ mod tests {
             MortonCode::from_raw(0),
             MortonCode::from_raw(1u64 << 62),
         ];
-        let s = sort_codes(&codes);
+        let s = sort(&codes, 1);
         assert_eq!(s.perm, vec![1, 2, 0]);
     }
 
@@ -226,82 +225,62 @@ mod tests {
         let codes: Vec<MortonCode> = (0..50_000)
             .map(|_| MortonCode::from_raw(rng.random_range(0..1u64 << 48)))
             .collect();
-        let base = sort_codes_with(&codes, NonZeroUsize::new(1).unwrap(), &mut SortScratch::new());
+        let base = sort(&codes, 1);
         for threads in [2usize, 3, 7, 16] {
             let mut scratch = SortScratch::new();
-            let s = sort_codes_with(&codes, NonZeroUsize::new(threads).unwrap(), &mut scratch);
-            assert_eq!(s.codes, base.codes, "threads={threads}");
-            assert_eq!(s.perm, base.perm, "threads={threads}");
-            // Scratch reuse must not change results either.
-            let again = sort_codes_with(&codes, NonZeroUsize::new(threads).unwrap(), &mut scratch);
-            assert_eq!(again.perm, base.perm, "threads={threads} (reused scratch)");
+            let mut s = SortedCodes::default();
+            sort_codes_into(&codes, nz(threads), &mut scratch, &mut s);
+            assert_eq!(s, base, "threads={threads}");
+            // Scratch and output reuse must not change results either.
+            sort_codes_into(&codes, nz(threads), &mut scratch, &mut s);
+            assert_eq!(s, base, "threads={threads} (reused buffers)");
         }
     }
 
     #[test]
-    fn parallel_codes_of_matches_sequential() {
+    fn codes_of_identical_across_threads_and_warm_buffers() {
+        // The warm buffer first holds a larger, different cloud's codes;
+        // the 1-thread fresh pass is the reference.
         let mut rng = SmallRng::seed_from_u64(3);
-        let coords: Vec<VoxelCoord> = (0..20_000)
-            .map(|_| {
-                VoxelCoord::new(
-                    rng.random_range(0..1 << 10),
-                    rng.random_range(0..1 << 10),
-                    rng.random_range(0..1 << 10),
-                )
-            })
-            .collect();
-        let cloud = cloud_from(coords);
-        let seq = codes_of_with(&cloud, NonZeroUsize::new(1).unwrap());
-        for threads in [2usize, 5, 8] {
-            let par = codes_of_with(&cloud, NonZeroUsize::new(threads).unwrap());
-            assert_eq!(par, seq, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn into_variants_reuse_buffers_and_match_owned_api() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        let mut scratch = SortScratch::new();
-        let mut codes_buf = Vec::new();
-        let mut sorted_buf = SortedCodes::default();
-        for round in 0..3 {
-            let coords: Vec<VoxelCoord> = (0..8_000)
-                .map(|_| {
-                    VoxelCoord::new(
-                        rng.random_range(0..1 << 12),
-                        rng.random_range(0..1 << 12),
-                        rng.random_range(0..1 << 12),
-                    )
-                })
-                .collect();
-            let cloud = cloud_from(coords);
-            for threads in [1usize, 2, 4] {
-                let t = NonZeroUsize::new(threads).unwrap();
-                codes_of_into(&cloud, t, &mut codes_buf);
-                assert_eq!(codes_buf, codes_of_with(&cloud, t), "round={round} threads={threads}");
-                sort_codes_into(&codes_buf, t, &mut scratch, &mut sorted_buf);
-                let owned = sort_codes_with(&codes_buf, t, &mut SortScratch::new());
-                assert_eq!(sorted_buf, owned, "round={round} threads={threads}");
-            }
+        let big = random_cloud(&mut rng, 30_000, 12);
+        let cloud = random_cloud(&mut rng, 20_000, 10);
+        let mut seq = Vec::new();
+        codes_of_into(&cloud, nz(1), &mut seq);
+        assert!(seq.iter().zip(cloud.coords()).all(|(&c, &v)| c == encode(v)));
+        for threads in [1usize, 2, 3, 5, 8] {
+            let mut warm = Vec::new();
+            codes_of_into(&big, nz(threads), &mut warm);
+            codes_of_into(&cloud, nz(threads), &mut warm);
+            assert_eq!(warm, seq, "threads={threads}");
         }
     }
 
     proptest! {
+        /// Every thread count, through fresh buffers and through buffers
+        /// dirtied by a larger, different sort, yields the 1-thread order.
         #[test]
-        fn parallel_sort_permutation_equals_sequential(values in prop::collection::vec(0u64..(1 << 63), 0..12_000)) {
+        fn parallel_sort_permutation_equals_sequential(
+            values in prop::collection::vec(0u64..(1 << 63), 0..12_000),
+        ) {
             let codes: Vec<MortonCode> = values.iter().map(|&v| MortonCode::from_raw(v)).collect();
-            let base = sort_codes_with(&codes, NonZeroUsize::new(1).unwrap(), &mut SortScratch::new());
-            for threads in [2usize, 7] {
-                let s = sort_codes_with(&codes, NonZeroUsize::new(threads).unwrap(), &mut SortScratch::new());
-                prop_assert_eq!(&s.codes, &base.codes);
-                prop_assert_eq!(&s.perm, &base.perm);
+            let dirty: Vec<MortonCode> = (0..codes.len() as u64 + 5_000)
+                .map(|v| MortonCode::from_raw(v.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 1))
+                .collect();
+            let base = sort(&codes, 1);
+            for threads in [1usize, 2, 3, 7] {
+                prop_assert_eq!(&sort(&codes, threads), &base);
+                let mut scratch = SortScratch::new();
+                let mut warm = SortedCodes::default();
+                sort_codes_into(&dirty, nz(threads), &mut scratch, &mut warm);
+                sort_codes_into(&codes, nz(threads), &mut scratch, &mut warm);
+                prop_assert_eq!(&warm, &base);
             }
         }
 
         #[test]
         fn radix_sort_is_a_sorted_permutation(values in prop::collection::vec(0u64..(1 << 63), 0..200)) {
             let codes: Vec<MortonCode> = values.iter().map(|&v| MortonCode::from_raw(v)).collect();
-            let s = sort_codes(&codes);
+            let s = sort(&codes, 2);
             prop_assert!(s.codes.windows(2).all(|w| w[0] <= w[1]));
             let mut seen = vec![false; codes.len()];
             for &i in &s.perm {

@@ -17,13 +17,13 @@
 //!
 //! Both builders produce *bit-identical* occupancy streams for the same
 //! voxel set (a key test invariant), serialized breadth-first by
-//! [`serialize_occupancy`] and decoded by [`decode_occupancy`].
+//! [`serialize_occupancy_into`] and decoded by [`decode_occupancy_with`].
 //!
 //! # Examples
 //!
 //! ```
-//! use pcc_octree::{decode_occupancy, ParallelOctree};
-//! use pcc_types::VoxelCoord;
+//! use pcc_octree::{decode_occupancy_with, ParallelOctree};
+//! use pcc_types::{Limits, VoxelCoord};
 //!
 //! let coords = vec![
 //!     VoxelCoord::new(0, 0, 0),
@@ -32,7 +32,7 @@
 //! ];
 //! let tree = ParallelOctree::from_coords(&coords, 2);
 //! let stream = tree.serialize();
-//! let decoded = decode_occupancy(&stream).unwrap();
+//! let decoded = decode_occupancy_with(&stream, &Limits::default()).unwrap();
 //! let mut sorted = coords.clone();
 //! sorted.sort_by_key(|c| pcc_morton::encode(*c));
 //! assert_eq!(decoded, sorted);
@@ -55,7 +55,5 @@ mod serialize;
 pub use parallel::{LevelArrays, ParallelOctree};
 pub use sequential::SequentialOctree;
 pub use serialize::{
-    decode_occupancy, decode_occupancy_with, parse_stream, serialize_occupancy,
-    serialize_occupancy_into, OccupancyStream,
-    StreamError,
+    decode_occupancy_with, parse_stream, serialize_occupancy_into, OccupancyStream, StreamError,
 };

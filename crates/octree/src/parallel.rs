@@ -1,12 +1,12 @@
 //! The proposed Morton-code-driven parallel octree builder.
 
 // Builder side: every index walks structures this module just built
-// (`levels` has depth+1 entries, parent links come from compact_runs over
-// the same arrays). No wire-derived bytes are parsed here — that is
+// (`levels` has depth+1 entries, parent links come from compact_runs_into
+// over the same arrays). No wire-derived bytes are parsed here — that is
 // serialize.rs, which stays index-free.
 #![allow(clippy::indexing_slicing)]
 
-use pcc_morton::{sort_codes, MortonCode};
+use pcc_morton::{sort_codes_into, MortonCode, SortScratch, SortedCodes};
 use pcc_types::VoxelCoord;
 use std::num::NonZeroUsize;
 
@@ -48,7 +48,9 @@ pub struct LevelArrays {
 ///     2,
 /// );
 /// assert_eq!(tree.leaf_count(), 2);
-/// assert_eq!(tree.occupancy()[0], 0b1000_0001); // root byte
+/// let mut occupancy = Vec::new();
+/// tree.occupancy_into(std::num::NonZeroUsize::MIN, &mut occupancy);
+/// assert_eq!(occupancy[0], 0b1000_0001); // root byte
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ParallelOctree {
@@ -58,49 +60,24 @@ pub struct ParallelOctree {
 }
 
 impl ParallelOctree {
-    /// Builds the tree from *sorted, deduplicated* leaf Morton codes.
+    /// Builds this tree in place from *sorted, deduplicated* leaf Morton
+    /// codes, reusing every per-level allocation from the previous build;
+    /// start from [`ParallelOctree::default`] for a first build.
     ///
     /// This is the zero-copy entry point for pipelines that already sorted
     /// their codes (the intra-frame codec sorts once and reuses the order
-    /// for attributes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is outside `1..=21`, if the codes are not
-    /// strictly ascending, or if any code exceeds the depth.
-    pub fn from_sorted_codes(codes: Vec<MortonCode>, depth: u8) -> Self {
-        Self::from_sorted_codes_with(codes, depth, pcc_parallel::resolve(None))
-    }
-
-    /// [`from_sorted_codes`](Self::from_sorted_codes) with an explicit
-    /// thread count.
+    /// for attributes), and the frame-arena entry point: an encoder that
+    /// keeps one `ParallelOctree` alive across a video session performs no
+    /// heap allocation for tree construction once the level buffers have
+    /// warmed to the working-set size.
     ///
     /// Each level's compaction runs as a two-pass parallel scan
-    /// ([`pcc_parallel::compact_runs`]): chunks aligned to parent-run
+    /// ([`pcc_parallel::compact_runs_into`]): chunks aligned to parent-run
     /// boundaries count their unique parents, a prefix sum assigns each
     /// chunk a contiguous output region, and the chunks then write parent
     /// codes and parent links into disjoint slices. The resulting arrays
     /// are byte-identical to the sequential compaction at every thread
-    /// count.
-    pub fn from_sorted_codes_with(
-        codes: Vec<MortonCode>,
-        depth: u8,
-        threads: NonZeroUsize,
-    ) -> Self {
-        let mut tree = ParallelOctree { depth, levels: Vec::new() };
-        tree.rebuild_from_sorted_codes(&codes, depth, threads);
-        tree
-    }
-
-    /// Rebuilds this tree in place from *sorted, deduplicated* leaf Morton
-    /// codes, reusing every per-level allocation from the previous build.
-    ///
-    /// This is the frame-arena entry point: an encoder that keeps one
-    /// `ParallelOctree` alive across a video session performs no heap
-    /// allocation for tree construction once the level buffers have warmed
-    /// to the working-set size. The resulting tree is byte-identical to
-    /// [`from_sorted_codes_with`](Self::from_sorted_codes_with) — both run
-    /// the same per-level [`pcc_parallel::compact_runs_into`] compaction.
+    /// count, and to a build into a fresh tree.
     ///
     /// # Panics
     ///
@@ -178,10 +155,14 @@ impl ParallelOctree {
         for c in coords {
             assert!(c.fits_depth(depth), "coordinate {c:?} exceeds depth {depth}");
         }
+        let threads = pcc_parallel::resolve(None);
         let codes: Vec<MortonCode> = coords.iter().map(|&c| MortonCode::from_coord(c)).collect();
-        let mut sorted = sort_codes(&codes).codes;
-        sorted.dedup();
-        ParallelOctree::from_sorted_codes(sorted, depth)
+        let mut sorted = SortedCodes::default();
+        sort_codes_into(&codes, threads, &mut SortScratch::new(), &mut sorted);
+        sorted.codes.dedup();
+        let mut tree = ParallelOctree::default();
+        tree.rebuild_from_sorted_codes(&sorted.codes, depth, threads);
+        tree
     }
 
     /// The leaf depth.
@@ -220,31 +201,20 @@ impl ParallelOctree {
     }
 
     /// Computes the breadth-first occupancy bytes via the paper's
-    /// Algorithm 1: every child ORs `1 << (code % 8)` into its parent's
-    /// byte — one independent operation per node, hence fully parallel.
-    ///
-    /// The result is bit-identical to
+    /// Algorithm 1 into a caller-owned buffer: every child ORs
+    /// `1 << (code % 8)` into its parent's byte — one independent
+    /// operation per node, hence fully parallel. The result is
+    /// bit-identical to
     /// [`SequentialOctree::occupancy`](crate::SequentialOctree::occupancy)
     /// for the same voxel set.
-    pub fn occupancy(&self) -> Vec<u8> {
-        self.occupancy_with(pcc_parallel::resolve(None))
-    }
-
-    /// [`occupancy`](Self::occupancy) with an explicit thread count.
     ///
     /// Children are chunked with boundaries aligned to parent runs, so all
     /// children of one parent land in the same chunk; each chunk then owns
     /// a disjoint contiguous region of the level's bytes (safe
     /// `split_at_mut` partition, no atomics) and the output is
     /// byte-identical at every thread count.
-    pub fn occupancy_with(&self, threads: NonZeroUsize) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        self.occupancy_into(threads, &mut bytes);
-        bytes
-    }
-
-    /// [`occupancy_with`](Self::occupancy_with) writing into a caller-owned
-    /// buffer: `out` is cleared, zero-filled to
+    ///
+    /// `out` is cleared, zero-filled to
     /// [`occupancy_len`](Self::occupancy_len) and each level's bytes are
     /// OR-ed directly into their final region — no per-level staging
     /// vector, and no heap allocation at all on the single-thread path
@@ -282,8 +252,8 @@ impl ParallelOctree {
         }
     }
 
-    /// Number of occupancy bytes [`occupancy`](Self::occupancy) produces
-    /// (one per internal node, including the root).
+    /// Number of occupancy bytes [`occupancy_into`](Self::occupancy_into)
+    /// produces (one per internal node, including the root).
     pub fn occupancy_len(&self) -> usize {
         self.levels[..self.depth as usize].iter().map(|l| l.codes.len()).sum()
     }
@@ -291,7 +261,11 @@ impl ParallelOctree {
     /// Serializes the tree into a self-describing
     /// [`OccupancyStream`](crate::OccupancyStream) byte buffer.
     pub fn serialize(&self) -> Vec<u8> {
-        crate::serialize_occupancy(self.depth, self.leaf_count(), &self.occupancy())
+        let mut occupancy = Vec::new();
+        self.occupancy_into(pcc_parallel::resolve(None), &mut occupancy);
+        let mut out = Vec::with_capacity(occupancy.len() + 8);
+        crate::serialize_occupancy_into(self.depth, self.leaf_count(), &occupancy, &mut out);
+        out
     }
 }
 
@@ -301,6 +275,19 @@ mod tests {
     use crate::SequentialOctree;
     use pcc_morton::encode;
     use proptest::prelude::*;
+
+    fn nz(n: usize) -> NonZeroUsize {
+        NonZeroUsize::new(n).unwrap()
+    }
+
+    /// A fresh build of `codes` at `threads`, with its occupancy bytes.
+    fn build(codes: &[MortonCode], depth: u8, threads: usize) -> (ParallelOctree, Vec<u8>) {
+        let mut tree = ParallelOctree::default();
+        tree.rebuild_from_sorted_codes(codes, depth, nz(threads));
+        let mut occ = Vec::new();
+        tree.occupancy_into(nz(threads), &mut occ);
+        (tree, occ)
+    }
 
     fn coords_fig5() -> Vec<VoxelCoord> {
         vec![VoxelCoord::new(0, 0, 0), VoxelCoord::new(1, 0, 0), VoxelCoord::new(3, 3, 3)]
@@ -325,7 +312,7 @@ mod tests {
     #[test]
     fn fig5_occupancy_bytes() {
         let tree = ParallelOctree::from_coords(&coords_fig5(), 2);
-        let occ = tree.occupancy();
+        let (_, occ) = build(tree.leaf_codes(), 2, 1);
         // Root: children 0 and 7 -> 0b1000_0001.
         // Level-1 node 0: leaves 0 and 1 -> 0b0000_0011.
         // Level-1 node 7: leaf 63 (slot 7) -> 0b1000_0000.
@@ -338,7 +325,7 @@ mod tests {
         assert_eq!(tree.leaf_count(), 0);
         assert_eq!(tree.node_count(), 0);
         // Root byte exists and is zero.
-        assert_eq!(tree.occupancy(), vec![0]);
+        assert_eq!(build(tree.leaf_codes(), 3, 1).1, vec![0]);
     }
 
     #[test]
@@ -346,7 +333,7 @@ mod tests {
         let tree = ParallelOctree::from_coords(&[VoxelCoord::new(5, 6, 7)], 3);
         assert_eq!(tree.leaf_count(), 1);
         assert_eq!(tree.node_count(), 3);
-        let occ = tree.occupancy();
+        let (_, occ) = build(tree.leaf_codes(), 3, 1);
         assert_eq!(occ.len(), 3);
         assert_eq!(occ.iter().map(|b| b.count_ones()).sum::<u32>(), 3);
     }
@@ -354,16 +341,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "strictly ascending")]
     fn unsorted_codes_panic() {
-        ParallelOctree::from_sorted_codes(
-            vec![MortonCode::from_raw(5), MortonCode::from_raw(3)],
-            3,
-        );
+        build(&[MortonCode::from_raw(5), MortonCode::from_raw(3)], 3, 1);
     }
 
     #[test]
     #[should_panic(expected = "exceeds depth")]
     fn overflow_code_panics() {
-        ParallelOctree::from_sorted_codes(vec![MortonCode::from_raw(512)], 3);
+        build(&[MortonCode::from_raw(512)], 3, 1);
     }
 
     #[test]
@@ -386,7 +370,7 @@ mod tests {
                 coords.into_iter().map(|(x, y, z)| VoxelCoord::new(x, y, z)).collect();
             let par = ParallelOctree::from_coords(&coords, 5);
             let seq = SequentialOctree::from_coords(&coords, 5);
-            prop_assert_eq!(par.occupancy(), seq.occupancy());
+            prop_assert_eq!(build(par.leaf_codes(), 5, 1).1, seq.occupancy());
             prop_assert_eq!(par.leaves(), seq.leaves());
             prop_assert_eq!(par.node_count(), seq.node_count());
         }
@@ -415,27 +399,35 @@ mod tests {
         ) {
             let codes: Vec<MortonCode> =
                 raw.iter().map(|&v| MortonCode::from_raw(v)).collect();
-            let tree = ParallelOctree::from_sorted_codes(codes.clone(), 5);
+            let (tree, _) = build(&codes, 5, 1);
             prop_assert_eq!(tree.leaf_codes().to_vec(), codes);
         }
     }
 
     proptest! {
-        /// Tentpole determinism invariant: building and serializing the
-        /// tree at thread counts 1, 2 and 7 yields identical bytes.
+        /// Tentpole determinism invariant: building the tree and its
+        /// occupancy bytes at thread counts 1, 2, 3 and 7 yields identical
+        /// arrays — through fresh buffers and through a tree and byte
+        /// buffer dirtied by a larger, deeper, different build.
         #[test]
         fn occupancy_identical_across_thread_counts(
             raw in prop::collection::btree_set(0u64..(1 << 18), 1..300)
         ) {
             let codes: Vec<MortonCode> =
                 raw.iter().map(|&v| MortonCode::from_raw(v)).collect();
-            let nz = |n| NonZeroUsize::new(n).unwrap();
-            let base = ParallelOctree::from_sorted_codes_with(codes.clone(), 6, nz(1));
-            let base_occ = base.occupancy_with(nz(1));
-            for threads in [2usize, 7] {
-                let tree = ParallelOctree::from_sorted_codes_with(codes.clone(), 6, nz(threads));
+            let dirty: Vec<MortonCode> = (0..codes.len() as u64 + 500)
+                .map(|i| MortonCode::from_raw(i * 5 + i % 3))
+                .collect();
+            let (base, base_occ) = build(&codes, 6, 1);
+            for threads in [1usize, 2, 3, 7] {
+                let (tree, occ) = build(&codes, 6, threads);
                 prop_assert_eq!(&tree, &base);
-                prop_assert_eq!(tree.occupancy_with(nz(threads)), base_occ.clone());
+                prop_assert_eq!(&occ, &base_occ);
+                let (mut warm, mut warm_occ) = build(&dirty, 7, threads);
+                warm.rebuild_from_sorted_codes(&codes, 6, nz(threads));
+                warm.occupancy_into(nz(threads), &mut warm_occ);
+                prop_assert_eq!(&warm, &base);
+                prop_assert_eq!(&warm_occ, &base_occ);
             }
         }
     }
@@ -447,21 +439,18 @@ mod tests {
         // and irregular enough to vary run lengths at every level.
         let codes: Vec<MortonCode> =
             (0..40_000u64).map(|i| MortonCode::from_raw(i * 4 + (i % 3))).collect();
-        let nz = |n| NonZeroUsize::new(n).unwrap();
-        let base = ParallelOctree::from_sorted_codes_with(codes.clone(), 7, nz(1));
-        let base_occ = base.occupancy_with(nz(1));
+        let (base, base_occ) = build(&codes, 7, 1);
         assert_eq!(base_occ, SequentialOctree::from_coords(&base.leaves(), 7).occupancy());
         for threads in [2usize, 3, 8] {
-            let tree = ParallelOctree::from_sorted_codes_with(codes.clone(), 7, nz(threads));
+            let (tree, occ) = build(&codes, 7, threads);
             assert_eq!(tree, base, "threads={threads}");
-            assert_eq!(tree.occupancy_with(nz(threads)), base_occ, "threads={threads}");
+            assert_eq!(occ, base_occ, "threads={threads}");
         }
     }
 
     #[test]
-    fn rebuild_reuses_levels_and_matches_constructor() {
-        let nz = |n| NonZeroUsize::new(n).unwrap();
-        let mut tree = ParallelOctree::from_sorted_codes(Vec::new(), 1);
+    fn rebuild_reuses_levels_and_matches_a_fresh_build() {
+        let mut tree = ParallelOctree::default();
         let mut occ = Vec::new();
         // Alternate between a large tree, a smaller one and the empty one so
         // stale level arrays and occupancy bytes from a previous (bigger)
@@ -475,16 +464,15 @@ mod tests {
         for codes in &clouds {
             for threads in [1usize, 2, 8] {
                 tree.rebuild_from_sorted_codes(codes, 7, nz(threads));
-                let fresh = ParallelOctree::from_sorted_codes_with(codes.clone(), 7, nz(threads));
-                assert_eq!(tree, fresh, "threads={threads} n={}", codes.len());
                 tree.occupancy_into(nz(threads), &mut occ);
-                assert_eq!(occ, fresh.occupancy_with(nz(threads)), "threads={threads}");
+                let (fresh, fresh_occ) = build(codes, 7, threads);
+                assert_eq!(tree, fresh, "threads={threads} n={}", codes.len());
+                assert_eq!(occ, fresh_occ, "threads={threads}");
             }
         }
         // Depth changes must also be tracked by the reused tree.
         tree.rebuild_from_sorted_codes(&clouds[1], 5, nz(1));
-        let fresh = ParallelOctree::from_sorted_codes_with(clouds[1].clone(), 5, nz(1));
-        assert_eq!(tree, fresh);
+        assert_eq!(tree, build(&clouds[1], 5, 1).0);
     }
 
     #[test]

@@ -125,8 +125,8 @@ impl SequentialOctree {
     /// internal node, root first; level-by-level).
     ///
     /// The result is identical to
-    /// [`ParallelOctree::occupancy`](crate::ParallelOctree::occupancy) for
-    /// the same voxel set.
+    /// [`ParallelOctree::occupancy_into`](crate::ParallelOctree::occupancy_into)
+    /// for the same voxel set.
     pub fn occupancy(&self) -> Vec<u8> {
         let mut bytes = Vec::new();
         let mut frontier: Vec<&Node> = vec![&self.root];

@@ -75,17 +75,11 @@ pub struct OccupancyStream<'a> {
     pub occupancy: &'a [u8],
 }
 
-/// Serializes breadth-first occupancy bytes into a self-describing buffer:
-/// magic, depth, varint leaf count, then the occupancy bytes.
-pub fn serialize_occupancy(depth: u8, leaf_count: usize, occupancy: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(occupancy.len() + 8);
-    serialize_occupancy_into(depth, leaf_count, occupancy, &mut out);
-    out
-}
-
-/// [`serialize_occupancy`] appending into a caller-owned buffer — the
-/// allocation-free variant frame arenas use (the buffer is *not* cleared,
-/// so a stream header can precede the occupancy section).
+/// Serializes breadth-first occupancy bytes into a self-describing
+/// stream — magic, depth, varint leaf count, then the occupancy bytes —
+/// appended to a caller-owned buffer. The buffer is *not* cleared, so a
+/// stream header can precede the occupancy section, and a frame arena's
+/// buffer serializes without allocating once warm.
 pub fn serialize_occupancy_into(
     depth: u8,
     leaf_count: usize,
@@ -98,34 +92,14 @@ pub fn serialize_occupancy_into(
     out.extend_from_slice(occupancy);
 }
 
-/// Decodes an occupancy stream back to its voxel set, in Morton order.
+/// Decodes an occupancy stream back to its voxel set, in Morton order,
+/// under explicit resource [`Limits`].
 ///
 /// Expansion proceeds level by level: each occupancy byte of the current
 /// frontier spawns the child codes of its set bits; at the leaf level the
 /// codes decode to coordinates. Because the stream is breadth-first and
 /// codes are built high-bits-first, the output is exactly the sorted
 /// voxel set the encoder saw — geometry is *lossless at voxel precision*.
-///
-/// # Errors
-///
-/// Returns a [`StreamError`] on malformed input.
-///
-/// # Examples
-///
-/// ```
-/// use pcc_octree::{decode_occupancy, ParallelOctree};
-/// use pcc_types::VoxelCoord;
-///
-/// let tree = ParallelOctree::from_coords(&[VoxelCoord::new(2, 1, 0)], 4);
-/// let decoded = decode_occupancy(&tree.serialize())?;
-/// assert_eq!(decoded, vec![VoxelCoord::new(2, 1, 0)]);
-/// # Ok::<(), pcc_octree::StreamError>(())
-/// ```
-pub fn decode_occupancy(stream: &[u8]) -> Result<Vec<VoxelCoord>, StreamError> {
-    decode_occupancy_with(stream, &Limits::default())
-}
-
-/// Decodes an occupancy stream under explicit resource [`Limits`].
 ///
 /// Enforces `limits.max_depth` on the declared depth and
 /// `limits.max_points` on both the declared leaf count and the expanding
@@ -136,6 +110,18 @@ pub fn decode_occupancy(stream: &[u8]) -> Result<Vec<VoxelCoord>, StreamError> {
 /// # Errors
 ///
 /// Returns a [`StreamError`] on malformed input or when a limit is hit.
+///
+/// # Examples
+///
+/// ```
+/// use pcc_octree::{decode_occupancy_with, ParallelOctree};
+/// use pcc_types::{Limits, VoxelCoord};
+///
+/// let tree = ParallelOctree::from_coords(&[VoxelCoord::new(2, 1, 0)], 4);
+/// let decoded = decode_occupancy_with(&tree.serialize(), &Limits::default())?;
+/// assert_eq!(decoded, vec![VoxelCoord::new(2, 1, 0)]);
+/// # Ok::<(), pcc_octree::StreamError>(())
+/// ```
 pub fn decode_occupancy_with(
     stream: &[u8],
     limits: &Limits,
@@ -227,6 +213,10 @@ mod tests {
     use crate::{ParallelOctree, SequentialOctree};
     use proptest::prelude::*;
 
+    fn decode(stream: &[u8]) -> Result<Vec<VoxelCoord>, StreamError> {
+        decode_occupancy_with(stream, &Limits::default())
+    }
+
     #[test]
     fn round_trip_small() {
         let coords = vec![
@@ -236,7 +226,7 @@ mod tests {
             VoxelCoord::new(2, 2, 2),
         ];
         let tree = ParallelOctree::from_coords(&coords, 2);
-        let decoded = decode_occupancy(&tree.serialize()).unwrap();
+        let decoded = decode(&tree.serialize()).unwrap();
         assert_eq!(decoded, tree.leaves());
     }
 
@@ -244,21 +234,27 @@ mod tests {
     fn sequential_stream_decodes_identically() {
         let coords = vec![VoxelCoord::new(9, 1, 4), VoxelCoord::new(15, 15, 15)];
         let seq = SequentialOctree::from_coords(&coords, 4);
-        let stream = serialize_occupancy(4, seq.leaf_count(), &seq.occupancy());
-        assert_eq!(decode_occupancy(&stream).unwrap(), seq.leaves());
+        let mut stream = Vec::new();
+        serialize_occupancy_into(4, seq.leaf_count(), &seq.occupancy(), &mut stream);
+        assert_eq!(decode(&stream).unwrap(), seq.leaves());
+        // Appending: a prefix already in the buffer is kept.
+        let mut prefixed = vec![0xee];
+        serialize_occupancy_into(4, seq.leaf_count(), &seq.occupancy(), &mut prefixed);
+        assert_eq!(prefixed[1..], stream[..]);
     }
 
     #[test]
     fn bad_magic_rejected() {
-        assert_eq!(decode_occupancy(&[0x00, 4, 0]).unwrap_err(), StreamError::BadMagic);
+        assert_eq!(decode(&[0x00, 4, 0]).unwrap_err(), StreamError::BadMagic);
     }
 
     #[test]
     fn bad_depth_rejected() {
-        let stream = serialize_occupancy(22, 0, &[0]);
-        assert_eq!(decode_occupancy(&stream).unwrap_err(), StreamError::BadDepth(22));
-        let stream = serialize_occupancy(0, 0, &[0]);
-        assert_eq!(decode_occupancy(&stream).unwrap_err(), StreamError::BadDepth(0));
+        for depth in [22u8, 0] {
+            let mut stream = Vec::new();
+            serialize_occupancy_into(depth, 0, &[0], &mut stream);
+            assert_eq!(decode(&stream).unwrap_err(), StreamError::BadDepth(depth));
+        }
     }
 
     #[test]
@@ -267,7 +263,7 @@ mod tests {
             ParallelOctree::from_coords(&[VoxelCoord::new(1, 2, 3), VoxelCoord::new(7, 0, 2)], 3);
         let full = tree.serialize();
         for cut in 0..full.len() {
-            let err = decode_occupancy(&full[..cut]);
+            let err = decode(&full[..cut]);
             assert!(err.is_err(), "prefix of len {cut} should fail");
         }
     }
@@ -275,14 +271,16 @@ mod tests {
     #[test]
     fn leaf_mismatch_detected() {
         let tree = ParallelOctree::from_coords(&[VoxelCoord::new(1, 1, 1)], 2);
-        let mut stream = serialize_occupancy(2, 99, &tree.occupancy());
-        let err = decode_occupancy(&stream).unwrap_err();
+        let serialized = tree.serialize();
+        let mut stream = Vec::new();
+        serialize_occupancy_into(2, 99, parse_stream(&serialized).unwrap().occupancy, &mut stream);
+        let err = decode(&stream).unwrap_err();
         assert_eq!(err, StreamError::LeafMismatch { declared: 99, decoded: 1 });
         // And a corrupted occupancy byte changes the decoded count.
         stream = tree.serialize();
         let last = stream.len() - 1;
         stream[last] |= 0x80;
-        assert!(decode_occupancy(&stream).is_err() || decode_occupancy(&stream).is_ok());
+        assert!(decode(&stream).is_err() || decode(&stream).is_ok());
     }
 
     #[test]
@@ -296,19 +294,20 @@ mod tests {
             StreamError::LimitExceeded(e) if e.what == "octree depth"
         ));
         // A header declaring 2^40 leaves is rejected before any expansion.
-        let bomb = serialize_occupancy(6, 1 << 40, &[0xff; 6]);
+        let mut bomb = Vec::new();
+        serialize_occupancy_into(6, 1 << 40, &[0xff; 6], &mut bomb);
         assert!(matches!(
-            decode_occupancy(&bomb).unwrap_err(),
+            decode(&bomb).unwrap_err(),
             StreamError::LimitExceeded(e) if e.what == "points"
         ));
         // The default limits accept the legitimate stream unchanged.
-        assert_eq!(decode_occupancy(&stream).unwrap(), tree.leaves());
+        assert_eq!(decode(&stream).unwrap(), tree.leaves());
     }
 
     #[test]
     fn empty_tree_round_trips() {
         let tree = ParallelOctree::from_coords(&[], 5);
-        let decoded = decode_occupancy(&tree.serialize()).unwrap();
+        let decoded = decode(&tree.serialize()).unwrap();
         assert!(decoded.is_empty());
     }
 
@@ -330,7 +329,7 @@ mod tests {
             let coords: Vec<VoxelCoord> =
                 coords.into_iter().map(|(x, y, z)| VoxelCoord::new(x, y, z)).collect();
             let tree = ParallelOctree::from_coords(&coords, 7);
-            let decoded = decode_occupancy(&tree.serialize()).unwrap();
+            let decoded = decode(&tree.serialize()).unwrap();
             prop_assert_eq!(decoded, tree.leaves());
         }
     }

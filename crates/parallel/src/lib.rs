@@ -510,33 +510,23 @@ fn radix_sort_pairs_seq(
     used_bytes
 }
 
-/// Compacts consecutive runs of equal *mapped* values in parallel.
+/// Compacts consecutive runs of equal *mapped* values in parallel, into
+/// caller-owned buffers.
 ///
 /// For a slice whose mapped values are non-decreasing under `map` (e.g.
-/// sorted Morton codes mapped to their parent cell), returns:
-/// - the unique mapped values in order of first occurrence, and
-/// - for every input element, the index of its run in that unique list.
+/// sorted Morton codes mapped to their parent cell), fills:
+/// - `unique` with the unique mapped values in order of first occurrence,
+///   and
+/// - `run_of` with, for every input element, the index of its run in that
+///   unique list.
 ///
 /// Deterministic at any thread count: chunks are aligned to run boundaries,
 /// per-chunk unique counts are prefix-summed, and each chunk writes disjoint
-/// contiguous regions of both outputs.
-pub fn compact_runs<T, K, F>(items: &[T], map: F, threads: NonZeroUsize) -> (Vec<K>, Vec<u32>)
-where
-    T: Sync,
-    K: Copy + Default + Eq + Send + Sync,
-    F: Fn(&T) -> K + Sync,
-{
-    let mut unique = Vec::new();
-    let mut run_of = Vec::new();
-    compact_runs_into(items, map, threads, &mut unique, &mut run_of);
-    (unique, run_of)
-}
-
-/// [`compact_runs`] writing into caller-owned buffers, which are cleared
-/// and refilled; capacity persists across calls, so a steady-state caller
-/// (one compaction per frame) performs no heap allocation once the
-/// buffers have warmed to the working-set size. The single-thread path
-/// builds both outputs in one sweep with no intermediate partitioning.
+/// contiguous regions of both outputs. Both buffers are cleared and
+/// refilled; capacity persists across calls, so a steady-state caller (one
+/// compaction per frame) performs no heap allocation once the buffers have
+/// warmed to the working-set size. The single-thread path builds both
+/// outputs in one sweep with no intermediate partitioning.
 pub fn compact_runs_into<T, K, F>(
     items: &[T],
     map: F,
@@ -850,19 +840,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_runs_into_reuses_buffers() {
-        let items: Vec<u64> = (0..10_000u64).map(|i| i / 5).collect();
-        let (want_unique, want_runs) = compact_runs(&items, |v| *v, nz(2));
-        let mut unique = Vec::new();
-        let mut run_of = Vec::new();
-        for threads in [1usize, 2, 1, 4] {
-            compact_runs_into(&items, |v| *v, nz(threads), &mut unique, &mut run_of);
-            assert_eq!(unique, want_unique, "threads={threads}");
-            assert_eq!(run_of, want_runs, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn compact_runs_matches_sequential_at_all_thread_counts() {
         let items: Vec<u64> = (0..30_000u64).map(|i| i / 7).collect();
         let map = |v: &u64| *v >> 2;
@@ -876,10 +853,17 @@ mod tests {
             }
             want_runs.push(want_unique.len() as u32 - 1);
         }
-        for threads in [1usize, 2, 5, 8] {
-            let (unique, runs) = compact_runs(&items, map, nz(threads));
+        // Warm buffers first hold a larger, different compaction.
+        let dirty: Vec<u64> = (0..40_000u64).map(|i| i / 3 + 11).collect();
+        for threads in [1usize, 2, 3, 5, 8] {
+            let (mut unique, mut runs) = (Vec::new(), Vec::new());
+            compact_runs_into(&items, map, nz(threads), &mut unique, &mut runs);
             assert_eq!(unique, want_unique, "threads={threads}");
             assert_eq!(runs, want_runs, "threads={threads}");
+            compact_runs_into(&dirty, |v| *v, nz(threads), &mut unique, &mut runs);
+            compact_runs_into(&items, map, nz(threads), &mut unique, &mut runs);
+            assert_eq!(unique, want_unique, "threads={threads} (warm buffers)");
+            assert_eq!(runs, want_runs, "threads={threads} (warm buffers)");
         }
     }
 

@@ -542,10 +542,14 @@ impl<'d, R: Read> Receiver<'d, R> {
         }
     }
 
-    /// Advances the expected wire sequence number past `chunk`.
+    /// Advances the expected wire sequence number past `chunk`, in
+    /// serial order (see [`seq_after`]).
     fn note_seq(&mut self, chunk: &Chunk) {
         if self.stream_id.is_none() || self.stream_id == Some(chunk.stream_id) {
-            self.next_seq = self.next_seq.max(chunk.seq.saturating_add(1));
+            let next = chunk.seq.wrapping_add(1);
+            if seq_after(next, self.next_seq) {
+                self.next_seq = next;
+            }
         }
     }
 
@@ -559,12 +563,11 @@ impl<'d, R: Read> Receiver<'d, R> {
             // Foreign-stream chunks say nothing about our gaps.
             return;
         }
-        if chunk.seq <= self.next_seq {
+        if !seq_after(chunk.seq, self.next_seq) {
             return;
         }
         let gap_start = arq.clock.now();
-        let first_missing = self.next_seq;
-        let gap = (chunk.seq - first_missing) as usize;
+        let gap = chunk.seq.wrapping_sub(self.next_seq) as usize;
         // Only the newest `ring_chunks` sequence numbers can still be in
         // the sender's ring; NACKing older ones is wasted round trips.
         let reachable = gap.min(arq.config.ring_chunks);
@@ -573,7 +576,8 @@ impl<'d, R: Read> Receiver<'d, R> {
             self.stats.arq_degraded += aged_out;
             pcc_probe::add_count("stream/arq_degraded", aged_out as u64);
         }
-        for seq in (chunk.seq - reachable as u32)..chunk.seq {
+        for back in (1..=reachable as u32).rev() {
+            let seq = chunk.seq.wrapping_sub(back);
             let mut recovered = false;
             for attempt in 0..arq.config.retry_budget.max(1) {
                 if attempt > 0 && arq.clock.now().saturating_sub(gap_start) >= arq.config.deadline {
@@ -888,5 +892,66 @@ impl<'d, R: Read> Receiver<'d, R> {
                 self.refresh_outstanding = true;
             }
         }
+    }
+}
+
+/// RFC 1982 serial-number order on the 32-bit wire sequence: `a` comes
+/// after `b` when the forward distance from `b` to `a` is nonzero and
+/// under 2^31. For distances under 2^31 this is plain `a > b`; it keeps
+/// gap detection working after the sender's sequence wraps past
+/// `u32::MAX`.
+fn seq_after(a: u32, b: u32) -> bool {
+    a != b && a.wrapping_sub(b) < 1 << 31
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::chunk::{encode_chunk, ChunkParts};
+    use pcc_edge::PowerMode;
+
+    fn chunk(seq: u32) -> Chunk {
+        Chunk {
+            kind: ChunkKind::Frame,
+            frame_kind: Some(FrameKind::Predicted),
+            stream_id: 1,
+            seq,
+            frame_index: 0,
+            payload: Vec::new(),
+        }
+    }
+
+    /// Feeds a header at `seqs[0]` and frames at the rest to an ARQ
+    /// receiver whose ring holds `ring_seq`; returns `arq_recovered`.
+    fn recovered(seqs: &[u32], ring_seq: u32) -> usize {
+        let header = Chunk {
+            kind: ChunkKind::StreamHeader,
+            frame_kind: None,
+            payload: vec![1, 3, 6],
+            ..chunk(seqs[0])
+        };
+        let mut wire = encode_chunk(&header);
+        for &seq in &seqs[1..] {
+            wire.extend(encode_chunk(&chunk(seq)));
+        }
+        let ring = SharedRing::new(8);
+        ring.insert(ring_seq, ChunkParts::from_chunk(&chunk(ring_seq)));
+        let device = Device::jetson_agx_xavier(PowerMode::W15);
+        let mut rx = Receiver::new(wire.as_slice(), &device).with_arq(ring, ArqConfig::default());
+        while rx.recv_frame().unwrap().is_some() {}
+        rx.stats().arq_recovered
+    }
+
+    #[test]
+    fn arq_recovers_gaps_across_the_sequence_wrap() {
+        assert_eq!(recovered(&[0, 1, 3], 2), 1);
+        assert_eq!(recovered(&[u32::MAX - 1, u32::MAX, 0, 2], 1), 1);
+    }
+
+    #[test]
+    fn serial_order_is_plain_order_below_half_the_space() {
+        assert!(seq_after(3, 2) && !seq_after(2, 3) && !seq_after(5, 5));
+        assert!(seq_after(0, u32::MAX) && !seq_after(u32::MAX, 0));
+        assert!(seq_after(1 << 31, 1) && !seq_after(1 << 31, 0));
     }
 }

@@ -475,7 +475,9 @@ impl<W: Write> Subscription<W> {
         }
         self.writer.write_encoded(image)?;
         let wire_len = image.len() as u64;
-        self.seq += 1;
+        // The wire sequence is a 32-bit serial number (RFC 1982): it
+        // wraps, and receivers compare it in serial order.
+        self.seq = self.seq.wrapping_add(1);
         if frame.kind == FrameKind::Intra {
             // GOF boundary: the resync anchor must not sit in a buffer
             // while its group streams out behind it.
@@ -752,5 +754,32 @@ mod tests {
             kinds.push(c.kind);
         }
         assert_eq!(kinds, vec![ChunkKind::StreamHeader, ChunkKind::Frame]);
+    }
+
+    #[test]
+    fn wire_sequence_wraps_past_u32_max() {
+        let header = Chunk {
+            kind: ChunkKind::StreamHeader,
+            frame_kind: None,
+            stream_id: 1,
+            seq: 0,
+            frame_index: 0,
+            payload: vec![1, 3, 6],
+        };
+        let mut sub = Subscription::attach(Vec::new(), &header).unwrap();
+        sub.seq = u32::MAX;
+        let mut memo = StampMemo::new();
+        for index in 0..2 {
+            let frame = FramePayload::from_bytes(index, FrameKind::Predicted, vec![7; 16]);
+            sub.send_payload(&frame, &mut memo).unwrap();
+        }
+        assert_eq!(sub.next_seq(), 1);
+        let (wire, _) = sub.into_parts().unwrap();
+        let mut reader = ChunkReader::new(wire.as_slice());
+        let mut seqs = Vec::new();
+        while let Some(chunk) = reader.next_chunk().unwrap() {
+            seqs.push(chunk.seq);
+        }
+        assert_eq!(seqs, [0, u32::MAX, 0]);
     }
 }

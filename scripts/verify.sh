@@ -103,6 +103,14 @@ echo "== stream/serve/sim/fault crate suites: stamp memo, ARQ rings, frame histo
 # links, invariants, and LossyRetransmit over the ring trait.
 cargo test -q --offline --release -p pcc-stream -p pcc-serve -p pcc-sim -p pcc-fault
 
+echo "== remaining crate suites: adapt, baselines, device model, datasets, metrics, raht, probe, bench =="
+# The last crates whose own unit tests no other step runs: the rate
+# ladder, the TMC13/CWIPC baselines, the edge device model, the dataset
+# generators, quality metrics, the G-PCC attribute transforms, the probe
+# recorder, and the bench crate's figure and locality helpers.
+cargo test -q --offline --release -p pcc-adapt -p pcc-baseline -p pcc-edge -p pcc-datasets \
+    -p pcc-metrics -p pcc-raht -p pcc-probe -p pcc-bench
+
 echo "== chaos soak: recovery plane under seeded faults =="
 # The recovery plane replayed deterministically: a dropped I-frame must
 # trigger exactly one receiver-driven intra refresh and re-anchor at the

@@ -12,6 +12,7 @@
 //! measurement window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use pcc_edge::{Device, PowerMode};
@@ -52,8 +53,9 @@ static COUNTER: CountingAlloc = CountingAlloc;
 const WARMUP_FRAMES: usize = 8;
 const MEASURED_FRAMES: usize = 4;
 
+/// The modeled board at one host thread.
 fn device() -> Device {
-    Device::jetson_agx_xavier(PowerMode::W15)
+    Device::jetson_agx_xavier(PowerMode::W15).with_host_threads(Some(NonZeroUsize::MIN))
 }
 
 /// A deterministic synthetic frame; `phase` varies geometry and colors so
@@ -82,7 +84,7 @@ fn encode_hot_path_is_allocation_free_after_warmup() {
     // Single-threaded, entropy off — the configuration the zero-alloc
     // guarantee covers (parallel fan-out spawns scoped threads whose
     // stacks allocate; entropy coding's output is unbounded up front).
-    let intra_cfg = IntraConfig::paper().with_threads(1);
+    let intra_cfg = IntraConfig::paper();
     let d = device();
 
     // Pre-build every frame: voxelization allocates by design (it is

@@ -1,7 +1,7 @@
 //! Thread-count determinism: the parallel execution layer must produce
 //! byte-identical bitstreams at every host thread count, for both the
-//! intra and inter codecs. This is the contract that lets the `threads`
-//! knob (and `PCC_THREADS`) be a pure performance control — and the
+//! intra and inter codecs. This is the contract that lets the `Device`
+//! thread knob (and `PCC_THREADS`) be a pure performance control — and the
 //! same contract holds for `pcc-probe`: recording spans must never
 //! perturb a single output byte.
 
@@ -14,8 +14,9 @@ use pcc::types::{Video, VoxelizedCloud};
 use proptest::prelude::*;
 use std::num::NonZeroUsize;
 
-fn device() -> Device {
-    Device::jetson_agx_xavier(PowerMode::W15)
+/// The modeled board running its host kernels at `threads` threads.
+fn device(threads: usize) -> Device {
+    Device::jetson_agx_xavier(PowerMode::W15).with_host_threads(NonZeroUsize::new(threads))
 }
 
 fn video(frames: usize, points: usize) -> Video {
@@ -35,11 +36,10 @@ fn thread_counts() -> Vec<usize> {
 fn intra_bitstream_identical_across_thread_counts() {
     let v = video(1, 20_000);
     let vox = VoxelizedCloud::from_cloud(&v.frame(0).unwrap().cloud, 8);
-    let d = device();
     for entropy in [false, true] {
         let encode_at = |t: usize| {
-            let cfg = IntraConfig { entropy, ..IntraConfig::default() }.with_threads(t);
-            let frame = IntraCodec::new(cfg).encode(&vox, &d);
+            let cfg = IntraConfig { entropy, ..IntraConfig::default() };
+            let frame = IntraCodec::new(cfg).encode(&vox, &device(t));
             (frame.geometry, frame.attribute)
         };
         let baseline = encode_at(1);
@@ -58,11 +58,11 @@ fn inter_bitstream_identical_across_thread_counts() {
     let v = video(2, 20_000);
     let i_vox = VoxelizedCloud::from_cloud(&v.frame(0).unwrap().cloud, 8);
     let p_vox = VoxelizedCloud::from_cloud(&v.frame(1).unwrap().cloud, 8);
-    let d = device();
+    let d = device(1);
 
     // Reference colors must themselves be thread-independent; derive them
     // once at one thread so any divergence below is the inter codec's.
-    let intra = IntraCodec::new(IntraConfig::default().with_threads(1));
+    let intra = IntraCodec::new(IntraConfig::default());
     let reference = intra
         .decode(&intra.encode(&i_vox, &d), &d)
         .expect("reference decodes")
@@ -71,11 +71,7 @@ fn inter_bitstream_identical_across_thread_counts() {
 
     let mut baseline: Option<(Vec<u8>, Vec<u8>)> = None;
     for t in thread_counts() {
-        let cfg = InterConfig {
-            intra: IntraConfig::default().with_threads(t),
-            ..InterConfig::v2()
-        };
-        let enc = InterCodec::new(cfg).encode(&p_vox, &reference, &d);
+        let enc = InterCodec::new(InterConfig::v2()).encode(&p_vox, &reference, &device(t));
         let streams = (enc.frame.geometry.clone(), enc.frame.attribute.clone());
         match &baseline {
             None => baseline = Some(streams),
@@ -98,7 +94,7 @@ fn probes_never_perturb_bitstreams() {
 
     let max = std::thread::available_parallelism().map_or(1, |n| n.get());
     for threads in [1, max] {
-        let dev = device().with_host_threads(NonZeroUsize::new(threads));
+        let dev = device(threads);
         let encode = |probes: bool| {
             pcc::probe::set_enabled(probes);
             container::mux(&codec.encode_video(&v, 7, &dev))
@@ -123,8 +119,8 @@ fn brick_fixture() -> &'static (pcc::intra::IntraFrame, VoxelizedCloud) {
     FIX.get_or_init(|| {
         let v = video(1, 20_000);
         let vox = VoxelizedCloud::from_cloud(&v.frame(0).unwrap().cloud, 8);
-        let d = device();
-        let codec = IntraCodec::new(IntraConfig::default().with_bricks(3).with_threads(1));
+        let d = device(1);
+        let codec = IntraCodec::new(IntraConfig::default().with_bricks(3));
         let frame = codec.encode(&vox, &d);
         let full = codec.decode(&frame, &d).expect("brick frame decodes");
         (frame, full)
@@ -134,13 +130,12 @@ fn brick_fixture() -> &'static (pcc::intra::IntraFrame, VoxelizedCloud) {
 #[test]
 fn brick_decode_is_identical_sequential_vs_parallel_and_under_probes() {
     let (frame, full) = brick_fixture();
-    let d = device();
+    let codec = IntraCodec::new(IntraConfig::default().with_bricks(3));
     let was_enabled = pcc::probe::enabled();
     for probes in [false, true] {
         pcc::probe::set_enabled(probes);
         for t in thread_counts() {
-            let codec = IntraCodec::new(IntraConfig::default().with_bricks(3).with_threads(t));
-            let decoded = codec.decode(frame, &d).expect("brick frame decodes");
+            let decoded = codec.decode(frame, &device(t)).expect("brick frame decodes");
             assert_eq!(
                 (decoded.coords(), decoded.colors()),
                 (full.coords(), full.colors()),
@@ -155,9 +150,9 @@ fn brick_decode_is_identical_sequential_vs_parallel_and_under_probes() {
 #[test]
 fn full_brick_decode_equals_concatenation_of_singleton_partial_decodes() {
     let (frame, full) = brick_fixture();
-    let d = device();
+    let d = device(1);
     let limits = pcc::types::Limits::default();
-    let codec = IntraCodec::new(IntraConfig::default().with_bricks(3).with_threads(1));
+    let codec = IntraCodec::new(IntraConfig::default().with_bricks(3));
     let index = codec.brick_index(frame, &limits).expect("index parses");
     assert!(index.len() > 1, "fixture must span several bricks");
 
@@ -182,9 +177,9 @@ proptest! {
         // A seed-derived random viewport box; the partial decode must be
         // bit-identical to concatenating exactly the bricks it selects.
         let (frame, _) = brick_fixture();
-        let d = device();
+        let d = device(1);
         let limits = pcc::types::Limits::default();
-        let codec = IntraCodec::new(IntraConfig::default().with_bricks(3).with_threads(1));
+        let codec = IntraCodec::new(IntraConfig::default().with_bricks(3));
         let index = codec.brick_index(frame, &limits).expect("index parses");
         let world = index.bounds(index.entries().first().expect("non-empty"));
         let (mut lo, mut hi) = (world.min(), world.max());
@@ -233,19 +228,4 @@ proptest! {
         prop_assert_eq!(partial.coords(), coords.as_slice());
         prop_assert_eq!(partial.colors(), colors.as_slice());
     }
-}
-
-#[test]
-fn env_override_is_equivalent_to_config() {
-    // `PCC_THREADS` is read once per process (cached); spawn no second
-    // process here — instead check that an explicit config of 1 matches
-    // the explicit max, which is the same guarantee the env knob rides on.
-    let v = video(1, 5_000);
-    let vox = VoxelizedCloud::from_cloud(&v.frame(0).unwrap().cloud, 7);
-    let d = device();
-    let max = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let one = IntraCodec::new(IntraConfig::default().with_threads(1)).encode(&vox, &d);
-    let many = IntraCodec::new(IntraConfig::default().with_threads(max)).encode(&vox, &d);
-    assert_eq!(one, many);
-    assert!(NonZeroUsize::new(max).is_some());
 }

@@ -132,7 +132,7 @@ proptest! {
     fn occupancy_decoder_survives_arbitrary_bytes(
         bytes in prop::collection::vec(any::<u8>(), 0..256),
     ) {
-        let _ = pcc::octree::decode_occupancy(&bytes);
+        let _ = pcc::octree::decode_occupancy_with(&bytes, &pcc::types::Limits::default());
     }
 
     #[test]

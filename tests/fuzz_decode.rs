@@ -146,7 +146,7 @@ fn mutated_brick_frames_never_panic_any_decode_entry_point() {
     let video = clip();
     let vox = VoxelizedCloud::from_cloud(&video.frame(0).unwrap().cloud, 7);
     let d = device(1);
-    let codec = IntraCodec::new(IntraConfig::default().with_bricks(2).with_threads(1));
+    let codec = IntraCodec::new(IntraConfig::default().with_bricks(2));
     let frame = codec.encode(&vox, &d);
     assert!(codec.decode(&frame, &d).is_ok(), "clean brick frame must decode");
 
@@ -180,7 +180,7 @@ fn damaged_brick_payloads_never_corrupt_sibling_bricks() {
     let vox = VoxelizedCloud::from_cloud(&video.frame(0).unwrap().cloud, 7);
     let d = device(1);
     let limits = Limits::default();
-    let codec = IntraCodec::new(IntraConfig::default().with_bricks(2).with_threads(1));
+    let codec = IntraCodec::new(IntraConfig::default().with_bricks(2));
     let frame = codec.encode(&vox, &d);
     let index = codec.brick_index(&frame, &limits).expect("clean index parses");
     assert!(index.len() > 2, "fixture must span several bricks");

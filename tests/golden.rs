@@ -16,6 +16,7 @@ use pcc::inter::{InterCodec, InterConfig};
 use pcc::intra::{IntraCodec, IntraConfig};
 use pcc::stream::{stream_video, Sender, StreamConfig, Supervisor};
 use pcc::types::{Video, VoxelizedCloud};
+use std::num::NonZeroUsize;
 
 /// FNV-1a, 64-bit: tiny, dependency-free, and stable across platforms.
 fn fnv1a(chunks: &[&[u8]]) -> u64 {
@@ -40,8 +41,10 @@ fn assert_digest(what: &str, chunks: &[&[u8]], expected: u64) {
     );
 }
 
-fn device() -> Device {
-    Device::jetson_agx_xavier(PowerMode::W15)
+/// The modeled board at `threads` host threads (`0` = the process
+/// default: `PCC_THREADS`, then available parallelism).
+fn device(threads: usize) -> Device {
+    Device::jetson_agx_xavier(PowerMode::W15).with_host_threads(NonZeroUsize::new(threads))
 }
 
 /// The fixed input every vector is derived from: a deterministic 2-frame
@@ -58,8 +61,8 @@ fn golden_vox(frame: usize) -> VoxelizedCloud {
 
 #[test]
 fn intra_single_layer_vector() {
-    let cfg = IntraConfig { two_layer: false, ..IntraConfig::default() }.with_threads(1);
-    let frame = IntraCodec::new(cfg).encode(&golden_vox(0), &device());
+    let cfg = IntraConfig { two_layer: false, ..IntraConfig::default() };
+    let frame = IntraCodec::new(cfg).encode(&golden_vox(0), &device(1));
     assert_digest(
         "intra single-layer (geometry + attribute)",
         &[&frame.geometry, &frame.attribute],
@@ -69,8 +72,8 @@ fn intra_single_layer_vector() {
 
 #[test]
 fn intra_two_layer_vector() {
-    let cfg = IntraConfig { two_layer: true, ..IntraConfig::default() }.with_threads(1);
-    let frame = IntraCodec::new(cfg).encode(&golden_vox(0), &device());
+    let cfg = IntraConfig { two_layer: true, ..IntraConfig::default() };
+    let frame = IntraCodec::new(cfg).encode(&golden_vox(0), &device(1));
     assert_digest(
         "intra two-layer (geometry + attribute)",
         &[&frame.geometry, &frame.attribute],
@@ -80,10 +83,8 @@ fn intra_two_layer_vector() {
 
 /// Encodes the golden frame in the brick layout at a given thread count.
 fn brick_frame(two_layer: bool, threads: usize) -> pcc::intra::IntraFrame {
-    let cfg = IntraConfig { two_layer, ..IntraConfig::default() }
-        .with_bricks(2)
-        .with_threads(threads);
-    IntraCodec::new(cfg).encode(&golden_vox(0), &device())
+    let cfg = IntraConfig { two_layer, ..IntraConfig::default() }.with_bricks(2);
+    IntraCodec::new(cfg).encode(&golden_vox(0), &device(threads))
 }
 
 #[test]
@@ -121,14 +122,12 @@ fn brick_two_layer_vector() {
 
 #[test]
 fn inter_v1_vector() {
-    let d = device();
+    let d = device(1);
     let (i_vox, p_vox) = (golden_vox(0), golden_vox(1));
-    let intra = IntraCodec::new(IntraConfig::default().with_threads(1));
+    let intra = IntraCodec::new(IntraConfig::default());
     let reference =
         intra.decode(&intra.encode(&i_vox, &d), &d).expect("reference decodes").colors().to_vec();
-    let cfg =
-        InterConfig { intra: IntraConfig::default().with_threads(1), ..InterConfig::v1() };
-    let enc = InterCodec::new(cfg).encode(&p_vox, &reference, &d);
+    let enc = InterCodec::new(InterConfig::v1()).encode(&p_vox, &reference, &d);
     assert_digest(
         "inter V1 P-frame (geometry + attribute)",
         &[&enc.frame.geometry, &enc.frame.attribute],
@@ -138,14 +137,12 @@ fn inter_v1_vector() {
 
 #[test]
 fn inter_v2_vector() {
-    let d = device();
+    let d = device(1);
     let (i_vox, p_vox) = (golden_vox(0), golden_vox(1));
-    let intra = IntraCodec::new(IntraConfig::default().with_threads(1));
+    let intra = IntraCodec::new(IntraConfig::default());
     let reference =
         intra.decode(&intra.encode(&i_vox, &d), &d).expect("reference decodes").colors().to_vec();
-    let cfg =
-        InterConfig { intra: IntraConfig::default().with_threads(1), ..InterConfig::v2() };
-    let enc = InterCodec::new(cfg).encode(&p_vox, &reference, &d);
+    let enc = InterCodec::new(InterConfig::v2()).encode(&p_vox, &reference, &d);
     assert_digest(
         "inter V2 P-frame (geometry + attribute)",
         &[&enc.frame.geometry, &enc.frame.attribute],
@@ -155,7 +152,7 @@ fn inter_v2_vector() {
 
 #[test]
 fn pccv_container_vector() {
-    let d = device();
+    let d = device(0);
     let encoded = PccCodec::new(Design::IntraInterV1).encode_video(&golden_video(), 7, &d);
     let bytes = container::mux(&encoded);
     assert_eq!(&bytes[..4], b"PCCV", "container magic moved");
@@ -164,7 +161,7 @@ fn pccv_container_vector() {
 
 #[test]
 fn pcs1_chunk_stream_vector() {
-    let d = device();
+    let d = device(0);
     let codec = PccCodec::new(Design::IntraInterV1);
     // StreamConfig::default() pins stream_id = 1; the wire is fully
     // deterministic (headers, CRCs, payloads).
@@ -179,7 +176,7 @@ fn pcs1_chunk_stream_vector() {
 
 #[test]
 fn pipelined_chunk_stream_vector() {
-    let d = device();
+    let d = device(0);
     let codec = PccCodec::new(Design::IntraInterV1);
     let video = golden_video();
     // The pipelined sender voxelizes in the video's shared bounding box,

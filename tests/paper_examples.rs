@@ -63,7 +63,9 @@ fn fig5_sequential_and_parallel_agree() {
     let vox = VoxelizedCloud::from_cloud(&fig5_cloud(), 3);
     let seq = SequentialOctree::from_coords(vox.coords(), 3);
     let par = ParallelOctree::from_coords(vox.coords(), 3);
-    assert_eq!(seq.occupancy(), par.occupancy());
+    let mut par_occupancy = Vec::new();
+    par.occupancy_into(device().host_threads(), &mut par_occupancy);
+    assert_eq!(seq.occupancy(), par_occupancy);
     assert_eq!(seq.leaves(), par.leaves());
 }
 
@@ -94,17 +96,25 @@ fn fig6_mid_plus_residual() {
     //  first segment, and Mid = 54, Delta = [0] for the second" — the
     //  paper quantizes the ±1 residuals of segment one to zero. With the
     //  layer codec: medians 50-or-52 / 54 and residuals within one step.
-    let values = vec![[50i32; 3], [52; 3]];
-    let seg1 = pcc::intra::encode_layer(&values, 1, 4);
-    assert_eq!(seg1.bases.len(), 1);
-    let base = seg1.bases[0][0];
+    let threads = device().host_threads();
+    // One segment (starts `[0]`) at quantization step 4.
+    let mid_residual = |values: &[[i32; 3]]| {
+        let (mut bases, mut residuals) = (Vec::new(), Vec::new());
+        pcc::intra::encode_layer_with_starts_into(
+            values, &[0], 4, threads, &mut bases, &mut residuals, &mut Vec::new(),
+        );
+        (bases, residuals)
+    };
+    let (bases, residuals) = mid_residual(&[[50; 3], [52; 3]]);
+    assert_eq!(bases.len(), 1);
+    let base = bases[0][0];
     assert!((50..=52).contains(&base), "base {base}");
     // Quantized residuals of a near-constant segment vanish.
-    assert!(seg1.residuals.iter().all(|r| r[0] == 0));
+    assert!(residuals.iter().all(|r| r[0] == 0));
 
-    let seg2 = pcc::intra::encode_layer(&[[54; 3]], 1, 4);
-    assert_eq!(seg2.bases[0], [54; 3]);
-    assert_eq!(seg2.residuals, vec![[0; 3]]);
+    let (bases, residuals) = mid_residual(&[[54; 3]]);
+    assert_eq!(bases[0], [54; 3]);
+    assert_eq!(residuals, vec![[0; 3]]);
 }
 
 #[test]
