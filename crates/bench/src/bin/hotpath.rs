@@ -352,6 +352,7 @@ fn run() -> Report {
     let header = Chunk {
         kind: ChunkKind::StreamHeader,
         frame_kind: None,
+        anchor_lag: 0,
         stream_id: 1,
         seq: 0,
         frame_index: 0,

@@ -404,11 +404,6 @@ impl<'d> FrameEncoder<'d> {
         self.force_intra = true;
     }
 
-    /// Whether an out-of-schedule intra refresh is staged.
-    pub fn intra_forced(&self) -> bool {
-        self.force_intra
-    }
-
     /// The design's group-of-frames cadence.
     pub fn gof_pattern(&self) -> GofPattern {
         self.gof

@@ -40,11 +40,6 @@ impl Design {
         }
     }
 
-    /// `true` for the paper's proposed designs (GPU pipelines).
-    pub fn is_proposed(&self) -> bool {
-        matches!(self, Design::IntraOnly | Design::IntraInterV1 | Design::IntraInterV2)
-    }
-
     /// The inter-frame configuration for the proposed inter designs
     /// (`None` for the others).
     pub fn inter_config(&self) -> Option<InterConfig> {

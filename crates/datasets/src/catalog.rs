@@ -94,12 +94,6 @@ impl VideoSpec {
     pub fn generate_scaled(&self, frames: usize, points_per_frame: usize) -> Video {
         self.generator_with_points(points_per_frame).generate(frames)
     }
-
-    /// Generates the full-size video (expensive: hundreds of frames at
-    /// about a million points each).
-    pub fn generate_full(&self) -> Video {
-        self.generator().generate(self.frames)
-    }
 }
 
 /// Looks up a Table-I video by name (free-function convenience).

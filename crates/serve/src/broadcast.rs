@@ -579,3 +579,31 @@ impl<'d> Broadcast<'d> {
         self.stats
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pcc_core::Design;
+    use pcc_edge::PowerMode;
+    use pcc_types::{Point3, Rgb};
+
+    /// With nobody subscribed, frames still encode into the history, so
+    /// the first subscriber joins late and is replayed [I3, P4]; being
+    /// live, it cannot be resubscribed.
+    #[test]
+    fn an_audience_of_zero_still_warms_the_frame_history() {
+        let device = Device::jetson_agx_xavier(PowerMode::W15);
+        let codec = PccCodec::new(Design::IntraInterV1);
+        let mut session = Broadcast::new(&codec, 4, &device, &StreamConfig::default());
+        let mut cloud = PointCloud::new();
+        cloud.push(Point3::new(1.0, 2.0, 3.0), Rgb::gray(200));
+        for _ in 0..5 {
+            session.push_frame(&cloud);
+        }
+        let id = session.subscribe(Vec::new(), SubscriberConfig::default()).unwrap();
+        assert_eq!(session.subscriber_stats(id).map(|s| s.frames_sent), Some(2));
+        assert!(!session.resubscribe(id, Vec::new()).unwrap(), "a live slot is not forked");
+        let stats = session.finish();
+        assert_eq!((stats.frames_encoded, stats.late_joins, stats.replayed_frames), (5, 1, 2));
+    }
+}

@@ -13,7 +13,8 @@ use pcc_edge::{Device, PowerMode};
 use pcc_inter::InterConfig;
 use pcc_serve::{shed_refinement, Broadcast, ServeStats, SubscriberConfig, SubscriberId};
 use pcc_stream::{
-    encode_chunk, Chunk, ChunkKind, FramePayload, FrameSource, Retransmit, SharedRing, StreamConfig,
+    encode_chunk, Chunk, ChunkKind, FramePayload, FrameSource, Retransmit, Sender, SharedRing,
+    StreamConfig,
 };
 use pcc_types::{FrameKind, GofPattern, PointCloud};
 use proptest::prelude::*;
@@ -164,6 +165,7 @@ impl Life {
         self.send(Chunk {
             kind: ChunkKind::Frame,
             frame_kind: Some(kind),
+            anchor_lag: 0,
             stream_id: 1,
             seq,
             frame_index,
@@ -186,6 +188,7 @@ impl Life {
         self.send(Chunk {
             kind: ChunkKind::End,
             frame_kind: None,
+            anchor_lag: 0,
             stream_id: 1,
             seq,
             frame_index: total,
@@ -350,4 +353,21 @@ proptest! {
             }
         }
     }
+}
+
+/// The on-time model wire every broadcast subscriber above is held to is
+/// exactly the 1:1 `Sender`'s wire for the same clip.
+#[test]
+fn on_time_model_wire_is_the_sender_wire() {
+    let device = Device::jetson_agx_xavier(PowerMode::W15);
+    let codec = PccCodec::new(Design::IntraInterV1);
+    let video = catalog::by_name("Loot").unwrap().generate_scaled(FRAMES, 500);
+    let clouds: Vec<PointCloud> = video.iter().map(|f| f.cloud.clone()).collect();
+    let mut sender = Sender::new(&codec, DEPTH, &device, Vec::new(), &StreamConfig::default()).unwrap();
+    for cloud in &clouds {
+        sender.send_frame(cloud).unwrap();
+    }
+    let (wire, _) = sender.finish().unwrap();
+    let reference = Reference::build(&device, &codec, &clouds);
+    assert!(model(Role::OnTime, &reference)[0].wire == wire, "on-time wire differs from the Sender's");
 }

@@ -2,8 +2,9 @@
 //!
 //! [`run`] builds a [`Broadcast`] source, a perfect-link *mirror*
 //! receiver (the bit-exactness reference), and `schedule.links`
-//! heterogeneous fault-addressable receivers (plain, recovery+repair,
-//! and ARQ roles, round-robin), then drives `schedule.frames` virtual
+//! heterogeneous fault-addressable receivers (recovery+repair, ARQ,
+//! plain, and degrading roles, round-robin; a link with a `Join` event
+//! subscribes only at that step), then drives `schedule.frames` virtual
 //! steps. Each step applies the schedule's events, pushes one frame
 //! through the shared encoder, advances the [`FakeClock`], pumps every
 //! link's delivery queue, polls every unstalled receiver, and evaluates
@@ -20,7 +21,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use pcc_adapt::FakeClock;
+use pcc_adapt::{Controller, ControllerConfig, FakeClock, QualityLadder};
 use pcc_core::PccCodec;
 use pcc_datasets::catalog;
 use pcc_edge::{Device, PowerMode};
@@ -48,6 +49,10 @@ pub struct SimConfig {
     /// Deliberate ledger miscounting ([`Sabotage::None`] in real runs);
     /// applied to every fault-addressable link, never the mirror.
     pub sabotage: Sabotage,
+    /// Octree depth of the I-frame brick cut. Bricks (the default 2)
+    /// make damaged I-frames repairable; 0 makes I-frames sheddable, so
+    /// degrading slots get their refinement layer stripped instead.
+    pub brick_depth: u8,
 }
 
 impl Default for SimConfig {
@@ -56,6 +61,7 @@ impl Default for SimConfig {
             points: 500,
             frame_interval: Duration::from_millis(33),
             sabotage: Sabotage::None,
+            brick_depth: 2,
         }
     }
 }
@@ -111,19 +117,30 @@ enum Role {
     Arq,
     /// Streaming-only: no recovery, no repair — damage degrades.
     Plain,
+    /// A plain receiver whose broadcast slot carries a standard-ladder
+    /// degradation controller (refinement shedding, P-striding).
+    Degrading,
 }
 
 fn role_of(r: u32) -> Role {
-    match r % 3 {
+    match r % 4 {
         0 => Role::Recovery,
         1 => Role::Arq,
-        _ => Role::Plain,
+        2 => Role::Plain,
+        _ => Role::Degrading,
     }
 }
 
+/// The degrading role's controller: any send slower than 1 ms
+/// overloads, three in a row step one rung down, and the hysteresis
+/// never climbs back within a run.
+const DEGRADING: ControllerConfig =
+    ControllerConfig { frame_budget_ms: 1.0, degrade_after: 3, upgrade_after: 100, headroom: 0.9 };
+
 /// One fault-addressable receiver slot and all its moving parts.
 struct Slot<'d> {
-    id: SubscriberId,
+    /// `None` until a scheduled `Join` subscribes the slot.
+    id: Option<SubscriberId>,
     role: Role,
     link: SimLink,
     pipe: SimPipe,
@@ -137,6 +154,18 @@ struct Slot<'d> {
     starve: u32,
     health_seen: Option<SlotHealth>,
     lives: u32,
+    /// Controller rung changes already traced.
+    rungs_seen: usize,
+    /// The slot's `frames_degraded` after the previous push.
+    degraded_seen: usize,
+    /// I-frames this slot was sent refinement-shed.
+    shed: Vec<usize>,
+}
+
+impl Slot<'_> {
+    fn health(&self, session: &Broadcast<'_>) -> Option<SlotHealth> {
+        self.id.and_then(|id| session.subscriber_health(id))
+    }
 }
 
 /// Mutable observation state shared by the delivery handlers.
@@ -180,7 +209,18 @@ impl Observer {
         }
     }
 
-    fn rx_deliver(&mut self, step: u32, who: u32, deliveries: &[Delivered]) {
+    /// Whether frame `index` decodes from an anchor (the mirror's last
+    /// I-frame at or before it) that `shed` says was refinement-shed.
+    fn shed_anchor(&self, index: usize, shed: &[usize]) -> bool {
+        let anchor = self
+            .mirror_clouds
+            .iter()
+            .take(index + 1)
+            .rposition(|f| matches!(f, Some((FrameKind::Intra, _))));
+        anchor.is_some_and(|a| shed.contains(&a))
+    }
+
+    fn rx_deliver(&mut self, step: u32, who: u32, shed: &[usize], deliveries: &[Delivered]) {
         for d in deliveries {
             match d.partial {
                 Some((dropped, total)) => self.trace.push(format!(
@@ -198,6 +238,7 @@ impl Observer {
                         &format!("rx{who}"),
                         d,
                         mirror,
+                        self.shed_anchor(d.frame_index, shed),
                     );
                     self.note(v);
                 }
@@ -225,13 +266,31 @@ fn build_receiver<'d>(
 ) -> Receiver<'d, SimPipe> {
     let rx = Receiver::new(pipe, device).with_streaming().with_feedback(fb.clone());
     match role {
-        Role::Plain => rx,
+        Role::Plain | Role::Degrading => rx,
         Role::Recovery => rx.with_recovery().with_repair(history.clone()),
         Role::Arq => rx.with_recovery().with_repair(history.clone()).with_arq_clock(
             arq.cloned().expect("arq role carries a ring"),
             ArqConfig::default(),
             Arc::new(clock.clone()),
         ),
+    }
+}
+
+/// Wiring for a slot's (re)subscription: feedback, ARQ ring, and the
+/// degrading role's controller, all timed on the shared clock.
+fn subscriber_config(
+    role: Role,
+    fb: &SharedStats,
+    arq: Option<&SharedRing>,
+    clock: &FakeClock,
+    inter: InterConfig,
+) -> SubscriberConfig {
+    SubscriberConfig {
+        arq_ring: arq.cloned(),
+        controller: (role == Role::Degrading)
+            .then(|| Controller::new(QualityLadder::standard(inter), DEGRADING)),
+        feedback: Some(fb.clone()),
+        clock: Some(Arc::new(clock.clone())),
     }
 }
 
@@ -250,7 +309,7 @@ pub fn run(schedule: &FaultSchedule, config: &SimConfig) -> SimReport {
         .expect("Loot is in the catalog")
         .generate_scaled(schedule.frames as usize, config.points);
     let mut inter = InterConfig::default();
-    inter.intra.brick_depth = 2; // brick-partitioned I-frames: repair plane live
+    inter.intra.brick_depth = config.brick_depth;
     let codec = PccCodec::with_inter_config(inter);
     let clock = FakeClock::new();
     let history = FrameHistory::new(4);
@@ -282,17 +341,13 @@ pub fn run(schedule: &FaultSchedule, config: &SimConfig) -> SimReport {
             SimLink::new(schedule.seed ^ (0xBEEF_0000 + u64::from(r)), clock.clone(), config.sabotage);
         let fb = SharedStats::new();
         let arq = (role == Role::Arq).then(|| SharedRing::new(64));
-        let id = session
-            .subscribe(
-                link.transport(),
-                SubscriberConfig {
-                    arq_ring: arq.clone(),
-                    feedback: Some(fb.clone()),
-                    clock: Some(Arc::new(clock.clone())),
-                    ..Default::default()
-                },
-            )
-            .expect("fresh link cannot fail");
+        let joins_later =
+            schedule.events.iter().any(|e| e.link == r && e.action == FaultAction::Join);
+        let id = (!joins_later).then(|| {
+            session
+                .subscribe(link.transport(), subscriber_config(role, &fb, arq.as_ref(), &clock, inter))
+                .expect("fresh link cannot fail")
+        });
         let rx = build_receiver(pipe.clone(), &device, role, &fb, &history, arq.as_ref(), &clock);
         slots.push(Slot {
             id,
@@ -304,8 +359,11 @@ pub fn run(schedule: &FaultSchedule, config: &SimConfig) -> SimReport {
             arq,
             stall_until: 0,
             starve: 0,
-            health_seen: Some(SlotHealth::Live),
+            health_seen: id.map(|_| SlotHealth::Live),
             lives: 1,
+            rungs_seen: 0,
+            degraded_seen: 0,
+            shed: Vec::new(),
         });
     }
 
@@ -350,6 +408,29 @@ pub fn run(schedule: &FaultSchedule, config: &SimConfig) -> SimReport {
                     slot.link.arm_corrupt(records);
                     obs.trace.push(format!("s{step} ev link{l} corrupt-burst {records}"));
                 }
+                FaultAction::CorruptBrick { records } => {
+                    slot.link.arm_corrupt_brick(records);
+                    obs.trace.push(format!("s{step} ev link{l} corrupt-brick {records}"));
+                }
+                FaultAction::Throttle { ns_per_byte } => {
+                    slot.link.set_throttle(ns_per_byte);
+                    obs.trace.push(format!("s{step} ev link{l} throttle {ns_per_byte}ns/B"));
+                }
+                FaultAction::Join => {
+                    if slot.id.is_some() {
+                        obs.trace.push(format!("s{step} ev link{l} join (noop: attached)"));
+                        continue;
+                    }
+                    let config = subscriber_config(slot.role, &slot.fb, slot.arq.as_ref(), &clock, inter);
+                    match session.subscribe(slot.link.transport(), config) {
+                        Ok(id) => {
+                            slot.id = Some(id);
+                            slot.health_seen = Some(SlotHealth::Live);
+                            obs.trace.push(format!("s{step} ev link{l} join"));
+                        }
+                        Err(_) => obs.trace.push(format!("s{step} ev link{l} join failed")),
+                    }
+                }
                 FaultAction::Partition { steps } => {
                     slot.link.partition_until(step + steps);
                     obs.trace.push(format!("s{step} ev link{l} partition {steps} steps"));
@@ -359,14 +440,18 @@ pub fn run(schedule: &FaultSchedule, config: &SimConfig) -> SimReport {
                     obs.trace.push(format!("s{step} ev link{l} kill"));
                 }
                 FaultAction::Reconnect => {
-                    if session.subscriber_health(slot.id) == Some(SlotHealth::Live) {
+                    let Some(id) = slot.id else {
+                        obs.trace.push(format!("s{step} ev link{l} reconnect (noop: not joined)"));
+                        continue;
+                    };
+                    if slot.health(&session) == Some(SlotHealth::Live) {
                         obs.trace.push(format!("s{step} ev link{l} reconnect (noop: live)"));
                         continue;
                     }
                     // Drain the old life's leftovers, retire it, and
                     // resume the slot on a fresh link + receiver.
                     let leftovers = poll(&mut slot.rx);
-                    obs.rx_deliver(step, l, &leftovers);
+                    obs.rx_deliver(step, l, &slot.shed, &leftovers);
                     graveyard_ingress += slot.link.ingress_bytes();
                     slot.lives += 1;
                     let (link, pipe) = SimLink::new(
@@ -375,7 +460,7 @@ pub fn run(schedule: &FaultSchedule, config: &SimConfig) -> SimReport {
                         config.sabotage,
                     );
                     let resumed = session
-                        .resubscribe(slot.id, link.transport())
+                        .resubscribe(id, link.transport())
                         .expect("fresh link cannot fail");
                     let rx = build_receiver(
                         pipe.clone(),
@@ -411,9 +496,7 @@ pub fn run(schedule: &FaultSchedule, config: &SimConfig) -> SimReport {
 
         // 3. Observe owed refreshes *before* the push drains the asks.
         for slot in &slots {
-            if session.subscriber_health(slot.id) == Some(SlotHealth::Live)
-                && slot.fb.pending_refresh() > 0
-            {
+            if slot.health(&session) == Some(SlotHealth::Live) && slot.fb.pending_refresh() > 0 {
                 refresh_due = true;
             }
         }
@@ -446,13 +529,25 @@ pub fn run(schedule: &FaultSchedule, config: &SimConfig) -> SimReport {
             }
         }
 
-        // 5. Trace liveness transitions the push produced.
+        // 5. Trace the liveness transitions and rung changes the push
+        // produced, and note I-frames a slot was sent shed.
         for (r, slot) in (0u32..).zip(slots.iter_mut()) {
-            let health = session.subscriber_health(slot.id);
+            let Some(id) = slot.id else { continue };
+            let health = session.subscriber_health(id);
             if health != slot.health_seen {
                 obs.trace.push(format!("s{step} rx{r} health {:?} -> {:?}", slot.health_seen, health));
                 slot.health_seen = health;
             }
+            let rungs = session.controller_trace(id).unwrap_or_default();
+            for (idx, rung) in rungs.iter().skip(slot.rungs_seen) {
+                obs.trace.push(format!("s{step} rx{r} rung {rung} from idx={idx}"));
+            }
+            slot.rungs_seen = rungs.len();
+            let degraded = session.subscriber_stats(id).map_or(0, |s| s.frames_degraded);
+            if kind == Some(FrameKind::Intra) && degraded > slot.degraded_seen {
+                slot.shed.push(step as usize);
+            }
+            slot.degraded_seen = degraded;
         }
 
         // 6. Advance virtual time and release due records.
@@ -482,7 +577,7 @@ pub fn run(schedule: &FaultSchedule, config: &SimConfig) -> SimReport {
                 continue;
             }
             let got = poll(&mut slot.rx);
-            obs.rx_deliver(step, r, &got);
+            obs.rx_deliver(step, r, &slot.shed, &got);
             let lv = invariants::check_receiver_ledger(
                 step,
                 &format!("rx{r}"),
@@ -492,7 +587,7 @@ pub fn run(schedule: &FaultSchedule, config: &SimConfig) -> SimReport {
             );
             obs.note(lv);
 
-            let live = session.subscriber_health(slot.id) == Some(SlotHealth::Live);
+            let live = slot.health(&session) == Some(SlotHealth::Live);
             if live && slot.link.is_quiet(step) && mirror_delivered {
                 slot.starve = if got.is_empty() { slot.starve + 1 } else { 0 };
             } else {
@@ -538,7 +633,7 @@ pub fn run(schedule: &FaultSchedule, config: &SimConfig) -> SimReport {
             for (r, slot) in (0u32..).zip(slots.iter_mut()) {
                 slot.link.pump(settle);
                 let got = poll(&mut slot.rx);
-                obs.rx_deliver(settle, r, &got);
+                obs.rx_deliver(settle, r, &slot.shed, &got);
             }
         }
     }
@@ -555,7 +650,7 @@ pub fn run(schedule: &FaultSchedule, config: &SimConfig) -> SimReport {
         for (r, slot) in (0u32..).zip(slots.iter_mut()) {
             slot.link.pump(settle);
             let got = poll(&mut slot.rx);
-            obs.rx_deliver(settle, r, &got);
+            obs.rx_deliver(settle, r, &slot.shed, &got);
         }
 
         let ingress: u64 = mirror_link.ingress_bytes()

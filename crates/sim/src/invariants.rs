@@ -16,7 +16,8 @@ use pcc_types::{FrameKind, PointCloud};
 pub const BYTE_CONSERVATION: &str = "byte-conservation";
 /// Every fully-delivered frame is bit-exact against the perfect-link
 /// mirror's copy (repaired frames included); damaged frames must be
-/// flagged partial, never silently wrong.
+/// flagged partial, never silently wrong. Frames decoded from an anchor
+/// the slot was sent refinement-shed must keep the mirror's geometry.
 pub const DELIVERY_INTEGRITY: &str = "delivery-integrity";
 /// A pending intra-refresh ask from a live subscriber is answered by
 /// the very next successfully-encoded frame being an I-frame.
@@ -56,12 +57,15 @@ pub fn check_byte_conservation(step: u32, bytes_sent: u64, link_ingress: u64) ->
 }
 
 /// Checks a fully-delivered (non-partial) frame against the mirror's
-/// copy of the same frame index.
+/// copy of the same frame index: bit-exact, or — when the frame decodes
+/// from a refinement-shed anchor (`shed`) — the same positions and
+/// point count, since shedding coarsens only colors.
 pub fn check_delivery_integrity(
     step: u32,
     who: &str,
     delivered: &Delivered,
     mirror: Option<&(FrameKind, PointCloud)>,
+    shed: bool,
 ) -> Option<Violation> {
     let Some((kind, cloud)) = mirror else {
         return Some(Violation {
@@ -83,7 +87,12 @@ pub fn check_delivery_integrity(
             ),
         });
     }
-    (delivered.cloud != *cloud).then(|| Violation {
+    let intact = if shed {
+        delivered.cloud.len() == cloud.len() && delivered.cloud.positions() == cloud.positions()
+    } else {
+        delivered.cloud == *cloud
+    };
+    (!intact).then(|| Violation {
         invariant: DELIVERY_INTEGRITY,
         step,
         detail: format!("{who} frame {} cloud diverged from mirror", delivered.frame_index),

@@ -8,21 +8,22 @@
 //! violation delta-debugged down to a minimal, committable reproducer.
 //!
 //! * [`schedule`] — the fault vocabulary ([`FaultAction`]: latency and
-//!   jitter, loss and corruption bursts, partitions, transport death
-//!   and reconnect, encode stalls and panics, consumer stalls), seeded
-//!   schedule generation, and the line-oriented text format corpus
-//!   entries use.
+//!   jitter, loss, corruption and brick-damage bursts, partitions,
+//!   throttled wires, transport death and reconnect, late joins, encode
+//!   stalls and panics, consumer stalls), seeded schedule generation,
+//!   and the line-oriented text format corpus entries use.
 //! * [`link`] — [`SimLink`]: a discrete-event delivery queue between
 //!   the broadcast and one receiver, applying latency on the virtual
 //!   clock and bursts through [`pcc_fault::FaultyTransport`] at exact
 //!   record boundaries, with byte ledgers at both ends.
 //! * [`harness`] — [`run`]: builds the topology (mirror receiver on a
-//!   perfect link as the bit-exactness reference; plain / recovery /
-//!   ARQ receiver roles round-robin), drives the schedule step by
-//!   step, and returns a [`SimReport`] that is identical across
+//!   perfect link as the bit-exactness reference; recovery / ARQ /
+//!   plain / degrading receiver roles round-robin), drives the schedule
+//!   step by step, and returns a [`SimReport`] that is identical across
 //!   replays of the same schedule.
 //! * [`invariants`] — the checked properties: byte conservation across
-//!   every link life, delivered-frame integrity against the mirror,
+//!   every link life, delivered-frame integrity against the mirror
+//!   (geometry-only for frames decoded from a refinement-shed anchor),
 //!   refresh asks answered at the next encoded slot, no starvation on
 //!   quiet links, and exact receiver-side ledgers.
 //! * [`shrink`] — ddmin over the event list: a failing schedule is

@@ -8,7 +8,9 @@
 //! [`SimTransport`] handle; [`SimLink::pump`] releases records whose
 //! delivery time has come through a [`FaultyTransport`] — where armed
 //! loss/corruption bursts fire with probability 1 at exact record
-//! boundaries — into the receiver-facing [`SimPipe`].
+//! boundaries — into the receiver-facing [`SimPipe`]. Armed brick
+//! damage rewrites a brick I-frame record on the way so that only its
+//! per-brick CRC sees the flipped byte.
 //!
 //! Every byte is accounted at both ends (`ingress` at the write,
 //! [`SimPipe::total_in`] at delivery) so the harness can check byte
@@ -22,7 +24,10 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use pcc_adapt::FakeClock;
+use pcc_core::{container, BrickIndex, EncodedFrame};
 use pcc_fault::{FaultConfig, FaultyTransport};
+use pcc_stream::{decode_chunk, encode_chunk};
+use pcc_types::{FrameKind, Limits};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -118,8 +123,13 @@ struct LinkCore {
     /// consumer that stopped draining, so the broadcast's liveness
     /// policy sees the backpressure.
     write_charge: Duration,
+    /// Virtual nanoseconds each written byte charges the sender's clock
+    /// (a throttled wire).
+    ns_per_byte: u64,
     drop_burst: u32,
     corrupt_burst: u32,
+    /// Brick I-frame records still to damage behind their payload CRC.
+    brick_burst: u32,
     wire: FaultyTransport<SimPipe>,
     ingress_records: u64,
     ingress_bytes: u64,
@@ -131,8 +141,10 @@ impl LinkCore {
         if self.dead {
             return Err(io::Error::new(io::ErrorKind::BrokenPipe, "simulated transport killed"));
         }
-        if !self.write_charge.is_zero() {
-            self.clock.advance(self.write_charge);
+        let per_byte = Duration::from_nanos(self.ns_per_byte.saturating_mul(buf.len() as u64));
+        let charge = self.write_charge.saturating_add(per_byte);
+        if !charge.is_zero() {
+            self.clock.advance(charge);
         }
         self.ingress_records += 1;
         let miscount =
@@ -154,7 +166,13 @@ impl LinkCore {
         }
         let now = self.clock.now_ns();
         while matches!(self.queue.front(), Some((at, _)) if *at <= now) {
-            let Some((_, record)) = self.queue.pop_front() else { break };
+            let Some((_, mut record)) = self.queue.pop_front() else { break };
+            if self.brick_burst > 0 {
+                if let Some(damaged) = damage_brick(&record) {
+                    self.brick_burst -= 1;
+                    record = damaged;
+                }
+            }
             let mut cfg = FaultConfig::default();
             if self.drop_burst > 0 {
                 self.drop_burst -= 1;
@@ -172,6 +190,21 @@ impl LinkCore {
             let _ = self.wire.write_all(&record);
         }
     }
+}
+
+/// Flips one byte in the middle of the largest brick's geometry of a
+/// brick-partitioned I-frame record and restamps the chunk's payload
+/// CRC, so the chunk demuxes and only the per-brick CRC sees the damage.
+/// `None` for every other record.
+fn damage_brick(record: &[u8]) -> Option<Vec<u8>> {
+    let mut chunk = decode_chunk(record).filter(|c| c.frame_kind == Some(FrameKind::Intra))?;
+    let frame = container::demux_frame(&mut chunk.payload.as_slice(), 0).ok()?;
+    let EncodedFrame::Intra(intra) = &frame else { return None };
+    let bricks = BrickIndex::parse(&intra.geometry, &Limits::default()).ok()?;
+    let victim = bricks.entries().iter().max_by_key(|e| e.geom.len()).filter(|e| !e.geom.is_empty())?;
+    let [geometry, _] = container::mux_frame(&mut Vec::new(), &frame);
+    *chunk.payload.get_mut(geometry.start + victim.geom.start + victim.geom.len() / 2)? ^= 0xFF;
+    Some(encode_chunk(&chunk))
 }
 
 /// Control handle for one simulated link. Clones share state; the
@@ -196,8 +229,10 @@ impl SimLink {
             partitioned_until: 0,
             dead: false,
             write_charge: Duration::ZERO,
+            ns_per_byte: 0,
             drop_burst: 0,
             corrupt_burst: 0,
+            brick_burst: 0,
             wire: FaultyTransport::new(pipe.clone(), FaultConfig::default(), seed ^ 0x00FA_0172),
             ingress_records: 0,
             ingress_bytes: 0,
@@ -233,6 +268,13 @@ impl SimLink {
         self.lock().corrupt_burst += records;
     }
 
+    /// Arms brick damage: the next `records` brick-partitioned I-frame
+    /// records each get one byte flipped inside a brick, behind a
+    /// restamped payload CRC. Other records pass untouched.
+    pub fn arm_corrupt_brick(&self, records: u32) {
+        self.lock().brick_burst += records;
+    }
+
     /// Holds all delivery until the given step (records queue, none are
     /// lost).
     pub fn partition_until(&self, step: u32) {
@@ -254,6 +296,12 @@ impl SimLink {
         self.lock().write_charge = d;
     }
 
+    /// Sets the per-byte sender-clock charge of a throttled wire (0 to
+    /// clear).
+    pub fn set_throttle(&self, ns_per_byte: u64) {
+        self.lock().ns_per_byte = ns_per_byte;
+    }
+
     /// Releases every record whose delivery time has arrived (unless
     /// dead or partitioned at `step`) through the fault layer into the
     /// receiver pipe.
@@ -271,6 +319,7 @@ impl SimLink {
             && step >= core.partitioned_until
             && core.drop_burst == 0
             && core.corrupt_burst == 0
+            && core.brick_burst == 0
             && core.write_charge.is_zero()
             && core.queue.is_empty()
     }
@@ -403,6 +452,15 @@ mod tests {
         link.set_write_charge(Duration::ZERO);
         link.transport().write_all(b"fast").unwrap();
         assert_eq!(clock.now(), Duration::from_millis(150));
+    }
+
+    #[test]
+    fn throttle_charges_the_clock_per_byte() {
+        let clock = FakeClock::new();
+        let (link, _pipe) = SimLink::new(5, clock.clone(), Sabotage::None);
+        link.set_throttle(1_000);
+        link.transport().write_all(b"four").unwrap();
+        assert_eq!(clock.now(), Duration::from_micros(4));
     }
 
     #[test]

@@ -36,6 +36,14 @@ pub enum FaultAction {
         /// How many records the burst consumes.
         records: u32,
     },
+    /// The next `records` brick-partitioned I-frame records crossing
+    /// the link get one byte flipped inside a brick and their payload
+    /// CRC restamped, so only the per-brick CRC sees the damage: the
+    /// route into brick repair and partial salvage.
+    CorruptBrick {
+        /// How many brick I-frame records the burst consumes.
+        records: u32,
+    },
     /// The link holds every record for `steps` virtual steps, then
     /// releases the backlog in order (a routed-around outage, not
     /// loss).
@@ -62,6 +70,17 @@ pub enum FaultAction {
     /// The encode for this step's frame panics; containment must skip
     /// the frame and keep the session alive.
     EncodePanic,
+    /// The link's subscriber joins at this step and is replayed from
+    /// the frame history. A link with a `Join` event starts detached;
+    /// invariants skip it until it joins.
+    Join,
+    /// Every byte written to the link charges the broadcast's send
+    /// clock `ns_per_byte` virtual nanoseconds (a slow wire the
+    /// subscriber's degradation controller and liveness policy see).
+    Throttle {
+        /// Per-byte write charge in nanoseconds (0 clears it).
+        ns_per_byte: u64,
+    },
     /// The receiver behind this link stops draining for `steps` steps;
     /// its link charges the broadcast's send clock so the liveness
     /// policy sees the backpressure.
@@ -111,7 +130,8 @@ impl FaultSchedule {
     }
 
     /// Generates a pseudo-random schedule from `seed`: between 4 and 10
-    /// events drawn from the full action vocabulary, each pinned to a
+    /// events drawn from the action vocabulary (every action but
+    /// `Join`, which only hand-written schedules use), each pinned to a
     /// step in `1..frames` and a random link. Every `KillTransport`
     /// gets a matching `Reconnect` a few steps later so kills exercise
     /// the resume path instead of just silencing a link. The same seed
@@ -124,7 +144,7 @@ impl FaultSchedule {
         for _ in 0..count {
             let step = rng.random_range(1..max_step);
             let link = rng.random_range(0..links.max(1));
-            let action = match rng.random_range(0..12u32) {
+            let action = match rng.random_range(0..14u32) {
                 0 | 1 => FaultAction::Latency {
                     ns: rng.random_range(1_000_000..=60_000_000u64),
                     jitter_ns: rng.random_range(0..=10_000_000u64),
@@ -136,6 +156,8 @@ impl FaultSchedule {
                 8 => FaultAction::EncodeStall { ns: rng.random_range(5_000_000..=50_000_000u64) },
                 9 => FaultAction::EncodePanic,
                 10 => FaultAction::ConsumerStall { steps: rng.random_range(1..=2u32) },
+                11 => FaultAction::CorruptBrick { records: rng.random_range(1..=2u32) },
+                12 => FaultAction::Throttle { ns_per_byte: rng.random_range(1_000..=20_000u64) },
                 _ => FaultAction::Latency { ns: rng.random_range(0..=5_000_000u64), jitter_ns: 0 },
             };
             events.push(FaultEvent { step, link, action });
@@ -180,6 +202,9 @@ impl FaultSchedule {
                 FaultAction::EncodeStall { ns } => format!("stall-encode {ns}"),
                 FaultAction::EncodePanic => "panic-encode".to_string(),
                 FaultAction::ConsumerStall { steps } => format!("stall-consumer {steps}"),
+                FaultAction::CorruptBrick { records } => format!("corrupt-brick {records}"),
+                FaultAction::Join => "join".to_string(),
+                FaultAction::Throttle { ns_per_byte } => format!("throttle {ns_per_byte}"),
             };
             out.push_str(&format!("event {} {} {body}\n", e.step, e.link));
         }
@@ -237,6 +262,13 @@ impl FaultSchedule {
                         "stall-consumer" => {
                             FaultAction::ConsumerStall { steps: next_num(&mut parts, lineno, "steps")? as u32 }
                         }
+                        "corrupt-brick" => FaultAction::CorruptBrick {
+                            records: next_num(&mut parts, lineno, "records")? as u32,
+                        },
+                        "join" => FaultAction::Join,
+                        "throttle" => FaultAction::Throttle {
+                            ns_per_byte: next_num(&mut parts, lineno, "ns per byte")?,
+                        },
                         other => {
                             return Err(format!("line {}: unknown action {other:?}", lineno + 1))
                         }
@@ -312,6 +344,9 @@ mod tests {
                 FaultEvent { step: 7, link: 0, action: FaultAction::EncodeStall { ns: 9 } },
                 FaultEvent { step: 8, link: 0, action: FaultAction::EncodePanic },
                 FaultEvent { step: 9, link: 2, action: FaultAction::ConsumerStall { steps: 1 } },
+                FaultEvent { step: 10, link: 0, action: FaultAction::CorruptBrick { records: 2 } },
+                FaultEvent { step: 10, link: 1, action: FaultAction::Join },
+                FaultEvent { step: 11, link: 2, action: FaultAction::Throttle { ns_per_byte: 700 } },
             ],
         };
         let text = schedule.to_text();

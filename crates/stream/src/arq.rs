@@ -148,6 +148,7 @@ mod tests {
         Chunk {
             kind: ChunkKind::Frame,
             frame_kind: Some(FrameKind::Predicted),
+            anchor_lag: 0,
             stream_id: 1,
             seq,
             frame_index: seq,

@@ -7,7 +7,9 @@
 //! ```text
 //! sync  "PCS1"                      4 B   resynchronization marker
 //! kind  u8                          1 B   0 = stream header, 1 = frame, 2 = end
-//! fkind u8                          1 B   0 = I, 1 = P, 0xFF = not a frame
+//! fkind u8                          1 B   0 = I, 1 = P, 2..=0xFE = P whose
+//!                                         anchor is off schedule, fkind - 1
+//!                                         frames back; 0xFF = not a frame
 //! stream id       u32 LE            4 B   session identity
 //! sequence number u32 LE            4 B   position of this chunk on the wire
 //! frame index     u32 LE            4 B   display index (frames; 0 otherwise)
@@ -72,20 +74,22 @@ impl ChunkKind {
     }
 }
 
-fn frame_kind_byte(kind: Option<FrameKind>) -> u8 {
+/// Largest [`Chunk::anchor_lag`] the `fkind` byte can carry.
+const MAX_ANCHOR_LAG: u8 = 0xFD;
+
+fn frame_kind_byte(kind: Option<FrameKind>, anchor_lag: u8) -> u8 {
     match kind {
         Some(FrameKind::Intra) => 0,
-        Some(FrameKind::Predicted) => 1,
+        Some(FrameKind::Predicted) => 1 + anchor_lag.min(MAX_ANCHOR_LAG),
         None => 0xFF,
     }
 }
 
-fn frame_kind_from_byte(b: u8) -> Option<Option<FrameKind>> {
+fn frame_kind_from_byte(b: u8) -> Option<(Option<FrameKind>, u8)> {
     Some(match b {
-        0 => Some(FrameKind::Intra),
-        1 => Some(FrameKind::Predicted),
-        0xFF => None,
-        _ => return None,
+        0 => (Some(FrameKind::Intra), 0),
+        1..=0xFE => (Some(FrameKind::Predicted), b - 1),
+        0xFF => (None, 0),
     })
 }
 
@@ -96,6 +100,10 @@ pub struct Chunk {
     pub kind: ChunkKind,
     /// The coded kind of a frame chunk (`None` for non-frame chunks).
     pub frame_kind: Option<FrameKind>,
+    /// For a P-frame whose anchor I-frame is not the one the GOF
+    /// cadence schedules (an intra refresh), how many frames back that
+    /// anchor is; 0 for every other chunk.
+    pub anchor_lag: u8,
     /// Session identity; receivers drop chunks from foreign streams.
     pub stream_id: u32,
     /// Monotonic position of this chunk on the wire.
@@ -117,6 +125,7 @@ fn header_of(chunk: &Chunk) -> [u8; HEADER_LEN] {
     chunk_header(
         chunk.kind,
         chunk.frame_kind,
+        chunk.anchor_lag,
         chunk.stream_id,
         chunk.seq,
         chunk.frame_index,
@@ -129,6 +138,7 @@ fn header_of(chunk: &Chunk) -> [u8; HEADER_LEN] {
 pub(crate) fn chunk_header(
     kind: ChunkKind,
     frame_kind: Option<FrameKind>,
+    anchor_lag: u8,
     stream_id: u32,
     seq: u32,
     frame_index: u32,
@@ -137,7 +147,7 @@ pub(crate) fn chunk_header(
     let mut header = [0u8; HEADER_LEN];
     let fields = SYNC
         .into_iter()
-        .chain([kind.to_byte(), frame_kind_byte(frame_kind)])
+        .chain([kind.to_byte(), frame_kind_byte(frame_kind, anchor_lag)])
         .chain(stream_id.to_le_bytes())
         .chain(seq.to_le_bytes())
         .chain(frame_index.to_le_bytes())
@@ -240,8 +250,7 @@ impl ChunkParts {
 /// paths use this to validate a chunk pulled back out of a
 /// [`SharedRing`](crate::arq::SharedRing) before trusting it.
 pub fn decode_chunk(bytes: &[u8]) -> Option<Chunk> {
-    let header = bytes.get(..HEADER_LEN)?;
-    let (kind, frame_kind, stream_id, seq, frame_index, payload_len) = parse_header(header)?;
+    let (head, payload_len) = parse_header(bytes.get(..HEADER_LEN)?)?;
     if bytes.len() != HEADER_LEN + payload_len + 4 {
         return None;
     }
@@ -252,7 +261,7 @@ pub fn decode_chunk(bytes: &[u8]) -> Option<Chunk> {
     if crc32(payload) != stored {
         return None;
     }
-    Some(Chunk { kind, frame_kind, stream_id, seq, frame_index, payload: payload.to_vec() })
+    Some(Chunk { payload: payload.to_vec(), ..head })
 }
 
 /// Checked little-endian `u32` read at a fixed header offset: `None`
@@ -266,9 +275,10 @@ fn read_u32_le(buf: &[u8], at: usize) -> Option<u32> {
 
 /// Parses the fixed-size header fields from `buf` (at least
 /// [`HEADER_LEN`] bytes in every caller; shorter input parses as
-/// corruption). Returns `None` when the sync marker, header CRC, field
-/// encodings, or payload-length bound are invalid.
-fn parse_header(buf: &[u8]) -> Option<(ChunkKind, Option<FrameKind>, u32, u32, u32, usize)> {
+/// corruption) into a payload-less chunk and its payload length.
+/// Returns `None` when the sync marker, header CRC, field encodings, or
+/// payload-length bound are invalid.
+fn parse_header(buf: &[u8]) -> Option<(Chunk, usize)> {
     if buf.get(..4)? != SYNC {
         return None;
     }
@@ -277,15 +287,21 @@ fn parse_header(buf: &[u8]) -> Option<(ChunkKind, Option<FrameKind>, u32, u32, u
         return None;
     }
     let kind = ChunkKind::from_byte(*buf.get(4)?)?;
-    let frame_kind = frame_kind_from_byte(*buf.get(5)?)?;
-    let stream_id = read_u32_le(buf, 6)?;
-    let seq = read_u32_le(buf, 10)?;
-    let frame_index = read_u32_le(buf, 14)?;
+    let (frame_kind, anchor_lag) = frame_kind_from_byte(*buf.get(5)?)?;
     let payload_len = read_u32_le(buf, 18)? as usize;
     if payload_len > MAX_PAYLOAD {
         return None;
     }
-    Some((kind, frame_kind, stream_id, seq, frame_index, payload_len))
+    let chunk = Chunk {
+        kind,
+        frame_kind,
+        anchor_lag,
+        stream_id: read_u32_le(buf, 6)?,
+        seq: read_u32_le(buf, 10)?,
+        frame_index: read_u32_le(buf, 14)?,
+        payload: Vec::new(),
+    };
+    Some((chunk, payload_len))
 }
 
 /// Writes chunks to any [`Write`] transport, tracking wire bytes.
@@ -391,11 +407,6 @@ impl<R: Read> ChunkReader<R> {
         if streaming {
             self.eof = false;
         }
-    }
-
-    /// Whether the reader treats zero-byte reads as "no data yet".
-    pub fn is_streaming(&self) -> bool {
-        self.streaming
     }
 
     /// Total bytes consumed from the transport so far.
@@ -515,9 +526,7 @@ impl<R: Read> ChunkReader<R> {
                 return Ok(None);
             }
             let header = &self.buf[self.start..self.start + HEADER_LEN];
-            let Some((kind, frame_kind, stream_id, seq, frame_index, payload_len)) =
-                parse_header(header)
-            else {
+            let Some((head, payload_len)) = parse_header(header) else {
                 // Broken header: resume scanning one byte later.
                 self.corrupt_events += 1;
                 self.start += 1;
@@ -552,14 +561,7 @@ impl<R: Read> ChunkReader<R> {
                 self.start += total;
                 continue;
             }
-            let chunk = Chunk {
-                kind,
-                frame_kind,
-                stream_id,
-                seq,
-                frame_index,
-                payload: payload.to_vec(),
-            };
+            let chunk = Chunk { payload: payload.to_vec(), ..head };
             // The buffer's first byte sits at absolute transport offset
             // `bytes_read - buf.len()` (everything before it was drained
             // after consumption), so buffer indices rebase directly.
@@ -588,11 +590,22 @@ mod tests {
         Chunk {
             kind: ChunkKind::Frame,
             frame_kind: Some(kind),
+            anchor_lag: 0,
             stream_id: 7,
             seq,
             frame_index,
             payload,
         }
+    }
+
+    #[test]
+    fn anchor_lag_rides_the_spare_frame_kind_values() {
+        let on_schedule = frame_chunk(2, 1, FrameKind::Predicted, vec![1; 8]);
+        assert_eq!(encode_chunk(&on_schedule)[5], 1, "on-schedule P-frames keep fkind 1");
+        let refreshed = Chunk { anchor_lag: 1, ..on_schedule };
+        let bytes = encode_chunk(&refreshed);
+        assert_eq!(bytes[5], 2);
+        assert_eq!(decode_chunk(&bytes), Some(refreshed));
     }
 
     #[test]

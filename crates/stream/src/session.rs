@@ -57,6 +57,7 @@ pub(crate) fn header_chunk(stream_id: u32, design: Design, depth: u8) -> Chunk {
     Chunk {
         kind: ChunkKind::StreamHeader,
         frame_kind: None,
+        anchor_lag: 0,
         stream_id,
         seq: 0,
         frame_index: 0,
@@ -68,6 +69,7 @@ pub(crate) fn end_chunk(stream_id: u32, seq: u32, total_frames: u32) -> Chunk {
     Chunk {
         kind: ChunkKind::End,
         frame_kind: None,
+        anchor_lag: 0,
         stream_id,
         seq,
         frame_index: total_frames,
@@ -263,8 +265,10 @@ pub struct Receiver<'d, R: Read> {
     /// Live-transport mode: a chunk-less poll means "no data yet", not
     /// end of stream.
     streaming: bool,
-    /// Whether the decoder holds the reference the next P-frame needs.
-    synced: bool,
+    /// Display index of the I-frame the decoder holds as its reference
+    /// (`None` while desynchronized). A P-frame decodes only when this
+    /// is the anchor its chunk names.
+    anchor: Option<usize>,
     /// Whether any frame has been lost since the last resync point.
     loss_since_sync: bool,
     done: bool,
@@ -323,7 +327,7 @@ impl<'d, R: Read> Receiver<'d, R> {
             recovery: false,
             refresh_outstanding: false,
             streaming: false,
-            synced: false,
+            anchor: None,
             loss_since_sync: false,
             done: false,
             stats: StreamStats::default(),
@@ -422,14 +426,6 @@ impl<'d, R: Read> Receiver<'d, R> {
     /// batch mode) the transport ran out of bytes.
     pub fn is_done(&self) -> bool {
         self.done
-    }
-
-    /// Whether the decoder currently holds the reference picture the
-    /// next P-frame needs. `false` between a broken anchor and the next
-    /// intact (or repaired) I-frame — the window a simulation harness
-    /// checks re-anchoring invariants over.
-    pub fn is_synced(&self) -> bool {
-        self.synced
     }
 
     /// Whether a published intra-refresh ask is still unanswered (set
@@ -741,9 +737,14 @@ impl<'d, R: Read> Receiver<'d, R> {
         };
 
         let kind = frame.kind();
-        if kind == FrameKind::Predicted && !self.synced {
+        let anchor = match chunk.anchor_lag {
+            0 => self.gof.reference_of(index),
+            lag => index.saturating_sub(usize::from(lag)),
+        };
+        if kind == FrameKind::Predicted && self.anchor != Some(anchor) {
             // This frame's I-frame never made it; decoding against the
-            // previous group's reference would show the wrong picture.
+            // previous group's reference (or an earlier anchor than the
+            // refresh it names) would show the wrong picture.
             return self.drop_frame(index);
         }
         let Some(decoder) = self.decoder.as_mut() else {
@@ -755,16 +756,16 @@ impl<'d, R: Read> Receiver<'d, R> {
         match decoded {
             Ok((cloud, timeline)) => {
                 if kind == FrameKind::Intra {
-                    if !self.synced {
+                    if self.anchor.is_none() {
                         if self.loss_since_sync {
                             self.stats.resyncs += 1;
                         }
-                        self.synced = true;
                         self.loss_since_sync = false;
                     }
                     // Any intact anchor satisfies an in-flight refresh
                     // request.
                     self.refresh_outstanding = false;
+                    self.anchor = Some(index);
                 }
                 self.stats.frames_delivered += 1;
                 Some(Delivered {
@@ -834,14 +835,14 @@ impl<'d, R: Read> Receiver<'d, R> {
             Some(r) => {
                 self.stats.frames_repaired += 1;
                 self.stats.bricks_repaired += r.bricks_repaired;
-                if !self.synced {
+                if self.anchor.is_none() {
                     if self.loss_since_sync {
                         self.stats.resyncs += 1;
                     }
-                    self.synced = true;
                     self.loss_since_sync = false;
                 }
                 self.refresh_outstanding = false;
+                self.anchor = Some(index);
                 self.stats.frames_delivered += 1;
                 Some(Delivered {
                     frame_index: index,
@@ -879,7 +880,7 @@ impl<'d, R: Read> Receiver<'d, R> {
     }
 
     fn desync(&mut self) {
-        self.synced = false;
+        self.anchor = None;
         if let Some(decoder) = self.decoder.as_mut() {
             decoder.invalidate_reference();
         }
@@ -914,6 +915,7 @@ mod tests {
         Chunk {
             kind: ChunkKind::Frame,
             frame_kind: Some(FrameKind::Predicted),
+            anchor_lag: 0,
             stream_id: 1,
             seq,
             frame_index: 0,

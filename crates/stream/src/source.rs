@@ -50,6 +50,10 @@ pub struct FramePayload {
     pub frame_index: u32,
     /// How the frame was coded.
     pub kind: FrameKind,
+    /// For a P-frame whose anchor is an out-of-schedule I-frame, how
+    /// many frames back that anchor is ([`Chunk::anchor_lag`]); 0
+    /// otherwise.
+    pub anchor_lag: u8,
     /// The muxed frame record (chunk payload bytes).
     pub payload: SharedBytes,
     /// CRC32 of `payload`, precomputed for [`Subscription::send_payload`].
@@ -77,6 +81,7 @@ impl FramePayload {
         FramePayload {
             frame_index,
             kind,
+            anchor_lag: 0,
             payload: payload.into(),
             payload_crc,
             modeled_ms: 0.0,
@@ -99,6 +104,9 @@ pub struct FrameSource<'d> {
     /// A receiver asked for an intra refresh; the next encoded frame
     /// re-anchors as an out-of-schedule I-frame.
     refresh_pending: bool,
+    /// Display index of the last I-frame encoded: the anchor every
+    /// P-frame until the next one predicts from.
+    anchor: u32,
     /// Every encoded frame is recorded here: late joiners replay its
     /// resync run and receivers NACK damaged bricks against it.
     history: FrameHistory,
@@ -116,6 +124,7 @@ impl<'d> FrameSource<'d> {
             frame_budget_ms: config.frame_budget_ms,
             frames_encoded: 0,
             refresh_pending: false,
+            anchor: 0,
             history: FrameHistory::new(1),
         }
     }
@@ -302,10 +311,22 @@ impl<'d> FrameSource<'d> {
         let payloads = container::mux_frame(&mut record, encoded);
         let frame = FramePayload::from_bytes(frame_index, encoded.kind(), record);
         encode_sp.stop();
+        // A P-frame names an anchor the GOF cadence does not predict
+        // (an intra refresh) on the wire, so a receiver that missed that
+        // anchor never decodes the P-frame against the scheduled one.
+        if frame.kind == FrameKind::Intra {
+            self.anchor = frame_index;
+        }
+        let scheduled = self.gof_pattern().reference_of(frame_index as usize) as u32;
+        let anchor_lag = if frame.kind == FrameKind::Predicted && self.anchor != scheduled {
+            u8::try_from(frame_index.saturating_sub(self.anchor)).unwrap_or(u8::MAX)
+        } else {
+            0
+        };
         let modeled_ms = timeline.total_modeled_ms().as_f64();
         let over_budget = self.frame_budget_ms.is_some_and(|b| modeled_ms > b);
         self.frames_encoded += 1;
-        let frame = FramePayload { modeled_ms, over_budget, refresh, ..frame };
+        let frame = FramePayload { anchor_lag, modeled_ms, over_budget, refresh, ..frame };
         // Only codec intra frames can be brick-partitioned.
         let intra = matches!(encoded, EncodedFrame::Intra(_)).then_some(payloads);
         self.history.record(&frame, intra);
@@ -333,8 +354,8 @@ pub struct StampMemo {
 
 #[derive(Debug)]
 struct Stamped {
-    /// `(kind, stream id, seq, frame index)` of the chunk.
-    key: (FrameKind, u32, u32, u32),
+    /// `(kind, anchor lag, stream id, seq, frame index)` of the chunk.
+    key: (FrameKind, u8, u32, u32, u32),
     parts: ChunkParts,
 }
 
@@ -347,7 +368,7 @@ impl StampMemo {
     /// The chunk of `frame` at `seq` on stream `stream_id`, stamped
     /// unless the memo already holds it, and its wire image.
     fn stamp(&mut self, stream_id: u32, seq: u32, frame: &FramePayload) -> (&ChunkParts, &[u8]) {
-        let key = (frame.kind, stream_id, seq, frame.frame_index);
+        let key = (frame.kind, frame.anchor_lag, stream_id, seq, frame.frame_index);
         let stale = self.stamped.as_ref().is_some_and(|held| {
             held.key != key
                 || !held.parts.payload.ptr_eq(&frame.payload)
@@ -362,6 +383,7 @@ impl StampMemo {
                 header: chunk_header(
                     ChunkKind::Frame,
                     Some(frame.kind),
+                    frame.anchor_lag,
                     stream_id,
                     seq,
                     frame.frame_index,
@@ -598,6 +620,7 @@ mod tests {
         let header = Chunk {
             kind: ChunkKind::StreamHeader,
             frame_kind: None,
+            anchor_lag: 0,
             stream_id: 1,
             seq: 0,
             frame_index: 0,
@@ -761,6 +784,7 @@ mod tests {
         let header = Chunk {
             kind: ChunkKind::StreamHeader,
             frame_kind: None,
+            anchor_lag: 0,
             stream_id: 1,
             seq: 0,
             frame_index: 0,

@@ -190,11 +190,6 @@ impl Video {
         }
         self.frames.iter().map(|f| f.cloud.len()).sum::<usize>() / self.frames.len()
     }
-
-    /// Consumes the video and returns its frames.
-    pub fn into_frames(self) -> Vec<Frame> {
-        self.frames
-    }
 }
 
 impl<'a> IntoIterator for &'a Video {
