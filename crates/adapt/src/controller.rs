@@ -203,7 +203,6 @@ impl Controller {
                 self.overloaded_streak = 0;
                 if self.target + 1 < self.ladder.len() {
                     self.target += 1;
-                    pcc_probe::add_count("adapt/degrade_requests", 1);
                 }
             }
         } else if comfortable {
@@ -213,7 +212,6 @@ impl Controller {
                 self.comfortable_streak = 0;
                 if self.target > 0 {
                     self.target -= 1;
-                    pcc_probe::add_count("adapt/upgrade_requests", 1);
                 }
             }
         } else {
@@ -234,7 +232,6 @@ impl Controller {
         self.rung = self.target;
         self.rung_changes += 1;
         self.trace.push((frame_index, self.rung));
-        pcc_probe::add_count("adapt/rung_changes", 1);
         Some(self.ladder.rung(self.rung))
     }
 

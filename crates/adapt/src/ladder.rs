@@ -23,7 +23,7 @@ use pcc_inter::InterConfig;
 /// One operating point on the ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Rung {
-    /// Human-readable label (shows up in probe counters and traces).
+    /// Human-readable label (shows up in traces).
     pub name: &'static str,
     /// Inter/intra settings to encode with at this rung.
     pub config: InterConfig,

@@ -6,8 +6,9 @@
 //! interval into a *thread-local* buffer (the parallel executor's scoped
 //! workers never contend on a shared sink), and buffers drain into a
 //! process-wide sink when a thread exits or when [`take_report`] collects
-//! a [`Report`]. Byte-volume and item-count gauges ([`add_bytes`],
-//! [`add_count`]) ride the same buffers.
+//! a [`Report`]. Byte-volume gauges ([`add_bytes`]) ride the same
+//! buffers; event counts live in the counter structs of the crates that
+//! own the events, not here.
 //!
 //! ## Cost model
 //!
@@ -65,13 +66,11 @@ pub struct SpanRecord {
     pub bytes: u64,
 }
 
-/// One gauge event: bytes and/or a count attributed to a stage without
-/// timing anything.
+/// One gauge event: bytes attributed to a stage without timing anything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct GaugeRecord {
     stage: &'static str,
     bytes: u64,
-    count: u64,
 }
 
 /// Aggregated statistics for one stage across a [`Report`].
@@ -91,8 +90,6 @@ pub struct StageStats {
     pub max_ns: u64,
     /// Bytes attached to the stage (span bytes + gauge bytes).
     pub bytes: u64,
-    /// Item count attached via [`add_count`].
-    pub count: u64,
 }
 
 /// A drained collection of spans and gauges with aggregation helpers.
@@ -117,21 +114,18 @@ impl Report {
     pub fn by_stage(&self) -> Vec<StageStats> {
         use std::collections::BTreeMap;
         let mut durs: BTreeMap<&'static str, Vec<u64>> = BTreeMap::new();
-        let mut extra: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
+        let mut bytes: BTreeMap<&'static str, u64> = BTreeMap::new();
         for s in &self.spans {
             durs.entry(s.stage).or_default().push(s.dur_ns);
-            extra.entry(s.stage).or_default().0 += s.bytes;
+            *bytes.entry(s.stage).or_default() += s.bytes;
         }
         for g in &self.gauges {
             durs.entry(g.stage).or_default();
-            let e = extra.entry(g.stage).or_default();
-            e.0 += g.bytes;
-            e.1 += g.count;
+            *bytes.entry(g.stage).or_default() += g.bytes;
         }
         durs.into_iter()
             .map(|(stage, mut d)| {
                 d.sort_unstable();
-                let (bytes, count) = extra.get(stage).copied().unwrap_or((0, 0));
                 StageStats {
                     stage,
                     calls: d.len(),
@@ -139,8 +133,7 @@ impl Report {
                     min_ns: d.first().copied().unwrap_or(0),
                     p50_ns: if d.is_empty() { 0 } else { d[(d.len() - 1) / 2] },
                     max_ns: d.last().copied().unwrap_or(0),
-                    bytes,
-                    count,
+                    bytes: bytes.get(stage).copied().unwrap_or(0),
                 }
             })
             .collect()
@@ -279,8 +272,8 @@ mod imp {
         });
     }
 
-    pub fn push_gauge(stage: &'static str, bytes: u64, count: u64) {
-        let _ = BUF.try_with(|b| b.borrow_mut().gauges.push(GaugeRecord { stage, bytes, count }));
+    pub fn push_gauge(stage: &'static str, bytes: u64) {
+        let _ = BUF.try_with(|b| b.borrow_mut().gauges.push(GaugeRecord { stage, bytes }));
     }
 
     pub fn flush_thread() {
@@ -410,24 +403,11 @@ impl Drop for Span {
 pub fn add_bytes(stage: &'static str, bytes: u64) {
     #[cfg(feature = "capture")]
     if imp::enabled() {
-        imp::push_gauge(stage, bytes, 0);
+        imp::push_gauge(stage, bytes);
     }
     #[cfg(not(feature = "capture"))]
     {
         let _ = (stage, bytes);
-    }
-}
-
-/// Records an item-count gauge against `stage` without timing anything.
-#[inline]
-pub fn add_count(stage: &'static str, n: u64) {
-    #[cfg(feature = "capture")]
-    if imp::enabled() {
-        imp::push_gauge(stage, 0, n);
-    }
-    #[cfg(not(feature = "capture"))]
-    {
-        let _ = (stage, n);
     }
 }
 
@@ -523,7 +503,6 @@ mod tests {
             let _sp = span("t/beta");
         }
         add_bytes("t/beta", 99);
-        add_count("t/beta", 7);
         let report = take_report();
         set_enabled(false);
 
@@ -534,7 +513,7 @@ mod tests {
         assert!(alpha.max_ns >= 1_000_000, "slept 1ms, got {}ns", alpha.max_ns);
         assert!(alpha.min_ns <= alpha.p50_ns && alpha.p50_ns <= alpha.max_ns);
         let beta = report.stage("t/beta").expect("beta recorded");
-        assert_eq!((beta.calls, beta.bytes, beta.count), (1, 99, 7));
+        assert_eq!((beta.calls, beta.bytes), (1, 99));
         assert_eq!(report.stage_total_ns("t"), alpha.total_ns + beta.total_ns);
         // "t" must not prefix-match a stage named "t2".
         assert_eq!(report.stage_total_ns("t/al"), 0);
@@ -553,7 +532,6 @@ mod tests {
         sp.add_bytes(5);
         assert_eq!(sp.stop(), 0);
         add_bytes("t/off", 1);
-        add_count("t/off", 1);
         assert!(take_report().is_empty());
     }
 

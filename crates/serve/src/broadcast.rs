@@ -219,11 +219,6 @@ impl<'d> Broadcast<'d> {
         self.source.frame_index()
     }
 
-    /// Subscribers currently being served.
-    pub fn subscriber_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.health == SlotHealth::Live).count()
-    }
-
     /// Attaches a subscriber: writes its stream header and, when the
     /// session is already past its first frame, replays the history's
     /// resync run so the subscriber is bit-exact from the current GOF's
@@ -259,7 +254,6 @@ impl<'d> Broadcast<'d> {
             }
             replay_sp.stop();
             self.stats.late_joins += 1;
-            pcc_probe::add_count("serve/late_joins", 1);
         }
         let id = SubscriberId(self.next_id);
         self.next_id += 1;
@@ -333,7 +327,6 @@ impl<'d> Broadcast<'d> {
         slot.misses = 0;
         self.stats.replayed_frames += replay.len();
         self.stats.resubscribes += 1;
-        pcc_probe::add_count("serve/resubscribes", 1);
         Ok(true)
     }
 
@@ -386,7 +379,6 @@ impl<'d> Broadcast<'d> {
         encode_sp.stop();
         let Some(frame) = frame else {
             self.stats.aggregate.panics_contained += 1;
-            pcc_probe::add_count("serve/panics_contained", 1);
             return None;
         };
         self.fan_out(&frame);
@@ -440,7 +432,6 @@ impl<'d> Broadcast<'d> {
                     slot.sub.stats_mut().frames_degraded += 1;
                     slot.suppressed += 1;
                     self.stats.sheds_p_stride += 1;
-                    pcc_probe::add_count("serve/shed_p", 1);
                     continue;
                 }
             }
@@ -459,7 +450,6 @@ impl<'d> Broadcast<'d> {
                     Some(slim) => {
                         slot.sub.stats_mut().frames_degraded += 1;
                         self.stats.sheds_refinement += 1;
-                        pcc_probe::add_count("serve/shed_refinement", 1);
                         &*slim
                     }
                     // The transform did not apply (e.g. an unexpectedly
@@ -481,7 +471,6 @@ impl<'d> Broadcast<'d> {
                             if slot.misses >= policy.max_misses.max(1) {
                                 slot.health = SlotHealth::Evicted { at_frame: frame.frame_index };
                                 self.stats.subscribers_evicted += 1;
-                                pcc_probe::add_count("serve/subscribers_evicted", 1);
                                 continue;
                             }
                         } else {
@@ -512,7 +501,6 @@ impl<'d> Broadcast<'d> {
                 Err(_) => {
                     slot.health = SlotHealth::Failed { at_frame: frame.frame_index };
                     self.stats.subscribers_failed += 1;
-                    pcc_probe::add_count("serve/subscriber_failures", 1);
                 }
             }
         }

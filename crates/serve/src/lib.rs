@@ -20,7 +20,6 @@
 //!   that can't keep up, without touching the shared encoder. Driven
 //!   per subscriber by a `pcc-adapt` controller, alongside P-frame
 //!   striding.
-//! * [`Registry`] — many concurrent sessions keyed by stream id.
 //! * [`ServeStats`] — session counters; `frames_encoded` stays flat
 //!   while the aggregated per-subscriber counters scale with the
 //!   audience.
@@ -61,11 +60,9 @@
 #![cfg_attr(test, allow(clippy::indexing_slicing))]
 
 mod broadcast;
-mod registry;
 mod shed;
 mod stats;
 
 pub use broadcast::{Broadcast, LivenessPolicy, SlotHealth, SubscriberConfig, SubscriberId};
-pub use registry::Registry;
 pub use shed::shed_refinement;
 pub use stats::ServeStats;

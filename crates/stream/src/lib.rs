@@ -38,7 +38,9 @@
 //!   into: one store of shared frame payloads that a broadcast replays
 //!   late joiners from and that answers brick-repair NACKs.
 //! * [`StreamStats`] — delivery accounting: frames sent / delivered /
-//!   dropped, resyncs, wire bytes, corruption events.
+//!   dropped, resyncs, wire bytes, corruption events. It and `pcc-serve`'s
+//!   `ServeStats` are each one [`counters!`] table, which generates
+//!   `merge` and the `name value` text export (`Display`).
 //!
 //! Everything is `std`-only — the loopback TCP example
 //! (`examples/live_stream.rs`) runs in an offline sandbox.
@@ -95,7 +97,7 @@ pub use chunk::{
     decode_chunk, encode_chunk, Chunk, ChunkKind, ChunkParts, ChunkReader, ChunkWriter,
     SharedBytes,
 };
-pub use plan::{plan_session, plan_subscribers, FanoutPlan, SessionPlan, MUX_OVERHEAD_BYTES};
+pub use plan::{plan_session, SessionPlan, MUX_OVERHEAD_BYTES};
 pub use session::{Delivered, Receiver, Sender, StreamConfig, STREAM_VERSION};
 pub use source::{FramePayload, FrameSource, StampMemo, Subscription};
 pub use stats::{SharedStats, StreamStats};

@@ -123,77 +123,6 @@ impl SessionPlan {
     }
 }
 
-/// The operating point for a broadcast fan-out sharing one uplink.
-///
-/// One encode feeds every subscriber, so all subscribers stream the
-/// same coded bytes — the plan is a single [`SessionPlan`] fitted to
-/// the per-subscriber slice of the uplink. Each subscriber's wire
-/// carries its own muxed frame records, so the per-frame
-/// [`MUX_OVERHEAD_BYTES`] is paid once *per subscriber* — the shared
-/// constant is budgeted inside the per-subscriber [`plan_session`]
-/// call, never double-counted against the joint link.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FanoutPlan {
-    /// The operating point each subscriber streams at.
-    pub per_subscriber: SessionPlan,
-    /// How many subscribers split the uplink.
-    pub subscribers: usize,
-    /// The shared uplink budget (kbit/s).
-    pub uplink_kbps: f64,
-}
-
-impl FanoutPlan {
-    /// The uplink slice each subscriber's stream was fitted to (kbit/s).
-    pub fn per_subscriber_kbps(&self) -> f64 {
-        self.uplink_kbps / self.subscribers as f64
-    }
-
-    /// Joint wire bytes per frame across all subscribers.
-    pub fn bytes_per_frame(&self) -> f64 {
-        self.per_subscriber.bytes_per_frame * self.subscribers as f64
-    }
-
-    /// Uplink bytes per frame the shared link affords.
-    pub fn uplink_bytes_per_frame(&self) -> f64 {
-        self.per_subscriber.link_bytes_per_frame * self.subscribers as f64
-    }
-
-    /// Whether the N per-subscriber streams jointly fit the uplink.
-    pub fn fits_uplink(&self) -> bool {
-        self.bytes_per_frame() <= self.uplink_bytes_per_frame()
-    }
-
-    /// Whether the (single, shared) encode keeps up with the frame
-    /// rate — fan-out adds no codec work per subscriber.
-    pub fn fits_latency(&self) -> bool {
-        self.per_subscriber.fits_latency()
-    }
-}
-
-/// Plans a broadcast: splits `uplink_kbps` evenly across `subscribers`
-/// and drives the [`plan_session`] threshold search against one slice.
-///
-/// Because a broadcast encodes once, a tighter uplink or a larger
-/// audience both translate into the *same* knob — a higher reuse
-/// threshold on the shared encode — so the search runs once, not per
-/// subscriber. Check [`FanoutPlan::fits_uplink`]: an audience too large
-/// for the link saturates the threshold exactly like an impossible 1:1
-/// link does.
-pub fn plan_subscribers(
-    probe: &Video,
-    depth: u8,
-    base: InterConfig,
-    fps: f64,
-    uplink_kbps: f64,
-    subscribers: usize,
-    device: &Device,
-) -> FanoutPlan {
-    assert!(subscribers > 0, "a fan-out needs at least one subscriber");
-    let per_subscriber =
-        plan_session(probe, depth, base, fps, uplink_kbps / subscribers as f64, device);
-    FanoutPlan { per_subscriber, subscribers, uplink_kbps }
-}
-
 /// Plans a session: picks the reuse threshold that squeezes `probe`
 /// into `link_kbps` at `fps`, then measures the probe at that point.
 ///
@@ -345,69 +274,6 @@ mod tests {
         assert!(relaxed.config.reuse_threshold < plan.config.reuse_threshold);
         assert!(relaxed.target_ratio < plan.target_ratio);
         assert!(relaxed.fits_bandwidth(), "plan: {relaxed:?}");
-    }
-
-    mod fanout {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            // plan_subscribers runs the full rate search per case, so
-            // keep the case count small; PROPTEST_CASES overrides.
-            #![proptest_config(ProptestConfig { cases: 6 })]
-            fn subscriber_plans_jointly_fit_the_uplink(
-                subscribers in 1usize..=6,
-                ratio_milli in 500u32..=4_000,
-            ) {
-                let device = Device::jetson_agx_xavier(PowerMode::W15);
-                let video = catalog::by_name("Loot").unwrap().generate_scaled(2, 800);
-                let raw_bpf =
-                    (video.mean_points_per_frame() * pcc_types::RAW_BYTES_PER_POINT) as f64;
-                // Per-subscriber demand between 0.5x and 4x compression
-                // of the raw rate, scaled up to a shared uplink.
-                let per_sub_kbps =
-                    raw_bpf * 8.0 * 30.0 / 1000.0 / (ratio_milli as f64 / 1000.0);
-                let uplink = per_sub_kbps * subscribers as f64;
-                let plan = plan_subscribers(
-                    &video, 6, InterConfig::v1(), 30.0, uplink, subscribers, &device,
-                );
-                prop_assert!(
-                    (plan.per_subscriber_kbps() * plan.subscribers as f64 - uplink).abs()
-                        <= 1e-9 * uplink
-                );
-                // The per-subscriber search budgets MUX_OVERHEAD_BYTES
-                // against its own uplink slice (once per subscriber,
-                // never double-counted), so the per-slice verdict and
-                // the joint verdict must agree...
-                prop_assert_eq!(plan.fits_uplink(), plan.per_subscriber.fits_bandwidth());
-                // ...and a fitting plan really fits the *shared* link
-                // in wire bytes, recomputed from scratch.
-                if plan.fits_uplink() {
-                    let uplink_bpf = uplink * 1000.0 / 8.0 / 30.0;
-                    prop_assert!(
-                        plan.bytes_per_frame() <= uplink_bpf * (1.0 + 1e-9),
-                        "joint {} > uplink {}",
-                        plan.bytes_per_frame(),
-                        uplink_bpf
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fanout_plan_accounts_the_encode_once() {
-        let device = Device::jetson_agx_xavier(PowerMode::W15);
-        let video = probe();
-        let solo = plan_session(&video, 7, InterConfig::v1(), 30.0, 1e9, &device);
-        let fanout = plan_subscribers(&video, 7, InterConfig::v1(), 30.0, 3e9, 3, &device);
-        // Three subscribers on triple the link land on the same
-        // operating point as one subscriber on the link — the encode is
-        // shared, so only the per-subscriber slice matters.
-        assert_eq!(fanout.per_subscriber, solo);
-        assert!(fanout.fits_uplink());
-        // Latency is the shared encoder's, independent of audience size.
-        assert_eq!(fanout.fits_latency(), solo.fits_latency());
     }
 
     #[test]

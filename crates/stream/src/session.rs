@@ -570,7 +570,6 @@ impl<'d, R: Read> Receiver<'d, R> {
         let aged_out = gap - reachable;
         if aged_out > 0 {
             self.stats.arq_degraded += aged_out;
-            pcc_probe::add_count("stream/arq_degraded", aged_out as u64);
         }
         for back in (1..=reachable as u32).rev() {
             let seq = chunk.seq.wrapping_sub(back);
@@ -582,14 +581,12 @@ impl<'d, R: Read> Receiver<'d, R> {
                     break;
                 }
                 self.stats.arq_nacks += 1;
-                pcc_probe::add_count("stream/arq_nack", 1);
                 let candidate = arq.source.retransmit(seq).and_then(|b| decode_chunk(&b));
                 if let Some(c) = candidate {
                     if c.seq == seq && c.stream_id == chunk.stream_id {
                         self.pending.push_back(c);
                         recovered = true;
                         self.stats.arq_recovered += 1;
-                        pcc_probe::add_count("stream/arq_recovered", 1);
                         break;
                     }
                 }
@@ -602,7 +599,6 @@ impl<'d, R: Read> Receiver<'d, R> {
             }
             if !recovered {
                 self.stats.arq_degraded += 1;
-                pcc_probe::add_count("stream/arq_degraded", 1);
             }
         }
     }
@@ -830,7 +826,6 @@ impl<'d, R: Read> Receiver<'d, R> {
             repair.repair(frame_index, cell)
         });
         self.stats.brick_nacks += nacks;
-        pcc_probe::add_count("stream/brick_nack", nacks as u64);
         match outcome {
             Some(r) => {
                 self.stats.frames_repaired += 1;

@@ -59,6 +59,3 @@ pub use voxel::{VoxelCoord, VoxelizedCloud};
 /// The paper's Sec. II-A uses the same accounting (15 bytes/point) to argue
 /// a 10⁶-point frame needs ≈120 Mbit.
 pub const RAW_BYTES_PER_POINT: usize = 4 * 3 + 3;
-
-/// The voxel-grid depth used by the evaluated datasets (1024³ voxels).
-pub const DATASET_DEPTH: u8 = 10;

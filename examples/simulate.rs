@@ -36,23 +36,11 @@ fn main() {
 
     println!("\n=== result ===");
     println!("{}", report.summary());
-    println!(
-        "serve: {} encoded, {} active subscribers, {} failed, {} evicted, {} resubscribes",
-        report.serve.frames_encoded,
-        report.serve.subscribers_active(),
-        report.serve.subscribers_failed,
-        report.serve.subscribers_evicted,
-        report.serve.resubscribes,
-    );
+    print!("{}", report.serve);
     for (r, stats) in report.receivers.iter().enumerate() {
-        println!(
-            "rx{r}: delivered {}, dropped {}, repaired {}, partial {}, refresh asks {}",
-            stats.frames_delivered,
-            stats.frames_dropped,
-            stats.frames_repaired,
-            stats.partial_frames,
-            stats.refresh_requests,
-        );
+        let mut export = String::new();
+        stats.write_counters(&format!("rx{r}."), &mut export).expect("writing to a String");
+        print!("{export}");
     }
 
     // Replay identity: the same schedule must reproduce the run exactly.

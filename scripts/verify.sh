@@ -30,6 +30,12 @@ cargo check -q --offline -p pcc --no-default-features
 echo "== bench targets compile =="
 cargo check -q --offline -p pcc-bench --benches
 
+echo "== glass-to-glass benchmark compiles against its lockfile =="
+# perfbench is its own workspace with its own Cargo.lock. An API change
+# that breaks it, or a dependency change that would rewrite its lockfile,
+# fails here rather than in the benchmark run.
+cargo check -q --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "== simd feature matrix =="
 # The AVX2 Morton lane path must keep compiling with the feature on and
 # off (it is runtime-detected, so one binary serves both hosts), and its
@@ -41,10 +47,10 @@ cargo test -q --offline -p pcc-morton --features simd
 
 echo "== perf trajectory: hot-path benchmark gate =="
 # Re-measures the per-kernel ns/point, steady-state allocs/frame, and
-# end-to-end frame latency of BENCH_hotpath.json; any timed metric more
-# than 15% over the committed baseline (PCC_BENCH_TOLERANCE overrides),
-# or a steady-state frame or fan-out send that starts allocating, fails
-# the gate.
+# end-to-end frame latency of BENCH_hotpath.json on the process CPU
+# clock; any timed metric more than 15% over the committed baseline
+# (PCC_BENCH_TOLERANCE overrides), or a steady-state frame or fan-out
+# send that starts allocating, fails the gate.
 # Re-baseline an intentional change with PCC_BENCH_REFRESH=1.
 cargo run -q --release --offline -p pcc-bench --features simd --bin hotpath -- --check
 
