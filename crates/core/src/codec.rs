@@ -4,9 +4,8 @@ use crate::design::Design;
 use pcc_baseline::{BaselineError, CwipcCodec, CwipcFrame, Tmc13Codec, Tmc13Frame};
 use pcc_edge::{Device, Timeline};
 use pcc_inter::{InterCodec, InterConfig, InterEncoded, InterError};
-use pcc_intra::{IntraCodec, IntraError, IntraFrame};
+use pcc_intra::{BrickIndex, IntraCodec, IntraError, IntraFrame};
 use pcc_metrics::CompressedSize;
-use pcc_types::crc::{crc32, Crc32};
 use pcc_types::{Aabb, FrameKind, GofPattern, Limits, PointCloud, Rgb, Video, VoxelizedCloud};
 use std::fmt;
 
@@ -612,12 +611,54 @@ impl<'d> FrameDecoder<'d> {
     /// Returns a [`CodecError`] on malformed frames or when a predicted
     /// frame arrives without a decodable reference.
     pub fn decode_frame(&mut self, frame: &EncodedFrame) -> Result<(PointCloud, Timeline), CodecError> {
+        let decoded = self.decode_next(frame, None, false)?;
+        Ok((decoded.cloud, decoded.timeline))
+    }
+
+    /// [`decode_frame`](Self::decode_frame) that tolerates brick damage.
+    ///
+    /// A brick-partitioned I-frame is decoded in one pass that records
+    /// which bricks failed. If any failed their CRC and `fetch` is given,
+    /// each damaged cell is asked for in cell order: `fetch(cell)`
+    /// returns the brick's original `geometry ++ attribute` bytes (a NACK
+    /// answered from the sender's frame history). The answer is checked
+    /// against the index's length and CRC, so a lying repair source can
+    /// never install a corrupt reference; the first missing or failing
+    /// answer ends the repair. A frame made whole this way is bit-exact
+    /// with an undamaged delivery and anchors reference state like one.
+    ///
+    /// A frame that stays damaged but has surviving bricks is delivered
+    /// [`partial`](Decoded::partial): its survivors, never a reference —
+    /// the held reference is dropped, since this frame replaced it.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode_frame`](Self::decode_frame); a damaged brick frame
+    /// fails only when its index is unusable or no brick survived.
+    pub fn decode_with_repair(
+        &mut self,
+        frame: &EncodedFrame,
+        fetch: Option<&mut dyn FnMut(u64) -> Option<Vec<u8>>>,
+    ) -> Result<Decoded, CodecError> {
+        self.decode_next(frame, fetch, true)
+    }
+
+    fn decode_next(
+        &mut self,
+        frame: &EncodedFrame,
+        fetch: Option<&mut dyn FnMut(u64) -> Option<Vec<u8>>>,
+        salvage: bool,
+    ) -> Result<Decoded, CodecError> {
         let mut sp = pcc_probe::span("frame/decode");
         sp.add_bytes(frame.size().total_bytes() as u64);
         let i = self.index;
         self.index += 1;
         let device = self.device;
+        // A decode that failed part-way leaves its charges on the device;
+        // they must not land in this frame's timeline.
+        device.reset();
         let limits = &self.limits;
+        let mut bricks_repaired = 0;
         let vox = match frame {
             EncodedFrame::Tmc13(f) => Tmc13Codec::default().decode_with_limits(f, device, limits)?,
             EncodedFrame::Cwipc(f) => {
@@ -637,8 +678,35 @@ impl<'d> FrameDecoder<'d> {
                 dec
             }
             EncodedFrame::Intra(f) => {
-                let cfg = self.inter_config.map(|c| c.intra).unwrap_or_default();
-                let dec = IntraCodec::new(cfg).decode_with_limits(f, device, limits)?;
+                let codec = IntraCodec::new(self.intra_config());
+                // An unreadable index leaves nothing to repair or salvage;
+                // the strict route then decides (including the entropy-on
+                // monolithic fallback).
+                let pass = if salvage && BrickIndex::detect(&f.geometry) {
+                    codec.decode_bricks(f, device, limits, |_, _| true).ok()
+                } else {
+                    None
+                };
+                let dec = match pass {
+                    Some(mut pass) => {
+                        if let Some(fetch) = fetch.filter(|_| !pass.is_whole()) {
+                            pass.repair(fetch);
+                        }
+                        let (dropped, total) = (pass.bricks_dropped(), pass.bricks_total());
+                        if !pass.is_whole() && (dropped < total || total == 0) {
+                            self.invalidate_reference();
+                            return Ok(Decoded {
+                                cloud: pass.salvage(device)?.to_cloud(),
+                                timeline: device.take_timeline(),
+                                bricks_repaired: 0,
+                                partial: Some((dropped, total)),
+                            });
+                        }
+                        bricks_repaired = pass.bricks_repaired();
+                        pass.into_cloud(device)?
+                    }
+                    None => codec.decode_with_limits(f, device, limits)?,
+                };
                 self.reference_colors = Some(dec.colors().to_vec());
                 dec
             }
@@ -653,7 +721,12 @@ impl<'d> FrameDecoder<'d> {
                 InterCodec::new(cfg).decode_with_limits(f, r, device, limits)?
             }
         };
-        Ok((vox.to_cloud(), device.take_timeline()))
+        Ok(Decoded {
+            cloud: vox.to_cloud(),
+            timeline: device.take_timeline(),
+            bricks_repaired,
+            partial: None,
+        })
     }
 
     /// Partially decodes an intra frame to the bricks intersecting
@@ -678,154 +751,40 @@ impl<'d> FrameDecoder<'d> {
         let EncodedFrame::Intra(f) = frame else {
             return Err(CodecError::PartialDecodeUnsupported);
         };
-        let cfg = self.inter_config.map(|c| c.intra).unwrap_or_default();
-        let codec = IntraCodec::new(cfg);
-        let vox = if pcc_intra::BrickIndex::detect(&f.geometry) {
-            codec.decode_viewport(f, self.device, &self.limits, viewport)?
+        let (device, limits) = (self.device, &self.limits);
+        device.reset();
+        let codec = IntraCodec::new(self.intra_config());
+        let vox = if BrickIndex::detect(&f.geometry) {
+            codec
+                .decode_bricks(f, device, limits, |_, bounds| bounds.intersects(viewport))?
+                .into_cloud(device)?
         } else {
-            codec.decode_with_limits(f, self.device, &self.limits)?
+            codec.decode_with_limits(f, device, limits)?
         };
-        Ok((vox.to_cloud(), self.device.take_timeline()))
+        Ok((vox.to_cloud(), device.take_timeline()))
     }
 
-    /// Tries to salvage a damaged brick-partitioned intra frame: decodes
-    /// every brick that survives its CRC and returns the partial cloud
-    /// with its loss accounting.
-    ///
-    /// Returns `None` when the frame is not a brick intra frame, its
-    /// index is unusable, or no brick survived. Stateless like
-    /// [`decode_viewport`](Self::decode_viewport): a salvaged frame is
-    /// delivered to the viewer but never becomes reference state.
-    pub fn salvage_intra(&self, frame: &EncodedFrame) -> Option<SalvagedIntra> {
-        let EncodedFrame::Intra(f) = frame else { return None };
-        if !pcc_intra::BrickIndex::detect(&f.geometry) {
-            return None;
-        }
-        let cfg = self.inter_config.map(|c| c.intra).unwrap_or_default();
-        let s = IntraCodec::new(cfg).decode_bricks_lossy(f, self.device, &self.limits).ok()?;
-        let timeline = self.device.take_timeline();
-        if s.bricks_total > 0 && s.bricks_dropped >= s.bricks_total {
-            return None;
-        }
-        Some(SalvagedIntra {
-            cloud: s.cloud.to_cloud(),
-            bricks_dropped: s.bricks_dropped,
-            bricks_total: s.bricks_total,
-            timeline,
-        })
-    }
-
-    /// Repairs a damaged brick-partitioned intra frame from retransmitted
-    /// brick payloads and decodes the mended frame as the session's next
-    /// reference.
-    ///
-    /// Call this immediately after a failed
-    /// [`decode_frame`](Self::decode_frame) for the same frame: the
-    /// failed attempt already consumed the frame's slot, and this method
-    /// rewinds the cursor so the repaired decode lands on the same index.
-    /// For every brick whose payload fails its per-entry CRC,
-    /// `fetch(cell)` is asked for the original `geometry ++ attribute` bytes (a NACK answered
-    /// from the sender's frame history); the returned bytes are re-verified
-    /// against the index's length and CRC before being spliced in, so a
-    /// lying repair source can never install a corrupt reference.
-    ///
-    /// Returns `None` — leaving the decoder exactly as the failed decode
-    /// left it — when the frame is not brick-partitioned, its index is
-    /// unusable, any damaged brick cannot be fetched or fails
-    /// re-verification, no brick was actually damaged (the failure is not
-    /// brick-granular), or the mended frame still fails to decode. On
-    /// success the decode is bit-exact with an undamaged delivery and the
-    /// frame legitimately anchors reference state.
-    pub fn repair_intra(
-        &mut self,
-        frame: &EncodedFrame,
-        fetch: &mut dyn FnMut(u64) -> Option<Vec<u8>>,
-    ) -> Option<RepairedIntra> {
-        let EncodedFrame::Intra(f) = frame else { return None };
-        if !pcc_intra::BrickIndex::detect(&f.geometry) {
-            return None;
-        }
-        let index = pcc_intra::BrickIndex::parse(&f.geometry, &self.limits).ok()?;
-        let mut geometry = f.geometry.clone();
-        let mut attribute = f.attribute.clone();
-        let mut repaired = 0usize;
-        for entry in index.entries() {
-            let intact = f
-                .geometry
-                .get(entry.geom.clone())
-                .zip(f.attribute.get(entry.attr.clone()))
-                .is_some_and(|(g, a)| {
-                    let mut crc = Crc32::new();
-                    crc.update(g);
-                    crc.update(a);
-                    crc.finish() == entry.crc
-                });
-            if intact {
-                continue;
-            }
-            let bytes = fetch(entry.cell)?;
-            let glen = entry.geom.len();
-            if bytes.len() != glen + entry.attr.len() || crc32(&bytes) != entry.crc {
-                return None;
-            }
-            let (g, a) = bytes.split_at(glen);
-            geometry.get_mut(entry.geom.clone())?.copy_from_slice(g);
-            attribute.get_mut(entry.attr.clone())?.copy_from_slice(a);
-            repaired += 1;
-        }
-        if repaired == 0 {
-            // Every brick payload checks out locally, so the decode
-            // failure is in the frame structure itself — nothing a brick
-            // retransmit can mend.
-            return None;
-        }
-        let bricks_total = index.len();
-        let mended = EncodedFrame::Intra(IntraFrame {
-            geometry,
-            attribute,
-            unique_voxels: f.unique_voxels,
-            raw_points: f.raw_points,
-        });
-        self.index = self.index.saturating_sub(1);
-        match self.decode_frame(&mended) {
-            Ok((cloud, timeline)) => {
-                Some(RepairedIntra { cloud, timeline, bricks_repaired: repaired, bricks_total })
-            }
-            // decode_frame re-advanced the cursor, so the decoder is back
-            // in the state the failed original decode left it in.
-            Err(_) => None,
-        }
+    fn intra_config(&self) -> pcc_intra::IntraConfig {
+        self.inter_config.map(|c| c.intra).unwrap_or_default()
     }
 }
 
-/// The result of [`FrameDecoder::salvage_intra`]: the partial picture a
-/// damaged brick frame still yields, plus its loss ledger.
+/// A frame from [`FrameDecoder::decode_with_repair`]: its points, its
+/// modeled decode timeline, and what brick damage cost it.
 #[derive(Debug, Clone)]
-pub struct SalvagedIntra {
-    /// The surviving bricks' points, in cell order (bit-identical to the
-    /// corresponding subset of a clean decode).
+pub struct Decoded {
+    /// The decoded points — the whole frame, or with
+    /// [`partial`](Self::partial) set only the surviving bricks', in cell
+    /// order (bit-identical to the same subset of a clean decode).
     pub cloud: PointCloud,
-    /// Bricks discarded because their payload failed its CRC or parse.
-    pub bricks_dropped: usize,
-    /// Bricks the frame's index declared.
-    pub bricks_total: usize,
-    /// Modeled decode timeline of the salvage pass.
+    /// Modeled decode timeline of the frame.
     pub timeline: Timeline,
-}
-
-/// The result of [`FrameDecoder::repair_intra`]: a damaged brick frame
-/// made whole again from retransmitted brick payloads.
-#[derive(Debug, Clone)]
-pub struct RepairedIntra {
-    /// The fully repaired frame's points — bit-exact with an undamaged
-    /// delivery of the same frame.
-    pub cloud: PointCloud,
-    /// Modeled decode timeline of the repaired decode.
-    pub timeline: Timeline,
-    /// Bricks whose payloads were replaced from retransmission.
+    /// Damaged bricks decoded from fetched bytes; nonzero only when the
+    /// repair made the frame whole.
     pub bricks_repaired: usize,
-    /// Bricks the frame's index declares.
-    pub bricks_total: usize,
+    /// `Some((dropped, total))` for a damaged brick I-frame delivered
+    /// without its `dropped` of `total` bricks.
+    pub partial: Option<(usize, usize)>,
 }
 
 #[cfg(test)]
@@ -1190,14 +1149,58 @@ mod tests {
         let damaged = EncodedFrame::Intra(damaged);
         assert!(matches!(dec.decode_frame(&damaged), Err(CodecError::Intra(_))));
 
-        let s = dec.salvage_intra(&damaged).expect("salvageable");
-        assert_eq!(s.bricks_dropped, 1);
-        assert!(s.bricks_total > 1);
+        let s = dec.decode_with_repair(&damaged, None).expect("salvageable");
+        let (dropped, total) = s.partial.expect("a damaged brick frame is partial");
+        assert_eq!(dropped, 1);
+        assert!(total > 1);
         assert!(!s.cloud.is_empty() && s.cloud.len() < full.len());
+        assert!(!dec.has_reference(), "a partial frame never anchors");
+        // Repair from the clean frame makes it whole and a reference.
+        let EncodedFrame::Intra(clean) = &enc.frames[0] else { unreachable!() };
+        let index = BrickIndex::parse(&clean.geometry, &Limits::default()).unwrap();
+        let mut fetch = |cell: u64| {
+            let e = index.entries().iter().find(|e| e.cell == cell)?;
+            let mut bytes = clean.geometry[e.geom.clone()].to_vec();
+            bytes.extend_from_slice(&clean.attribute[e.attr.clone()]);
+            Some(bytes)
+        };
+        let r = dec.decode_with_repair(&damaged, Some(&mut fetch)).unwrap();
+        assert_eq!((r.partial, r.bricks_repaired), (None, 1));
+        assert_eq!(r.cloud, full);
+        assert!(dec.has_reference());
         // Monolithic damage has no per-brick accounting to salvage.
         let mono = PccCodec::new(Design::IntraOnly);
         let mono_enc = mono.encode_video(&video, 7, &d);
-        assert!(mono.frame_decoder(&d).salvage_intra(&mono_enc.frames[0]).is_none());
+        let EncodedFrame::Intra(f) = &mono_enc.frames[0] else { panic!("frame 0 is intra") };
+        let mut broken = f.clone();
+        broken.attribute.truncate(broken.attribute.len() / 2);
+        let broken = EncodedFrame::Intra(broken);
+        assert!(mono.frame_decoder(&d).decode_with_repair(&broken, None).is_err());
+    }
+
+    #[test]
+    fn a_failed_decode_leaves_no_charges_for_the_next_frame() {
+        let video = tiny_video();
+        let d = device();
+        let codec = PccCodec::new(Design::IntraOnly);
+        let enc = codec.encode_video(&video, 7, &d);
+        // Geometry decodes, then the attributes fail: the geometry
+        // charge is already on the device.
+        let EncodedFrame::Intra(f) = &enc.frames[0] else { panic!("frame 0 is intra") };
+        let mut bad = f.clone();
+        bad.attribute.truncate(bad.attribute.len() / 2);
+        let bad = EncodedFrame::Intra(bad);
+        let (_, fresh) = codec.frame_decoder(&d).decode_frame(&enc.frames[1]).unwrap();
+
+        let mut dec = codec.frame_decoder(&d);
+        assert!(dec.decode_frame(&bad).is_err());
+        let (_, after) = dec.decode_frame(&enc.frames[1]).unwrap();
+        assert_eq!(after, fresh);
+        assert!(dec.decode_with_repair(&bad, None).is_err());
+        assert_eq!(dec.decode_with_repair(&enc.frames[1], None).unwrap().timeline, fresh);
+        assert!(dec.decode_frame(&bad).is_err());
+        let (_, viewport) = dec.decode_viewport(&enc.frames[1], &video.bounding_box().unwrap()).unwrap();
+        assert_eq!(viewport, fresh);
     }
 
     #[test]

@@ -48,8 +48,7 @@ pub mod rate;
 mod report;
 
 pub use codec::{
-    CodecError, EncodedFrame, EncodedVideo, FrameDecoder, FrameEncoder, PccCodec, RepairedIntra,
-    SalvagedIntra,
+    CodecError, Decoded, EncodedFrame, EncodedVideo, FrameDecoder, FrameEncoder, PccCodec,
 };
 // The brick index types travel up to the stream layer: the sender's
 // frame history keeps per-brick payload ranges so a receiver can NACK and

@@ -24,9 +24,7 @@ pub struct RateChoice {
 }
 
 /// Upper bound of the threshold search range (beyond this everything is
-/// reused and the ratio saturates). Public so mid-session replanning
-/// (`pcc-stream`'s `SessionPlan::replan`) clamps to the same range the
-/// search itself uses.
+/// reused and the ratio saturates).
 pub const MAX_THRESHOLD: u32 = 1 << 20;
 
 /// Picks the smallest reuse threshold whose compression ratio on `video`

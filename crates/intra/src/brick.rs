@@ -24,11 +24,15 @@
 //! order — is exactly the corresponding subset of a full decode.
 //!
 //! `brick_crc` covers that brick's geometry ++ attribute payload;
-//! `index_crc` covers the header and index. Together they make three
-//! decode modes safe: *strict* (any damage fails the frame), *partial*
-//! (decode only bricks whose bounding cell intersects a viewport), and
-//! *lossy* (skip bricks that fail their CRC or parse, keep the rest —
-//! one damaged brick costs one subtree, not the frame).
+//! `index_crc` covers the header and index. Every decode is one
+//! [`BrickDecode`] pass: the index is parsed once, each selected brick
+//! is CRC-gated and decoded once, and each failure is recorded as
+//! repairable (it failed its CRC) or not (it failed its parse). The
+//! decode modes finish that pass: *strict* requires no failure and the
+//! declared attribute extent; *viewport* selects only bricks whose
+//! bounding cell intersects a viewport; *repair* decodes re-fetched
+//! payloads of the CRC-damaged bricks into their slots; *salvage* keeps
+//! the survivors — one damaged brick costs one subtree, not the frame.
 //!
 //! With entropy coding enabled, each per-brick payload is range-coded
 //! individually; the header and index always stay plain so the index is
@@ -43,7 +47,7 @@
 use crate::arena::FrameArena;
 use crate::attribute;
 use crate::config::IntraConfig;
-use crate::frame::IntraFrame;
+use crate::frame::{IntraError, IntraFrame};
 use crate::geometry;
 use pcc_edge::{calib, Device};
 use pcc_entropy::varint;
@@ -363,19 +367,6 @@ impl BrickIndex {
     }
 }
 
-/// The result of a lossy (salvage) decode: whatever bricks survived
-/// their checksums and parsed cleanly, plus the damage accounting.
-#[derive(Debug, Clone)]
-pub struct BrickSalvage {
-    /// The partial frame, concatenated from surviving bricks in cell
-    /// order (exactly the corresponding subset of a clean full decode).
-    pub cloud: VoxelizedCloud,
-    /// Bricks skipped because their payload failed its CRC or parse.
-    pub bricks_dropped: usize,
-    /// Bricks the frame's index declared.
-    pub bricks_total: usize,
-}
-
 fn read_index_varint(input: &mut &[u8]) -> Result<u64, BrickError> {
     varint::read_u64(input).map_err(|_| BrickError::BadIndex("truncated varint"))
 }
@@ -525,75 +516,200 @@ pub(crate) fn encode_in(
 // Decode
 // ---------------------------------------------------------------------------
 
-/// Strict full decode of a brick frame: every brick, parallel across
-/// `threads`, byte-identical output at any thread count.
-pub(crate) fn decode_full(
-    frame: &IntraFrame,
-    config: &IntraConfig,
-    device: &Device,
-    limits: &Limits,
-    threads: NonZeroUsize,
-) -> Result<VoxelizedCloud, BrickError> {
-    let index = BrickIndex::parse(&frame.geometry, limits)?;
-    check_attr_extent(&index, frame)?;
-    let selected: Vec<usize> = (0..index.len()).collect();
-    let (coords, colors, _) = decode_selected(frame, config, &index, &selected, limits, threads, false)?;
-    finish(&index, coords, colors, device)
+/// A selected brick the decode pass could not use.
+#[derive(Debug)]
+struct Failure {
+    /// Position of the brick in the index.
+    brick: usize,
+    /// Where the brick's points belong among the survivors.
+    at: usize,
+    /// Why it failed; only a [`BrickError::BrickCrc`] is worth a NACK.
+    error: BrickError,
 }
 
-/// Partial decode: only bricks `filter` accepts (given the entry and its
-/// world-space bounds). Strict per selected brick — a damaged selected
-/// brick fails the call.
-pub(crate) fn decode_filtered(
-    frame: &IntraFrame,
-    config: &IntraConfig,
-    device: &Device,
-    limits: &Limits,
-    threads: NonZeroUsize,
-    filter: &mut dyn FnMut(&BrickEntry, &Aabb) -> bool,
-) -> Result<VoxelizedCloud, BrickError> {
-    let index = BrickIndex::parse(&frame.geometry, limits)?;
-    check_attr_extent(&index, frame)?;
-    let mut selected = Vec::new();
-    for (i, entry) in index.entries().iter().enumerate() {
-        if filter(entry, &index.bounds(entry)) {
-            selected.push(i);
+/// One pass over a brick frame: the index parsed once, every selected
+/// brick CRC-gated and decoded once, the survivors concatenated in cell
+/// order, and every failure recorded with the slot its points would
+/// take.
+///
+/// Each decode mode finishes this pass. *Strict* is
+/// [`into_cloud`](Self::into_cloud): no failure, and the attribute
+/// stream is exactly the declared concatenation. *Repair* is
+/// [`repair`](Self::repair): the CRC-damaged bricks are fetched again
+/// and decoded into their slots. *Salvage* is [`salvage`](Self::salvage):
+/// the survivors, whatever failed. A *viewport* decode is a pass that
+/// selects fewer bricks.
+#[derive(Debug)]
+pub struct BrickDecode {
+    index: BrickIndex,
+    config: IntraConfig,
+    limits: Limits,
+    coords: Vec<VoxelCoord>,
+    colors: Vec<Rgb>,
+    failures: Vec<Failure>,
+    /// Whether the attribute stream is exactly the declared
+    /// concatenation — no trailing bytes hiding damage.
+    extent_ok: bool,
+    repaired: usize,
+}
+
+impl BrickDecode {
+    /// Runs the pass over the bricks `select` accepts (given the entry
+    /// and its world-space bounds), fanning out across `threads` by
+    /// index ranges; the output is identical at any thread count.
+    pub(crate) fn run(
+        frame: &IntraFrame,
+        config: &IntraConfig,
+        limits: &Limits,
+        threads: NonZeroUsize,
+        select: &mut dyn FnMut(&BrickEntry, &Aabb) -> bool,
+    ) -> Result<Self, BrickError> {
+        let index = BrickIndex::parse(&frame.geometry, limits)?;
+        let extent_ok = index.entries.last().map_or(0, |e| e.attr.end) == frame.attribute.len();
+        let selected: Vec<usize> = index
+            .entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| select(e, &index.bounds(e)))
+            .map(|(i, _)| i)
+            .collect();
+        let (coords, colors, failures) =
+            decode_selected(frame, config, &index, &selected, limits, threads);
+        Ok(BrickDecode {
+            index,
+            config: *config,
+            limits: *limits,
+            coords,
+            colors,
+            failures,
+            extent_ok,
+            repaired: 0,
+        })
+    }
+
+    /// Whether every selected brick decoded (or was repaired) and the
+    /// attribute stream has its declared extent.
+    pub fn is_whole(&self) -> bool {
+        self.failures.is_empty() && self.extent_ok
+    }
+
+    /// Bricks the frame's index declares.
+    pub fn bricks_total(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Selected bricks missing from the output: failed their CRC or
+    /// parse, and not repaired.
+    pub fn bricks_dropped(&self) -> usize {
+        self.failures.len()
+    }
+
+    /// Bricks [`repair`](Self::repair) decoded from fetched bytes.
+    pub fn bricks_repaired(&self) -> usize {
+        self.repaired
+    }
+
+    /// Mends the pass from retransmitted payloads. Every brick that
+    /// failed its CRC is asked for in cell order: `fetch(cell)` returns
+    /// the brick's original `geometry ++ attribute` bytes. The first
+    /// answer that is missing or fails the index's length or CRC ends
+    /// the repair. When every failure was a CRC failure, every answer
+    /// checks out and decodes, and the attribute extent holds, the
+    /// fetched bricks take their slots and the pass is whole. Otherwise
+    /// the pass keeps exactly its on-arrival survivors and failures.
+    pub fn repair(&mut self, fetch: &mut dyn FnMut(u64) -> Option<Vec<u8>>) {
+        let mut coords = Vec::with_capacity(self.coords.len());
+        let mut colors = Vec::with_capacity(self.colors.len());
+        let mut whole = self.extent_ok;
+        let mut from = 0;
+        for failure in &self.failures {
+            if !matches!(failure.error, BrickError::BrickCrc { .. }) {
+                whole = false;
+                continue;
+            }
+            let Some(entry) = self.index.entries.get(failure.brick) else { return };
+            let Some(bytes) = fetch(entry.cell)
+                .filter(|b| b.len() == entry.payload_bytes() && crc32(b) == entry.crc)
+            else {
+                return;
+            };
+            if !whole {
+                // Still NACKed, but a pass that cannot be whole decodes
+                // nothing more.
+                continue;
+            }
+            let Some(payload) = bytes.split_at_checked(entry.geom.len()) else { return };
+            coords.extend_from_slice(self.coords.get(from..failure.at).unwrap_or_default());
+            colors.extend_from_slice(self.colors.get(from..failure.at).unwrap_or_default());
+            let decoded = decode_one(
+                &self.config,
+                &self.index,
+                failure.brick,
+                entry,
+                payload,
+                &self.limits,
+                &mut coords,
+                &mut colors,
+            );
+            whole = decoded.is_ok();
+            from = failure.at;
         }
+        if !whole {
+            return;
+        }
+        coords.extend_from_slice(self.coords.get(from..).unwrap_or_default());
+        colors.extend_from_slice(self.colors.get(from..).unwrap_or_default());
+        self.coords = coords;
+        self.colors = colors;
+        self.repaired = self.failures.len();
+        self.failures.clear();
     }
-    let (coords, colors, _) = decode_selected(frame, config, &index, &selected, limits, threads, false)?;
-    finish(&index, coords, colors, device)
-}
 
-/// Lossy decode: keep every brick that passes its CRC and parses,
-/// skip the rest. Fails only when the index itself is unusable.
-pub(crate) fn decode_lossy(
-    frame: &IntraFrame,
-    config: &IntraConfig,
-    device: &Device,
-    limits: &Limits,
-    threads: NonZeroUsize,
-) -> Result<BrickSalvage, BrickError> {
-    let index = BrickIndex::parse(&frame.geometry, limits)?;
-    let selected: Vec<usize> = (0..index.len()).collect();
-    let (coords, colors, dropped) =
-        decode_selected(frame, config, &index, &selected, limits, threads, true)?;
-    let cloud = finish(&index, coords, colors, device)?;
-    Ok(BrickSalvage { cloud, bricks_dropped: dropped, bricks_total: index.len() })
-}
-
-/// A strict decode requires the attribute stream to be exactly the
-/// concatenation the index declares — no trailing bytes hiding damage.
-fn check_attr_extent(index: &BrickIndex, frame: &IntraFrame) -> Result<(), BrickError> {
-    let declared = index.entries.last().map_or(0, |e| e.attr.end);
-    if declared != frame.attribute.len() {
-        return Err(BrickError::BadIndex("attribute payload length mismatch"));
+    /// The strict finish: the decoded cloud when the pass is whole,
+    /// otherwise the attribute extent error or the first failure in
+    /// cell order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IntraError::Brick`] with the [`BrickError`] that keeps
+    /// the pass from being whole.
+    pub fn into_cloud(mut self, device: &Device) -> Result<VoxelizedCloud, IntraError> {
+        if !self.extent_ok {
+            return Err(BrickError::BadIndex("attribute payload length mismatch").into());
+        }
+        if !self.failures.is_empty() {
+            return Err(self.failures.swap_remove(0).error.into());
+        }
+        self.salvage(device)
     }
-    Ok(())
+
+    /// The salvage finish: the surviving bricks concatenated in cell
+    /// order — exactly the corresponding subset of a clean decode. Charges
+    /// the decode stages once for the merged frame.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IntraError::Geometry`] if the survivors cannot form a
+    /// cloud on the frame's grid (same mapping as the monolithic path).
+    pub fn salvage(self, device: &Device) -> Result<VoxelizedCloud, IntraError> {
+        device.charge_gpu("geometry_decode", &calib::GEOM_DECODE, self.coords.len().max(1));
+        device.charge_gpu("attribute_decode", &calib::ATTR_DECODE, self.colors.len().max(1));
+        let index = &self.index;
+        let origin = Point3::new(index.origin[0], index.origin[1], index.origin[2]);
+        VoxelizedCloud::from_grid_with_frame(
+            self.coords,
+            self.colors,
+            index.depth,
+            origin,
+            index.voxel_size,
+        )
+        .map_err(|_| IntraError::Geometry(pcc_octree::StreamError::Truncated))
+    }
 }
 
 /// Decodes the selected bricks, fanning out across threads by index
-/// ranges (deterministic merge in cell order). In lossy mode a failing
-/// brick is counted and skipped; otherwise its error aborts the decode.
+/// ranges (deterministic merge in cell order). A failing brick is
+/// recorded with the survivor offset its points would take and skipped.
 fn decode_selected(
     frame: &IntraFrame,
     config: &IntraConfig,
@@ -601,31 +717,30 @@ fn decode_selected(
     selected: &[usize],
     limits: &Limits,
     threads: NonZeroUsize,
-    lossy: bool,
-) -> Result<(Vec<VoxelCoord>, Vec<Rgb>, usize), BrickError> {
-    let total: usize = selected
-        .iter()
-        .filter_map(|&i| index.entries.get(i))
-        .map(|e| e.leaf_count)
-        .sum();
-    let decode_range = |range: Range<usize>| -> Result<(Vec<VoxelCoord>, Vec<Rgb>, usize), BrickError> {
-        let mut coords = Vec::new();
-        let mut colors = Vec::new();
-        let mut dropped = 0usize;
-        for &bi in selected.get(range).unwrap_or_default() {
+) -> (Vec<VoxelCoord>, Vec<Rgb>, Vec<Failure>) {
+    let leaves = |picks: &[usize]| -> usize {
+        picks.iter().filter_map(|&i| index.entries.get(i)).map(|e| e.leaf_count).sum()
+    };
+    let decode_range = |range: Range<usize>| {
+        let picks = selected.get(range).unwrap_or_default();
+        let mut coords = Vec::with_capacity(leaves(picks));
+        let mut colors = Vec::with_capacity(coords.capacity());
+        let mut failures = Vec::new();
+        for &bi in picks {
             let Some(entry) = index.entries.get(bi) else { continue };
-            match decode_one(frame, config, index, bi, entry, limits) {
-                Ok((c, k)) => {
-                    coords.extend_from_slice(&c);
-                    colors.extend_from_slice(&k);
-                }
-                Err(_) if lossy => dropped += 1,
-                Err(e) => return Err(e),
+            let decoded = verified_payload(frame, entry)
+                .ok_or(BrickError::BrickCrc { brick: bi })
+                .and_then(|payload| {
+                    decode_one(config, index, bi, entry, payload, limits, &mut coords, &mut colors)
+                });
+            if let Err(error) = decoded {
+                failures.push(Failure { brick: bi, at: coords.len(), error });
             }
         }
-        Ok((coords, colors, dropped))
+        (coords, colors, failures)
     };
 
+    let total = leaves(selected);
     let fan = pcc_parallel::effective_threads(threads, total).min(selected.len().max(1));
     if fan <= 1 {
         return decode_range(0..selected.len());
@@ -634,43 +749,44 @@ fn decode_selected(
     let parts = pcc_parallel::scope_map(&ranges, |_, range| decode_range(range));
     let mut coords = Vec::with_capacity(total);
     let mut colors = Vec::with_capacity(total);
-    let mut dropped = 0usize;
-    for part in parts {
-        let (c, k, d) = part?;
+    let mut failures = Vec::new();
+    for (c, k, f) in parts {
+        let base = coords.len();
+        failures.extend(f.into_iter().map(|f| Failure { at: base + f.at, ..f }));
         coords.extend_from_slice(&c);
         colors.extend_from_slice(&k);
-        dropped += d;
     }
-    Ok((coords, colors, dropped))
+    (coords, colors, failures)
 }
 
-/// Decodes one brick: CRC gate, occupancy expansion at the sub-tree
-/// depth, cell-relative → absolute coordinates, then the attribute
-/// layers. Runs single-threaded — brick-level fan-out already saturates
-/// the host.
+/// A brick's `(geometry, attribute)` payload when all of it is in the
+/// frame and it passes its CRC. Bytes past the end of a stream cannot
+/// pass it.
+fn verified_payload<'f>(frame: &'f IntraFrame, entry: &BrickEntry) -> Option<(&'f [u8], &'f [u8])> {
+    let geom = frame.geometry.get(entry.geom.clone())?;
+    let attr = frame.attribute.get(entry.attr.clone())?;
+    let mut crc = Crc32::new();
+    crc.update(geom);
+    crc.update(attr);
+    (crc.finish() == entry.crc).then_some((geom, attr))
+}
+
+/// Decodes one CRC-verified brick payload and appends its points:
+/// occupancy expansion at the sub-tree depth, cell-relative → absolute
+/// coordinates, then the attribute layers. Appends nothing on error.
+/// Runs single-threaded — brick-level fan-out already saturates the
+/// host.
+#[allow(clippy::too_many_arguments)]
 fn decode_one(
-    frame: &IntraFrame,
     config: &IntraConfig,
     index: &BrickIndex,
     bi: usize,
     entry: &BrickEntry,
+    (geom, attr): (&[u8], &[u8]),
     limits: &Limits,
-) -> Result<(Vec<VoxelCoord>, Vec<Rgb>), BrickError> {
-    let geom = frame
-        .geometry
-        .get(entry.geom.clone())
-        .ok_or(BrickError::BadIndex("geometry range outside stream"))?;
-    let attr = frame
-        .attribute
-        .get(entry.attr.clone())
-        .ok_or(BrickError::BadIndex("attribute range outside stream"))?;
-    let mut crc = Crc32::new();
-    crc.update(geom);
-    crc.update(attr);
-    if crc.finish() != entry.crc {
-        return Err(BrickError::BrickCrc { brick: bi });
-    }
-
+    coords: &mut Vec<VoxelCoord>,
+    colors: &mut Vec<Rgb>,
+) -> Result<(), BrickError> {
     let owned;
     let mut gin = geom;
     if config.entropy {
@@ -686,43 +802,25 @@ fn decode_one(
         });
     }
     let sub = u32::from(index.sub_depth());
-    let cell = MortonCode::from_raw(entry.cell).to_coord();
-    let (bx, by, bz) = (cell.x << sub, cell.y << sub, cell.z << sub);
-    let mut coords = Vec::with_capacity(rel.len());
-    for rc in rel {
-        // A forged (CRC-valid) payload could claim a deeper subtree than
-        // the cut allows; keep every leaf inside its bounding cell.
-        if (rc.x | rc.y | rc.z) >> sub != 0 {
-            return Err(BrickError::BadIndex("leaf outside its bounding cell"));
-        }
-        coords.push(VoxelCoord::new(bx | rc.x, by | rc.y, bz | rc.z));
+    // A forged (CRC-valid) payload could claim a deeper subtree than the
+    // cut allows; keep every leaf inside its bounding cell.
+    if rel.iter().any(|rc| (rc.x | rc.y | rc.z) >> sub != 0) {
+        return Err(BrickError::BadIndex("leaf outside its bounding cell"));
     }
-
-    let colors = attribute::decode_payload(attr, config, NonZeroUsize::MIN, limits)
+    let brick_colors = attribute::decode_payload(attr, config, NonZeroUsize::MIN, limits)
         .map_err(BrickError::Attribute)?;
-    if colors.len() != coords.len() {
+    if brick_colors.len() != rel.len() {
         return Err(BrickError::CountMismatch {
             brick: bi,
-            geometry: coords.len(),
-            attribute: colors.len(),
+            geometry: rel.len(),
+            attribute: brick_colors.len(),
         });
     }
-    Ok((coords, colors))
-}
-
-/// Charges the decode stages once for the merged frame and restores the
-/// world frame (same failure mapping as the monolithic path).
-fn finish(
-    index: &BrickIndex,
-    coords: Vec<VoxelCoord>,
-    colors: Vec<Rgb>,
-    device: &Device,
-) -> Result<VoxelizedCloud, BrickError> {
-    device.charge_gpu("geometry_decode", &calib::GEOM_DECODE, coords.len().max(1));
-    device.charge_gpu("attribute_decode", &calib::ATTR_DECODE, colors.len().max(1));
-    let origin = Point3::new(index.origin[0], index.origin[1], index.origin[2]);
-    VoxelizedCloud::from_grid_with_frame(coords, colors, index.depth, origin, index.voxel_size)
-        .map_err(|_| BrickError::Geometry(pcc_octree::StreamError::Truncated))
+    let cell = MortonCode::from_raw(entry.cell).to_coord();
+    let (bx, by, bz) = (cell.x << sub, cell.y << sub, cell.z << sub);
+    coords.extend(rel.iter().map(|rc| VoxelCoord::new(bx | rc.x, by | rc.y, bz | rc.z)));
+    colors.extend_from_slice(&brick_colors);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -809,7 +907,7 @@ mod tests {
         let codec = brick_codec(2);
         let frame = codec.encode(&vox, &d);
         let full = codec.decode(&frame, &d).unwrap();
-        let index = codec.brick_index(&frame, &Limits::default()).unwrap();
+        let index = BrickIndex::parse(&frame.geometry, &Limits::default()).unwrap();
 
         let mut coords = Vec::new();
         let mut colors = Vec::new();
@@ -818,6 +916,8 @@ mod tests {
                 .decode_bricks(&frame, &d, &Limits::default(), |e, _| {
                     index.entries().get(i).is_some_and(|want| want.cell == e.cell)
                 })
+                .unwrap()
+                .into_cloud(&d)
                 .unwrap();
             coords.extend_from_slice(one.coords());
             colors.extend_from_slice(one.colors());
@@ -833,13 +933,15 @@ mod tests {
         let codec = brick_codec(2);
         let frame = codec.encode(&vox, &d);
         let full = codec.decode(&frame, &d).unwrap();
-        let index = codec.brick_index(&frame, &Limits::default()).unwrap();
+        let index = BrickIndex::parse(&frame.geometry, &Limits::default()).unwrap();
         let viewport = Aabb::new(Point3::ORIGIN, Point3::new(20.0, 20.0, 4.0));
 
         let partial = codec
             .decode_bricks(&frame, &d, &Limits::default(), |_, bounds| {
                 bounds.intersects(&viewport)
             })
+            .unwrap()
+            .into_cloud(&d)
             .unwrap();
         assert!(!partial.is_empty() && partial.len() < full.len());
 
@@ -863,13 +965,33 @@ mod tests {
         assert_eq!(partial.colors(), want_colors.as_slice());
     }
 
+    /// The full decode's points minus those of the bricks in `cells`.
+    fn without_cells(full: &VoxelizedCloud, sub: u8, cells: &[u64]) -> Vec<(VoxelCoord, Rgb)> {
+        let shift = 3 * u32::from(sub);
+        points(full)
+            .into_iter()
+            .filter(|(c, _)| !cells.contains(&(pcc_morton::encode(*c).value() >> shift)))
+            .collect()
+    }
+
+    fn points(cloud: &VoxelizedCloud) -> Vec<(VoxelCoord, Rgb)> {
+        cloud.coords().iter().copied().zip(cloud.colors().iter().copied()).collect()
+    }
+
+    /// The original `geometry ++ attribute` bytes of `entry`.
+    fn payload(frame: &IntraFrame, entry: &BrickEntry) -> Vec<u8> {
+        let mut bytes = frame.geometry[entry.geom.clone()].to_vec();
+        bytes.extend_from_slice(&frame.attribute[entry.attr.clone()]);
+        bytes
+    }
+
     #[test]
-    fn lossy_decode_drops_only_the_damaged_brick() {
+    fn salvage_drops_only_the_damaged_brick() {
         let vox = cloud(3_000);
         let d = device();
         let codec = brick_codec(2);
         let frame = codec.encode(&vox, &d);
-        let index = codec.brick_index(&frame, &Limits::default()).unwrap();
+        let index = BrickIndex::parse(&frame.geometry, &Limits::default()).unwrap();
         assert!(index.len() >= 3);
         let victim = index.entries()[1].clone();
 
@@ -877,33 +999,84 @@ mod tests {
         damaged.geometry[victim.geom.start] ^= 0xFF;
         assert!(codec.decode(&damaged, &d).is_err(), "strict decode must reject damage");
 
-        let salvage = codec.decode_bricks_lossy(&damaged, &d, &Limits::default()).unwrap();
-        assert_eq!(salvage.bricks_dropped, 1);
-        assert_eq!(salvage.bricks_total, index.len());
-        let full = codec.decode(&frame, &d).unwrap();
-        assert_eq!(salvage.cloud.len(), full.len() - victim.leaf_count);
+        let pass = codec.decode_bricks(&damaged, &d, &Limits::default(), |_, _| true).unwrap();
+        assert!(!pass.is_whole());
+        assert_eq!(pass.bricks_dropped(), 1);
+        assert_eq!(pass.bricks_total(), index.len());
+        let salvage = pass.salvage(&d).unwrap();
         // Surviving bricks are bit-identical to the clean decode.
-        let sub = u32::from(index.sub_depth());
-        let mut want: Vec<(VoxelCoord, Rgb)> = full
-            .coords()
-            .iter()
-            .zip(full.colors())
-            .filter(|(c, _)| pcc_morton::encode(**c).value() >> (3 * sub) != victim.cell)
-            .map(|(c, k)| (*c, *k))
-            .collect();
-        let got: Vec<(VoxelCoord, Rgb)> = salvage
-            .cloud
-            .coords()
-            .iter()
-            .zip(salvage.cloud.colors())
-            .map(|(c, k)| (*c, *k))
-            .collect();
-        want.sort_by_key(|(c, _)| pcc_morton::encode(*c).value());
-        assert_eq!(got, want);
+        let full = codec.decode(&frame, &d).unwrap();
+        assert_eq!(points(&salvage), without_cells(&full, index.sub_depth(), &[victim.cell]));
     }
 
     #[test]
-    fn index_corruption_is_total_loss_even_for_lossy_decode() {
+    fn repair_nacks_only_crc_damage_and_fills_the_slots_in_cell_order() {
+        let vox = cloud(3_000);
+        let d = device();
+        let codec = brick_codec(2);
+        let frame = codec.encode(&vox, &d);
+        let full = codec.decode(&frame, &d).unwrap();
+        let index = BrickIndex::parse(&frame.geometry, &Limits::default()).unwrap();
+        assert!(index.len() >= 4);
+        let (a, b) = (index.entries()[0].clone(), index.entries()[2].clone());
+        let mut damaged = frame.clone();
+        damaged.attribute[a.attr.start] ^= 0x10;
+        damaged.geometry[b.geom.end - 1] ^= 0x01;
+
+        let mut asked = Vec::new();
+        let mut pass =
+            codec.decode_bricks(&damaged, &d, &Limits::default(), |_, _| true).unwrap();
+        assert_eq!(pass.bricks_dropped(), 2);
+        pass.repair(&mut |cell| {
+            asked.push(cell);
+            index.entries().iter().find(|e| e.cell == cell).map(|e| payload(&frame, e))
+        });
+        assert_eq!(asked, [a.cell, b.cell], "one NACK per damaged brick, in cell order");
+        assert!(pass.is_whole());
+        assert_eq!((pass.bricks_repaired(), pass.bricks_dropped()), (2, 0));
+        assert_eq!(pass.into_cloud(&d).unwrap(), full);
+    }
+
+    #[test]
+    fn a_failed_repair_keeps_the_on_arrival_survivors() {
+        let vox = cloud(3_000);
+        let d = device();
+        let codec = brick_codec(2);
+        let frame = codec.encode(&vox, &d);
+        let full = codec.decode(&frame, &d).unwrap();
+        let index = BrickIndex::parse(&frame.geometry, &Limits::default()).unwrap();
+        let (a, b) = (index.entries()[0].clone(), index.entries()[1].clone());
+        let mut damaged = frame.clone();
+        damaged.attribute[a.attr.start] ^= 0x10;
+        damaged.attribute[b.attr.start] ^= 0x10;
+        let want = without_cells(&full, index.sub_depth(), &[a.cell, b.cell]);
+
+        // A missing answer ends the repair at the first NACK; a lying
+        // one (right length, wrong bytes) too.
+        let lie = |cell: u64| {
+            let e = index.entries().iter().find(|e| e.cell == cell)?;
+            let mut bytes = payload(&frame, e);
+            bytes[0] ^= 1;
+            Some(bytes)
+        };
+        let missing = |_| None;
+        for mut fetch in [Box::new(missing) as Box<dyn FnMut(u64) -> Option<Vec<u8>>>, Box::new(lie)] {
+            let mut asked = 0;
+            let mut pass =
+                codec.decode_bricks(&damaged, &d, &Limits::default(), |_, _| true).unwrap();
+            pass.repair(&mut |cell| {
+                asked += 1;
+                fetch(cell)
+            });
+            assert_eq!(asked, 1);
+            assert!(!pass.is_whole());
+            assert_eq!((pass.bricks_repaired(), pass.bricks_dropped()), (0, 2));
+            assert_eq!(points(&pass.salvage(&d).unwrap()), want);
+        }
+    }
+
+    #[test]
+    fn index_corruption_is_total_loss_even_for_salvage() {
         let vox = cloud(1_000);
         let d = device();
         let codec = brick_codec(2);
@@ -912,7 +1085,7 @@ mod tests {
         let mut damaged = frame.clone();
         damaged.geometry[21] ^= 0x10;
         assert!(matches!(
-            codec.decode_bricks_lossy(&damaged, &d, &Limits::default()),
+            codec.decode_bricks(&damaged, &d, &Limits::default(), |_, _| true),
             Err(IntraError::Brick(_))
         ));
     }

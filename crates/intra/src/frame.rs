@@ -1,7 +1,7 @@
 //! The intra-frame codec facade.
 
 use crate::arena::FrameArena;
-use crate::brick::{self, BrickEntry, BrickError, BrickIndex, BrickSalvage};
+use crate::brick::{self, BrickDecode, BrickEntry, BrickError, BrickIndex};
 use crate::config::IntraConfig;
 use crate::{attribute, geometry};
 use pcc_edge::Device;
@@ -215,27 +215,22 @@ impl IntraCodec {
         device: &Device,
         limits: &pcc_types::Limits,
     ) -> Result<VoxelizedCloud, IntraError> {
-        if BrickIndex::detect(&frame.geometry) {
-            let threads = device.host_threads();
+        let routes_to_bricks = !self.config.entropy || self.config.brick_depth > 0;
+        if routes_to_bricks && BrickIndex::detect(&frame.geometry) {
+            let strict = self
+                .decode_bricks(frame, device, limits, |_, _| true)
+                .and_then(|pass| pass.into_cloud(device));
             if !self.config.entropy {
                 // Entropy off ⇒ a monolithic stream's first byte is a grid
                 // depth (≤ 21), so the magic is unambiguous: route by wire.
-                return brick::decode_full(frame, &self.config, device, limits, threads)
-                    .map_err(IntraError::from);
+                return strict;
             }
-            if self.config.brick_depth > 0 {
-                // Entropy on ⇒ brick_depth is part of the decode contract,
-                // but a monolithic stream (from a pre-cut encoder, or a
-                // shallow grid that fell back) can start with these two
-                // bytes by coincidence. Prefer the contract; if the brick
-                // parse fails, give the monolithic layout one chance.
-                return match brick::decode_full(frame, &self.config, device, limits, threads) {
-                    Ok(cloud) => Ok(cloud),
-                    Err(e) => {
-                        self.decode_monolithic(frame, device, limits).or(Err(IntraError::from(e)))
-                    }
-                };
-            }
+            // Entropy on ⇒ brick_depth is part of the decode contract,
+            // but a monolithic stream (from a pre-cut encoder, or a
+            // shallow grid that fell back) can start with these two
+            // bytes by coincidence. Prefer the contract; if the brick
+            // decode fails, give the monolithic layout one chance.
+            return strict.or_else(|e| self.decode_monolithic(frame, device, limits).or(Err(e)));
         }
         self.decode_monolithic(frame, device, limits)
     }
@@ -259,86 +254,27 @@ impl IntraCodec {
             .map_err(|_| IntraError::Geometry(pcc_octree::StreamError::Truncated))
     }
 
-    /// Parses and CRC-verifies the brick index of a brick-partitioned
-    /// frame without touching any payload bytes — the cheap first step of
-    /// a viewport-partial decode.
+    /// Runs one [`BrickDecode`] pass over a brick frame: the index is
+    /// parsed once, and only bricks `select` accepts (given the index
+    /// entry and its world-space bounds) are CRC-checked and decoded, in
+    /// parallel, into survivors in cell order — bit-identical to the
+    /// corresponding subset of a full decode. Damage does not fail the
+    /// pass; the caller finishes it strictly, repairs it, or salvages
+    /// it.
     ///
     /// # Errors
     ///
-    /// Returns [`IntraError::Brick`] when the frame is monolithic, the
-    /// index is malformed or fails its CRC, or a limit is exceeded.
-    pub fn brick_index(
-        &self,
-        frame: &IntraFrame,
-        limits: &pcc_types::Limits,
-    ) -> Result<BrickIndex, IntraError> {
-        BrickIndex::parse(&frame.geometry, limits).map_err(IntraError::from)
-    }
-
-    /// Partially decodes a brick frame: only bricks `filter` accepts
-    /// (given the index entry and its world-space bounds) are decoded,
-    /// in parallel, and concatenated in cell order — bit-identical to
-    /// the corresponding subset of a full decode. Selected bricks are
-    /// decoded strictly: damage to one of them fails the call (use
-    /// [`decode_bricks_lossy`](Self::decode_bricks_lossy) to salvage).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IntraError::Brick`] when the frame is not
-    /// brick-partitioned, its index is malformed, or a selected brick
-    /// fails its CRC or parse.
+    /// Returns [`IntraError::Brick`] only when the frame is not
+    /// brick-partitioned or its index is unusable (malformed, failed
+    /// CRC, or a limit exceeded) — then no brick can be read.
     pub fn decode_bricks(
         &self,
         frame: &IntraFrame,
         device: &Device,
         limits: &pcc_types::Limits,
-        mut filter: impl FnMut(&BrickEntry, &Aabb) -> bool,
-    ) -> Result<VoxelizedCloud, IntraError> {
-        brick::decode_filtered(
-            frame,
-            &self.config,
-            device,
-            limits,
-            device.host_threads(),
-            &mut filter,
-        )
-        .map_err(IntraError::from)
-    }
-
-    /// Partially decodes a brick frame to the bricks whose bounding cell
-    /// intersects `viewport` (world space, face-inclusive) — the
-    /// viewport-decode entry point.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`decode_bricks`](Self::decode_bricks).
-    pub fn decode_viewport(
-        &self,
-        frame: &IntraFrame,
-        device: &Device,
-        limits: &pcc_types::Limits,
-        viewport: &Aabb,
-    ) -> Result<VoxelizedCloud, IntraError> {
-        self.decode_bricks(frame, device, limits, |_, bounds| bounds.intersects(viewport))
-    }
-
-    /// Decodes every brick of a brick frame that survives its CRC and
-    /// parses cleanly, skipping (and counting) damaged ones — the loss
-    /// accounting mode: a corrupt brick degrades one subtree instead of
-    /// dropping the frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IntraError::Brick`] only when the frame's index itself
-    /// is unusable (bad magic/version, malformed, CRC mismatch, or a
-    /// limit exceeded) — then nothing can be salvaged.
-    pub fn decode_bricks_lossy(
-        &self,
-        frame: &IntraFrame,
-        device: &Device,
-        limits: &pcc_types::Limits,
-    ) -> Result<BrickSalvage, IntraError> {
-        brick::decode_lossy(frame, &self.config, device, limits, device.host_threads())
+        mut select: impl FnMut(&BrickEntry, &Aabb) -> bool,
+    ) -> Result<BrickDecode, IntraError> {
+        BrickDecode::run(frame, &self.config, limits, device.host_threads(), &mut select)
             .map_err(IntraError::from)
     }
 }

@@ -54,7 +54,7 @@ pub mod geometry;
 mod layer;
 
 pub use arena::{AttributeScratch, BrickScratch, FrameArena, GeometryScratch};
-pub use brick::{BrickEntry, BrickError, BrickIndex, BrickSalvage, BRICK_MAGIC, BRICK_VERSION};
+pub use brick::{BrickDecode, BrickEntry, BrickError, BrickIndex, BRICK_MAGIC, BRICK_VERSION};
 pub use config::IntraConfig;
 pub use frame::{IntraCodec, IntraError, IntraFrame};
 pub use layer::{

@@ -20,9 +20,6 @@
 //!   [`Subscription`]s stamp the shared payload into their own wire
 //!   sequence space (the `pcc-serve` crate composes these into
 //!   multi-subscriber sessions; [`Sender`] is the 1:1 composition).
-//! * [`plan`] — pre-flight fitting of a session to a link rate and
-//!   frame-rate budget via the rate controller, plus mid-session
-//!   [`SessionPlan::replan`] from live observations.
 //! * [`supervise`] — the pipelined whole-video sender: [`stream_video`]
 //!   overlaps a [`FrameSource`] encode thread and a [`Subscription`]
 //!   transmit loop through a bounded queue, under a [`Supervisor`] that
@@ -83,7 +80,6 @@
 pub mod arq;
 pub mod chunk;
 pub mod history;
-pub mod plan;
 pub mod recovery;
 pub mod session;
 pub mod source;
@@ -97,7 +93,6 @@ pub use chunk::{
     decode_chunk, encode_chunk, Chunk, ChunkKind, ChunkParts, ChunkReader, ChunkWriter,
     SharedBytes,
 };
-pub use plan::{plan_session, SessionPlan, MUX_OVERHEAD_BYTES};
 pub use session::{Delivered, Receiver, Sender, StreamConfig, STREAM_VERSION};
 pub use source::{FramePayload, FrameSource, StampMemo, Subscription};
 pub use stats::{SharedStats, StreamStats};

@@ -20,7 +20,7 @@ use crate::history::FrameHistory;
 use crate::recovery::RecoveryRequest;
 use crate::stats::{SharedStats, StreamStats};
 use pcc_adapt::{Clock, SystemClock};
-use pcc_core::{container, Design, EncodedFrame, FrameDecoder, PccCodec};
+use pcc_core::{container, Decoded, Design, FrameDecoder, PccCodec};
 use pcc_edge::Device;
 use pcc_types::{Aabb, FrameKind, GofPattern, PointCloud};
 use std::collections::VecDeque;
@@ -746,11 +746,29 @@ impl<'d, R: Read> Receiver<'d, R> {
         let Some(decoder) = self.decoder.as_mut() else {
             return self.drop_frame(index);
         };
+        // Brick-level repair runs inside the decode: NACK the damaged
+        // cells and, if every one comes back verified, deliver the frame
+        // bit-exact — it re-anchors like a clean I-frame, so no desync
+        // and no refresh request.
+        let repair = self.repair.as_ref();
+        let frame_index = index as u32;
+        let mut nacks = 0usize;
+        let mut nack = |cell: u64| {
+            nacks += 1;
+            repair.and_then(|history| history.repair(frame_index, cell))
+        };
+        let fetch: Option<&mut dyn FnMut(u64) -> Option<Vec<u8>>> =
+            if repair.is_some() { Some(&mut nack) } else { None };
         let decode_sp = pcc_probe::span("stream/decode");
-        let decoded = decoder.decode_frame(&frame);
+        let decoded = decoder.decode_with_repair(&frame, fetch);
         decode_sp.stop();
+        self.stats.brick_nacks += nacks;
         match decoded {
-            Ok((cloud, timeline)) => {
+            Ok(d) if d.partial.is_none() => {
+                if d.bricks_repaired > 0 {
+                    self.stats.frames_repaired += 1;
+                    self.stats.bricks_repaired += d.bricks_repaired;
+                }
                 if kind == FrameKind::Intra {
                     if self.anchor.is_none() {
                         if self.loss_since_sync {
@@ -767,20 +785,17 @@ impl<'d, R: Read> Receiver<'d, R> {
                 Some(Delivered {
                     frame_index: index,
                     kind,
-                    cloud,
-                    modeled_decode_ms: timeline.total_modeled_ms().as_f64(),
+                    cloud: d.cloud,
+                    modeled_decode_ms: d.timeline.total_modeled_ms().as_f64(),
                     partial: None,
                 })
             }
-            Err(_) => {
-                if kind == FrameKind::Intra {
-                    // Brick-level repair first: NACK the damaged cells
-                    // and, if every one comes back verified, deliver the
-                    // frame bit-exact — it re-anchors like a clean
-                    // I-frame, so no desync and no refresh request.
-                    if let Some(delivered) = self.try_repair(index, &frame) {
-                        return Some(delivered);
-                    }
+            outcome => {
+                if nacks > 0 {
+                    // Damage was found and NACKed but the frame could
+                    // not be made whole (history aged out, bytes failed
+                    // re-verification, damage a NACK cannot mend).
+                    self.stats.repairs_failed += 1;
                 }
                 // The decoder consumed the frame slot but produced
                 // nothing whole; its reference state is questionable
@@ -788,73 +803,23 @@ impl<'d, R: Read> Receiver<'d, R> {
                 // next clean I-frame.
                 self.desync();
                 self.loss_since_sync = true;
-                if kind == FrameKind::Intra {
-                    // Brick-partitioned I-frames carry per-brick CRCs:
-                    // salvage the surviving subtrees and deliver a
-                    // partial picture instead of losing the frame.
-                    if let Some(s) =
-                        self.decoder.as_ref().and_then(|d| d.salvage_intra(&frame))
-                    {
-                        self.stats.partial_frames += 1;
-                        self.stats.bricks_dropped += s.bricks_dropped;
-                        self.stats.frames_delivered += 1;
-                        return Some(Delivered {
-                            frame_index: index,
-                            kind,
-                            cloud: s.cloud,
-                            modeled_decode_ms: s.timeline.total_modeled_ms().as_f64(),
-                            partial: Some((s.bricks_dropped, s.bricks_total)),
-                        });
-                    }
-                }
-                self.stats.frames_dropped += 1;
-                None
-            }
-        }
-    }
-
-    /// Attempts brick-level repair of a damaged intra frame (see
-    /// [`with_repair`](Self::with_repair)); `None` leaves the session
-    /// exactly as the failed decode left it.
-    fn try_repair(&mut self, index: usize, frame: &EncodedFrame) -> Option<Delivered> {
-        let repair = self.repair.as_ref()?;
-        let decoder = self.decoder.as_mut()?;
-        let mut nacks = 0usize;
-        let frame_index = index as u32;
-        let outcome = decoder.repair_intra(frame, &mut |cell| {
-            nacks += 1;
-            repair.repair(frame_index, cell)
-        });
-        self.stats.brick_nacks += nacks;
-        match outcome {
-            Some(r) => {
-                self.stats.frames_repaired += 1;
-                self.stats.bricks_repaired += r.bricks_repaired;
-                if self.anchor.is_none() {
-                    if self.loss_since_sync {
-                        self.stats.resyncs += 1;
-                    }
-                    self.loss_since_sync = false;
-                }
-                self.refresh_outstanding = false;
-                self.anchor = Some(index);
+                // A brick I-frame's surviving subtrees: a partial
+                // picture instead of a lost frame.
+                let Ok(Decoded { cloud, timeline, partial: Some((dropped, total)), .. }) = outcome
+                else {
+                    self.stats.frames_dropped += 1;
+                    return None;
+                };
+                self.stats.partial_frames += 1;
+                self.stats.bricks_dropped += dropped;
                 self.stats.frames_delivered += 1;
                 Some(Delivered {
                     frame_index: index,
-                    kind: FrameKind::Intra,
-                    cloud: r.cloud,
-                    modeled_decode_ms: r.timeline.total_modeled_ms().as_f64(),
-                    partial: None,
+                    kind,
+                    cloud,
+                    modeled_decode_ms: timeline.total_modeled_ms().as_f64(),
+                    partial: Some((dropped, total)),
                 })
-            }
-            None => {
-                if nacks > 0 {
-                    // Damage was found and NACKed but the frame could
-                    // not be made whole (ring aged out, bytes failed
-                    // re-verification); fall back to partial salvage.
-                    self.stats.repairs_failed += 1;
-                }
-                None
             }
         }
     }
@@ -950,5 +915,195 @@ mod tests {
         assert!(seq_after(3, 2) && !seq_after(2, 3) && !seq_after(5, 5));
         assert!(seq_after(0, u32::MAX) && !seq_after(u32::MAX, 0));
         assert!(seq_after(1 << 31, 1) && !seq_after(1 << 31, 0));
+    }
+
+    /// The repair fallback: a brick I-frame whose repair cannot complete
+    /// is salvaged with its on-arrival damage and never anchors the
+    /// P-frames after it.
+    mod repair_fallback {
+        use super::*;
+        use crate::chunk::encode_chunk;
+        use crate::source::FramePayload;
+        use pcc_core::{BrickEntry, BrickIndex};
+        use pcc_types::crc::{crc32, Crc32};
+        use std::ops::Range;
+
+        /// One muxed intra record of a clean wire, with the ranges of its
+        /// geometry and attribute streams and its parsed brick index.
+        struct Record {
+            chunk: Chunk,
+            ranges: [Range<usize>; 2],
+            index: BrickIndex,
+        }
+
+        impl Record {
+            fn entry(&self, b: usize) -> &BrickEntry {
+                &self.index.entries()[b]
+            }
+
+            /// Brick `b`'s geometry payload within the chunk payload.
+            fn geom(&self, b: usize) -> Range<usize> {
+                let (base, r) = (self.ranges[0].start, &self.entry(b).geom);
+                base + r.start..base + r.end
+            }
+
+            /// Brick `b`'s attribute payload within the chunk payload.
+            fn attr(&self, b: usize) -> Range<usize> {
+                let (base, r) = (self.ranges[1].start, &self.entry(b).attr);
+                base + r.start..base + r.end
+            }
+        }
+
+        /// A six-frame IPP brick wire (I-frames 0 and 3) whose sender
+        /// records into `history`.
+        fn brick_wire(device: &Device, history: &FrameHistory) -> Vec<u8> {
+            let mut cfg = pcc_inter::InterConfig::v1();
+            cfg.intra = cfg.intra.with_bricks(2);
+            let codec = PccCodec::with_inter_config(cfg);
+            let video = pcc_datasets::catalog::by_name("Soldier").unwrap().generate_scaled(6, 1_500);
+            let mut tx = Sender::new(&codec, 7, device, Vec::new(), &StreamConfig::default())
+                .unwrap()
+                .with_bounding_box(video.bounding_box().unwrap())
+                .with_repair(history.clone());
+            for frame in video.iter() {
+                tx.send_frame(&frame.cloud).unwrap();
+            }
+            tx.finish().unwrap().0
+        }
+
+        fn chunks_of(wire: &[u8]) -> Vec<Chunk> {
+            let mut reader = ChunkReader::new(wire);
+            let mut chunks = Vec::new();
+            while let Some(c) = reader.next_chunk().unwrap() {
+                chunks.push(c);
+            }
+            chunks
+        }
+
+        fn is_frame(c: &Chunk, frame_index: u32) -> bool {
+            c.kind == ChunkKind::Frame && c.frame_index == frame_index
+        }
+
+        fn intra_record(chunks: &[Chunk], frame_index: u32) -> Record {
+            let chunk = chunks.iter().find(|c| is_frame(c, frame_index)).unwrap().clone();
+            let frame = container::demux_frame(&mut chunk.payload.as_slice(), 0).unwrap();
+            let mut record = Vec::new();
+            let ranges = container::mux_frame(&mut record, &frame);
+            assert_eq!(record, chunk.payload, "muxing is deterministic");
+            let index = BrickIndex::parse(&record[ranges[0].clone()], &Default::default()).unwrap();
+            assert!(index.len() >= 3, "need a multi-brick frame, got {}", index.len());
+            Record { chunk, ranges, index }
+        }
+
+        /// The wire with `record`'s chunk carrying `payload` instead,
+        /// under a fresh chunk CRC (as a re-framing middlebox would
+        /// stamp it).
+        fn splice(chunks: &[Chunk], record: &Record, payload: Vec<u8>) -> Vec<u8> {
+            let mut chunks = chunks.to_vec();
+            for c in chunks.iter_mut().filter(|c| is_frame(c, record.chunk.frame_index)) {
+                c.payload = payload.clone();
+            }
+            chunks.iter().flat_map(encode_chunk).collect()
+        }
+
+        /// Each delivered frame's index and partial ledger, and the
+        /// receiver's counters.
+        type Deliveries = Vec<(usize, Option<(usize, usize)>)>;
+
+        fn receive(wire: &[u8], device: &Device, history: FrameHistory) -> (Deliveries, StreamStats) {
+            let mut rx = Receiver::new(wire, device).with_repair(history);
+            let mut delivered = Vec::new();
+            while let Some(frame) = rx.recv_frame().unwrap() {
+                delivered.push((frame.frame_index, frame.partial));
+            }
+            (delivered, rx.into_stats())
+        }
+
+        /// I0 partial with `dropped` bricks gone, P1 and P2 lost for want
+        /// of an anchor, and I3 resyncing the rest.
+        fn partial_i0(record: &Record, dropped: usize) -> Deliveries {
+            vec![(0, Some((dropped, record.index.len()))), (3, None), (4, None), (5, None)]
+        }
+
+        #[test]
+        fn an_aged_out_history_nacks_once_and_salvages_the_arrival() {
+            let device = Device::jetson_agx_xavier(PowerMode::W15);
+            // Capacity 1: by the time the receiver reads I0, the sender
+            // has recorded I3 and I0 has left the repair window.
+            let history = FrameHistory::new(1);
+            let chunks = chunks_of(&brick_wire(&device, &history));
+            let i0 = intra_record(&chunks, 0);
+            let mut payload = i0.chunk.payload.clone();
+            payload[i0.attr(0).start] ^= 0x40;
+            payload[i0.attr(2).start] ^= 0x40;
+            let (delivered, rx) = receive(&splice(&chunks, &i0, payload), &device, history);
+
+            // The first missing fetch ends the repair: one NACK for two
+            // damaged bricks.
+            assert_eq!((rx.brick_nacks, rx.repairs_failed), (1, 1), "{rx:?}");
+            assert_eq!((rx.frames_repaired, rx.bricks_repaired), (0, 0));
+            assert_eq!((rx.partial_frames, rx.bricks_dropped), (1, 2));
+            assert_eq!(delivered, partial_i0(&i0, 2));
+            assert_eq!(rx.frames_dropped, 2);
+        }
+
+        #[test]
+        fn a_lying_repair_source_never_installs_a_reference() {
+            let device = Device::jetson_agx_xavier(PowerMode::W15);
+            let chunks = chunks_of(&brick_wire(&device, &FrameHistory::new(4)));
+            let i0 = intra_record(&chunks, 0);
+
+            // The liar holds I0 with brick 1 altered at full length, so
+            // its answer fails the index CRC, not the length check.
+            let liar = FrameHistory::new(4);
+            let mut lie = i0.chunk.payload.clone();
+            lie[i0.attr(1).start + 1] ^= 0x08;
+            let lie = FramePayload::from_bytes(0, FrameKind::Intra, lie);
+            liar.record(&lie, Some(i0.ranges.clone()));
+            let answer = liar.repair(0, i0.entry(1).cell).unwrap();
+            assert_eq!(answer.len(), i0.entry(1).payload_bytes());
+            assert_ne!(crc32(&answer), i0.entry(1).crc);
+
+            let mut payload = i0.chunk.payload.clone();
+            payload[i0.attr(1).start] ^= 0x40;
+            let (delivered, rx) = receive(&splice(&chunks, &i0, payload), &device, liar);
+            assert_eq!((rx.brick_nacks, rx.repairs_failed), (1, 1), "{rx:?}");
+            assert_eq!((rx.frames_repaired, rx.partial_frames, rx.bricks_dropped), (0, 1, 1));
+            assert_eq!(delivered, partial_i0(&i0, 1), "P1 and P2 must not decode");
+        }
+
+        #[test]
+        fn a_crc_valid_malformed_brick_fails_repair_and_salvage_drops_both() {
+            let device = Device::jetson_agx_xavier(PowerMode::W15);
+            let history = FrameHistory::new(4);
+            let chunks = chunks_of(&brick_wire(&device, &history));
+            let i0 = intra_record(&chunks, 0);
+            let mut payload = i0.chunk.payload.clone();
+
+            // Brick 0: CRC damage a NACK can mend.
+            payload[i0.attr(0).start] ^= 0x40;
+            // Brick 2: garbage geometry under a restamped brick CRC and
+            // index CRC, so only its parse can reject it.
+            payload[i0.geom(2)].fill(0xFF);
+            let mut crc = Crc32::new();
+            crc.update(&payload[i0.geom(2)]);
+            crc.update(&payload[i0.attr(2)]);
+            // The index runs from the stream start to its CRC, which sits
+            // just before brick 0's geometry payload.
+            let index = i0.ranges[0].start..i0.geom(0).start - 4;
+            let old = i0.entry(2).crc.to_le_bytes();
+            let at: Vec<usize> =
+                (index.start..index.end - 3).filter(|&i| payload[i..i + 4] == old).collect();
+            assert_eq!(at.len(), 1, "the brick CRC field must be unambiguous");
+            payload[at[0]..at[0] + 4].copy_from_slice(&crc.finish().to_le_bytes());
+            let index_crc = crc32(&payload[index.clone()]);
+            payload[index.end..index.end + 4].copy_from_slice(&index_crc.to_le_bytes());
+            assert!(BrickIndex::parse(&payload[i0.ranges[0].clone()], &Default::default()).is_ok());
+
+            let (delivered, rx) = receive(&splice(&chunks, &i0, payload), &device, history);
+            assert_eq!((rx.brick_nacks, rx.repairs_failed), (1, 1), "{rx:?}");
+            assert_eq!((rx.frames_repaired, rx.partial_frames, rx.bricks_dropped), (0, 1, 2));
+            assert_eq!(delivered, partial_i0(&i0, 2));
+        }
     }
 }

@@ -12,7 +12,7 @@ use pcc::core::{Design, EncodedFrame, PccCodec};
 use pcc::datasets::catalog;
 use pcc::edge::{Device, PowerMode};
 use pcc::inter::InterConfig;
-use pcc::intra::{IntraCodec, IntraConfig};
+use pcc::intra::{BrickIndex, IntraConfig};
 use pcc::types::{Aabb, FrameKind, Limits};
 
 fn main() {
@@ -98,9 +98,8 @@ fn main() {
     let full = decoded[0].len();
 
     let EncodedFrame::Intra(raw) = i_frame else { unreachable!("frame 0 is an I-frame") };
-    let index = IntraCodec::new(IntraConfig::default())
-        .brick_index(raw, &Limits::default())
-        .expect("brick frames carry an index");
+    let index =
+        BrickIndex::parse(&raw.geometry, &Limits::default()).expect("brick frames carry an index");
     let total_bytes = index.total_payload_bytes();
     let read_bytes: usize = index
         .entries()

@@ -142,7 +142,11 @@ echo "== fuzz smoke: seeded decode-surface mutations =="
 # Fixed-seed corpus (no time, no randomness source beyond the seed):
 # 10k+ mutated bitstreams through demux / decode_frame /
 # decode_occupancy / the chunk receiver must return Ok-or-Err, never
-# panic, at both Limits regimes. Run in release so the gate stays fast.
+# panic, at both Limits regimes. Mutated brick frames also go through
+# the repair step (FrameDecoder::decode_with_repair) with NACKs answered
+# by mutated, short, missing or original bytes: it never panics, and a
+# frame it returns whole equals the clean decode. Run in release so the
+# gate stays fast.
 cargo test -q --offline --release --test fuzz_decode
 
 echo "== brick conformance: goldens, determinism, partial decode, fuzz =="

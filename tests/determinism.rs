@@ -9,7 +9,7 @@ use pcc::core::{container, Design, PccCodec};
 use pcc::datasets::catalog;
 use pcc::edge::{Device, PowerMode};
 use pcc::inter::{InterCodec, InterConfig};
-use pcc::intra::{IntraCodec, IntraConfig};
+use pcc::intra::{BrickIndex, IntraCodec, IntraConfig};
 use pcc::types::{Video, VoxelizedCloud};
 use proptest::prelude::*;
 use std::num::NonZeroUsize;
@@ -153,7 +153,7 @@ fn full_brick_decode_equals_concatenation_of_singleton_partial_decodes() {
     let d = device(1);
     let limits = pcc::types::Limits::default();
     let codec = IntraCodec::new(IntraConfig::default().with_bricks(3));
-    let index = codec.brick_index(frame, &limits).expect("index parses");
+    let index = BrickIndex::parse(&frame.geometry, &limits).expect("index parses");
     assert!(index.len() > 1, "fixture must span several bricks");
 
     let mut coords = Vec::new();
@@ -162,6 +162,7 @@ fn full_brick_decode_equals_concatenation_of_singleton_partial_decodes() {
         let cell = entry.cell;
         let one = codec
             .decode_bricks(frame, &d, &limits, |e, _| e.cell == cell)
+            .and_then(|pass| pass.into_cloud(&d))
             .expect("single-brick decode");
         coords.extend_from_slice(one.coords());
         colors.extend_from_slice(one.colors());
@@ -180,7 +181,7 @@ proptest! {
         let d = device(1);
         let limits = pcc::types::Limits::default();
         let codec = IntraCodec::new(IntraConfig::default().with_bricks(3));
-        let index = codec.brick_index(frame, &limits).expect("index parses");
+        let index = BrickIndex::parse(&frame.geometry, &limits).expect("index parses");
         let world = index.bounds(index.entries().first().expect("non-empty"));
         let (mut lo, mut hi) = (world.min(), world.max());
         for entry in index.entries() {
@@ -214,13 +215,17 @@ proptest! {
             .map(|e| e.cell)
             .collect();
 
-        let partial = codec.decode_viewport(frame, &d, &limits, &viewport).expect("partial decode");
+        let partial = codec
+            .decode_bricks(frame, &d, &limits, |_, bounds| bounds.intersects(&viewport))
+            .and_then(|pass| pass.into_cloud(&d))
+            .expect("partial decode");
 
         let mut coords = Vec::new();
         let mut colors = Vec::new();
         for &cell in &selected {
             let one = codec
                 .decode_bricks(frame, &d, &limits, |e, _| e.cell == cell)
+                .and_then(|pass| pass.into_cloud(&d))
                 .expect("single-brick decode");
             coords.extend_from_slice(one.coords());
             colors.extend_from_slice(one.colors());

@@ -141,17 +141,31 @@ fn mutated_occupancy_streams_never_panic() {
 
 #[test]
 fn mutated_brick_frames_never_panic_any_decode_entry_point() {
-    use pcc::intra::{IntraCodec, IntraConfig};
+    use pcc::core::EncodedFrame;
+    use pcc::inter::InterConfig;
+    use pcc::intra::{BrickIndex, IntraConfig};
 
     let video = clip();
     let vox = VoxelizedCloud::from_cloud(&video.frame(0).unwrap().cloud, 7);
     let d = device(1);
-    let codec = IntraCodec::new(IntraConfig::default().with_bricks(2));
+    let config = IntraConfig::default().with_bricks(2);
+    let codec = pcc::intra::IntraCodec::new(config);
     let frame = codec.encode(&vox, &d);
-    assert!(codec.decode(&frame, &d).is_ok(), "clean brick frame must decode");
+    let frames = PccCodec::with_inter_config(InterConfig { intra: config, ..InterConfig::v1() });
+    let (clean, _) =
+        frames.frame_decoder(&d).decode_frame(&EncodedFrame::Intra(frame.clone())).unwrap();
+    let index = BrickIndex::parse(&frame.geometry, &Limits::default()).unwrap();
+    // The original `geometry ++ attribute` bytes of brick `cell`.
+    let original = |cell: u64| {
+        let e = index.entries().iter().find(|e| e.cell == cell)?;
+        let mut bytes = frame.geometry.get(e.geom.clone())?.to_vec();
+        bytes.extend_from_slice(frame.attribute.get(e.attr.clone())?);
+        Some(bytes)
+    };
 
     let viewport = vox.grid_box();
     let mut rng = SmallRng::seed_from_u64(SEED ^ 0xB71C);
+    let (mut repaired, mut partial) = (0usize, 0usize);
     for iter in 0..2_200u32 {
         let mut mutated = frame.clone();
         // Round-robin the target: the geometry stream (magic, CRC-guarded
@@ -162,18 +176,46 @@ fn mutated_brick_frames_never_panic_any_decode_entry_point() {
         } else {
             mutated.geometry = mutate(&mut rng, &frame.geometry);
         }
+        let mutated_frame = EncodedFrame::Intra(mutated.clone());
         for limits in [Limits::default(), Limits::strict()] {
             let _ = codec.decode_with_limits(&mutated, &d, &limits);
-            let _ = codec.brick_index(&mutated, &limits);
-            let _ = codec.decode_viewport(&mutated, &d, &limits, &viewport);
-            let _ = codec.decode_bricks_lossy(&mutated, &d, &limits);
+            let _ = BrickIndex::parse(&mutated.geometry, &limits);
+            let _ = codec
+                .decode_bricks(&mutated, &d, &limits, |_, b| b.intersects(&viewport))
+                .and_then(|pass| pass.into_cloud(&d));
+
+            // The repair step: each NACK is answered with the original
+            // bytes, mutated bytes, short bytes, or nothing.
+            let mut fetch = |cell: u64| {
+                let bytes = original(cell)?;
+                match rng.random_range(0..4u32) {
+                    0 => Some(bytes),
+                    1 => Some(mutate(&mut rng, &bytes)),
+                    2 => Some(bytes[..bytes.len() / 2].to_vec()),
+                    _ => None,
+                }
+            };
+            let mut decoder = frames.frame_decoder(&d).with_limits(limits);
+            let Ok(decoded) = decoder.decode_with_repair(&mutated_frame, Some(&mut fetch)) else {
+                continue;
+            };
+            if decoded.partial.is_some() {
+                partial += 1;
+            } else if BrickIndex::detect(&mutated.geometry) {
+                // A whole brick frame is exactly the clean one: every
+                // byte passed a CRC, on arrival or from a checked fetch.
+                assert_eq!(decoded.cloud, clean, "iteration {iter}: a whole frame differs");
+                repaired += usize::from(decoded.bricks_repaired > 0);
+            }
         }
     }
+    assert!(repaired > 0, "no mutation was repaired whole");
+    assert!(partial > 0, "no mutation was salvaged");
 }
 
 #[test]
 fn damaged_brick_payloads_never_corrupt_sibling_bricks() {
-    use pcc::intra::{IntraCodec, IntraConfig};
+    use pcc::intra::{BrickIndex, IntraCodec, IntraConfig};
     use pcc::types::{Rgb, VoxelCoord};
 
     let video = clip();
@@ -182,7 +224,7 @@ fn damaged_brick_payloads_never_corrupt_sibling_bricks() {
     let limits = Limits::default();
     let codec = IntraCodec::new(IntraConfig::default().with_bricks(2));
     let frame = codec.encode(&vox, &d);
-    let index = codec.brick_index(&frame, &limits).expect("clean index parses");
+    let index = BrickIndex::parse(&frame.geometry, &limits).expect("clean index parses");
     assert!(index.len() > 2, "fixture must span several bricks");
 
     // Clean per-brick reference decodes, in cell order.
@@ -193,6 +235,7 @@ fn damaged_brick_payloads_never_corrupt_sibling_bricks() {
             let cell = entry.cell;
             let one = codec
                 .decode_bricks(&frame, &d, &limits, |e, _| e.cell == cell)
+                .and_then(|pass| pass.into_cloud(&d))
                 .expect("clean brick decodes");
             (one.coords().to_vec(), one.colors().to_vec())
         })
@@ -219,11 +262,13 @@ fn damaged_brick_payloads_never_corrupt_sibling_bricks() {
             buf[pos] ^= 1 << bit;
         }
 
-        let salvage = codec
-            .decode_bricks_lossy(&mutated, &d, &limits)
+        let pass = codec
+            .decode_bricks(&mutated, &d, &limits, |_, _| true)
             .expect("an intact index always salvages");
-        assert_eq!(salvage.bricks_total, index.len());
-        assert!(salvage.bricks_dropped >= 1, "a flipped payload bit must fail its brick CRC");
+        assert_eq!(pass.bricks_total(), index.len());
+        let dropped = pass.bricks_dropped();
+        assert!(dropped >= 1, "a flipped payload bit must fail its brick CRC");
+        let salvage = pass.salvage(&d).expect("survivors form a cloud");
 
         // The salvaged cloud must be exactly the clean bricks minus the
         // dropped ones, in cell order: greedy-match each clean brick's
@@ -231,7 +276,7 @@ fn damaged_brick_payloads_never_corrupt_sibling_bricks() {
         // can never collide (their coords live in distinct cells), so a
         // failed match means that brick was dropped — anything left over
         // at the end would be corrupt sibling output.
-        let (mut coords, mut colors) = (salvage.cloud.coords(), salvage.cloud.colors());
+        let (mut coords, mut colors) = (salvage.coords(), salvage.colors());
         let mut skipped = 0usize;
         for (c, k) in &clean {
             if coords.len() >= c.len()
@@ -246,7 +291,7 @@ fn damaged_brick_payloads_never_corrupt_sibling_bricks() {
         }
         assert!(coords.is_empty(), "salvage emitted bytes matching no clean brick");
         assert!(colors.is_empty());
-        assert_eq!(skipped, salvage.bricks_dropped, "drop accounting must match the output");
+        assert_eq!(skipped, dropped, "drop accounting must match the output");
     }
 }
 
