@@ -2,7 +2,7 @@
 //! paper to discard entropy coding from its intra pipeline (Sec. IV-B3).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pcc_entropy::{rle, ByteModel, RangeDecoder, RangeEncoder};
+use pcc_entropy::{ByteModel, RangeDecoder, RangeEncoder};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -54,17 +54,5 @@ fn bench_range_coder(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_rle(c: &mut Criterion) {
-    let mut g = c.benchmark_group("entropy/rle");
-    let data = occupancy_like(131_072);
-    g.throughput(Throughput::Bytes(data.len() as u64));
-    g.bench_function("encode", |b| b.iter(|| black_box(rle::encode(black_box(&data)))));
-    let coded = rle::encode(&data);
-    g.bench_function("decode", |b| {
-        b.iter(|| black_box(rle::decode(black_box(&coded)).expect("valid")))
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_range_coder, bench_rle);
+criterion_group!(benches, bench_range_coder);
 criterion_main!(benches);

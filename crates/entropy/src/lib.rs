@@ -4,9 +4,7 @@
 //! codec) entropy-code their occupancy bytes and quantized coefficients.
 //! This crate provides everything those stages need:
 //!
-//! - [`BitWriter`] / [`BitReader`] — MSB-first bit-level I/O.
 //! - [`varint`] — LEB128 unsigned varints and ZigZag signed mapping.
-//! - [`rle`] — byte-wise run-length coding.
 //! - [`RangeEncoder`] / [`RangeDecoder`] with an adaptive binary
 //!   probability model ([`BitModel`]) and a bit-tree byte model
 //!   ([`ByteModel`]) — a compact arithmetic coder in the style the MPEG
@@ -42,13 +40,10 @@
 // reachable fault on wire data.
 #![cfg_attr(test, allow(clippy::indexing_slicing))]
 
-mod bitio;
 pub mod context;
 mod range;
-pub mod rle;
 pub mod varint;
 
-pub use bitio::{BitReader, BitWriter};
 pub use context::ContextByteModel;
 pub use range::{BitModel, ByteModel, RangeDecoder, RangeEncoder};
 

@@ -373,8 +373,14 @@ impl InterCodec {
                         "delta stream shorter than delta blocks",
                     ))?;
                     delta_pos += 1;
+                    // `d` comes from the wire: wrap, as release builds do,
+                    // rather than panic on a hostile delta.
                     let b = base.to_i32();
-                    Rgb::from_i32_clamped([b[0] + d[0], b[1] + d[1], b[2] + d[2]])
+                    Rgb::from_i32_clamped([
+                        b[0].wrapping_add(d[0]),
+                        b[1].wrapping_add(d[1]),
+                        b[2].wrapping_add(d[2]),
+                    ])
                 };
             }
         }

@@ -186,12 +186,12 @@ fn chunk_sum(p: &[Rgb], i: &[Rgb]) -> u64 {
 /// color sequences (as produced by [`pcc_intra::segment_starts_into`]).
 /// Every block is independent — the modeled GPU runs the whole pass as
 /// two kernels. On the host, P-blocks are partitioned into contiguous
-/// index chunks, searched independently, and the per-chunk
-/// matches/stats/charges are merged in chunk order, so the result (and
-/// any stream derived from it) is byte-identical at every thread count.
-/// The single-threaded path fills `matches` in place with no heap
-/// allocation once its capacity has warmed, which keeps the inter
-/// encoder's steady state allocation-free.
+/// index chunks, searched independently, and each chunk writes its
+/// matches in place into its part of `matches` (one entry per P-block);
+/// stats and charges are merged in chunk order, so the result (and any
+/// stream derived from it) is byte-identical at every thread count. At
+/// one thread the pass performs no heap allocation once `matches` has
+/// warmed, which keeps the inter encoder's steady state allocation-free.
 ///
 /// Each P-block takes the first candidate (lowest I-block index) with the
 /// strictly smallest normalized distance `sum * 20 / len_p`. Because
@@ -218,10 +218,10 @@ pub fn match_blocks_into(
     let i_blocks = i_starts.len();
     matches.clear();
 
-    let match_range = |range: Range<usize>, matches: &mut Vec<BlockMatch>| {
+    let match_range = |range: Range<usize>, matches: &mut [BlockMatch]| {
         let mut stats = ReuseStats::default();
         let mut charge = MatchCharge::default();
-        for p_idx in range {
+        for (p_idx, slot) in range.zip(matches) {
             let p_block = &p_colors[block_range(p_starts, p_colors.len(), p_idx)];
             let len_p = p_block.len() as u64;
             let (w_start, w_end) = candidate_window(p_idx, p_blocks, i_blocks, candidates);
@@ -253,12 +253,12 @@ pub fn match_blocks_into(
                 stats.delta += 1;
                 MatchOutcome::Delta
             };
-            matches.push(BlockMatch {
+            *slot = BlockMatch {
                 window_offset: (i_block - w_start) as u32,
                 i_block: i_block as u32,
                 best_diff,
                 outcome,
-            });
+            };
         }
         (stats, charge)
     };
@@ -267,26 +267,24 @@ pub fn match_blocks_into(
     // the fan-out decision by compared pairs rather than block count.
     let weight = p_blocks.saturating_mul(candidates.min(i_blocks.max(1)));
     let fan = pcc_parallel::effective_threads(threads, weight).min(p_blocks.max(1));
-    if fan <= 1 {
-        return match_range(0..p_blocks, matches);
-    }
-    let ranges = pcc_parallel::chunk_ranges(p_blocks, fan);
-    let partials = pcc_parallel::scope_map(&ranges, |_, r| {
-        let mut part = Vec::with_capacity(r.len());
-        let (stats, charge) = match_range(r, &mut part);
-        (part, stats, charge)
-    });
-
-    matches.reserve(p_blocks);
+    let ranges = pcc_parallel::chunks(p_blocks, fan);
+    // Every slot is overwritten by its chunk.
+    let unset =
+        BlockMatch { window_offset: 0, i_block: 0, best_diff: 0, outcome: MatchOutcome::Reuse };
+    matches.resize(p_blocks, unset);
+    let parts = pcc_parallel::split_at_cuts(matches, ranges.clone().skip(1).map(|r| r.start));
     let mut stats = ReuseStats::default();
     let mut charge = MatchCharge::default();
-    for (part_matches, part_stats, part_charge) in partials {
-        matches.extend(part_matches);
-        stats.reused += part_stats.reused;
-        stats.delta += part_stats.delta;
-        charge.pair_items += part_charge.pair_items;
-        charge.block_pairs += part_charge.block_pairs;
-    }
+    pcc_parallel::run(
+        ranges.zip(parts),
+        |(range, part)| match_range(range, part),
+        |(part_stats, part_charge)| {
+            stats.reused += part_stats.reused;
+            stats.delta += part_stats.delta;
+            charge.pair_items += part_charge.pair_items;
+            charge.block_pairs += part_charge.block_pairs;
+        },
+    );
     (stats, charge)
 }
 

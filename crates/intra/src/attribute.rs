@@ -227,19 +227,15 @@ pub fn gather_voxel_colors_into(
     };
 
     let fan = pcc_parallel::effective_threads(threads, n);
-    if fan <= 1 {
-        accumulate(0..n, sums, counts);
-    } else {
-        let ranges = pcc_parallel::aligned_chunk_ranges(n, fan, |i| p2v[i] != p2v[i - 1]);
-        let voxel_cuts: Vec<usize> =
-            ranges[1..].iter().map(|r| p2v[r.start] as usize).collect();
-        let sums_parts = pcc_parallel::split_at_many(sums, &voxel_cuts);
-        let counts_parts = pcc_parallel::split_at_many(counts, &voxel_cuts);
-        let ctxs: Vec<_> = ranges.into_iter().zip(counts_parts).collect();
-        pcc_parallel::scope_run(sums_parts, ctxs, |_, (rank_range, counts_part), sums_part| {
-            accumulate(rank_range, sums_part, counts_part);
-        });
-    }
+    let ranges = pcc_parallel::aligned_chunks(n, fan, |i| p2v[i] != p2v[i - 1]);
+    let voxel_cuts = ranges.clone().skip(1).map(|r| p2v[r.start] as usize);
+    let sums_parts = pcc_parallel::split_at_cuts(sums, voxel_cuts.clone());
+    let counts_parts = pcc_parallel::split_at_cuts(counts, voxel_cuts);
+    pcc_parallel::run(
+        ranges.zip(sums_parts).zip(counts_parts),
+        |((rank_range, sums_part), counts_part)| accumulate(rank_range, sums_part, counts_part),
+        drop,
+    );
 
     let average = |s: &[u32; 3], c: u32| {
         let k = c.max(1);
@@ -250,21 +246,18 @@ pub fn gather_voxel_colors_into(
         )
     };
     out.clear();
-    let avg_fan = pcc_parallel::effective_threads(threads, m);
-    if avg_fan <= 1 {
-        // Plain sequential extend: the parallel plumbing below allocates
-        // its range list even for one chunk, which would break the
-        // zero-alloc steady state.
-        out.extend(sums.iter().zip(counts.iter()).map(|(s, &c)| average(s, c)));
-    } else {
-        out.resize(m, Rgb::BLACK);
-        let voxel_ranges = pcc_parallel::chunk_ranges(m, avg_fan);
-        pcc_parallel::par_fill(out, &voxel_ranges, |_, range, part| {
-            for (slot, v) in part.iter_mut().zip(range) {
-                *slot = average(&sums[v], counts[v]);
+    out.resize(m, Rgb::BLACK);
+    let voxel_ranges = pcc_parallel::chunks(m, pcc_parallel::effective_threads(threads, m));
+    let parts = pcc_parallel::split_at_cuts(out, voxel_ranges.clone().skip(1).map(|r| r.start));
+    pcc_parallel::run(
+        voxel_ranges.zip(parts),
+        |(range, part)| {
+            for ((slot, s), &c) in part.iter_mut().zip(&sums[range.clone()]).zip(&counts[range]) {
+                *slot = average(s, c);
             }
-        });
-    }
+        },
+        drop,
+    );
 }
 
 fn entropy_wrap(payload: &[u8]) -> Vec<u8> {

@@ -742,21 +742,22 @@ fn decode_selected(
 
     let total = leaves(selected);
     let fan = pcc_parallel::effective_threads(threads, total).min(selected.len().max(1));
-    if fan <= 1 {
-        return decode_range(0..selected.len());
-    }
-    let ranges = pcc_parallel::chunk_ranges(selected.len(), fan);
-    let parts = pcc_parallel::scope_map(&ranges, |_, range| decode_range(range));
-    let mut coords = Vec::with_capacity(total);
-    let mut colors = Vec::with_capacity(total);
-    let mut failures = Vec::new();
-    for (c, k, f) in parts {
+    // The first range's output becomes the result and the later ranges
+    // are appended to it in order, so a single range is returned as is.
+    let mut merged: Option<(Vec<VoxelCoord>, Vec<Rgb>, Vec<Failure>)> = None;
+    pcc_parallel::run(pcc_parallel::chunks(selected.len(), fan), decode_range, |(c, k, f)| {
+        let Some((coords, colors, failures)) = &mut merged else {
+            merged = Some((c, k, f));
+            return;
+        };
         let base = coords.len();
+        coords.reserve(total.saturating_sub(base));
+        colors.reserve(total.saturating_sub(base));
         failures.extend(f.into_iter().map(|f| Failure { at: base + f.at, ..f }));
         coords.extend_from_slice(&c);
         colors.extend_from_slice(&k);
-    }
-    (coords, colors, failures)
+    });
+    merged.unwrap_or_default()
 }
 
 /// A brick's `(geometry, attribute)` payload when all of it is in the

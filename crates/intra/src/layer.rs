@@ -251,21 +251,24 @@ pub fn encode_layer_with_starts_into(
     };
 
     let fan = pcc_parallel::effective_threads(threads, values.len()).min(starts.len());
-    if fan <= 1 {
-        encode_group(0..starts.len(), bases, residuals, median_scratch);
-    } else {
-        let seg_ranges = pcc_parallel::chunk_ranges(starts.len(), fan);
-        let seg_cuts: Vec<usize> = seg_ranges[1..].iter().map(|r| r.start).collect();
-        let value_cuts: Vec<usize> =
-            seg_ranges[1..].iter().map(|r| starts[r.start] as usize).collect();
-        let bases_parts = pcc_parallel::split_at_many(bases, &seg_cuts);
-        let resid_parts = pcc_parallel::split_at_many(residuals, &value_cuts);
-        let ctxs: Vec<_> = seg_ranges.into_iter().zip(bases_parts).collect();
-        pcc_parallel::scope_run(resid_parts, ctxs, |_, (seg_range, bases_part), resid_part| {
-            let mut scratch = Vec::new();
-            encode_group(seg_range, bases_part, resid_part, &mut scratch);
-        });
-    }
+    let seg_ranges = pcc_parallel::chunks(starts.len(), fan);
+    let bases_parts =
+        pcc_parallel::split_at_cuts(bases, seg_ranges.clone().skip(1).map(|r| r.start));
+    let resid_parts = pcc_parallel::split_at_cuts(
+        residuals,
+        seg_ranges.clone().skip(1).map(|r| starts[r.start] as usize),
+    );
+    // The first chunk, which runs on the calling thread, keeps the
+    // caller's median scratch; every other chunk grows its own.
+    let scratches = std::iter::once(Some(median_scratch)).chain(std::iter::repeat_with(|| None));
+    pcc_parallel::run(
+        seg_ranges.zip(bases_parts).zip(resid_parts).zip(scratches),
+        |(((seg_range, bases_part), resid_part), scratch)| {
+            let mut own = Vec::new();
+            encode_group(seg_range, bases_part, resid_part, scratch.unwrap_or(&mut own));
+        },
+        drop,
+    );
 }
 
 /// Quantizes one segment against its base in a single batched pass over
@@ -335,32 +338,37 @@ pub fn decode_layer_threaded(layer: &LayerEncoded, threads: NonZeroUsize) -> Vec
         && starts.first() == Some(&0)
         && starts.windows(2).all(|w| w[0] <= w[1])
         && starts.last().is_none_or(|&s| (s as usize) <= n);
-    let fan = pcc_parallel::effective_threads(threads, n).min(starts.len().max(1));
-    if !well_formed || fan <= 1 {
+    if !well_formed {
         return decode_layer_sequential(layer);
     }
+    let fan = pcc_parallel::effective_threads(threads, n).min(starts.len());
     let mut out = vec![[0i32; 3]; n];
-    let seg_ranges = pcc_parallel::chunk_ranges(starts.len(), fan);
-    let value_cuts: Vec<usize> =
-        seg_ranges[1..].iter().map(|r| starts[r.start] as usize).collect();
-    let parts = pcc_parallel::split_at_many(&mut out, &value_cuts);
-    pcc_parallel::scope_run(parts, seg_ranges, |_, seg_range, part| {
-        let value_base = starts[seg_range.start] as usize;
-        for s in seg_range {
-            let start = starts[s] as usize;
-            let end = starts.get(s + 1).map_or(n, |&e| e as usize);
-            let base = layer.bases[s];
-            for i in start..end {
-                let r = layer.residuals[i];
-                part[i - value_base] = [
-                    base[0] + r[0] * layer.quant_step,
-                    base[1] + r[1] * layer.quant_step,
-                    base[2] + r[2] * layer.quant_step,
-                ];
+    let seg_ranges = pcc_parallel::chunks(starts.len(), fan);
+    let value_cuts = seg_ranges.clone().skip(1).map(|r| starts[r.start] as usize);
+    let parts = pcc_parallel::split_at_cuts(&mut out, value_cuts);
+    pcc_parallel::run(
+        seg_ranges.zip(parts),
+        |(seg_range, part)| {
+            let value_base = starts[seg_range.start] as usize;
+            for s in seg_range {
+                let start = starts[s] as usize;
+                let end = starts.get(s + 1).map_or(n, |&e| e as usize);
+                let seg_out = &mut part[start - value_base..end - value_base];
+                for (o, r) in seg_out.iter_mut().zip(&layer.residuals[start..end]) {
+                    *o = dequantize(layer.bases[s], *r, layer.quant_step);
+                }
             }
-        }
-    });
+        },
+        drop,
+    );
     out
+}
+
+/// `base + r * q` per channel, wrapping: a hostile payload can carry
+/// residuals and steps whose product overflows, and must not panic.
+fn dequantize(base: [i32; 3], r: [i32; 3], q: i32) -> [i32; 3] {
+    let ch = |b: i32, r: i32| b.wrapping_add(r.wrapping_mul(q));
+    [ch(base[0], r[0]), ch(base[1], r[1]), ch(base[2], r[2])]
 }
 
 // Every index is clamped to `n` before use (hostile boundaries decode
@@ -374,11 +382,7 @@ fn decode_layer_sequential(layer: &LayerEncoded) -> Vec<[i32; 3]> {
         let Some(&base) = layer.bases.get(s) else { break };
         let lo = (start as usize).min(n);
         for (o, r) in out.iter_mut().zip(&layer.residuals).take(end).skip(lo) {
-            *o = [
-                base[0] + r[0] * layer.quant_step,
-                base[1] + r[1] * layer.quant_step,
-                base[2] + r[2] * layer.quant_step,
-            ];
+            *o = dequantize(base, *r, layer.quant_step);
         }
     }
     out

@@ -27,12 +27,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod kdtree;
 mod nn;
 mod psnr;
 mod size;
 
-pub use kdtree::KdTree;
 pub use nn::GridIndex;
 pub use psnr::{attribute_psnr, geometry_psnr, symmetric_color_mse, symmetric_point_mse};
 pub use size::CompressedSize;

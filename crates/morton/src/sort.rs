@@ -57,15 +57,9 @@ pub fn codes_of_into(cloud: &VoxelizedCloud, threads: NonZeroUsize, out: &mut Ve
     let n = coords.len();
     out.clear();
     out.resize(n, MortonCode::ZERO);
-    let fan = pcc_parallel::effective_threads(threads, n);
-    if fan <= 1 {
-        encode_slice(coords, out);
-        return;
-    }
-    let ranges = pcc_parallel::chunk_ranges(n, fan);
-    pcc_parallel::par_fill(out, &ranges, |_, range, part| {
-        encode_slice(&coords[range], part);
-    });
+    let ranges = pcc_parallel::chunks(n, pcc_parallel::effective_threads(threads, n));
+    let parts = pcc_parallel::split_at_cuts(out, ranges.clone().skip(1).map(|r| r.start));
+    pcc_parallel::run(ranges.zip(parts), |(range, part)| encode_slice(&coords[range], part), drop);
 }
 
 /// Sorts `codes` ascending with an LSD radix sort into `out`: the sorted

@@ -231,24 +231,22 @@ impl ParallelOctree {
                 std::mem::take(&mut rest).split_at_mut(self.levels[level].codes.len());
             rest = tail;
             let fan = pcc_parallel::effective_threads(threads, n);
-            if fan <= 1 {
-                for (code, &parent) in child.codes.iter().zip(&child.parent) {
-                    level_bytes[parent as usize] |= 1 << code.child_slot();
-                }
-            } else {
-                let ranges = pcc_parallel::aligned_chunk_ranges(n, fan, |i| {
-                    child.parent[i] != child.parent[i - 1]
-                });
-                let cuts: Vec<usize> =
-                    ranges[1..].iter().map(|r| child.parent[r.start] as usize).collect();
-                let parts = pcc_parallel::split_at_many(level_bytes, &cuts);
-                pcc_parallel::scope_run(parts, ranges, |_, range, part| {
+            let ranges = pcc_parallel::aligned_chunks(n, fan, |i| {
+                child.parent[i] != child.parent[i - 1]
+            });
+            let cuts = ranges.clone().skip(1).map(|r| child.parent[r.start] as usize);
+            let parts = pcc_parallel::split_at_cuts(level_bytes, cuts);
+            pcc_parallel::run(
+                ranges.zip(parts),
+                |(range, part)| {
                     let base = child.parent[range.start] as usize;
-                    for i in range {
-                        part[child.parent[i] as usize - base] |= 1 << child.codes[i].child_slot();
+                    let codes = &child.codes[range.clone()];
+                    for (code, &parent) in codes.iter().zip(&child.parent[range]) {
+                        part[parent as usize - base] |= 1 << code.child_slot();
                     }
-                });
-            }
+                },
+                drop,
+            );
         }
     }
 

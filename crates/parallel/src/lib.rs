@@ -6,12 +6,24 @@
 //! are merged in chunk order. The codec crates rely on this to guarantee
 //! byte-identical bitstreams whether they run on one core or sixteen.
 //!
-//! The crate deliberately has no dependencies and builds on
+//! Every kernel fans out through the same three pieces, none of which
+//! allocates:
+//! - [`chunks`] / [`aligned_chunks`] yield the chunk ranges of `0..len`
+//!   (plain, or moved forward to run starts so a run never straddles two
+//!   chunks);
+//! - [`split_at_cuts`] splits an output slice lazily into the disjoint
+//!   part each chunk writes;
+//! - [`run`] executes one work item per chunk, the first on the calling
+//!   thread and each other on a scoped thread, and hands the results back
+//!   in item order. A single item runs inline, so the one-thread path of
+//!   every kernel spawns nothing and allocates nothing.
+//!
+//! [`run`] is the crate's one spawn site. It builds on
 //! [`std::thread::scope`], so borrowed slices can be fanned out without any
-//! `'static` bounds or channel plumbing. The only `unsafe` in the workspace's
-//! parallel path lives here, in the scatter phase of [`radix_sort_pairs`],
-//! behind a safe API; all other helpers are safe code built on
-//! `split_at_mut`.
+//! `'static` bounds or channel plumbing. The crate has no dependencies. The
+//! only `unsafe` in the workspace's parallel path lives here, in the scatter
+//! phase of [`radix_sort_pairs`], behind a safe API; all other helpers are
+//! safe code built on `split_at_mut`.
 //!
 //! Thread-count resolution follows a three-step chain (see [`resolve`]):
 //! explicit request → `PCC_THREADS` environment variable →
@@ -73,164 +85,126 @@ pub fn effective_threads(threads: NonZeroUsize, len: usize) -> usize {
 /// Splits `0..len` into at most `parts` contiguous near-equal ranges.
 ///
 /// Ranges are non-empty and cover `0..len` in order; fewer than `parts`
-/// ranges are returned when `len < parts`. `len == 0` yields no ranges.
-pub fn chunk_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
-    let parts = parts.max(1).min(len);
-    if parts == 0 {
-        return Vec::new();
-    }
-    let base = len / parts;
-    let extra = len % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 0..parts {
-        let size = base + usize::from(i < extra);
-        out.push(start..start + size);
-        start += size;
-    }
-    out
+/// ranges are yielded when `len < parts`. `len == 0` yields no ranges.
+pub fn chunks(len: usize, parts: usize) -> Chunks<fn(usize) -> bool> {
+    aligned_chunks(len, parts, |_| true)
 }
 
-/// Like [`chunk_ranges`], but each range start is advanced to the next index
-/// `i` where `starts_run(i)` is true, so a run of equal keys never straddles
+/// Like [`chunks`], but each range start is advanced to the next index `i`
+/// where `starts_run(i)` is true, so a run of equal keys never straddles
 /// two chunks. Index 0 always starts a run. Ranges that become empty are
-/// dropped; the returned ranges still cover `0..len` in order.
+/// dropped; the yielded ranges still cover `0..len` in order.
 ///
-/// `starts_run(i)` must be pure (typically `key[i] != key[i - 1]`).
-pub fn aligned_chunk_ranges(
+/// `starts_run(i)` must be pure (typically `key[i] != key[i - 1]`); it is
+/// only called for `0 < i < len`.
+pub fn aligned_chunks<F: Fn(usize) -> bool>(len: usize, parts: usize, starts_run: F) -> Chunks<F> {
+    Chunks { len, parts: parts.max(1).min(len), next: 0, start: 0, starts_run }
+}
+
+/// The ranges of [`chunks`] or [`aligned_chunks`], computed as they are
+/// yielded.
+#[derive(Clone)]
+pub struct Chunks<F> {
     len: usize,
     parts: usize,
-    starts_run: impl Fn(usize) -> bool,
-) -> Vec<Range<usize>> {
-    let raw = chunk_ranges(len, parts);
-    let mut out: Vec<Range<usize>> = Vec::with_capacity(raw.len());
-    for r in raw {
-        let mut start = r.start;
-        while start < len && start != 0 && !starts_run(start) {
-            start += 1;
-        }
-        let start = start.min(len);
-        match out.last_mut() {
-            Some(prev) => prev.end = start,
-            None => debug_assert_eq!(start, 0),
-        }
-        if start < r.end || out.is_empty() {
-            out.push(start..r.end);
-        }
-    }
-    if let Some(last) = out.last_mut() {
-        last.end = len;
-    }
-    out.retain(|r| !r.is_empty());
-    out
+    /// Index of the next near-equal part whose start is still to be found.
+    next: usize,
+    /// Start of the next range to yield.
+    start: usize,
+    starts_run: F,
 }
 
-/// Runs `f(chunk_index, range)` for every range, fanning out across scoped
-/// threads, and returns the results **in range order** (determinism does not
-/// depend on completion order). With zero or one range no thread is spawned;
-/// otherwise the first range runs on the calling thread while the rest run on
-/// spawned threads, so `n` ranges use `n` threads total, not `n + 1`.
+impl<F: Fn(usize) -> bool> Iterator for Chunks<F> {
+    type Item = Range<usize>;
+
+    fn next(&mut self) -> Option<Range<usize>> {
+        while self.next < self.parts {
+            self.next += 1;
+            // Part `i` of `parts` near-equal parts starts at
+            // `i * base + min(i, extra)`: the first `extra` are one longer.
+            let (base, extra) = (self.len / self.parts, self.len % self.parts);
+            let mut end = self.next * base + self.next.min(extra);
+            while end < self.len && !(self.starts_run)(end) {
+                end += 1;
+            }
+            let start = std::mem::replace(&mut self.start, end);
+            if start < end {
+                return Some(start..end);
+            }
+        }
+        None
+    }
+}
+
+/// Splits `slice` lazily into the consecutive parts delimited by `cuts`
+/// (ascending cut positions, relative to the slice start): one part per
+/// cut, then the rest of the slice. A cut may equal its neighbour, yielding
+/// an empty part.
 ///
-/// A panic in any closure propagates to the caller after all threads join.
-pub fn scope_map<R, F>(ranges: &[Range<usize>], f: F) -> Vec<R>
-where
+/// The iterator panics if a cut is below the one before it or past the end
+/// of the slice.
+pub fn split_at_cuts<T, I: IntoIterator<Item = usize>>(
+    slice: &mut [T],
+    cuts: I,
+) -> SplitAtCuts<'_, T, I::IntoIter> {
+    SplitAtCuts { rest: Some(slice), at: 0, cuts: cuts.into_iter() }
+}
+
+/// The parts of [`split_at_cuts`], split off as they are yielded.
+pub struct SplitAtCuts<'a, T, I> {
+    rest: Option<&'a mut [T]>,
+    /// Position of `rest` in the original slice.
+    at: usize,
+    cuts: I,
+}
+
+impl<'a, T, I: Iterator<Item = usize>> Iterator for SplitAtCuts<'a, T, I> {
+    type Item = &'a mut [T];
+
+    fn next(&mut self) -> Option<&'a mut [T]> {
+        let rest = self.rest.take()?;
+        let Some(cut) = self.cuts.next() else { return Some(rest) };
+        let (head, tail) = rest.split_at_mut(cut - self.at);
+        self.at = cut;
+        self.rest = Some(tail);
+        Some(head)
+    }
+}
+
+/// Runs `work` on every item and hands each result to `each` **in item
+/// order** (determinism does not depend on completion order).
+///
+/// The first item runs on the calling thread and every other item on a
+/// scoped thread of its own, so `n` items use `n` threads in all, not
+/// `n + 1`. A single item runs inline: nothing is spawned or allocated.
+/// A panic in any item is re-raised on the caller after every thread has
+/// joined.
+// The one spawn site of the workspace's data-parallel kernels (the root
+// `clippy.toml` disallows `std::thread::scope` everywhere else): a
+// persistent worker pool would replace exactly this scope.
+#[allow(clippy::disallowed_methods)]
+pub fn run<W, R>(
+    items: impl IntoIterator<Item = W>,
+    work: impl Fn(W) -> R + Sync,
+    mut each: impl FnMut(R),
+) where
+    W: Send,
     R: Send,
-    F: Fn(usize, Range<usize>) -> R + Sync,
 {
-    match ranges {
-        [] => Vec::new(),
-        [only] => vec![f(0, only.clone())],
-        [first, rest @ ..] => std::thread::scope(|s| {
-            let f = &f;
-            let handles: Vec<_> = rest
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    let r = r.clone();
-                    s.spawn(move || f(i + 1, r))
-                })
-                .collect();
-            let mut out = Vec::with_capacity(ranges.len());
-            out.push(f(0, first.clone()));
-            out.extend(handles.into_iter().map(|h| match h.join() {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
-            }));
-            out
-        }),
-    }
-}
-
-/// Splits one mutable slice into the consecutive sub-slices delimited by
-/// `cuts` (ascending interior cut positions, relative to the slice start).
-/// Returns `cuts.len() + 1` sub-slices; a cut may equal a neighbour, yielding
-/// an empty part. Panics if cuts are out of order or exceed the length.
-pub fn split_at_many<'a, T>(mut slice: &'a mut [T], cuts: &[usize]) -> Vec<&'a mut [T]> {
-    let mut parts = Vec::with_capacity(cuts.len() + 1);
-    let mut consumed = 0;
-    for &cut in cuts {
-        let (head, tail) = slice.split_at_mut(cut - consumed);
-        parts.push(head);
-        slice = tail;
-        consumed = cut;
-    }
-    parts.push(slice);
-    parts
-}
-
-/// Fills disjoint regions of `out` in parallel: `out` is split at the range
-/// boundaries and `f(chunk_index, range, part)` receives each input range
-/// together with the matching output sub-slice. `ranges` must cover `0..out.len()`
-/// contiguously (as produced by [`chunk_ranges`] / [`aligned_chunk_ranges`]).
-pub fn par_fill<T, F>(out: &mut [T], ranges: &[Range<usize>], f: F)
-where
-    T: Send,
-    F: Fn(usize, Range<usize>, &mut [T]) + Sync,
-{
-    if ranges.is_empty() {
-        return;
-    }
-    debug_assert_eq!(ranges.first().map(|r| r.start), Some(0));
-    debug_assert_eq!(ranges.last().map(|r| r.end), Some(out.len()));
-    let cuts: Vec<usize> = ranges[1..].iter().map(|r| r.start).collect();
-    let parts = split_at_many(out, &cuts);
-    scope_run(parts, ranges.to_vec(), f);
-}
-
-/// Runs `f(part_index, ctx, part)` for pre-split disjoint mutable parts, each
-/// paired with a per-part context value, one scoped thread per part beyond
-/// the first (which runs on the calling thread).
-///
-/// This is the safe scatter primitive for outputs whose per-chunk regions are
-/// contiguous but live in a *different* index space than the input chunks
-/// (e.g. per-parent occupancy bytes written from per-child ranges): the
-/// caller splits the output with [`split_at_many`] and passes whatever
-/// context each part needs. Panics if `parts` and `ctxs` differ in length.
-pub fn scope_run<T, C, F>(parts: Vec<&mut [T]>, ctxs: Vec<C>, f: F)
-where
-    T: Send,
-    C: Send,
-    F: Fn(usize, C, &mut [T]) + Sync,
-{
-    assert_eq!(parts.len(), ctxs.len(), "parts/ctxs length mismatch");
-    let single = parts.len() == 1;
-    let mut iter = parts.into_iter().zip(ctxs).enumerate();
-    let Some((_, (first_part, first_ctx))) = iter.next() else {
-        return;
-    };
-    if single {
-        f(0, first_ctx, first_part);
-        return;
-    }
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else { return };
+    let Some(second) = items.next() else { return each(work(first)) };
     std::thread::scope(|s| {
-        let f = &f;
-        let handles: Vec<_> = iter
-            .map(|(i, (part, ctx))| s.spawn(move || f(i, ctx, part)))
-            .collect();
-        f(0, first_ctx, first_part);
-        for h in handles {
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
+        let work = &work;
+        let handles: Vec<_> =
+            std::iter::once(second).chain(items).map(|item| s.spawn(move || work(item))).collect();
+        each(work(first));
+        for handle in handles {
+            match handle.join() {
+                Ok(result) => each(result),
+                // The scope joins the remaining threads before this
+                // unwinds out of it.
+                Err(payload) => std::panic::resume_unwind(payload),
             }
         }
     });
@@ -241,7 +215,7 @@ where
 ///
 /// This is the supervision primitive for streaming call sites: a worker
 /// panic inside one frame's encode (including panics propagated out of
-/// [`scope_map`] / [`scope_run`] fan-outs) becomes a recoverable
+/// [`run`] fan-outs) becomes a recoverable
 /// per-frame failure rather than a dead session. The closure is wrapped
 /// in [`AssertUnwindSafe`](std::panic::AssertUnwindSafe), which is sound
 /// here **only** under the supervision contract: on `Err` the caller
@@ -375,10 +349,9 @@ pub fn radix_sort_pairs(
     if fan <= 1 {
         return radix_sort_pairs_seq(keys, payload, scratch, used_bytes);
     }
-    let ranges = chunk_ranges(n, fan);
-    let fan = ranges.len();
-    scratch.counts.clear();
-    scratch.counts.resize(fan * RADIX_BUCKETS, 0);
+    let counts = &mut scratch.counts;
+    counts.clear();
+    counts.resize(fan * RADIX_BUCKETS, 0);
 
     let mut src_keys: &mut Vec<u64> = keys;
     let mut src_payload: &mut Vec<u32> = payload;
@@ -387,50 +360,60 @@ pub fn radix_sort_pairs(
 
     for pass in 0..used_bytes {
         let shift = pass * 8;
-        // Phase 1: per-thread digit histograms over contiguous chunks.
-        let histograms: Vec<[usize; RADIX_BUCKETS]> = scope_map(&ranges, |_, r| {
-            let mut hist = [0usize; RADIX_BUCKETS];
-            for &k in &src_keys[r] {
-                hist[(k >> shift) as usize & 0xff] += 1;
-            }
-            hist
-        });
-        // Phase 2: digit-major merge into per-thread global write offsets.
-        // Bucket d of thread t starts after every thread's buckets < d and
-        // after buckets d of threads < t — exactly the stable sequential
-        // order, so the output is identical at any fan-out.
-        let offsets = &mut scratch.counts;
+        let (src_k, src_p) = (&**src_keys, &**src_payload);
+        // Phase 1: per-chunk digit histograms over contiguous chunks, one
+        // row of `counts` each.
+        let rows = counts.chunks_exact_mut(RADIX_BUCKETS);
+        run(
+            chunks(n, fan).zip(rows),
+            |(r, row)| {
+                let mut hist = [0usize; RADIX_BUCKETS];
+                for &k in &src_k[r] {
+                    hist[(k >> shift) as usize & 0xff] += 1;
+                }
+                row.copy_from_slice(&hist);
+            },
+            drop,
+        );
+        // Phase 2: digit-major merge, in place, into per-chunk global write
+        // offsets. Bucket d of chunk t starts after every chunk's buckets
+        // < d and after buckets d of chunks < t — exactly the stable
+        // sequential order, so the output is identical at any fan-out.
         let mut acc = 0usize;
         for d in 0..RADIX_BUCKETS {
-            for (t, hist) in histograms.iter().enumerate() {
-                offsets[t * RADIX_BUCKETS + d] = acc;
-                acc += hist[d];
+            for t in 0..fan {
+                let slot = &mut counts[t * RADIX_BUCKETS + d];
+                acc += std::mem::replace(slot, acc);
             }
         }
         debug_assert_eq!(acc, n);
-        // Phase 3: parallel scatter; each thread owns private cursors and a
+        // Phase 3: parallel scatter; each chunk owns private cursors and a
         // provably disjoint set of destination indices.
         {
             let out_keys = SharedSliceMut::new(dst_keys.as_mut_slice());
             let out_payload = SharedSliceMut::new(dst_payload.as_mut_slice());
-            let offsets = &*offsets;
-            scope_map(&ranges, |t, r| {
-                let mut cursors = [0usize; RADIX_BUCKETS];
-                cursors.copy_from_slice(&offsets[t * RADIX_BUCKETS..(t + 1) * RADIX_BUCKETS]);
-                for i in r {
-                    let k = src_keys[i];
-                    let d = (k >> shift) as usize & 0xff;
-                    let dest = cursors[d];
-                    cursors[d] += 1;
-                    // SAFETY: dest values across all threads enumerate each
-                    // output index exactly once (prefix-sum partition), and
-                    // no thread reads dst during the scatter.
-                    unsafe {
-                        out_keys.write(dest, k);
-                        out_payload.write(dest, src_payload[i]);
+            run(
+                chunks(n, fan).zip(counts.chunks_exact(RADIX_BUCKETS)),
+                |(r, offsets)| {
+                    let mut cursors = [0usize; RADIX_BUCKETS];
+                    cursors.copy_from_slice(offsets);
+                    for i in r {
+                        let k = src_k[i];
+                        let d = (k >> shift) as usize & 0xff;
+                        let dest = cursors[d];
+                        cursors[d] += 1;
+                        // SAFETY: dest values across all chunks enumerate
+                        // each output index exactly once (prefix-sum
+                        // partition), and no thread reads dst during the
+                        // scatter.
+                        unsafe {
+                            out_keys.write(dest, k);
+                            out_payload.write(dest, src_p[i]);
+                        }
                     }
-                }
-            });
+                },
+                drop,
+            );
         }
         std::mem::swap(&mut src_keys, &mut dst_keys);
         std::mem::swap(&mut src_payload, &mut dst_payload);
@@ -558,80 +541,63 @@ pub fn compact_runs_into<T, K, F>(
         }
         return;
     }
-    let ranges = aligned_chunk_ranges(n, fan, |i| map(&items[i]) != map(&items[i - 1]));
+    let ranges = aligned_chunks(n, fan, |i| map(&items[i]) != map(&items[i - 1]));
 
     // Pass A: count runs per chunk (chunks start at run boundaries, so runs
-    // never straddle chunks and counts are independent).
-    let run_counts: Vec<usize> = scope_map(&ranges, |_, r| {
-        let mut count = 0usize;
-        let mut prev: Option<K> = None;
-        for item in &items[r] {
-            let k = map(item);
-            if prev != Some(k) {
-                count += 1;
-                prev = Some(k);
-            }
-        }
-        count
-    });
-    let mut bases = Vec::with_capacity(ranges.len() + 1);
+    // never straddle chunks and counts are independent); `bases` gets each
+    // chunk's first run index.
+    let mut bases = Vec::with_capacity(fan);
     let mut total = 0usize;
-    for &c in &run_counts {
-        bases.push(total);
-        total += c;
-    }
-    bases.push(total);
+    run(
+        ranges.clone(),
+        |r| {
+            let mut count = 0usize;
+            let mut prev: Option<K> = None;
+            for item in &items[r] {
+                let k = map(item);
+                if prev != Some(k) {
+                    count += 1;
+                    prev = Some(k);
+                }
+            }
+            count
+        },
+        |count| {
+            bases.push(total);
+            total += count;
+        },
+    );
 
     // Pass B: each chunk writes its contiguous region of both outputs.
     unique.resize(total, K::default());
     run_of.resize(n, 0);
-    let unique_cuts: Vec<usize> = bases[1..ranges.len()].to_vec();
-    let item_cuts: Vec<usize> = ranges[1..].iter().map(|r| r.start).collect();
-    let unique_parts = split_at_many(unique.as_mut_slice(), &unique_cuts);
-    let run_parts = split_at_many(run_of.as_mut_slice(), &item_cuts);
-
-    let fill = |t: usize, range: Range<usize>, uniq: &mut [K], runs: &mut [u32]| {
-        let base = bases[t] as u32;
-        let mut local = u32::MAX; // wraps to 0 on the first run
-        let mut prev: Option<K> = None;
-        for (j, item) in items[range].iter().enumerate() {
-            let k = map(item);
-            if prev != Some(k) {
-                local = local.wrapping_add(1);
-                uniq[local as usize] = k;
-                prev = Some(k);
+    let unique_parts = split_at_cuts(unique, bases.iter().skip(1).copied());
+    let run_parts = split_at_cuts(run_of, ranges.clone().skip(1).map(|r| r.start));
+    run(
+        ranges.zip(&bases).zip(unique_parts).zip(run_parts),
+        |(((range, &base), uniq), runs)| {
+            let base = base as u32;
+            let mut local = u32::MAX; // wraps to 0 on the first run
+            let mut prev: Option<K> = None;
+            for (j, item) in items[range].iter().enumerate() {
+                let k = map(item);
+                if prev != Some(k) {
+                    local = local.wrapping_add(1);
+                    uniq[local as usize] = k;
+                    prev = Some(k);
+                }
+                runs[j] = base + local;
             }
-            runs[j] = base + local;
-        }
-    };
-
-    std::thread::scope(|s| {
-        let mut work: Vec<_> = ranges
-            .iter()
-            .cloned()
-            .zip(unique_parts)
-            .zip(run_parts)
-            .enumerate()
-            .map(|(t, ((range, uniq), runs))| (t, range, uniq, runs))
-            .collect();
-        let (t0, range0, uniq0, runs0) = work.remove(0);
-        let fill = &fill;
-        let handles: Vec<_> = work
-            .into_iter()
-            .map(|(t, range, uniq, runs)| s.spawn(move || fill(t, range, uniq, runs)))
-            .collect();
-        fill(t0, range0, uniq0, runs0);
-        for h in handles {
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
+        },
+        drop,
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     fn nz(n: usize) -> NonZeroUsize {
         NonZeroUsize::new(n).unwrap()
@@ -649,86 +615,149 @@ mod tests {
 
     #[test]
     fn contain_catches_panics_from_scoped_fanouts() {
-        // A worker panic inside scope_map propagates via resume_unwind on
-        // join; contain must stop it at the supervision boundary.
+        // A worker panic inside run propagates via resume_unwind on join;
+        // contain must stop it at the supervision boundary.
         let err = contain(|| {
-            scope_map(&chunk_ranges(8, 2), |i, _r| {
-                if i == 1 {
-                    panic!("worker down");
-                }
-                i
-            })
+            run(
+                0..2,
+                |i| {
+                    if i == 1 {
+                        panic!("worker down");
+                    }
+                },
+                drop,
+            )
         })
         .unwrap_err();
         assert!(err.contains("worker down"), "got {err}");
     }
 
-    #[test]
-    fn chunk_ranges_cover_and_order() {
-        for len in [0usize, 1, 5, 17, 4096, 10_000] {
-            for parts in [1usize, 2, 3, 7, 16] {
-                let ranges = chunk_ranges(len, parts);
-                let mut expect = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, expect);
-                    assert!(r.end > r.start);
-                    expect = r.end;
-                }
-                assert_eq!(expect, len);
-                assert!(ranges.len() <= parts.max(1));
+    /// Keys with runs of random length: a new run starts wherever `steps`
+    /// holds a zero.
+    fn run_keys(steps: &[u8]) -> Vec<usize> {
+        steps
+            .iter()
+            .scan(0, |key, &step| {
+                *key += usize::from(step == 0);
+                Some(*key)
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// Plain and aligned chunks are non-empty, cover `0..len` in order
+        /// and number at most `parts`; plain chunks are the near-equal
+        /// split, and aligned chunks are the plain ones with each start
+        /// moved forward to the next run start, empty ones dropped.
+        #[test]
+        fn chunks_cover_in_order_and_honour_run_starts(
+            steps in prop::collection::vec(0u8..6, 0..600),
+            parts in 1usize..12,
+        ) {
+            let keys = run_keys(&steps);
+            let len = keys.len();
+            let starts_run = |i: usize| keys[i] != keys[i - 1];
+            let plain: Vec<_> = chunks(len, parts).collect();
+            let aligned: Vec<_> = aligned_chunks(len, parts, starts_run).collect();
+            for ranges in [&plain, &aligned] {
+                prop_assert!(ranges.len() <= parts);
+                prop_assert!(ranges.iter().all(|r| !r.is_empty()));
+                prop_assert_eq!(ranges.first().map_or(0, |r| r.start), 0);
+                prop_assert_eq!(ranges.last().map_or(0, |r| r.end), len);
+                prop_assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
             }
+            prop_assert_eq!(plain.len(), parts.min(len));
+            let (small, large) = (len / parts.min(len).max(1), len.div_ceil(parts.min(len).max(1)));
+            prop_assert!(plain.iter().all(|r| r.len() == small || r.len() == large));
+            prop_assert!(plain.windows(2).all(|w| w[0].len() >= w[1].len()));
+            prop_assert!(aligned.iter().all(|r| r.start == 0 || starts_run(r.start)));
+            let advance = |mut i: usize| {
+                while i < len && i != 0 && !starts_run(i) {
+                    i += 1;
+                }
+                i
+            };
+            let mut cuts: Vec<usize> = plain.iter().map(|r| advance(r.start)).collect();
+            cuts.push(len);
+            cuts.dedup();
+            let want: Vec<_> = cuts.windows(2).map(|w| w[0]..w[1]).collect();
+            prop_assert_eq!(aligned, want);
+        }
+
+        /// `run` hands results over in item order for 0 to 8 items; the
+        /// first item runs on the calling thread, and every other item on
+        /// a thread of its own.
+        #[test]
+        fn run_yields_results_in_item_order(count in 0usize..9, work in 0u64..2000) {
+            let caller = std::thread::current().id();
+            let mut got = Vec::new();
+            run(
+                0..count,
+                |i| {
+                    // Later items finish first: item i spins longest at i == 0.
+                    let spins = work * (count - i) as u64;
+                    let mut acc = 0u64;
+                    for k in 0..spins {
+                        acc = std::hint::black_box(acc.wrapping_add(k));
+                    }
+                    (i, std::thread::current().id(), acc)
+                },
+                |(i, thread, _)| got.push((i, thread)),
+            );
+            prop_assert_eq!(got.len(), count);
+            for (want, &(i, thread)) in got.iter().enumerate() {
+                prop_assert_eq!(i, want);
+                prop_assert_eq!(thread == caller, i == 0);
+            }
+            let threads: std::collections::BTreeSet<_> =
+                got.iter().map(|&(_, t)| format!("{t:?}")).collect();
+            prop_assert_eq!(threads.len(), count);
+        }
+
+        /// A panic in any item reaches the caller only after every other
+        /// item has finished: the others wait until the panicking item has
+        /// raised its flag, so an early re-raise would find them unfinished.
+        #[test]
+        fn run_reraises_a_worker_panic_after_every_thread_joined(
+            count in 2usize..9,
+            bad_pick in 0usize..8,
+        ) {
+            let bad = bad_pick % count;
+            let raised = AtomicBool::new(false);
+            let finished = AtomicUsize::new(0);
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run(
+                    0..count,
+                    |i| {
+                        if i == bad {
+                            raised.store(true, Ordering::SeqCst);
+                            panic!("item {i} failed");
+                        }
+                        while !raised.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                        finished.fetch_add(1, Ordering::SeqCst);
+                    },
+                    drop,
+                )
+            }));
+            let payload = outcome.expect_err("the item panic must reach the caller");
+            let message = payload.downcast_ref::<String>().cloned().unwrap_or_default();
+            prop_assert_eq!(message, format!("item {bad} failed"));
+            prop_assert_eq!(finished.load(Ordering::SeqCst), count - 1);
         }
     }
 
     #[test]
-    fn aligned_ranges_never_split_runs() {
-        // Keys with long runs crossing naive chunk boundaries.
-        let keys: Vec<u32> = (0..1000).map(|i| (i / 170) as u32).collect();
-        for parts in [1usize, 2, 3, 4, 8] {
-            let ranges =
-                aligned_chunk_ranges(keys.len(), parts, |i| keys[i] != keys[i - 1]);
-            let mut expect = 0;
-            for r in &ranges {
-                assert_eq!(r.start, expect);
-                if r.start > 0 {
-                    assert_ne!(keys[r.start], keys[r.start - 1], "run split at {}", r.start);
-                }
-                expect = r.end;
-            }
-            assert_eq!(expect, keys.len());
-        }
-    }
-
-    #[test]
-    fn aligned_ranges_single_run() {
-        let ranges = aligned_chunk_ranges(100, 4, |_| false);
+    fn aligned_chunks_of_a_single_run_are_one_chunk() {
+        let ranges: Vec<_> = aligned_chunks(100, 4, |_| false).collect();
         assert_eq!(ranges, vec![0..100]);
     }
 
     #[test]
-    fn scope_map_results_in_range_order() {
-        let ranges = chunk_ranges(100, 7);
-        let sums = scope_map(&ranges, |_, r| r.sum::<usize>());
-        let expect: Vec<usize> = ranges.iter().map(|r| r.clone().sum()).collect();
-        assert_eq!(sums, expect);
-    }
-
-    #[test]
-    fn par_fill_writes_every_slot() {
-        let mut out = vec![0usize; 999];
-        let ranges = chunk_ranges(out.len(), 5);
-        par_fill(&mut out, &ranges, |_, range, part| {
-            for (j, slot) in part.iter_mut().enumerate() {
-                *slot = range.start + j;
-            }
-        });
-        assert!(out.iter().enumerate().all(|(i, &v)| v == i));
-    }
-
-    #[test]
-    fn split_at_many_roundtrip() {
+    fn split_at_cuts_yields_every_part_including_empty_ones() {
         let mut data: Vec<u32> = (0..10).collect();
-        let parts = split_at_many(&mut data, &[2, 2, 7]);
+        let parts: Vec<&mut [u32]> = split_at_cuts(&mut data, [2, 2, 7]).collect();
         assert_eq!(parts.len(), 4);
         assert_eq!(parts[0], &[0, 1]);
         assert!(parts[1].is_empty());

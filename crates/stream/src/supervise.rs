@@ -184,6 +184,10 @@ impl Supervisor {
 ///
 /// Propagates transport errors (encoding stops early when the transport
 /// dies).
+// The encode → transmit pipeline is two long-lived stages joined by a
+// bounded queue, not a data-parallel fan-out, so it spawns its encode
+// stage itself rather than through `pcc_parallel::run`.
+#[allow(clippy::disallowed_methods)]
 pub fn stream_video<W: Write>(
     codec: &PccCodec,
     video: &Video,

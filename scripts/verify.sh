@@ -160,15 +160,17 @@ echo "== brick conformance: goldens, determinism, partial decode, fuzz =="
 # decode_brick_ns_per_point metric rides the hotpath gate above.
 cargo test -q --offline --release --test golden --test determinism --test stream_transport
 
-echo "== clippy: no unchecked indexing on the decode path =="
+echo "== clippy: no unchecked indexing on the decode path, one spawn site =="
 # Every crate that parses wire-derived bytes carries
 # #![deny(clippy::indexing_slicing)] in its lib.rs — a bare slice index
 # is a latent panic on hostile input, so access must be get()-style or
 # carry a local, justified allow. This invocation makes the deny fire.
+# It also denies the root clippy.toml's disallowed methods: threads are
+# spawned only by pcc_parallel::run and stream_video's pipeline.
 cargo clippy -q --offline \
     -p pcc-types -p pcc-entropy -p pcc-octree -p pcc-intra -p pcc-inter \
     -p pcc-core -p pcc-stream -p pcc-serve -p pcc-sim -p pcc-fault \
-    -p pcc-adapt -p pcc-morton -p pcc-parallel
+    -p pcc-adapt -p pcc-morton -p pcc-parallel -- -D clippy::disallowed_methods
 
 echo "== rustdoc: no broken intra-doc links =="
 # A doc link to a renamed or deleted item is a compile error here, so

@@ -424,3 +424,69 @@ fn mutated_resync_replays_never_panic_a_joiner_or_desync_the_room() {
     assert_eq!(seen, 5);
     assert_eq!(rx.into_stats().frames_dropped, 0);
 }
+
+/// A layer passes `Limits` on its counts and sizes, not on its values, so
+/// a residual times its step can overflow `i32`. Decode must wrap (as
+/// release builds do) rather than panic: on one thread, and across a
+/// two-chunk fan-out of two segments of 4096 values.
+#[test]
+fn hostile_layer_values_wrap_instead_of_overflowing() {
+    use pcc::intra::{decode_layer_threaded, LayerEncoded};
+    let big = 1i32 << 20;
+    for (values, threads) in [(1usize, 1usize), (2 * 4096, 2)] {
+        let layer = LayerEncoded {
+            bases: vec![[0; 3]; values.min(2)],
+            residuals: vec![[big; 3]; values],
+            starts: if values == 1 { vec![0] } else { vec![0, values as u32 / 2] },
+            quant_step: big,
+        };
+        let parsed = LayerEncoded::from_bytes_with(&layer.to_bytes(), &Limits::default())
+            .expect("the hostile layer is within the default limits");
+        assert_eq!(parsed, layer);
+        let decoded = decode_layer_threaded(&parsed, NonZeroUsize::new(threads).unwrap());
+        assert_eq!(decoded, vec![[big.wrapping_mul(big); 3]; values], "{threads} threads");
+    }
+}
+
+/// A P-frame whose delta layer makes every block a delta block carrying
+/// `i32::MAX` deltas: adding them to the predicted colors must wrap and
+/// clamp, not panic.
+#[test]
+fn hostile_p_frame_deltas_wrap_instead_of_overflowing() {
+    use pcc::entropy::varint;
+    use pcc::inter::{InterCodec, InterConfig};
+    use pcc::intra::LayerEncoded;
+
+    let video = clip();
+    let i_vox = VoxelizedCloud::from_cloud(&video.frame(0).unwrap().cloud, 7);
+    let p_vox = VoxelizedCloud::from_cloud(&video.frame(1).unwrap().cloud, 7);
+    let reference = i_vox.colors().to_vec();
+    let codec = InterCodec::new(InterConfig::v2());
+    let d = device(1);
+    let mut encoded = codec.encode(&p_vox, &reference, &d);
+
+    let mut input = encoded.frame.attribute.as_slice();
+    let voxels = varint::read_u64(&mut input).unwrap();
+    let blocks = varint::read_u64(&mut input).unwrap();
+    let mut payload = Vec::new();
+    varint::write_u64(&mut payload, voxels);
+    varint::write_u64(&mut payload, blocks);
+    for _ in 0..blocks {
+        // Keep the window offset, clear the reuse bit.
+        let flag = varint::read_u64(&mut input).unwrap();
+        varint::write_u64(&mut payload, flag & !1);
+    }
+    let deltas = LayerEncoded {
+        bases: vec![[0; 3]],
+        residuals: vec![[i32::MAX; 3]; voxels as usize],
+        starts: vec![0],
+        quant_step: 1,
+    };
+    payload.extend(deltas.to_bytes());
+    encoded.frame.attribute = payload;
+
+    let cloud = codec
+        .decode_with_limits(&encoded, &reference, &d, &Limits::default())
+        .expect("the hostile deltas are well-formed");
+    assert_eq!(cloud.len() as u64, voxels);
+}
