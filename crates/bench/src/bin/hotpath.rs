@@ -11,21 +11,23 @@
 //! Gated legs are timed on the process CPU clock
 //! ([`pcc_bench::clock::process_cpu`]), so time the process spends
 //! descheduled or stolen by other tenants does not count (their cache
-//! and memory contention still does); the one parallel leg,
-//! `brick_parallel_decode_speedup`, is a wall-clock ratio and only
-//! informational.
+//! and memory contention still does); the two parallel legs,
+//! `brick_parallel_decode_speedup` and `intra_encode_parallel_speedup`,
+//! are wall-clock ratios and only informational.
 //!
 //! Everything is deterministic — a fixed xorshift seed generates the
-//! inputs, so two runs on the same machine measure the same work.
+//! kernel inputs and the scaling leg encodes a seeded `pcc-datasets`
+//! frame, so two runs on the same machine measure the same work.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use pcc_bench::alloc::{count as alloc_count, CountingAlloc};
 use pcc_bench::clock::process_cpu;
+use pcc_bench::Scale;
 
+use pcc_datasets::catalog;
 use pcc_edge::{Device, PowerMode};
 use pcc_inter::{InterArena, InterCodec, InterConfig, InterEncoded};
 use pcc_intra::{
@@ -36,41 +38,9 @@ use pcc_morton::{encode, encode_slice, sort_codes_into, MortonCode, SortScratch,
 use pcc_stream::{Chunk, ChunkKind, FramePayload, SharedRing, StampMemo, Subscription};
 use pcc_types::{FrameKind, Point3, PointCloud, Rgb, VoxelCoord, VoxelizedCloud};
 
-// ---------------------------------------------------------------------------
-// Counting allocator (same pattern as tests/alloc_steady_state.rs): lets the
-// benchmark report allocs/frame for the steady-state encode loop.
-// ---------------------------------------------------------------------------
-
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates every operation to `System`, only adding a relaxed
-// counter bump — layout contracts are untouched.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
+/// Counts allocations for the `*_allocs_*` metrics.
 #[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
-
-fn alloc_count() -> u64 {
-    ALLOC_CALLS.load(Ordering::Relaxed)
-}
+static ALLOC: CountingAlloc = CountingAlloc;
 
 // ---------------------------------------------------------------------------
 // Deterministic inputs
@@ -100,6 +70,9 @@ const FANOUT_SUBSCRIBERS: usize = 64;
 const FANOUT_PAYLOAD_BYTES: usize = 8_704;
 const FANOUT_ARQ_STRIDE: usize = 4;
 const FANOUT_RING: usize = 16;
+/// Intra thread-scaling leg: one Longdress frame at this many points,
+/// encoded at 1 thread and at the machine's full thread count.
+const SCALING_POINTS: usize = 100_000;
 
 struct XorShift(u64);
 
@@ -270,6 +243,7 @@ fn json_num(src: &str, key: &str) -> Option<f64> {
 
 fn run() -> Report {
     let one = NonZeroUsize::new(1).expect("1 is non-zero");
+    let allocs_at_start = alloc_count();
 
     // -- Morton codegen: scalar loop vs. the batched SWAR/SIMD kernel.
     let coords = kernel_coords();
@@ -321,6 +295,13 @@ fn run() -> Report {
     let intra_cfg = IntraConfig::paper();
     let device = Device::jetson_agx_xavier(PowerMode::W15).with_host_threads(Some(one));
     let frames: Vec<VoxelizedCloud> = (0..FRAMES).map(frame).collect();
+    // Positive control for every allocation metric: building the inputs
+    // allocates, so a count that has not moved means the counting
+    // allocator is not installed and each `*_allocs_*` would read 0.
+    assert!(
+        alloc_count() > allocs_at_start,
+        "building the inputs counted no allocation: CountingAlloc is not the global allocator"
+    );
 
     let intra = IntraCodec::new(intra_cfg);
     let mut arena = FrameArena::new();
@@ -413,6 +394,25 @@ fn run() -> Report {
         Device::jetson_agx_xavier(PowerMode::W15).with_host_threads(Some(max_threads));
     let speedup = min_wall_ns(|| decode_on(&device)) / min_wall_ns(|| decode_on(&wide_device));
 
+    // -- Intra encode thread scaling: the wall-clock speedup of a whole
+    //    frame encode at the machine's full thread count over 1 thread
+    //    (informational, never gated). Every count produces the same
+    //    bytes (tests/determinism.rs), so this is pure execution-layer
+    //    scaling.
+    let scale = Scale { points: SCALING_POINTS, frames: 1 };
+    let video = scale.video(catalog::by_name("Longdress").expect("Table-I video"));
+    let scaling_vox = VoxelizedCloud::from_cloud(
+        &video.frame(0).expect("one frame generated").cloud,
+        scale.depth(),
+    );
+    let scaling_codec = IntraCodec::new(IntraConfig::default());
+    let encode_on = |device: &Device| {
+        device.reset();
+        black_box(scaling_codec.encode(&scaling_vox, device));
+    };
+    let encode_speedup =
+        min_wall_ns(|| encode_on(&device)) / min_wall_ns(|| encode_on(&wide_device));
+
     let per_point = KERNEL_POINTS as f64;
     let metric = |key, value, decimals, kind| Metric { key, value, decimals, kind };
     use Kind::{Allocs, Speedup, Time};
@@ -430,6 +430,7 @@ fn run() -> Report {
         metric("fanout_allocs_per_subscriber", fanout_allocs, 2, Allocs),
         metric("decode_brick_ns_per_point", decode_1_ns / brick_vox.len() as f64, 3, Time),
         metric("brick_parallel_decode_speedup", speedup, 2, Speedup),
+        metric("intra_encode_parallel_speedup", encode_speedup, 2, Speedup),
     ])
 }
 

@@ -1,15 +1,18 @@
-//! Experiment harness shared by the `experiments` binary and the
-//! Criterion benches: scaled workload construction and full-scale
-//! extrapolation of modeled numbers.
+//! Experiment harness and host-measurement kit: scaled workload
+//! construction and full-scale extrapolation of modeled numbers for the
+//! `experiments` binary, and the process CPU [`clock`] and counting
+//! [`alloc`]ator that the `hotpath` gate and the zero-allocation test
+//! measure with.
 //!
 //! Every figure/table of the paper has a `fig*`/`table*` function here
 //! that returns its data as printable text; the binary just dispatches.
 
-// `clock` reads the process CPU clock through one FFI call; everything
-// else stays safe.
+// `clock` reads the process CPU clock through one FFI call, and `alloc`
+// wraps the system allocator to count calls; everything else stays safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod alloc;
 pub mod clock;
 pub mod figures;
 pub mod locality;

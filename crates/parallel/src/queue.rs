@@ -192,6 +192,9 @@ mod tests {
         assert_eq!(got, vec![0, 1, 2, 3]);
     }
 
+    // The queue exists to connect two threads, so this test needs a
+    // producer thread of its own; it fans no data-parallel work out.
+    #[allow(clippy::disallowed_methods)]
     #[test]
     fn capacity_applies_backpressure() {
         let (tx, rx) = bounded(2);

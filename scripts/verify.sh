@@ -27,9 +27,6 @@ cargo test -q --offline --test golden
 echo "== probes compile out (no-default-features) =="
 cargo check -q --offline -p pcc --no-default-features
 
-echo "== bench targets compile =="
-cargo check -q --offline -p pcc-bench --benches
-
 echo "== glass-to-glass benchmark compiles against its lockfile =="
 # perfbench is its own workspace with its own Cargo.lock. An API change
 # that breaks it, or a dependency change that would rewrite its lockfile,
@@ -167,7 +164,9 @@ echo "== clippy: no unchecked indexing on the decode path, one spawn site =="
 # carry a local, justified allow. This invocation makes the deny fire.
 # It also denies the root clippy.toml's disallowed methods: threads are
 # spawned only by pcc_parallel::run and stream_video's pipeline.
-cargo clippy -q --offline \
+# --all-targets holds test code to the same rule; a test that needs a
+# thread of its own carries a justified allow.
+cargo clippy -q --offline --all-targets \
     -p pcc-types -p pcc-entropy -p pcc-octree -p pcc-intra -p pcc-inter \
     -p pcc-core -p pcc-stream -p pcc-serve -p pcc-sim -p pcc-fault \
     -p pcc-adapt -p pcc-morton -p pcc-parallel -- -D clippy::disallowed_methods

@@ -1,54 +1,28 @@
 //! Zero-allocation steady-state guarantee for the per-frame encode hot
 //! path (the PR-6 perf tentpole).
 //!
-//! A counting global allocator wraps the system allocator; after a few
-//! warm-up frames through a session arena, encoding further frames on
-//! the single-threaded entropy-off path must perform **zero** heap
-//! allocations (`alloc`, `alloc_zeroed`, and `realloc` all count) — for
-//! the intra and inter codecs, with probes off and on.
+//! `pcc_bench`'s counting global allocator wraps the system allocator;
+//! after a few warm-up frames through a session arena, encoding further
+//! frames on the single-threaded entropy-off path must perform **zero**
+//! heap allocations (`alloc`, `alloc_zeroed`, and `realloc` all count) —
+//! for the intra and inter codecs, with probes off and on. The warm-up
+//! frames must count at least one allocation (a fresh arena grows), so a
+//! test binary whose allocator counts nothing cannot pass.
 //!
 //! Everything lives in ONE `#[test]` function: the counter is global, so
 //! a second test running on a sibling harness thread would pollute the
 //! measurement window.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, Ordering};
 
+use pcc_bench::alloc::{count as alloc_count, CountingAlloc};
 use pcc_edge::{Device, PowerMode};
 use pcc_inter::{InterArena, InterCodec, InterConfig, InterEncoded};
 use pcc_intra::{FrameArena, IntraCodec, IntraConfig, IntraFrame};
 use pcc_types::{Point3, PointCloud, Rgb, VoxelizedCloud};
 
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates every operation to `System`, only adding a relaxed
-// counter bump — layout contracts are untouched.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
+static ALLOC: CountingAlloc = CountingAlloc;
 
 const WARMUP_FRAMES: usize = 8;
 const MEASURED_FRAMES: usize = 4;
@@ -75,8 +49,29 @@ fn frame(phase: usize) -> VoxelizedCloud {
     VoxelizedCloud::from_cloud(&cloud, 6)
 }
 
-fn alloc_count() -> u64 {
-    ALLOC_CALLS.load(Ordering::Relaxed)
+/// Allocations counted while `encode` runs on each frame in order, as
+/// `(warm-up frames, measured frames)`.
+fn count_allocs(
+    frames: &[VoxelizedCloud],
+    d: &Device,
+    mut encode: impl FnMut(&VoxelizedCloud),
+) -> (u64, u64) {
+    let (mut warmup, mut measured) = (0, 0);
+    for (i, vox) in frames.iter().enumerate() {
+        d.reset();
+        let before = alloc_count();
+        encode(vox);
+        let allocs = alloc_count() - before;
+        // Drain thread-local probe buffers without dropping their
+        // capacity (take_report would mem::take them away).
+        pcc_probe::discard_thread();
+        if i < WARMUP_FRAMES {
+            warmup += allocs;
+        } else {
+            measured += allocs;
+        }
+    }
+    (warmup, measured)
 }
 
 #[test]
@@ -107,47 +102,31 @@ fn encode_hot_path_is_allocation_free_after_warmup() {
     for probes in [false, true] {
         pcc_probe::set_enabled(probes);
 
-        // ---- Intra leg ----
         let mut arena = FrameArena::new();
         let mut out = IntraFrame::default();
-        let mut measured = 0u64;
-        for (i, vox) in frames.iter().enumerate() {
-            d.reset();
-            let before = alloc_count();
+        let intra_counts = count_allocs(&frames, &d, |vox| {
             intra.encode_into(vox, &d, &mut arena, &mut out);
-            let after = alloc_count();
-            // Drain thread-local probe buffers without dropping their
-            // capacity (take_report would mem::take them away).
-            pcc_probe::discard_thread();
-            if i >= WARMUP_FRAMES {
-                measured += after - before;
-            }
-        }
-        assert_eq!(
-            measured, 0,
-            "intra encode allocated {measured} times across {MEASURED_FRAMES} \
-             steady-state frames (probes={probes})"
-        );
-
-        // ---- Inter leg ----
+        });
         let mut arena = InterArena::new();
         let mut out = InterEncoded::default();
-        let mut measured = 0u64;
-        for (i, vox) in frames.iter().enumerate() {
-            d.reset();
-            let before = alloc_count();
+        let inter_counts = count_allocs(&frames, &d, |vox| {
             inter.encode_into(vox, &reference, &d, &mut arena, &mut out);
-            let after = alloc_count();
-            pcc_probe::discard_thread();
-            if i >= WARMUP_FRAMES {
-                measured += after - before;
-            }
+        });
+
+        for (leg, (warmup, measured)) in [("intra", intra_counts), ("inter", inter_counts)] {
+            // Positive control: a fresh arena must grow, so a warm-up
+            // that counted nothing means the allocator is not counting.
+            assert!(
+                warmup > 0,
+                "{leg} warm-up counted no allocation (probes={probes}): \
+                 CountingAlloc is not the global allocator"
+            );
+            assert_eq!(
+                measured, 0,
+                "{leg} encode allocated {measured} times across {MEASURED_FRAMES} \
+                 steady-state frames (probes={probes})"
+            );
         }
-        assert_eq!(
-            measured, 0,
-            "inter encode allocated {measured} times across {MEASURED_FRAMES} \
-             steady-state frames (probes={probes})"
-        );
     }
     pcc_probe::set_enabled(false);
 }
