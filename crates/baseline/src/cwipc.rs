@@ -1,13 +1,11 @@
 //! CWIPC-style inter codec: octree geometry, entropy-coded quantized
 //! attributes, and macro-block motion estimation for P-frames.
 
-use crate::tmc13::{
-    entropy_unwrap, entropy_wrap, grid_header, leaf_attributes, parse_grid_header, BaselineError,
-};
+use crate::tmc13::{leaf_attributes, BaselineError};
 use pcc_edge::{calib, Device};
-use pcc_entropy::varint;
+use pcc_entropy::{unwrap_stream, varint, wrap_stream};
 use pcc_morton::MortonCode;
-use pcc_octree::SequentialOctree;
+use pcc_octree::{parse_grid_header, write_grid_header, SequentialOctree};
 use pcc_types::{Point3, Rgb, VoxelizedCloud};
 use std::collections::HashMap;
 
@@ -105,7 +103,7 @@ impl CwipcCodec {
                 payload.push(ch >> self.config.color_shift);
             }
         }
-        let attribute = entropy_wrap(&payload);
+        let attribute = wrap_stream(&payload);
         device.charge_cpu(
             "attribute/entropy",
             &calib::CWIPC_ENTROPY,
@@ -217,7 +215,7 @@ impl CwipcCodec {
                 }
             }
         }
-        let attribute = entropy_wrap(&payload);
+        let attribute = wrap_stream(&payload);
         device.charge_cpu(
             "attribute/entropy",
             &calib::CWIPC_ENTROPY,
@@ -266,12 +264,12 @@ impl CwipcCodec {
         device: &Device,
         limits: &pcc_types::Limits,
     ) -> Result<VoxelizedCloud, BaselineError> {
-        let geometry = entropy_unwrap(&frame.geometry, limits)?;
+        let geometry = unwrap_stream(&frame.geometry, limits)?;
         let (header, rest) = parse_grid_header(&geometry)?;
         let coords = pcc_octree::decode_occupancy_with(rest, limits)?;
         device.charge_cpu("geometry_decode", &calib::OCTREE_SERIALIZE, coords.len().max(1), 1);
 
-        let payload = entropy_unwrap(&frame.attribute, limits)?;
+        let payload = unwrap_stream(&frame.attribute, limits)?;
         let mut input = payload.as_slice();
         let n = varint::read_u64(&mut input)? as usize;
         limits.check_points(n as u64).map_err(pcc_entropy::Error::from)?;
@@ -386,14 +384,15 @@ impl CwipcCodec {
             tree.node_count().max(1),
             self.config.threads,
         );
-        let mut geometry = grid_header(cloud);
+        let mut geometry = Vec::new();
+        write_grid_header(cloud, &mut geometry);
         pcc_octree::serialize_occupancy_into(
             cloud.depth(),
             tree.leaf_count(),
             &occupancy,
             &mut geometry,
         );
-        let geometry = entropy_wrap(&geometry);
+        let geometry = wrap_stream(&geometry);
         device.charge_cpu(
             "geometry/entropy",
             &calib::CWIPC_ENTROPY,

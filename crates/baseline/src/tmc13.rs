@@ -2,9 +2,9 @@
 //! coding).
 
 use pcc_edge::{calib, Device};
-use pcc_entropy::{varint, ByteModel, RangeDecoder, RangeEncoder};
+use pcc_entropy::{unwrap_stream, varint, wrap_stream};
 use pcc_morton::{MortonCode, SortScratch, SortedCodes};
-use pcc_octree::SequentialOctree;
+use pcc_octree::{parse_grid_header, write_grid_header, SequentialOctree};
 use pcc_raht::{forward, inverse, transform_count, RahtEncoded};
 use pcc_types::{Point3, Rgb, VoxelizedCloud};
 use std::fmt;
@@ -187,7 +187,8 @@ impl Tmc13Codec {
 
         // Context-adaptive occupancy coding (parent-byte contexts), the
         // G-PCC geometry entropy scheme.
-        let mut geometry = grid_header(cloud);
+        let mut geometry = Vec::new();
+        write_grid_header(cloud, &mut geometry);
         geometry.push(depth);
         varint::write_u64(&mut geometry, tree.leaf_count() as u64);
         varint::write_u64(&mut geometry, occupancy.len() as u64);
@@ -229,7 +230,7 @@ impl Tmc13Codec {
                 varint::write_i64(&mut coeff_bytes, v);
             }
         }
-        let attribute = entropy_wrap(&coeff_bytes);
+        let attribute = wrap_stream(&coeff_bytes);
         device.charge_cpu("attribute/entropy", &calib::ENTROPY_CPU, attribute.len().max(1), 1);
 
         let _ = n;
@@ -284,7 +285,7 @@ impl Tmc13Codec {
         let coords = pcc_octree::decode_occupancy_with(&stream, limits)?;
         device.charge_cpu("geometry_decode", &calib::OCTREE_SERIALIZE, coords.len().max(1), 1);
 
-        let coeff_bytes = entropy_unwrap(&frame.attribute, limits)?;
+        let coeff_bytes = unwrap_stream(&frame.attribute, limits)?;
         let mut input = coeff_bytes.as_slice();
         let (&mode_tag, rest) =
             input.split_first().ok_or(pcc_entropy::Error::UnexpectedEnd)?;
@@ -386,64 +387,6 @@ pub(crate) fn leaf_attributes(
         .map(|(s, &k)| [s[0] / k, s[1] / k, s[2] / k])
         .collect();
     (leaf_codes, attrs, counts)
-}
-
-pub(crate) struct GridHeader {
-    pub depth: u8,
-    pub origin: [f32; 3],
-    pub voxel_size: f32,
-}
-
-pub(crate) fn grid_header(cloud: &VoxelizedCloud) -> Vec<u8> {
-    let mut out = Vec::with_capacity(17);
-    out.push(cloud.depth());
-    let o = cloud.origin();
-    for v in [o.x, o.y, o.z, cloud.voxel_size()] {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-pub(crate) fn parse_grid_header(
-    input: &[u8],
-) -> Result<(GridHeader, &[u8]), pcc_octree::StreamError> {
-    let (&depth, mut rest) = input.split_first().ok_or(pcc_octree::StreamError::Truncated)?;
-    let mut f = [0f32; 4];
-    for v in f.iter_mut() {
-        let (bytes, tail) =
-            rest.split_first_chunk::<4>().ok_or(pcc_octree::StreamError::Truncated)?;
-        *v = f32::from_le_bytes(*bytes);
-        rest = tail;
-    }
-    Ok((GridHeader { depth, origin: [f[0], f[1], f[2]], voxel_size: f[3] }, rest))
-}
-
-pub(crate) fn entropy_wrap(payload: &[u8]) -> Vec<u8> {
-    let mut model = ByteModel::new();
-    let mut enc = RangeEncoder::new();
-    for &b in payload {
-        enc.encode_byte(&mut model, b);
-    }
-    let coded = enc.finish();
-    let mut out = Vec::with_capacity(coded.len() + 4);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&coded);
-    out
-}
-
-pub(crate) fn entropy_unwrap(
-    stream: &[u8],
-    limits: &pcc_types::Limits,
-) -> Result<Vec<u8>, pcc_entropy::Error> {
-    // The u32 length prefix is attacker-controlled: bound it before the
-    // allocation it drives.
-    let (len_bytes, coded) =
-        stream.split_first_chunk::<4>().ok_or(pcc_entropy::Error::UnexpectedEnd)?;
-    let len = u32::from_le_bytes(*len_bytes) as usize;
-    limits.check_alloc(len as u64)?;
-    let mut model = ByteModel::new();
-    let mut dec = RangeDecoder::new(coded);
-    Ok((0..len).map(|_| dec.decode_byte(&mut model)).collect())
 }
 
 #[cfg(test)]
@@ -633,9 +576,9 @@ mod attribute_mode_tests {
         let frame = codec.encode(&vox, &d);
         // Corrupt the mode byte inside the entropy-coded attribute stream:
         // re-wrap a payload with a bad tag.
-        let mut payload = entropy_unwrap(&frame.attribute, &pcc_types::Limits::default()).unwrap();
+        let mut payload = unwrap_stream(&frame.attribute, &pcc_types::Limits::default()).unwrap();
         payload[0] = 9;
-        let bad = Tmc13Frame { attribute: entropy_wrap(&payload), ..frame };
+        let bad = Tmc13Frame { attribute: wrap_stream(&payload), ..frame };
         assert!(codec.decode(&bad, &d).is_err());
     }
 

@@ -107,7 +107,7 @@ fn main() {
         let report = pcc_probe::take_report();
         println!("==== probe ====");
         if report.is_empty() {
-            println!("(no spans recorded; build with the default `probe` feature)");
+            println!("(no spans recorded)");
         } else {
             println!("{}", report.table());
         }

@@ -39,9 +39,8 @@ pub fn evaluate(
         .depth
         .unwrap_or_else(|| pcc_datasets::density_matched_depth(video.mean_points_per_frame()));
 
-    // Encode (modeled timelines per frame + host wall clock overall).
-    let (encoded, host_ms) = device.time_host(|| codec.encode_video(video, depth, device));
-    let host_encode_ms = host_ms.as_f64() / video.len().max(1) as f64;
+    // Encode (modeled timelines per frame).
+    let encoded = codec.encode_video(video, depth, device);
 
     // Decode everything, collecting per-frame decode timelines.
     let (decoded, decode_timelines) = codec.decode_video_with_timelines(&encoded, device)?;
@@ -109,7 +108,6 @@ pub fn evaluate(
         attribute_ms: per_frame.iter().map(|f| f.attribute_ms).sum::<f64>() / frames,
         energy_j: per_frame.iter().map(|f| f.energy_j).sum::<f64>() / frames,
         decode_ms,
-        host_encode_ms,
         size,
         percent_of_raw: size.percent_of_raw(raw),
         compression_ratio: size.compression_ratio(raw),

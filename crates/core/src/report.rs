@@ -49,8 +49,6 @@ pub struct DesignReport {
     pub energy_j: f64,
     /// Mean modeled decode latency per frame, ms.
     pub decode_ms: f64,
-    /// Mean host (wall-clock) encode latency per frame, ms.
-    pub host_encode_ms: f64,
     /// Total compressed size across frames.
     pub size: CompressedSize,
     /// Compressed size as % of raw.
@@ -107,7 +105,6 @@ mod tests {
             attribute_ms: 53.0,
             energy_j: 0.38,
             decode_ms: 70.0,
-            host_encode_ms: 5.0,
             size: CompressedSize::new(100, 400, 0),
             percent_of_raw: 17.0,
             compression_ratio: 5.9,

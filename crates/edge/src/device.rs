@@ -4,7 +4,6 @@ use crate::timeline::{ExecUnit, StageRecord, Timeline};
 use crate::units::{Joules, Millis};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Power/clock operating mode of the board.
 ///
@@ -232,16 +231,6 @@ impl Device {
         time
     }
 
-    /// Runs `f` on the host and returns its result along with the measured
-    /// wall-clock duration. No model charge is recorded — combine with
-    /// [`charge_gpu`](Self::charge_gpu)/[`charge_cpu`](Self::charge_cpu)
-    /// as appropriate.
-    pub fn time_host<R>(&self, f: impl FnOnce() -> R) -> (R, Millis) {
-        let start = Instant::now();
-        let r = f();
-        (r, Millis::from_seconds(start.elapsed().as_secs_f64()))
-    }
-
     /// Snapshot of everything charged so far.
     pub fn timeline(&self) -> Timeline {
         Timeline::new(self.records.lock().clone())
@@ -330,13 +319,5 @@ mod tests {
         d.charge_gpu("s", &calib::MORTON_GEN, 10);
         d.reset();
         assert!(d.timeline().records().is_empty());
-    }
-
-    #[test]
-    fn time_host_measures_something() {
-        let d = Device::jetson_agx_xavier(PowerMode::W15);
-        let (v, t) = d.time_host(|| (0..10_000).sum::<u64>());
-        assert_eq!(v, 49_995_000);
-        assert!(t.as_f64() >= 0.0);
     }
 }

@@ -18,8 +18,8 @@
 //!
 //! Per-kernel cycle costs live in [`calib`] and are calibrated against the
 //! stage latencies the paper itself reports (Figs. 2, 8a, 9), so modeled
-//! numbers are *paper-comparable*; host wall-clock can be measured
-//! independently with [`Device::time_host`].
+//! numbers are *paper-comparable*; host wall-clock is measured by
+//! `pcc-probe` spans.
 //!
 //! # Examples
 //!

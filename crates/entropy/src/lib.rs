@@ -45,7 +45,7 @@ mod range;
 pub mod varint;
 
 pub use context::ContextByteModel;
-pub use range::{BitModel, ByteModel, RangeDecoder, RangeEncoder};
+pub use range::{unwrap_stream, wrap_stream, BitModel, ByteModel, RangeDecoder, RangeEncoder};
 
 use pcc_types::{DecodeError, LimitExceeded};
 use std::fmt;

@@ -3,6 +3,10 @@
 //! This is the arithmetic-coding stage of the TMC13-like baseline: an
 //! 11-bit adaptive probability per binary context, a carry-propagating
 //! 32-bit range encoder, and a 255-context bit-tree model for whole bytes.
+//! [`wrap_stream`] / [`unwrap_stream`] frame a whole byte payload with it.
+
+use crate::Error;
+use pcc_types::Limits;
 
 const PROB_BITS: u32 = 11;
 const PROB_ONE: u16 = 1 << PROB_BITS; // 2048
@@ -265,6 +269,40 @@ impl<'a> RangeDecoder<'a> {
     }
 }
 
+/// Range-codes `payload` byte by byte under one fresh [`ByteModel`],
+/// behind its length as a little-endian `u32`: the self-delimiting
+/// stream every codec's optional entropy stage emits.
+pub fn wrap_stream(payload: &[u8]) -> Vec<u8> {
+    let mut model = ByteModel::new();
+    let mut enc = RangeEncoder::new();
+    for &b in payload {
+        enc.encode_byte(&mut model, b);
+    }
+    let coded = enc.finish();
+    let mut out = Vec::with_capacity(coded.len() + 4);
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&coded);
+    out
+}
+
+/// Decodes a [`wrap_stream`] stream.
+///
+/// # Errors
+///
+/// [`Error::UnexpectedEnd`] when the length prefix is cut short, and
+/// [`Error::LimitExceeded`] when it declares more than
+/// `limits.max_alloc_bytes`: the prefix is attacker-controlled, so it
+/// is bounded before the allocation it drives (a 12-byte stream could
+/// otherwise demand 4 GiB).
+pub fn unwrap_stream(stream: &[u8], limits: &Limits) -> Result<Vec<u8>, Error> {
+    let (len_bytes, coded) = stream.split_first_chunk::<4>().ok_or(Error::UnexpectedEnd)?;
+    let len = u32::from_le_bytes(*len_bytes) as usize;
+    limits.check_alloc(len as u64)?;
+    let mut model = ByteModel::new();
+    let mut dec = RangeDecoder::new(coded);
+    Ok((0..len).map(|_| dec.decode_byte(&mut model)).collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,20 +311,33 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn round_trip_bytes(data: &[u8]) -> Vec<u8> {
-        let mut model = ByteModel::new();
-        let mut enc = RangeEncoder::new();
-        for &b in data {
-            enc.encode_byte(&mut model, b);
-        }
-        let bytes = enc.finish();
-        let mut model = ByteModel::new();
-        let mut dec = RangeDecoder::new(&bytes);
-        (0..data.len()).map(|_| dec.decode_byte(&mut model)).collect()
+        unwrap_stream(&wrap_stream(data), &Limits::default()).unwrap()
     }
 
     #[test]
     fn empty_stream() {
         assert!(round_trip_bytes(&[]).is_empty());
+    }
+
+    #[test]
+    fn stream_length_prefix_is_bounded_by_limits() {
+        // A tiny stream declaring a huge decoded length must be rejected
+        // before the allocation happens.
+        let mut bomb = u32::MAX.to_le_bytes().to_vec();
+        bomb.extend_from_slice(&[0u8; 16]);
+        assert!(matches!(
+            unwrap_stream(&bomb, &Limits::default()),
+            Err(Error::LimitExceeded(e)) if e.what == "alloc bytes"
+        ));
+        // A cut-short prefix is a truncation, not a panic.
+        for cut in 0..4 {
+            assert_eq!(unwrap_stream(&bomb[..cut], &Limits::default()), Err(Error::UnexpectedEnd));
+        }
+        // And a legitimate stream still decodes under a budget that
+        // admits it.
+        let data = [7u8; 100];
+        let limits = Limits { max_alloc_bytes: 1 << 16, ..Limits::default() };
+        assert_eq!(unwrap_stream(&wrap_stream(&data), &limits).unwrap(), data);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::layer::{
     LayerEncoded,
 };
 use pcc_edge::{calib, Device};
-use pcc_entropy::{varint, ByteModel, RangeDecoder, RangeEncoder};
+use pcc_entropy::varint;
 use pcc_types::{Rgb, VoxelizedCloud};
 use std::num::NonZeroUsize;
 
@@ -118,7 +118,7 @@ pub(crate) fn encode_values_in(
     // Entropy coding allocates (range-coder output); the zero-alloc
     // guarantee covers the default entropy-off configuration.
     if config.entropy {
-        let wrapped = entropy_wrap(payload);
+        let wrapped = pcc_entropy::wrap_stream(payload);
         payload.clear();
         payload.extend_from_slice(&wrapped);
         device.charge_gpu("attribute/entropy", &calib::ENTROPY_GPU, payload.len());
@@ -160,7 +160,7 @@ pub(crate) fn decode_payload(
     let owned;
     let mut input = payload;
     if config.entropy {
-        owned = entropy_unwrap(payload, limits)?;
+        owned = pcc_entropy::unwrap_stream(payload, limits)?;
         input = &owned;
     }
     let (&two_layer, mut rest) = input.split_first().ok_or(pcc_entropy::Error::UnexpectedEnd)?;
@@ -258,34 +258,6 @@ pub fn gather_voxel_colors_into(
         },
         drop,
     );
-}
-
-fn entropy_wrap(payload: &[u8]) -> Vec<u8> {
-    let mut model = ByteModel::new();
-    let mut enc = RangeEncoder::new();
-    for &b in payload {
-        enc.encode_byte(&mut model, b);
-    }
-    let coded = enc.finish();
-    let mut out = Vec::with_capacity(coded.len() + 4);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&coded);
-    out
-}
-
-fn entropy_unwrap(
-    stream: &[u8],
-    limits: &pcc_types::Limits,
-) -> Result<Vec<u8>, pcc_entropy::Error> {
-    // The u32 length prefix is attacker-controlled: bound it before the
-    // allocation it drives.
-    let (len_bytes, coded) =
-        stream.split_first_chunk::<4>().ok_or(pcc_entropy::Error::UnexpectedEnd)?;
-    let len = u32::from_le_bytes(*len_bytes) as usize;
-    limits.check_alloc(len as u64)?;
-    let mut model = ByteModel::new();
-    let mut dec = RangeDecoder::new(coded);
-    Ok((0..len).map(|_| dec.decode_byte(&mut model)).collect())
 }
 
 #[cfg(test)]

@@ -236,7 +236,7 @@ impl BrickIndex {
         if version != BRICK_VERSION {
             return Err(BrickError::BadVersion(version));
         }
-        let (header, rest) = geometry::parse_header(rest).map_err(BrickError::Geometry)?;
+        let (header, rest) = pcc_octree::parse_grid_header(rest).map_err(BrickError::Geometry)?;
         if !(1..=21).contains(&header.depth) {
             return Err(BrickError::BadIndex("grid depth out of range"));
         }
@@ -459,7 +459,7 @@ pub(crate) fn encode_in(
             &mut bricks.geom_buf,
         );
         if config.entropy {
-            let wrapped = geometry::entropy_wrap(&bricks.geom_buf);
+            let wrapped = pcc_entropy::wrap_stream(&bricks.geom_buf);
             bricks.geom_buf.clear();
             bricks.geom_buf.extend_from_slice(&wrapped);
         }
@@ -491,7 +491,7 @@ pub(crate) fn encode_in(
     out.geometry.clear();
     out.geometry.push(BRICK_MAGIC);
     out.geometry.push(BRICK_VERSION);
-    geometry::write_header(cloud, &mut out.geometry);
+    pcc_octree::write_grid_header(cloud, &mut out.geometry);
     out.geometry.push(brick_depth);
     varint::write_u64(&mut out.geometry, bricks.entries.len() as u64);
     for entry in &bricks.entries {
@@ -791,7 +791,8 @@ fn decode_one(
     let owned;
     let mut gin = geom;
     if config.entropy {
-        owned = geometry::entropy_unwrap(geom, limits).map_err(BrickError::Geometry)?;
+        owned = pcc_entropy::unwrap_stream(geom, limits)
+            .map_err(|e| BrickError::Geometry(geometry::unwrap_error(e)))?;
         gin = &owned;
     }
     let rel = pcc_octree::decode_occupancy_with(gin, limits).map_err(BrickError::Geometry)?;

@@ -1,7 +1,6 @@
 //! Proposed intra-frame geometry compression (paper Fig. 4c).
 
 use pcc_edge::{calib, Device};
-use pcc_entropy::{ByteModel, RangeDecoder, RangeEncoder};
 use pcc_morton::MortonCode;
 use pcc_types::{Limits, VoxelCoord, VoxelizedCloud};
 use std::num::NonZeroUsize;
@@ -64,7 +63,7 @@ pub fn encode_in(
     // 6. Stream packing (+ grid metadata so the decoder can restore world
     //    coordinates).
     out.stream.clear();
-    write_header(cloud, &mut out.stream);
+    pcc_octree::write_grid_header(cloud, &mut out.stream);
     pcc_octree::serialize_occupancy_into(
         cloud.depth(),
         scratch.tree.leaf_count(),
@@ -77,7 +76,7 @@ pub fn encode_in(
     //    range coder's output is unbounded up front); the zero-alloc
     //    guarantee covers the default entropy-off configuration.
     if entropy {
-        let wrapped = entropy_wrap(&out.stream);
+        let wrapped = pcc_entropy::wrap_stream(&out.stream);
         out.stream.clear();
         out.stream.extend_from_slice(&wrapped);
         device.charge_gpu("geometry/entropy", &calib::ENTROPY_GPU, out.stream.len());
@@ -161,10 +160,10 @@ pub fn decode_with(
     let owned;
     let mut input = stream;
     if entropy {
-        owned = entropy_unwrap(stream, limits)?;
+        owned = pcc_entropy::unwrap_stream(stream, limits).map_err(unwrap_error)?;
         input = &owned;
     }
-    let (header, rest) = parse_header(input)?;
+    let (header, rest) = pcc_octree::parse_grid_header(input)?;
     let coords = pcc_octree::decode_occupancy_with(rest, limits)?;
     device.charge_gpu("geometry_decode", &calib::GEOM_DECODE, coords.len().max(1));
     Ok(GeometryDecoded {
@@ -175,58 +174,13 @@ pub fn decode_with(
     })
 }
 
-pub(crate) struct Header {
-    pub(crate) depth: u8,
-    pub(crate) origin: [f32; 3],
-    pub(crate) voxel_size: f32,
-}
-
-pub(crate) fn write_header(cloud: &VoxelizedCloud, out: &mut Vec<u8>) {
-    out.push(cloud.depth());
-    let o = cloud.origin();
-    for v in [o.x, o.y, o.z, cloud.voxel_size()] {
-        out.extend_from_slice(&v.to_le_bytes());
+/// The occupancy-stream error for a failed [`pcc_entropy::unwrap_stream`]:
+/// a cut-short length prefix is a truncation, an over-budget one a limit.
+pub(crate) fn unwrap_error(e: pcc_entropy::Error) -> pcc_octree::StreamError {
+    match e {
+        pcc_entropy::Error::LimitExceeded(l) => pcc_octree::StreamError::LimitExceeded(l),
+        _ => pcc_octree::StreamError::Truncated,
     }
-}
-
-pub(crate) fn parse_header(input: &[u8]) -> Result<(Header, &[u8]), pcc_octree::StreamError> {
-    let (&depth, mut rest) = input.split_first().ok_or(pcc_octree::StreamError::Truncated)?;
-    let mut f = [0f32; 4];
-    for v in f.iter_mut() {
-        let (bytes, tail) =
-            rest.split_first_chunk::<4>().ok_or(pcc_octree::StreamError::Truncated)?;
-        *v = f32::from_le_bytes(*bytes);
-        rest = tail;
-    }
-    Ok((Header { depth, origin: [f[0], f[1], f[2]], voxel_size: f[3] }, rest))
-}
-
-pub(crate) fn entropy_wrap(payload: &[u8]) -> Vec<u8> {
-    let mut model = ByteModel::new();
-    let mut enc = RangeEncoder::new();
-    for &b in payload {
-        enc.encode_byte(&mut model, b);
-    }
-    let coded = enc.finish();
-    let mut out = Vec::with_capacity(coded.len() + 8);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&coded);
-    out
-}
-
-pub(crate) fn entropy_unwrap(
-    stream: &[u8],
-    limits: &Limits,
-) -> Result<Vec<u8>, pcc_octree::StreamError> {
-    // The u32 length prefix is attacker-controlled: without the limit
-    // check a 12-byte stream could demand a 4 GiB allocation.
-    let (len_bytes, coded) =
-        stream.split_first_chunk::<4>().ok_or(pcc_octree::StreamError::Truncated)?;
-    let len = u32::from_le_bytes(*len_bytes) as usize;
-    limits.check_alloc(len as u64)?;
-    let mut model = ByteModel::new();
-    let mut dec = RangeDecoder::new(coded);
-    Ok((0..len).map(|_| dec.decode_byte(&mut model)).collect())
 }
 
 #[cfg(test)]
@@ -340,22 +294,15 @@ mod tests {
     }
 
     #[test]
-    fn entropy_length_prefix_is_bounded_by_limits() {
-        // A tiny stream declaring a huge decompressed length must be
-        // rejected before the allocation happens.
-        let d = device();
-        let mut bomb = (u32::MAX).to_le_bytes().to_vec();
+    fn entropy_length_bomb_is_a_stream_limit_error() {
+        // The prefix bound itself is tested beside `pcc_entropy::unwrap_stream`;
+        // here its error must surface as the occupancy stream's limit error.
+        let mut bomb = u32::MAX.to_le_bytes().to_vec();
         bomb.extend_from_slice(&[0u8; 16]);
         assert!(matches!(
-            decode_with(&bomb, true, &d, &Limits::default()),
+            decode_with(&bomb, true, &device(), &Limits::default()),
             Err(pcc_octree::StreamError::LimitExceeded(e)) if e.what == "alloc bytes"
         ));
-        // And a legitimate entropy-coded stream still decodes under a
-        // budget that admits it.
-        let vox = vox_from(&[(1.0, 1.0, 1.0), (2.0, 2.0, 2.0)], 4);
-        let enc = encoded(&vox, true, &d);
-        let limits = Limits { max_alloc_bytes: 1 << 16, ..Limits::default() };
-        assert!(decode_with(&enc.stream, true, &d, &limits).is_ok());
     }
 
     #[test]

@@ -269,36 +269,36 @@ mod simd {
         _mm256_slli_epi64, _mm256_storeu_si256,
     };
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn part1by2_x4(v: __m256i) -> __m256i {
-        // SAFETY (intrinsics): caller guarantees AVX2 is available. The
-        // shift immediates are const generics, so each magic-shift step is
-        // written out explicitly.
-        unsafe {
-            let mask = |m: u64| _mm256_set1_epi64x(m as i64);
-            let mut x = _mm256_and_si256(v, mask(0x1f_ffff));
-            x = _mm256_and_si256(
-                _mm256_or_si256(x, _mm256_slli_epi64::<32>(x)),
-                mask(0x001f_0000_0000_ffff),
-            );
-            x = _mm256_and_si256(
-                _mm256_or_si256(x, _mm256_slli_epi64::<16>(x)),
-                mask(0x001f_0000_ff00_00ff),
-            );
-            x = _mm256_and_si256(
-                _mm256_or_si256(x, _mm256_slli_epi64::<8>(x)),
-                mask(0x100f_00f0_0f00_f00f),
-            );
-            x = _mm256_and_si256(
-                _mm256_or_si256(x, _mm256_slli_epi64::<4>(x)),
-                mask(0x10c3_0c30_c30c_30c3),
-            );
-            _mm256_and_si256(
-                _mm256_or_si256(x, _mm256_slli_epi64::<2>(x)),
-                mask(0x1249_2492_4924_9249),
-            )
-        }
+        // The shift immediates are const generics, so each magic-shift
+        // step is written out explicitly.
+        let mask = |m: u64| _mm256_set1_epi64x(m as i64);
+        let mut x = _mm256_and_si256(v, mask(0x1f_ffff));
+        x = _mm256_and_si256(
+            _mm256_or_si256(x, _mm256_slli_epi64::<32>(x)),
+            mask(0x001f_0000_0000_ffff),
+        );
+        x = _mm256_and_si256(
+            _mm256_or_si256(x, _mm256_slli_epi64::<16>(x)),
+            mask(0x001f_0000_ff00_00ff),
+        );
+        x = _mm256_and_si256(
+            _mm256_or_si256(x, _mm256_slli_epi64::<8>(x)),
+            mask(0x100f_00f0_0f00_f00f),
+        );
+        x = _mm256_and_si256(
+            _mm256_or_si256(x, _mm256_slli_epi64::<4>(x)),
+            mask(0x10c3_0c30_c30c_30c3),
+        );
+        _mm256_and_si256(
+            _mm256_or_si256(x, _mm256_slli_epi64::<2>(x)),
+            mask(0x1249_2492_4924_9249),
+        )
     }
 
     #[target_feature(enable = "avx2")]

@@ -55,5 +55,6 @@ mod serialize;
 pub use parallel::{LevelArrays, ParallelOctree};
 pub use sequential::SequentialOctree;
 pub use serialize::{
-    decode_occupancy_with, parse_stream, serialize_occupancy_into, OccupancyStream, StreamError,
+    decode_occupancy_with, parse_grid_header, parse_stream, serialize_occupancy_into,
+    write_grid_header, GridHeader, OccupancyStream, StreamError,
 };

@@ -1,7 +1,7 @@
 //! Self-describing occupancy streams and the geometry decoder.
 
 use pcc_morton::MortonCode;
-use pcc_types::{DecodeError, LimitExceeded, Limits, VoxelCoord};
+use pcc_types::{DecodeError, LimitExceeded, Limits, VoxelCoord, VoxelizedCloud};
 use std::fmt;
 
 /// Magic byte identifying an occupancy stream.
@@ -176,6 +176,44 @@ pub fn parse_stream(stream: &[u8]) -> Result<OccupancyStream<'_>, StreamError> {
     }
     let leaf_count = read_varint(&mut rest)? as usize;
     Ok(OccupancyStream { depth, leaf_count, occupancy: rest })
+}
+
+/// The grid metadata a geometry stream carries in front of its occupancy
+/// bytes so the decoder can restore world coordinates: the octree depth,
+/// then the grid origin and voxel side as little-endian `f32`s.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GridHeader {
+    /// Octree depth of the voxel grid.
+    pub depth: u8,
+    /// World-space origin of the grid.
+    pub origin: [f32; 3],
+    /// World-space voxel side length.
+    pub voxel_size: f32,
+}
+
+/// Appends `cloud`'s 17-byte [`GridHeader`] to `out`.
+pub fn write_grid_header(cloud: &VoxelizedCloud, out: &mut Vec<u8>) {
+    out.push(cloud.depth());
+    let o = cloud.origin();
+    for v in [o.x, o.y, o.z, cloud.voxel_size()] {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Parses a [`GridHeader`], returning it and the bytes that follow.
+///
+/// # Errors
+///
+/// [`StreamError::Truncated`] when `input` is shorter than the header.
+pub fn parse_grid_header(input: &[u8]) -> Result<(GridHeader, &[u8]), StreamError> {
+    let (&depth, mut rest) = input.split_first().ok_or(StreamError::Truncated)?;
+    let mut f = [0f32; 4];
+    for v in f.iter_mut() {
+        let (bytes, tail) = rest.split_first_chunk::<4>().ok_or(StreamError::Truncated)?;
+        *v = f32::from_le_bytes(*bytes);
+        rest = tail;
+    }
+    Ok((GridHeader { depth, origin: [f[0], f[1], f[2]], voxel_size: f[3] }, rest))
 }
 
 fn write_varint(out: &mut Vec<u8>, mut v: u64) {

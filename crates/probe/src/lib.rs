@@ -12,11 +12,11 @@
 //!
 //! ## Cost model
 //!
-//! * Built **without** the `capture` feature: every function here is an
-//!   inlined empty body and [`Span`] is a zero-sized type without a
-//!   `Drop` impl — the instrumentation compiles to nothing.
-//! * Built **with** `capture` (the workspace default) but not enabled at
-//!   runtime: one relaxed atomic load per probe call, no allocation.
+//! The recording machinery is always compiled in and switched only at
+//! runtime, so every build measures with the same instrument.
+//!
+//! * Not enabled at runtime (the default): one relaxed atomic load per
+//!   probe call, no allocation.
 //! * Enabled (environment variable `PCC_PROBE=1`, or [`set_enabled`]):
 //!   two `Instant` reads plus an amortized thread-local `Vec` push per
 //!   span.
@@ -32,7 +32,6 @@
 //!     sp.add_bytes(128);
 //! }
 //! let report = pcc_probe::take_report();
-//! # #[cfg(feature = "capture")]
 //! assert_eq!(report.stage("demo/stage").map(|s| s.bytes), Some(128));
 //! pcc_probe::set_enabled(false);
 //! ```
@@ -40,7 +39,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::cell::RefCell;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
+use std::sync::{Mutex, OnceLock};
+use std::time::Instant;
 
 /// Environment variable consulted (once) for the runtime switch:
 /// `1`/`true`/`on`/`yes` enable recording.
@@ -193,141 +196,64 @@ impl Report {
     }
 }
 
-#[cfg(feature = "capture")]
-mod imp {
-    use super::{GaugeRecord, Report, SpanRecord};
-    use std::cell::RefCell;
-    use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
-    use std::sync::{Mutex, OnceLock};
-    use std::time::Instant;
+/// 0 = read env on first use, 1 = off, 2 = on.
+static STATE: AtomicU8 = AtomicU8::new(0);
+static NEXT_LANE: AtomicU32 = AtomicU32::new(0);
+static EPOCH: OnceLock<Instant> = OnceLock::new();
+static SINK: Mutex<(Vec<SpanRecord>, Vec<GaugeRecord>)> = Mutex::new((Vec::new(), Vec::new()));
 
-    /// 0 = read env on first use, 1 = off, 2 = on.
-    static STATE: AtomicU8 = AtomicU8::new(0);
-    static NEXT_LANE: AtomicU32 = AtomicU32::new(0);
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    static SINK: Mutex<(Vec<SpanRecord>, Vec<GaugeRecord>)> =
-        Mutex::new((Vec::new(), Vec::new()));
+fn epoch_ns() -> u64 {
+    let epoch = *EPOCH.get_or_init(Instant::now);
+    epoch.elapsed().as_nanos() as u64
+}
 
-    pub fn enabled() -> bool {
-        match STATE.load(Ordering::Relaxed) {
-            1 => false,
-            2 => true,
-            _ => {
-                let on = std::env::var(super::PROBE_ENV).is_ok_and(|v| {
-                    matches!(v.to_ascii_lowercase().as_str(), "1" | "true" | "on" | "yes")
-                });
-                STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-                on
-            }
+/// Per-thread event buffer. The `Drop` flush drains a thread's events
+/// into the sink when its TLS is torn down. Note `thread::scope`
+/// unblocks when a worker's *closure* returns — TLS destructors run
+/// slightly later as the OS thread exits — so scoped workers that
+/// record spans call [`flush_thread`] at the end of their closure to
+/// publish deterministically; the `Drop` flush is the safety net for
+/// plain spawned threads.
+struct LocalBuf {
+    lane: u32,
+    spans: Vec<SpanRecord>,
+    gauges: Vec<GaugeRecord>,
+}
+
+impl Drop for LocalBuf {
+    fn drop(&mut self) {
+        if self.spans.is_empty() && self.gauges.is_empty() {
+            return;
+        }
+        if let Ok(mut sink) = SINK.lock() {
+            sink.0.append(&mut self.spans);
+            sink.1.append(&mut self.gauges);
         }
     }
+}
 
-    pub fn set_enabled(on: bool) {
-        STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    }
-
-    pub fn epoch_ns() -> u64 {
-        let epoch = *EPOCH.get_or_init(Instant::now);
-        epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Per-thread event buffer. The `Drop` flush drains a thread's events
-    /// into the sink when its TLS is torn down. Note `thread::scope`
-    /// unblocks when a worker's *closure* returns — TLS destructors run
-    /// slightly later as the OS thread exits — so scoped workers that
-    /// record spans call `flush_thread()` at the end of their closure to
-    /// publish deterministically; the `Drop` flush is the safety net for
-    /// plain spawned threads.
-    struct LocalBuf {
-        lane: u32,
-        spans: Vec<SpanRecord>,
-        gauges: Vec<GaugeRecord>,
-    }
-
-    impl Drop for LocalBuf {
-        fn drop(&mut self) {
-            if self.spans.is_empty() && self.gauges.is_empty() {
-                return;
-            }
-            if let Ok(mut sink) = SINK.lock() {
-                sink.0.append(&mut self.spans);
-                sink.1.append(&mut self.gauges);
-            }
-        }
-    }
-
-    thread_local! {
-        static BUF: RefCell<LocalBuf> = RefCell::new(LocalBuf {
-            lane: NEXT_LANE.fetch_add(1, Ordering::Relaxed),
-            spans: Vec::new(),
-            gauges: Vec::new(),
-        });
-    }
-
-    pub fn push_span(stage: &'static str, start_ns: u64, dur_ns: u64, bytes: u64) {
-        let _ = BUF.try_with(|b| {
-            let mut b = b.borrow_mut();
-            let lane = b.lane;
-            b.spans.push(SpanRecord { stage, start_ns, dur_ns: dur_ns.max(1), lane, bytes });
-        });
-    }
-
-    pub fn push_gauge(stage: &'static str, bytes: u64) {
-        let _ = BUF.try_with(|b| b.borrow_mut().gauges.push(GaugeRecord { stage, bytes }));
-    }
-
-    pub fn flush_thread() {
-        let _ = BUF.try_with(|b| {
-            let mut b = b.borrow_mut();
-            if b.spans.is_empty() && b.gauges.is_empty() {
-                return;
-            }
-            if let Ok(mut sink) = SINK.lock() {
-                let spans = std::mem::take(&mut b.spans);
-                let gauges = std::mem::take(&mut b.gauges);
-                sink.0.extend(spans);
-                sink.1.extend(gauges);
-            }
-        });
-    }
-
-    pub fn take_report() -> Report {
-        flush_thread();
-        let (mut spans, gauges) = match SINK.lock() {
-            Ok(mut sink) => (std::mem::take(&mut sink.0), std::mem::take(&mut sink.1)),
-            Err(_) => (Vec::new(), Vec::new()),
-        };
-        spans.sort_by_key(|s| (s.start_ns, s.lane));
-        Report { spans, gauges }
-    }
-
-    pub fn discard_thread() {
-        let _ = BUF.try_with(|b| {
-            let mut b = b.borrow_mut();
-            b.spans.clear();
-            b.gauges.clear();
-        });
-    }
+thread_local! {
+    static BUF: RefCell<LocalBuf> = RefCell::new(LocalBuf {
+        lane: NEXT_LANE.fetch_add(1, Ordering::Relaxed),
+        spans: Vec::new(),
+        gauges: Vec::new(),
+    });
 }
 
 /// A live stage-scoped span guard: records a [`SpanRecord`] when dropped
 /// (or explicitly via [`stop`](Span::stop)).
 ///
-/// Without the `capture` feature this is a zero-sized type with no
-/// `Drop` impl; with capture but recording disabled it holds `None` and
-/// drops for free.
+/// With recording disabled it holds `None` and drops for free.
 #[derive(Debug)]
 #[must_use = "a span measures the scope it lives in; dropping it immediately records nothing useful"]
 pub struct Span {
-    #[cfg(feature = "capture")]
     live: Option<LiveSpan>,
 }
 
-#[cfg(feature = "capture")]
 #[derive(Debug)]
 struct LiveSpan {
     stage: &'static str,
-    start: std::time::Instant,
+    start: Instant,
     start_ns: u64,
     bytes: u64,
 }
@@ -335,21 +261,13 @@ struct LiveSpan {
 /// Opens a span for `stage`; the returned guard records on drop.
 #[inline]
 pub fn span(stage: &'static str) -> Span {
-    #[cfg(feature = "capture")]
-    {
-        let live = imp::enabled().then(|| LiveSpan {
-            stage,
-            start_ns: imp::epoch_ns(),
-            start: std::time::Instant::now(),
-            bytes: 0,
-        });
-        Span { live }
-    }
-    #[cfg(not(feature = "capture"))]
-    {
-        let _ = stage;
-        Span {}
-    }
+    let live = enabled().then(|| LiveSpan {
+        stage,
+        start_ns: epoch_ns(),
+        start: Instant::now(),
+        bytes: 0,
+    });
+    Span { live }
 }
 
 impl Span {
@@ -357,41 +275,36 @@ impl Span {
     /// span record; summed if called repeatedly).
     #[inline]
     pub fn add_bytes(&mut self, n: u64) {
-        #[cfg(feature = "capture")]
         if let Some(live) = &mut self.live {
             live.bytes += n;
         }
-        #[cfg(not(feature = "capture"))]
-        let _ = n;
     }
 
     /// Ends the span now, returning the measured duration in nanoseconds
-    /// (0 when recording is disabled or compiled out).
+    /// (0 when recording is disabled).
     #[inline]
     pub fn stop(mut self) -> u64 {
         self.finish()
     }
 
-    #[cfg(feature = "capture")]
     fn finish(&mut self) -> u64 {
-        match self.live.take() {
-            Some(live) => {
-                let dur_ns = (live.start.elapsed().as_nanos() as u64).max(1);
-                imp::push_span(live.stage, live.start_ns, dur_ns, live.bytes);
-                dur_ns
-            }
-            None => 0,
-        }
-    }
-
-    #[cfg(not(feature = "capture"))]
-    #[inline(always)]
-    fn finish(&mut self) -> u64 {
-        0
+        let Some(live) = self.live.take() else { return 0 };
+        let dur_ns = (live.start.elapsed().as_nanos() as u64).max(1);
+        let _ = BUF.try_with(|b| {
+            let mut b = b.borrow_mut();
+            let lane = b.lane;
+            b.spans.push(SpanRecord {
+                stage: live.stage,
+                start_ns: live.start_ns,
+                dur_ns,
+                lane,
+                bytes: live.bytes,
+            });
+        });
+        dur_ns
     }
 }
 
-#[cfg(feature = "capture")]
 impl Drop for Span {
     fn drop(&mut self) {
         self.finish();
@@ -401,48 +314,55 @@ impl Drop for Span {
 /// Records a byte-volume gauge against `stage` without timing anything.
 #[inline]
 pub fn add_bytes(stage: &'static str, bytes: u64) {
-    #[cfg(feature = "capture")]
-    if imp::enabled() {
-        imp::push_gauge(stage, bytes);
-    }
-    #[cfg(not(feature = "capture"))]
-    {
-        let _ = (stage, bytes);
+    if enabled() {
+        let _ = BUF.try_with(|b| b.borrow_mut().gauges.push(GaugeRecord { stage, bytes }));
     }
 }
 
 /// Whether recording is currently on.
 ///
 /// The first call reads [`PROBE_ENV`]; [`set_enabled`] overrides it.
-/// Always `false` without the `capture` feature.
-#[inline]
 pub fn enabled() -> bool {
-    #[cfg(feature = "capture")]
-    {
-        imp::enabled()
-    }
-    #[cfg(not(feature = "capture"))]
-    {
-        false
+    match STATE.load(Ordering::Relaxed) {
+        1 => false,
+        2 => true,
+        _ => {
+            let on = std::env::var(PROBE_ENV).is_ok_and(|v| {
+                matches!(v.to_ascii_lowercase().as_str(), "1" | "true" | "on" | "yes")
+            });
+            // A `set_enabled` on another thread during this first read
+            // wins: the environment only fills a state nobody has set.
+            let state = if on { 2 } else { 1 };
+            match STATE.compare_exchange(0, state, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => on,
+                Err(set) => set == 2,
+            }
+        }
     }
 }
 
 /// Turns recording on or off for the whole process (tests and examples
-/// use this instead of mutating the environment). No-op without the
-/// `capture` feature.
+/// use this instead of mutating the environment).
 pub fn set_enabled(on: bool) {
-    #[cfg(feature = "capture")]
-    imp::set_enabled(on);
-    #[cfg(not(feature = "capture"))]
-    let _ = on;
+    STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
 }
 
 /// Drains the current thread's buffer into the process sink. Threads
 /// flush automatically when they exit; long-lived threads call this (or
 /// [`take_report`], which includes it) before a collection point.
 pub fn flush_thread() {
-    #[cfg(feature = "capture")]
-    imp::flush_thread();
+    let _ = BUF.try_with(|b| {
+        let mut b = b.borrow_mut();
+        if b.spans.is_empty() && b.gauges.is_empty() {
+            return;
+        }
+        if let Ok(mut sink) = SINK.lock() {
+            let spans = std::mem::take(&mut b.spans);
+            let gauges = std::mem::take(&mut b.gauges);
+            sink.0.extend(spans);
+            sink.1.extend(gauges);
+        }
+    });
 }
 
 /// Discards the current thread's buffered events *without* publishing
@@ -451,26 +371,26 @@ pub fn flush_thread() {
 /// frames so recording with probes enabled stays allocation-free: a
 /// `clear()` retains capacity where draining via [`take_report`] would
 /// `mem::take` the buffers and force a fresh allocation on the next
-/// span. No-op without the `capture` feature.
+/// span.
 pub fn discard_thread() {
-    #[cfg(feature = "capture")]
-    imp::discard_thread();
+    let _ = BUF.try_with(|b| {
+        let mut b = b.borrow_mut();
+        b.spans.clear();
+        b.gauges.clear();
+    });
 }
 
 /// Flushes the calling thread, then drains the process sink into a
 /// [`Report`] (leaving the sink empty). Spans buffered on *other live*
 /// threads that have neither exited nor flushed are not included.
-///
-/// Always returns an empty report without the `capture` feature.
 pub fn take_report() -> Report {
-    #[cfg(feature = "capture")]
-    {
-        imp::take_report()
-    }
-    #[cfg(not(feature = "capture"))]
-    {
-        Report::default()
-    }
+    flush_thread();
+    let (mut spans, gauges) = match SINK.lock() {
+        Ok(mut sink) => (std::mem::take(&mut sink.0), std::mem::take(&mut sink.1)),
+        Err(_) => (Vec::new(), Vec::new()),
+    };
+    spans.sort_by_key(|s| (s.start_ns, s.lane));
+    Report { spans, gauges }
 }
 
 #[cfg(test)]
@@ -485,7 +405,6 @@ mod tests {
         TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    #[cfg(feature = "capture")]
     #[test]
     fn spans_record_and_aggregate() {
         let _l = locked();
@@ -522,7 +441,6 @@ mod tests {
         assert!(table.contains("t/alpha") && table.contains("t/beta"), "{table}");
     }
 
-    #[cfg(feature = "capture")]
     #[test]
     fn disabled_records_nothing_and_stop_returns_zero() {
         let _l = locked();
@@ -535,7 +453,6 @@ mod tests {
         assert!(take_report().is_empty());
     }
 
-    #[cfg(feature = "capture")]
     #[test]
     fn worker_thread_buffers_flush_on_exit() {
         let _l = locked();
@@ -563,7 +480,6 @@ mod tests {
         assert_eq!(lanes.len(), 3);
     }
 
-    #[cfg(feature = "capture")]
     #[test]
     fn stop_records_once_and_drop_does_not_double() {
         let _l = locked();
@@ -577,7 +493,6 @@ mod tests {
         assert_eq!(report.stage("t/once").map(|s| s.calls), Some(1));
     }
 
-    #[cfg(feature = "capture")]
     #[test]
     fn merge_combines_reports() {
         let _l = locked();
@@ -595,19 +510,6 @@ mod tests {
         a.merge(b);
         assert!(a.stage("t/m1").is_some() && a.stage("t/m2").is_some());
         assert!(a.spans().windows(2).all(|w| w[0].start_ns <= w[1].start_ns));
-    }
-
-    #[cfg(not(feature = "capture"))]
-    #[test]
-    fn noop_build_is_inert() {
-        let _l = locked();
-        set_enabled(true); // must be a no-op
-        assert!(!enabled());
-        let mut sp = span("t/noop");
-        sp.add_bytes(1);
-        assert_eq!(sp.stop(), 0);
-        assert_eq!(std::mem::size_of::<Span>(), 0);
-        assert!(take_report().is_empty());
     }
 
     #[test]

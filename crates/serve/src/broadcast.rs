@@ -6,7 +6,7 @@ use pcc_adapt::{Clock, Controller, FrameObservation, SystemClock};
 use pcc_core::PccCodec;
 use pcc_edge::Device;
 use pcc_stream::{
-    FrameHistory, FramePayload, FrameSource, RecoveryRequest, SharedRing, SharedStats, StampMemo,
+    FrameHistory, FramePayload, FrameSource, SharedRing, SharedStats, StampMemo,
     StreamConfig, StreamStats, Subscription,
 };
 use pcc_types::{Aabb, FrameKind, GofPattern, PointCloud};
@@ -235,24 +235,17 @@ impl<'d> Broadcast<'d> {
         transport: W,
         config: SubscriberConfig,
     ) -> io::Result<SubscriberId> {
-        let frame_index = self.source.frame_index() as u32;
-        let late = frame_index > 0;
-        let replay = if late { self.source.history().resync() } else { Vec::new() };
-        let join_at = replay.first().map_or(frame_index, |f| f.frame_index);
-        let header = self.source.header_at(join_at);
-        let boxed: Box<dyn Write + Send> = Box::new(transport);
-        let mut sub = Subscription::attach(boxed, &header)?;
+        let late = self.source.frame_index() > 0;
         let arq_ring = config.arq_ring;
-        if let Some(ring) = arq_ring.clone() {
-            sub = sub.with_arq(ring);
-        }
+        let sub = attach_at_join(
+            &self.source,
+            &mut self.memo,
+            Box::new(transport),
+            arq_ring.clone(),
+            late,
+            &mut self.stats.replayed_frames,
+        )?;
         if late {
-            let replay_sp = pcc_probe::span("serve/replay");
-            for frame in &replay {
-                sub.send_payload(frame, &mut self.memo)?;
-                self.stats.replayed_frames += 1;
-            }
-            replay_sp.stop();
             self.stats.late_joins += 1;
         }
         let id = SubscriberId(self.next_id);
@@ -291,10 +284,6 @@ impl<'d> Broadcast<'d> {
         id: SubscriberId,
         transport: W,
     ) -> io::Result<bool> {
-        let frame_index = self.source.frame_index() as u32;
-        let replay = self.source.history().resync();
-        let join_at = replay.first().map_or(frame_index, |f| f.frame_index);
-        let header = self.source.header_at(join_at);
         let Some(at) = self
             .slots
             .iter()
@@ -302,16 +291,17 @@ impl<'d> Broadcast<'d> {
         else {
             return Ok(false);
         };
-        let boxed: Box<dyn Write + Send> = Box::new(transport);
-        let mut sub = Subscription::attach(boxed, &header)?;
-        if let Some(ring) = self.slots.get(at).and_then(|s| s.arq_ring.clone()) {
-            sub = sub.with_arq(ring);
-        }
-        let replay_sp = pcc_probe::span("serve/replay");
-        for frame in &replay {
-            sub.send_payload(frame, &mut self.memo)?;
-        }
-        replay_sp.stop();
+        let arq_ring = self.slots.get(at).and_then(|s| s.arq_ring.clone());
+        // Counted only once the whole replay is on the new wire.
+        let mut replayed = 0;
+        let sub = attach_at_join(
+            &self.source,
+            &mut self.memo,
+            Box::new(transport),
+            arq_ring,
+            true,
+            &mut replayed,
+        )?;
         let Some(slot) = self.slots.get_mut(at) else {
             return Ok(false);
         };
@@ -325,7 +315,7 @@ impl<'d> Broadcast<'d> {
         slot.sub.carry_over(&checkpoint);
         slot.health = SlotHealth::Live;
         slot.misses = 0;
-        self.stats.replayed_frames += replay.len();
+        self.stats.replayed_frames += replayed;
         self.stats.resubscribes += 1;
         Ok(true)
     }
@@ -390,16 +380,12 @@ impl<'d> Broadcast<'d> {
     /// so any single broken receiver re-anchors all of them (the intact
     /// ones just see an early I-frame).
     fn drain_recovery_asks(&mut self) {
-        for slot in &mut self.slots {
+        for slot in &self.slots {
             if slot.health != SlotHealth::Live {
                 continue;
             }
             if let Some(fb) = &slot.feedback {
-                for request in fb.take_recovery() {
-                    if matches!(request, RecoveryRequest::IntraRefresh { .. }) {
-                        self.source.request_refresh();
-                    }
-                }
+                self.source.take_refresh_asks(fb);
             }
         }
     }
@@ -566,6 +552,36 @@ impl<'d> Broadcast<'d> {
         }
         self.stats
     }
+}
+
+/// Opens a subscription on `transport` at `source`'s join point: writes
+/// the stream header announcing it, arms the ARQ ring, and, for a
+/// subscriber joining past the first frame (`late`), replays the
+/// history's resync run under the `serve/replay` span, adding each frame
+/// put on the wire to `replayed`.
+fn attach_at_join(
+    source: &FrameSource<'_>,
+    memo: &mut StampMemo,
+    transport: Box<dyn Write + Send>,
+    arq_ring: Option<SharedRing>,
+    late: bool,
+    replayed: &mut usize,
+) -> io::Result<Subscription<Box<dyn Write + Send>>> {
+    let replay = if late { source.history().resync() } else { Vec::new() };
+    let join_at = replay.first().map_or(source.frame_index() as u32, |f| f.frame_index);
+    let mut sub = Subscription::attach(transport, &source.header_at(join_at))?;
+    if let Some(ring) = arq_ring {
+        sub = sub.with_arq(ring);
+    }
+    if late {
+        let replay_sp = pcc_probe::span("serve/replay");
+        for frame in &replay {
+            sub.send_payload(frame, memo)?;
+            *replayed += 1;
+        }
+        replay_sp.stop();
+    }
+    Ok(sub)
 }
 
 #[cfg(test)]

@@ -163,11 +163,7 @@ impl<'d, W: Write> Sender<'d, W> {
     /// Propagates transport errors.
     pub fn send_frame(&mut self, cloud: &PointCloud) -> io::Result<FrameKind> {
         if let Some(feedback) = &self.feedback {
-            for request in feedback.take_recovery() {
-                if matches!(request, RecoveryRequest::IntraRefresh { .. }) {
-                    self.source.request_refresh();
-                }
-            }
+            self.source.take_refresh_asks(feedback);
         }
         let frame = self.source.encode_next(cloud);
         self.sub.record_encode(&frame);

@@ -156,6 +156,18 @@ impl<'d> FrameSource<'d> {
         self.refresh_pending = true;
     }
 
+    /// Drains `feedback`'s recovery asks, staging a
+    /// [`request_refresh`](Self::request_refresh) for each
+    /// [`RecoveryRequest::IntraRefresh`](crate::RecoveryRequest::IntraRefresh)
+    /// among them (the other asks are answered on the receive side).
+    pub fn take_refresh_asks(&mut self, feedback: &crate::SharedStats) {
+        for request in feedback.take_recovery() {
+            if matches!(request, crate::RecoveryRequest::IntraRefresh { .. }) {
+                self.request_refresh();
+            }
+        }
+    }
+
     /// Whether an intra refresh is staged for the next frame.
     pub fn refresh_pending(&self) -> bool {
         self.refresh_pending

@@ -24,9 +24,6 @@ PCC_PROBE=1 cargo test -q --offline
 echo "== golden vectors =="
 cargo test -q --offline --test golden
 
-echo "== probes compile out (no-default-features) =="
-cargo check -q --offline -p pcc --no-default-features
-
 echo "== glass-to-glass benchmark compiles against its lockfile =="
 # perfbench is its own workspace with its own Cargo.lock. An API change
 # that breaks it, or a dependency change that would rewrite its lockfile,
@@ -170,6 +167,9 @@ cargo clippy -q --offline --all-targets \
     -p pcc-types -p pcc-entropy -p pcc-octree -p pcc-intra -p pcc-inter \
     -p pcc-core -p pcc-stream -p pcc-serve -p pcc-sim -p pcc-fault \
     -p pcc-adapt -p pcc-morton -p pcc-parallel -- -D clippy::disallowed_methods
+# The step above never builds pcc-morton's AVX2 lane module; this one
+# does, with every warning an error.
+cargo clippy -q --offline -p pcc-morton --features simd --all-targets -- -D warnings
 
 echo "== rustdoc: no broken intra-doc links =="
 # A doc link to a renamed or deleted item is a compile error here, so
