@@ -14,9 +14,9 @@
 //!   which the receiver's loss handling already charges as one dropped
 //!   P-frame (never a desync, because I-frames are never shed).
 //!
-//! Everything else (block/candidate counts, segment density, entropy
-//! mode, quantization) is part of the decode contract and is pinned
-//! across rungs by [`QualityLadder::new`].
+//! Everything else (block/candidate counts, segment density,
+//! quantization) is part of the decode contract and is pinned across
+//! rungs by [`QualityLadder::new`].
 
 use pcc_inter::InterConfig;
 
@@ -50,7 +50,7 @@ impl QualityLadder {
     ///
     /// Panics if `rungs` is empty, any stride is zero, or a rung moves a
     /// decode-contract knob (blocks, candidates, segment density,
-    /// quantization, entropy mode, brick cut depth) away from rung 0 —
+    /// quantization, brick cut depth) away from rung 0 —
     /// such a ladder would desynchronize every receiver the moment it
     /// was used.
     pub fn new(rungs: Vec<Rung>) -> Self {
@@ -64,7 +64,6 @@ impl QualityLadder {
                     && c.candidates == top.candidates
                     && c.intra.segments == top.intra.segments
                     && c.intra.quant_shift == top.intra.quant_shift
-                    && c.intra.entropy == top.intra.entropy
                     && c.intra.brick_depth == top.intra.brick_depth,
                 "rung {}: moves a decode-contract knob mid-stream",
                 rung.name
@@ -149,7 +148,6 @@ mod tests {
             assert_eq!(rung.config.blocks, top.blocks);
             assert_eq!(rung.config.candidates, top.candidates);
             assert_eq!(rung.config.intra.segments, top.intra.segments);
-            assert_eq!(rung.config.intra.entropy, top.intra.entropy);
         }
     }
 

@@ -290,8 +290,8 @@ fn run() -> Report {
     });
 
     // -- End-to-end frames: steady-state latency and allocs per frame on
-    //    the single-threaded entropy-off path the zero-alloc guarantee
-    //    covers (see tests/alloc_steady_state.rs).
+    //    the single-threaded path the zero-alloc guarantee covers (see
+    //    tests/alloc_steady_state.rs).
     let intra_cfg = IntraConfig::paper();
     let device = Device::jetson_agx_xavier(PowerMode::W15).with_host_threads(Some(one));
     let frames: Vec<VoxelizedCloud> = (0..FRAMES).map(frame).collect();

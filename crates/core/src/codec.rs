@@ -678,10 +678,10 @@ impl<'d> FrameDecoder<'d> {
                 dec
             }
             EncodedFrame::Intra(f) => {
-                let codec = IntraCodec::new(self.intra_config());
-                // An unreadable index leaves nothing to repair or salvage;
-                // the strict route then decides (including the entropy-on
-                // monolithic fallback).
+                // Intra frames describe themselves, so the default codec
+                // decodes every layout. An unreadable index leaves nothing
+                // to repair or salvage; the strict route then decides.
+                let codec = IntraCodec::default();
                 let pass = if salvage && BrickIndex::detect(&f.geometry) {
                     codec.decode_bricks(f, device, limits, |_, _| true).ok()
                 } else {
@@ -753,7 +753,7 @@ impl<'d> FrameDecoder<'d> {
         };
         let (device, limits) = (self.device, &self.limits);
         device.reset();
-        let codec = IntraCodec::new(self.intra_config());
+        let codec = IntraCodec::default();
         let vox = if BrickIndex::detect(&f.geometry) {
             codec
                 .decode_bricks(f, device, limits, |_, bounds| bounds.intersects(viewport))?
@@ -762,10 +762,6 @@ impl<'d> FrameDecoder<'d> {
             codec.decode_with_limits(f, device, limits)?
         };
         Ok((vox.to_cloud(), device.take_timeline()))
-    }
-
-    fn intra_config(&self) -> pcc_intra::IntraConfig {
-        self.inter_config.map(|c| c.intra).unwrap_or_default()
     }
 }
 

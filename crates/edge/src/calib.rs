@@ -61,9 +61,11 @@ pub const DELTA_QUANT: KernelProfile =
 pub const ATTR_PACK: KernelProfile =
     KernelProfile { name: "attr_pack", cycles_per_item: 2760.0 };
 
-/// Optional GPU-assisted entropy coding of the packed streams, one item
-/// per output byte. Target: ≈100 ms for a 1M-point frame — the cost that
-/// led the paper to *discard* entropy coding (Sec. IV-B3).
+/// GPU-assisted entropy coding of the packed streams, one item per
+/// output byte. Target: ≈100 ms for a 1M-point frame — the cost that led
+/// the paper to *discard* entropy coding (Sec. IV-B3). The proposed
+/// codec has no entropy stage, so nothing charges this profile; it
+/// records the measurement behind that decision.
 pub const ENTROPY_GPU: KernelProfile =
     KernelProfile { name: "entropy_gpu", cycles_per_item: 15_400.0 };
 

@@ -149,8 +149,8 @@ impl InterCodec {
     /// allocation-free per-frame entry point. `arena` carries every
     /// intermediate across frames; `out` is cleared and refilled. The
     /// bitstream is byte-identical to [`encode`](Self::encode), and the
-    /// single-threaded entropy-off steady state performs no heap
-    /// allocation (asserted by `tests/alloc_steady_state.rs`).
+    /// single-threaded steady state performs no heap allocation
+    /// (asserted by `tests/alloc_steady_state.rs`).
     pub fn encode_into(
         &self,
         cloud: &VoxelizedCloud,
@@ -162,7 +162,6 @@ impl InterCodec {
         let threads = device.host_threads();
         pcc_intra::geometry::encode_in(
             cloud,
-            self.config.intra.entropy,
             device,
             threads,
             &mut arena.geom,
@@ -305,8 +304,8 @@ impl InterCodec {
     }
 
     /// [`decode`](Self::decode) under explicit resource
-    /// [`pcc_types::Limits`]: geometry expansion, the entropy wrapper,
-    /// and the delta-layer header are all bounded before they drive
+    /// [`pcc_types::Limits`]: geometry expansion and the delta-layer
+    /// header are both bounded before they drive
     /// allocations.
     ///
     /// # Errors
@@ -325,12 +324,7 @@ impl InterCodec {
         device: &Device,
         limits: &pcc_types::Limits,
     ) -> Result<VoxelizedCloud, InterError> {
-        let geo = pcc_intra::geometry::decode_with(
-            &encoded.frame.geometry,
-            self.config.intra.entropy,
-            device,
-            limits,
-        )?;
+        let geo = pcc_intra::geometry::decode_with(&encoded.frame.geometry, device, limits)?;
         let m = geo.coords.len();
 
         let mut input = encoded.frame.attribute.as_slice();

@@ -71,8 +71,7 @@ pub struct AttributeScratch {
 /// ([`crate::brick`]): per-frame brick boundaries, per-brick relative
 /// codes and payload staging, and the index under assembly. Like every
 /// other arena, the buffers grow to the working-set size and then stick,
-/// so steady-state brick encoding allocates nothing new per frame on the
-/// entropy-off path.
+/// so steady-state brick encoding allocates nothing new per frame.
 #[derive(Debug, Default)]
 pub struct BrickScratch {
     /// Per-brick attribute pipeline buffers (the frame-level

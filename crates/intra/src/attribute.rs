@@ -24,8 +24,8 @@ use std::num::NonZeroUsize;
 /// This writes into arena-owned buffers: `scratch` carries the gather
 /// accumulators, segment starts, and both layers' base/residual buffers
 /// across frames; `payload` is cleared and refilled. The single-threaded
-/// entropy-off path performs no heap allocation once the buffers have
-/// warmed (asserted by `tests/alloc_steady_state.rs`).
+/// path performs no heap allocation once the buffers have warmed
+/// (asserted by `tests/alloc_steady_state.rs`).
 pub fn encode_in(
     cloud: &VoxelizedCloud,
     geo: &GeometryEncoded,
@@ -60,10 +60,10 @@ pub fn encode_in(
 
 /// Steps 2–4 of the attribute pipeline over `scratch.values` (3-channel
 /// i32 triples in sorted-voxel order): segmentation, per-segment median
-/// bases, quantized residuals, the optional second layer, payload
-/// packing, and the optional entropy wrap. The monolithic encoder runs
-/// it once per frame over every voxel; the brick encoder runs it once
-/// per brick over that brick's slice — same bytes for the same values.
+/// bases, quantized residuals, the optional second layer, and payload
+/// packing. The monolithic encoder runs it once per frame over every
+/// voxel; the brick encoder runs it once per brick over that brick's
+/// slice — same bytes for the same values.
 pub(crate) fn encode_values_in(
     config: &IntraConfig,
     device: &Device,
@@ -114,23 +114,14 @@ pub(crate) fn encode_values_in(
         write_layer(payload, q, &scratch.starts, &scratch.bases, &scratch.residuals);
     }
     device.charge_gpu("attribute/pack", &calib::ATTR_PACK, m.max(1));
-
-    // Entropy coding allocates (range-coder output); the zero-alloc
-    // guarantee covers the default entropy-off configuration.
-    if config.entropy {
-        let wrapped = pcc_entropy::wrap_stream(payload);
-        payload.clear();
-        payload.extend_from_slice(&wrapped);
-        device.charge_gpu("attribute/entropy", &calib::ENTROPY_GPU, payload.len());
-    }
 }
 
 /// Decodes an attribute payload back to per-voxel colors (Morton order,
 /// one per unique voxel) at the device's
 /// [`host_threads`](Device::host_threads), under explicit resource
-/// [`pcc_types::Limits`]: the entropy wrapper's declared length is
-/// bounded by `max_alloc_bytes` and the layer headers by
-/// `max_points`/`max_blocks`.
+/// [`pcc_types::Limits`]: the layer headers are bounded by
+/// `max_points`/`max_blocks`. The payload carries its own layer count,
+/// so decoding needs no configuration.
 ///
 /// # Errors
 ///
@@ -138,32 +129,24 @@ pub(crate) fn encode_values_in(
 /// returns [`pcc_entropy::Error::LimitExceeded`] when a limit is hit.
 pub fn decode_with(
     payload: &[u8],
-    config: &IntraConfig,
     device: &Device,
     limits: &pcc_types::Limits,
 ) -> Result<Vec<Rgb>, pcc_entropy::Error> {
-    let colors = decode_payload(payload, config, device.host_threads(), limits)?;
+    let colors = decode_payload(payload, device.host_threads(), limits)?;
     device.charge_gpu("attribute_decode", &calib::ATTR_DECODE, colors.len().max(1));
     Ok(colors)
 }
 
-/// The device-free core of [`decode_with`]: unwrap, layer decode, and
-/// clamp at an explicit thread count, charging nothing. The brick
-/// decoder runs this once per brick — possibly from a worker thread —
-/// and charges the device model once for the merged frame.
+/// The device-free core of [`decode_with`]: layer decode and clamp at
+/// an explicit thread count, charging nothing. The brick decoder runs
+/// this once per brick — possibly from a worker thread — and charges
+/// the device model once for the merged frame.
 pub(crate) fn decode_payload(
     payload: &[u8],
-    config: &IntraConfig,
     threads: NonZeroUsize,
     limits: &pcc_types::Limits,
 ) -> Result<Vec<Rgb>, pcc_entropy::Error> {
-    let owned;
-    let mut input = payload;
-    if config.entropy {
-        owned = pcc_entropy::unwrap_stream(payload, limits)?;
-        input = &owned;
-    }
-    let (&two_layer, mut rest) = input.split_first().ok_or(pcc_entropy::Error::UnexpectedEnd)?;
+    let (&two_layer, mut rest) = payload.split_first().ok_or(pcc_entropy::Error::UnexpectedEnd)?;
     let values = if two_layer != 0 {
         let outer_len = varint::read_u64(&mut rest)? as usize;
         let (outer_bytes, layer2_bytes) =
@@ -283,11 +266,11 @@ mod tests {
         let d = device();
         let mut geo = GeometryEncoded::default();
         let mut geom = GeometryScratch::default();
-        geometry::encode_in(vox, false, &d, d.host_threads(), &mut geom, &mut geo);
+        geometry::encode_in(vox, &d, d.host_threads(), &mut geom, &mut geo);
         let mut scratch = AttributeScratch::default();
         let mut payload = Vec::new();
         encode_in(vox, &geo, config, &d, &mut scratch, &mut payload);
-        let decoded = decode_with(&payload, config, &d, &Limits::default()).unwrap();
+        let decoded = decode_with(&payload, &d, &Limits::default()).unwrap();
         (geo, payload, scratch.voxel_colors, decoded)
     }
 
@@ -327,13 +310,6 @@ mod tests {
         let one = IntraConfig { two_layer: false, ..IntraConfig::lossless() };
         let two = IntraConfig::lossless();
         assert_eq!(round_trip(&vox, &one).3, round_trip(&vox, &two).3);
-    }
-
-    #[test]
-    fn entropy_config_round_trips() {
-        let cfg = IntraConfig { entropy: true, ..IntraConfig::lossless() };
-        let (_, _, original, decoded) = round_trip(&gradient_cloud(200), &cfg);
-        assert_eq!(original, decoded);
     }
 
     #[test]
@@ -377,10 +353,9 @@ mod tests {
 
     #[test]
     fn malformed_payload_errors() {
-        let cfg = IntraConfig::paper();
         let d = device();
-        assert!(decode_with(&[], &cfg, &d, &Limits::default()).is_err());
-        assert!(decode_with(&[1, 200], &cfg, &d, &Limits::default()).is_err());
+        assert!(decode_with(&[], &d, &Limits::default()).is_err());
+        assert!(decode_with(&[1, 200], &d, &Limits::default()).is_err());
     }
 
     proptest! {

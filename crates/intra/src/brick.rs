@@ -34,15 +34,10 @@
 //! payloads of the CRC-damaged bricks into their slots; *salvage* keeps
 //! the survivors — one damaged brick costs one subtree, not the frame.
 //!
-//! With entropy coding enabled, each per-brick payload is range-coded
-//! individually; the header and index always stay plain so the index is
-//! readable without touching any payload.
-//!
 //! The monolithic layout (first stream byte = grid depth, at most 21)
 //! remains the golden-pinned compatibility mode; `0xB7` never collides
-//! with it on the entropy-off path, so [`BrickIndex::detect`] routes
-//! frames per stream. See `IntraConfig::brick_depth` for the encode-side
-//! knob and the entropy-on contract.
+//! with it, so [`BrickIndex::detect`] routes frames per stream. See
+//! `IntraConfig::brick_depth` for the encode-side knob.
 
 use crate::arena::FrameArena;
 use crate::attribute;
@@ -59,9 +54,7 @@ use std::num::NonZeroUsize;
 use std::ops::Range;
 
 /// First byte of a brick-partitioned geometry stream. Monolithic streams
-/// start with the grid depth (1..=21), so the magic is unambiguous
-/// whenever the stream head is not entropy-coded — which it never is in
-/// the brick layout.
+/// start with the grid depth (1..=21), so the magic is unambiguous.
 pub const BRICK_MAGIC: u8 = 0xB7;
 
 /// Wire version of the brick layout this build reads and writes.
@@ -210,8 +203,8 @@ pub struct BrickIndex {
 
 impl BrickIndex {
     /// Whether `geometry` looks like a brick-partitioned stream (magic +
-    /// current version). Exact on the entropy-off path, where a
-    /// monolithic stream's first byte is a grid depth of at most 21.
+    /// current version). Exact: a monolithic stream's first byte is a
+    /// grid depth of at most 21.
     pub fn detect(geometry: &[u8]) -> bool {
         geometry.first() == Some(&BRICK_MAGIC) && geometry.get(1) == Some(&BRICK_VERSION)
     }
@@ -458,11 +451,6 @@ pub(crate) fn encode_in(
             &geom_scratch.occupancy,
             &mut bricks.geom_buf,
         );
-        if config.entropy {
-            let wrapped = pcc_entropy::wrap_stream(&bricks.geom_buf);
-            bricks.geom_buf.clear();
-            bricks.geom_buf.extend_from_slice(&wrapped);
-        }
 
         bricks.attr.values.clear();
         if let Some(slice) = colors.get(s..e) {
@@ -542,7 +530,6 @@ struct Failure {
 #[derive(Debug)]
 pub struct BrickDecode {
     index: BrickIndex,
-    config: IntraConfig,
     limits: Limits,
     coords: Vec<VoxelCoord>,
     colors: Vec<Rgb>,
@@ -559,7 +546,6 @@ impl BrickDecode {
     /// index ranges; the output is identical at any thread count.
     pub(crate) fn run(
         frame: &IntraFrame,
-        config: &IntraConfig,
         limits: &Limits,
         threads: NonZeroUsize,
         select: &mut dyn FnMut(&BrickEntry, &Aabb) -> bool,
@@ -574,10 +560,9 @@ impl BrickDecode {
             .map(|(i, _)| i)
             .collect();
         let (coords, colors, failures) =
-            decode_selected(frame, config, &index, &selected, limits, threads);
+            decode_selected(frame, &index, &selected, limits, threads);
         Ok(BrickDecode {
             index,
-            config: *config,
             limits: *limits,
             coords,
             colors,
@@ -642,7 +627,6 @@ impl BrickDecode {
             coords.extend_from_slice(self.coords.get(from..failure.at).unwrap_or_default());
             colors.extend_from_slice(self.colors.get(from..failure.at).unwrap_or_default());
             let decoded = decode_one(
-                &self.config,
                 &self.index,
                 failure.brick,
                 entry,
@@ -712,7 +696,6 @@ impl BrickDecode {
 /// recorded with the survivor offset its points would take and skipped.
 fn decode_selected(
     frame: &IntraFrame,
-    config: &IntraConfig,
     index: &BrickIndex,
     selected: &[usize],
     limits: &Limits,
@@ -731,7 +714,7 @@ fn decode_selected(
             let decoded = verified_payload(frame, entry)
                 .ok_or(BrickError::BrickCrc { brick: bi })
                 .and_then(|payload| {
-                    decode_one(config, index, bi, entry, payload, limits, &mut coords, &mut colors)
+                    decode_one(index, bi, entry, payload, limits, &mut coords, &mut colors)
                 });
             if let Err(error) = decoded {
                 failures.push(Failure { brick: bi, at: coords.len(), error });
@@ -779,7 +762,6 @@ fn verified_payload<'f>(frame: &'f IntraFrame, entry: &BrickEntry) -> Option<(&'
 /// host.
 #[allow(clippy::too_many_arguments)]
 fn decode_one(
-    config: &IntraConfig,
     index: &BrickIndex,
     bi: usize,
     entry: &BrickEntry,
@@ -788,14 +770,7 @@ fn decode_one(
     coords: &mut Vec<VoxelCoord>,
     colors: &mut Vec<Rgb>,
 ) -> Result<(), BrickError> {
-    let owned;
-    let mut gin = geom;
-    if config.entropy {
-        owned = pcc_entropy::unwrap_stream(geom, limits)
-            .map_err(|e| BrickError::Geometry(geometry::unwrap_error(e)))?;
-        gin = &owned;
-    }
-    let rel = pcc_octree::decode_occupancy_with(gin, limits).map_err(BrickError::Geometry)?;
+    let rel = pcc_octree::decode_occupancy_with(geom, limits).map_err(BrickError::Geometry)?;
     if rel.len() != entry.leaf_count {
         return Err(BrickError::LeafMismatch {
             brick: bi,
@@ -809,7 +784,7 @@ fn decode_one(
     if rel.iter().any(|rc| (rc.x | rc.y | rc.z) >> sub != 0) {
         return Err(BrickError::BadIndex("leaf outside its bounding cell"));
     }
-    let brick_colors = attribute::decode_payload(attr, config, NonZeroUsize::MIN, limits)
+    let brick_colors = attribute::decode_payload(attr, NonZeroUsize::MIN, limits)
         .map_err(BrickError::Attribute)?;
     if brick_colors.len() != rel.len() {
         return Err(BrickError::CountMismatch {
@@ -1130,20 +1105,6 @@ mod tests {
         let explicit = brick_codec(5).encode(&vox, &d);
         assert_eq!(clamped.geometry, explicit.geometry);
         assert_eq!(clamped.attribute, explicit.attribute);
-    }
-
-    #[test]
-    fn entropy_bricks_round_trip() {
-        let vox = cloud(1_500);
-        let d = device();
-        let cfg = IntraConfig { entropy: true, ..IntraConfig::lossless() }.with_bricks(2);
-        let codec = IntraCodec::new(cfg);
-        let frame = codec.encode(&vox, &d);
-        let dec = codec.decode(&frame, &d).unwrap();
-        let mono_cfg = IntraConfig { entropy: true, ..IntraConfig::lossless() };
-        let mono = IntraCodec::new(mono_cfg);
-        let want = mono.decode(&mono.encode(&vox, &d), &d).unwrap();
-        assert_eq!(dec, want);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 /// Configuration of the intra-frame codec.
 ///
 /// Defaults follow the paper's evaluated operating point (Sec. VI-B):
-/// 30 000 segments per frame, a 2-layer residual encoder, and entropy
-/// coding *disabled* (the paper discards it for a ≈2× geometry-stage
-/// speedup at ≈0.5× larger streams).
+/// 30 000 segments per frame and a 2-layer residual encoder. Every knob
+/// that shapes the bitstream is written into it, so a frame decodes
+/// without its encoder's configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IntraConfig {
     /// Target number of attribute segments per frame.
@@ -15,8 +15,6 @@ pub struct IntraConfig {
     pub quant_shift: u8,
     /// Re-encode the residual stream through a second base+delta layer.
     pub two_layer: bool,
-    /// Entropy-code the packed geometry and attribute payloads.
-    pub entropy: bool,
     /// Octree depth at which the frame is cut into **bricks** — fixed-depth
     /// subtree partitions, each carrying its own geometry + attribute
     /// payload behind a CRC-guarded per-frame index, so bricks decode in
@@ -26,10 +24,8 @@ pub struct IntraConfig {
     /// `0` (the default) selects the original monolithic layout — the
     /// golden-pinned compatibility mode. Non-zero values are clamped to
     /// `1..=depth-1` at encode time; grids too shallow to split
-    /// (`depth < 2`) fall back to the monolithic layout. With entropy
-    /// coding off the decoder auto-detects the layout per frame, so a
-    /// `brick_depth: 0` receiver still decodes brick frames; with entropy
-    /// on the flag is part of the decode contract like `entropy` itself.
+    /// (`depth < 2`) fall back to the monolithic layout. The decoder
+    /// detects the layout per frame, so any receiver decodes both.
     pub brick_depth: u8,
 }
 
@@ -40,7 +36,6 @@ impl IntraConfig {
             segments: 30_000,
             quant_shift: 2,
             two_layer: true,
-            entropy: false,
             brick_depth: 0,
         }
     }
@@ -99,7 +94,6 @@ mod tests {
         assert_eq!(c.segments, 30_000);
         assert_eq!(c.quant_step(), 4);
         assert!(c.two_layer);
-        assert!(!c.entropy);
     }
 
     #[test]

@@ -144,9 +144,9 @@ impl IntraCodec {
     /// allocation-free per-frame entry point. `arena` carries every
     /// intermediate across frames (the session-long encoder in `pcc-core`
     /// owns one); `out` is cleared and refilled. After a few warm-up
-    /// frames the single-threaded entropy-off path performs zero heap
-    /// allocations (asserted by `tests/alloc_steady_state.rs`); the
-    /// bitstream is byte-identical to [`encode`](Self::encode).
+    /// frames the single-threaded path performs zero heap allocations
+    /// (asserted by `tests/alloc_steady_state.rs`); the bitstream is
+    /// byte-identical to [`encode`](Self::encode).
     pub fn encode_into(
         &self,
         cloud: &VoxelizedCloud,
@@ -168,7 +168,6 @@ impl IntraCodec {
         }
         geometry::encode_in(
             cloud,
-            self.config.entropy,
             device,
             device.host_threads(),
             &mut arena.geom,
@@ -191,7 +190,9 @@ impl IntraCodec {
     }
 
     /// Decodes a frame back to a voxelized cloud (one color per unique
-    /// voxel, Morton order, original world frame).
+    /// voxel, Morton order, original world frame). Frames describe
+    /// themselves: decoding reads no configuration, so any codec decodes
+    /// any intra frame.
     ///
     /// # Errors
     ///
@@ -215,34 +216,13 @@ impl IntraCodec {
         device: &Device,
         limits: &pcc_types::Limits,
     ) -> Result<VoxelizedCloud, IntraError> {
-        let routes_to_bricks = !self.config.entropy || self.config.brick_depth > 0;
-        if routes_to_bricks && BrickIndex::detect(&frame.geometry) {
-            let strict = self
+        if BrickIndex::detect(&frame.geometry) {
+            return self
                 .decode_bricks(frame, device, limits, |_, _| true)
                 .and_then(|pass| pass.into_cloud(device));
-            if !self.config.entropy {
-                // Entropy off ⇒ a monolithic stream's first byte is a grid
-                // depth (≤ 21), so the magic is unambiguous: route by wire.
-                return strict;
-            }
-            // Entropy on ⇒ brick_depth is part of the decode contract,
-            // but a monolithic stream (from a pre-cut encoder, or a
-            // shallow grid that fell back) can start with these two
-            // bytes by coincidence. Prefer the contract; if the brick
-            // decode fails, give the monolithic layout one chance.
-            return strict.or_else(|e| self.decode_monolithic(frame, device, limits).or(Err(e)));
         }
-        self.decode_monolithic(frame, device, limits)
-    }
-
-    fn decode_monolithic(
-        &self,
-        frame: &IntraFrame,
-        device: &Device,
-        limits: &pcc_types::Limits,
-    ) -> Result<VoxelizedCloud, IntraError> {
-        let geo = geometry::decode_with(&frame.geometry, self.config.entropy, device, limits)?;
-        let colors = attribute::decode_with(&frame.attribute, &self.config, device, limits)?;
+        let geo = geometry::decode_with(&frame.geometry, device, limits)?;
+        let colors = attribute::decode_with(&frame.attribute, device, limits)?;
         if geo.coords.len() != colors.len() {
             return Err(IntraError::VoxelCountMismatch {
                 geometry: geo.coords.len(),
@@ -274,7 +254,7 @@ impl IntraCodec {
         limits: &pcc_types::Limits,
         mut select: impl FnMut(&BrickEntry, &Aabb) -> bool,
     ) -> Result<BrickDecode, IntraError> {
-        BrickDecode::run(frame, &self.config, limits, device.host_threads(), &mut select)
+        BrickDecode::run(frame, limits, device.host_threads(), &mut select)
             .map_err(IntraError::from)
     }
 }
@@ -347,6 +327,26 @@ mod tests {
         };
         let err = codec.decode(&franken, &d).unwrap_err();
         assert!(matches!(err, IntraError::VoxelCountMismatch { .. }), "got {err}");
+    }
+
+    #[test]
+    fn every_layout_decodes_without_its_encoder_config() {
+        let vox = VoxelizedCloud::from_cloud(&cloud(2_000), 6);
+        let d = device();
+        for two_layer in [false, true] {
+            for brick_depth in [0, 2] {
+                for quant_shift in [0, 2] {
+                    let cfg = IntraConfig { two_layer, quant_shift, ..IntraConfig::paper() }
+                        .with_bricks(brick_depth);
+                    let own = IntraCodec::new(cfg);
+                    let frame = own.encode(&vox, &d);
+                    assert_eq!(BrickIndex::detect(&frame.geometry), brick_depth > 0, "{cfg:?}");
+                    let want = own.decode(&frame, &d).unwrap();
+                    let got = IntraCodec::default().decode(&frame, &d).unwrap();
+                    assert_eq!(got, want, "{cfg:?}");
+                }
+            }
+        }
     }
 
     #[test]

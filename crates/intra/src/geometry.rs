@@ -30,18 +30,13 @@ pub struct GeometryEncoded {
 /// Every parallel stage partitions work by index ranges, so the stream is
 /// byte-identical at every thread count.
 ///
-/// `entropy` additionally range-codes the occupancy stream (the paper's
-/// discarded option).
-///
 /// This writes into arena-owned buffers: `scratch` carries every
 /// intermediate (codes, sort staging, octree levels, occupancy bytes)
 /// across frames; `out` is cleared and refilled. After the buffers warm
-/// to the working-set size, the single-threaded entropy-off path
-/// performs no heap allocation (asserted by
-/// `tests/alloc_steady_state.rs`).
+/// to the working-set size, the single-threaded path performs no heap
+/// allocation (asserted by `tests/alloc_steady_state.rs`).
 pub fn encode_in(
     cloud: &VoxelizedCloud,
-    entropy: bool,
     device: &Device,
     threads: NonZeroUsize,
     scratch: &mut GeometryScratch,
@@ -71,17 +66,6 @@ pub fn encode_in(
         &mut out.stream,
     );
     device.charge_gpu("geometry/pack", &calib::STREAM_PACK, n);
-
-    // 7. Optional entropy coding of the payload. This path allocates (the
-    //    range coder's output is unbounded up front); the zero-alloc
-    //    guarantee covers the default entropy-off configuration.
-    if entropy {
-        let wrapped = pcc_entropy::wrap_stream(&out.stream);
-        out.stream.clear();
-        out.stream.extend_from_slice(&wrapped);
-        device.charge_gpu("geometry/entropy", &calib::ENTROPY_GPU, out.stream.len());
-    }
-
     pcc_probe::add_bytes("intra/geometry", out.stream.len() as u64);
 }
 
@@ -143,8 +127,7 @@ pub struct GeometryDecoded {
 }
 
 /// Decodes a stream produced by [`encode_in`] under explicit resource
-/// [`Limits`]: the entropy wrapper's declared payload length is bounded
-/// by `max_alloc_bytes` and the occupancy expansion by
+/// [`Limits`]: the occupancy expansion is bounded by
 /// `max_depth`/`max_points`.
 ///
 /// # Errors
@@ -153,17 +136,10 @@ pub struct GeometryDecoded {
 /// limit is hit.
 pub fn decode_with(
     stream: &[u8],
-    entropy: bool,
     device: &Device,
     limits: &Limits,
 ) -> Result<GeometryDecoded, pcc_octree::StreamError> {
-    let owned;
-    let mut input = stream;
-    if entropy {
-        owned = pcc_entropy::unwrap_stream(stream, limits).map_err(unwrap_error)?;
-        input = &owned;
-    }
-    let (header, rest) = pcc_octree::parse_grid_header(input)?;
+    let (header, rest) = pcc_octree::parse_grid_header(stream)?;
     let coords = pcc_octree::decode_occupancy_with(rest, limits)?;
     device.charge_gpu("geometry_decode", &calib::GEOM_DECODE, coords.len().max(1));
     Ok(GeometryDecoded {
@@ -172,15 +148,6 @@ pub fn decode_with(
         origin: header.origin,
         voxel_size: header.voxel_size,
     })
-}
-
-/// The occupancy-stream error for a failed [`pcc_entropy::unwrap_stream`]:
-/// a cut-short length prefix is a truncation, an over-budget one a limit.
-pub(crate) fn unwrap_error(e: pcc_entropy::Error) -> pcc_octree::StreamError {
-    match e {
-        pcc_entropy::Error::LimitExceeded(l) => pcc_octree::StreamError::LimitExceeded(l),
-        _ => pcc_octree::StreamError::Truncated,
-    }
 }
 
 #[cfg(test)]
@@ -195,9 +162,9 @@ mod tests {
     }
 
     /// One encode through a fresh arena at the device's thread count.
-    fn encoded(vox: &VoxelizedCloud, entropy: bool, d: &Device) -> GeometryEncoded {
+    fn encoded(vox: &VoxelizedCloud, d: &Device) -> GeometryEncoded {
         let mut out = GeometryEncoded::default();
-        encode_in(vox, entropy, d, d.host_threads(), &mut GeometryScratch::default(), &mut out);
+        encode_in(vox, d, d.host_threads(), &mut GeometryScratch::default(), &mut out);
         out
     }
 
@@ -213,8 +180,8 @@ mod tests {
     fn round_trip_preserves_voxels() {
         let vox = vox_from(&[(0.0, 0.0, 0.0), (1.0, 2.0, 3.0), (7.0, 7.0, 7.0)], 5);
         let d = device();
-        let enc = encoded(&vox, false, &d);
-        let dec = decode_with(&enc.stream, false, &d, &Limits::default()).unwrap();
+        let enc = encoded(&vox, &d);
+        let dec = decode_with(&enc.stream, &d, &Limits::default()).unwrap();
         assert_eq!(dec.coords.len(), enc.unique_voxels);
         assert_eq!(dec.depth, 5);
         // Decoded voxels are the sorted unique leaf codes.
@@ -223,30 +190,10 @@ mod tests {
     }
 
     #[test]
-    fn entropy_variant_round_trips_and_is_smaller_on_dense_input() {
-        // A dense, regular cloud has very skewed occupancy bytes.
-        let coords: Vec<(f32, f32, f32)> = (0..512)
-            .map(|i| ((i % 8) as f32, ((i / 8) % 8) as f32, (i / 64) as f32))
-            .collect();
-        let vox = vox_from(&coords, 5);
-        let d = device();
-        let plain = encoded(&vox, false, &d);
-        let coded = encoded(&vox, true, &d);
-        let dec = decode_with(&coded.stream, true, &d, &Limits::default()).unwrap();
-        assert_eq!(dec.coords.len(), coded.unique_voxels);
-        assert!(
-            coded.stream.len() < plain.stream.len(),
-            "entropy {} vs plain {}",
-            coded.stream.len(),
-            plain.stream.len()
-        );
-    }
-
-    #[test]
     fn perm_and_point_to_voxel_are_consistent() {
         let vox = vox_from(&[(3.0, 3.0, 3.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)], 4);
         let d = device();
-        let enc = encoded(&vox, false, &d);
+        let enc = encoded(&vox, &d);
         assert_eq!(enc.perm.len(), 3);
         assert_eq!(enc.point_to_voxel.len(), 3);
         assert_eq!(enc.unique_voxels, 2);
@@ -265,53 +212,38 @@ mod tests {
     fn device_timeline_has_all_stages() {
         let vox = vox_from(&[(1.0, 1.0, 1.0)], 4);
         let d = device();
-        encoded(&vox, false, &d);
+        encoded(&vox, &d);
         let t = d.timeline();
         for stage in ["geometry/morton", "geometry/sort", "geometry/octree", "geometry/occupy", "geometry/pack"]
         {
             assert!(t.stage_ms(stage).as_f64() > 0.0, "missing {stage}");
         }
-        assert_eq!(t.stage_ms("geometry/entropy").as_f64(), 0.0);
     }
 
     #[test]
     fn sub_four_byte_streams_are_truncation_errors() {
-        // Regression: the entropy unwrapper once sliced `stream[..4]`; a
-        // 0–3 byte stream must be a clean truncation error, never a panic.
+        // A 0–3 byte stream must be a clean truncation error, never a
+        // panic.
         let d = device();
         let short = [0x11u8, 0x22, 0x33];
         for cut in 0..=short.len() {
-            for entropy in [false, true] {
-                assert!(
-                    matches!(
-                        decode_with(&short[..cut], entropy, &d, &Limits::default()),
-                        Err(pcc_octree::StreamError::Truncated)
-                    ),
-                    "len {cut}, entropy {entropy}"
-                );
-            }
+            assert!(
+                matches!(
+                    decode_with(&short[..cut], &d, &Limits::default()),
+                    Err(pcc_octree::StreamError::Truncated)
+                ),
+                "len {cut}"
+            );
         }
-    }
-
-    #[test]
-    fn entropy_length_bomb_is_a_stream_limit_error() {
-        // The prefix bound itself is tested beside `pcc_entropy::unwrap_stream`;
-        // here its error must surface as the occupancy stream's limit error.
-        let mut bomb = u32::MAX.to_le_bytes().to_vec();
-        bomb.extend_from_slice(&[0u8; 16]);
-        assert!(matches!(
-            decode_with(&bomb, true, &device(), &Limits::default()),
-            Err(pcc_octree::StreamError::LimitExceeded(e)) if e.what == "alloc bytes"
-        ));
     }
 
     #[test]
     fn truncated_stream_errors() {
         let vox = vox_from(&[(1.0, 1.0, 1.0), (2.0, 2.0, 2.0)], 4);
         let d = device();
-        let enc = encoded(&vox, false, &d);
+        let enc = encoded(&vox, &d);
         for cut in 0..enc.stream.len() {
-            assert!(decode_with(&enc.stream[..cut], false, &d, &Limits::default()).is_err());
+            assert!(decode_with(&enc.stream[..cut], &d, &Limits::default()).is_err());
         }
     }
 
@@ -325,8 +257,8 @@ mod tests {
             let colors = vec![Rgb::BLACK; coords.len()];
             let vox = VoxelizedCloud::from_grid(coords.clone(), colors, 6).unwrap();
             let d = device();
-            let enc = encoded(&vox, false, &d);
-            let dec = decode_with(&enc.stream, false, &d, &Limits::default()).unwrap();
+            let enc = encoded(&vox, &d);
+            let dec = decode_with(&enc.stream, &d, &Limits::default()).unwrap();
             let mut expect: Vec<u64> =
                 coords.iter().map(|&c| pcc_morton::encode(c).value()).collect();
             expect.sort_unstable();

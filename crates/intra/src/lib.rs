@@ -5,9 +5,9 @@
 //! - **Geometry** ([`geometry`]): generate Morton codes in one parallel
 //!   pass, radix-sort them, build the octree with the parallel
 //!   (Karras-style) constructor, post-process code/parent arrays into
-//!   occupancy bytes (Algorithm 1), and pack. Entropy coding is optional
-//!   and off by default — the paper measured it at ≈100 ms for ≈0.1×
-//!   size, and discards it.
+//!   occupancy bytes (Algorithm 1), and pack. There is no entropy
+//!   coding stage: the paper measured it at ≈100 ms for ≈0.1× size and
+//!   discards it ([`pcc_edge::calib::ENTROPY_GPU`] models that cost).
 //! - **Attributes** ([`attribute`]): reuse the sorted order to gather
 //!   colors, segment the sorted sequence into ~30 000 blocks, store one
 //!   median **base** per segment plus quantized per-point **residuals**,

@@ -28,12 +28,6 @@
 //! Thread-count resolution follows a three-step chain (see [`resolve`]):
 //! explicit request → `PCC_THREADS` environment variable →
 //! [`std::thread::available_parallelism`].
-//!
-//! Beyond the data-parallel primitives, [`queue`] provides the bounded
-//! blocking queue that pipeline stages (encode → transmit in
-//! `pcc-stream`) use for backpressure.
-
-pub mod queue;
 
 use std::marker::PhantomData;
 use std::num::NonZeroUsize;

@@ -202,9 +202,8 @@ static NEXT_LANE: AtomicU32 = AtomicU32::new(0);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 static SINK: Mutex<(Vec<SpanRecord>, Vec<GaugeRecord>)> = Mutex::new((Vec::new(), Vec::new()));
 
-fn epoch_ns() -> u64 {
-    let epoch = *EPOCH.get_or_init(Instant::now);
-    epoch.elapsed().as_nanos() as u64
+fn epoch() -> Instant {
+    *EPOCH.get_or_init(Instant::now)
 }
 
 /// Per-thread event buffer. The `Drop` flush drains a thread's events
@@ -254,18 +253,16 @@ pub struct Span {
 struct LiveSpan {
     stage: &'static str,
     start: Instant,
-    start_ns: u64,
     bytes: u64,
 }
 
 /// Opens a span for `stage`; the returned guard records on drop.
 #[inline]
 pub fn span(stage: &'static str) -> Span {
-    let live = enabled().then(|| LiveSpan {
-        stage,
-        start_ns: epoch_ns(),
-        start: Instant::now(),
-        bytes: 0,
+    let live = enabled().then(|| {
+        // Fix the epoch first, so no span starts before it.
+        epoch();
+        LiveSpan { stage, start: Instant::now(), bytes: 0 }
     });
     Span { live }
 }
@@ -287,18 +284,28 @@ impl Span {
         self.finish()
     }
 
+    // A span that never went live finishes here without a call.
+    #[inline]
     fn finish(&mut self) -> u64 {
-        let Some(live) = self.live.take() else { return 0 };
-        let dur_ns = (live.start.elapsed().as_nanos() as u64).max(1);
+        self.live.take().map_or(0, LiveSpan::record)
+    }
+}
+
+impl LiveSpan {
+    /// Pushes the ended span into the thread's buffer and returns its
+    /// duration in nanoseconds.
+    fn record(self) -> u64 {
+        let dur_ns = (self.start.elapsed().as_nanos() as u64).max(1);
+        let start_ns = self.start.saturating_duration_since(epoch()).as_nanos() as u64;
         let _ = BUF.try_with(|b| {
             let mut b = b.borrow_mut();
             let lane = b.lane;
             b.spans.push(SpanRecord {
-                stage: live.stage,
-                start_ns: live.start_ns,
+                stage: self.stage,
+                start_ns,
                 dur_ns,
                 lane,
-                bytes: live.bytes,
+                bytes: self.bytes,
             });
         });
         dur_ns
@@ -306,6 +313,7 @@ impl Span {
 }
 
 impl Drop for Span {
+    #[inline]
     fn drop(&mut self) {
         self.finish();
     }
@@ -322,22 +330,26 @@ pub fn add_bytes(stage: &'static str, bytes: u64) {
 /// Whether recording is currently on.
 ///
 /// The first call reads [`PROBE_ENV`]; [`set_enabled`] overrides it.
+#[inline]
 pub fn enabled() -> bool {
     match STATE.load(Ordering::Relaxed) {
         1 => false,
         2 => true,
-        _ => {
-            let on = std::env::var(PROBE_ENV).is_ok_and(|v| {
-                matches!(v.to_ascii_lowercase().as_str(), "1" | "true" | "on" | "yes")
-            });
-            // A `set_enabled` on another thread during this first read
-            // wins: the environment only fills a state nobody has set.
-            let state = if on { 2 } else { 1 };
-            match STATE.compare_exchange(0, state, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => on,
-                Err(set) => set == 2,
-            }
-        }
+        _ => enabled_from_env(),
+    }
+}
+
+/// The first [`enabled`] call: reads [`PROBE_ENV`] into the state.
+#[cold]
+fn enabled_from_env() -> bool {
+    let on = std::env::var(PROBE_ENV)
+        .is_ok_and(|v| matches!(v.to_ascii_lowercase().as_str(), "1" | "true" | "on" | "yes"));
+    // A `set_enabled` on another thread during this first read wins: the
+    // environment only fills a state nobody has set.
+    let state = if on { 2 } else { 1 };
+    match STATE.compare_exchange(0, state, Ordering::Relaxed, Ordering::Relaxed) {
+        Ok(_) => on,
+        Err(set) => set == 2,
     }
 }
 

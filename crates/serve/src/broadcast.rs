@@ -135,10 +135,6 @@ impl std::fmt::Debug for Slot {
 ///   counted, never propagated into the fan-out loop.
 pub struct Broadcast<'d> {
     source: FrameSource<'d>,
-    /// Whether the coded attribute payload is layered and entropy-free,
-    /// i.e. [`shed_refinement`] can apply (fixed per session: these are
-    /// decode-contract knobs no ladder may move).
-    sheddable: bool,
     slots: Vec<Slot>,
     /// The chunk image stamped last, shared by every send of the same
     /// seq group (fan-out and replays alike).
@@ -163,14 +159,8 @@ impl<'d> Broadcast<'d> {
     /// attaches; frames pushed before the first subscriber are still
     /// recorded in the source's history for late joiners.
     pub fn new(codec: &PccCodec, depth: u8, device: &'d Device, config: &StreamConfig) -> Self {
-        let source = FrameSource::new(codec, depth, device, config);
-        let intra = source.inter_config().intra;
         Broadcast {
-            // Brick frames interleave per-brick attribute payloads behind
-            // CRC-guarded index entries; stripping refinement would break
-            // every offset and checksum, so they are never sheddable.
-            sheddable: intra.two_layer && !intra.entropy && intra.brick_depth == 0,
-            source,
+            source: FrameSource::new(codec, depth, device, config),
             slots: Vec::new(),
             memo: StampMemo::new(),
             // An empty fold is clean: `merge` ANDs each subscriber's
@@ -237,16 +227,11 @@ impl<'d> Broadcast<'d> {
     ) -> io::Result<SubscriberId> {
         let late = self.source.frame_index() > 0;
         let arq_ring = config.arq_ring;
-        let sub = attach_at_join(
-            &self.source,
-            &mut self.memo,
-            Box::new(transport),
-            arq_ring.clone(),
-            late,
-            &mut self.stats.replayed_frames,
-        )?;
+        let (sub, replayed) =
+            attach_at_join(&self.source, &mut self.memo, Box::new(transport), arq_ring.clone(), late)?;
         if late {
             self.stats.late_joins += 1;
+            self.stats.replayed_frames += replayed;
         }
         let id = SubscriberId(self.next_id);
         self.next_id += 1;
@@ -292,16 +277,8 @@ impl<'d> Broadcast<'d> {
             return Ok(false);
         };
         let arq_ring = self.slots.get(at).and_then(|s| s.arq_ring.clone());
-        // Counted only once the whole replay is on the new wire.
-        let mut replayed = 0;
-        let sub = attach_at_join(
-            &self.source,
-            &mut self.memo,
-            Box::new(transport),
-            arq_ring,
-            true,
-            &mut replayed,
-        )?;
+        let (sub, replayed) =
+            attach_at_join(&self.source, &mut self.memo, Box::new(transport), arq_ring, true)?;
         let Some(slot) = self.slots.get_mut(at) else {
             return Ok(false);
         };
@@ -402,7 +379,6 @@ impl<'d> Broadcast<'d> {
         // frame, however many subscribers are on a stripped rung, and
         // stamped once per seq group like the full payload.
         let mut shed: Option<Option<FramePayload>> = None;
-        let sheddable = self.sheddable;
         let fanout_sp = pcc_probe::span("serve/fanout");
         for slot in &mut self.slots {
             if slot.health != SlotHealth::Live {
@@ -421,8 +397,7 @@ impl<'d> Broadcast<'d> {
                     continue;
                 }
             }
-            let strip = sheddable
-                && frame.kind == FrameKind::Intra
+            let strip = frame.kind == FrameKind::Intra
                 && slot
                     .controller
                     .as_ref()
@@ -438,8 +413,8 @@ impl<'d> Broadcast<'d> {
                         self.stats.sheds_refinement += 1;
                         &*slim
                     }
-                    // The transform did not apply (e.g. an unexpectedly
-                    // single-layer frame): fall back to full quality.
+                    // The transform did not apply (a single-layer or
+                    // brick frame): send it at full quality.
                     None => frame,
                 }
             } else {
@@ -557,16 +532,17 @@ impl<'d> Broadcast<'d> {
 /// Opens a subscription on `transport` at `source`'s join point: writes
 /// the stream header announcing it, arms the ARQ ring, and, for a
 /// subscriber joining past the first frame (`late`), replays the
-/// history's resync run under the `serve/replay` span, adding each frame
-/// put on the wire to `replayed`.
+/// history's resync run under the `serve/replay` span. Returns the
+/// subscription and the number of frames replayed; callers book that
+/// count only once the subscriber is registered, so a replay cut short
+/// by a transport error counts nothing.
 fn attach_at_join(
     source: &FrameSource<'_>,
     memo: &mut StampMemo,
     transport: Box<dyn Write + Send>,
     arq_ring: Option<SharedRing>,
     late: bool,
-    replayed: &mut usize,
-) -> io::Result<Subscription<Box<dyn Write + Send>>> {
+) -> io::Result<(Subscription<Box<dyn Write + Send>>, usize)> {
     let replay = if late { source.history().resync() } else { Vec::new() };
     let join_at = replay.first().map_or(source.frame_index() as u32, |f| f.frame_index);
     let mut sub = Subscription::attach(transport, &source.header_at(join_at))?;
@@ -577,11 +553,10 @@ fn attach_at_join(
         let replay_sp = pcc_probe::span("serve/replay");
         for frame in &replay {
             sub.send_payload(frame, memo)?;
-            *replayed += 1;
         }
         replay_sp.stop();
     }
-    Ok(sub)
+    Ok((sub, replay.len()))
 }
 
 #[cfg(test)]
@@ -590,6 +565,28 @@ mod tests {
     use pcc_core::Design;
     use pcc_edge::PowerMode;
     use pcc_types::{Point3, Rgb};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A transport that accepts `budget` writes and fails every later
+    /// one, counting the writes it accepted in `written`.
+    struct DiesAfter {
+        budget: usize,
+        written: Arc<AtomicUsize>,
+    }
+
+    impl Write for DiesAfter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.written.load(Ordering::Relaxed) == self.budget {
+                return Err(io::Error::new(io::ErrorKind::BrokenPipe, "peer gone"));
+            }
+            self.written.fetch_add(1, Ordering::Relaxed);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
 
     /// With nobody subscribed, frames still encode into the history, so
     /// the first subscriber joins late and is replayed [I3, P4]; being
@@ -609,5 +606,42 @@ mod tests {
         assert!(!session.resubscribe(id, Vec::new()).unwrap(), "a live slot is not forked");
         let stats = session.finish();
         assert_eq!((stats.frames_encoded, stats.late_joins, stats.replayed_frames), (5, 1, 2));
+    }
+
+    /// A late join and a resubscribe whose transport dies after the
+    /// header and the replayed I3, before P4, register nothing and book
+    /// no replayed frame: both paths count only a finished replay.
+    #[test]
+    fn a_replay_cut_short_books_nothing_on_either_join_path() {
+        let device = Device::jetson_agx_xavier(PowerMode::W15);
+        let codec = PccCodec::new(Design::IntraInterV1);
+        let mut session = Broadcast::new(&codec, 4, &device, &StreamConfig::default());
+        let mut cloud = PointCloud::new();
+        cloud.push(Point3::new(1.0, 2.0, 3.0), Rgb::gray(200));
+        let dying = |budget| {
+            let written = Arc::new(AtomicUsize::new(0));
+            (DiesAfter { budget, written: Arc::clone(&written) }, written)
+        };
+        // Header only: the slot fails on the first frame.
+        let doomed = session.subscribe(dying(1).0, SubscriberConfig::default()).unwrap();
+        for _ in 0..5 {
+            session.push_frame(&cloud);
+        }
+        assert_eq!(session.subscriber_health(doomed), Some(SlotHealth::Failed { at_frame: 0 }));
+        let before = session.serve_stats();
+
+        let (transport, written) = dying(2);
+        assert!(session.subscribe(transport, SubscriberConfig::default()).is_err());
+        assert_eq!(written.load(Ordering::Relaxed), 2, "the header and I3 went out");
+
+        let (transport, written) = dying(2);
+        assert!(session.resubscribe(doomed, transport).is_err());
+        assert_eq!(written.load(Ordering::Relaxed), 2, "the header and I3 went out");
+
+        let after = session.serve_stats();
+        assert_eq!(after.late_joins, before.late_joins);
+        assert_eq!(after.replayed_frames, before.replayed_frames);
+        assert_eq!(after.resubscribes, before.resubscribes);
+        assert_eq!(after.subscribers_joined, before.subscribers_joined);
     }
 }

@@ -21,11 +21,8 @@ use pcc_intra::{write_layer, IntraFrame, LayerEncoded};
 ///
 /// Returns `None` when the transform does not apply: the record is not
 /// a proposed intra frame, its attribute payload is single-layer
-/// already, or the payload is entropy-wrapped (the layer structure is
-/// not addressable inside the range-coded stream — gate on
-/// `intra.entropy` being off, as
-/// [`Broadcast`](crate::Broadcast) does). Malformed records also yield
-/// `None`: the caller falls back to the full payload rather than
+/// already, or the frame is brick-partitioned. Malformed records also
+/// yield `None`: the caller falls back to the full payload rather than
 /// propagating a parse error into the fan-out path.
 pub fn shed_refinement(record: &[u8]) -> Option<Vec<u8>> {
     let mut input = record;
@@ -38,9 +35,7 @@ pub fn shed_refinement(record: &[u8]) -> Option<Vec<u8>> {
     };
     // Brick-partitioned frames concatenate per-brick attribute payloads
     // whose offsets and CRCs live in the geometry-side index; the layer
-    // transform below would corrupt every brick after the first. The
-    // magic check is exact here because shedding is already gated to
-    // entropy-off streams.
+    // transform below would corrupt every brick after the first.
     if pcc_intra::BrickIndex::detect(&intra.geometry) {
         return None;
     }

@@ -22,7 +22,7 @@
 //!   multi-subscriber sessions; [`Sender`] is the 1:1 composition).
 //! * [`supervise`] — the pipelined whole-video sender: [`stream_video`]
 //!   overlaps a [`FrameSource`] encode thread and a [`Subscription`]
-//!   transmit loop through a bounded queue, under a [`Supervisor`] that
+//!   transmit loop through a bounded channel, under a [`Supervisor`] that
 //!   can walk a `pcc-adapt` quality ladder on live feedback, abandon
 //!   over-deadline P-frames (deadline watchdog), and contain
 //!   encode-worker panics as single dropped frames.

@@ -218,14 +218,6 @@ impl<'d> FrameSource<'d> {
         self.frames_encoded
     }
 
-    /// The inter-frame settings the underlying encoder runs at. A
-    /// broadcast consults this to decide whether the coded attribute
-    /// payload is layered (and entropy-free) enough to shed per
-    /// subscriber.
-    pub fn inter_config(&self) -> pcc_inter::InterConfig {
-        self.encoder.inter_config()
-    }
-
     /// Stages a live inter-configuration change for the next I-frame
     /// slot (see [`FrameEncoder::set_inter_config`]).
     pub fn set_inter_config(&mut self, config: pcc_inter::InterConfig) {

@@ -43,10 +43,10 @@ use crate::stats::{SharedStats, StreamStats};
 use pcc_adapt::{Clock, Controller, FrameObservation, SystemClock};
 use pcc_core::PccCodec;
 use pcc_edge::Device;
-use pcc_parallel::queue;
 use pcc_types::{FrameKind, Video};
 use std::io::{self, Write};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 
 /// A deterministic stand-in for measured encode time: maps `(frame_index,
 /// modeled_ms)` to the milliseconds charged against the deadline.
@@ -164,10 +164,11 @@ impl Supervisor {
 ///
 /// The encode thread drives a [`FrameSource`] (whose codec hot path fans
 /// out across `pcc-parallel` threads) and hands coded frames through a
-/// bounded [`queue`] of `config.queue_depth` frames to the transmit
-/// loop's [`Subscription`] — when the wire is slower than the encoder,
-/// the queue fills and encoding blocks instead of buffering the video. Every frame is voxelized in the video's shared
-/// bounding box, and the transport is flushed at every I-frame.
+/// bounded [`mpsc::sync_channel`] of `config.queue_depth` frames to the
+/// transmit loop's [`Subscription`] — when the wire is slower than the
+/// encoder, the channel fills and encoding blocks instead of buffering
+/// the video. Every frame is voxelized in the video's shared bounding
+/// box, and the transport is flushed at every I-frame.
 ///
 /// The per-frame latency budget defaults to the video's frame period
 /// (1000 / fps); frames whose modeled edge encode time exceeds it are
@@ -185,7 +186,7 @@ impl Supervisor {
 /// Propagates transport errors (encoding stops early when the transport
 /// dies).
 // The encode → transmit pipeline is two long-lived stages joined by a
-// bounded queue, not a data-parallel fan-out, so it spawns its encode
+// bounded channel, not a data-parallel fan-out, so it spawns its encode
 // stage itself rather than through `pcc_parallel::run`.
 #[allow(clippy::disallowed_methods)]
 pub fn stream_video<W: Write>(
@@ -207,7 +208,12 @@ pub fn stream_video<W: Write>(
         source = source.with_bounding_box(bb);
     }
     let mut sub = Subscription::attach(writer, &source.header())?;
-    let (tx, rx) = queue::bounded::<FramePayload>(config.queue_depth.max(1));
+    let capacity = config.queue_depth.max(1);
+    let (tx, rx) = mpsc::sync_channel::<FramePayload>(capacity);
+    // Frames sent but not yet taken by the transmit loop: the
+    // controller's backpressure signal.
+    let queued = AtomicUsize::new(0);
+    let queued = &queued;
 
     let Supervisor { controller, clock, load_profile, encode_fault, feedback, abandon_factor } =
         supervisor;
@@ -265,8 +271,8 @@ pub fn stream_video<W: Write>(
                     ctl.observe(&FrameObservation {
                         frame_index: idx,
                         encode_ms: effective_ms,
-                        queue_depth: tx.len(),
-                        queue_capacity: tx.capacity(),
+                        queue_depth: queued.load(Ordering::Relaxed),
+                        queue_capacity: capacity,
                         receiver_dropped: fb.frames_dropped.saturating_sub(suppressed),
                         receiver_arq_degraded: fb.arq_degraded,
                         receiver_refresh_requests: fb.refresh_requests,
@@ -289,6 +295,7 @@ pub fn stream_video<W: Write>(
                         booked.frames_degraded += 1;
                     }
                 }
+                queued.fetch_add(1, Ordering::Relaxed);
                 if tx.send(encoded).is_err() {
                     // The transmit side died; encoding on would be wasted work.
                     break;
@@ -304,13 +311,14 @@ pub fn stream_video<W: Write>(
 
         let mut memo = StampMemo::new();
         let mut sent = Ok(());
-        while let Some(frame) = rx.recv() {
+        while let Ok(frame) = rx.recv() {
+            queued.fetch_sub(1, Ordering::Relaxed);
             sent = sub.send_payload(&frame, &mut memo);
             if sent.is_err() {
                 break;
             }
         }
-        // On a transport error the receiver half of the queue is dropped
+        // On a transport error the receiver half of the channel is dropped
         // here, which makes the encoder's next send fail and stop early.
         drop(rx);
         let booked = encode.join().unwrap_or_else(|e| std::panic::resume_unwind(e));

@@ -3,11 +3,12 @@
 //!
 //! `pcc_bench`'s counting global allocator wraps the system allocator;
 //! after a few warm-up frames through a session arena, encoding further
-//! frames on the single-threaded entropy-off path must perform **zero**
-//! heap allocations (`alloc`, `alloc_zeroed`, and `realloc` all count) —
-//! for the intra and inter codecs, with probes off and on. The warm-up
-//! frames must count at least one allocation (a fresh arena grows), so a
-//! test binary whose allocator counts nothing cannot pass.
+//! frames on the single-threaded path must perform **zero** heap
+//! allocations (`alloc`, `alloc_zeroed`, and `realloc` all count) — for
+//! the intra codec (monolithic and brick-partitioned) and the inter
+//! codec, with probes off and on. The warm-up frames must count at least
+//! one allocation (a fresh arena grows), so a test binary whose
+//! allocator counts nothing cannot pass.
 //!
 //! Everything lives in ONE `#[test]` function: the counter is global, so
 //! a second test running on a sibling harness thread would pollute the
@@ -76,9 +77,9 @@ fn count_allocs(
 
 #[test]
 fn encode_hot_path_is_allocation_free_after_warmup() {
-    // Single-threaded, entropy off — the configuration the zero-alloc
-    // guarantee covers (parallel fan-out spawns scoped threads whose
-    // stacks allocate; entropy coding's output is unbounded up front).
+    // Single-threaded — the configuration the zero-alloc guarantee
+    // covers (parallel fan-out spawns scoped threads whose stacks
+    // allocate).
     let intra_cfg = IntraConfig::paper();
     let d = device();
 
@@ -98,6 +99,8 @@ fn encode_hot_path_is_allocation_free_after_warmup() {
 
     let inter_cfg = InterConfig { intra: intra_cfg, ..InterConfig::v1() };
     let inter = InterCodec::new(inter_cfg);
+    // The brick layout the lossy-recovery workload encodes.
+    let bricks = IntraCodec::new(intra_cfg.with_bricks(3));
 
     for probes in [false, true] {
         pcc_probe::set_enabled(probes);
@@ -107,13 +110,20 @@ fn encode_hot_path_is_allocation_free_after_warmup() {
         let intra_counts = count_allocs(&frames, &d, |vox| {
             intra.encode_into(vox, &d, &mut arena, &mut out);
         });
+        let mut arena = FrameArena::new();
+        let mut out = IntraFrame::default();
+        let brick_counts = count_allocs(&frames, &d, |vox| {
+            bricks.encode_into(vox, &d, &mut arena, &mut out);
+        });
         let mut arena = InterArena::new();
         let mut out = InterEncoded::default();
         let inter_counts = count_allocs(&frames, &d, |vox| {
             inter.encode_into(vox, &reference, &d, &mut arena, &mut out);
         });
 
-        for (leg, (warmup, measured)) in [("intra", intra_counts), ("inter", inter_counts)] {
+        for (leg, (warmup, measured)) in
+            [("intra", intra_counts), ("brick", brick_counts), ("inter", inter_counts)]
+        {
             // Positive control: a fresh arena must grow, so a warm-up
             // that counted nothing means the allocator is not counting.
             assert!(

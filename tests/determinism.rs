@@ -39,20 +39,13 @@ fn thread_counts() -> Vec<usize> {
 fn intra_bitstream_identical_across_thread_counts() {
     let v = video(1, 20_000);
     let vox = VoxelizedCloud::from_cloud(&v.frame(0).unwrap().cloud, 8);
-    for entropy in [false, true] {
-        let encode_at = |t: usize| {
-            let cfg = IntraConfig { entropy, ..IntraConfig::default() };
-            let frame = IntraCodec::new(cfg).encode(&vox, &device(t));
-            (frame.geometry, frame.attribute)
-        };
-        let baseline = encode_at(1);
-        for t in thread_counts() {
-            assert_eq!(
-                encode_at(t),
-                baseline,
-                "intra stream differs at {t} threads (entropy={entropy})"
-            );
-        }
+    let encode_at = |t: usize| {
+        let frame = IntraCodec::default().encode(&vox, &device(t));
+        (frame.geometry, frame.attribute)
+    };
+    let baseline = encode_at(1);
+    for t in thread_counts() {
+        assert_eq!(encode_at(t), baseline, "intra stream differs at {t} threads");
     }
 }
 
