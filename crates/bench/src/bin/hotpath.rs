@@ -11,9 +11,11 @@
 //! Gated legs are timed on the process CPU clock
 //! ([`pcc_bench::clock::process_cpu`]), so time the process spends
 //! descheduled or stolen by other tenants does not count (their cache
-//! and memory contention still does); the two parallel legs,
-//! `brick_parallel_decode_speedup` and `intra_encode_parallel_speedup`,
-//! are wall-clock ratios and only informational.
+//! and memory contention still does). Four rows are informational and
+//! never gated: `fanout_dispatch_cpu_us`, the process CPU one 2-item
+//! `pcc_parallel::run` costs, and the three parallel legs
+//! (`brick_parallel_decode_speedup`, `decode_parallel_speedup` and
+//! `intra_encode_parallel_speedup`), which are wall-clock ratios.
 //!
 //! Everything is deterministic — a fixed xorshift seed generates the
 //! kernel inputs and the scaling leg encodes a seeded `pcc-datasets`
@@ -73,6 +75,8 @@ const FANOUT_RING: usize = 16;
 /// Intra thread-scaling leg: one Longdress frame at this many points,
 /// encoded at 1 thread and at the machine's full thread count.
 const SCALING_POINTS: usize = 100_000;
+/// Fan-out dispatch leg: 2-item `pcc_parallel::run` calls per timed rep.
+const DISPATCH_CALLS: usize = 1_000;
 
 struct XorShift(u64);
 
@@ -177,6 +181,8 @@ enum Kind {
     Allocs,
     /// A ratio, higher is better; informational.
     Speedup,
+    /// A timed overhead, lower is better; informational.
+    Overhead,
 }
 
 /// One reported figure: its baseline key, value, printed decimals and
@@ -192,12 +198,12 @@ struct Metric {
 struct Report(Vec<Metric>);
 
 impl Report {
-    /// Per-metric best of two passes: the lower time and the higher
-    /// speedup; allocation counts keep the worse (higher) pass.
+    /// Per-metric best of two passes: the lower time or overhead and the
+    /// higher speedup; allocation counts keep the worse (higher) pass.
     fn best(mut self, other: Report) -> Report {
         for (m, o) in self.0.iter_mut().zip(other.0) {
             m.value = match m.kind {
-                Kind::Time => m.value.min(o.value),
+                Kind::Time | Kind::Overhead => m.value.min(o.value),
                 Kind::Allocs | Kind::Speedup => m.value.max(o.value),
             };
         }
@@ -413,9 +419,31 @@ fn run() -> Report {
     let encode_speedup =
         min_wall_ns(|| encode_on(&device)) / min_wall_ns(|| encode_on(&wide_device));
 
+    // -- Plain (monolithic) decode thread scaling: the wall-clock speedup
+    //    of decoding that same frame at the machine's full thread count
+    //    over 1 thread (informational, never gated).
+    let scaling_frame = scaling_codec.encode(&scaling_vox, &device);
+    let plain_decode_on = |device: &Device| {
+        device.reset();
+        let decoded = scaling_codec.decode(&scaling_frame, device).expect("self-encoded decodes");
+        black_box(decoded.len());
+    };
+    let decode_speedup =
+        min_wall_ns(|| plain_decode_on(&device)) / min_wall_ns(|| plain_decode_on(&wide_device));
+
+    // -- Fan-out dispatch: the process CPU (caller and worker together)
+    //    of one 2-item `pcc_parallel::run` over trivial items — the
+    //    overhead every parallel kernel call pays on top of its work
+    //    (informational, never gated).
+    let dispatch_ns = min_ns(|| {
+        for i in 0..DISPATCH_CALLS {
+            pcc_parallel::run([i, i + 1], black_box, drop);
+        }
+    }) / DISPATCH_CALLS as f64;
+
     let per_point = KERNEL_POINTS as f64;
     let metric = |key, value, decimals, kind| Metric { key, value, decimals, kind };
-    use Kind::{Allocs, Speedup, Time};
+    use Kind::{Allocs, Overhead, Speedup, Time};
     Report(vec![
         metric("morton_scalar_ns_per_point", scalar_ns / per_point, 3, Time),
         metric("morton_batch_ns_per_point", batch_ns / per_point, 3, Time),
@@ -430,7 +458,9 @@ fn run() -> Report {
         metric("fanout_allocs_per_subscriber", fanout_allocs, 2, Allocs),
         metric("decode_brick_ns_per_point", decode_1_ns / brick_vox.len() as f64, 3, Time),
         metric("brick_parallel_decode_speedup", speedup, 2, Speedup),
+        metric("decode_parallel_speedup", decode_speedup, 2, Speedup),
         metric("intra_encode_parallel_speedup", encode_speedup, 2, Speedup),
+        metric("fanout_dispatch_cpu_us", dispatch_ns / 1e3, 2, Overhead),
     ])
 }
 
@@ -518,7 +548,7 @@ fn main() {
             .unwrap_or(0.15);
         let mut failed = false;
         for &Metric { key, value: now, kind, .. } in &report.0 {
-            if kind == Kind::Speedup {
+            if matches!(kind, Kind::Speedup | Kind::Overhead) {
                 continue;
             }
             let base = json_num(&baseline, key)

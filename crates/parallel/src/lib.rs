@@ -6,28 +6,35 @@
 //! are merged in chunk order. The codec crates rely on this to guarantee
 //! byte-identical bitstreams whether they run on one core or sixteen.
 //!
-//! Every kernel fans out through the same three pieces, none of which
-//! allocates:
+//! Every kernel fans out through the same three pieces:
 //! - [`chunks`] / [`aligned_chunks`] yield the chunk ranges of `0..len`
 //!   (plain, or moved forward to run starts so a run never straddles two
 //!   chunks);
 //! - [`split_at_cuts`] splits an output slice lazily into the disjoint
 //!   part each chunk writes;
 //! - [`run`] executes one work item per chunk, the first on the calling
-//!   thread and each other on a scoped thread, and hands the results back
-//!   in item order. A single item runs inline, so the one-thread path of
-//!   every kernel spawns nothing and allocates nothing.
+//!   thread and each other on a worker of one process-wide pool of parked
+//!   threads, and hands the results back in item order. A single item runs
+//!   inline, so the one-thread path of every kernel never touches the pool.
 //!
-//! [`run`] is the crate's one spawn site. It builds on
-//! [`std::thread::scope`], so borrowed slices can be fanned out without any
-//! `'static` bounds or channel plumbing. The crate has no dependencies. The
-//! only `unsafe` in the workspace's parallel path lives here, in the scatter
-//! phase of [`radix_sort_pairs`], behind a safe API; all other helpers are
-//! safe code built on `split_at_mut`.
+//! The first two never allocate. [`run`] allocates only while its pool
+//! grows: a call spawns a worker only when every existing worker is busy,
+//! so once the pool has grown to the process's peak fan-out, calls spawn
+//! and allocate nothing.
+//!
+//! The pool's worker spawn is the crate's one spawn site. Items and results
+//! are handed across by pointer, so borrowed slices can be fanned out
+//! without any `'static` bounds or channel plumbing. The crate has no
+//! dependencies. The only `unsafe` in the workspace's parallel path lives
+//! here, behind safe APIs: the pool's hand-off of a borrowed item to a
+//! worker, and the scatter phase of [`radix_sort_pairs`]; all other
+//! helpers are safe code built on `split_at_mut`.
 //!
 //! Thread-count resolution follows a three-step chain (see [`resolve`]):
 //! explicit request → `PCC_THREADS` environment variable →
 //! [`std::thread::available_parallelism`].
+
+mod pool;
 
 use std::marker::PhantomData;
 use std::num::NonZeroUsize;
@@ -169,14 +176,15 @@ impl<'a, T, I: Iterator<Item = usize>> Iterator for SplitAtCuts<'a, T, I> {
 /// order** (determinism does not depend on completion order).
 ///
 /// The first item runs on the calling thread and every other item on a
-/// scoped thread of its own, so `n` items use `n` threads in all, not
-/// `n + 1`. A single item runs inline: nothing is spawned or allocated.
-/// A panic in any item is re-raised on the caller after every thread has
-/// joined.
-// The one spawn site of the workspace's data-parallel kernels (the root
-// `clippy.toml` disallows `std::thread::scope` everywhere else): a
-// persistent worker pool would replace exactly this scope.
-#[allow(clippy::disallowed_methods)]
+/// worker of its own from one process-wide pool of parked threads, so `n`
+/// items use `n` threads in all, not `n + 1`. A call checks its workers
+/// out of the pool's free list and spawns one only when the list is
+/// short, so once the pool has grown to the process's peak fan-out a call
+/// spawns nothing and allocates nothing. A single item runs inline.
+/// Nested calls (from inside an item) and concurrent calls never
+/// deadlock: a call never waits for a worker another call holds. A panic
+/// in any item is re-raised on the caller after every item has finished;
+/// the worker that caught it stays in the pool.
 pub fn run<W, R>(
     items: impl IntoIterator<Item = W>,
     work: impl Fn(W) -> R + Sync,
@@ -188,20 +196,7 @@ pub fn run<W, R>(
     let mut items = items.into_iter();
     let Some(first) = items.next() else { return };
     let Some(second) = items.next() else { return each(work(first)) };
-    std::thread::scope(|s| {
-        let work = &work;
-        let handles: Vec<_> =
-            std::iter::once(second).chain(items).map(|item| s.spawn(move || work(item))).collect();
-        each(work(first));
-        for handle in handles {
-            match handle.join() {
-                Ok(result) => each(result),
-                // The scope joins the remaining threads before this
-                // unwinds out of it.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
+    pool::fan_out(&work, first, &mut std::iter::once(second).chain(items), &mut each);
 }
 
 /// Runs `f` behind a panic-isolation boundary, converting a panic into
@@ -231,7 +226,7 @@ pub fn contain<R>(f: impl FnOnce() -> R) -> Result<R, String> {
     })
 }
 
-/// Raw-pointer wrapper letting scoped threads scatter-write disjoint indices
+/// Raw-pointer wrapper letting pool workers scatter-write disjoint indices
 /// of one slice. Confined to this crate (the scatter phase of
 /// [`radix_sort_pairs`]); every write target is provably unique because radix
 /// offsets partition the output positions.
@@ -242,7 +237,7 @@ struct SharedSliceMut<'a, T> {
 }
 
 // SAFETY: threads only perform writes to disjoint indices (enforced by the
-// caller contract of `write`), so sharing the pointer across scoped threads
+// caller contract of `write`), so sharing the pointer across workers
 // cannot race.
 unsafe impl<T: Send> Sync for SharedSliceMut<'_, T> {}
 
@@ -624,6 +619,68 @@ mod tests {
         })
         .unwrap_err();
         assert!(err.contains("worker down"), "got {err}");
+    }
+
+    /// `run(0..n)` over `i -> i * i + offset`, one thread, for comparison.
+    fn squares(n: usize, offset: usize) -> Vec<usize> {
+        (0..n).map(|i| i * i + offset).collect()
+    }
+
+    #[test]
+    fn nested_run_inside_an_item_finishes_with_the_one_thread_result() {
+        let mut got = Vec::new();
+        run(
+            0..3,
+            |i| {
+                let mut inner = Vec::new();
+                run(0..4, |j| j * j + i, |r| inner.push(r));
+                inner
+            },
+            |inner| got.push(inner),
+        );
+        assert_eq!(got, (0..3).map(|i| squares(4, i)).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn concurrent_callers_each_get_the_one_thread_result() {
+        // Four unrelated caller threads share the one pool, released
+        // together so their fan-outs overlap.
+        let start = std::sync::Barrier::new(4);
+        #[allow(clippy::disallowed_methods)]
+        std::thread::scope(|s| {
+            for caller in 0..4 {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..25 {
+                        let mut got = Vec::new();
+                        run(0..5, |i| i * i + caller, |r| got.push(r));
+                        assert_eq!(got, squares(5, caller));
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn worker_spans_reach_take_report_when_run_returns() {
+        pcc_probe::set_enabled(true);
+        let caller = std::thread::current().id();
+        let mut on_workers = 0;
+        run(
+            0..3,
+            |_| {
+                let _sp = pcc_probe::span("parallel_test/item");
+                std::thread::current().id()
+            },
+            |thread| on_workers += usize::from(thread != caller),
+        );
+        let report = pcc_probe::take_report();
+        pcc_probe::set_enabled(false);
+        assert_eq!(on_workers, 2);
+        // The two workers are parked, not exited: their spans must be
+        // collected from live threads.
+        assert_eq!(report.stage("parallel_test/item").map(|s| s.calls), Some(3));
     }
 
     /// Keys with runs of random length: a new run starts wherever `steps`

@@ -3,10 +3,11 @@
 //! The `pcc-edge` device model predicts where a frame's time should go;
 //! this crate measures where it actually goes. Pipeline stages wrap their
 //! hot sections in [`span`] guards; each guard records a wall-clock
-//! interval into a *thread-local* buffer (the parallel executor's scoped
-//! workers never contend on a shared sink), and buffers drain into a
-//! process-wide sink when a thread exits or when [`take_report`] collects
-//! a [`Report`]. Byte-volume gauges ([`add_bytes`]) ride the same
+//! interval into a *per-thread* buffer (recording threads never contend
+//! with each other), and [`take_report`] drains every thread's buffer,
+//! live or exited, into a [`Report`]: a span recorded on a long-lived
+//! thread, such as a `pcc-parallel` pool worker, is collected as soon as
+//! it has closed. Byte-volume gauges ([`add_bytes`]) ride the same
 //! buffers; event counts live in the counter structs of the crates that
 //! own the events, not here.
 //!
@@ -18,8 +19,8 @@
 //! * Not enabled at runtime (the default): one relaxed atomic load per
 //!   probe call, no allocation.
 //! * Enabled (environment variable `PCC_PROBE=1`, or [`set_enabled`]):
-//!   two `Instant` reads plus an amortized thread-local `Vec` push per
-//!   span.
+//!   two `Instant` reads plus an amortized `Vec` push under the
+//!   thread's own (uncontended) buffer lock per span.
 //!
 //! Recording never feeds back into encoded output: bitstreams are
 //! byte-identical with probes on and off (asserted by
@@ -39,10 +40,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Environment variable consulted (once) for the runtime switch:
@@ -200,43 +200,60 @@ impl Report {
 static STATE: AtomicU8 = AtomicU8::new(0);
 static NEXT_LANE: AtomicU32 = AtomicU32::new(0);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
-static SINK: Mutex<(Vec<SpanRecord>, Vec<GaugeRecord>)> = Mutex::new((Vec::new(), Vec::new()));
+/// Every thread's buffer, in registration order. A buffer leaves once
+/// its thread has exited and [`take_report`] has drained it.
+static BUFFERS: Mutex<Vec<Arc<Mutex<LocalBuf>>>> = Mutex::new(Vec::new());
 
 fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// Per-thread event buffer. The `Drop` flush drains a thread's events
-/// into the sink when its TLS is torn down. Note `thread::scope`
-/// unblocks when a worker's *closure* returns — TLS destructors run
-/// slightly later as the OS thread exits — so scoped workers that
-/// record spans call [`flush_thread`] at the end of their closure to
-/// publish deterministically; the `Drop` flush is the safety net for
-/// plain spawned threads.
+/// Locks `m`, ignoring poison: recording never panics while holding a
+/// buffer, so a poisoned lock still guards consistent data.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One thread's events. Only its thread appends; [`take_report`], on
+/// any thread, drains it under the same lock.
 struct LocalBuf {
     lane: u32,
     spans: Vec<SpanRecord>,
     gauges: Vec<GaugeRecord>,
+    /// Set as the thread's TLS is torn down: no event follows.
+    exited: bool,
 }
 
-impl Drop for LocalBuf {
+/// The calling thread's handle on its registered buffer.
+struct Local(Arc<Mutex<LocalBuf>>);
+
+impl Local {
+    fn register() -> Local {
+        let buf = Arc::new(Mutex::new(LocalBuf {
+            lane: NEXT_LANE.fetch_add(1, Ordering::Relaxed),
+            spans: Vec::new(),
+            gauges: Vec::new(),
+            exited: false,
+        }));
+        lock(&BUFFERS).push(Arc::clone(&buf));
+        Local(buf)
+    }
+}
+
+impl Drop for Local {
     fn drop(&mut self) {
-        if self.spans.is_empty() && self.gauges.is_empty() {
-            return;
-        }
-        if let Ok(mut sink) = SINK.lock() {
-            sink.0.append(&mut self.spans);
-            sink.1.append(&mut self.gauges);
-        }
+        lock(&self.0).exited = true;
     }
 }
 
 thread_local! {
-    static BUF: RefCell<LocalBuf> = RefCell::new(LocalBuf {
-        lane: NEXT_LANE.fetch_add(1, Ordering::Relaxed),
-        spans: Vec::new(),
-        gauges: Vec::new(),
-    });
+    static BUF: Local = Local::register();
+}
+
+/// Runs `f` on the calling thread's buffer; a no-op while the thread's
+/// TLS is being torn down.
+fn with_buf(f: impl FnOnce(&mut LocalBuf)) {
+    let _ = BUF.try_with(|b| f(&mut lock(&b.0)));
 }
 
 /// A live stage-scoped span guard: records a [`SpanRecord`] when dropped
@@ -297,14 +314,12 @@ impl LiveSpan {
     fn record(self) -> u64 {
         let dur_ns = (self.start.elapsed().as_nanos() as u64).max(1);
         let start_ns = self.start.saturating_duration_since(epoch()).as_nanos() as u64;
-        let _ = BUF.try_with(|b| {
-            let mut b = b.borrow_mut();
-            let lane = b.lane;
+        with_buf(|b| {
             b.spans.push(SpanRecord {
                 stage: self.stage,
                 start_ns,
                 dur_ns,
-                lane,
+                lane: b.lane,
                 bytes: self.bytes,
             });
         });
@@ -323,7 +338,7 @@ impl Drop for Span {
 #[inline]
 pub fn add_bytes(stage: &'static str, bytes: u64) {
     if enabled() {
-        let _ = BUF.try_with(|b| b.borrow_mut().gauges.push(GaugeRecord { stage, bytes }));
+        with_buf(|b| b.gauges.push(GaugeRecord { stage, bytes }));
     }
 }
 
@@ -359,48 +374,29 @@ pub fn set_enabled(on: bool) {
     STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
 }
 
-/// Drains the current thread's buffer into the process sink. Threads
-/// flush automatically when they exit; long-lived threads call this (or
-/// [`take_report`], which includes it) before a collection point.
-pub fn flush_thread() {
-    let _ = BUF.try_with(|b| {
-        let mut b = b.borrow_mut();
-        if b.spans.is_empty() && b.gauges.is_empty() {
-            return;
-        }
-        if let Ok(mut sink) = SINK.lock() {
-            let spans = std::mem::take(&mut b.spans);
-            let gauges = std::mem::take(&mut b.gauges);
-            sink.0.extend(spans);
-            sink.1.extend(gauges);
-        }
-    });
-}
-
-/// Discards the current thread's buffered events *without* publishing
+/// Discards the current thread's buffered events *without* reporting
 /// them, keeping the buffers' capacity. Steady-state measurement loops
 /// (the workspace's `tests/alloc_steady_state.rs`) call this between
-/// frames so recording with probes enabled stays allocation-free: a
-/// `clear()` retains capacity where draining via [`take_report`] would
-/// `mem::take` the buffers and force a fresh allocation on the next
-/// span.
+/// frames so recording with probes enabled stays allocation-free, where
+/// [`take_report`] would allocate the report's vectors.
 pub fn discard_thread() {
-    let _ = BUF.try_with(|b| {
-        let mut b = b.borrow_mut();
+    with_buf(|b| {
         b.spans.clear();
         b.gauges.clear();
     });
 }
 
-/// Flushes the calling thread, then drains the process sink into a
-/// [`Report`] (leaving the sink empty). Spans buffered on *other live*
-/// threads that have neither exited nor flushed are not included.
+/// Drains every thread's buffer — the caller's, other live threads'
+/// (a span is there as soon as it has closed) and exited threads' — into
+/// a [`Report`].
 pub fn take_report() -> Report {
-    flush_thread();
-    let (mut spans, gauges) = match SINK.lock() {
-        Ok(mut sink) => (std::mem::take(&mut sink.0), std::mem::take(&mut sink.1)),
-        Err(_) => (Vec::new(), Vec::new()),
-    };
+    let (mut spans, mut gauges) = (Vec::new(), Vec::new());
+    lock(&BUFFERS).retain(|buf| {
+        let mut b = lock(buf);
+        spans.append(&mut b.spans);
+        gauges.append(&mut b.gauges);
+        !b.exited
+    });
     spans.sort_by_key(|s| (s.start_ns, s.lane));
     Report { spans, gauges }
 }
@@ -470,15 +466,12 @@ mod tests {
         let _l = locked();
         set_enabled(true);
         let _ = take_report();
+        // Three threads of their own, so three lanes.
+        #[allow(clippy::disallowed_methods)]
         std::thread::scope(|s| {
             for _ in 0..3 {
                 s.spawn(|| {
-                    {
-                        let _sp = span("t/worker");
-                    }
-                    // Scopes unblock when the closure returns, before TLS
-                    // destructors — publish deterministically.
-                    flush_thread();
+                    let _sp = span("t/worker");
                 });
             }
         });
@@ -490,6 +483,29 @@ mod tests {
         let lanes: std::collections::BTreeSet<u32> =
             report.spans().iter().map(|s| s.lane).collect();
         assert_eq!(lanes.len(), 3);
+    }
+
+    #[test]
+    fn a_live_threads_closed_spans_are_collected() {
+        let _l = locked();
+        set_enabled(true);
+        let _ = take_report();
+        let (recorded_tx, recorded_rx) = std::sync::mpsc::channel();
+        let (reported_tx, reported_rx) = std::sync::mpsc::channel::<()>();
+        // A thread that outlives the report, as a parked pool worker does.
+        #[allow(clippy::disallowed_methods)]
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                drop(span("t/live"));
+                recorded_tx.send(()).unwrap();
+                reported_rx.recv().unwrap();
+            });
+            recorded_rx.recv().unwrap();
+            let report = take_report();
+            reported_tx.send(()).unwrap();
+            set_enabled(false);
+            assert_eq!(report.stage("t/live").map(|s| s.calls), Some(1));
+        });
     }
 
     #[test]

@@ -302,10 +302,6 @@ pub fn stream_video<W: Write>(
                 }
             }
             booked.rung_changes = controller.as_ref().map_or(0, |c| c.rung_changes());
-            // thread::scope unblocks when this closure returns, before the
-            // thread-local buffers' Drop flush — publish spans now so a
-            // take_report() right after the session sees them.
-            pcc_probe::flush_thread();
             booked
         });
 

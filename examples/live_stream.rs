@@ -63,6 +63,9 @@ fn main() {
     );
 
     let bb = video.bounding_box().expect("non-empty video");
+    // The sender and the receiver are two peers on either end of a TCP
+    // socket, not a data-parallel fan-out, so they get threads of their own.
+    #[allow(clippy::disallowed_methods)]
     let (tx_stats, delivered, rx_stats) = thread::scope(|s| {
         let sender = s.spawn(|| {
             let socket = TcpStream::connect(addr).expect("connect loopback");

@@ -159,14 +159,12 @@ echo "== clippy: no unchecked indexing on the decode path, one spawn site =="
 # #![deny(clippy::indexing_slicing)] in its lib.rs — a bare slice index
 # is a latent panic on hostile input, so access must be get()-style or
 # carry a local, justified allow. This invocation makes the deny fire.
-# It also denies the root clippy.toml's disallowed methods: threads are
-# spawned only by pcc_parallel::run and stream_video's pipeline.
-# --all-targets holds test code to the same rule; a test that needs a
-# thread of its own carries a justified allow.
-cargo clippy -q --offline --all-targets \
-    -p pcc-types -p pcc-entropy -p pcc-octree -p pcc-intra -p pcc-inter \
-    -p pcc-core -p pcc-stream -p pcc-serve -p pcc-sim -p pcc-fault \
-    -p pcc-adapt -p pcc-morton -p pcc-parallel -- -D clippy::disallowed_methods
+# It also denies the root clippy.toml's disallowed methods across the
+# whole workspace: threads are spawned only by pcc_parallel::run's worker
+# pool and stream_video's pipeline. --all-targets holds tests, examples
+# and binaries to the same rule; one that needs a thread of its own
+# carries a justified allow.
+cargo clippy -q --offline --workspace --all-targets -- -D clippy::disallowed_methods
 # The step above never builds pcc-morton's AVX2 lane module; this one
 # does, with every warning an error.
 cargo clippy -q --offline -p pcc-morton --features simd --all-targets -- -D warnings
