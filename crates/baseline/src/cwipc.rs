@@ -1,12 +1,13 @@
 //! CWIPC-style inter codec: octree geometry, entropy-coded quantized
 //! attributes, and macro-block motion estimation for P-frames.
 
-use crate::tmc13::{leaf_attributes, BaselineError};
+use crate::tmc13::leaf_attributes;
 use pcc_edge::{calib, Device};
-use pcc_entropy::{unwrap_stream, varint, wrap_stream};
+use pcc_entropy::{unwrap_stream, wrap_stream};
 use pcc_morton::MortonCode;
-use pcc_octree::{parse_grid_header, write_grid_header, SequentialOctree};
-use pcc_types::{Point3, Rgb, VoxelizedCloud};
+use pcc_octree::{read_grid_header, write_grid_header, SequentialOctree};
+use pcc_types::wire::{write_varint, write_zigzag_varint, Cursor};
+use pcc_types::{DecodeError, Point3, Rgb, VoxelizedCloud};
 use std::collections::HashMap;
 
 /// CWIPC codec configuration.
@@ -97,7 +98,7 @@ impl CwipcCodec {
     pub fn encode_intra(&self, cloud: &VoxelizedCloud, device: &Device) -> CwipcFrame {
         let (geometry, leaf_codes, colors) = self.encode_geometry(cloud, device);
         let mut payload = Vec::new();
-        varint::write_u64(&mut payload, colors.len() as u64);
+        write_varint(&mut payload, colors.len() as u64);
         for c in &colors {
             for ch in c.to_array() {
                 payload.push(ch >> self.config.color_shift);
@@ -160,8 +161,8 @@ impl CwipcCodec {
         );
 
         let mut payload = Vec::new();
-        varint::write_u64(&mut payload, colors.len() as u64);
-        varint::write_u64(&mut payload, p_blocks.len() as u64);
+        write_varint(&mut payload, colors.len() as u64);
+        write_varint(&mut payload, p_blocks.len() as u64);
         let mut matched = 0usize;
         for (prefix, range) in &p_blocks {
             // Motion-compensation decision: simulate the decoder's
@@ -195,14 +196,14 @@ impl CwipcCodec {
                     / range.len().max(1) as u64;
                 (mse <= self.config.mb_threshold as u64).then_some(delta)
             });
-            varint::write_u64(&mut payload, prefix.value());
-            varint::write_u64(&mut payload, range.len() as u64);
+            write_varint(&mut payload, prefix.value());
+            write_varint(&mut payload, range.len() as u64);
             match hit {
                 Some(delta) => {
                     matched += 1;
                     payload.push(1);
                     for d in delta {
-                        varint::write_i64(&mut payload, d);
+                        write_zigzag_varint(&mut payload, d);
                     }
                 }
                 None => {
@@ -239,13 +240,15 @@ impl CwipcCodec {
     ///
     /// # Errors
     ///
-    /// Returns a [`BaselineError`] on malformed streams.
+    /// Returns a [`DecodeError`] on malformed streams, and
+    /// [`DecodeError::MissingReference`] (frame 0: this call's one frame)
+    /// for a P-frame without `reference`.
     pub fn decode(
         &self,
         frame: &CwipcFrame,
         reference: Option<&VoxelizedCloud>,
         device: &Device,
-    ) -> Result<VoxelizedCloud, BaselineError> {
+    ) -> Result<VoxelizedCloud, DecodeError> {
         self.decode_with_limits(frame, reference, device, &pcc_types::Limits::default())
     }
 
@@ -255,24 +258,25 @@ impl CwipcCodec {
     ///
     /// # Errors
     ///
-    /// Returns a [`BaselineError`] on malformed streams or an exceeded
-    /// limit.
+    /// As [`decode`](Self::decode), or an exceeded limit. Offsets are
+    /// positions in the unwrapped geometry or attribute bytes.
     pub fn decode_with_limits(
         &self,
         frame: &CwipcFrame,
         reference: Option<&VoxelizedCloud>,
         device: &Device,
         limits: &pcc_types::Limits,
-    ) -> Result<VoxelizedCloud, BaselineError> {
+    ) -> Result<VoxelizedCloud, DecodeError> {
         let geometry = unwrap_stream(&frame.geometry, limits)?;
-        let (header, rest) = parse_grid_header(&geometry)?;
-        let coords = pcc_octree::decode_occupancy_with(rest, limits)?;
+        let mut c = Cursor::new(&geometry, 0);
+        let header = read_grid_header(&mut c)?;
+        let coords = pcc_octree::decode_occupancy_from(&mut c, limits)?;
         device.charge_cpu("geometry_decode", &calib::OCTREE_SERIALIZE, coords.len().max(1), 1);
 
         let payload = unwrap_stream(&frame.attribute, limits)?;
-        let mut input = payload.as_slice();
-        let n = varint::read_u64(&mut input)? as usize;
-        limits.check_points(n as u64).map_err(pcc_entropy::Error::from)?;
+        let mut c = Cursor::new(&payload, 0);
+        let n = c.varint()? as usize;
+        limits.check_points(n as u64)?;
 
         // The decoded P voxel codes, in Morton order: matched blocks pull
         // each voxel's color from the *nearest* reference voxel in the
@@ -281,32 +285,24 @@ impl CwipcCodec {
             coords.iter().map(|&c| MortonCode::from_coord(c)).collect();
 
         let colors = if frame.predicted {
-            let reference = reference.ok_or(BaselineError::Attribute(
-                pcc_entropy::Error::UnexpectedEnd,
-            ))?;
+            let reference = reference.ok_or(DecodeError::MissingReference { frame: 0 })?;
             let ref_codes: Vec<MortonCode> =
                 reference.coords().iter().map(|&c| MortonCode::from_coord(c)).collect();
             let i_blocks = macro_blocks(&ref_codes, reference.colors(), self.config.mb_levels);
-            let n_blocks = varint::read_u64(&mut input)? as usize;
-            limits.check_blocks(n_blocks as u64).map_err(pcc_entropy::Error::from)?;
-            let mut colors = Vec::with_capacity(n.min(input.len()));
+            let n_blocks = c.varint()? as usize;
+            limits.check_blocks(n_blocks as u64)?;
+            let mut colors = Vec::with_capacity(n.min(c.rest().len()));
             for _ in 0..n_blocks {
-                let prefix = MortonCode::from_raw(varint::read_u64(&mut input)?);
-                let len = varint::read_u64(&mut input)? as usize;
+                let prefix = MortonCode::from_raw(c.varint()?);
+                let len = c.varint()? as usize;
                 // Block lengths must stay inside the declared voxel count:
                 // a matched block's padding would otherwise expand an
                 // attacker-chosen varint straight into an allocation.
                 if len > n - colors.len() {
-                    return Err(BaselineError::Attribute(pcc_entropy::Error::CorruptRun));
+                    return Err(c.corrupt("block past the declared voxel count"));
                 }
-                let (&flag, rest2) =
-                    input.split_first().ok_or(pcc_entropy::Error::UnexpectedEnd)?;
-                input = rest2;
-                if flag == 1 {
-                    let mut delta = [0i64; 3];
-                    for d in &mut delta {
-                        *d = varint::read_i64(&mut input)?;
-                    }
+                if c.u8()? == 1 {
+                    let delta = [c.zigzag_varint()?, c.zigzag_varint()?, c.zigzag_varint()?];
                     let i_range = i_blocks.get(&prefix).cloned().unwrap_or(0..0);
                     let block_start = colors.len();
                     let block_end = (block_start + len).min(p_codes.len());
@@ -322,14 +318,7 @@ impl CwipcCodec {
                     colors.extend(std::iter::repeat_n(Rgb::BLACK, len - (block_end - block_start)));
                 } else {
                     for _ in 0..len {
-                        let mut c = [0u8; 3];
-                        for ch in &mut c {
-                            let (&b, rest3) =
-                                input.split_first().ok_or(pcc_entropy::Error::UnexpectedEnd)?;
-                            input = rest3;
-                            *ch = dequant_color(b, self.config.color_shift);
-                        }
-                        colors.push(Rgb::new(c[0], c[1], c[2]));
+                        colors.push(self.read_color(&mut c)?);
                     }
                 }
             }
@@ -337,26 +326,35 @@ impl CwipcCodec {
         } else {
             // Every intra color costs 3 input bytes, so the remaining
             // input bounds the pre-allocation even for in-limit counts.
-            let mut colors = Vec::with_capacity(n.min(input.len() / 3 + 1));
+            let mut colors = Vec::with_capacity(n.min(c.rest().len() / 3 + 1));
             for _ in 0..n {
-                let mut c = [0u8; 3];
-                for ch in &mut c {
-                    let (&b, rest2) =
-                        input.split_first().ok_or(pcc_entropy::Error::UnexpectedEnd)?;
-                    input = rest2;
-                    *ch = dequant_color(b, self.config.color_shift);
-                }
-                colors.push(Rgb::new(c[0], c[1], c[2]));
+                colors.push(self.read_color(&mut c)?);
             }
             colors
         };
 
         if colors.len() != coords.len() {
-            return Err(BaselineError::Attribute(pcc_entropy::Error::UnexpectedEnd));
+            return Err(DecodeError::Mismatch {
+                what: "colors",
+                declared: coords.len(),
+                decoded: colors.len(),
+            });
         }
         let origin = Point3::new(header.origin[0], header.origin[1], header.origin[2]);
-        VoxelizedCloud::from_grid_with_frame(coords, colors, header.depth, origin, header.voxel_size)
-            .map_err(|_| BaselineError::Geometry(pcc_octree::StreamError::Truncated))
+        Ok(VoxelizedCloud::from_grid_with_frame(
+            coords,
+            colors,
+            header.depth,
+            origin,
+            header.voxel_size,
+        )?)
+    }
+
+    /// Reads one quantized color triple.
+    fn read_color(&self, c: &mut Cursor<'_>) -> Result<Rgb, DecodeError> {
+        let [r, g, b] = c.array()?;
+        let shift = self.config.color_shift;
+        Ok(Rgb::new(dequant_color(r, shift), dequant_color(g, shift), dequant_color(b, shift)))
     }
 
     /// Shared geometry path: sequential octree (CWIPC's own builder is

@@ -42,4 +42,4 @@ mod tmc13;
 
 pub use cwipc::{CwipcCodec, CwipcConfig, CwipcFrame};
 pub use icp::{icp, IcpResult, RigidTransform};
-pub use tmc13::{AttributeMode, BaselineError, Tmc13Codec, Tmc13Frame};
+pub use tmc13::{AttributeMode, Tmc13Codec, Tmc13Frame};

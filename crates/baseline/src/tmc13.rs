@@ -2,12 +2,12 @@
 //! coding).
 
 use pcc_edge::{calib, Device};
-use pcc_entropy::{unwrap_stream, varint, wrap_stream};
+use pcc_entropy::{unwrap_stream, wrap_stream};
 use pcc_morton::{MortonCode, SortScratch, SortedCodes};
-use pcc_octree::{parse_grid_header, write_grid_header, SequentialOctree};
+use pcc_octree::{read_grid_header, write_grid_header, SequentialOctree};
 use pcc_raht::{forward, inverse, transform_count, RahtEncoded};
-use pcc_types::{Point3, Rgb, VoxelizedCloud};
-use std::fmt;
+use pcc_types::wire::{write_varint, write_zigzag_varint, Cursor};
+use pcc_types::{DecodeError, Point3, Rgb, VoxelizedCloud};
 use std::num::NonZeroUsize;
 
 /// One TMC13-coded frame.
@@ -27,68 +27,6 @@ impl Tmc13Frame {
     /// Total compressed bytes.
     pub fn total_bytes(&self) -> usize {
         self.geometry.len() + self.attribute.len()
-    }
-}
-
-/// Errors produced while decoding baseline frames.
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum BaselineError {
-    /// The geometry stream is malformed.
-    Geometry(pcc_octree::StreamError),
-    /// The attribute stream is malformed.
-    Attribute(pcc_entropy::Error),
-    /// RAHT coefficients disagree with the decoded geometry.
-    Raht(pcc_raht::RahtError),
-}
-
-impl fmt::Display for BaselineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BaselineError::Geometry(e) => write!(f, "geometry stream error: {e}"),
-            BaselineError::Attribute(e) => write!(f, "attribute stream error: {e}"),
-            BaselineError::Raht(e) => write!(f, "raht error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for BaselineError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            BaselineError::Geometry(e) => Some(e),
-            BaselineError::Attribute(e) => Some(e),
-            BaselineError::Raht(e) => Some(e),
-        }
-    }
-}
-
-impl From<pcc_octree::StreamError> for BaselineError {
-    fn from(e: pcc_octree::StreamError) -> Self {
-        BaselineError::Geometry(e)
-    }
-}
-
-impl From<pcc_entropy::Error> for BaselineError {
-    fn from(e: pcc_entropy::Error) -> Self {
-        BaselineError::Attribute(e)
-    }
-}
-
-impl From<pcc_raht::RahtError> for BaselineError {
-    fn from(e: pcc_raht::RahtError) -> Self {
-        BaselineError::Raht(e)
-    }
-}
-
-impl From<BaselineError> for pcc_types::DecodeError {
-    fn from(e: BaselineError) -> Self {
-        match e {
-            BaselineError::Geometry(g) => g.into(),
-            BaselineError::Attribute(a) => a.into(),
-            BaselineError::Raht(_) => {
-                pcc_types::DecodeError::Corrupt { what: "raht coefficients", offset: 0 }
-            }
-        }
     }
 }
 
@@ -190,8 +128,8 @@ impl Tmc13Codec {
         let mut geometry = Vec::new();
         write_grid_header(cloud, &mut geometry);
         geometry.push(depth);
-        varint::write_u64(&mut geometry, tree.leaf_count() as u64);
-        varint::write_u64(&mut geometry, occupancy.len() as u64);
+        write_varint(&mut geometry, tree.leaf_count() as u64);
+        write_varint(&mut geometry, occupancy.len() as u64);
         geometry.extend_from_slice(&pcc_entropy::context::encode_occupancy(&occupancy));
         device.charge_cpu("geometry/entropy", &calib::ENTROPY_CPU, occupancy.len().max(1), 1);
 
@@ -223,11 +161,11 @@ impl Tmc13Codec {
 
         let mut coeff_bytes = Vec::new();
         coeff_bytes.push(self.attribute_mode.tag());
-        varint::write_u64(&mut coeff_bytes, coeffs.len() as u64);
-        varint::write_u64(&mut coeff_bytes, (self.qstep * 1000.0).round() as u64);
+        write_varint(&mut coeff_bytes, coeffs.len() as u64);
+        write_varint(&mut coeff_bytes, (self.qstep * 1000.0).round() as u64);
         for c in &coeffs {
             for &v in c {
-                varint::write_i64(&mut coeff_bytes, v);
+                write_zigzag_varint(&mut coeff_bytes, v);
             }
         }
         let attribute = wrap_stream(&coeff_bytes);
@@ -246,12 +184,12 @@ impl Tmc13Codec {
     ///
     /// # Errors
     ///
-    /// Returns a [`BaselineError`] on malformed streams.
+    /// Returns a [`DecodeError`] on malformed streams.
     pub fn decode(
         &self,
         frame: &Tmc13Frame,
         device: &Device,
-    ) -> Result<VoxelizedCloud, BaselineError> {
+    ) -> Result<VoxelizedCloud, DecodeError> {
         self.decode_with_limits(frame, device, &pcc_types::Limits::default())
     }
 
@@ -261,60 +199,54 @@ impl Tmc13Codec {
     ///
     /// # Errors
     ///
-    /// Returns a [`BaselineError`] on malformed streams or an exceeded
-    /// limit.
+    /// Returns a [`DecodeError`] on malformed streams or an exceeded
+    /// limit. Offsets are positions in the geometry stream, or in the
+    /// attribute stream's unwrapped coefficient bytes.
     pub fn decode_with_limits(
         &self,
         frame: &Tmc13Frame,
         device: &Device,
         limits: &pcc_types::Limits,
-    ) -> Result<VoxelizedCloud, BaselineError> {
-        let (header, rest) = parse_grid_header(&frame.geometry)?;
-        let mut input = rest;
-        let (&depth, rest2) = input
-            .split_first()
-            .ok_or(BaselineError::Geometry(pcc_octree::StreamError::Truncated))?;
-        input = rest2;
-        let leaf_count = varint::read_u64(&mut input)? as usize;
-        let occ_len = varint::read_u64(&mut input)? as usize;
-        limits.check_points(leaf_count as u64).map_err(pcc_octree::StreamError::from)?;
-        limits.check_alloc(occ_len as u64).map_err(pcc_octree::StreamError::from)?;
-        let occupancy = pcc_entropy::context::decode_occupancy(input, occ_len);
+    ) -> Result<VoxelizedCloud, DecodeError> {
+        let mut c = Cursor::new(&frame.geometry, 0);
+        let header = read_grid_header(&mut c)?;
+        let depth = c.u8()?;
+        let leaf_count = c.varint()? as usize;
+        let occ_len = c.varint()? as usize;
+        limits.check_points(leaf_count as u64)?;
+        limits.check_alloc(occ_len as u64)?;
+        let occupancy = pcc_entropy::context::decode_occupancy(c.rest(), occ_len);
         let mut stream = Vec::with_capacity(occupancy.len() + 8);
         pcc_octree::serialize_occupancy_into(depth, leaf_count, &occupancy, &mut stream);
         let coords = pcc_octree::decode_occupancy_with(&stream, limits)?;
         device.charge_cpu("geometry_decode", &calib::OCTREE_SERIALIZE, coords.len().max(1), 1);
 
         let coeff_bytes = unwrap_stream(&frame.attribute, limits)?;
-        let mut input = coeff_bytes.as_slice();
-        let (&mode_tag, rest) =
-            input.split_first().ok_or(pcc_entropy::Error::UnexpectedEnd)?;
-        input = rest;
+        let mut c = Cursor::new(&coeff_bytes, 0);
+        let mode_tag = c.u8()?;
         let mode = AttributeMode::from_tag(mode_tag)
-            .ok_or(BaselineError::Attribute(pcc_entropy::Error::CorruptRun))?;
-        let n_coeffs = varint::read_u64(&mut input)? as usize;
-        let qstep = varint::read_u64(&mut input)? as f64 / 1000.0;
+            .ok_or(DecodeError::BadTag { tag: mode_tag, offset: 0 })?;
+        let n_coeffs = c.varint()? as usize;
+        let qstep = c.varint()? as f64 / 1000.0;
         // A coefficient count past the point budget (or the 24 bytes per
         // coefficient it implies) is a decompression bomb, not a frame.
-        limits.check_points(n_coeffs as u64).map_err(pcc_entropy::Error::from)?;
-        limits
-            .check_alloc((n_coeffs as u64).saturating_mul(24))
-            .map_err(pcc_entropy::Error::from)?;
+        limits.check_points(n_coeffs as u64)?;
+        limits.check_alloc((n_coeffs as u64).saturating_mul(24))?;
         // Each serialized coefficient costs at least 3 input bytes, so the
         // remaining input also bounds the pre-allocation.
-        let mut coeffs = Vec::with_capacity(n_coeffs.min(input.len() / 3 + 1));
+        let mut coeffs = Vec::with_capacity(n_coeffs.min(c.rest().len() / 3 + 1));
         for _ in 0..n_coeffs {
-            let mut c = [0i64; 3];
-            for ch in &mut c {
-                *ch = varint::read_i64(&mut input)?;
-            }
-            coeffs.push(c);
+            coeffs.push([c.zigzag_varint()?, c.zigzag_varint()?, c.zigzag_varint()?]);
         }
 
         let leaf_codes: Vec<MortonCode> =
             coords.iter().map(|&c| MortonCode::from_coord(c)).collect();
         if mode != AttributeMode::Raht && coeffs.len() != leaf_codes.len() {
-            return Err(BaselineError::Attribute(pcc_entropy::Error::UnexpectedEnd));
+            return Err(DecodeError::Mismatch {
+                what: "coefficients",
+                declared: leaf_codes.len(),
+                decoded: coeffs.len(),
+            });
         }
         let attrs = match mode {
             AttributeMode::Raht => {
@@ -348,8 +280,13 @@ impl Tmc13Codec {
             })
             .collect();
         let origin = Point3::new(header.origin[0], header.origin[1], header.origin[2]);
-        VoxelizedCloud::from_grid_with_frame(coords, colors, header.depth, origin, header.voxel_size)
-            .map_err(|_| BaselineError::Geometry(pcc_octree::StreamError::Truncated))
+        Ok(VoxelizedCloud::from_grid_with_frame(
+            coords,
+            colors,
+            header.depth,
+            origin,
+            header.voxel_size,
+        )?)
     }
 }
 

@@ -1,13 +1,14 @@
 //! Video-level encoding/decoding across the five designs.
 
 use crate::design::Design;
-use pcc_baseline::{BaselineError, CwipcCodec, CwipcFrame, Tmc13Codec, Tmc13Frame};
+use pcc_baseline::{CwipcCodec, CwipcFrame, Tmc13Codec, Tmc13Frame};
 use pcc_edge::{Device, Timeline};
-use pcc_inter::{InterCodec, InterConfig, InterEncoded, InterError};
-use pcc_intra::{BrickIndex, IntraCodec, IntraError, IntraFrame};
+use pcc_inter::{InterCodec, InterConfig, InterEncoded};
+use pcc_intra::{BrickIndex, IntraCodec, IntraFrame};
 use pcc_metrics::CompressedSize;
-use pcc_types::{Aabb, FrameKind, GofPattern, Limits, PointCloud, Rgb, Video, VoxelizedCloud};
-use std::fmt;
+use pcc_types::{
+    Aabb, DecodeError, FrameKind, GofPattern, Limits, PointCloud, Rgb, Video, VoxelizedCloud,
+};
 
 /// One encoded frame of any design.
 #[derive(Debug, Clone)]
@@ -84,104 +85,6 @@ impl EncodedVideo {
     /// Total raw bytes across frames (15 bytes/point).
     pub fn total_raw_bytes(&self) -> usize {
         self.frames.iter().map(|f| f.raw_points() * pcc_types::RAW_BYTES_PER_POINT).sum()
-    }
-}
-
-/// Errors produced while decoding an [`EncodedVideo`].
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum CodecError {
-    /// A baseline frame failed to decode.
-    Baseline(BaselineError),
-    /// A proposed intra frame failed to decode.
-    Intra(IntraError),
-    /// A proposed inter frame failed to decode.
-    Inter(InterError),
-    /// A P-frame appeared before any I-frame.
-    MissingReference {
-        /// Index of the orphaned frame.
-        frame: usize,
-    },
-    /// An inter-coded frame reached a decoder whose design carries no
-    /// inter configuration (e.g. a P-frame record in an intra-only
-    /// container).
-    MissingInterConfig {
-        /// Index of the offending frame.
-        frame: usize,
-    },
-    /// A partial (brick) decode was requested on a frame kind that
-    /// cannot support it — only proposed intra frames carry a brick
-    /// index.
-    PartialDecodeUnsupported,
-}
-
-impl fmt::Display for CodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CodecError::Baseline(e) => write!(f, "baseline frame error: {e}"),
-            CodecError::Intra(e) => write!(f, "intra frame error: {e}"),
-            CodecError::Inter(e) => write!(f, "inter frame error: {e}"),
-            CodecError::MissingReference { frame } => {
-                write!(f, "frame {frame} is predicted but no reference was decoded")
-            }
-            CodecError::MissingInterConfig { frame } => {
-                write!(f, "frame {frame} is inter-coded but the decoder's design has no inter config")
-            }
-            CodecError::PartialDecodeUnsupported => {
-                write!(f, "partial (brick) decode requested on a frame kind without a brick index")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CodecError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CodecError::Baseline(e) => Some(e),
-            CodecError::Intra(e) => Some(e),
-            CodecError::Inter(e) => Some(e),
-            CodecError::MissingReference { .. }
-            | CodecError::MissingInterConfig { .. }
-            | CodecError::PartialDecodeUnsupported => None,
-        }
-    }
-}
-
-impl From<BaselineError> for CodecError {
-    fn from(e: BaselineError) -> Self {
-        CodecError::Baseline(e)
-    }
-}
-
-impl From<IntraError> for CodecError {
-    fn from(e: IntraError) -> Self {
-        CodecError::Intra(e)
-    }
-}
-
-impl From<InterError> for CodecError {
-    fn from(e: InterError) -> Self {
-        CodecError::Inter(e)
-    }
-}
-
-impl From<CodecError> for pcc_types::DecodeError {
-    fn from(e: CodecError) -> Self {
-        match e {
-            CodecError::Baseline(b) => b.into(),
-            CodecError::Intra(i) => i.into(),
-            CodecError::Inter(i) => i.into(),
-            CodecError::MissingReference { frame } => {
-                pcc_types::DecodeError::MissingReference { frame }
-            }
-            CodecError::MissingInterConfig { frame } => {
-                pcc_types::DecodeError::MissingInterConfig { frame }
-            }
-            CodecError::PartialDecodeUnsupported => pcc_types::DecodeError::Corrupt {
-                what: "partial decode on a frame kind without a brick index",
-                offset: 0,
-            },
-        }
     }
 }
 
@@ -295,13 +198,13 @@ impl PccCodec {
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] on malformed frames or broken reference
+    /// Returns a [`DecodeError`] on malformed frames or broken reference
     /// chains.
     pub fn decode_video(
         &self,
         encoded: &EncodedVideo,
         device: &Device,
-    ) -> Result<Vec<PointCloud>, CodecError> {
+    ) -> Result<Vec<PointCloud>, DecodeError> {
         Ok(self.decode_video_with_timelines(encoded, device)?.0)
     }
 
@@ -315,7 +218,7 @@ impl PccCodec {
         &self,
         encoded: &EncodedVideo,
         device: &Device,
-    ) -> Result<(Vec<PointCloud>, Vec<Timeline>), CodecError> {
+    ) -> Result<(Vec<PointCloud>, Vec<Timeline>), DecodeError> {
         let mut decoder = self.frame_decoder(device);
         let mut timelines = Vec::with_capacity(encoded.frames.len());
         let mut out = Vec::with_capacity(encoded.frames.len());
@@ -578,7 +481,7 @@ impl<'d> FrameDecoder<'d> {
     }
 
     /// Index of the next frame this decoder expects (used in
-    /// [`CodecError::MissingReference`] reports).
+    /// [`DecodeError::MissingReference`] reports).
     pub fn next_index(&self) -> usize {
         self.index
     }
@@ -608,9 +511,9 @@ impl<'d> FrameDecoder<'d> {
     ///
     /// # Errors
     ///
-    /// Returns a [`CodecError`] on malformed frames or when a predicted
+    /// Returns a [`DecodeError`] on malformed frames or when a predicted
     /// frame arrives without a decodable reference.
-    pub fn decode_frame(&mut self, frame: &EncodedFrame) -> Result<(PointCloud, Timeline), CodecError> {
+    pub fn decode_frame(&mut self, frame: &EncodedFrame) -> Result<(PointCloud, Timeline), DecodeError> {
         let decoded = self.decode_next(frame, None, false)?;
         Ok((decoded.cloud, decoded.timeline))
     }
@@ -639,7 +542,7 @@ impl<'d> FrameDecoder<'d> {
         &mut self,
         frame: &EncodedFrame,
         fetch: Option<&mut dyn FnMut(u64) -> Option<Vec<u8>>>,
-    ) -> Result<Decoded, CodecError> {
+    ) -> Result<Decoded, DecodeError> {
         self.decode_next(frame, fetch, true)
     }
 
@@ -648,7 +551,7 @@ impl<'d> FrameDecoder<'d> {
         frame: &EncodedFrame,
         fetch: Option<&mut dyn FnMut(u64) -> Option<Vec<u8>>>,
         salvage: bool,
-    ) -> Result<Decoded, CodecError> {
+    ) -> Result<Decoded, DecodeError> {
         let mut sp = pcc_probe::span("frame/decode");
         sp.add_bytes(frame.size().total_bytes() as u64);
         let i = self.index;
@@ -667,7 +570,7 @@ impl<'d> FrameDecoder<'d> {
                     let r = self
                         .reference_cloud
                         .as_ref()
-                        .ok_or(CodecError::MissingReference { frame: i })?;
+                        .ok_or(DecodeError::MissingReference { frame: i })?;
                     codec.decode_with_limits(f, Some(r), device, limits)?
                 } else {
                     codec.decode_with_limits(f, None, device, limits)?
@@ -712,12 +615,12 @@ impl<'d> FrameDecoder<'d> {
             }
             EncodedFrame::Inter(f) => {
                 let Some(cfg) = self.inter_config else {
-                    return Err(CodecError::MissingInterConfig { frame: i });
+                    return Err(DecodeError::MissingInterConfig { frame: i });
                 };
                 let r = self
                     .reference_colors
                     .as_ref()
-                    .ok_or(CodecError::MissingReference { frame: i })?;
+                    .ok_or(DecodeError::MissingReference { frame: i })?;
                 InterCodec::new(cfg).decode_with_limits(f, r, device, limits)?
             }
         };
@@ -741,15 +644,19 @@ impl<'d> FrameDecoder<'d> {
     ///
     /// # Errors
     ///
-    /// Returns [`CodecError::PartialDecodeUnsupported`] for non-intra
-    /// frames, or the underlying [`CodecError::Intra`] on damage.
+    /// Returns a [`DecodeError::Corrupt`] for non-intra frames (only
+    /// proposed intra frames carry a brick index), or the intra decode's
+    /// error on damage.
     pub fn decode_viewport(
         &self,
         frame: &EncodedFrame,
         viewport: &Aabb,
-    ) -> Result<(PointCloud, Timeline), CodecError> {
+    ) -> Result<(PointCloud, Timeline), DecodeError> {
         let EncodedFrame::Intra(f) = frame else {
-            return Err(CodecError::PartialDecodeUnsupported);
+            return Err(DecodeError::Corrupt {
+                what: "partial decode on a frame kind without a brick index",
+                offset: 0,
+            });
         };
         let (device, limits) = (self.device, &self.limits);
         device.reset();
@@ -873,7 +780,7 @@ mod tests {
         let mut enc = codec.encode_video(&video, 7, &d);
         enc.frames.remove(0); // drop the I-frame
         let err = codec.decode_video(&enc, &d).unwrap_err();
-        assert!(matches!(err, CodecError::MissingReference { frame: 0 }), "got {err}");
+        assert_eq!(err, DecodeError::MissingReference { frame: 0 });
     }
 
     #[test]
@@ -937,7 +844,7 @@ mod tests {
         dec.skip_frames(2); // pretend frames 1 and 2 were dropped
         assert_eq!(dec.next_index(), 3);
         let err = dec.decode_frame(&enc.frames[4]).unwrap_err();
-        assert!(matches!(err, CodecError::MissingReference { frame: 3 }), "got {err}");
+        assert_eq!(err, DecodeError::MissingReference { frame: 3 });
     }
 
     #[test]
@@ -955,7 +862,7 @@ mod tests {
         // a panic.
         let mut dec = PccCodec::new(Design::IntraOnly).frame_decoder(&d);
         let err = dec.decode_frame(p_frame).unwrap_err();
-        assert!(matches!(err, CodecError::MissingInterConfig { frame: 0 }), "got {err}");
+        assert_eq!(err, DecodeError::MissingInterConfig { frame: 0 });
     }
 
     #[test]
@@ -969,8 +876,8 @@ mod tests {
         assert_eq!(dec.limits().max_points, 4);
         let err = dec.decode_frame(&enc.frames[0]).unwrap_err();
         assert!(
-            matches!(&err, CodecError::Intra(_)),
-            "limit breach should surface as a decode error, got {err}"
+            matches!(&err, DecodeError::Limit(e) if e.what == "points"),
+            "limit breach should surface as a limit error, got {err}"
         );
         // Default limits decode the same frame fine.
         let mut dec = codec.frame_decoder(&d);
@@ -1122,7 +1029,10 @@ mod tests {
         let dec = codec.frame_decoder(&d);
         let bb = video.bounding_box().unwrap();
         let err = dec.decode_viewport(p, &bb).unwrap_err();
-        assert!(matches!(err, CodecError::PartialDecodeUnsupported), "got {err}");
+        assert!(
+            matches!(err, DecodeError::Corrupt { what, offset: 0 } if what.contains("brick index")),
+            "got {err}"
+        );
     }
 
     #[test]
@@ -1143,7 +1053,7 @@ mod tests {
         let last = damaged.geometry.len() - 1;
         damaged.geometry[last] ^= 0xFF; // payload byte: index survives
         let damaged = EncodedFrame::Intra(damaged);
-        assert!(matches!(dec.decode_frame(&damaged), Err(CodecError::Intra(_))));
+        assert!(matches!(dec.decode_frame(&damaged), Err(DecodeError::Crc { .. })));
 
         let s = dec.decode_with_repair(&damaged, None).expect("salvageable");
         let (dropped, total) = s.partial.expect("a damaged brick frame is partial");

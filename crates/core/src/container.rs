@@ -24,120 +24,12 @@ use crate::design::Design;
 use pcc_baseline::{CwipcFrame, Tmc13Frame};
 use pcc_inter::{InterEncoded, ReuseStats};
 use pcc_intra::IntraFrame;
-use pcc_entropy::varint;
-use pcc_types::{LimitExceeded, Limits};
-use std::fmt;
+use pcc_types::wire::{write_varint, Cursor};
+use pcc_types::{DecodeError, Limits};
 use std::ops::Range;
 
 const MAGIC: &[u8; 4] = b"PCCV";
 const VERSION: u8 = 1;
-
-/// Errors produced while demuxing a container.
-///
-/// Parse failures carry the byte offset (relative to the start of the
-/// stream handed to the demuxer) at which the field that broke begins,
-/// so corruption reports say *where* the stream went bad.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ContainerError {
-    /// The stream does not start with the `PCCV` magic.
-    BadMagic,
-    /// Unsupported container version.
-    BadVersion(u8),
-    /// Unknown design or frame tag byte.
-    BadTag {
-        /// The offending tag byte.
-        tag: u8,
-        /// Byte offset of the tag within the stream.
-        offset: usize,
-    },
-    /// The stream ended prematurely.
-    Truncated {
-        /// Byte offset of the field the stream ended inside of.
-        offset: usize,
-    },
-    /// A wire-declared size exceeds the demuxer's resource [`Limits`].
-    LimitExceeded(LimitExceeded),
-}
-
-impl fmt::Display for ContainerError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ContainerError::BadMagic => write!(f, "not a pcc container (bad magic)"),
-            ContainerError::BadVersion(v) => write!(f, "unsupported container version {v}"),
-            ContainerError::BadTag { tag, offset } => {
-                write!(f, "unknown tag byte {tag:#04x} at offset {offset}")
-            }
-            ContainerError::Truncated { offset } => {
-                write!(f, "container ended prematurely at offset {offset}")
-            }
-            ContainerError::LimitExceeded(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for ContainerError {}
-
-impl From<LimitExceeded> for ContainerError {
-    fn from(e: LimitExceeded) -> Self {
-        ContainerError::LimitExceeded(e)
-    }
-}
-
-impl From<ContainerError> for pcc_types::DecodeError {
-    fn from(e: ContainerError) -> Self {
-        match e {
-            ContainerError::BadMagic => pcc_types::DecodeError::BadMagic { offset: 0 },
-            ContainerError::BadVersion(v) => pcc_types::DecodeError::BadVersion { version: v },
-            ContainerError::BadTag { tag, offset } => {
-                pcc_types::DecodeError::BadTag { tag, offset }
-            }
-            ContainerError::Truncated { offset } => pcc_types::DecodeError::Truncated { offset },
-            ContainerError::LimitExceeded(l) => pcc_types::DecodeError::Limit(l),
-        }
-    }
-}
-
-/// A byte cursor that remembers its absolute position in the enclosing
-/// stream, so every parse error reports where the stream broke.
-struct Cursor<'a> {
-    input: &'a [u8],
-    offset: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(input: &'a [u8], offset: usize) -> Self {
-        Cursor { input, offset }
-    }
-
-    fn take_byte(&mut self) -> Result<u8, ContainerError> {
-        let (&b, rest) = self
-            .input
-            .split_first()
-            .ok_or(ContainerError::Truncated { offset: self.offset })?;
-        self.input = rest;
-        self.offset += 1;
-        Ok(b)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ContainerError> {
-        let (head, rest) = self
-            .input
-            .split_at_checked(n)
-            .ok_or(ContainerError::Truncated { offset: self.offset })?;
-        self.input = rest;
-        self.offset += n;
-        Ok(head)
-    }
-
-    fn read_varint(&mut self) -> Result<u64, ContainerError> {
-        let before = self.input.len();
-        let v = varint::read_u64(&mut self.input)
-            .map_err(|_| ContainerError::Truncated { offset: self.offset })?;
-        self.offset += before - self.input.len();
-        Ok(v)
-    }
-}
 
 /// Serializes an encoded video into a self-contained byte stream.
 ///
@@ -157,7 +49,7 @@ impl<'a> Cursor<'a> {
 /// let back = container::demux(&bytes)?;
 /// assert_eq!(back.frames.len(), 2);
 /// assert_eq!(back.depth, 6);
-/// # Ok::<(), pcc_core::container::ContainerError>(())
+/// # Ok::<(), pcc_types::DecodeError>(())
 /// ```
 pub fn mux(video: &EncodedVideo) -> Vec<u8> {
     let mut out = Vec::new();
@@ -165,7 +57,7 @@ pub fn mux(video: &EncodedVideo) -> Vec<u8> {
     out.push(VERSION);
     out.push(design_tag(video.design));
     out.push(video.depth);
-    varint::write_u64(&mut out, video.frames.len() as u64);
+    write_varint(&mut out, video.frames.len() as u64);
     for frame in &video.frames {
         mux_frame(&mut out, frame);
     }
@@ -186,33 +78,33 @@ pub fn mux_frame(out: &mut Vec<u8>, frame: &EncodedFrame) -> [Range<usize>; 2] {
         EncodedFrame::Tmc13(f) => {
             out.push(0x01);
             let payloads = write_payloads(out, &f.geometry, &f.attribute);
-            varint::write_u64(out, f.unique_voxels as u64);
-            varint::write_u64(out, f.raw_points as u64);
+            write_varint(out, f.unique_voxels as u64);
+            write_varint(out, f.raw_points as u64);
             payloads
         }
         EncodedFrame::Cwipc(f) => {
             out.push(if f.predicted { 0x03 } else { 0x02 });
             let payloads = write_payloads(out, &f.geometry, &f.attribute);
-            varint::write_u64(out, f.unique_voxels as u64);
-            varint::write_u64(out, f.raw_points as u64);
-            varint::write_u64(out, f.matched_blocks as u64);
-            varint::write_u64(out, f.total_blocks as u64);
+            write_varint(out, f.unique_voxels as u64);
+            write_varint(out, f.raw_points as u64);
+            write_varint(out, f.matched_blocks as u64);
+            write_varint(out, f.total_blocks as u64);
             payloads
         }
         EncodedFrame::Intra(f) => {
             out.push(0x04);
             let payloads = write_payloads(out, &f.geometry, &f.attribute);
-            varint::write_u64(out, f.unique_voxels as u64);
-            varint::write_u64(out, f.raw_points as u64);
+            write_varint(out, f.unique_voxels as u64);
+            write_varint(out, f.raw_points as u64);
             payloads
         }
         EncodedFrame::Inter(f) => {
             out.push(0x05);
             let payloads = write_payloads(out, &f.frame.geometry, &f.frame.attribute);
-            varint::write_u64(out, f.frame.unique_voxels as u64);
-            varint::write_u64(out, f.frame.raw_points as u64);
-            varint::write_u64(out, f.stats.reused as u64);
-            varint::write_u64(out, f.stats.delta as u64);
+            write_varint(out, f.frame.unique_voxels as u64);
+            write_varint(out, f.frame.raw_points as u64);
+            write_varint(out, f.stats.reused as u64);
+            write_varint(out, f.stats.delta as u64);
             payloads
         }
     }
@@ -227,11 +119,12 @@ pub fn mux_frame(out: &mut Vec<u8>, frame: &EncodedFrame) -> [Range<usize>; 2] {
 ///
 /// # Errors
 ///
-/// Returns a [`ContainerError`] on malformed input.
+/// Returns a [`DecodeError`] on malformed input; its offset is where in
+/// the stream the field that broke begins.
 pub fn demux_frame(
     input: &mut &[u8],
     stream_offset: usize,
-) -> Result<EncodedFrame, ContainerError> {
+) -> Result<EncodedFrame, DecodeError> {
     demux_frame_with(input, stream_offset, &Limits::default())
 }
 
@@ -241,28 +134,25 @@ pub fn demux_frame(
 ///
 /// # Errors
 ///
-/// Returns a [`ContainerError`] on malformed input or an exceeded limit.
+/// Returns a [`DecodeError`] on malformed input or an exceeded limit.
 pub fn demux_frame_with(
     input: &mut &[u8],
     stream_offset: usize,
     limits: &Limits,
-) -> Result<EncodedFrame, ContainerError> {
+) -> Result<EncodedFrame, DecodeError> {
     let mut cursor = Cursor::new(input, stream_offset);
     let frame = demux_frame_at(&mut cursor, limits)?;
-    *input = cursor.input;
+    *input = cursor.rest();
     Ok(frame)
 }
 
-fn demux_frame_at(
-    cursor: &mut Cursor<'_>,
-    limits: &Limits,
-) -> Result<EncodedFrame, ContainerError> {
-    let tag_offset = cursor.offset;
-    let tag = cursor.take_byte()?;
+fn demux_frame_at(cursor: &mut Cursor<'_>, limits: &Limits) -> Result<EncodedFrame, DecodeError> {
+    let tag_offset = cursor.offset();
+    let tag = cursor.u8()?;
     let (geometry, attribute) = read_payloads(cursor, limits)?;
-    let unique_voxels = cursor.read_varint()? as usize;
+    let unique_voxels = cursor.varint()? as usize;
     limits.check_points(unique_voxels as u64)?;
-    let raw_points = cursor.read_varint()? as usize;
+    let raw_points = cursor.varint()? as usize;
     limits.check_points(raw_points as u64)?;
     Ok(match tag {
         0x01 => EncodedFrame::Tmc13(Tmc13Frame {
@@ -272,8 +162,8 @@ fn demux_frame_at(
             raw_points,
         }),
         0x02 | 0x03 => {
-            let matched_blocks = cursor.read_varint()? as usize;
-            let total_blocks = cursor.read_varint()? as usize;
+            let matched_blocks = cursor.varint()? as usize;
+            let total_blocks = cursor.varint()? as usize;
             EncodedFrame::Cwipc(CwipcFrame {
                 geometry,
                 attribute,
@@ -291,14 +181,14 @@ fn demux_frame_at(
             raw_points,
         }),
         0x05 => {
-            let reused = cursor.read_varint()? as usize;
-            let delta = cursor.read_varint()? as usize;
+            let reused = cursor.varint()? as usize;
+            let delta = cursor.varint()? as usize;
             EncodedFrame::Inter(InterEncoded {
                 frame: IntraFrame { geometry, attribute, unique_voxels, raw_points },
                 stats: ReuseStats { reused, delta },
             })
         }
-        other => return Err(ContainerError::BadTag { tag: other, offset: tag_offset }),
+        other => return Err(DecodeError::BadTag { tag: other, offset: tag_offset }),
     })
 }
 
@@ -306,8 +196,8 @@ fn demux_frame_at(
 ///
 /// # Errors
 ///
-/// Returns a [`ContainerError`] on malformed input.
-pub fn demux(bytes: &[u8]) -> Result<EncodedVideo, ContainerError> {
+/// Returns a [`DecodeError`] on malformed input.
+pub fn demux(bytes: &[u8]) -> Result<EncodedVideo, DecodeError> {
     demux_with(bytes, &Limits::default())
 }
 
@@ -318,24 +208,23 @@ pub fn demux(bytes: &[u8]) -> Result<EncodedVideo, ContainerError> {
 ///
 /// # Errors
 ///
-/// Returns a [`ContainerError`] on malformed input or an exceeded limit.
-pub fn demux_with(bytes: &[u8], limits: &Limits) -> Result<EncodedVideo, ContainerError> {
+/// Returns a [`DecodeError`] on malformed input or an exceeded limit.
+pub fn demux_with(bytes: &[u8], limits: &Limits) -> Result<EncodedVideo, DecodeError> {
     let mut cursor = Cursor::new(bytes, 0);
-    let magic = cursor.take(4)?;
-    if magic != MAGIC {
-        return Err(ContainerError::BadMagic);
+    if cursor.take(4)? != MAGIC {
+        return Err(DecodeError::BadMagic { offset: 0 });
     }
-    let version = cursor.take_byte()?;
+    let version = cursor.u8()?;
     if version != VERSION {
-        return Err(ContainerError::BadVersion(version));
+        return Err(DecodeError::BadVersion { version });
     }
-    let design_offset = cursor.offset;
-    let design_byte = cursor.take_byte()?;
+    let design_offset = cursor.offset();
+    let design_byte = cursor.u8()?;
     let design = design_from_tag(design_byte)
-        .ok_or(ContainerError::BadTag { tag: design_byte, offset: design_offset })?;
-    let depth = cursor.take_byte()?;
+        .ok_or(DecodeError::BadTag { tag: design_byte, offset: design_offset })?;
+    let depth = cursor.u8()?;
     limits.check_depth(depth)?;
-    let count = cursor.read_varint()? as usize;
+    let count = cursor.varint()? as usize;
     limits.check_blocks(count as u64)?;
 
     let mut frames = Vec::with_capacity(count.min(1 << 16));
@@ -371,10 +260,10 @@ pub fn design_from_tag(tag: u8) -> Option<Design> {
 }
 
 fn write_payloads(out: &mut Vec<u8>, geometry: &[u8], attribute: &[u8]) -> [Range<usize>; 2] {
-    varint::write_u64(out, geometry.len() as u64);
+    write_varint(out, geometry.len() as u64);
     let geometry_at = out.len();
     out.extend_from_slice(geometry);
-    varint::write_u64(out, attribute.len() as u64);
+    write_varint(out, attribute.len() as u64);
     let attribute_at = out.len();
     out.extend_from_slice(attribute);
     [geometry_at..geometry_at + geometry.len(), attribute_at..out.len()]
@@ -383,11 +272,11 @@ fn write_payloads(out: &mut Vec<u8>, geometry: &[u8], attribute: &[u8]) -> [Rang
 fn read_payloads(
     cursor: &mut Cursor<'_>,
     limits: &Limits,
-) -> Result<(Vec<u8>, Vec<u8>), ContainerError> {
-    let g_len = cursor.read_varint()? as usize;
+) -> Result<(Vec<u8>, Vec<u8>), DecodeError> {
+    let g_len = cursor.varint()? as usize;
     limits.check_alloc(g_len as u64)?;
     let g = cursor.take(g_len)?;
-    let a_len = cursor.read_varint()? as usize;
+    let a_len = cursor.varint()? as usize;
     limits.check_alloc(a_len as u64)?;
     let a = cursor.take(a_len)?;
     Ok((g.to_vec(), a.to_vec()))
@@ -454,10 +343,10 @@ mod tests {
         let original = encode(Design::IntraOnly);
         let mut bytes = mux(&original);
         bytes[0] = b'X';
-        assert_eq!(demux(&bytes).unwrap_err(), ContainerError::BadMagic);
+        assert_eq!(demux(&bytes).unwrap_err(), DecodeError::BadMagic { offset: 0 });
         let mut bytes = mux(&original);
         bytes[4] = 99;
-        assert_eq!(demux(&bytes).unwrap_err(), ContainerError::BadVersion(99));
+        assert_eq!(demux(&bytes).unwrap_err(), DecodeError::BadVersion { version: 99 });
     }
 
     #[test]
@@ -465,7 +354,7 @@ mod tests {
         let bytes = mux(&encode(Design::IntraInterV1));
         for cut in (0..bytes.len()).step_by(37) {
             match demux(&bytes[..cut]) {
-                Err(ContainerError::Truncated { offset }) => {
+                Err(DecodeError::Truncated { offset }) => {
                     assert!(offset <= cut, "offset {offset} past cut {cut}");
                 }
                 Err(other) => panic!("prefix {cut}: unexpected error {other}"),
@@ -481,7 +370,7 @@ mod tests {
         bytes[5] = 0x7f; // design tag lives at offset 5
         assert_eq!(
             demux(&bytes).unwrap_err(),
-            ContainerError::BadTag { tag: 0x7f, offset: 5 }
+            DecodeError::BadTag { tag: 0x7f, offset: 5 }
         );
     }
 
@@ -497,7 +386,7 @@ mod tests {
         bad[tag_at] = 0x6e;
         assert_eq!(
             demux(&bad).unwrap_err(),
-            ContainerError::BadTag { tag: 0x6e, offset: tag_at }
+            DecodeError::BadTag { tag: 0x6e, offset: tag_at }
         );
     }
 
@@ -520,14 +409,14 @@ mod tests {
         deep[6] = 63; // depth byte lives at offset 6
         assert!(matches!(
             demux(&deep).unwrap_err(),
-            ContainerError::LimitExceeded(e) if e.what == "octree depth"
+            DecodeError::Limit(e) if e.what == "octree depth"
         ));
         // Payload lengths above the allocation budget are limit errors even
         // though the stream is long enough to satisfy them.
         let tight = Limits { max_alloc_bytes: 8, ..Limits::default() };
         assert!(matches!(
             demux_with(&bytes, &tight).unwrap_err(),
-            ContainerError::LimitExceeded(e) if e.what == "alloc bytes"
+            DecodeError::Limit(e) if e.what == "alloc bytes"
         ));
         // Default limits accept the genuine stream unchanged.
         demux_with(&bytes, &Limits::default()).unwrap();

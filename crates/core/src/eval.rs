@@ -1,10 +1,10 @@
 //! End-to-end evaluation of a design on a video.
 
-use crate::codec::{CodecError, PccCodec};
+use crate::codec::PccCodec;
 use crate::report::{DesignReport, FrameReport};
 use pcc_edge::Device;
 use pcc_metrics::{attribute_psnr, geometry_psnr, CompressedSize};
-use pcc_types::{Video, VoxelizedCloud};
+use pcc_types::{DecodeError, Video, VoxelizedCloud};
 
 /// Options controlling an evaluation run.
 #[derive(Debug, Clone, Copy)]
@@ -28,13 +28,13 @@ impl Default for EvalOptions {
 ///
 /// # Errors
 ///
-/// Returns a [`CodecError`] if any frame fails to decode.
+/// Returns a [`DecodeError`] if any frame fails to decode.
 pub fn evaluate(
     codec: &PccCodec,
     video: &Video,
     device: &Device,
     options: EvalOptions,
-) -> Result<DesignReport, CodecError> {
+) -> Result<DesignReport, DecodeError> {
     let depth = options
         .depth
         .unwrap_or_else(|| pcc_datasets::density_matched_depth(video.mean_points_per_frame()));

@@ -47,9 +47,7 @@ mod eval;
 pub mod rate;
 mod report;
 
-pub use codec::{
-    CodecError, Decoded, EncodedFrame, EncodedVideo, FrameDecoder, FrameEncoder, PccCodec,
-};
+pub use codec::{Decoded, EncodedFrame, EncodedVideo, FrameDecoder, FrameEncoder, PccCodec};
 // The brick index types travel up to the stream layer: the sender's
 // frame history keeps per-brick payload ranges so a receiver can NACK and
 // re-fetch individual damaged bricks.

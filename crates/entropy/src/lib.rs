@@ -2,13 +2,11 @@
 //!
 //! The G-PCC-style baseline codecs (and, optionally, the proposed intra
 //! codec) entropy-code their occupancy bytes and quantized coefficients.
-//! This crate provides everything those stages need:
-//!
-//! - [`varint`] — LEB128 unsigned varints and ZigZag signed mapping.
-//! - [`RangeEncoder`] / [`RangeDecoder`] with an adaptive binary
-//!   probability model ([`BitModel`]) and a bit-tree byte model
-//!   ([`ByteModel`]) — a compact arithmetic coder in the style the MPEG
-//!   TMC13 reference software uses.
+//! This crate provides [`RangeEncoder`] / [`RangeDecoder`] with an
+//! adaptive binary probability model ([`BitModel`]) and a bit-tree byte
+//! model ([`ByteModel`]) — a compact arithmetic coder in the style the
+//! MPEG TMC13 reference software uses. Varints live in
+//! [`pcc_types::wire`], next to the cursor every parser reads through.
 //!
 //! # Examples
 //!
@@ -42,57 +40,6 @@
 
 pub mod context;
 mod range;
-pub mod varint;
 
 pub use context::ContextByteModel;
 pub use range::{unwrap_stream, wrap_stream, BitModel, ByteModel, RangeDecoder, RangeEncoder};
-
-use pcc_types::{DecodeError, LimitExceeded};
-use std::fmt;
-
-/// Errors produced while decoding an entropy-coded stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum Error {
-    /// The stream ended before the requested data was decoded.
-    UnexpectedEnd,
-    /// A varint ran past its maximum encodable length.
-    VarintOverflow,
-    /// A run-length header was malformed.
-    CorruptRun,
-    /// The stream declared more output than [`pcc_types::Limits`] allow.
-    LimitExceeded(LimitExceeded),
-}
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Error::UnexpectedEnd => write!(f, "unexpected end of compressed stream"),
-            Error::VarintOverflow => write!(f, "varint exceeds 64 bits"),
-            Error::CorruptRun => write!(f, "malformed run-length header"),
-            Error::LimitExceeded(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for Error {}
-
-impl From<LimitExceeded> for Error {
-    fn from(e: LimitExceeded) -> Self {
-        Error::LimitExceeded(e)
-    }
-}
-
-impl From<Error> for DecodeError {
-    fn from(e: Error) -> Self {
-        match e {
-            Error::UnexpectedEnd => DecodeError::Truncated { offset: 0 },
-            Error::VarintOverflow => DecodeError::VarintOverflow { offset: 0 },
-            Error::CorruptRun => DecodeError::Corrupt { what: "run-length header", offset: 0 },
-            Error::LimitExceeded(l) => DecodeError::Limit(l),
-        }
-    }
-}
-
-/// A convenient `Result` alias for this crate.
-pub type Result<T> = std::result::Result<T, Error>;

@@ -5,8 +5,8 @@
 //! 32-bit range encoder, and a 255-context bit-tree model for whole bytes.
 //! [`wrap_stream`] / [`unwrap_stream`] frame a whole byte payload with it.
 
-use crate::Error;
-use pcc_types::Limits;
+use pcc_types::wire::Cursor;
+use pcc_types::{DecodeError, Limits};
 
 const PROB_BITS: u32 = 11;
 const PROB_ONE: u16 = 1 << PROB_BITS; // 2048
@@ -289,17 +289,17 @@ pub fn wrap_stream(payload: &[u8]) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// [`Error::UnexpectedEnd`] when the length prefix is cut short, and
-/// [`Error::LimitExceeded`] when it declares more than
+/// [`DecodeError::Truncated`] when the length prefix is cut short, and
+/// [`DecodeError::Limit`] when it declares more than
 /// `limits.max_alloc_bytes`: the prefix is attacker-controlled, so it
 /// is bounded before the allocation it drives (a 12-byte stream could
 /// otherwise demand 4 GiB).
-pub fn unwrap_stream(stream: &[u8], limits: &Limits) -> Result<Vec<u8>, Error> {
-    let (len_bytes, coded) = stream.split_first_chunk::<4>().ok_or(Error::UnexpectedEnd)?;
-    let len = u32::from_le_bytes(*len_bytes) as usize;
+pub fn unwrap_stream(stream: &[u8], limits: &Limits) -> Result<Vec<u8>, DecodeError> {
+    let mut c = Cursor::new(stream, 0);
+    let len = c.u32_le()? as usize;
     limits.check_alloc(len as u64)?;
     let mut model = ByteModel::new();
-    let mut dec = RangeDecoder::new(coded);
+    let mut dec = RangeDecoder::new(c.rest());
     Ok((0..len).map(|_| dec.decode_byte(&mut model)).collect())
 }
 
@@ -327,11 +327,14 @@ mod tests {
         bomb.extend_from_slice(&[0u8; 16]);
         assert!(matches!(
             unwrap_stream(&bomb, &Limits::default()),
-            Err(Error::LimitExceeded(e)) if e.what == "alloc bytes"
+            Err(DecodeError::Limit(e)) if e.what == "alloc bytes"
         ));
         // A cut-short prefix is a truncation, not a panic.
         for cut in 0..4 {
-            assert_eq!(unwrap_stream(&bomb[..cut], &Limits::default()), Err(Error::UnexpectedEnd));
+            assert_eq!(
+                unwrap_stream(&bomb[..cut], &Limits::default()),
+                Err(DecodeError::Truncated { offset: 0 })
+            );
         }
         // And a legitimate stream still decodes under a budget that
         // admits it.

@@ -5,13 +5,12 @@ use crate::matching::{
     self, block_range, match_blocks_into, predicted, BlockMatch, MatchOutcome, ReuseStats,
 };
 use pcc_edge::{calib, Device};
-use pcc_entropy::varint;
 use pcc_intra::{
     decode_layer_threaded, encode_layer_with_starts_into, geometry::GeometryEncoded,
     segment_starts_into, write_layer, GeometryScratch, IntraCodec, LayerEncoded,
 };
-use pcc_types::{Point3, Rgb, VoxelizedCloud};
-use std::fmt;
+use pcc_types::wire::{write_varint, Cursor};
+use pcc_types::{DecodeError, Point3, Rgb, VoxelizedCloud};
 use std::num::NonZeroUsize;
 
 /// Per-session scratch for the inter encoder — a superset of the intra
@@ -51,60 +50,6 @@ pub struct InterEncoded {
     pub frame: pcc_intra::IntraFrame,
     /// Reuse statistics of the block-matching pass.
     pub stats: ReuseStats,
-}
-
-/// Errors produced while decoding a P-frame.
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum InterError {
-    /// The geometry stream is malformed.
-    Geometry(pcc_octree::StreamError),
-    /// The attribute payload is malformed.
-    Payload(pcc_entropy::Error),
-    /// The payload's block table is inconsistent with its geometry.
-    Corrupt(&'static str),
-}
-
-impl fmt::Display for InterError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            InterError::Geometry(e) => write!(f, "geometry stream error: {e}"),
-            InterError::Payload(e) => write!(f, "attribute payload error: {e}"),
-            InterError::Corrupt(m) => write!(f, "corrupt inter payload: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for InterError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            InterError::Geometry(e) => Some(e),
-            InterError::Payload(e) => Some(e),
-            InterError::Corrupt(_) => None,
-        }
-    }
-}
-
-impl From<pcc_octree::StreamError> for InterError {
-    fn from(e: pcc_octree::StreamError) -> Self {
-        InterError::Geometry(e)
-    }
-}
-
-impl From<pcc_entropy::Error> for InterError {
-    fn from(e: pcc_entropy::Error) -> Self {
-        InterError::Payload(e)
-    }
-}
-
-impl From<InterError> for pcc_types::DecodeError {
-    fn from(e: InterError) -> Self {
-        match e {
-            InterError::Geometry(g) => g.into(),
-            InterError::Payload(p) => p.into(),
-            InterError::Corrupt(what) => pcc_types::DecodeError::Corrupt { what, offset: 0 },
-        }
-    }
 }
 
 /// The proposed inter-frame codec.
@@ -275,11 +220,11 @@ impl InterCodec {
 
         // Serialize: counts, flags + pointers, then the delta layer.
         payload.clear();
-        varint::write_u64(payload, m as u64);
-        varint::write_u64(payload, matches.len() as u64);
+        write_varint(payload, m as u64);
+        write_varint(payload, matches.len() as u64);
         for mt in matches.iter() {
             let reuse_bit = (mt.outcome == MatchOutcome::Reuse) as u64;
-            varint::write_u64(payload, (mt.window_offset as u64) << 1 | reuse_bit);
+            write_varint(payload, (mt.window_offset as u64) << 1 | reuse_bit);
         }
         write_layer(payload, quant_step, delta_starts, bases, residuals);
         device.charge_gpu("inter_attr/reuse_encode", &calib::REUSE_ENCODE, matches.len());
@@ -293,13 +238,13 @@ impl InterCodec {
     ///
     /// # Errors
     ///
-    /// Returns an [`InterError`] on malformed payloads.
+    /// Returns a [`DecodeError`] on malformed payloads.
     pub fn decode(
         &self,
         encoded: &InterEncoded,
         reference: &[Rgb],
         device: &Device,
-    ) -> Result<VoxelizedCloud, InterError> {
+    ) -> Result<VoxelizedCloud, DecodeError> {
         self.decode_with_limits(encoded, reference, device, &pcc_types::Limits::default())
     }
 
@@ -310,8 +255,10 @@ impl InterCodec {
     ///
     /// # Errors
     ///
-    /// Returns an [`InterError`] on malformed payloads or an exceeded
-    /// limit.
+    /// Returns a [`DecodeError`] on malformed payloads or an exceeded
+    /// limit. Attribute-side offsets are positions in the attribute
+    /// payload: the block table and the delta layer after it are read
+    /// through one cursor.
     // `p_starts` is derived locally from the decoded voxel count (never
     // from wire bytes), so block ranges — and the `colors[slot]` writes
     // they drive — are bounded by `m`; wire-derived window offsets are
@@ -323,30 +270,34 @@ impl InterCodec {
         reference: &[Rgb],
         device: &Device,
         limits: &pcc_types::Limits,
-    ) -> Result<VoxelizedCloud, InterError> {
+    ) -> Result<VoxelizedCloud, DecodeError> {
         let geo = pcc_intra::geometry::decode_with(&encoded.frame.geometry, device, limits)?;
         let m = geo.coords.len();
 
-        let mut input = encoded.frame.attribute.as_slice();
-        let declared_m = varint::read_u64(&mut input)? as usize;
+        let mut c = Cursor::new(&encoded.frame.attribute, 0);
+        let declared_m = c.varint()? as usize;
         if declared_m != m {
-            return Err(InterError::Corrupt("voxel count disagrees with geometry"));
+            return Err(DecodeError::Mismatch { what: "voxels", declared: declared_m, decoded: m });
         }
-        let n_blocks = varint::read_u64(&mut input)? as usize;
+        let n_blocks = c.varint()? as usize;
         let (mut p_starts, mut i_starts) = (Vec::new(), Vec::new());
         segment_starts_into(m, self.config.blocks_for(m), &mut p_starts);
         if n_blocks != p_starts.len() {
-            return Err(InterError::Corrupt("block count disagrees with segmentation"));
+            return Err(DecodeError::Mismatch {
+                what: "blocks",
+                declared: n_blocks,
+                decoded: p_starts.len(),
+            });
         }
         let i_blocks = self.config.blocks_for(reference.len());
         segment_starts_into(reference.len(), i_blocks, &mut i_starts);
 
         let mut flags = Vec::with_capacity(n_blocks);
         for _ in 0..n_blocks {
-            let v = varint::read_u64(&mut input)?;
+            let v = c.varint()?;
             flags.push(((v >> 1) as usize, v & 1 == 1));
         }
-        let delta_layer = LayerEncoded::from_bytes_with(input, limits)?;
+        let delta_layer = LayerEncoded::read(&mut c, limits)?;
         let deltas = decode_layer_threaded(&delta_layer, device.host_threads());
 
         let mut colors = vec![Rgb::BLACK; m];
@@ -363,9 +314,10 @@ impl InterCodec {
                 colors[slot] = if reused {
                     base
                 } else {
-                    let d = deltas.get(delta_pos).copied().ok_or(InterError::Corrupt(
-                        "delta stream shorter than delta blocks",
-                    ))?;
+                    let d = deltas
+                        .get(delta_pos)
+                        .copied()
+                        .ok_or_else(|| c.corrupt("delta stream shorter than delta blocks"))?;
                     delta_pos += 1;
                     // `d` comes from the wire: wrap, as release builds do,
                     // rather than panic on a hostile delta.
@@ -381,8 +333,13 @@ impl InterCodec {
         device.charge_gpu("inter_attr_decode", &calib::ATTR_DECODE, m.max(1));
 
         let origin = Point3::new(geo.origin[0], geo.origin[1], geo.origin[2]);
-        VoxelizedCloud::from_grid_with_frame(geo.coords, colors, geo.depth, origin, geo.voxel_size)
-            .map_err(|_| InterError::Corrupt("decoded grid rejected"))
+        Ok(VoxelizedCloud::from_grid_with_frame(
+            geo.coords,
+            colors,
+            geo.depth,
+            origin,
+            geo.voxel_size,
+        )?)
     }
 
     /// Encodes a frame with plain intra coding (used when no reference is
@@ -513,11 +470,17 @@ mod tests {
         let codec = InterCodec::new(InterConfig::v1());
         let mut enc = codec.encode(&f, &reference, &d);
         enc.frame.attribute.truncate(3);
-        assert!(codec.decode(&enc, &reference, &d).is_err());
+        assert!(matches!(
+            codec.decode(&enc, &reference, &d).unwrap_err(),
+            DecodeError::Truncated { offset } if offset <= 3
+        ));
         // Wrong declared voxel count.
         let mut enc2 = codec.encode(&f, &reference, &d);
         enc2.frame.attribute[0] ^= 0x7f;
-        assert!(codec.decode(&enc2, &reference, &d).is_err());
+        assert!(matches!(
+            codec.decode(&enc2, &reference, &d).unwrap_err(),
+            DecodeError::Mismatch { what: "voxels", decoded, .. } if decoded == enc2.frame.unique_voxels
+        ));
     }
 
     #[test]

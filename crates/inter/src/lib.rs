@@ -61,6 +61,6 @@ mod codec;
 mod config;
 mod matching;
 
-pub use codec::{InterArena, InterCodec, InterEncoded, InterError};
+pub use codec::{InterArena, InterCodec, InterEncoded};
 pub use config::InterConfig;
 pub use matching::{match_blocks_into, BlockMatch, MatchOutcome, ReuseStats};

@@ -9,8 +9,8 @@ use crate::layer::{
     LayerEncoded,
 };
 use pcc_edge::{calib, Device};
-use pcc_entropy::varint;
-use pcc_types::{Rgb, VoxelizedCloud};
+use pcc_types::wire::{write_varint, Cursor};
+use pcc_types::{DecodeError, Rgb, VoxelizedCloud};
 use std::num::NonZeroUsize;
 
 /// Encodes the attributes of a voxelized cloud, reusing the geometry
@@ -107,7 +107,7 @@ pub(crate) fn encode_values_in(
         // `LayerEncoded { residuals: vec![], ..layer1 }.to_bytes()`.
         scratch.outer_bytes.clear();
         write_layer(&mut scratch.outer_bytes, q, &scratch.starts, &scratch.bases, &[]);
-        varint::write_u64(payload, scratch.outer_bytes.len() as u64);
+        write_varint(payload, scratch.outer_bytes.len() as u64);
         payload.extend_from_slice(&scratch.outer_bytes);
         write_layer(payload, 1, &scratch.starts, &scratch.bases2, &scratch.residuals2);
     } else {
@@ -125,14 +125,14 @@ pub(crate) fn encode_values_in(
 ///
 /// # Errors
 ///
-/// Propagates varint/layer decoding errors on malformed input and
-/// returns [`pcc_entropy::Error::LimitExceeded`] when a limit is hit.
+/// A [`DecodeError`] with its offset in `payload` on malformed input,
+/// and [`DecodeError::Limit`] when a limit is hit.
 pub fn decode_with(
     payload: &[u8],
     device: &Device,
     limits: &pcc_types::Limits,
-) -> Result<Vec<Rgb>, pcc_entropy::Error> {
-    let colors = decode_payload(payload, device.host_threads(), limits)?;
+) -> Result<Vec<Rgb>, DecodeError> {
+    let colors = decode_payload(&mut Cursor::new(payload, 0), device.host_threads(), limits)?;
     device.charge_gpu("attribute_decode", &calib::ATTR_DECODE, colors.len().max(1));
     Ok(colors)
 }
@@ -142,21 +142,19 @@ pub fn decode_with(
 /// this once per brick — possibly from a worker thread — and charges
 /// the device model once for the merged frame.
 pub(crate) fn decode_payload(
-    payload: &[u8],
+    c: &mut Cursor<'_>,
     threads: NonZeroUsize,
     limits: &pcc_types::Limits,
-) -> Result<Vec<Rgb>, pcc_entropy::Error> {
-    let (&two_layer, mut rest) = payload.split_first().ok_or(pcc_entropy::Error::UnexpectedEnd)?;
-    let values = if two_layer != 0 {
-        let outer_len = varint::read_u64(&mut rest)? as usize;
-        let (outer_bytes, layer2_bytes) =
-            rest.split_at_checked(outer_len).ok_or(pcc_entropy::Error::UnexpectedEnd)?;
-        let mut outer = LayerEncoded::from_bytes_with(outer_bytes, limits)?;
-        let layer2 = LayerEncoded::from_bytes_with(layer2_bytes, limits)?;
+) -> Result<Vec<Rgb>, DecodeError> {
+    let values = if c.u8()? != 0 {
+        let outer_len = c.varint()? as usize;
+        let at = c.offset();
+        let mut outer = LayerEncoded::read(&mut Cursor::new(c.take(outer_len)?, at), limits)?;
+        let layer2 = LayerEncoded::read(c, limits)?;
         outer.residuals = decode_layer_threaded(&layer2, threads);
         decode_layer_threaded(&outer, threads)
     } else {
-        decode_layer_threaded(&LayerEncoded::from_bytes_with(rest, limits)?, threads)
+        decode_layer_threaded(&LayerEncoded::read(c, limits)?, threads)
     };
     Ok(values.into_iter().map(Rgb::from_i32_clamped).collect())
 }

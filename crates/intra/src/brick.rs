@@ -42,14 +42,13 @@
 use crate::arena::FrameArena;
 use crate::attribute;
 use crate::config::IntraConfig;
-use crate::frame::{IntraError, IntraFrame};
+use crate::frame::IntraFrame;
 use crate::geometry;
 use pcc_edge::{calib, Device};
-use pcc_entropy::varint;
 use pcc_morton::MortonCode;
 use pcc_types::crc::{crc32, Crc32};
-use pcc_types::{Aabb, Limits, Point3, Rgb, VoxelCoord, VoxelizedCloud};
-use std::fmt;
+use pcc_types::wire::{write_varint, Cursor};
+use pcc_types::{Aabb, DecodeError, Limits, Point3, Rgb, VoxelCoord, VoxelizedCloud};
 use std::num::NonZeroUsize;
 use std::ops::Range;
 
@@ -59,91 +58,6 @@ pub const BRICK_MAGIC: u8 = 0xB7;
 
 /// Wire version of the brick layout this build reads and writes.
 pub const BRICK_VERSION: u8 = 1;
-
-/// Errors produced while parsing or decoding a brick-partitioned frame.
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum BrickError {
-    /// The stream does not start with [`BRICK_MAGIC`].
-    BadMagic,
-    /// The stream declares a wire version this build does not read.
-    BadVersion(u8),
-    /// A structural invariant of the header or index is violated.
-    BadIndex(&'static str),
-    /// The index checksum does not match its bytes.
-    IndexCrc,
-    /// One brick's payload checksum does not match its bytes.
-    BrickCrc {
-        /// Index of the failing brick.
-        brick: usize,
-    },
-    /// A brick decoded a different leaf count than its index entry
-    /// declared.
-    LeafMismatch {
-        /// Index of the failing brick.
-        brick: usize,
-        /// Leaf count the index declared.
-        declared: usize,
-        /// Leaf count the payload decoded.
-        decoded: usize,
-    },
-    /// A brick's geometry and attribute payloads disagree on the voxel
-    /// count.
-    CountMismatch {
-        /// Index of the failing brick.
-        brick: usize,
-        /// Voxels decoded from geometry.
-        geometry: usize,
-        /// Colors decoded from attributes.
-        attribute: usize,
-    },
-    /// A brick's geometry payload is malformed.
-    Geometry(pcc_octree::StreamError),
-    /// A brick's attribute payload is malformed.
-    Attribute(pcc_entropy::Error),
-    /// A resource limit was exceeded.
-    LimitExceeded(pcc_types::LimitExceeded),
-}
-
-impl fmt::Display for BrickError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BrickError::BadMagic => write!(f, "not a brick stream (bad magic)"),
-            BrickError::BadVersion(v) => write!(f, "unsupported brick wire version {v}"),
-            BrickError::BadIndex(what) => write!(f, "malformed brick index: {what}"),
-            BrickError::IndexCrc => write!(f, "brick index failed its CRC"),
-            BrickError::BrickCrc { brick } => write!(f, "brick {brick} failed its CRC"),
-            BrickError::LeafMismatch { brick, declared, decoded } => write!(
-                f,
-                "brick {brick} declared {declared} leaves but decoded {decoded}"
-            ),
-            BrickError::CountMismatch { brick, geometry, attribute } => write!(
-                f,
-                "brick {brick} decodes {geometry} voxels but carries {attribute} colors"
-            ),
-            BrickError::Geometry(e) => write!(f, "brick geometry payload error: {e}"),
-            BrickError::Attribute(e) => write!(f, "brick attribute payload error: {e}"),
-            BrickError::LimitExceeded(e) => write!(f, "brick limit exceeded: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for BrickError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            BrickError::Geometry(e) => Some(e),
-            BrickError::Attribute(e) => Some(e),
-            BrickError::LimitExceeded(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<pcc_types::LimitExceeded> for BrickError {
-    fn from(e: pcc_types::LimitExceeded) -> Self {
-        BrickError::LimitExceeded(e)
-    }
-}
 
 /// One encoded index entry, staged in the arena while the frame
 /// assembles (the wire form is varints; this keeps the raw numbers).
@@ -216,95 +130,91 @@ impl BrickIndex {
     ///
     /// # Errors
     ///
-    /// Returns a [`BrickError`] on malformed input, a checksum mismatch,
-    /// or an exceeded limit.
-    pub fn parse(geometry: &[u8], limits: &Limits) -> Result<Self, BrickError> {
-        let (&magic, rest) =
-            geometry.split_first().ok_or(BrickError::BadIndex("empty stream"))?;
-        if magic != BRICK_MAGIC {
-            return Err(BrickError::BadMagic);
+    /// Returns a [`DecodeError`] with its offset in `geometry` on
+    /// malformed input, an index checksum mismatch (a
+    /// [`DecodeError::Corrupt`]: no NACK can mend an index), or an
+    /// exceeded limit.
+    pub fn parse(geometry: &[u8], limits: &Limits) -> Result<Self, DecodeError> {
+        let mut c = Cursor::new(geometry, 0);
+        if c.u8()? != BRICK_MAGIC {
+            return Err(DecodeError::BadMagic { offset: 0 });
         }
-        let (&version, rest) =
-            rest.split_first().ok_or(BrickError::BadIndex("truncated header"))?;
+        let version = c.u8()?;
         if version != BRICK_VERSION {
-            return Err(BrickError::BadVersion(version));
+            return Err(DecodeError::BadVersion { version });
         }
-        let (header, rest) = pcc_octree::parse_grid_header(rest).map_err(BrickError::Geometry)?;
+        let header = pcc_octree::read_grid_header(&mut c)?;
         if !(1..=21).contains(&header.depth) {
-            return Err(BrickError::BadIndex("grid depth out of range"));
+            return Err(DecodeError::Corrupt { what: "grid depth", offset: 2 });
         }
         limits.check_depth(header.depth)?;
-        let (&brick_depth, mut rest) =
-            rest.split_first().ok_or(BrickError::BadIndex("truncated header"))?;
+        let brick_depth = c.u8()?;
         if brick_depth == 0 || brick_depth >= header.depth {
-            return Err(BrickError::BadIndex("brick depth outside 1..grid depth"));
+            return Err(c.corrupt("brick depth outside 1..grid depth"));
         }
-        let count64 = read_index_varint(&mut rest)?;
+        let count64 = c.varint()?;
         limits.check_blocks(count64)?;
-        let count = usize::try_from(count64)
-            .map_err(|_| BrickError::BadIndex("brick count overflow"))?;
+        let count = usize::try_from(count64).map_err(|_| c.corrupt("brick count overflow"))?;
 
         // brick_depth ≤ 20, so the cell space never exceeds 60 bits.
         let cell_limit = 1u64 << (3 * u32::from(brick_depth));
         // Every index entry costs at least 8 input bytes, so the input
         // length bounds the pre-allocation even before limits bite.
-        let mut entries = Vec::with_capacity(count.min(rest.len() / 8));
+        let mut entries = Vec::with_capacity(count.min(c.rest().len() / 8));
         let mut prev_cell = None;
         let mut geom_off = 0usize;
         let mut attr_off = 0usize;
         let mut leaves = 0u64;
         for _ in 0..count {
-            let cell = read_index_varint(&mut rest)?;
+            let cell = c.varint()?;
             if cell >= cell_limit {
-                return Err(BrickError::BadIndex("cell outside the cut-depth grid"));
+                return Err(c.corrupt("cell outside the cut-depth grid"));
             }
             if prev_cell.is_some_and(|p| cell <= p) {
-                return Err(BrickError::BadIndex("cells not strictly ascending"));
+                return Err(c.corrupt("cells not strictly ascending"));
             }
             prev_cell = Some(cell);
-            let geom_len = checked_len(read_index_varint(&mut rest)?)?;
-            let attr_len = checked_len(read_index_varint(&mut rest)?)?;
-            let leaf_count64 = read_index_varint(&mut rest)?;
+            let geom_len =
+                usize::try_from(c.varint()?).map_err(|_| c.corrupt("payload length overflow"))?;
+            let attr_len =
+                usize::try_from(c.varint()?).map_err(|_| c.corrupt("payload length overflow"))?;
+            let leaf_count64 = c.varint()?;
             leaves = leaves.saturating_add(leaf_count64);
             limits.check_points(leaves)?;
-            let leaf_count = usize::try_from(leaf_count64)
-                .map_err(|_| BrickError::BadIndex("leaf count overflow"))?;
-            let (crc_bytes, tail) = rest
-                .split_first_chunk::<4>()
-                .ok_or(BrickError::BadIndex("truncated index entry"))?;
-            rest = tail;
-            let geom_end = geom_off
-                .checked_add(geom_len)
-                .ok_or(BrickError::BadIndex("geometry offset overflow"))?;
+            let leaf_count =
+                usize::try_from(leaf_count64).map_err(|_| c.corrupt("leaf count overflow"))?;
+            let crc = c.u32_le()?;
+            let geom_end =
+                geom_off.checked_add(geom_len).ok_or_else(|| c.corrupt("geometry offset overflow"))?;
             let attr_end = attr_off
                 .checked_add(attr_len)
-                .ok_or(BrickError::BadIndex("attribute offset overflow"))?;
+                .ok_or_else(|| c.corrupt("attribute offset overflow"))?;
             entries.push(BrickEntry {
                 cell,
                 geom: geom_off..geom_end,
                 attr: attr_off..attr_end,
                 leaf_count,
-                crc: u32::from_le_bytes(*crc_bytes),
+                crc,
             });
             geom_off = geom_end;
             attr_off = attr_end;
         }
 
-        let hashed_len = geometry.len().saturating_sub(rest.len());
-        let (crc_bytes, rest) = rest
-            .split_first_chunk::<4>()
-            .ok_or(BrickError::BadIndex("truncated index CRC"))?;
-        let stored = u32::from_le_bytes(*crc_bytes);
-        let hashed = geometry.get(..hashed_len).unwrap_or_default();
+        let hashed = geometry.get(..c.offset()).unwrap_or_default();
+        let stored = c.u32_le()?;
         if crc32(hashed) != stored {
-            return Err(BrickError::IndexCrc);
+            return Err(DecodeError::Corrupt { what: "index CRC", offset: hashed.len() });
         }
-        if geom_off != rest.len() {
-            return Err(BrickError::BadIndex("geometry payload length mismatch"));
+        if geom_off != c.rest().len() {
+            return Err(DecodeError::Mismatch {
+                what: "geometry payload bytes",
+                declared: geom_off,
+                decoded: c.rest().len(),
+            });
         }
         // Rebase geometry ranges to absolute stream offsets now that the
         // payload base (header + index + CRC) is known.
-        let base = geometry.len() - rest.len();
+        let base = c.offset();
         for e in &mut entries {
             e.geom.start += base;
             e.geom.end += base;
@@ -358,14 +268,6 @@ impl BrickIndex {
     pub fn total_payload_bytes(&self) -> usize {
         self.entries.iter().map(BrickEntry::payload_bytes).sum()
     }
-}
-
-fn read_index_varint(input: &mut &[u8]) -> Result<u64, BrickError> {
-    varint::read_u64(input).map_err(|_| BrickError::BadIndex("truncated varint"))
-}
-
-fn checked_len(len: u64) -> Result<usize, BrickError> {
-    usize::try_from(len).map_err(|_| BrickError::BadIndex("payload length overflow"))
 }
 
 // ---------------------------------------------------------------------------
@@ -481,12 +383,12 @@ pub(crate) fn encode_in(
     out.geometry.push(BRICK_VERSION);
     pcc_octree::write_grid_header(cloud, &mut out.geometry);
     out.geometry.push(brick_depth);
-    varint::write_u64(&mut out.geometry, bricks.entries.len() as u64);
+    write_varint(&mut out.geometry, bricks.entries.len() as u64);
     for entry in &bricks.entries {
-        varint::write_u64(&mut out.geometry, entry.cell);
-        varint::write_u64(&mut out.geometry, entry.geom_len);
-        varint::write_u64(&mut out.geometry, entry.attr_len);
-        varint::write_u64(&mut out.geometry, entry.leaves);
+        write_varint(&mut out.geometry, entry.cell);
+        write_varint(&mut out.geometry, entry.geom_len);
+        write_varint(&mut out.geometry, entry.attr_len);
+        write_varint(&mut out.geometry, entry.leaves);
         out.geometry.extend_from_slice(&entry.crc.to_le_bytes());
     }
     let index_crc = crc32(&out.geometry);
@@ -511,8 +413,8 @@ struct Failure {
     brick: usize,
     /// Where the brick's points belong among the survivors.
     at: usize,
-    /// Why it failed; only a [`BrickError::BrickCrc`] is worth a NACK.
-    error: BrickError,
+    /// Why it failed; only a [`DecodeError::Crc`] is worth a NACK.
+    error: DecodeError,
 }
 
 /// One pass over a brick frame: the index parsed once, every selected
@@ -534,9 +436,9 @@ pub struct BrickDecode {
     coords: Vec<VoxelCoord>,
     colors: Vec<Rgb>,
     failures: Vec<Failure>,
-    /// Whether the attribute stream is exactly the declared
-    /// concatenation — no trailing bytes hiding damage.
-    extent_ok: bool,
+    /// The attribute stream's declared extent and its actual length:
+    /// they must agree, so no trailing bytes hide damage.
+    attr_extent: (usize, usize),
     repaired: usize,
 }
 
@@ -549,9 +451,10 @@ impl BrickDecode {
         limits: &Limits,
         threads: NonZeroUsize,
         select: &mut dyn FnMut(&BrickEntry, &Aabb) -> bool,
-    ) -> Result<Self, BrickError> {
+    ) -> Result<Self, DecodeError> {
         let index = BrickIndex::parse(&frame.geometry, limits)?;
-        let extent_ok = index.entries.last().map_or(0, |e| e.attr.end) == frame.attribute.len();
+        let declared = index.entries.last().map_or(0, |e| e.attr.end);
+        let attr_extent = (declared, frame.attribute.len());
         let selected: Vec<usize> = index
             .entries
             .iter()
@@ -567,7 +470,7 @@ impl BrickDecode {
             coords,
             colors,
             failures,
-            extent_ok,
+            attr_extent,
             repaired: 0,
         })
     }
@@ -575,7 +478,7 @@ impl BrickDecode {
     /// Whether every selected brick decoded (or was repaired) and the
     /// attribute stream has its declared extent.
     pub fn is_whole(&self) -> bool {
-        self.failures.is_empty() && self.extent_ok
+        self.failures.is_empty() && self.attr_extent.0 == self.attr_extent.1
     }
 
     /// Bricks the frame's index declares.
@@ -605,10 +508,10 @@ impl BrickDecode {
     pub fn repair(&mut self, fetch: &mut dyn FnMut(u64) -> Option<Vec<u8>>) {
         let mut coords = Vec::with_capacity(self.coords.len());
         let mut colors = Vec::with_capacity(self.colors.len());
-        let mut whole = self.extent_ok;
+        let mut whole = self.attr_extent.0 == self.attr_extent.1;
         let mut from = 0;
         for failure in &self.failures {
-            if !matches!(failure.error, BrickError::BrickCrc { .. }) {
+            if !matches!(failure.error, DecodeError::Crc { .. }) {
                 whole = false;
                 continue;
             }
@@ -628,7 +531,6 @@ impl BrickDecode {
             colors.extend_from_slice(self.colors.get(from..failure.at).unwrap_or_default());
             let decoded = decode_one(
                 &self.index,
-                failure.brick,
                 entry,
                 payload,
                 &self.limits,
@@ -655,14 +557,14 @@ impl BrickDecode {
     ///
     /// # Errors
     ///
-    /// Returns [`IntraError::Brick`] with the [`BrickError`] that keeps
-    /// the pass from being whole.
-    pub fn into_cloud(mut self, device: &Device) -> Result<VoxelizedCloud, IntraError> {
-        if !self.extent_ok {
-            return Err(BrickError::BadIndex("attribute payload length mismatch").into());
+    /// Returns the [`DecodeError`] that keeps the pass from being whole.
+    pub fn into_cloud(mut self, device: &Device) -> Result<VoxelizedCloud, DecodeError> {
+        let (declared, decoded) = self.attr_extent;
+        if declared != decoded {
+            return Err(DecodeError::Mismatch { what: "attribute payload bytes", declared, decoded });
         }
         if !self.failures.is_empty() {
-            return Err(self.failures.swap_remove(0).error.into());
+            return Err(self.failures.swap_remove(0).error);
         }
         self.salvage(device)
     }
@@ -673,21 +575,20 @@ impl BrickDecode {
     ///
     /// # Errors
     ///
-    /// Returns [`IntraError::Geometry`] if the survivors cannot form a
-    /// cloud on the frame's grid (same mapping as the monolithic path).
-    pub fn salvage(self, device: &Device) -> Result<VoxelizedCloud, IntraError> {
+    /// Returns a [`DecodeError`] if the survivors cannot form a cloud on
+    /// the frame's grid (same mapping as the monolithic path).
+    pub fn salvage(self, device: &Device) -> Result<VoxelizedCloud, DecodeError> {
         device.charge_gpu("geometry_decode", &calib::GEOM_DECODE, self.coords.len().max(1));
         device.charge_gpu("attribute_decode", &calib::ATTR_DECODE, self.colors.len().max(1));
         let index = &self.index;
         let origin = Point3::new(index.origin[0], index.origin[1], index.origin[2]);
-        VoxelizedCloud::from_grid_with_frame(
+        Ok(VoxelizedCloud::from_grid_with_frame(
             self.coords,
             self.colors,
             index.depth,
             origin,
             index.voxel_size,
-        )
-        .map_err(|_| IntraError::Geometry(pcc_octree::StreamError::Truncated))
+        )?)
     }
 }
 
@@ -712,9 +613,9 @@ fn decode_selected(
         for &bi in picks {
             let Some(entry) = index.entries.get(bi) else { continue };
             let decoded = verified_payload(frame, entry)
-                .ok_or(BrickError::BrickCrc { brick: bi })
+                .ok_or(DecodeError::Crc { brick: bi })
                 .and_then(|payload| {
-                    decode_one(index, bi, entry, payload, limits, &mut coords, &mut colors)
+                    decode_one(index, entry, payload, limits, &mut coords, &mut colors)
                 });
             if let Err(error) = decoded {
                 failures.push(Failure { brick: bi, at: coords.len(), error });
@@ -758,22 +659,22 @@ fn verified_payload<'f>(frame: &'f IntraFrame, entry: &BrickEntry) -> Option<(&'
 /// Decodes one CRC-verified brick payload and appends its points:
 /// occupancy expansion at the sub-tree depth, cell-relative → absolute
 /// coordinates, then the attribute layers. Appends nothing on error.
-/// Runs single-threaded — brick-level fan-out already saturates the
-/// host.
-#[allow(clippy::too_many_arguments)]
+/// Error offsets are positions in the frame's geometry and attribute
+/// streams. Runs single-threaded — brick-level fan-out already
+/// saturates the host.
 fn decode_one(
     index: &BrickIndex,
-    bi: usize,
     entry: &BrickEntry,
     (geom, attr): (&[u8], &[u8]),
     limits: &Limits,
     coords: &mut Vec<VoxelCoord>,
     colors: &mut Vec<Rgb>,
-) -> Result<(), BrickError> {
-    let rel = pcc_octree::decode_occupancy_with(geom, limits).map_err(BrickError::Geometry)?;
+) -> Result<(), DecodeError> {
+    let mut g = Cursor::new(geom, entry.geom.start);
+    let rel = pcc_octree::decode_occupancy_from(&mut g, limits)?;
     if rel.len() != entry.leaf_count {
-        return Err(BrickError::LeafMismatch {
-            brick: bi,
+        return Err(DecodeError::Mismatch {
+            what: "brick leaves",
             declared: entry.leaf_count,
             decoded: rel.len(),
         });
@@ -782,15 +683,18 @@ fn decode_one(
     // A forged (CRC-valid) payload could claim a deeper subtree than the
     // cut allows; keep every leaf inside its bounding cell.
     if rel.iter().any(|rc| (rc.x | rc.y | rc.z) >> sub != 0) {
-        return Err(BrickError::BadIndex("leaf outside its bounding cell"));
+        return Err(DecodeError::Corrupt {
+            what: "leaf outside its bounding cell",
+            offset: entry.geom.start,
+        });
     }
-    let brick_colors = attribute::decode_payload(attr, NonZeroUsize::MIN, limits)
-        .map_err(BrickError::Attribute)?;
+    let mut a = Cursor::new(attr, entry.attr.start);
+    let brick_colors = attribute::decode_payload(&mut a, NonZeroUsize::MIN, limits)?;
     if brick_colors.len() != rel.len() {
-        return Err(BrickError::CountMismatch {
-            brick: bi,
-            geometry: rel.len(),
-            attribute: brick_colors.len(),
+        return Err(DecodeError::Mismatch {
+            what: "brick colors",
+            declared: rel.len(),
+            decoded: brick_colors.len(),
         });
     }
     let cell = MortonCode::from_raw(entry.cell).to_coord();
@@ -1062,12 +966,22 @@ mod tests {
         let mut damaged = frame.clone();
         damaged.geometry[21] ^= 0x10;
         assert!(matches!(
-            codec.decode_bricks(&damaged, &d, &Limits::default(), |_, _| true),
-            Err(IntraError::Brick(_))
+            codec.decode_bricks(&damaged, &d, &Limits::default(), |_, _| true).unwrap_err(),
+            DecodeError::Corrupt { what: "cells not strictly ascending", .. }
         ));
+        // A flipped brick CRC in the index parses, but fails the index
+        // CRC: a Corrupt, not a repairable Crc, since no NACK mends it.
+        let crc_at = BrickIndex::parse(&frame.geometry, &Limits::default()).unwrap().entries()[0]
+            .geom
+            .start
+            - 4;
+        let mut damaged = frame.clone();
+        damaged.geometry[crc_at - 1] ^= 0x10;
+        assert_eq!(
+            codec.decode_bricks(&damaged, &d, &Limits::default(), |_, _| true).unwrap_err(),
+            DecodeError::Corrupt { what: "index CRC", offset: crc_at }
+        );
     }
-
-    use crate::IntraError;
 
     #[test]
     fn empty_cloud_encodes_zero_bricks() {

@@ -1,12 +1,11 @@
 //! The intra-frame codec facade.
 
 use crate::arena::FrameArena;
-use crate::brick::{self, BrickDecode, BrickEntry, BrickError, BrickIndex};
+use crate::brick::{self, BrickDecode, BrickEntry, BrickIndex};
 use crate::config::IntraConfig;
 use crate::{attribute, geometry};
 use pcc_edge::Device;
-use pcc_types::{Aabb, Point3, VoxelizedCloud};
-use std::fmt;
+use pcc_types::{Aabb, DecodeError, Point3, VoxelizedCloud};
 
 /// One intra-coded frame: independent geometry and attribute payloads.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -25,87 +24,6 @@ impl IntraFrame {
     /// Total compressed bytes (geometry + attribute).
     pub fn total_bytes(&self) -> usize {
         self.geometry.len() + self.attribute.len()
-    }
-}
-
-/// Errors produced while decoding an [`IntraFrame`].
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum IntraError {
-    /// The geometry stream is malformed.
-    Geometry(pcc_octree::StreamError),
-    /// The attribute payload is malformed.
-    Attribute(pcc_entropy::Error),
-    /// Geometry and attribute payloads disagree on the voxel count.
-    VoxelCountMismatch {
-        /// Voxels decoded from geometry.
-        geometry: usize,
-        /// Colors decoded from attributes.
-        attribute: usize,
-    },
-    /// A brick-partitioned frame is malformed (see [`BrickError`]).
-    Brick(BrickError),
-}
-
-impl fmt::Display for IntraError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            IntraError::Geometry(e) => write!(f, "geometry stream error: {e}"),
-            IntraError::Attribute(e) => write!(f, "attribute payload error: {e}"),
-            IntraError::VoxelCountMismatch { geometry, attribute } => write!(
-                f,
-                "geometry decodes {geometry} voxels but attributes carry {attribute} colors"
-            ),
-            IntraError::Brick(e) => write!(f, "brick frame error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for IntraError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            IntraError::Geometry(e) => Some(e),
-            IntraError::Attribute(e) => Some(e),
-            IntraError::VoxelCountMismatch { .. } => None,
-            IntraError::Brick(e) => Some(e),
-        }
-    }
-}
-
-impl From<BrickError> for IntraError {
-    fn from(e: BrickError) -> Self {
-        IntraError::Brick(e)
-    }
-}
-
-impl From<pcc_octree::StreamError> for IntraError {
-    fn from(e: pcc_octree::StreamError) -> Self {
-        IntraError::Geometry(e)
-    }
-}
-
-impl From<pcc_entropy::Error> for IntraError {
-    fn from(e: pcc_entropy::Error) -> Self {
-        IntraError::Attribute(e)
-    }
-}
-
-impl From<IntraError> for pcc_types::DecodeError {
-    fn from(e: IntraError) -> Self {
-        match e {
-            IntraError::Geometry(g) => g.into(),
-            IntraError::Attribute(a) => a.into(),
-            IntraError::VoxelCountMismatch { .. } => pcc_types::DecodeError::Corrupt {
-                what: "geometry/attribute voxel count mismatch",
-                offset: 0,
-            },
-            IntraError::Brick(b) => match b {
-                BrickError::Geometry(g) => g.into(),
-                BrickError::Attribute(a) => a.into(),
-                BrickError::LimitExceeded(l) => l.into(),
-                _ => pcc_types::DecodeError::Corrupt { what: "brick frame", offset: 0 },
-            },
-        }
     }
 }
 
@@ -196,9 +114,9 @@ impl IntraCodec {
     ///
     /// # Errors
     ///
-    /// Returns an [`IntraError`] on malformed payloads or mismatched
+    /// Returns a [`DecodeError`] on malformed payloads or mismatched
     /// geometry/attribute counts.
-    pub fn decode(&self, frame: &IntraFrame, device: &Device) -> Result<VoxelizedCloud, IntraError> {
+    pub fn decode(&self, frame: &IntraFrame, device: &Device) -> Result<VoxelizedCloud, DecodeError> {
         self.decode_with_limits(frame, device, &pcc_types::Limits::default())
     }
 
@@ -208,14 +126,15 @@ impl IntraCodec {
     ///
     /// # Errors
     ///
-    /// Returns an [`IntraError`] on malformed payloads, mismatched
-    /// geometry/attribute counts, or an exceeded limit.
+    /// Returns a [`DecodeError`] on malformed payloads, mismatched
+    /// geometry/attribute counts ([`DecodeError::Mismatch`]), a rejected
+    /// world frame, or an exceeded limit.
     pub fn decode_with_limits(
         &self,
         frame: &IntraFrame,
         device: &Device,
         limits: &pcc_types::Limits,
-    ) -> Result<VoxelizedCloud, IntraError> {
+    ) -> Result<VoxelizedCloud, DecodeError> {
         if BrickIndex::detect(&frame.geometry) {
             return self
                 .decode_bricks(frame, device, limits, |_, _| true)
@@ -224,14 +143,20 @@ impl IntraCodec {
         let geo = geometry::decode_with(&frame.geometry, device, limits)?;
         let colors = attribute::decode_with(&frame.attribute, device, limits)?;
         if geo.coords.len() != colors.len() {
-            return Err(IntraError::VoxelCountMismatch {
-                geometry: geo.coords.len(),
-                attribute: colors.len(),
+            return Err(DecodeError::Mismatch {
+                what: "colors",
+                declared: geo.coords.len(),
+                decoded: colors.len(),
             });
         }
         let origin = Point3::new(geo.origin[0], geo.origin[1], geo.origin[2]);
-        VoxelizedCloud::from_grid_with_frame(geo.coords, colors, geo.depth, origin, geo.voxel_size)
-            .map_err(|_| IntraError::Geometry(pcc_octree::StreamError::Truncated))
+        Ok(VoxelizedCloud::from_grid_with_frame(
+            geo.coords,
+            colors,
+            geo.depth,
+            origin,
+            geo.voxel_size,
+        )?)
     }
 
     /// Runs one [`BrickDecode`] pass over a brick frame: the index is
@@ -244,7 +169,7 @@ impl IntraCodec {
     ///
     /// # Errors
     ///
-    /// Returns [`IntraError::Brick`] only when the frame is not
+    /// Returns a [`DecodeError`] only when the frame is not
     /// brick-partitioned or its index is unusable (malformed, failed
     /// CRC, or a limit exceeded) — then no brick can be read.
     pub fn decode_bricks(
@@ -253,9 +178,8 @@ impl IntraCodec {
         device: &Device,
         limits: &pcc_types::Limits,
         mut select: impl FnMut(&BrickEntry, &Aabb) -> bool,
-    ) -> Result<BrickDecode, IntraError> {
+    ) -> Result<BrickDecode, DecodeError> {
         BrickDecode::run(frame, limits, device.host_threads(), &mut select)
-            .map_err(IntraError::from)
     }
 }
 
@@ -326,7 +250,21 @@ mod tests {
             raw_points: a.raw_points,
         };
         let err = codec.decode(&franken, &d).unwrap_err();
-        assert!(matches!(err, IntraError::VoxelCountMismatch { .. }), "got {err}");
+        assert_eq!(err, DecodeError::Mismatch { what: "colors", declared: a.unique_voxels, decoded: 1 });
+    }
+
+    #[test]
+    fn a_nan_voxel_size_is_a_rejected_world_frame() {
+        let vox = VoxelizedCloud::from_cloud(&cloud(100), 6);
+        let codec = IntraCodec::default();
+        let d = device();
+        let mut frame = codec.encode(&vox, &d);
+        // Grid header: depth byte, origin 3×f32, then the voxel size.
+        frame.geometry[13..17].copy_from_slice(&f32::NAN.to_le_bytes());
+        assert_eq!(
+            codec.decode(&frame, &d).unwrap_err(),
+            DecodeError::Corrupt { what: "world frame", offset: 0 }
+        );
     }
 
     #[test]

@@ -2,7 +2,8 @@
 
 use pcc_edge::{calib, Device};
 use pcc_morton::MortonCode;
-use pcc_types::{Limits, VoxelCoord, VoxelizedCloud};
+use pcc_types::wire::Cursor;
+use pcc_types::{DecodeError, Limits, VoxelCoord, VoxelizedCloud};
 use std::num::NonZeroUsize;
 
 use crate::arena::GeometryScratch;
@@ -132,15 +133,16 @@ pub struct GeometryDecoded {
 ///
 /// # Errors
 ///
-/// Returns a [`pcc_octree::StreamError`] on malformed input or when a
-/// limit is hit.
+/// Returns a [`DecodeError`] with its offset in `stream` on malformed
+/// input or when a limit is hit.
 pub fn decode_with(
     stream: &[u8],
     device: &Device,
     limits: &Limits,
-) -> Result<GeometryDecoded, pcc_octree::StreamError> {
-    let (header, rest) = pcc_octree::parse_grid_header(stream)?;
-    let coords = pcc_octree::decode_occupancy_with(rest, limits)?;
+) -> Result<GeometryDecoded, DecodeError> {
+    let mut c = Cursor::new(stream, 0);
+    let header = pcc_octree::read_grid_header(&mut c)?;
+    let coords = pcc_octree::decode_occupancy_from(&mut c, limits)?;
     device.charge_gpu("geometry_decode", &calib::GEOM_DECODE, coords.len().max(1));
     Ok(GeometryDecoded {
         coords,
@@ -223,15 +225,13 @@ mod tests {
     #[test]
     fn sub_four_byte_streams_are_truncation_errors() {
         // A 0–3 byte stream must be a clean truncation error, never a
-        // panic.
+        // panic: the depth byte, or else the first origin `f32`, is cut.
         let d = device();
         let short = [0x11u8, 0x22, 0x33];
         for cut in 0..=short.len() {
-            assert!(
-                matches!(
-                    decode_with(&short[..cut], &d, &Limits::default()),
-                    Err(pcc_octree::StreamError::Truncated)
-                ),
+            assert_eq!(
+                decode_with(&short[..cut], &d, &Limits::default()).unwrap_err(),
+                DecodeError::Truncated { offset: cut.min(1) },
                 "len {cut}"
             );
         }
@@ -243,7 +243,10 @@ mod tests {
         let d = device();
         let enc = encoded(&vox, &d);
         for cut in 0..enc.stream.len() {
-            assert!(decode_with(&enc.stream[..cut], &d, &Limits::default()).is_err());
+            match decode_with(&enc.stream[..cut], &d, &Limits::default()) {
+                Err(DecodeError::Truncated { offset }) => assert!(offset <= cut, "cut {cut}"),
+                other => panic!("cut {cut}: {other:?}"),
+            }
         }
     }
 

@@ -1,7 +1,8 @@
 //! One base+delta coding layer: the "Mid + Residual" core of the proposed
 //! attribute codec (paper Sec. IV-A2).
 
-use pcc_entropy::varint;
+use pcc_types::wire::{write_varint, write_zigzag_varint, Cursor};
+use pcc_types::{DecodeError, Limits};
 use std::num::NonZeroUsize;
 
 /// The output of one coding layer over a sequence of 3-channel values.
@@ -31,34 +32,31 @@ impl LayerEncoded {
     }
 
     /// Parses a payload produced by [`to_bytes`](Self::to_bytes) under
-    /// [`pcc_types::Limits::default`].
+    /// [`Limits::default`].
     ///
     /// # Errors
     ///
-    /// Propagates varint decoding errors on malformed input.
-    pub fn from_bytes(input: &[u8]) -> Result<Self, pcc_entropy::Error> {
-        Self::from_bytes_with(input, &pcc_types::Limits::default())
+    /// As [`read`](Self::read).
+    pub fn from_bytes(input: &[u8]) -> Result<Self, DecodeError> {
+        Self::read(&mut Cursor::new(input, 0), &Limits::default())
     }
 
-    /// Parses a payload produced by [`to_bytes`](Self::to_bytes) under
-    /// explicit resource [`pcc_types::Limits`]: the declared value count
-    /// is bounded by `max_points`, the segment count by `max_blocks`, and
-    /// the implied decode-side allocation (12 bytes per value and per
-    /// base, 4 per start) by `max_alloc_bytes`. Pre-allocations are
-    /// additionally capped by the input length, so even an in-limit
-    /// header cannot reserve more memory than the payload could fill.
+    /// Reads one layer payload from `c` under explicit resource
+    /// [`Limits`]: the declared value count is bounded by `max_points`,
+    /// the segment count by `max_blocks`, and the implied decode-side
+    /// allocation (12 bytes per value and per base, 4 per start) by
+    /// `max_alloc_bytes`. Pre-allocations are additionally capped by the
+    /// input length, so even an in-limit header cannot reserve more
+    /// memory than the payload could fill.
     ///
     /// # Errors
     ///
-    /// Propagates varint decoding errors on malformed input and returns
-    /// [`pcc_entropy::Error::LimitExceeded`] when a limit is hit.
-    pub fn from_bytes_with(
-        mut input: &[u8],
-        limits: &pcc_types::Limits,
-    ) -> Result<Self, pcc_entropy::Error> {
-        let quant_step = varint::read_u64(&mut input)? as i32;
-        let n64 = varint::read_u64(&mut input)?;
-        let segs64 = varint::read_u64(&mut input)?;
+    /// A [`DecodeError`] with the cursor's offset on malformed input, and
+    /// [`DecodeError::Limit`] when a limit is hit.
+    pub fn read(c: &mut Cursor<'_>, limits: &Limits) -> Result<Self, DecodeError> {
+        let quant_step = c.varint()? as i32;
+        let n64 = c.varint()?;
+        let segs64 = c.varint()?;
         // `segs` is not bounded by `n`: the two-layer encoder serializes
         // its outer layer with an empty residual list but real segments.
         limits.check_points(n64)?;
@@ -66,54 +64,47 @@ impl LayerEncoded {
         let (n, segs) = (n64 as usize, segs64 as usize);
         limits.check_alloc(n64.saturating_mul(12).saturating_add(segs64.saturating_mul(16)))?;
         if quant_step < 1 {
-            return Err(pcc_entropy::Error::CorruptRun);
+            return Err(c.corrupt("quantization step"));
         }
         // Every start and base costs at least one input byte, so the
         // input length bounds the pre-allocation even before limits bite.
-        let mut starts = Vec::with_capacity(segs.min(input.len()));
+        let mut starts = Vec::with_capacity(segs.min(c.rest().len()));
         for _ in 0..segs {
-            starts.push(varint::read_u64(&mut input)? as u32);
+            starts.push(c.varint()? as u32);
         }
-        let mut bases = Vec::with_capacity(segs.min(input.len()));
+        let mut bases = Vec::with_capacity(segs.min(c.rest().len()));
         for _ in 0..segs {
-            let mut b = [0i32; 3];
-            for ch in &mut b {
-                *ch = varint::read_i64(&mut input)? as i32;
-            }
-            bases.push(b);
+            bases.push(read_triple(c)?);
         }
-        let (&mode, mut input) =
-            input.split_first().ok_or(pcc_entropy::Error::UnexpectedEnd)?;
+        let mode = c.u8()?;
         // `n` was already bounded by the check_alloc call above (12 bytes
         // per residual), so reserving it exactly is safe and avoids the
         // grow-by-doubling churn a capped reserve caused on large frames.
         let mut residuals = Vec::with_capacity(n);
         if mode != 0 {
             while residuals.len() < n {
-                let zrun = varint::read_u64(&mut input)? as usize;
+                let zrun = c.varint()? as usize;
                 if zrun > n - residuals.len() {
-                    return Err(pcc_entropy::Error::CorruptRun);
+                    return Err(c.corrupt("zero run past the value count"));
                 }
                 residuals.extend(std::iter::repeat_n([0i32; 3], zrun));
                 if residuals.len() < n {
-                    let mut r = [0i32; 3];
-                    for ch in &mut r {
-                        *ch = varint::read_i64(&mut input)? as i32;
-                    }
-                    residuals.push(r);
+                    residuals.push(read_triple(c)?);
                 }
             }
         } else {
             for _ in 0..n {
-                let mut r = [0i32; 3];
-                for ch in &mut r {
-                    *ch = varint::read_i64(&mut input)? as i32;
-                }
-                residuals.push(r);
+                residuals.push(read_triple(c)?);
             }
         }
         Ok(LayerEncoded { bases, residuals, starts, quant_step })
     }
+}
+
+/// Reads one signed value triple (a base or a residual).
+#[inline]
+fn read_triple(c: &mut Cursor<'_>) -> Result<[i32; 3], DecodeError> {
+    Ok([c.zigzag_varint()? as i32, c.zigzag_varint()? as i32, c.zigzag_varint()? as i32])
 }
 
 /// Serializes one layer payload (see [`LayerEncoded::to_bytes`] for the
@@ -131,15 +122,15 @@ pub fn write_layer(
     bases: &[[i32; 3]],
     residuals: &[[i32; 3]],
 ) {
-    varint::write_u64(out, quant_step as u64);
-    varint::write_u64(out, residuals.len() as u64);
-    varint::write_u64(out, bases.len() as u64);
+    write_varint(out, quant_step as u64);
+    write_varint(out, residuals.len() as u64);
+    write_varint(out, bases.len() as u64);
     for s in starts {
-        varint::write_u64(out, *s as u64);
+        write_varint(out, *s as u64);
     }
     for b in bases {
         for &v in b {
-            varint::write_i64(out, v as i64);
+            write_zigzag_varint(out, v as i64);
         }
     }
     // Pick the cheaper residual coding: zero-run pairs win when
@@ -156,10 +147,10 @@ pub fn write_layer(
                 zrun += 1;
                 i += 1;
             }
-            varint::write_u64(out, zrun);
+            write_varint(out, zrun);
             if i < residuals.len() {
                 for &v in &residuals[i] {
-                    varint::write_i64(out, v as i64);
+                    write_zigzag_varint(out, v as i64);
                 }
                 i += 1;
             }
@@ -167,7 +158,7 @@ pub fn write_layer(
     } else {
         for r in residuals {
             for &v in r {
-                varint::write_i64(out, v as i64);
+                write_zigzag_varint(out, v as i64);
             }
         }
     }
@@ -532,25 +523,29 @@ mod tests {
         // A header declaring 2^40 values must be rejected before any
         // allocation; same for segments.
         let mut bytes = Vec::new();
-        varint::write_u64(&mut bytes, 1); // quant_step
-        varint::write_u64(&mut bytes, 1 << 40); // n
-        varint::write_u64(&mut bytes, 0); // segs
+        write_varint(&mut bytes, 1); // quant_step
+        write_varint(&mut bytes, 1 << 40); // n
+        write_varint(&mut bytes, 0); // segs
         assert!(matches!(
             LayerEncoded::from_bytes(&bytes),
-            Err(pcc_entropy::Error::LimitExceeded(e)) if e.what == "points"
+            Err(DecodeError::Limit(e)) if e.what == "points"
         ));
         let mut bytes = Vec::new();
-        varint::write_u64(&mut bytes, 1);
-        varint::write_u64(&mut bytes, 0);
-        varint::write_u64(&mut bytes, 1 << 40);
+        write_varint(&mut bytes, 1);
+        write_varint(&mut bytes, 0);
+        write_varint(&mut bytes, 1 << 40);
         assert!(matches!(
             LayerEncoded::from_bytes(&bytes),
-            Err(pcc_entropy::Error::LimitExceeded(e)) if e.what == "blocks"
+            Err(DecodeError::Limit(e)) if e.what == "blocks"
         ));
         // Tight limits reject an otherwise valid payload...
         let enc = layer_of(&[[1, 2, 3]; 64], 4, 1);
-        let tight = pcc_types::Limits { max_points: 8, ..pcc_types::Limits::default() };
-        assert!(LayerEncoded::from_bytes_with(&enc.to_bytes(), &tight).is_err());
+        let tight = Limits { max_points: 8, ..Limits::default() };
+        let bytes = enc.to_bytes();
+        assert!(matches!(
+            LayerEncoded::read(&mut Cursor::new(&bytes, 0), &tight),
+            Err(DecodeError::Limit(e)) if e.what == "points"
+        ));
         // ...and generous ones decode it unchanged.
         assert_eq!(LayerEncoded::from_bytes(&enc.to_bytes()).unwrap(), enc);
     }
@@ -559,7 +554,16 @@ mod tests {
     fn truncated_payload_errors() {
         let enc = layer_of(&[[1, 2, 3], [4, 5, 6]], 1, 1);
         let bytes = enc.to_bytes();
-        assert!(LayerEncoded::from_bytes(&bytes[..bytes.len() - 1]).is_err());
+        let cut = bytes.len() - 1;
+        assert_eq!(
+            LayerEncoded::from_bytes(&bytes[..cut]),
+            Err(DecodeError::Truncated { offset: cut })
+        );
+        // Offsets are positions in the stream the cursor was based at.
+        assert_eq!(
+            LayerEncoded::read(&mut Cursor::new(&bytes[..cut], 500), &Limits::default()),
+            Err(DecodeError::Truncated { offset: 500 + cut })
+        );
     }
 
     proptest! {

@@ -54,9 +54,9 @@ pub mod geometry;
 mod layer;
 
 pub use arena::{AttributeScratch, BrickScratch, FrameArena, GeometryScratch};
-pub use brick::{BrickDecode, BrickEntry, BrickError, BrickIndex, BRICK_MAGIC, BRICK_VERSION};
+pub use brick::{BrickDecode, BrickEntry, BrickIndex, BRICK_MAGIC, BRICK_VERSION};
 pub use config::IntraConfig;
-pub use frame::{IntraCodec, IntraError, IntraFrame};
+pub use frame::{IntraCodec, IntraFrame};
 pub use layer::{
     decode_layer_threaded, encode_layer_with_starts_into, segment_starts_into, write_layer,
     LayerEncoded,

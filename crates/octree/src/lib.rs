@@ -55,6 +55,6 @@ mod serialize;
 pub use parallel::{LevelArrays, ParallelOctree};
 pub use sequential::SequentialOctree;
 pub use serialize::{
-    decode_occupancy_with, parse_grid_header, parse_stream, serialize_occupancy_into,
-    write_grid_header, GridHeader, OccupancyStream, StreamError,
+    decode_occupancy_from, decode_occupancy_with, read_grid_header,
+    serialize_occupancy_into, write_grid_header, GridHeader, OccupancyStream,
 };

@@ -1,68 +1,11 @@
 //! Self-describing occupancy streams and the geometry decoder.
 
 use pcc_morton::MortonCode;
-use pcc_types::{DecodeError, LimitExceeded, Limits, VoxelCoord, VoxelizedCloud};
-use std::fmt;
+use pcc_types::wire::{write_varint, Cursor};
+use pcc_types::{DecodeError, Limits, VoxelCoord, VoxelizedCloud};
 
 /// Magic byte identifying an occupancy stream.
 const MAGIC: u8 = 0xa7;
-
-/// Errors produced while decoding an occupancy stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum StreamError {
-    /// The stream does not start with the occupancy magic byte.
-    BadMagic,
-    /// The stream header declares an unsupported depth.
-    BadDepth(u8),
-    /// The stream ended before all declared nodes were read.
-    Truncated,
-    /// The decoded leaf count disagrees with the header.
-    LeafMismatch {
-        /// Leaves declared in the header.
-        declared: usize,
-        /// Leaves actually decoded.
-        decoded: usize,
-    },
-    /// The stream declared more resources than [`Limits`] allow.
-    LimitExceeded(LimitExceeded),
-}
-
-impl fmt::Display for StreamError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StreamError::BadMagic => write!(f, "not an occupancy stream (bad magic byte)"),
-            StreamError::BadDepth(d) => write!(f, "unsupported octree depth {d}"),
-            StreamError::Truncated => write!(f, "occupancy stream ended prematurely"),
-            StreamError::LeafMismatch { declared, decoded } => {
-                write!(f, "decoded {decoded} leaves but header declares {declared}")
-            }
-            StreamError::LimitExceeded(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for StreamError {}
-
-impl From<LimitExceeded> for StreamError {
-    fn from(e: LimitExceeded) -> Self {
-        StreamError::LimitExceeded(e)
-    }
-}
-
-impl From<StreamError> for DecodeError {
-    fn from(e: StreamError) -> Self {
-        match e {
-            StreamError::BadMagic => DecodeError::BadMagic { offset: 0 },
-            StreamError::BadDepth(_) => DecodeError::Corrupt { what: "octree depth", offset: 1 },
-            StreamError::Truncated => DecodeError::Truncated { offset: 0 },
-            StreamError::LeafMismatch { .. } => {
-                DecodeError::Corrupt { what: "leaf count mismatch", offset: 0 }
-            }
-            StreamError::LimitExceeded(l) => DecodeError::Limit(l),
-        }
-    }
-}
 
 /// A parsed occupancy stream header plus its payload view.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,7 +52,8 @@ pub fn serialize_occupancy_into(
 ///
 /// # Errors
 ///
-/// Returns a [`StreamError`] on malformed input or when a limit is hit.
+/// Returns a [`DecodeError`] on malformed input or when a limit is hit;
+/// offsets are positions in `stream`.
 ///
 /// # Examples
 ///
@@ -120,17 +64,30 @@ pub fn serialize_occupancy_into(
 /// let tree = ParallelOctree::from_coords(&[VoxelCoord::new(2, 1, 0)], 4);
 /// let decoded = decode_occupancy_with(&tree.serialize(), &Limits::default())?;
 /// assert_eq!(decoded, vec![VoxelCoord::new(2, 1, 0)]);
-/// # Ok::<(), pcc_octree::StreamError>(())
+/// # Ok::<(), pcc_types::DecodeError>(())
 /// ```
 pub fn decode_occupancy_with(
     stream: &[u8],
     limits: &Limits,
-) -> Result<Vec<VoxelCoord>, StreamError> {
-    let parsed = parse_stream(stream)?;
+) -> Result<Vec<VoxelCoord>, DecodeError> {
+    decode_occupancy_from(&mut Cursor::new(stream, 0), limits)
+}
+
+/// [`decode_occupancy_with`] reading the stream from `cursor`, so a
+/// caller that parsed a header in front of it gets offsets in its own
+/// buffer. Consumes the occupancy bytes the expansion read.
+///
+/// # Errors
+///
+/// As [`decode_occupancy_with`].
+pub fn decode_occupancy_from(
+    cursor: &mut Cursor<'_>,
+    limits: &Limits,
+) -> Result<Vec<VoxelCoord>, DecodeError> {
+    let parsed = read_stream(cursor)?;
     limits.check_depth(parsed.depth)?;
     limits.check_points(parsed.leaf_count as u64)?;
     let mut frontier: Vec<u64> = vec![0]; // root prefix
-    let mut pos = 0usize;
     for _level in 0..parsed.depth {
         // Each frontier node consumes one occupancy byte and spawns at most
         // 8 children, so `next` is bounded by 8 × the bytes consumed this
@@ -139,8 +96,7 @@ pub fn decode_occupancy_with(
         // breadth-first tree, no level is ever wider than the leaf level.
         let mut next = Vec::new();
         for &prefix in &frontier {
-            let byte = *parsed.occupancy.get(pos).ok_or(StreamError::Truncated)?;
-            pos += 1;
+            let byte = cursor.u8()?;
             for slot in 0..8u64 {
                 if byte & (1 << slot) != 0 {
                     next.push((prefix << 3) | slot);
@@ -151,7 +107,8 @@ pub fn decode_occupancy_with(
         frontier = next;
     }
     if frontier.len() != parsed.leaf_count {
-        return Err(StreamError::LeafMismatch {
+        return Err(DecodeError::Mismatch {
+            what: "leaves",
             declared: parsed.leaf_count,
             decoded: frontier.len(),
         });
@@ -159,23 +116,19 @@ pub fn decode_occupancy_with(
     Ok(frontier.into_iter().map(|c| MortonCode::from_raw(c).to_coord()).collect())
 }
 
-/// Parses the header of an occupancy stream without expanding it.
-///
-/// # Errors
-///
-/// Returns a [`StreamError`] if the magic, depth, or length fields are
-/// malformed.
-pub fn parse_stream(stream: &[u8]) -> Result<OccupancyStream<'_>, StreamError> {
-    let (&magic, rest) = stream.split_first().ok_or(StreamError::Truncated)?;
-    if magic != MAGIC {
-        return Err(StreamError::BadMagic);
+/// Reads an occupancy stream header, leaving `cursor` at the first
+/// occupancy byte.
+fn read_stream<'a>(cursor: &mut Cursor<'a>) -> Result<OccupancyStream<'a>, DecodeError> {
+    let at = cursor.offset();
+    if cursor.u8()? != MAGIC {
+        return Err(DecodeError::BadMagic { offset: at });
     }
-    let (&depth, mut rest) = rest.split_first().ok_or(StreamError::Truncated)?;
+    let depth = cursor.u8()?;
     if !(1..=21).contains(&depth) {
-        return Err(StreamError::BadDepth(depth));
+        return Err(DecodeError::Corrupt { what: "octree depth", offset: at + 1 });
     }
-    let leaf_count = read_varint(&mut rest)? as usize;
-    Ok(OccupancyStream { depth, leaf_count, occupancy: rest })
+    let leaf_count = cursor.varint()? as usize;
+    Ok(OccupancyStream { depth, leaf_count, occupancy: cursor.rest() })
 }
 
 /// The grid metadata a geometry stream carries in front of its occupancy
@@ -200,49 +153,17 @@ pub fn write_grid_header(cloud: &VoxelizedCloud, out: &mut Vec<u8>) {
     }
 }
 
-/// Parses a [`GridHeader`], returning it and the bytes that follow.
+/// Reads a [`GridHeader`] from `cursor`. The world frame is not checked
+/// here: the decoders hand it to
+/// [`VoxelizedCloud::from_grid_with_frame`], which rejects it.
 ///
 /// # Errors
 ///
-/// [`StreamError::Truncated`] when `input` is shorter than the header.
-pub fn parse_grid_header(input: &[u8]) -> Result<(GridHeader, &[u8]), StreamError> {
-    let (&depth, mut rest) = input.split_first().ok_or(StreamError::Truncated)?;
-    let mut f = [0f32; 4];
-    for v in f.iter_mut() {
-        let (bytes, tail) = rest.split_first_chunk::<4>().ok_or(StreamError::Truncated)?;
-        *v = f32::from_le_bytes(*bytes);
-        rest = tail;
-    }
-    Ok((GridHeader { depth, origin: [f[0], f[1], f[2]], voxel_size: f[3] }, rest))
-}
-
-fn write_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            return;
-        }
-        out.push(b | 0x80);
-    }
-}
-
-fn read_varint(input: &mut &[u8]) -> Result<u64, StreamError> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let (&b, rest) = input.split_first().ok_or(StreamError::Truncated)?;
-        *input = rest;
-        v |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift >= 64 {
-            return Err(StreamError::Truncated);
-        }
-    }
+/// [`DecodeError::Truncated`] when the input is shorter than the header.
+pub fn read_grid_header(cursor: &mut Cursor<'_>) -> Result<GridHeader, DecodeError> {
+    let depth = cursor.u8()?;
+    let origin = [cursor.f32_le()?, cursor.f32_le()?, cursor.f32_le()?];
+    Ok(GridHeader { depth, origin, voxel_size: cursor.f32_le()? })
 }
 
 #[cfg(test)]
@@ -251,7 +172,7 @@ mod tests {
     use crate::{ParallelOctree, SequentialOctree};
     use proptest::prelude::*;
 
-    fn decode(stream: &[u8]) -> Result<Vec<VoxelCoord>, StreamError> {
+    fn decode(stream: &[u8]) -> Result<Vec<VoxelCoord>, DecodeError> {
         decode_occupancy_with(stream, &Limits::default())
     }
 
@@ -283,7 +204,7 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        assert_eq!(decode(&[0x00, 4, 0]).unwrap_err(), StreamError::BadMagic);
+        assert_eq!(decode(&[0x00, 4, 0]).unwrap_err(), DecodeError::BadMagic { offset: 0 });
     }
 
     #[test]
@@ -291,7 +212,10 @@ mod tests {
         for depth in [22u8, 0] {
             let mut stream = Vec::new();
             serialize_occupancy_into(depth, 0, &[0], &mut stream);
-            assert_eq!(decode(&stream).unwrap_err(), StreamError::BadDepth(depth));
+            assert_eq!(
+                decode(&stream).unwrap_err(),
+                DecodeError::Corrupt { what: "octree depth", offset: 1 }
+            );
         }
     }
 
@@ -301,9 +225,28 @@ mod tests {
             ParallelOctree::from_coords(&[VoxelCoord::new(1, 2, 3), VoxelCoord::new(7, 0, 2)], 3);
         let full = tree.serialize();
         for cut in 0..full.len() {
-            let err = decode(&full[..cut]);
-            assert!(err.is_err(), "prefix of len {cut} should fail");
+            // Every cut lands inside a field, so the error is a
+            // truncation at or before the cut.
+            match decode(&full[..cut]) {
+                Err(DecodeError::Truncated { offset }) => assert!(offset <= cut, "cut {cut}"),
+                other => panic!("prefix of len {cut}: {other:?}"),
+            }
         }
+        // The occupancy bytes run out at the cut itself.
+        let cut = full.len() - 1;
+        assert_eq!(decode(&full[..cut]), Err(DecodeError::Truncated { offset: cut }));
+    }
+
+    #[test]
+    fn overlong_leaf_count_varint_is_rejected() {
+        // Ten varint bytes whose last one sets bits above 63; the high
+        // bits must not be dropped into a plausible leaf count of 5.
+        let mut stream = vec![MAGIC, 4, 0x85];
+        stream.extend_from_slice(&[0x80; 8]);
+        stream.push(0x7e);
+        let header = read_stream(&mut Cursor::new(&stream, 0));
+        assert_eq!(header, Err(DecodeError::VarintOverflow { offset: 2 }));
+        assert_eq!(decode(&stream), Err(DecodeError::VarintOverflow { offset: 2 }));
     }
 
     #[test]
@@ -311,9 +254,10 @@ mod tests {
         let tree = ParallelOctree::from_coords(&[VoxelCoord::new(1, 1, 1)], 2);
         let serialized = tree.serialize();
         let mut stream = Vec::new();
-        serialize_occupancy_into(2, 99, parse_stream(&serialized).unwrap().occupancy, &mut stream);
+        let occupancy = read_stream(&mut Cursor::new(&serialized, 0)).unwrap().occupancy;
+        serialize_occupancy_into(2, 99, occupancy, &mut stream);
         let err = decode(&stream).unwrap_err();
-        assert_eq!(err, StreamError::LeafMismatch { declared: 99, decoded: 1 });
+        assert_eq!(err, DecodeError::Mismatch { what: "leaves", declared: 99, decoded: 1 });
         // And a corrupted occupancy byte changes the decoded count.
         stream = tree.serialize();
         let last = stream.len() - 1;
@@ -329,14 +273,14 @@ mod tests {
         let tight = Limits { max_depth: 4, ..Limits::default() };
         assert!(matches!(
             decode_occupancy_with(&stream, &tight).unwrap_err(),
-            StreamError::LimitExceeded(e) if e.what == "octree depth"
+            DecodeError::Limit(e) if e.what == "octree depth"
         ));
         // A header declaring 2^40 leaves is rejected before any expansion.
         let mut bomb = Vec::new();
         serialize_occupancy_into(6, 1 << 40, &[0xff; 6], &mut bomb);
         assert!(matches!(
             decode(&bomb).unwrap_err(),
-            StreamError::LimitExceeded(e) if e.what == "points"
+            DecodeError::Limit(e) if e.what == "points"
         ));
         // The default limits accept the legitimate stream unchanged.
         assert_eq!(decode(&stream).unwrap(), tree.leaves());
@@ -353,7 +297,7 @@ mod tests {
     fn header_parse_exposes_fields() {
         let tree = ParallelOctree::from_coords(&[VoxelCoord::new(1, 1, 1)], 7);
         let stream = tree.serialize();
-        let parsed = parse_stream(&stream).unwrap();
+        let parsed = read_stream(&mut Cursor::new(&stream, 0)).unwrap();
         assert_eq!(parsed.depth, 7);
         assert_eq!(parsed.leaf_count, 1);
         assert_eq!(parsed.occupancy.len(), 7);

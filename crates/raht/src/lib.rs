@@ -49,6 +49,4 @@ mod transform;
 
 pub use lifting::{lifting_forward, lifting_inverse, LiftingEncoded};
 pub use predicting::{predicting_forward, predicting_inverse, PredictingEncoded};
-pub use transform::{
-    forward, inverse, transform_count, RahtEncoded, RahtError, CHANNELS,
-};
+pub use transform::{forward, inverse, transform_count, RahtEncoded, CHANNELS};

@@ -1,7 +1,7 @@
 //! Forward and inverse RAHT.
 
 use pcc_morton::MortonCode;
-use std::fmt;
+use pcc_types::DecodeError;
 
 /// Number of attribute channels (RGB).
 pub const CHANNELS: usize = 3;
@@ -31,32 +31,6 @@ impl RahtEncoded {
             .sum()
     }
 }
-
-/// Errors produced by the inverse transform.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum RahtError {
-    /// The coefficient list does not match the geometry's merge schedule.
-    CoefficientCountMismatch {
-        /// Coefficients expected from the geometry.
-        expected: usize,
-        /// Coefficients present in the block.
-        found: usize,
-    },
-}
-
-impl fmt::Display for RahtError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RahtError::CoefficientCountMismatch { expected, found } => write!(
-                f,
-                "geometry implies {expected} coefficients but block holds {found}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for RahtError {}
 
 #[derive(Debug, Clone, Copy)]
 struct Node {
@@ -172,14 +146,15 @@ pub fn forward(
 ///
 /// # Errors
 ///
-/// Returns [`RahtError::CoefficientCountMismatch`] if the block does not
-/// match the geometry.
+/// Returns [`DecodeError::Mismatch`] (`declared`: coefficients in the
+/// block, `decoded`: coefficients the geometry's merge schedule implies)
+/// if the block does not match the geometry.
 pub fn inverse(
     codes: &[MortonCode],
     weights: &[f64],
     encoded: &RahtEncoded,
     depth: u8,
-) -> Result<Vec<[f64; CHANNELS]>, RahtError> {
+) -> Result<Vec<[f64; CHANNELS]>, DecodeError> {
     assert_eq!(codes.len(), weights.len(), "one weight per leaf");
     let plan = schedule(codes, depth);
     let merges: usize = plan
@@ -193,9 +168,10 @@ pub fn inverse(
     };
     let expected = merges + roots;
     if encoded.coeffs.len() != expected {
-        return Err(RahtError::CoefficientCountMismatch {
-            expected,
-            found: encoded.coeffs.len(),
+        return Err(DecodeError::Mismatch {
+            what: "coefficients",
+            declared: expected,
+            decoded: encoded.coeffs.len(),
         });
     }
     if codes.is_empty() {
@@ -382,7 +358,7 @@ mod tests {
         let mut bad = enc.clone();
         bad.coeffs.pop();
         let err = inverse(&c, &[1.0, 1.0], &bad, 1).unwrap_err();
-        assert_eq!(err, RahtError::CoefficientCountMismatch { expected: 2, found: 1 });
+        assert_eq!(err, DecodeError::Mismatch { what: "coefficients", declared: 2, decoded: 1 });
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! subscribers.
 
 use pcc_core::{container, EncodedFrame};
-use pcc_entropy::varint;
 use pcc_intra::{write_layer, IntraFrame, LayerEncoded};
+use pcc_types::wire::Cursor;
 
 /// Rewrites a muxed I-frame record with its refinement attribute layer
 /// stripped, returning the slimmed record.
@@ -50,13 +50,13 @@ pub fn shed_refinement(record: &[u8]) -> Option<Vec<u8>> {
 /// payload, producing a single-layer payload with the same decoded
 /// length (all-zero residuals → per-segment median colors).
 fn strip_refinement_layer(attr: &[u8]) -> Option<Vec<u8>> {
-    let (&two_layer, mut rest) = attr.split_first()?;
-    if two_layer != 1 {
+    let mut c = Cursor::new(attr, 0);
+    if c.u8().ok()? != 1 {
         return None;
     }
-    let outer_len = varint::read_u64(&mut rest).ok()? as usize;
-    let outer_bytes = rest.get(..outer_len)?;
-    let refinement_bytes = rest.get(outer_len..)?;
+    let outer_len = c.varint().ok()? as usize;
+    let outer_bytes = c.take(outer_len).ok()?;
+    let refinement_bytes = c.rest();
     // The outer layer carries starts/bases/quant but zero residuals (they
     // live in the refinement layer); the refinement layer's value count
     // is the voxel count the stripped payload must still decode to.

@@ -11,6 +11,8 @@
 //!   `2^depth`-per-side integer grid (the paper uses 1024³, i.e. depth 10).
 //! - [`Frame`] / [`Video`] — dynamic point-cloud sequences with the
 //!   I/P frame structure used by inter-frame compression.
+//! - [`Limits`] / [`DecodeError`] / [`wire::Cursor`] — the budget, the
+//!   one error and the byte cursor every wire parser decodes through.
 //!
 //! # Examples
 //!
@@ -44,6 +46,7 @@ mod limits;
 mod point;
 mod video;
 mod voxel;
+pub mod wire;
 
 pub use bbox::Aabb;
 pub use cloud::{PointCloud, PointRef};

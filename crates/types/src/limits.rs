@@ -1,4 +1,4 @@
-//! Resource limits and the unified decode-error taxonomy.
+//! Resource limits and the one decode error.
 //!
 //! Every payload decoder in the workspace accepts a [`Limits`] and refuses
 //! to trust wire-derived lengths beyond it: a hostile stream can declare a
@@ -8,19 +8,18 @@
 //! this workspace decodes unchanged; they exist to bound the *adversarial*
 //! case.
 //!
-//! [`DecodeError`] is the cross-crate taxonomy those decoders converge on.
-//! Each crate keeps its own precise error enum (so existing callers and
-//! tests keep matching on it), and provides a `From` conversion into
-//! `DecodeError` so applications that only care about "why did this stream
-//! fail" can funnel every layer into one type with byte-offset context
-//! where the layer tracks it.
+//! [`DecodeError`] is what every decode, parse and demux entry point in
+//! the workspace returns. The parsers read through one
+//! [`Cursor`](crate::wire::Cursor), so a kind that names a byte offset
+//! names it in the buffer the failing parser was handed.
 
+use crate::Error;
 use std::fmt;
 
 /// A limit a hostile stream tried to exceed.
 ///
-/// Carried by [`DecodeError::Limit`] and embedded (via per-crate error
-/// variants) everywhere a decoder enforces [`Limits`].
+/// Carried by [`DecodeError::Limit`] everywhere a decoder enforces
+/// [`Limits`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LimitExceeded {
     /// What the stream asked for (e.g. `"points"`, `"alloc bytes"`).
@@ -130,14 +129,13 @@ fn check(requested: u64, limit: u64, what: &'static str) -> Result<(), LimitExce
     }
 }
 
-/// The unified decode-error taxonomy.
+/// Why untrusted bytes did not decode.
 ///
-/// Every decode-path crate converts its own error enum into this one
-/// (`impl From<...> for DecodeError` lives next to each source type), so a
-/// caller holding errors from the entropy layer, the octree serializer,
-/// the container demuxer, and the frame codec can report them uniformly.
-/// Offsets are byte positions into the input the failing layer was
-/// reading; layers that do not track positions report offset 0.
+/// The one error of every wire-facing parser: the entropy, octree,
+/// intra, inter, container, frame-codec and baseline decoders all return
+/// it. Offsets are byte positions in the buffer the failing parser was
+/// handed, plus the stream base its caller supplied (the container
+/// demuxer takes one, so a chunked receiver reports wire positions).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum DecodeError {
@@ -172,8 +170,25 @@ pub enum DecodeError {
     Corrupt {
         /// Short description of the inconsistency.
         what: &'static str,
-        /// Byte offset of the inconsistency (0 when untracked).
+        /// Byte offset at which the parser found the inconsistency (0
+        /// for a decoded cloud the data model rejects, which has no
+        /// position).
         offset: usize,
+    },
+    /// Two parts of a frame disagree on how many items it holds.
+    Mismatch {
+        /// What was counted (`"leaves"`, `"colors"`, …).
+        what: &'static str,
+        /// The count a header, an index entry or the geometry declares.
+        declared: usize,
+        /// The count the payload decoded to.
+        decoded: usize,
+    },
+    /// A brick's payload failed its CRC. The only repairable kind: a
+    /// NACK fetches the brick again.
+    Crc {
+        /// Position of the brick in its frame's index.
+        brick: usize,
     },
     /// The stream demanded more resources than [`Limits`] allow.
     Limit(LimitExceeded),
@@ -212,6 +227,10 @@ impl fmt::Display for DecodeError {
             DecodeError::Corrupt { what, offset } => {
                 write!(f, "corrupt stream ({what}) at byte {offset}")
             }
+            DecodeError::Mismatch { what, declared, decoded } => {
+                write!(f, "{what}: {declared} declared but {decoded} decoded")
+            }
+            DecodeError::Crc { brick } => write!(f, "brick {brick} failed its CRC"),
             DecodeError::Limit(e) => write!(f, "{e}"),
             DecodeError::MissingReference { frame } => {
                 write!(f, "frame {frame} references a frame that was never decoded")
@@ -228,6 +247,19 @@ impl std::error::Error for DecodeError {}
 impl From<LimitExceeded> for DecodeError {
     fn from(e: LimitExceeded) -> Self {
         DecodeError::Limit(e)
+    }
+}
+
+/// A decoded grid the data model refuses: a world frame that is NaN,
+/// infinite or has a non-positive voxel size, or a depth out of range.
+impl From<Error> for DecodeError {
+    fn from(e: Error) -> Self {
+        let what = match e {
+            Error::InvalidWorldFrame => "world frame",
+            Error::InvalidDepth { .. } => "grid depth",
+            _ => "decoded cloud",
+        };
+        DecodeError::Corrupt { what, offset: 0 }
     }
 }
 
@@ -261,5 +293,15 @@ mod tests {
         assert_eq!(e.to_string(), "input truncated at byte 42");
         let e = DecodeError::BadTag { tag: 0xff, offset: 7 };
         assert!(e.to_string().contains("0xff"));
+        let e = DecodeError::Mismatch { what: "leaves", declared: 9, decoded: 1 };
+        assert_eq!(e.to_string(), "leaves: 9 declared but 1 decoded");
+    }
+
+    #[test]
+    fn rejected_world_frames_have_one_kind() {
+        assert_eq!(
+            DecodeError::from(Error::InvalidWorldFrame),
+            DecodeError::Corrupt { what: "world frame", offset: 0 }
+        );
     }
 }

@@ -24,6 +24,12 @@ PCC_PROBE=1 cargo test -q --offline
 echo "== golden vectors =="
 cargo test -q --offline --test golden
 
+echo "== modeled figures: experiments all matches experiments_output.txt =="
+# Every modeled number the paper tables report is pinned: a change that
+# moves one must regenerate experiments_output.txt in the same commit.
+cargo run -q --release --offline -p pcc-bench --bin experiments -- all 2>&1 \
+    | diff -u experiments_output.txt -
+
 echo "== glass-to-glass benchmark compiles against its lockfile =="
 # perfbench is its own workspace with its own Cargo.lock. An API change
 # that breaks it, or a dependency change that would rewrite its lockfile,

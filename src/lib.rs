@@ -32,7 +32,7 @@
 //! // Modeled edge latency of the first frame:
 //! let ms = encoded.encode_timelines[0].total_modeled_ms();
 //! println!("frame 0 encodes in {ms} on the modeled Jetson");
-//! # Ok::<(), pcc::core::CodecError>(())
+//! # Ok::<(), pcc::types::DecodeError>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -18,7 +18,7 @@ use pcc::edge::{Device, PowerMode};
 use pcc::octree::{decode_occupancy_with, ParallelOctree};
 use pcc::serve::{Broadcast, SubscriberConfig};
 use pcc::stream::{encode_chunk, ChunkKind, ChunkReader, Receiver, Sender, StreamConfig};
-use pcc::types::{Limits, Video, VoxelizedCloud};
+use pcc::types::{DecodeError, Limits, Video, VoxelizedCloud};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -85,11 +85,27 @@ fn mutate(rng: &mut SmallRng, original: &[u8]) -> Vec<u8> {
     bytes
 }
 
+/// An error's offset must point inside (or just past) the buffer the
+/// failing parser was handed.
+fn assert_offset_within(err: DecodeError, len: usize) {
+    let offset = match err {
+        DecodeError::Truncated { offset }
+        | DecodeError::BadMagic { offset }
+        | DecodeError::BadTag { offset, .. }
+        | DecodeError::VarintOverflow { offset }
+        | DecodeError::Corrupt { offset, .. } => offset,
+        _ => return,
+    };
+    assert!(offset <= len, "{err} names offset {offset} of a {len}-byte buffer");
+}
+
 /// Demux + full frame-decode of a mutated container under explicit
-/// limits. Success and typed errors are both fine; only panics fail.
+/// limits. Success and typed errors are both fine; only panics and
+/// demux offsets past the buffer fail.
 fn drive_container(mutated: &[u8], codec: &PccCodec, d: &Device, limits: Limits) {
-    let Ok(video) = container::demux_with(mutated, &limits) else {
-        return;
+    let video = match container::demux_with(mutated, &limits) {
+        Ok(video) => video,
+        Err(e) => return assert_offset_within(e, mutated.len()),
     };
     let mut decoder = codec.frame_decoder(d).with_limits(limits);
     for frame in &video.frames {
@@ -133,9 +149,13 @@ fn mutated_occupancy_streams_never_panic() {
     for _ in 0..2_500 {
         let mutated = mutate(&mut rng, &original);
         // Strict limits also bound the frontier a hostile stream can
-        // declare; both regimes must return, not panic.
-        let _ = decode_occupancy_with(&mutated, &Limits::strict());
-        let _ = decode_occupancy_with(&mutated, &Limits::default());
+        // declare; both regimes must return, not panic, and name an
+        // offset inside the stream.
+        for limits in [Limits::strict(), Limits::default()] {
+            if let Err(e) = decode_occupancy_with(&mutated, &limits) {
+                assert_offset_within(e, mutated.len());
+            }
+        }
     }
 }
 
@@ -440,7 +460,7 @@ fn hostile_layer_values_wrap_instead_of_overflowing() {
             starts: if values == 1 { vec![0] } else { vec![0, values as u32 / 2] },
             quant_step: big,
         };
-        let parsed = LayerEncoded::from_bytes_with(&layer.to_bytes(), &Limits::default())
+        let parsed = LayerEncoded::from_bytes(&layer.to_bytes())
             .expect("the hostile layer is within the default limits");
         assert_eq!(parsed, layer);
         let decoded = decode_layer_threaded(&parsed, NonZeroUsize::new(threads).unwrap());
@@ -453,8 +473,8 @@ fn hostile_layer_values_wrap_instead_of_overflowing() {
 /// clamp, not panic.
 #[test]
 fn hostile_p_frame_deltas_wrap_instead_of_overflowing() {
-    use pcc::entropy::varint;
     use pcc::inter::{InterCodec, InterConfig};
+    use pcc::types::wire::{write_varint, Cursor};
     use pcc::intra::LayerEncoded;
 
     let video = clip();
@@ -465,16 +485,16 @@ fn hostile_p_frame_deltas_wrap_instead_of_overflowing() {
     let d = device(1);
     let mut encoded = codec.encode(&p_vox, &reference, &d);
 
-    let mut input = encoded.frame.attribute.as_slice();
-    let voxels = varint::read_u64(&mut input).unwrap();
-    let blocks = varint::read_u64(&mut input).unwrap();
+    let mut input = Cursor::new(&encoded.frame.attribute, 0);
+    let voxels = input.varint().unwrap();
+    let blocks = input.varint().unwrap();
     let mut payload = Vec::new();
-    varint::write_u64(&mut payload, voxels);
-    varint::write_u64(&mut payload, blocks);
+    write_varint(&mut payload, voxels);
+    write_varint(&mut payload, blocks);
     for _ in 0..blocks {
         // Keep the window offset, clear the reuse bit.
-        let flag = varint::read_u64(&mut input).unwrap();
-        varint::write_u64(&mut payload, flag & !1);
+        let flag = input.varint().unwrap();
+        write_varint(&mut payload, flag & !1);
     }
     let deltas = LayerEncoded {
         bases: vec![[0; 3]],

@@ -436,10 +436,7 @@ fn chunk_payload_offsets_and_container_errors_are_stream_absolute() {
     // a diagnostic points at the wire position, not "offset 0 again".
     let mut input = &[][..];
     let err = pcc::core::container::demux_frame(&mut input, 1_000).unwrap_err();
-    match err {
-        pcc::core::container::ContainerError::Truncated { offset } => assert_eq!(offset, 1_000),
-        other => panic!("expected Truncated, got {other}"),
-    }
+    assert_eq!(err, pcc::types::DecodeError::Truncated { offset: 1_000 });
 }
 
 #[test]
