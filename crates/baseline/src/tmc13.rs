@@ -4,7 +4,7 @@
 use pcc_edge::{calib, Device};
 use pcc_entropy::{unwrap_stream, wrap_stream};
 use pcc_morton::{MortonCode, SortScratch, SortedCodes};
-use pcc_octree::{read_grid_header, write_grid_header, SequentialOctree};
+use pcc_octree::{read_grid_header, write_grid_header, OccupancyHeader, SequentialOctree};
 use pcc_raht::{forward, inverse, transform_count, RahtEncoded};
 use pcc_types::wire::{write_varint, write_zigzag_varint, Cursor};
 use pcc_types::{DecodeError, Point3, Rgb, VoxelizedCloud};
@@ -200,8 +200,9 @@ impl Tmc13Codec {
     /// # Errors
     ///
     /// Returns a [`DecodeError`] on malformed streams or an exceeded
-    /// limit. Offsets are positions in the geometry stream, or in the
-    /// attribute stream's unwrapped coefficient bytes.
+    /// limit. Offsets are positions in the geometry stream's header, in
+    /// its entropy-decoded occupancy bytes, or in the attribute stream's
+    /// unwrapped coefficient bytes.
     pub fn decode_with_limits(
         &self,
         frame: &Tmc13Frame,
@@ -210,15 +211,15 @@ impl Tmc13Codec {
     ) -> Result<VoxelizedCloud, DecodeError> {
         let mut c = Cursor::new(&frame.geometry, 0);
         let header = read_grid_header(&mut c)?;
+        let depth_at = c.offset();
         let depth = c.u8()?;
         let leaf_count = c.varint()? as usize;
         let occ_len = c.varint()? as usize;
         limits.check_points(leaf_count as u64)?;
         limits.check_alloc(occ_len as u64)?;
         let occupancy = pcc_entropy::context::decode_occupancy(c.rest(), occ_len);
-        let mut stream = Vec::with_capacity(occupancy.len() + 8);
-        pcc_octree::serialize_occupancy_into(depth, leaf_count, &occupancy, &mut stream);
-        let coords = pcc_octree::decode_occupancy_with(&stream, limits)?;
+        let coords = OccupancyHeader::new(depth, leaf_count, depth_at)?
+            .expand(&mut Cursor::new(&occupancy, 0), limits)?;
         device.charge_cpu("geometry_decode", &calib::OCTREE_SERIALIZE, coords.len().max(1), 1);
 
         let coeff_bytes = unwrap_stream(&frame.attribute, limits)?;
@@ -347,6 +348,31 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    #[test]
+    fn truncated_occupancy_errors_inside_the_decoded_bytes() {
+        let vox = VoxelizedCloud::from_cloud(&smooth_cloud(500), 6);
+        let codec = Tmc13Codec::default();
+        let d = device();
+        let mut frame = codec.encode(&vox, &d);
+        // Re-declare one occupancy byte fewer: the entropy decoder yields
+        // that prefix, and the expansion runs out at its end.
+        let mut c = Cursor::new(&frame.geometry, 0);
+        read_grid_header(&mut c).unwrap();
+        let depth = c.u8().unwrap();
+        let leaf_count = c.varint().unwrap();
+        let occ_len = c.varint().unwrap() as usize;
+        let mut geometry = frame.geometry[..17].to_vec();
+        geometry.push(depth);
+        write_varint(&mut geometry, leaf_count);
+        write_varint(&mut geometry, occ_len as u64 - 1);
+        geometry.extend_from_slice(c.rest());
+        frame.geometry = geometry;
+        assert_eq!(
+            codec.decode(&frame, &d).unwrap_err(),
+            DecodeError::Truncated { offset: occ_len - 1 }
+        );
     }
 
     #[test]

@@ -11,11 +11,14 @@
 //! Gated legs are timed on the process CPU clock
 //! ([`pcc_bench::clock::process_cpu`]), so time the process spends
 //! descheduled or stolen by other tenants does not count (their cache
-//! and memory contention still does). Four rows are informational and
+//! and memory contention still does). Six rows are informational and
 //! never gated: `fanout_dispatch_cpu_us`, the process CPU one 2-item
-//! `pcc_parallel::run` costs, and the three parallel legs
+//! `pcc_parallel::run` costs; the three parallel legs
 //! (`brick_parallel_decode_speedup`, `decode_parallel_speedup` and
-//! `intra_encode_parallel_speedup`), which are wall-clock ratios.
+//! `intra_encode_parallel_speedup`), which are wall-clock ratios; and
+//! two kernel costs on a workload frame, `inter_match_ns_per_pair` (the
+//! block matcher, per compared point pair) and `layer_parse_ns_per_value`
+//! (reading and decoding a delta layer, per value triple).
 //!
 //! Everything is deterministic — a fixed xorshift seed generates the
 //! kernel inputs and the scaling leg encodes a seeded `pcc-datasets`
@@ -33,12 +36,13 @@ use pcc_datasets::catalog;
 use pcc_edge::{Device, PowerMode};
 use pcc_inter::{InterArena, InterCodec, InterConfig, InterEncoded};
 use pcc_intra::{
-    encode_layer_with_starts_into, segment_starts_into, FrameArena, IntraCodec, IntraConfig,
-    IntraFrame,
+    decode_layer_threaded, encode_layer_with_starts_into, segment_starts_into, FrameArena,
+    IntraCodec, IntraConfig, IntraFrame, LayerEncoded,
 };
 use pcc_morton::{encode, encode_slice, sort_codes_into, MortonCode, SortScratch, SortedCodes};
 use pcc_stream::{Chunk, ChunkKind, FramePayload, SharedRing, StampMemo, Subscription};
-use pcc_types::{FrameKind, Point3, PointCloud, Rgb, VoxelCoord, VoxelizedCloud};
+use pcc_types::wire::Cursor;
+use pcc_types::{FrameKind, Limits, Point3, PointCloud, Rgb, VoxelCoord, VoxelizedCloud};
 
 /// Counts allocations for the `*_allocs_*` metrics.
 #[global_allocator]
@@ -431,6 +435,60 @@ fn run() -> Report {
     let decode_speedup =
         min_wall_ns(|| plain_decode_on(&device)) / min_wall_ns(|| plain_decode_on(&wide_device));
 
+    // -- Block matching and delta-layer parse on a workload frame: the
+    //    Longdress 100k-point, depth-9 P-frame (the telepresence input)
+    //    against its decoded I-frame, at 1 thread (informational, never
+    //    gated). The match leg is the `inter/match` probe span (wall
+    //    clock) per (P-point, I-point) pair the encode charges; the parse
+    //    leg reads the P-frame's delta layer and decodes it, per value.
+    let pair_video = Scale { points: SCALING_POINTS, frames: 2 }
+        .video(catalog::by_name("Longdress").expect("Table-I video"));
+    let pair_vox: Vec<VoxelizedCloud> = (0..2)
+        .map(|f| {
+            let cloud = &pair_video.frame(f).expect("two frames generated").cloud;
+            VoxelizedCloud::from_cloud(cloud, scale.depth())
+        })
+        .collect();
+    let inter_v1 = InterCodec::new(InterConfig::v1());
+    let pair_intra = IntraCodec::new(InterConfig::v1().intra);
+    let pair_reference = pair_intra
+        .decode(&pair_intra.encode(&pair_vox[0], &device), &device)
+        .expect("self-encoded frame decodes")
+        .colors()
+        .to_vec();
+    pcc_probe::set_enabled(true);
+    let mut match_ns = f64::INFINITY;
+    let mut match_pairs = 0;
+    for _ in 0..REPS {
+        device.reset();
+        let (p_frame, arena, out) = (&pair_vox[1], &mut inter_arena, &mut inter_out);
+        inter_v1.encode_into(p_frame, &pair_reference, &device, arena, out);
+        let span = pcc_probe::take_report().stage("inter/match").expect("probes are on");
+        match_ns = match_ns.min(span.total_ns as f64);
+        match_pairs = device
+            .timeline()
+            .records()
+            .iter()
+            .find(|r| r.stage == "inter_attr/diff_squared")
+            .expect("the encode charges its pairs")
+            .items;
+    }
+    pcc_probe::set_enabled(false);
+    let attribute = &inter_out.frame.attribute;
+    let parse_layer = || {
+        let mut c = Cursor::new(attribute, 0);
+        c.varint().expect("voxel count");
+        for _ in 0..c.varint().expect("block count") {
+            c.varint().expect("block flag");
+        }
+        let layer = LayerEncoded::read(&mut c, &Limits::default()).expect("self-encoded layer");
+        decode_layer_threaded(&layer, one)
+    };
+    let layer_values = parse_layer().len();
+    let parse_ns = min_ns(|| {
+        black_box(parse_layer());
+    });
+
     // -- Fan-out dispatch: the process CPU (caller and worker together)
     //    of one 2-item `pcc_parallel::run` over trivial items — the
     //    overhead every parallel kernel call pays on top of its work
@@ -461,6 +519,8 @@ fn run() -> Report {
         metric("decode_parallel_speedup", decode_speedup, 2, Speedup),
         metric("intra_encode_parallel_speedup", encode_speedup, 2, Speedup),
         metric("fanout_dispatch_cpu_us", dispatch_ns / 1e3, 2, Overhead),
+        metric("inter_match_ns_per_pair", match_ns / match_pairs as f64, 3, Overhead),
+        metric("layer_parse_ns_per_value", parse_ns / layer_values as f64, 3, Overhead),
     ])
 }
 

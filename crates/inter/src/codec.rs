@@ -2,7 +2,8 @@
 
 use crate::config::InterConfig;
 use crate::matching::{
-    self, block_range, match_blocks_into, predicted, BlockMatch, MatchOutcome, ReuseStats,
+    self, block_range, match_blocks_into, predicted, BlockMatch, MatchOutcome, MatchRows,
+    ReuseStats,
 };
 use pcc_edge::{calib, Device};
 use pcc_intra::{
@@ -14,10 +15,11 @@ use pcc_types::{DecodeError, Point3, Rgb, VoxelizedCloud};
 use std::num::NonZeroUsize;
 
 /// Per-session scratch for the inter encoder — a superset of the intra
-/// arena: geometry buffers plus the gather accumulators, block-match
-/// table, and delta-layer buffers. Owned by session-long encoders (the
-/// `FrameEncoder` in `pcc-core`) so the per-frame steady state is
-/// allocation-free on the single-threaded path.
+/// arena: geometry buffers plus the gather accumulators, the matcher's
+/// rows and block-match table, and delta-layer buffers, with one scratch
+/// slot per chunk where a kernel fans out. Owned by session-long encoders
+/// (the `FrameEncoder` in `pcc-core`) so the per-frame steady state is
+/// allocation-free at one host thread and at two.
 #[derive(Debug, Default)]
 pub struct InterArena {
     geom: GeometryScratch,
@@ -27,12 +29,13 @@ pub struct InterArena {
     p_colors: Vec<Rgb>,
     p_starts: Vec<u32>,
     i_starts: Vec<u32>,
+    rows: MatchRows,
     matches: Vec<BlockMatch>,
     delta_values: Vec<[i32; 3]>,
     delta_starts: Vec<u32>,
     bases: Vec<[i32; 3]>,
     residuals: Vec<[i32; 3]>,
-    median: Vec<i32>,
+    median: Vec<Vec<i32>>,
 }
 
 impl InterArena {
@@ -94,8 +97,8 @@ impl InterCodec {
     /// allocation-free per-frame entry point. `arena` carries every
     /// intermediate across frames; `out` is cleared and refilled. The
     /// bitstream is byte-identical to [`encode`](Self::encode), and the
-    /// single-threaded steady state performs no heap allocation
-    /// (asserted by `tests/alloc_steady_state.rs`).
+    /// steady state performs no heap allocation at one host thread or at
+    /// two (asserted by `tests/alloc_steady_state.rs`).
     pub fn encode_into(
         &self,
         cloud: &VoxelizedCloud,
@@ -152,6 +155,7 @@ impl InterCodec {
             p_colors,
             p_starts,
             i_starts,
+            rows,
             matches,
             delta_values,
             delta_starts,
@@ -176,6 +180,7 @@ impl InterCodec {
             self.config.candidates,
             self.config.reuse_threshold,
             threads,
+            rows,
             matches,
         );
         device.charge_gpu("inter_attr/diff_squared", &calib::DIFF_SQUARED, charge.pair_items.max(1));

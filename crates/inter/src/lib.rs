@@ -63,4 +63,4 @@ mod matching;
 
 pub use codec::{InterArena, InterCodec, InterEncoded};
 pub use config::InterConfig;
-pub use matching::{match_blocks_into, BlockMatch, MatchOutcome, ReuseStats};
+pub use matching::ReuseStats;

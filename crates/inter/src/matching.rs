@@ -6,7 +6,7 @@ use std::ops::Range;
 
 /// How one P-block is coded after matching.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatchOutcome {
+pub(crate) enum MatchOutcome {
     /// The best-matched I-block is similar enough: store only the pointer.
     Reuse,
     /// Too dissimilar: store per-point deltas against the best match.
@@ -15,7 +15,7 @@ pub enum MatchOutcome {
 
 /// The match result for one P-block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockMatch {
+pub(crate) struct BlockMatch {
     /// Offset of the best-matched I-block inside the candidate window
     /// (6–7 bits for the paper's 100-candidate window; a varint on the
     /// wire, so wider windows code exactly).
@@ -51,7 +51,7 @@ impl ReuseStats {
 
 /// Work-item counts of a matching pass, for device-model charging.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MatchCharge {
+pub(crate) struct MatchCharge {
     /// (P-point, I-point) channel-difference items (`Diff_Squared`).
     pub pair_items: usize,
     /// Compared (P-block, I-block) pairs (`Squared_Sum` reductions).
@@ -135,47 +135,94 @@ pub(crate) fn predicted(i_block: &[Rgb], len_p: usize) -> impl Iterator<Item = R
         .map(move |j| i_block.get(j).copied().unwrap_or(Rgb::BLACK))
 }
 
-/// P-points summed between two checks of the pruning bound: a divisor of
-/// the 20-point block, in fixed-size chunks the compiler vectorizes.
-const BOUND_STRIDE: usize = 5;
+/// Rows are padded to a multiple of these `i16` lanes (two SSE2
+/// registers), so the kernel never runs a scalar tail.
+const LANES: usize = 16;
 
-/// Squared attribute distance (the un-normalized sum of Equ. 2) between a
-/// P-block and a non-empty I-block, or `None` once a partial sum reaches
-/// `sum * 20 >= limit`: channel distances are non-negative, so the
-/// candidate can no longer beat the best found so far. Equal lengths
-/// (nearly every pair) take a plain contiguous loop; others go through
-/// the proportional map.
-#[inline]
-fn pair_sum(p: &[Rgb], i: &[Rgb], limit: u64) -> Option<u64> {
-    let mut sum = 0u64;
-    if p.len() == i.len() {
-        let (pc, p_tail) = p.as_chunks::<BOUND_STRIDE>();
-        let (ic, i_tail) = i.as_chunks::<BOUND_STRIDE>();
-        for (pc, ic) in pc.iter().zip(ic) {
-            sum += chunk_sum(pc, ic);
-            if sum * 20 >= limit {
-                return None;
-            }
-        }
-        sum += chunk_sum(p_tail, i_tail);
-    } else {
-        let mut refs = predicted(i, p.len());
-        for pc in p.chunks(BOUND_STRIDE) {
-            let chunk: u32 = pc.iter().zip(&mut refs).map(|(&a, b)| a.distance_squared(b)).sum();
-            sum += chunk as u64;
-            if sum * 20 >= limit {
-                return None;
-            }
-        }
-    }
-    Some(sum)
+/// The row width of the paper's ~20-point blocks: 19 to 21 points widen
+/// to 57 to 63 channels, padded to these 64 lanes. At a width the
+/// compiler knows, [`lane_sum`] unrolls into straight-line code.
+const BLOCK_LANES: usize = 64;
+
+/// Lanes one `u32` sum covers: each adds at most 255², so a sum stays
+/// under `FLUSH × 255²` (4.26 × 10⁹ < 2³²). Longer rows (blocks of more
+/// than 21 845 points) are summed in `FLUSH`-lane pieces.
+const FLUSH: usize = 1 << 16;
+
+/// The matcher's scratch, held in the inter arena across frames: the
+/// reference rows of every I-block and one row slot per chunk.
+#[derive(Debug, Default)]
+pub(crate) struct MatchRows {
+    /// Every I-block's colors as `i16` channels, zero-padded to one
+    /// row stride.
+    i_rows: Vec<i16>,
+    /// Every I-block's length in points.
+    i_lens: Vec<u32>,
+    /// One slot per chunk, two strides long: the chunk's current P row,
+    /// then the reference gathered for an unequal-length pair.
+    chunk_rows: Vec<Vec<i16>>,
 }
 
-/// Squared color distance of two equal runs of at most [`BOUND_STRIDE`]
-/// points (small enough for a `u32`).
+/// Writes `colors` into `row` as `i16` channels (r, g, b per point) and
+/// zeroes the lanes after them, so padding adds nothing to a distance.
+fn widen(colors: impl IntoIterator<Item = Rgb>, row: &mut [i16]) {
+    let mut lanes = row.iter_mut();
+    for c in colors {
+        // The channels lead the zip, so it stops without taking a lane.
+        for (v, lane) in [c.r, c.g, c.b].into_iter().zip(&mut lanes) {
+            *lane = v.into();
+        }
+    }
+    lanes.for_each(|lane| *lane = 0);
+}
+
+/// Squared distance (the un-normalized sum of Equ. 2) of two widened rows
+/// of equal, [`LANES`]-multiple length. Rows of [`BLOCK_LANES`] take an
+/// inlined, fully unrolled sum; any other width a call.
 #[inline]
-fn chunk_sum(p: &[Rgb], i: &[Rgb]) -> u64 {
-    p.iter().zip(i).map(|(&a, &b)| a.distance_squared(b)).sum::<u32>() as u64
+fn row_distance(p: &[i16], i: &[i16]) -> u64 {
+    match (p.as_array::<BLOCK_LANES>(), i.as_array::<BLOCK_LANES>()) {
+        (Some(p), Some(i)) => u64::from(lane_sum(p, i)),
+        _ => any_row_distance(p, i),
+    }
+}
+
+/// [`row_distance`] at any width, summed in [`FLUSH`]-lane pieces.
+#[inline(never)]
+fn any_row_distance(p: &[i16], i: &[i16]) -> u64 {
+    p.chunks(FLUSH).zip(i.chunks(FLUSH)).map(|(p, i)| u64::from(lane_sum(p, i))).sum()
+}
+
+/// [`row_distance`] of at most [`FLUSH`] lanes. Channels are 0..=255, so
+/// each difference fits an `i16` and each pair of squares an `i32`: on
+/// baseline x86-64 the loop compiles to SSE2's multiply-add of `i16`
+/// pairs (`pmaddwd`), with no target feature.
+#[inline]
+fn lane_sum(p: &[i16], i: &[i16]) -> u32 {
+    let (p, _) = p.as_chunks::<2>();
+    let (i, _) = i.as_chunks::<2>();
+    let mut sum = 0u32;
+    for (p, i) in p.iter().zip(i) {
+        let d0 = i32::from(p[0].wrapping_sub(i[0]));
+        let d1 = i32::from(p[1].wrapping_sub(i[1]));
+        sum = sum.wrapping_add((d0 * d0 + d1 * d1) as u32);
+    }
+    sum
+}
+
+/// [`row_distance`] of an unequal-length pair: `i_block`'s proportional
+/// map onto the `len_p` points of the P-block, gathered into `row` (as
+/// long as `p_row`) first. Nearly every pair has equal lengths, so this
+/// stays off the hot loop.
+#[cold]
+fn gathered_distance(p_row: &[i16], i_block: &[Rgb], len_p: usize, row: &mut [i16]) -> u64 {
+    widen(predicted(i_block, len_p), row);
+    row_distance(p_row, row)
+}
+
+/// The longest block of a `len`-long sequence segmented at `starts`.
+fn max_block_len(starts: &[u32], len: usize) -> usize {
+    (0..starts.len()).map(|b| block_range(starts, len, b).len()).max().unwrap_or(0)
 }
 
 /// Matches every P-block against its candidate I-blocks, deciding
@@ -189,22 +236,28 @@ fn chunk_sum(p: &[Rgb], i: &[Rgb]) -> u64 {
 /// index chunks, searched independently, and each chunk writes its
 /// matches in place into its part of `matches` (one entry per P-block);
 /// stats and charges are merged in chunk order, so the result (and any
-/// stream derived from it) is byte-identical at every thread count. At
-/// one thread the pass performs no heap allocation once `matches` has
-/// warmed, which keeps the inter encoder's steady state allocation-free.
+/// stream derived from it) is byte-identical at every thread count. Once
+/// `matches` and `rows` have warmed, the pass performs no heap allocation
+/// at any thread count.
 ///
-/// Each P-block takes the first candidate (lowest I-block index) with the
-/// strictly smallest normalized distance `sum * 20 / len_p`. Because
-/// `len_p` is fixed per P-block, a candidate beats the current best `d`
-/// exactly when `sum * 20 < d * len_p`, so the host scan abandons a
-/// candidate once its partial sum fails that bound. The winner is always
-/// summed in full, so the matches equal an exhaustive scan's. The
-/// returned `MatchCharge` still counts every pair in every window: it
-/// charges the modeled GPU kernels, which compare exhaustively.
+/// The host scan is dense: once per call every I-block is widened into a
+/// zero-padded `i16` row of one stride (three channels × the longest
+/// block, rounded up to [`LANES`]), and each chunk widens its current
+/// P-block into its own slot. Every candidate is then summed in full by
+/// one kernel, fully unrolled at the 64-lane width of the paper's
+/// ~20-point blocks; an unequal-length pair first gathers its
+/// proportional map into the slot's second row. Each P-block takes the
+/// first candidate (lowest I-block index) with the strictly smallest
+/// normalized distance `sum * 20 / len_p`. Because `len_p` is fixed per
+/// P-block, a candidate beats the current best `d` exactly when
+/// `sum * 20 < d * len_p`, so the division runs only on a new best. The
+/// returned `MatchCharge` counts every pair in every window, as the
+/// modeled GPU kernels compare.
 // Encoder side: `starts` come from segment_starts_into over these exact
-// color arrays, so block ranges are in bounds by construction.
+// color arrays, and every row is cut from buffers sized to the stride
+// of the longest block, so all indexing is in bounds by construction.
 #[allow(clippy::too_many_arguments, clippy::indexing_slicing)]
-pub fn match_blocks_into(
+pub(crate) fn match_blocks_into(
     p_colors: &[Rgb],
     i_colors: &[Rgb],
     p_starts: &[u32],
@@ -212,40 +265,66 @@ pub fn match_blocks_into(
     candidates: usize,
     threshold: u32,
     threads: NonZeroUsize,
+    rows: &mut MatchRows,
     matches: &mut Vec<BlockMatch>,
 ) -> (ReuseStats, MatchCharge) {
     let p_blocks = p_starts.len();
     let i_blocks = i_starts.len();
     matches.clear();
 
-    let match_range = |range: Range<usize>, matches: &mut [BlockMatch]| {
+    let max_len =
+        max_block_len(p_starts, p_colors.len()).max(max_block_len(i_starts, i_colors.len()));
+    // At least one step wide, so that a window of empty blocks still has
+    // a row per candidate.
+    let stride = (3 * max_len).next_multiple_of(LANES).max(LANES);
+    let MatchRows { i_rows, i_lens, chunk_rows } = rows;
+    i_rows.resize(i_blocks * stride, 0);
+    i_lens.clear();
+    for (b, row) in (0..i_blocks).zip(i_rows.chunks_exact_mut(stride)) {
+        let i_block = &i_colors[block_range(i_starts, i_colors.len(), b)];
+        widen(i_block.iter().copied(), row);
+        i_lens.push(i_block.len() as u32);
+    }
+    let (i_rows, i_lens): (&[i16], &[u32]) = (i_rows, i_lens);
+
+    let match_range = |range: Range<usize>, matches: &mut [BlockMatch], slot: &mut Vec<i16>| {
         let mut stats = ReuseStats::default();
         let mut charge = MatchCharge::default();
-        for (p_idx, slot) in range.zip(matches) {
+        slot.resize(2 * stride, 0);
+        let (p_row, gathered) = slot.split_at_mut(stride);
+        for (p_idx, out) in range.zip(matches) {
             let p_block = &p_colors[block_range(p_starts, p_colors.len(), p_idx)];
-            let len_p = p_block.len() as u64;
+            let len_p = p_block.len();
+            let width = (3 * len_p).next_multiple_of(LANES);
+            let p_row = &mut p_row[..width];
+            widen(p_block.iter().copied(), p_row);
             let (w_start, w_end) = candidate_window(p_idx, p_blocks, i_blocks, candidates);
-            charge.pair_items += p_block.len() * (w_end - w_start);
+            charge.pair_items += len_p * (w_end - w_start);
             charge.block_pairs += w_end - w_start;
-            let mut best: Option<(usize, u64)> = None;
-            for i_idx in w_start..w_end {
-                let i_block = &i_colors[block_range(i_starts, i_colors.len(), i_idx)];
-                let diff = if p_block.is_empty() {
-                    0
-                } else if i_block.is_empty() {
-                    u64::MAX // an empty reference block can never match
+            // The best candidate so far (the window start at distance
+            // `u64::MAX` until one is summed: an empty reference block can
+            // never match), and `best_diff * len_p`: a candidate wins
+            // exactly when `sum * 20` is below it.
+            let (mut i_block, mut best_diff) = (w_start, u64::MAX);
+            let mut limit = u64::MAX;
+            let window_rows = i_rows[w_start * stride..w_end * stride].chunks_exact(stride);
+            let window = (w_start..w_end).zip(window_rows).zip(&i_lens[w_start..w_end]);
+            for ((i_idx, i_row), &len_i) in window {
+                let sum = if len_i as usize == len_p {
+                    row_distance(p_row, &i_row[..width])
+                } else if len_i == 0 {
+                    continue;
                 } else {
-                    let limit = best.map_or(u64::MAX, |(_, d)| d.saturating_mul(len_p));
-                    match pair_sum(p_block, i_block, limit) {
-                        Some(sum) => sum * 20 / len_p,
-                        None => continue,
-                    }
+                    let i_block = &i_colors[block_range(i_starts, i_colors.len(), i_idx)];
+                    gathered_distance(p_row, i_block, len_p, &mut gathered[..width])
                 };
-                if best.is_none_or(|(_, d)| diff < d) {
-                    best = Some((i_idx, diff));
+                if sum * 20 < limit {
+                    // An empty P-block is at distance 0 from every block.
+                    best_diff = (sum * 20).checked_div(len_p as u64).unwrap_or(0);
+                    i_block = i_idx;
+                    limit = best_diff.saturating_mul(len_p as u64);
                 }
             }
-            let (i_block, best_diff) = best.unwrap_or((0, u64::MAX));
             let outcome = if best_diff <= threshold as u64 {
                 stats.reused += 1;
                 MatchOutcome::Reuse
@@ -253,7 +332,7 @@ pub fn match_blocks_into(
                 stats.delta += 1;
                 MatchOutcome::Delta
             };
-            *slot = BlockMatch {
+            *out = BlockMatch {
                 window_offset: (i_block - w_start) as u32,
                 i_block: i_block as u32,
                 best_diff,
@@ -268,7 +347,7 @@ pub fn match_blocks_into(
     let weight = p_blocks.saturating_mul(candidates.min(i_blocks.max(1)));
     let fan = pcc_parallel::effective_threads(threads, weight).min(p_blocks.max(1));
     let ranges = pcc_parallel::chunks(p_blocks, fan);
-    // Every slot is overwritten by its chunk.
+    // Every entry is overwritten by its chunk.
     let unset =
         BlockMatch { window_offset: 0, i_block: 0, best_diff: 0, outcome: MatchOutcome::Reuse };
     matches.resize(p_blocks, unset);
@@ -276,8 +355,8 @@ pub fn match_blocks_into(
     let mut stats = ReuseStats::default();
     let mut charge = MatchCharge::default();
     pcc_parallel::run(
-        ranges.zip(parts),
-        |(range, part)| match_range(range, part),
+        ranges.zip(parts).zip(pcc_parallel::slots(chunk_rows, fan)),
+        |((range, part), slot)| match_range(range, part, slot),
         |(part_stats, part_charge)| {
             stats.reused += part_stats.reused;
             stats.delta += part_stats.delta;
@@ -303,10 +382,10 @@ mod tests {
         threshold: u32,
         threads: usize,
     ) -> (Vec<BlockMatch>, ReuseStats, MatchCharge) {
-        let mut matches = Vec::new();
+        let (mut rows, mut matches) = (MatchRows::default(), Vec::new());
         let threads = NonZeroUsize::new(threads).unwrap();
         let (stats, charge) = match_blocks_into(
-            p, i, p_starts, i_starts, candidates, threshold, threads, &mut matches,
+            p, i, p_starts, i_starts, candidates, threshold, threads, &mut rows, &mut matches,
         );
         (matches, stats, charge)
     }
@@ -489,7 +568,8 @@ mod tests {
         }
         let p = grays(&[10, 10, 10, 10]);
         let i = grays(&[10, 10]);
-        assert_eq!(pair_sum(&p, &i, u64::MAX), Some(0));
+        let (matches, _, _) = run(&p, &i, &[0], &[0], 1, 0, 1);
+        assert_eq!(matches[0].best_diff, 0);
         assert_eq!(predicted(&[], 3).collect::<Vec<_>>(), [Rgb::BLACK; 3]);
     }
 
@@ -535,9 +615,63 @@ mod tests {
         }
     }
 
+    #[test]
+    fn whole_frame_block_of_extreme_colors_does_not_overflow() {
+        // `blocks_for` gives one block for a tiny frame; here one block
+        // runs past the kernel's i32 flush interval, with every channel
+        // 0 against 255: each point adds 3 × 255² to the sum.
+        let n = 200_000;
+        let p = vec![Rgb::BLACK; n];
+        let i = vec![Rgb::WHITE; n];
+        for threads in [1, 2] {
+            let (matches, stats, charge) = run(&p, &i, &[0], &[0], 100, u32::MAX, threads);
+            assert_eq!(matches[0].best_diff, 3 * 255 * 255 * 20);
+            assert_eq!((stats.reused, charge.pair_items), (1, n));
+        }
+        // Unequal lengths take the gathered row through the same kernel.
+        let (matches, _, _) = run(&p, &i[..n - 7], &[0], &[0], 1, 0, 1);
+        assert_eq!(matches[0].best_diff, 3 * 255 * 255 * 20);
+    }
+
+    #[test]
+    fn rows_are_reused_across_shrinking_and_growing_strides() {
+        // Longest blocks of 300, 5 and 90 points: the row stride shrinks,
+        // then grows again, through one arena.
+        let passes = [(600usize, 300usize, 11u64), (100, 5, 12), (900, 90, 13)];
+        let (mut rows, mut matches) = (MatchRows::default(), Vec::new());
+        for threads in [1, 2, 3] {
+            let t = NonZeroUsize::new(threads).unwrap();
+            for &(n, block, seed) in &passes {
+                let p = seeded_colors(n, seed, 16);
+                let i = seeded_colors(n + block / 2, seed ^ 1, 16);
+                let p_starts: Vec<u32> = (0..n as u32).step_by(block).collect();
+                let i_starts: Vec<u32> = (0..i.len() as u32).step_by(block).collect();
+                let want = exhaustive_match(&p, &i, &p_starts, &i_starts, 9, 2_000);
+                let (stats, charge) = match_blocks_into(
+                    &p, &i, &p_starts, &i_starts, 9, 2_000, t, &mut rows, &mut matches,
+                );
+                assert_eq!((&matches, stats, charge), (&want.0, want.1, want.2), "block {block}");
+            }
+        }
+    }
+
+    #[test]
+    fn rows_whose_width_is_not_a_lane_multiple_match_the_oracle() {
+        // 3 × len is a multiple of 16 only when len is: 1, 7, 13, 17 and
+        // 19 points leave 3 to 13 padding lanes in the last kernel step.
+        for block in [1usize, 7, 13, 17, 19] {
+            let p = seeded_colors(block * 40, block as u64, 256);
+            let i = seeded_colors(block * 37 + 3, !(block as u64), 256);
+            let p_starts: Vec<u32> = (0..p.len() as u32).step_by(block).collect();
+            let i_starts: Vec<u32> = (0..i.len() as u32).step_by(block).collect();
+            let want = exhaustive_match(&p, &i, &p_starts, &i_starts, 6, 50_000);
+            assert_eq!(run(&p, &i, &p_starts, &i_starts, 6, 50_000, 1), want, "block {block}");
+        }
+    }
+
     proptest! {
         #[test]
-        fn pruned_matcher_equals_exhaustive_scan(
+        fn matcher_equals_exhaustive_scan(
             p_raw in prop::collection::vec((0u8..8, 0usize..300), 0..160),
             i_raw in prop::collection::vec((0u8..8, 0usize..300), 0..80),
             seed in any::<u64>(),
@@ -564,10 +698,13 @@ mod tests {
                 let got = run(&p, &i, &p_starts, &i_starts, candidates, threshold, t);
                 prop_assert_eq!(&got, &want, "threads = {}", t);
                 let threads = NonZeroUsize::new(t).unwrap();
-                let mut warm = Vec::new();
-                match_blocks_into(&dirty, &i, &dirty_starts, &i_starts, 7, 0, threads, &mut warm);
+                let (mut rows, mut warm) = (MatchRows::default(), Vec::new());
+                match_blocks_into(
+                    &dirty, &i, &dirty_starts, &i_starts, 7, 0, threads, &mut rows, &mut warm,
+                );
                 let (stats, charge) = match_blocks_into(
-                    &p, &i, &p_starts, &i_starts, candidates, threshold, threads, &mut warm,
+                    &p, &i, &p_starts, &i_starts, candidates, threshold, threads, &mut rows,
+                    &mut warm,
                 );
                 prop_assert_eq!(&(warm, stats, charge), &want, "threads = {} (warm buffer)", t);
             }

@@ -7,7 +7,9 @@
 //! warm-up, encoding a frame performs **zero heap allocations** on the
 //! single-threaded path — asserted by the counting-allocator test in
 //! `tests/alloc_steady_state.rs` at the workspace root and tracked in
-//! `BENCH_hotpath.json`.
+//! `BENCH_hotpath.json`. Kernels that fan out keep their per-chunk
+//! scratch here too, one slot per chunk (`pcc_parallel::slots`), and the
+//! test asserts two threads as well.
 //!
 //! The arena types deliberately expose their fields only `pub(crate)`:
 //! the layout is an implementation detail of the encode pipeline, and
@@ -36,6 +38,8 @@ pub struct GeometryScratch {
     pub(crate) tree: ParallelOctree,
     /// Per-node occupancy bytes before packing.
     pub(crate) occupancy: Vec<u8>,
+    /// Each chunk's first run index in the leaf compaction.
+    pub(crate) run_bases: Vec<usize>,
 }
 
 /// Reusable buffers for the attribute pipeline
@@ -61,8 +65,9 @@ pub struct AttributeScratch {
     pub(crate) bases2: Vec<[i32; 3]>,
     /// Layer-2 residuals.
     pub(crate) residuals2: Vec<[i32; 3]>,
-    /// Channel scratch for the per-segment median reduction.
-    pub(crate) median: Vec<i32>,
+    /// Channel scratch for the per-segment median reduction, one slot
+    /// per chunk.
+    pub(crate) median: Vec<Vec<i32>>,
     /// Serialized outer layer (two-layer mode length-prefixes it).
     pub(crate) outer_bytes: Vec<u8>,
 }

@@ -105,6 +105,7 @@ pub(crate) fn morton_products_in(
         threads,
         &mut out.leaf_codes,
         &mut out.point_to_voxel,
+        &mut scratch.run_bases,
     );
     // The permutation moves to the output wholesale; the sort rebuilds
     // scratch.sorted.perm from scratch next frame, so handing back last

@@ -186,11 +186,11 @@ pub fn segment_starts_into(len: usize, segments: usize, out: &mut Vec<u32>) {
 /// to exactly one chunk), so the output is byte-identical at every thread
 /// count.
 ///
-/// `bases`/`residuals` are cleared and refilled; `median_scratch` is the
-/// per-segment channel scratch reused across segments (it grows to the
-/// largest segment and then stays put). On the single-threaded path this
-/// performs no heap allocation once the three buffers have warmed to the
-/// working-set size.
+/// `bases`/`residuals` are cleared and refilled; `median_scratch` holds
+/// one channel scratch per chunk ([`pcc_parallel::slots`]), reused across
+/// that chunk's segments (each grows to the largest segment it sees and
+/// then stays put). At every thread count this performs no heap
+/// allocation once the buffers have warmed to the working-set size.
 ///
 /// # Panics
 ///
@@ -206,7 +206,7 @@ pub fn encode_layer_with_starts_into(
     threads: NonZeroUsize,
     bases: &mut Vec<[i32; 3]>,
     residuals: &mut Vec<[i32; 3]>,
-    median_scratch: &mut Vec<i32>,
+    median_scratch: &mut Vec<Vec<i32>>,
 ) {
     let _sp = pcc_probe::span("intra/layer_encode");
     assert!(quant_step >= 1, "quantization step must be >= 1");
@@ -249,14 +249,11 @@ pub fn encode_layer_with_starts_into(
         residuals,
         seg_ranges.clone().skip(1).map(|r| starts[r.start] as usize),
     );
-    // The first chunk, which runs on the calling thread, keeps the
-    // caller's median scratch; every other chunk grows its own.
-    let scratches = std::iter::once(Some(median_scratch)).chain(std::iter::repeat_with(|| None));
+    let scratches = pcc_parallel::slots(median_scratch, fan);
     pcc_parallel::run(
         seg_ranges.zip(bases_parts).zip(resid_parts).zip(scratches),
         |(((seg_range, bases_part), resid_part), scratch)| {
-            let mut own = Vec::new();
-            encode_group(seg_range, bases_part, resid_part, scratch.unwrap_or(&mut own));
+            encode_group(seg_range, bases_part, resid_part, scratch)
         },
         drop,
     );

@@ -56,5 +56,5 @@ pub use parallel::{LevelArrays, ParallelOctree};
 pub use sequential::SequentialOctree;
 pub use serialize::{
     decode_occupancy_from, decode_occupancy_with, read_grid_header,
-    serialize_occupancy_into, write_grid_header, GridHeader, OccupancyStream,
+    serialize_occupancy_into, write_grid_header, GridHeader, OccupancyHeader,
 };

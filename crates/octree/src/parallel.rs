@@ -52,12 +52,23 @@ pub struct LevelArrays {
 /// tree.occupancy_into(std::num::NonZeroUsize::MIN, &mut occupancy);
 /// assert_eq!(occupancy[0], 0b1000_0001); // root byte
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct ParallelOctree {
     depth: u8,
     /// `levels[0]` is the root level (1 node); `levels[depth]` the leaves.
     levels: Vec<LevelArrays>,
+    /// Compaction scratch (each chunk's first run index); not part of the
+    /// tree, so equality ignores it.
+    run_bases: Vec<usize>,
 }
+
+impl PartialEq for ParallelOctree {
+    fn eq(&self, other: &Self) -> bool {
+        self.depth == other.depth && self.levels == other.levels
+    }
+}
+
+impl Eq for ParallelOctree {}
 
 impl ParallelOctree {
     /// Builds this tree in place from *sorted, deduplicated* leaf Morton
@@ -138,6 +149,7 @@ impl ParallelOctree {
                 threads,
                 &mut parent_level.codes,
                 &mut child_level.parent,
+                &mut self.run_bases,
             );
         }
         let root_len = self.levels[0].codes.len();
@@ -256,8 +268,9 @@ impl ParallelOctree {
         self.levels[..self.depth as usize].iter().map(|l| l.codes.len()).sum()
     }
 
-    /// Serializes the tree into a self-describing
-    /// [`OccupancyStream`](crate::OccupancyStream) byte buffer.
+    /// Serializes the tree into a self-describing occupancy stream (an
+    /// [`OccupancyHeader`](crate::OccupancyHeader), then the occupancy
+    /// bytes).
     pub fn serialize(&self) -> Vec<u8> {
         let mut occupancy = Vec::new();
         self.occupancy_into(pcc_parallel::resolve(None), &mut occupancy);

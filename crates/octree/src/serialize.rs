@@ -7,15 +7,14 @@ use pcc_types::{DecodeError, Limits, VoxelCoord, VoxelizedCloud};
 /// Magic byte identifying an occupancy stream.
 const MAGIC: u8 = 0xa7;
 
-/// A parsed occupancy stream header plus its payload view.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OccupancyStream<'a> {
-    /// Leaf depth of the serialized octree.
+/// The header of an occupancy stream: what expanding its occupancy bytes
+/// needs besides the bytes themselves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OccupancyHeader {
+    /// Leaf depth of the serialized octree (1..=21).
     pub depth: u8,
     /// Number of occupied leaf voxels.
     pub leaf_count: usize,
-    /// Breadth-first occupancy bytes (root first).
-    pub occupancy: &'a [u8],
 }
 
 /// Serializes breadth-first occupancy bytes into a self-describing
@@ -75,7 +74,8 @@ pub fn decode_occupancy_with(
 
 /// [`decode_occupancy_with`] reading the stream from `cursor`, so a
 /// caller that parsed a header in front of it gets offsets in its own
-/// buffer. Consumes the occupancy bytes the expansion read.
+/// buffer: [`OccupancyHeader::read`], then [`OccupancyHeader::expand`].
+/// Consumes the occupancy bytes the expansion read.
 ///
 /// # Errors
 ///
@@ -84,51 +84,94 @@ pub fn decode_occupancy_from(
     cursor: &mut Cursor<'_>,
     limits: &Limits,
 ) -> Result<Vec<VoxelCoord>, DecodeError> {
-    let parsed = read_stream(cursor)?;
-    limits.check_depth(parsed.depth)?;
-    limits.check_points(parsed.leaf_count as u64)?;
-    let mut frontier: Vec<u64> = vec![0]; // root prefix
-    for _level in 0..parsed.depth {
-        // Each frontier node consumes one occupancy byte and spawns at most
-        // 8 children, so `next` is bounded by 8 × the bytes consumed this
-        // level — but a deep stream could still compound that. Cap every
-        // intermediate frontier at the leaf budget: in a well-formed
-        // breadth-first tree, no level is ever wider than the leaf level.
-        let mut next = Vec::new();
-        for &prefix in &frontier {
-            let byte = cursor.u8()?;
-            for slot in 0..8u64 {
-                if byte & (1 << slot) != 0 {
-                    next.push((prefix << 3) | slot);
-                }
-            }
-        }
-        limits.check_points(next.len() as u64)?;
-        frontier = next;
-    }
-    if frontier.len() != parsed.leaf_count {
-        return Err(DecodeError::Mismatch {
-            what: "leaves",
-            declared: parsed.leaf_count,
-            decoded: frontier.len(),
-        });
-    }
-    Ok(frontier.into_iter().map(|c| MortonCode::from_raw(c).to_coord()).collect())
+    OccupancyHeader::read(cursor)?.expand(cursor, limits)
 }
 
-/// Reads an occupancy stream header, leaving `cursor` at the first
-/// occupancy byte.
-fn read_stream<'a>(cursor: &mut Cursor<'a>) -> Result<OccupancyStream<'a>, DecodeError> {
-    let at = cursor.offset();
-    if cursor.u8()? != MAGIC {
-        return Err(DecodeError::BadMagic { offset: at });
+impl OccupancyHeader {
+    /// Reads an occupancy stream header — magic, depth, varint leaf count
+    /// — leaving `cursor` at the first occupancy byte.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::BadMagic`], a depth outside 1..=21
+    /// ([`DecodeError::Corrupt`]), or a truncated or overlong varint.
+    pub fn read(cursor: &mut Cursor<'_>) -> Result<Self, DecodeError> {
+        let at = cursor.offset();
+        if cursor.u8()? != MAGIC {
+            return Err(DecodeError::BadMagic { offset: at });
+        }
+        let depth = cursor.u8()?;
+        check_depth_byte(depth, at + 1)?;
+        Ok(OccupancyHeader { depth, leaf_count: cursor.varint()? as usize })
     }
-    let depth = cursor.u8()?;
-    if !(1..=21).contains(&depth) {
-        return Err(DecodeError::Corrupt { what: "octree depth", offset: at + 1 });
+
+    /// A header for occupancy bytes that another container frames (the
+    /// TMC13 baseline entropy-codes them behind its own header).
+    /// `depth_at` is where that container holds the depth byte.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::Corrupt`] at `depth_at` when `depth` is outside
+    /// 1..=21.
+    pub fn new(depth: u8, leaf_count: usize, depth_at: usize) -> Result<Self, DecodeError> {
+        check_depth_byte(depth, depth_at)?;
+        Ok(OccupancyHeader { depth, leaf_count })
     }
-    let leaf_count = cursor.varint()? as usize;
-    Ok(OccupancyStream { depth, leaf_count, occupancy: cursor.rest() })
+
+    /// Expands the breadth-first occupancy bytes at `cursor` into this
+    /// header's voxels, in Morton order, under `limits`; consumes the
+    /// bytes it reads. Offsets in errors are the cursor's.
+    ///
+    /// # Errors
+    ///
+    /// As [`decode_occupancy_with`], after the header: the depth and
+    /// leaf-count limits, truncated occupancy bytes, and a leaf count
+    /// that disagrees with the expansion.
+    pub fn expand(
+        self,
+        cursor: &mut Cursor<'_>,
+        limits: &Limits,
+    ) -> Result<Vec<VoxelCoord>, DecodeError> {
+        limits.check_depth(self.depth)?;
+        limits.check_points(self.leaf_count as u64)?;
+        let mut frontier: Vec<u64> = vec![0]; // root prefix
+        for _level in 0..self.depth {
+            // Each frontier node consumes one occupancy byte and spawns at
+            // most 8 children, so `next` is bounded by 8 × the bytes
+            // consumed this level — but a deep stream could still compound
+            // that. Cap every intermediate frontier at the leaf budget: in
+            // a well-formed breadth-first tree, no level is ever wider than
+            // the leaf level.
+            let mut next = Vec::new();
+            for &prefix in &frontier {
+                let byte = cursor.u8()?;
+                for slot in 0..8u64 {
+                    if byte & (1 << slot) != 0 {
+                        next.push((prefix << 3) | slot);
+                    }
+                }
+            }
+            limits.check_points(next.len() as u64)?;
+            frontier = next;
+        }
+        if frontier.len() != self.leaf_count {
+            return Err(DecodeError::Mismatch {
+                what: "leaves",
+                declared: self.leaf_count,
+                decoded: frontier.len(),
+            });
+        }
+        Ok(frontier.into_iter().map(|c| MortonCode::from_raw(c).to_coord()).collect())
+    }
+}
+
+/// Rejects a depth byte outside the octree's 1..=21 levels.
+fn check_depth_byte(depth: u8, offset: usize) -> Result<(), DecodeError> {
+    if (1..=21).contains(&depth) {
+        Ok(())
+    } else {
+        Err(DecodeError::Corrupt { what: "octree depth", offset })
+    }
 }
 
 /// The grid metadata a geometry stream carries in front of its occupancy
@@ -244,7 +287,7 @@ mod tests {
         let mut stream = vec![MAGIC, 4, 0x85];
         stream.extend_from_slice(&[0x80; 8]);
         stream.push(0x7e);
-        let header = read_stream(&mut Cursor::new(&stream, 0));
+        let header = OccupancyHeader::read(&mut Cursor::new(&stream, 0));
         assert_eq!(header, Err(DecodeError::VarintOverflow { offset: 2 }));
         assert_eq!(decode(&stream), Err(DecodeError::VarintOverflow { offset: 2 }));
     }
@@ -254,8 +297,9 @@ mod tests {
         let tree = ParallelOctree::from_coords(&[VoxelCoord::new(1, 1, 1)], 2);
         let serialized = tree.serialize();
         let mut stream = Vec::new();
-        let occupancy = read_stream(&mut Cursor::new(&serialized, 0)).unwrap().occupancy;
-        serialize_occupancy_into(2, 99, occupancy, &mut stream);
+        let mut c = Cursor::new(&serialized, 0);
+        OccupancyHeader::read(&mut c).unwrap();
+        serialize_occupancy_into(2, 99, c.rest(), &mut stream);
         let err = decode(&stream).unwrap_err();
         assert_eq!(err, DecodeError::Mismatch { what: "leaves", declared: 99, decoded: 1 });
         // And a corrupted occupancy byte changes the decoded count.
@@ -297,10 +341,17 @@ mod tests {
     fn header_parse_exposes_fields() {
         let tree = ParallelOctree::from_coords(&[VoxelCoord::new(1, 1, 1)], 7);
         let stream = tree.serialize();
-        let parsed = read_stream(&mut Cursor::new(&stream, 0)).unwrap();
-        assert_eq!(parsed.depth, 7);
-        assert_eq!(parsed.leaf_count, 1);
-        assert_eq!(parsed.occupancy.len(), 7);
+        let mut c = Cursor::new(&stream, 0);
+        let parsed = OccupancyHeader::read(&mut c).unwrap();
+        assert_eq!(parsed, OccupancyHeader { depth: 7, leaf_count: 1 });
+        assert_eq!(c.rest().len(), 7);
+        // A framed header checks the same depths, at the caller's offset.
+        assert_eq!(OccupancyHeader::new(7, 1, 40), Ok(parsed));
+        assert_eq!(
+            OccupancyHeader::new(22, 1, 40),
+            Err(DecodeError::Corrupt { what: "octree depth", offset: 40 })
+        );
+        assert_eq!(parsed.expand(&mut c, &Limits::default()), decode(&stream));
     }
 
     proptest! {

@@ -6,21 +6,23 @@
 //! are merged in chunk order. The codec crates rely on this to guarantee
 //! byte-identical bitstreams whether they run on one core or sixteen.
 //!
-//! Every kernel fans out through the same three pieces:
+//! Every kernel fans out through the same few pieces:
 //! - [`chunks`] / [`aligned_chunks`] yield the chunk ranges of `0..len`
 //!   (plain, or moved forward to run starts so a run never straddles two
 //!   chunks);
 //! - [`split_at_cuts`] splits an output slice lazily into the disjoint
-//!   part each chunk writes;
+//!   part each chunk writes, and [`slots`] lends each chunk its own
+//!   scratch from the caller's arena;
 //! - [`run`] executes one work item per chunk, the first on the calling
 //!   thread and each other on a worker of one process-wide pool of parked
 //!   threads, and hands the results back in item order. A single item runs
 //!   inline, so the one-thread path of every kernel never touches the pool.
 //!
-//! The first two never allocate. [`run`] allocates only while its pool
-//! grows: a call spawns a worker only when every existing worker is busy,
-//! so once the pool has grown to the process's peak fan-out, calls spawn
-//! and allocate nothing.
+//! [`chunks`] and [`split_at_cuts`] never allocate, and [`slots`] only
+//! when a fan is wider than any before it. [`run`] allocates only while
+//! its pool grows: a call spawns a worker only when every existing worker
+//! is busy, so once the pool has grown to the process's peak fan-out,
+//! calls spawn and allocate nothing.
 //!
 //! The pool's worker spawn is the crate's one spawn site. Items and results
 //! are handed across by pointer, so borrowed slices can be fanned out
@@ -170,6 +172,19 @@ impl<'a, T, I: Iterator<Item = usize>> Iterator for SplitAtCuts<'a, T, I> {
         self.rest = Some(tail);
         Some(head)
     }
+}
+
+/// Per-chunk scratch slots kept in a caller's arena: grows `slots` to at
+/// least `n` entries and yields them in order, so chunk `c` of a fan-out
+/// borrows slot `c`. A fan is bounded by the thread count, so a
+/// steady-state caller allocates only when a fan wider than any before
+/// it appears (and then only the new slots), and each slot keeps its
+/// capacity across calls.
+pub fn slots<T: Default>(slots: &mut Vec<T>, n: usize) -> std::slice::IterMut<'_, T> {
+    if slots.len() < n {
+        slots.resize_with(n, T::default);
+    }
+    slots.iter_mut()
 }
 
 /// Runs `work` on every item and hands each result to `each` **in item
@@ -493,18 +508,21 @@ fn radix_sort_pairs_seq(
 ///   unique list.
 ///
 /// Deterministic at any thread count: chunks are aligned to run boundaries,
-/// per-chunk unique counts are prefix-summed, and each chunk writes disjoint
-/// contiguous regions of both outputs. Both buffers are cleared and
-/// refilled; capacity persists across calls, so a steady-state caller (one
-/// compaction per frame) performs no heap allocation once the buffers have
-/// warmed to the working-set size. The single-thread path builds both
-/// outputs in one sweep with no intermediate partitioning.
+/// per-chunk unique counts are prefix-summed into `bases` (each chunk's
+/// first run index; scratch the caller keeps), and each chunk writes
+/// disjoint contiguous regions of both outputs. All three buffers are
+/// cleared and refilled; capacity persists across calls, so a
+/// steady-state caller (one compaction per frame) performs no heap
+/// allocation at any thread count once the buffers have warmed to the
+/// working-set size. The single-thread path builds both outputs in one
+/// sweep with no intermediate partitioning.
 pub fn compact_runs_into<T, K, F>(
     items: &[T],
     map: F,
     threads: NonZeroUsize,
     unique: &mut Vec<K>,
     run_of: &mut Vec<u32>,
+    bases: &mut Vec<usize>,
 ) where
     T: Sync,
     K: Copy + Default + Eq + Send + Sync,
@@ -535,7 +553,7 @@ pub fn compact_runs_into<T, K, F>(
     // Pass A: count runs per chunk (chunks start at run boundaries, so runs
     // never straddle chunks and counts are independent); `bases` gets each
     // chunk's first run index.
-    let mut bases = Vec::with_capacity(fan);
+    bases.clear();
     let mut total = 0usize;
     run(
         ranges.clone(),
@@ -563,7 +581,7 @@ pub fn compact_runs_into<T, K, F>(
     let unique_parts = split_at_cuts(unique, bases.iter().skip(1).copied());
     let run_parts = split_at_cuts(run_of, ranges.clone().skip(1).map(|r| r.start));
     run(
-        ranges.zip(&bases).zip(unique_parts).zip(run_parts),
+        ranges.zip(bases.iter()).zip(unique_parts).zip(run_parts),
         |(((range, &base), uniq), runs)| {
             let base = base as u32;
             let mut local = u32::MAX; // wraps to 0 on the first run
@@ -936,15 +954,25 @@ mod tests {
         // Warm buffers first hold a larger, different compaction.
         let dirty: Vec<u64> = (0..40_000u64).map(|i| i / 3 + 11).collect();
         for threads in [1usize, 2, 3, 5, 8] {
-            let (mut unique, mut runs) = (Vec::new(), Vec::new());
-            compact_runs_into(&items, map, nz(threads), &mut unique, &mut runs);
+            let (mut unique, mut runs, mut bases) = (Vec::new(), Vec::new(), Vec::new());
+            compact_runs_into(&items, map, nz(threads), &mut unique, &mut runs, &mut bases);
             assert_eq!(unique, want_unique, "threads={threads}");
             assert_eq!(runs, want_runs, "threads={threads}");
-            compact_runs_into(&dirty, |v| *v, nz(threads), &mut unique, &mut runs);
-            compact_runs_into(&items, map, nz(threads), &mut unique, &mut runs);
+            compact_runs_into(&dirty, |v| *v, nz(threads), &mut unique, &mut runs, &mut bases);
+            compact_runs_into(&items, map, nz(threads), &mut unique, &mut runs, &mut bases);
             assert_eq!(unique, want_unique, "threads={threads} (warm buffers)");
             assert_eq!(runs, want_runs, "threads={threads} (warm buffers)");
         }
+    }
+
+    #[test]
+    fn slots_grow_to_the_widest_fan_and_keep_their_contents() {
+        let mut arena: Vec<Vec<u8>> = Vec::new();
+        assert_eq!(slots(&mut arena, 3).count(), 3);
+        slots(&mut arena, 1).for_each(|s| s.push(7));
+        // A narrower fan lends the same slots; none is dropped.
+        assert_eq!(slots(&mut arena, 2).count(), 3);
+        assert_eq!(arena, [vec![7], vec![7], vec![7]]);
     }
 
     #[test]

@@ -85,7 +85,7 @@ cargo run -q --release --offline --example broadcast
 echo "== codec crate suites: matcher oracle, thread identity, kernels =="
 # The root package's run above covers none of the codec crates' own
 # unit tests and proptests. Among them: the inter matcher's
-# exhaustive-scan oracle (the pruned matcher must return the same
+# exhaustive-scan oracle (the dense matcher must return the same
 # matches, stats and modeled charge over random block lengths, empty
 # and >255-point blocks, edge thresholds, window sizes and 1-3 threads)
 # and every crate's thread-count identity proptests.

@@ -3,12 +3,13 @@
 //!
 //! `pcc_bench`'s counting global allocator wraps the system allocator;
 //! after a few warm-up frames through a session arena, encoding further
-//! frames on the single-threaded path must perform **zero** heap
-//! allocations (`alloc`, `alloc_zeroed`, and `realloc` all count) — for
-//! the intra codec (monolithic and brick-partitioned) and the inter
-//! codec, with probes off and on. The warm-up frames must count at least
-//! one allocation (a fresh arena grows), so a test binary whose
-//! allocator counts nothing cannot pass.
+//! frames must perform **zero** heap allocations (`alloc`,
+//! `alloc_zeroed`, and `realloc` all count) — for the intra codec
+//! (monolithic and brick-partitioned) and the inter codec, at one host
+//! thread and at two on frames large enough that the inter kernels fan
+//! out (per-chunk scratch lives in the arena), with probes off and on.
+//! The warm-up frames must count at least one allocation (a fresh arena
+//! grows), so a test binary whose allocator counts nothing cannot pass.
 //!
 //! Everything lives in ONE `#[test]` function: the counter is global, so
 //! a second test running on a sibling harness thread would pollute the
@@ -28,16 +29,23 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const WARMUP_FRAMES: usize = 8;
 const MEASURED_FRAMES: usize = 4;
 
-/// The modeled board at one host thread.
-fn device() -> Device {
-    Device::jetson_agx_xavier(PowerMode::W15).with_host_threads(Some(NonZeroUsize::MIN))
+/// Points per frame of the one-thread legs.
+const SMALL_POINTS: usize = 3000;
+/// Points per frame of the two-thread legs: enough that every inter
+/// kernel fans out (asserted below).
+const FAN_POINTS: usize = 12_000;
+
+/// The modeled board at `threads` host threads.
+fn device(threads: usize) -> Device {
+    Device::jetson_agx_xavier(PowerMode::W15).with_host_threads(NonZeroUsize::new(threads))
 }
 
-/// A deterministic synthetic frame; `phase` varies geometry and colors so
-/// consecutive frames differ (stale-buffer reuse would corrupt output and
-/// trip the byte-identity tests, and varying sizes exercise resize paths).
-fn frame(phase: usize) -> VoxelizedCloud {
-    let n = 3000 + (phase % 3) * 500;
+/// A deterministic synthetic frame of about `points` points; `phase`
+/// varies geometry and colors so consecutive frames differ (stale-buffer
+/// reuse would corrupt output and trip the byte-identity tests, and
+/// varying sizes exercise resize paths).
+fn frame(points: usize, phase: usize) -> VoxelizedCloud {
+    let n = points + (phase % 3) * 500;
     let cloud: PointCloud = (0..n)
         .map(|i| {
             let x = ((i + phase * 7) % 50) as f32;
@@ -47,7 +55,7 @@ fn frame(phase: usize) -> VoxelizedCloud {
             (Point3::new(x, y, z), Rgb::new(c, 255 - c, 128))
         })
         .collect();
-    VoxelizedCloud::from_cloud(&cloud, 6)
+    VoxelizedCloud::from_cloud(&cloud, 7)
 }
 
 /// Allocations counted while `encode` runs on each frame in order, as
@@ -75,69 +83,111 @@ fn count_allocs(
     (warmup, measured)
 }
 
+/// The decoded I-frame of `vox`: the reference a session's decoder would
+/// hold for the inter legs.
+fn reference_of(intra: &IntraCodec, vox: &VoxelizedCloud, d: &Device) -> Vec<Rgb> {
+    let f = intra.encode(vox, d);
+    d.reset();
+    intra.decode(&f, d).unwrap().colors().to_vec()
+}
+
+/// Asserts a leg's counts: the warm-up allocated, the steady state did not.
+fn assert_steady(leg: &str, probes: bool, (warmup, measured): (u64, u64)) {
+    // Positive control: a fresh arena must grow, so a warm-up that
+    // counted nothing means the allocator is not counting.
+    assert!(
+        warmup > 0,
+        "{leg} warm-up counted no allocation (probes={probes}): \
+         CountingAlloc is not the global allocator"
+    );
+    assert_eq!(
+        measured, 0,
+        "{leg} encode allocated {measured} times across {MEASURED_FRAMES} \
+         steady-state frames (probes={probes})"
+    );
+}
+
 #[test]
 fn encode_hot_path_is_allocation_free_after_warmup() {
-    // Single-threaded — the configuration the zero-alloc guarantee
-    // covers. The fan-out itself (`pcc_parallel::run`) stops allocating
-    // once its worker pool has grown, but some kernels' multi-thread
-    // paths still allocate per call (per-chunk scratch and bases).
     let intra_cfg = IntraConfig::paper();
-    let d = device();
+    let (d1, d2) = (device(1), device(2));
+    let two = NonZeroUsize::new(2).unwrap();
 
     // Pre-build every frame: voxelization allocates by design (it is
     // per-capture input conversion, not part of the encode hot path).
-    let frames: Vec<VoxelizedCloud> =
-        (0..WARMUP_FRAMES + MEASURED_FRAMES).map(frame).collect();
-
-    // Reference colors for the inter legs: the decoded I-frame, exactly
-    // what a session's decoder would hold.
-    let intra = IntraCodec::new(intra_cfg);
-    let reference: Vec<Rgb> = {
-        let f = intra.encode(&frames[0], &d);
-        d.reset();
-        intra.decode(&f, &d).unwrap().colors().to_vec()
+    let frames_of = |points| -> Vec<VoxelizedCloud> {
+        (0..WARMUP_FRAMES + MEASURED_FRAMES).map(|phase| frame(points, phase)).collect()
     };
+    let (small, large) = (frames_of(SMALL_POINTS), frames_of(FAN_POINTS));
 
+    let intra = IntraCodec::new(intra_cfg);
+    let small_ref = reference_of(&intra, &small[0], &d1);
+    let large_ref = reference_of(&intra, &large[0], &d1);
     let inter_cfg = InterConfig { intra: intra_cfg, ..InterConfig::v1() };
     let inter = InterCodec::new(inter_cfg);
     // The brick layout the lossy-recovery workload encodes.
     let bricks = IntraCodec::new(intra_cfg.with_bricks(3));
+
+    // The two-thread legs must really fan out: the geometry and gather
+    // kernels split the frame's points, the matcher its compared block
+    // pairs, and the delta layer its values (every delta block holds at
+    // least `m / blocks` of them). Frame 0 is the reference itself, so
+    // its blocks are all reused.
+    let mut out = InterEncoded::default();
+    for vox in &large[1..] {
+        inter.encode_into(vox, &large_ref, &d2, &mut InterArena::new(), &mut out);
+        let m = out.frame.unique_voxels;
+        assert!(pcc_parallel::effective_threads(two, m) > 1, "{m} voxels run on one thread");
+        let blocks = inter_cfg.blocks_for(m);
+        let pairs = blocks * inter_cfg.candidates.min(inter_cfg.blocks_for(large_ref.len()));
+        assert!(pcc_parallel::effective_threads(two, pairs) > 1, "{pairs} pairs run on one thread");
+        let delta_values = out.stats.delta * (m / blocks);
+        assert!(
+            pcc_parallel::effective_threads(two, delta_values) > 1,
+            "{delta_values} delta values run on one thread"
+        );
+    }
 
     for probes in [false, true] {
         pcc_probe::set_enabled(probes);
 
         let mut arena = FrameArena::new();
         let mut out = IntraFrame::default();
-        let intra_counts = count_allocs(&frames, &d, |vox| {
-            intra.encode_into(vox, &d, &mut arena, &mut out);
+        let intra_counts = count_allocs(&small, &d1, |vox| {
+            intra.encode_into(vox, &d1, &mut arena, &mut out);
         });
         let mut arena = FrameArena::new();
         let mut out = IntraFrame::default();
-        let brick_counts = count_allocs(&frames, &d, |vox| {
-            bricks.encode_into(vox, &d, &mut arena, &mut out);
+        let brick_counts = count_allocs(&small, &d1, |vox| {
+            bricks.encode_into(vox, &d1, &mut arena, &mut out);
         });
         let mut arena = InterArena::new();
         let mut out = InterEncoded::default();
-        let inter_counts = count_allocs(&frames, &d, |vox| {
-            inter.encode_into(vox, &reference, &d, &mut arena, &mut out);
+        let inter_counts = count_allocs(&small, &d1, |vox| {
+            inter.encode_into(vox, &small_ref, &d1, &mut arena, &mut out);
+        });
+        let mut arena = InterArena::new();
+        let mut out = InterEncoded::default();
+        let inter2_counts = count_allocs(&large, &d2, |vox| {
+            inter.encode_into(vox, &large_ref, &d2, &mut arena, &mut out);
+        });
+        let mut arena = FrameArena::new();
+        let mut out = IntraFrame::default();
+        let intra2_counts = count_allocs(&large, &d2, |vox| {
+            intra.encode_into(vox, &d2, &mut arena, &mut out);
+        });
+        let mut arena = FrameArena::new();
+        let mut out = IntraFrame::default();
+        let brick2_counts = count_allocs(&large, &d2, |vox| {
+            bricks.encode_into(vox, &d2, &mut arena, &mut out);
         });
 
-        for (leg, (warmup, measured)) in
-            [("intra", intra_counts), ("brick", brick_counts), ("inter", inter_counts)]
-        {
-            // Positive control: a fresh arena must grow, so a warm-up
-            // that counted nothing means the allocator is not counting.
-            assert!(
-                warmup > 0,
-                "{leg} warm-up counted no allocation (probes={probes}): \
-                 CountingAlloc is not the global allocator"
-            );
-            assert_eq!(
-                measured, 0,
-                "{leg} encode allocated {measured} times across {MEASURED_FRAMES} \
-                 steady-state frames (probes={probes})"
-            );
-        }
+        assert_steady("intra", probes, intra_counts);
+        assert_steady("brick", probes, brick_counts);
+        assert_steady("inter", probes, inter_counts);
+        assert_steady("inter at 2 threads", probes, inter2_counts);
+        assert_steady("intra at 2 threads", probes, intra2_counts);
+        assert_steady("brick at 2 threads", probes, brick2_counts);
     }
     pcc_probe::set_enabled(false);
 }
