@@ -169,8 +169,7 @@ impl PccCodec {
             force_intra: false,
             reference_colors: None,
             reference_cloud: None,
-            intra_arena: pcc_intra::FrameArena::new(),
-            inter_arena: pcc_inter::InterArena::new(),
+            arena: pcc_inter::InterArena::new(),
         }
     }
 
@@ -256,14 +255,13 @@ pub struct FrameEncoder<'d> {
     force_intra: bool,
     reference_colors: Option<Vec<Rgb>>,
     reference_cloud: Option<VoxelizedCloud>,
-    /// Per-session scratch for the intra pipeline: every per-frame
-    /// intermediate (sort staging, octree levels, layer buffers) is
-    /// reused across frames, so the encode hot path stops allocating
-    /// once the buffers warm to the working-set size.
-    intra_arena: pcc_intra::FrameArena,
-    /// Per-session scratch for the inter pipeline (superset of the intra
-    /// arena's role: adds the match table and delta-layer buffers).
-    inter_arena: pcc_inter::InterArena,
+    /// The session's one encode arena, for every design and frame kind:
+    /// the intra pipeline's buffers (sort staging, octree levels, gather
+    /// and layer buffers), which I-frames and the geometry of P-frames
+    /// share, plus the matcher and delta-layer buffers only P-frames use.
+    /// Every per-frame intermediate is reused, so the encode hot path
+    /// stops allocating once the buffers warm to the working-set size.
+    arena: pcc_inter::InterArena,
 }
 
 impl<'d> FrameEncoder<'d> {
@@ -401,14 +399,14 @@ impl<'d> FrameEncoder<'d> {
                 // payload vectors are per-frame; every intermediate goes
                 // through the session arena and is reused.
                 let mut f = IntraFrame::default();
-                IntraCodec::default().encode_into(&vox, device, &mut self.intra_arena, &mut f);
+                IntraCodec::default().encode_into(&vox, device, self.arena.intra(), &mut f);
                 EncodedFrame::Intra(f)
             }
             (Design::IntraInterV1 | Design::IntraInterV2, FrameKind::Intra) => {
                 let cfg = self.inter_config;
                 let intra = IntraCodec::new(cfg.intra);
                 let mut f = IntraFrame::default();
-                intra.encode_into(&vox, device, &mut self.intra_arena, &mut f);
+                intra.encode_into(&vox, device, self.arena.intra(), &mut f);
                 self.scratch.reset();
                 self.reference_colors =
                     intra.decode(&f, &self.scratch).ok().map(|d| d.colors().to_vec());
@@ -416,26 +414,16 @@ impl<'d> FrameEncoder<'d> {
             }
             (Design::IntraInterV1 | Design::IntraInterV2, FrameKind::Predicted) => {
                 let cfg = self.inter_config;
+                let arena = &mut self.arena;
                 match &self.reference_colors {
                     Some(r) => {
                         let mut enc = InterEncoded::default();
-                        InterCodec::new(cfg).encode_into(
-                            &vox,
-                            r,
-                            device,
-                            &mut self.inter_arena,
-                            &mut enc,
-                        );
+                        InterCodec::new(cfg).encode_into(&vox, r, device, arena, &mut enc);
                         EncodedFrame::Inter(enc)
                     }
                     None => {
                         let mut f = IntraFrame::default();
-                        IntraCodec::new(cfg.intra).encode_into(
-                            &vox,
-                            device,
-                            &mut self.intra_arena,
-                            &mut f,
-                        );
+                        IntraCodec::new(cfg.intra).encode_into(&vox, device, arena.intra(), &mut f);
                         EncodedFrame::Intra(f)
                     }
                 }

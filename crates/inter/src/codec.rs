@@ -7,26 +7,24 @@ use crate::matching::{
 };
 use pcc_edge::{calib, Device};
 use pcc_intra::{
-    decode_layer_threaded, encode_layer_with_starts_into, geometry::GeometryEncoded,
-    segment_starts_into, write_layer, GeometryScratch, IntraCodec, LayerEncoded,
+    decode_layer_threaded, encode_layer_with_starts_into, segment_starts_into, write_layer,
+    FrameArena, LayerEncoded,
 };
 use pcc_types::wire::{write_varint, Cursor};
 use pcc_types::{DecodeError, Point3, Rgb, VoxelizedCloud};
-use std::num::NonZeroUsize;
 
-/// Per-session scratch for the inter encoder — a superset of the intra
-/// arena: geometry buffers plus the gather accumulators, the matcher's
-/// rows and block-match table, and delta-layer buffers, with one scratch
-/// slot per chunk where a kernel fans out. Owned by session-long encoders
-/// (the `FrameEncoder` in `pcc-core`) so the per-frame steady state is
-/// allocation-free at one host thread and at two.
+/// The per-session encode arena of a stream of I- and P-frames. It wraps
+/// the session's one intra [`FrameArena`] — every I-frame encodes through
+/// it, and every P-frame runs its geometry and color gather through it
+/// ([`pcc_intra::encode_geometry_into`]) — and adds only what P-frames
+/// need: block starts, the matcher's rows and block-match table, and the
+/// delta layer's buffers, with one scratch slot per chunk where a kernel
+/// fans out. Owned by session-long encoders (the `FrameEncoder` in
+/// `pcc-core`), so the per-frame steady state is allocation-free at one
+/// host thread and at two, whatever the order of frame kinds.
 #[derive(Debug, Default)]
 pub struct InterArena {
-    geom: GeometryScratch,
-    geo: GeometryEncoded,
-    sums: Vec<[u32; 3]>,
-    counts: Vec<u32>,
-    p_colors: Vec<Rgb>,
+    intra: FrameArena,
     p_starts: Vec<u32>,
     i_starts: Vec<u32>,
     rows: MatchRows,
@@ -42,6 +40,12 @@ impl InterArena {
     /// Creates an empty arena; buffers grow on first use and then stick.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The intra arena inside, for the session's I-frames: pass it to
+    /// [`IntraCodec::encode_into`](pcc_intra::IntraCodec::encode_into).
+    pub fn intra(&mut self) -> &mut FrameArena {
+        &mut self.intra
     }
 }
 
@@ -99,6 +103,9 @@ impl InterCodec {
     /// bitstream is byte-identical to [`encode`](Self::encode), and the
     /// steady state performs no heap allocation at one host thread or at
     /// two (asserted by `tests/alloc_steady_state.rs`).
+    // Encoder side: block ranges come from segment_starts_into over the
+    // same color arrays, so every slice below is in range by construction.
+    #[allow(clippy::indexing_slicing)]
     pub fn encode_into(
         &self,
         cloud: &VoxelizedCloud,
@@ -108,51 +115,8 @@ impl InterCodec {
         out: &mut InterEncoded,
     ) {
         let threads = device.host_threads();
-        pcc_intra::geometry::encode_in(
-            cloud,
-            device,
-            threads,
-            &mut arena.geom,
-            &mut arena.geo,
-        );
-
-        // Per-voxel colors in Morton order (averaging duplicate points),
-        // identical to the intra attribute path's view.
-        pcc_intra::attribute::gather_voxel_colors_into(
-            cloud,
-            &arena.geo,
-            threads,
-            &mut arena.sums,
-            &mut arena.counts,
-            &mut arena.p_colors,
-        );
-        device.charge_gpu("inter_attr/gather", &calib::GATHER, cloud.len().max(1));
-
-        let stats =
-            self.encode_attributes_in(reference, device, threads, arena, &mut out.frame.attribute);
-        out.frame.geometry.clear();
-        out.frame.geometry.extend_from_slice(&arena.geo.stream);
-        out.frame.unique_voxels = arena.geo.unique_voxels;
-        out.frame.raw_points = cloud.len();
-        out.stats = stats;
-    }
-
-    /// Attribute-only inter encoding of the arena's gathered
-    /// Morton-ordered color sequence, appending to `payload` (cleared
-    /// first).
-    // Encoder side: block ranges come from segment_starts_into over the
-    // same color arrays, so every slice below is in range by construction.
-    #[allow(clippy::indexing_slicing)]
-    fn encode_attributes_in(
-        &self,
-        reference: &[Rgb],
-        device: &Device,
-        threads: NonZeroUsize,
-        arena: &mut InterArena,
-        payload: &mut Vec<u8>,
-    ) -> ReuseStats {
         let InterArena {
-            p_colors,
+            intra,
             p_starts,
             i_starts,
             rows,
@@ -162,9 +126,13 @@ impl InterCodec {
             bases,
             residuals,
             median,
-            ..
         } = arena;
-        let p_colors: &[Rgb] = p_colors;
+
+        // Geometry and the per-voxel colors in Morton order (averaging
+        // duplicate points) are the intra pipeline's own.
+        let p_colors = pcc_intra::encode_geometry_into(cloud, device, intra, &mut out.frame);
+        device.charge_gpu("inter_attr/gather", &calib::GATHER, cloud.len().max(1));
+
         let m = p_colors.len();
         let blocks = self.config.blocks_for(m);
         segment_starts_into(m, blocks, p_starts);
@@ -194,7 +162,7 @@ impl InterCodec {
         delta_starts.push(0);
         for (p_idx, mt) in matches.iter().enumerate() {
             if mt.outcome == MatchOutcome::Delta {
-                let p_range = block_range(p_starts, p_colors.len(), p_idx);
+                let p_range = block_range(p_starts, m, p_idx);
                 let i_range = block_range(i_starts, reference.len(), mt.i_block as usize);
                 let p_block = &p_colors[p_range];
                 let refs = predicted(&reference[i_range], p_block.len());
@@ -224,6 +192,7 @@ impl InterCodec {
         device.charge_gpu("inter_attr/delta_encode", &calib::DELTA_QUANT, delta_values.len().max(1));
 
         // Serialize: counts, flags + pointers, then the delta layer.
+        let payload = &mut out.frame.attribute;
         payload.clear();
         write_varint(payload, m as u64);
         write_varint(payload, matches.len() as u64);
@@ -234,8 +203,7 @@ impl InterCodec {
         write_layer(payload, quant_step, delta_starts, bases, residuals);
         device.charge_gpu("inter_attr/reuse_encode", &calib::REUSE_ENCODE, matches.len());
         pcc_probe::add_bytes("inter/attribute", payload.len() as u64);
-
-        stats
+        out.stats = stats;
     }
 
     /// Decodes a P-frame against the same reference sequence the encoder
@@ -346,18 +314,13 @@ impl InterCodec {
             geo.voxel_size,
         )?)
     }
-
-    /// Encodes a frame with plain intra coding (used when no reference is
-    /// available, and by the IPP scheduler for I-frames).
-    pub fn encode_intra(&self, cloud: &VoxelizedCloud, device: &Device) -> pcc_intra::IntraFrame {
-        IntraCodec::new(self.config.intra).encode(cloud, device)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pcc_edge::PowerMode;
+    use pcc_intra::{IntraCodec, IntraFrame};
     use pcc_types::{Aabb, PointCloud};
 
     fn device() -> Device {
@@ -458,7 +421,7 @@ mod tests {
         let reference = reference_colors(&i_frame, &d);
         let codec = InterCodec::new(InterConfig::v2());
         let inter = codec.encode(&p_frame, &reference, &d);
-        let intra = codec.encode_intra(&p_frame, &d);
+        let intra = IntraCodec::new(codec.config().intra).encode(&p_frame, &d);
         assert!(
             inter.frame.attribute.len() < intra.attribute.len(),
             "inter {} vs intra {}",
@@ -514,6 +477,51 @@ mod tests {
         assert_eq!(zero, one);
         let dec = codec_with(0).decode(&zero, &reference, &d).unwrap();
         assert_eq!(dec.colors(), codec_with(1).decode(&one, &reference, &d).unwrap().colors());
+    }
+
+    /// A frame of about `n` points whose geometry and colors move with
+    /// `phase`, in a depth-7 grid.
+    fn varied_frame(n: usize, phase: usize) -> VoxelizedCloud {
+        let cloud: PointCloud = (0..n)
+            .map(|i| {
+                let x = ((i + phase * 7) % 50) as f32;
+                let (y, z) = (((i / 50) % 40) as f32, (i / 2000) as f32);
+                let c = ((i * 3 + phase * 11) % 256) as u8;
+                (Point3::new(x, y, z), Rgb::new(c, 255 - c, 128))
+            })
+            .collect();
+        VoxelizedCloud::from_cloud(&cloud, 7)
+    }
+
+    #[test]
+    fn one_dirty_arena_across_frame_kinds_matches_fresh_encodes() {
+        // I P P I P P … through ONE arena, frames shrinking and growing:
+        // every frame must equal its encode on a fresh arena, so no stale
+        // geometry, gather or matcher buffer leaks from a frame of either
+        // kind into the next (a P after a P, an I after a P).
+        let sizes = [6_000usize, 9_000, 1_500, 12_000, 400, 5_000, 800, 10_000, 3_000, 7_000];
+        for intra_cfg in [InterConfig::v1().intra, InterConfig::v1().intra.with_bricks(3)] {
+            let codec = InterCodec::new(InterConfig { intra: intra_cfg, ..InterConfig::v1() });
+            let intra = IntraCodec::new(intra_cfg);
+            for threads in [1, 2] {
+                let d = device().with_host_threads(std::num::NonZeroUsize::new(threads));
+                let mut arena = InterArena::new();
+                let (mut i_out, mut p_out) = (IntraFrame::default(), InterEncoded::default());
+                let mut reference = Vec::new();
+                for (k, &n) in sizes.iter().enumerate() {
+                    let vox = varied_frame(n, k);
+                    let at = format!("{intra_cfg:?}, {threads} threads, frame {k}");
+                    if k % 3 == 0 {
+                        intra.encode_into(&vox, &d, arena.intra(), &mut i_out);
+                        assert_eq!(i_out, intra.encode(&vox, &d), "I: {at}");
+                        reference = intra.decode(&i_out, &d).unwrap().colors().to_vec();
+                    } else {
+                        codec.encode_into(&vox, &reference, &d, &mut arena, &mut p_out);
+                        assert_eq!(p_out, codec.encode(&vox, &reference, &d), "P: {at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

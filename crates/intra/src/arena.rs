@@ -1,20 +1,21 @@
 //! Per-session scratch arenas for the per-frame encode hot path.
 //!
 //! Every buffer the intra encoder touches per frame lives here, owned by
-//! the session-long encoder object (`FrameEncoder` in `pcc-core` holds
-//! one [`FrameArena`] and the inter codec holds its own superset). The
-//! first few frames grow the vectors to the working-set size; after that
-//! warm-up, encoding a frame performs **zero heap allocations** on the
-//! single-threaded path — asserted by the counting-allocator test in
-//! `tests/alloc_steady_state.rs` at the workspace root and tracked in
+//! the session-long encoder object. A session holds one [`FrameArena`]:
+//! `FrameEncoder` in `pcc-core` keeps it inside the inter codec's arena,
+//! and P-frames run their geometry and color gather through it too
+//! ([`crate::encode_geometry_into`]). The first few frames grow the
+//! vectors to the working-set size; after that warm-up, encoding a frame
+//! performs **zero heap allocations** — asserted by the counting-allocator
+//! test in `tests/alloc_steady_state.rs` at the workspace root (one and
+//! two host threads, I- and P-frames interleaved) and tracked in
 //! `BENCH_hotpath.json`. Kernels that fan out keep their per-chunk
-//! scratch here too, one slot per chunk (`pcc_parallel::slots`), and the
-//! test asserts two threads as well.
+//! scratch here too, one slot per chunk (`pcc_parallel::slots`).
 //!
-//! The arena types deliberately expose their fields only `pub(crate)`:
-//! the layout is an implementation detail of the encode pipeline, and
-//! callers interact with it solely through
-//! [`crate::IntraCodec::encode_into`].
+//! Only [`FrameArena`] is public, and it exposes no fields: the layout is
+//! an implementation detail of the encode pipeline, and callers interact
+//! with it solely through [`crate::IntraCodec::encode_into`] and
+//! [`crate::encode_geometry_into`].
 
 use pcc_morton::{MortonCode, SortedCodes};
 use pcc_octree::ParallelOctree;
@@ -27,7 +28,7 @@ use crate::geometry::GeometryEncoded;
 /// ([`crate::geometry::encode_in`]): Morton codegen, radix sort, octree
 /// rebuild, and occupancy extraction.
 #[derive(Debug, Default)]
-pub struct GeometryScratch {
+pub(crate) struct GeometryScratch {
     /// Radix-sort key/payload/count/staging buffers.
     pub(crate) sort: SortScratch,
     /// Unsorted Morton codes for the current frame.
@@ -46,7 +47,7 @@ pub struct GeometryScratch {
 /// ([`crate::attribute::encode_in`]): color gather, segmentation, and the
 /// two-layer base/residual quantization.
 #[derive(Debug, Default)]
-pub struct AttributeScratch {
+pub(crate) struct AttributeScratch {
     /// Per-voxel color sums (gather accumulator).
     pub(crate) sums: Vec<[u32; 3]>,
     /// Per-voxel point counts (gather accumulator).
@@ -78,7 +79,7 @@ pub struct AttributeScratch {
 /// other arena, the buffers grow to the working-set size and then stick,
 /// so steady-state brick encoding allocates nothing new per frame.
 #[derive(Debug, Default)]
-pub struct BrickScratch {
+pub(crate) struct BrickScratch {
     /// Per-brick attribute pipeline buffers (the frame-level
     /// [`AttributeScratch`] holds the gathered colors; this one is
     /// re-segmented per brick).
@@ -98,18 +99,21 @@ pub struct BrickScratch {
     pub(crate) entries: Vec<crate::brick::EncodedEntry>,
 }
 
-/// All per-frame scratch for one intra (or inter base) encode session.
+/// All per-frame scratch for one encode session: the whole of every
+/// I-frame's encode, and a P-frame's geometry and color gather.
 ///
 /// Construct once per encoder, pass to
-/// [`crate::IntraCodec::encode_into`] every frame.
+/// [`crate::IntraCodec::encode_into`] or [`crate::encode_geometry_into`]
+/// every frame.
 #[derive(Debug, Default)]
 pub struct FrameArena {
     /// Geometry-pipeline buffers.
     pub(crate) geom: GeometryScratch,
-    /// Geometry output (stream + permutation + voxel maps), reused so the
-    /// attribute pass can read it without a fresh allocation.
+    /// Geometry by-products (permutation + voxel maps), reused so the
+    /// attribute pass can read them without a fresh allocation.
     pub(crate) geo: GeometryEncoded,
-    /// Attribute-pipeline buffers.
+    /// Attribute-pipeline buffers; after the gather, `attr.voxel_colors`
+    /// holds the frame's per-voxel colors in Morton order.
     pub(crate) attr: AttributeScratch,
     /// Brick-pipeline buffers (used only when
     /// [`crate::IntraConfig::brick_depth`] is non-zero).

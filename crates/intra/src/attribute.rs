@@ -13,48 +13,27 @@ use pcc_types::wire::{write_varint, Cursor};
 use pcc_types::{DecodeError, Rgb, VoxelizedCloud};
 use std::num::NonZeroUsize;
 
-/// Encodes the attributes of a voxelized cloud, reusing the geometry
-/// pass's Morton order (`geo.perm`) and voxel mapping at no extra cost —
-/// the paper's headline reuse — at the device's
-/// [`host_threads`](Device::host_threads).
+/// Encodes the attributes of a frame from the colors the shared prefix
+/// ([`crate::encode_geometry_into`]) gathered into `scratch.voxel_colors`
+/// through the geometry pass's Morton order — the paper's headline reuse
+/// — at the device's [`host_threads`](Device::host_threads).
 ///
-/// Points sharing one voxel are averaged (the decoder can only carry one
-/// color per occupied voxel, as in any voxelized codec).
-///
-/// This writes into arena-owned buffers: `scratch` carries the gather
-/// accumulators, segment starts, and both layers' base/residual buffers
-/// across frames; `payload` is cleared and refilled. The single-threaded
-/// path performs no heap allocation once the buffers have warmed
-/// (asserted by `tests/alloc_steady_state.rs`).
-pub fn encode_in(
-    cloud: &VoxelizedCloud,
-    geo: &GeometryEncoded,
+/// This writes into arena-owned buffers: `scratch` carries the segment
+/// starts and both layers' base/residual buffers across frames;
+/// `payload` is cleared and refilled. The path performs no heap
+/// allocation once the buffers have warmed (asserted by
+/// `tests/alloc_steady_state.rs`).
+pub(crate) fn encode_in(
     config: &IntraConfig,
     device: &Device,
     scratch: &mut AttributeScratch,
     payload: &mut Vec<u8>,
 ) {
-    let n = cloud.len();
-    let threads = device.host_threads();
-
-    // 1. Gather colors into Morton order through the geometry permutation,
-    //    averaging duplicates per voxel. Chunk boundaries are aligned to
-    //    voxel runs, so every thread count yields identical sums.
-    gather_voxel_colors_into(
-        cloud,
-        geo,
-        threads,
-        &mut scratch.sums,
-        &mut scratch.counts,
-        &mut scratch.voxel_colors,
-    );
-    device.charge_gpu("attribute/gather", &calib::GATHER, n.max(1));
-
     // 2-4. Segment + two-layer base/residual coding + packing over the
     //      gathered colors (shared with the per-brick encoder).
     scratch.values.clear();
     scratch.values.extend(scratch.voxel_colors.iter().map(|c| c.to_i32()));
-    encode_values_in(config, device, threads, scratch, payload);
+    encode_values_in(config, device, device.host_threads(), scratch, payload);
     pcc_probe::add_bytes("intra/attribute", payload.len() as u64);
 }
 
@@ -159,31 +138,30 @@ pub(crate) fn decode_payload(
     Ok(values.into_iter().map(Rgb::from_i32_clamped).collect())
 }
 
-/// Gathers per-voxel mean colors in Morton order into caller-owned
-/// buffers, reading each point's color through the geometry permutation
-/// and averaging the points that share a voxel.
+/// Step 1 of the attribute pipeline: gathers per-voxel mean colors in
+/// Morton order into `scratch.voxel_colors`, reading each point's color
+/// through the geometry permutation and averaging the points that share
+/// a voxel.
 ///
 /// `geo.point_to_voxel` is non-decreasing over sorted rank, so chunks
 /// aligned to voxel boundaries accumulate into disjoint contiguous slices
 /// of the per-voxel sums — no atomics, and identical sums (hence bytes)
 /// at every thread count.
 ///
-/// `sums`/`counts` are the per-voxel accumulators, `out` the averaged
-/// colors; all three are cleared and refilled, so their capacity persists
-/// across frames and the single-threaded path is allocation-free once
-/// warm.
+/// The accumulators `scratch.sums`/`scratch.counts` and the averaged
+/// colors are cleared and refilled, so their capacity persists across
+/// frames and the path is allocation-free once warm.
 // Encoder side: ranks/perm/point_to_voxel come from the geometry pass
 // over the same cloud, so every index is in range by construction.
 #[allow(clippy::indexing_slicing)]
-pub fn gather_voxel_colors_into(
+pub(crate) fn gather_voxel_colors_into(
     cloud: &VoxelizedCloud,
     geo: &GeometryEncoded,
     threads: NonZeroUsize,
-    sums: &mut Vec<[u32; 3]>,
-    counts: &mut Vec<u32>,
-    out: &mut Vec<Rgb>,
+    scratch: &mut AttributeScratch,
 ) {
     let _sp = pcc_probe::span("intra/gather");
+    let AttributeScratch { sums, counts, voxel_colors: out, .. } = scratch;
     let m = geo.unique_voxels;
     let n = geo.perm.len();
     sums.clear();
@@ -244,8 +222,7 @@ pub fn gather_voxel_colors_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arena::GeometryScratch;
-    use crate::geometry;
+    use crate::{FrameArena, IntraFrame};
     use pcc_edge::PowerMode;
     use pcc_types::{Limits, Point3, PointCloud};
     use proptest::prelude::*;
@@ -254,22 +231,20 @@ mod tests {
         Device::jetson_agx_xavier(PowerMode::W15)
     }
 
-    /// Geometry and attribute encode through fresh arenas, then the
-    /// attribute decode: `(geometry, payload, gathered colors, decoded
-    /// colors)`.
+    /// Geometry, gather and attribute encode through a fresh arena, then
+    /// the attribute decode: `(geometry by-products, payload, gathered
+    /// colors, decoded colors)`.
     fn round_trip(
         vox: &VoxelizedCloud,
         config: &IntraConfig,
     ) -> (GeometryEncoded, Vec<u8>, Vec<Rgb>, Vec<Rgb>) {
         let d = device();
-        let mut geo = GeometryEncoded::default();
-        let mut geom = GeometryScratch::default();
-        geometry::encode_in(vox, &d, d.host_threads(), &mut geom, &mut geo);
-        let mut scratch = AttributeScratch::default();
+        let mut arena = FrameArena::new();
+        crate::encode_geometry_into(vox, &d, &mut arena, &mut IntraFrame::default());
         let mut payload = Vec::new();
-        encode_in(vox, &geo, config, &d, &mut scratch, &mut payload);
+        encode_in(config, &d, &mut arena.attr, &mut payload);
         let decoded = decode_with(&payload, &d, &Limits::default()).unwrap();
-        (geo, payload, scratch.voxel_colors, decoded)
+        (arena.geo, payload, arena.attr.voxel_colors, decoded)
     }
 
     fn gradient_cloud(n: usize) -> VoxelizedCloud {
@@ -386,11 +361,10 @@ mod tests {
             let (dirty_geo, ..) = round_trip(&dirty, &cfg);
             for t in [1usize, 2, 3] {
                 let threads = NonZeroUsize::new(t).unwrap();
-                let (mut sums, mut counts, mut colors) = (Vec::new(), Vec::new(), Vec::new());
-                let (sums, counts) = (&mut sums, &mut counts);
-                gather_voxel_colors_into(&dirty, &dirty_geo, threads, sums, counts, &mut colors);
-                gather_voxel_colors_into(&vox, &geo, threads, sums, counts, &mut colors);
-                prop_assert_eq!(&colors, &original);
+                let mut scratch = AttributeScratch::default();
+                gather_voxel_colors_into(&dirty, &dirty_geo, threads, &mut scratch);
+                gather_voxel_colors_into(&vox, &geo, threads, &mut scratch);
+                prop_assert_eq!(&scratch.voxel_colors, &original);
             }
         }
     }

@@ -295,14 +295,7 @@ pub(crate) fn encode_in(
     let n = cloud.len();
 
     geometry::morton_products_in(cloud, device, threads, &mut arena.geom, &mut arena.geo);
-    attribute::gather_voxel_colors_into(
-        cloud,
-        &arena.geo,
-        threads,
-        &mut arena.attr.sums,
-        &mut arena.attr.counts,
-        &mut arena.attr.voxel_colors,
-    );
+    attribute::gather_voxel_colors_into(cloud, &arena.geo, threads, &mut arena.attr);
     device.charge_gpu("attribute/gather", &calib::GATHER, n.max(1));
 
     let geo = &arena.geo;

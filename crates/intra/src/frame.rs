@@ -4,8 +4,8 @@ use crate::arena::FrameArena;
 use crate::brick::{self, BrickDecode, BrickEntry, BrickIndex};
 use crate::config::IntraConfig;
 use crate::{attribute, geometry};
-use pcc_edge::Device;
-use pcc_types::{Aabb, DecodeError, Point3, VoxelizedCloud};
+use pcc_edge::{calib, Device};
+use pcc_types::{Aabb, DecodeError, Point3, Rgb, VoxelizedCloud};
 
 /// One intra-coded frame: independent geometry and attribute payloads.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -60,11 +60,11 @@ impl IntraCodec {
 
     /// [`encode`](Self::encode) writing into arena-owned buffers — the
     /// allocation-free per-frame entry point. `arena` carries every
-    /// intermediate across frames (the session-long encoder in `pcc-core`
-    /// owns one); `out` is cleared and refilled. After a few warm-up
-    /// frames the single-threaded path performs zero heap allocations
-    /// (asserted by `tests/alloc_steady_state.rs`); the bitstream is
-    /// byte-identical to [`encode`](Self::encode).
+    /// intermediate across frames (a session holds one, which its
+    /// P-frames share); `out` is cleared and refilled. After a few
+    /// warm-up frames the encode performs zero heap allocations at one
+    /// host thread or at two (asserted by `tests/alloc_steady_state.rs`);
+    /// the bitstream is byte-identical to [`encode`](Self::encode).
     pub fn encode_into(
         &self,
         cloud: &VoxelizedCloud,
@@ -84,27 +84,9 @@ impl IntraCodec {
             );
             return;
         }
-        geometry::encode_in(
-            cloud,
-            device,
-            device.host_threads(),
-            &mut arena.geom,
-            &mut arena.geo,
-        );
-        attribute::encode_in(
-            cloud,
-            &arena.geo,
-            &self.config,
-            device,
-            &mut arena.attr,
-            &mut out.attribute,
-        );
-        // Copy the stream: `out` and the arena each keep their own
-        // warmed buffer.
-        out.geometry.clear();
-        out.geometry.extend_from_slice(&arena.geo.stream);
-        out.unique_voxels = arena.geo.unique_voxels;
-        out.raw_points = cloud.len();
+        encode_geometry_into(cloud, device, arena, out);
+        device.charge_gpu("attribute/gather", &calib::GATHER, cloud.len().max(1));
+        attribute::encode_in(&self.config, device, &mut arena.attr, &mut out.attribute);
     }
 
     /// Decodes a frame back to a voxelized cloud (one color per unique
@@ -181,6 +163,30 @@ impl IntraCodec {
     ) -> Result<BrickDecode, DecodeError> {
         BrickDecode::run(frame, limits, device.host_threads(), &mut select)
     }
+}
+
+/// The prefix every monolithic encode shares, I-frame or P-frame: the
+/// geometry pipeline at the device's
+/// [`host_threads`](Device::host_threads), its stream written straight
+/// into `out.geometry`, then the gather of per-voxel mean colors into
+/// Morton order. Fills `out` except its attribute payload and returns
+/// the gathered colors, which stay in `arena`.
+///
+/// The geometry kernels are charged to `device`; the gather is charged
+/// by the caller, under its own label. Like
+/// [`IntraCodec::encode_into`], the steady state allocates nothing.
+pub fn encode_geometry_into<'a>(
+    cloud: &VoxelizedCloud,
+    device: &Device,
+    arena: &'a mut FrameArena,
+    out: &mut IntraFrame,
+) -> &'a [Rgb] {
+    let threads = device.host_threads();
+    geometry::encode_in(cloud, device, threads, &mut arena.geom, &mut arena.geo, &mut out.geometry);
+    attribute::gather_voxel_colors_into(cloud, &arena.geo, threads, &mut arena.attr);
+    out.unique_voxels = arena.geo.unique_voxels;
+    out.raw_points = cloud.len();
+    &arena.attr.voxel_colors
 }
 
 #[cfg(test)]

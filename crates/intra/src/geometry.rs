@@ -8,12 +8,10 @@ use std::num::NonZeroUsize;
 
 use crate::arena::GeometryScratch;
 
-/// The outcome of geometry encoding: the compressed stream plus the
-/// intermediate results the attribute pipeline reuses for free.
+/// The by-products of geometry encoding the attribute pipeline reuses
+/// for free (the stream itself goes straight to the caller's buffer).
 #[derive(Debug, Clone, Default)]
-pub struct GeometryEncoded {
-    /// The compressed geometry stream.
-    pub stream: Vec<u8>,
+pub(crate) struct GeometryEncoded {
     /// Permutation sorting the input points into Morton order
     /// (`perm[rank] = input index`).
     pub perm: Vec<u32>,
@@ -33,15 +31,16 @@ pub struct GeometryEncoded {
 ///
 /// This writes into arena-owned buffers: `scratch` carries every
 /// intermediate (codes, sort staging, octree levels, occupancy bytes)
-/// across frames; `out` is cleared and refilled. After the buffers warm
-/// to the working-set size, the single-threaded path performs no heap
+/// across frames; `out` and `stream` are cleared and refilled. After the
+/// buffers warm to the working-set size, the path performs no heap
 /// allocation (asserted by `tests/alloc_steady_state.rs`).
-pub fn encode_in(
+pub(crate) fn encode_in(
     cloud: &VoxelizedCloud,
     device: &Device,
     threads: NonZeroUsize,
     scratch: &mut GeometryScratch,
     out: &mut GeometryEncoded,
+    stream: &mut Vec<u8>,
 ) {
     let n = cloud.len();
 
@@ -58,16 +57,20 @@ pub fn encode_in(
 
     // 6. Stream packing (+ grid metadata so the decoder can restore world
     //    coordinates).
-    out.stream.clear();
-    pcc_octree::write_grid_header(cloud, &mut out.stream);
+    // One reservation covers the grid header (17 bytes), the occupancy
+    // header (at most 12) and the bytes, so a fresh caller buffer is
+    // allocated once.
+    stream.clear();
+    stream.reserve(32 + scratch.occupancy.len());
+    pcc_octree::write_grid_header(cloud, stream);
     pcc_octree::serialize_occupancy_into(
         cloud.depth(),
         scratch.tree.leaf_count(),
         &scratch.occupancy,
-        &mut out.stream,
+        stream,
     );
     device.charge_gpu("geometry/pack", &calib::STREAM_PACK, n);
-    pcc_probe::add_bytes("intra/geometry", out.stream.len() as u64);
+    pcc_probe::add_bytes("intra/geometry", stream.len() as u64);
 }
 
 /// Steps 1–3 of the geometry pipeline — Morton codegen, radix sort, and
@@ -75,7 +78,7 @@ pub fn encode_in(
 /// and brick encoders, so both produce the same sorted leaf codes,
 /// permutation, and point→voxel map from the same input. Fills
 /// `out.leaf_codes` / `out.perm` / `out.point_to_voxel` /
-/// `out.unique_voxels`; `out.stream` is untouched.
+/// `out.unique_voxels`.
 pub(crate) fn morton_products_in(
     cloud: &VoxelizedCloud,
     device: &Device,
@@ -128,8 +131,9 @@ pub struct GeometryDecoded {
     pub voxel_size: f32,
 }
 
-/// Decodes a stream produced by [`encode_in`] under explicit resource
-/// [`Limits`]: the occupancy expansion is bounded by
+/// Decodes a monolithic geometry stream (an I- or P-frame's
+/// [`IntraFrame::geometry`](crate::IntraFrame::geometry)) under explicit
+/// resource [`Limits`]: the occupancy expansion is bounded by
 /// `max_depth`/`max_points`.
 ///
 /// # Errors
@@ -164,11 +168,12 @@ mod tests {
         Device::jetson_agx_xavier(PowerMode::W15)
     }
 
-    /// One encode through a fresh arena at the device's thread count.
-    fn encoded(vox: &VoxelizedCloud, d: &Device) -> GeometryEncoded {
-        let mut out = GeometryEncoded::default();
-        encode_in(vox, d, d.host_threads(), &mut GeometryScratch::default(), &mut out);
-        out
+    /// One encode through a fresh arena at the device's thread count:
+    /// the by-products and the stream.
+    fn encoded(vox: &VoxelizedCloud, d: &Device) -> (GeometryEncoded, Vec<u8>) {
+        let (mut out, mut stream) = (GeometryEncoded::default(), Vec::new());
+        encode_in(vox, d, d.host_threads(), &mut GeometryScratch::default(), &mut out, &mut stream);
+        (out, stream)
     }
 
     fn vox_from(coords: &[(f32, f32, f32)], depth: u8) -> VoxelizedCloud {
@@ -183,8 +188,8 @@ mod tests {
     fn round_trip_preserves_voxels() {
         let vox = vox_from(&[(0.0, 0.0, 0.0), (1.0, 2.0, 3.0), (7.0, 7.0, 7.0)], 5);
         let d = device();
-        let enc = encoded(&vox, &d);
-        let dec = decode_with(&enc.stream, &d, &Limits::default()).unwrap();
+        let (enc, stream) = encoded(&vox, &d);
+        let dec = decode_with(&stream, &d, &Limits::default()).unwrap();
         assert_eq!(dec.coords.len(), enc.unique_voxels);
         assert_eq!(dec.depth, 5);
         // Decoded voxels are the sorted unique leaf codes.
@@ -196,7 +201,7 @@ mod tests {
     fn perm_and_point_to_voxel_are_consistent() {
         let vox = vox_from(&[(3.0, 3.0, 3.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)], 4);
         let d = device();
-        let enc = encoded(&vox, &d);
+        let (enc, _) = encoded(&vox, &d);
         assert_eq!(enc.perm.len(), 3);
         assert_eq!(enc.point_to_voxel.len(), 3);
         assert_eq!(enc.unique_voxels, 2);
@@ -242,9 +247,9 @@ mod tests {
     fn truncated_stream_errors() {
         let vox = vox_from(&[(1.0, 1.0, 1.0), (2.0, 2.0, 2.0)], 4);
         let d = device();
-        let enc = encoded(&vox, &d);
-        for cut in 0..enc.stream.len() {
-            match decode_with(&enc.stream[..cut], &d, &Limits::default()) {
+        let (_, stream) = encoded(&vox, &d);
+        for cut in 0..stream.len() {
+            match decode_with(&stream[..cut], &d, &Limits::default()) {
                 Err(DecodeError::Truncated { offset }) => assert!(offset <= cut, "cut {cut}"),
                 other => panic!("cut {cut}: {other:?}"),
             }
@@ -261,8 +266,8 @@ mod tests {
             let colors = vec![Rgb::BLACK; coords.len()];
             let vox = VoxelizedCloud::from_grid(coords.clone(), colors, 6).unwrap();
             let d = device();
-            let enc = encoded(&vox, &d);
-            let dec = decode_with(&enc.stream, &d, &Limits::default()).unwrap();
+            let (_, stream) = encoded(&vox, &d);
+            let dec = decode_with(&stream, &d, &Limits::default()).unwrap();
             let mut expect: Vec<u64> =
                 coords.iter().map(|&c| pcc_morton::encode(c).value()).collect();
             expect.sort_unstable();

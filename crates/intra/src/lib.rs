@@ -8,13 +8,16 @@
 //!   occupancy bytes (Algorithm 1), and pack. There is no entropy
 //!   coding stage: the paper measured it at ≈100 ms for ≈0.1× size and
 //!   discards it ([`pcc_edge::calib::ENTROPY_GPU`] models that cost).
-//! - **Attributes** ([`attribute`]): reuse the sorted order to gather
-//!   colors, segment the sorted sequence into ~30 000 blocks, store one
-//!   median **base** per segment plus quantized per-point **residuals**,
-//!   applied twice (the evaluated "2-layer encoder").
+//! - **Attributes**: reuse the sorted order to gather colors, segment the
+//!   sorted sequence into ~30 000 blocks, store one median **base** per
+//!   segment plus quantized per-point **residuals**, applied twice (the
+//!   evaluated "2-layer encoder").
 //!
 //! [`IntraCodec`] glues both into a frame codec, charging every stage to
 //! the [`pcc_edge::Device`] model so latency/energy figures regenerate.
+//! [`encode_geometry_into`] runs the geometry pipeline and the color
+//! gather alone: the prefix a P-frame (`pcc-inter`) shares with an
+//! I-frame, through the session's one [`FrameArena`].
 //!
 //! # Examples
 //!
@@ -45,18 +48,18 @@
 // reachable fault on wire data.
 #![cfg_attr(test, allow(clippy::indexing_slicing))]
 
-pub mod arena;
-pub mod attribute;
+mod arena;
+mod attribute;
 pub mod brick;
 mod config;
 mod frame;
 pub mod geometry;
 mod layer;
 
-pub use arena::{AttributeScratch, BrickScratch, FrameArena, GeometryScratch};
+pub use arena::FrameArena;
 pub use brick::{BrickDecode, BrickEntry, BrickIndex, BRICK_MAGIC, BRICK_VERSION};
 pub use config::IntraConfig;
-pub use frame::{IntraCodec, IntraFrame};
+pub use frame::{encode_geometry_into, IntraCodec, IntraFrame};
 pub use layer::{
     decode_layer_threaded, encode_layer_with_starts_into, segment_starts_into, write_layer,
     LayerEncoded,

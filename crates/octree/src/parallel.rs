@@ -1,8 +1,8 @@
 //! The proposed Morton-code-driven parallel octree builder.
 
 // Builder side: every index walks structures this module just built
-// (`levels` has depth+1 entries, parent links come from compact_runs_into
-// over the same arrays). No wire-derived bytes are parsed here — that is
+// (`levels` has at least depth+1 entries, parent links come from
+// compact_runs_into over the same arrays). No wire-derived bytes are parsed here — that is
 // serialize.rs, which stays index-free.
 #![allow(clippy::indexing_slicing)]
 
@@ -56,6 +56,9 @@ pub struct LevelArrays {
 pub struct ParallelOctree {
     depth: u8,
     /// `levels[0]` is the root level (1 node); `levels[depth]` the leaves.
+    /// Levels past `depth` are spare buffers from a deeper earlier build,
+    /// kept so a shallower build does not free them; they are not part of
+    /// the tree.
     levels: Vec<LevelArrays>,
     /// Compaction scratch (each chunk's first run index); not part of the
     /// tree, so equality ignores it.
@@ -64,7 +67,7 @@ pub struct ParallelOctree {
 
 impl PartialEq for ParallelOctree {
     fn eq(&self, other: &Self) -> bool {
-        self.depth == other.depth && self.levels == other.levels
+        self.depth == other.depth && self.live() == other.live()
     }
 }
 
@@ -113,14 +116,14 @@ impl ParallelOctree {
         }
 
         self.depth = depth;
-        self.levels
-            .resize_with(depth as usize + 1, || LevelArrays { codes: Vec::new(), parent: Vec::new() });
+        let levels = self.levels.len().max(depth as usize + 1);
+        self.levels.resize_with(levels, || LevelArrays { codes: Vec::new(), parent: Vec::new() });
 
         if codes.is_empty() {
             // Degenerate tree: an (empty) root node so the occupancy
             // stream still carries one root byte, matching the sequential
             // builder.
-            for level in &mut self.levels {
+            for level in &mut self.levels[..=depth as usize] {
                 level.codes.clear();
                 level.parent.clear();
             }
@@ -190,7 +193,7 @@ impl ParallelOctree {
     /// Total nodes across all levels below the root (matches
     /// [`SequentialOctree::node_count`](crate::SequentialOctree::node_count)).
     pub fn node_count(&self) -> usize {
-        self.levels[1..].iter().map(|l| l.codes.len()).sum()
+        self.levels[1..=self.depth as usize].iter().map(|l| l.codes.len()).sum()
     }
 
     /// The code/parent arrays of one level (0 = root, `depth` = leaves).
@@ -199,7 +202,13 @@ impl ParallelOctree {
     ///
     /// Panics if `level > depth`.
     pub fn level(&self, level: u8) -> &LevelArrays {
-        &self.levels[level as usize]
+        &self.live()[level as usize]
+    }
+
+    /// The levels of the current tree, root to leaves (empty before the
+    /// first build).
+    fn live(&self) -> &[LevelArrays] {
+        self.levels.get(..=self.depth as usize).unwrap_or(&[])
     }
 
     /// The sorted leaf codes.
@@ -481,9 +490,16 @@ mod tests {
                 assert_eq!(occ, fresh_occ, "threads={threads}");
             }
         }
-        // Depth changes must also be tracked by the reused tree.
+        // Depth changes must also be tracked by the reused tree, and a
+        // shallower build keeps the deeper levels' buffers for the next
+        // deep one.
         tree.rebuild_from_sorted_codes(&clouds[1], 5, nz(1));
         assert_eq!(tree, build(&clouds[1], 5, 1).0);
+        tree.occupancy_into(nz(1), &mut occ);
+        assert_eq!(occ, build(&clouds[1], 5, 1).1);
+        assert!(tree.levels[7].codes.capacity() >= 30_000, "level 7 was freed");
+        tree.rebuild_from_sorted_codes(&clouds[3], 7, nz(1));
+        assert_eq!(tree, build(&clouds[3], 7, 1).0);
     }
 
     #[test]

@@ -175,9 +175,10 @@ cargo clippy -q --offline --workspace --all-targets -- -D clippy::disallowed_met
 # does, with every warning an error.
 cargo clippy -q --offline -p pcc-morton --features simd --all-targets -- -D warnings
 
-echo "== rustdoc: no broken intra-doc links =="
-# A doc link to a renamed or deleted item is a compile error here, so
-# API removals cannot leave stale references behind in the docs.
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --offline --workspace
+echo "== rustdoc: no warnings =="
+# Every rustdoc warning is an error here: a doc link to a renamed,
+# deleted or private item fails, so API removals cannot leave stale
+# references behind in the docs, and redundant links cannot pile up.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
 echo "verify: all gates passed"

@@ -9,9 +9,8 @@
 //! every table and figure of the paper's evaluation.
 //!
 //! This umbrella crate re-exports the member crates; most users want
-//! [`core`](pcc_core) ([`Design`](pcc_core::Design),
-//! [`PccCodec`](pcc_core::PccCodec)) plus
-//! [`datasets`](pcc_datasets) and [`edge`](pcc_edge).
+//! [`core`] ([`Design`](pcc_core::Design),
+//! [`PccCodec`](pcc_core::PccCodec)) plus [`datasets`] and [`edge`].
 //!
 //! # Quickstart
 //!

@@ -7,7 +7,9 @@
 //! `alloc_zeroed`, and `realloc` all count) — for the intra codec
 //! (monolithic and brick-partitioned) and the inter codec, at one host
 //! thread and at two on frames large enough that the inter kernels fan
-//! out (per-chunk scratch lives in the arena), with probes off and on.
+//! out (per-chunk scratch lives in the arena), with probes off and on —
+//! and for a session's real access pattern, I- and P-frames interleaved
+//! through ONE arena on frames that shrink and grow.
 //! The warm-up frames must count at least one allocation (a fresh arena
 //! grows), so a test binary whose allocator counts nothing cannot pass.
 //!
@@ -83,6 +85,33 @@ fn count_allocs(
     (warmup, measured)
 }
 
+/// Frames per group in the interleaved legs: I P P I P P …
+const GOF: usize = 3;
+
+/// Allocations counted while `frames` are encoded as I P P I P P …
+/// through one session arena, the I-frames by `intra` and the P-frames
+/// by `inter` against their group's reference in `anchors` (the decoded
+/// I-frames, built before counting).
+fn count_session_allocs(
+    frames: &[VoxelizedCloud],
+    anchors: &[Vec<Rgb>],
+    intra: &IntraCodec,
+    inter: &InterCodec,
+    d: &Device,
+) -> (u64, u64) {
+    let mut arena = InterArena::new();
+    let (mut i_out, mut p_out) = (IntraFrame::default(), InterEncoded::default());
+    let mut k = 0;
+    count_allocs(frames, d, |vox| {
+        if k % GOF == 0 {
+            intra.encode_into(vox, d, arena.intra(), &mut i_out);
+        } else {
+            inter.encode_into(vox, &anchors[k / GOF], d, &mut arena, &mut p_out);
+        }
+        k += 1;
+    })
+}
+
 /// The decoded I-frame of `vox`: the reference a session's decoder would
 /// hold for the inter legs.
 fn reference_of(intra: &IntraCodec, vox: &VoxelizedCloud, d: &Device) -> Vec<Rgb> {
@@ -119,6 +148,11 @@ fn encode_hot_path_is_allocation_free_after_warmup() {
         (0..WARMUP_FRAMES + MEASURED_FRAMES).map(|phase| frame(points, phase)).collect()
     };
     let (small, large) = (frames_of(SMALL_POINTS), frames_of(FAN_POINTS));
+    // The interleaved legs alternate large and small frames, so every
+    // buffer shrinks and grows between frame kinds.
+    let mixed: Vec<VoxelizedCloud> = (0..WARMUP_FRAMES + MEASURED_FRAMES)
+        .map(|phase| frame(if phase % 2 == 0 { FAN_POINTS } else { SMALL_POINTS }, phase))
+        .collect();
 
     let intra = IntraCodec::new(intra_cfg);
     let small_ref = reference_of(&intra, &small[0], &d1);
@@ -127,6 +161,13 @@ fn encode_hot_path_is_allocation_free_after_warmup() {
     let inter = InterCodec::new(inter_cfg);
     // The brick layout the lossy-recovery workload encodes.
     let bricks = IntraCodec::new(intra_cfg.with_bricks(3));
+
+    // The interleaved legs' references: each group's decoded I-frame,
+    // monolithic and brick.
+    let anchors_of = |codec: &IntraCodec| -> Vec<Vec<Rgb>> {
+        mixed.iter().step_by(GOF).map(|vox| reference_of(codec, vox, &d1)).collect()
+    };
+    let (mixed_refs, brick_refs) = (anchors_of(&intra), anchors_of(&bricks));
 
     // The two-thread legs must really fan out: the geometry and gather
     // kernels split the frame's points, the matcher its compared block
@@ -182,12 +223,22 @@ fn encode_hot_path_is_allocation_free_after_warmup() {
             bricks.encode_into(vox, &d2, &mut arena, &mut out);
         });
 
+        let session_counts = count_session_allocs(&mixed, &mixed_refs, &intra, &inter, &d1);
+        let brick_session_counts = count_session_allocs(&mixed, &brick_refs, &bricks, &inter, &d1);
+        let session2_counts = count_session_allocs(&mixed, &mixed_refs, &intra, &inter, &d2);
+        let brick_session2_counts =
+            count_session_allocs(&mixed, &brick_refs, &bricks, &inter, &d2);
+
         assert_steady("intra", probes, intra_counts);
         assert_steady("brick", probes, brick_counts);
         assert_steady("inter", probes, inter_counts);
         assert_steady("inter at 2 threads", probes, inter2_counts);
         assert_steady("intra at 2 threads", probes, intra2_counts);
         assert_steady("brick at 2 threads", probes, brick2_counts);
+        assert_steady("I/P session", probes, session_counts);
+        assert_steady("brick I/P session", probes, brick_session_counts);
+        assert_steady("I/P session at 2 threads", probes, session2_counts);
+        assert_steady("brick I/P session at 2 threads", probes, brick_session2_counts);
     }
     pcc_probe::set_enabled(false);
 }
