@@ -218,8 +218,12 @@ impl Tmc13Codec {
         limits.check_points(leaf_count as u64)?;
         limits.check_alloc(occ_len as u64)?;
         let occupancy = pcc_entropy::context::decode_occupancy(c.rest(), occ_len);
-        let coords = OccupancyHeader::new(depth, leaf_count, depth_at)?
-            .expand(&mut Cursor::new(&occupancy, 0), limits)?;
+        let mut coords = Vec::new();
+        OccupancyHeader::new(depth, leaf_count, depth_at)?.expand(
+            &mut Cursor::new(&occupancy, 0),
+            limits,
+            &mut coords,
+        )?;
         device.charge_cpu("geometry_decode", &calib::OCTREE_SERIALIZE, coords.len().max(1), 1);
 
         let coeff_bytes = unwrap_stream(&frame.attribute, limits)?;

@@ -11,14 +11,16 @@
 //! Gated legs are timed on the process CPU clock
 //! ([`pcc_bench::clock::process_cpu`]), so time the process spends
 //! descheduled or stolen by other tenants does not count (their cache
-//! and memory contention still does). Six rows are informational and
+//! and memory contention still does). Eight rows are informational and
 //! never gated: `fanout_dispatch_cpu_us`, the process CPU one 2-item
 //! `pcc_parallel::run` costs; the three parallel legs
 //! (`brick_parallel_decode_speedup`, `decode_parallel_speedup` and
 //! `intra_encode_parallel_speedup`), which are wall-clock ratios; and
-//! two kernel costs on a workload frame, `inter_match_ns_per_pair` (the
-//! block matcher, per compared point pair) and `layer_parse_ns_per_value`
-//! (reading and decoding a delta layer, per value triple).
+//! four kernel costs on a workload frame, `inter_match_ns_per_pair` (the
+//! block matcher, per compared point pair), `layer_parse_ns_per_value`
+//! (reading and decoding a delta layer, per value triple),
+//! `voxelize_ns_per_point` and `geometry_decode_ns_per_point` (quantizing
+//! the captured cloud, and expanding its occupancy stream, per point).
 //!
 //! Everything is deterministic — a fixed xorshift seed generates the
 //! kernel inputs and the scaling leg encodes a seeded `pcc-datasets`
@@ -317,7 +319,7 @@ fn run() -> Report {
     let mut arena = FrameArena::new();
     let mut out = IntraFrame::default();
     let (intra_frame_ns, intra_allocs) = measure_leg(&frames, &device, |vox| {
-        intra.encode_into(vox, &device, &mut arena, &mut out);
+        intra.encode_into(vox, &device, &mut arena, &mut out, None);
     });
 
     let reference: Vec<Rgb> = {
@@ -435,6 +437,24 @@ fn run() -> Report {
     let decode_speedup =
         min_wall_ns(|| plain_decode_on(&device)) / min_wall_ns(|| plain_decode_on(&wide_device));
 
+    // -- Voxelize and geometry decode on that frame at 1 thread
+    //    (informational, never gated): quantizing the captured cloud onto
+    //    the grid, output vectors included, and expanding the frame's
+    //    occupancy stream back to voxels, each per point of the frame.
+    let scaling_cloud = &video.frame(0).expect("one frame generated").cloud;
+    let voxelize_ns = min_ns(|| {
+        black_box(VoxelizedCloud::from_cloud(scaling_cloud, scale.depth()));
+    });
+    let geometry_decode_ns = min_ns(|| {
+        device.reset();
+        let geo = pcc_intra::geometry::decode_with(
+            &scaling_frame.geometry,
+            &device,
+            &Limits::default(),
+        );
+        black_box(geo.expect("self-encoded geometry decodes"));
+    });
+
     // -- Block matching and delta-layer parse on a workload frame: the
     //    Longdress 100k-point, depth-9 P-frame (the telepresence input)
     //    against its decoded I-frame, at 1 thread (informational, never
@@ -521,6 +541,13 @@ fn run() -> Report {
         metric("fanout_dispatch_cpu_us", dispatch_ns / 1e3, 2, Overhead),
         metric("inter_match_ns_per_pair", match_ns / match_pairs as f64, 3, Overhead),
         metric("layer_parse_ns_per_value", parse_ns / layer_values as f64, 3, Overhead),
+        metric("voxelize_ns_per_point", voxelize_ns / scaling_vox.len() as f64, 3, Overhead),
+        metric(
+            "geometry_decode_ns_per_point",
+            geometry_decode_ns / scaling_vox.len() as f64,
+            3,
+            Overhead,
+        ),
     ])
 }
 

@@ -148,8 +148,9 @@ impl PccCodec {
     /// ([`encode_video`](Self::encode_video)) pass the whole video's box.
     pub fn frame_encoder<'d>(&self, depth: u8, device: &'d Device) -> FrameEncoder<'d> {
         // References held exactly as a real encoder would: the *decoded*
-        // form of the last I-frame (reconstruction is a cheap by-product
-        // of encoding; it is rebuilt here on an uncharged scratch device).
+        // form of the last I-frame. The proposed designs reconstruct it
+        // as the layers quantize; CWIPC's is rebuilt by a decode on an
+        // uncharged scratch device.
         let scratch = Device::new(device.spec().clone(), device.mode())
             .with_host_threads(device.configured_host_threads());
         FrameEncoder {
@@ -363,10 +364,12 @@ impl<'d> FrameEncoder<'d> {
     /// and its modeled encode timeline (the device is drained per frame).
     pub fn encode_frame(&mut self, cloud: &PointCloud) -> (EncodedFrame, Timeline) {
         let mut sp = pcc_probe::span("frame/encode");
+        let voxelize_sp = pcc_probe::span("frame/voxelize");
         let vox = match &self.bounding_box {
             Some(bb) => VoxelizedCloud::from_cloud_in_box(cloud, self.depth, bb),
             None => VoxelizedCloud::from_cloud(cloud, self.depth),
         };
+        voxelize_sp.stop();
         let kind = if self.force_intra { FrameKind::Intra } else { self.gof.kind_of(self.index) };
         self.force_intra = false;
         if kind == FrameKind::Intra {
@@ -399,17 +402,19 @@ impl<'d> FrameEncoder<'d> {
                 // payload vectors are per-frame; every intermediate goes
                 // through the session arena and is reused.
                 let mut f = IntraFrame::default();
-                IntraCodec::default().encode_into(&vox, device, self.arena.intra(), &mut f);
+                IntraCodec::default().encode_into(&vox, device, self.arena.intra(), &mut f, None);
                 EncodedFrame::Intra(f)
             }
             (Design::IntraInterV1 | Design::IntraInterV2, FrameKind::Intra) => {
-                let cfg = self.inter_config;
-                let intra = IntraCodec::new(cfg.intra);
+                // The closed-loop reference is reconstructed as the
+                // layers quantize, into the held buffer: the colors the
+                // receiver decodes, without decoding the frame.
+                let intra = IntraCodec::new(self.inter_config.intra);
                 let mut f = IntraFrame::default();
-                intra.encode_into(&vox, device, self.arena.intra(), &mut f);
-                self.scratch.reset();
-                self.reference_colors =
-                    intra.decode(&f, &self.scratch).ok().map(|d| d.colors().to_vec());
+                let mut reference = self.reference_colors.take().unwrap_or_default();
+                let arena = self.arena.intra();
+                intra.encode_into(&vox, device, arena, &mut f, Some(&mut reference));
+                self.reference_colors = Some(reference);
                 EncodedFrame::Intra(f)
             }
             (Design::IntraInterV1 | Design::IntraInterV2, FrameKind::Predicted) => {
@@ -423,7 +428,8 @@ impl<'d> FrameEncoder<'d> {
                     }
                     None => {
                         let mut f = IntraFrame::default();
-                        IntraCodec::new(cfg.intra).encode_into(&vox, device, arena.intra(), &mut f);
+                        let arena = arena.intra();
+                        IntraCodec::new(cfg.intra).encode_into(&vox, device, arena, &mut f, None);
                         EncodedFrame::Intra(f)
                     }
                 }

@@ -6,20 +6,17 @@ use crate::matching::{
     ReuseStats,
 };
 use pcc_edge::{calib, Device};
-use pcc_intra::{
-    decode_layer_threaded, encode_layer_with_starts_into, segment_starts_into, write_layer,
-    FrameArena, LayerEncoded,
-};
+use pcc_intra::{decode_layer_threaded, segment_starts_into, FrameArena, LayerEncoded};
 use pcc_types::wire::{write_varint, Cursor};
 use pcc_types::{DecodeError, Point3, Rgb, VoxelizedCloud};
 
 /// The per-session encode arena of a stream of I- and P-frames. It wraps
 /// the session's one intra [`FrameArena`] — every I-frame encodes through
-/// it, and every P-frame runs its geometry and color gather through it
-/// ([`pcc_intra::encode_geometry_into`]) — and adds only what P-frames
-/// need: block starts, the matcher's rows and block-match table, and the
-/// delta layer's buffers, with one scratch slot per chunk where a kernel
-/// fans out. Owned by session-long encoders (the `FrameEncoder` in
+/// it, and every P-frame runs its geometry, color gather and delta layer
+/// through it ([`pcc_intra::encode_geometry_into`],
+/// [`pcc_intra::encode_delta_layer_into`]) — and adds only what P-frames
+/// alone need: block starts and the matcher's rows and block-match
+/// table. Owned by session-long encoders (the `FrameEncoder` in
 /// `pcc-core`), so the per-frame steady state is allocation-free at one
 /// host thread and at two, whatever the order of frame kinds.
 #[derive(Debug, Default)]
@@ -29,11 +26,6 @@ pub struct InterArena {
     i_starts: Vec<u32>,
     rows: MatchRows,
     matches: Vec<BlockMatch>,
-    delta_values: Vec<[i32; 3]>,
-    delta_starts: Vec<u32>,
-    bases: Vec<[i32; 3]>,
-    residuals: Vec<[i32; 3]>,
-    median: Vec<Vec<i32>>,
 }
 
 impl InterArena {
@@ -115,18 +107,7 @@ impl InterCodec {
         out: &mut InterEncoded,
     ) {
         let threads = device.host_threads();
-        let InterArena {
-            intra,
-            p_starts,
-            i_starts,
-            rows,
-            matches,
-            delta_values,
-            delta_starts,
-            bases,
-            residuals,
-            median,
-        } = arena;
+        let InterArena { intra, p_starts, i_starts, rows, matches } = arena;
 
         // Geometry and the per-voxel colors in Morton order (averaging
         // duplicate points) are the intra pipeline's own.
@@ -155,43 +136,8 @@ impl InterCodec {
         device.charge_gpu("inter_attr/squared_sum", &calib::SQUARED_SUM, charge.block_pairs.max(1));
         match_sp.stop();
 
-        // Assemble deltas for non-reused blocks (address generation).
-        let _delta_sp = pcc_probe::span("inter/delta");
-        delta_values.clear();
-        delta_starts.clear();
-        delta_starts.push(0);
-        for (p_idx, mt) in matches.iter().enumerate() {
-            if mt.outcome == MatchOutcome::Delta {
-                let p_range = block_range(p_starts, m, p_idx);
-                let i_range = block_range(i_starts, reference.len(), mt.i_block as usize);
-                let p_block = &p_colors[p_range];
-                let refs = predicted(&reference[i_range], p_block.len());
-                for (&pc, base) in p_block.iter().zip(refs) {
-                    delta_values.push(pc.delta(base));
-                }
-                delta_starts.push(delta_values.len() as u32);
-            }
-        }
-        delta_starts.pop(); // starts, not ends
-        if delta_starts.is_empty() {
-            delta_starts.push(0);
-        }
-        device.charge_gpu("inter_attr/addr_gen", &calib::ADDR_GEN, m.max(1));
-
-        // Compress deltas with the intra Base+Delta layer (segment = block).
-        let quant_step = self.config.intra.quant_step();
-        encode_layer_with_starts_into(
-            delta_values,
-            delta_starts,
-            quant_step,
-            threads,
-            bases,
-            residuals,
-            median,
-        );
-        device.charge_gpu("inter_attr/delta_encode", &calib::DELTA_QUANT, delta_values.len().max(1));
-
         // Serialize: counts, flags + pointers, then the delta layer.
+        let _delta_sp = pcc_probe::span("inter/delta");
         let payload = &mut out.frame.attribute;
         payload.clear();
         write_varint(payload, m as u64);
@@ -200,7 +146,34 @@ impl InterCodec {
             let reuse_bit = (mt.outcome == MatchOutcome::Reuse) as u64;
             write_varint(payload, (mt.window_offset as u64) << 1 | reuse_bit);
         }
-        write_layer(payload, quant_step, delta_starts, bases, residuals);
+
+        // Assemble deltas for non-reused blocks (address generation) and
+        // compress them with the intra Base+Delta layer (segment = block),
+        // in the intra arena's attribute buffers.
+        let quant_step = self.config.intra.quant_step();
+        let assemble = |p_colors: &[Rgb], values: &mut Vec<[i32; 3]>, starts: &mut Vec<u32>| {
+            starts.push(0);
+            for (p_idx, mt) in matches.iter().enumerate() {
+                if mt.outcome == MatchOutcome::Delta {
+                    let p_range = block_range(p_starts, m, p_idx);
+                    let i_range = block_range(i_starts, reference.len(), mt.i_block as usize);
+                    let p_block = &p_colors[p_range];
+                    let refs = predicted(&reference[i_range], p_block.len());
+                    for (&pc, base) in p_block.iter().zip(refs) {
+                        values.push(pc.delta(base));
+                    }
+                    starts.push(values.len() as u32);
+                }
+            }
+            starts.pop(); // starts, not ends
+            if starts.is_empty() {
+                starts.push(0);
+            }
+            device.charge_gpu("inter_attr/addr_gen", &calib::ADDR_GEN, m.max(1));
+        };
+        let deltas =
+            pcc_intra::encode_delta_layer_into(intra, quant_step, threads, assemble, payload);
+        device.charge_gpu("inter_attr/delta_encode", &calib::DELTA_QUANT, deltas.max(1));
         device.charge_gpu("inter_attr/reuse_encode", &calib::REUSE_ENCODE, matches.len());
         pcc_probe::add_bytes("inter/attribute", payload.len() as u64);
         out.stats = stats;
@@ -512,9 +485,10 @@ mod tests {
                     let vox = varied_frame(n, k);
                     let at = format!("{intra_cfg:?}, {threads} threads, frame {k}");
                     if k % 3 == 0 {
-                        intra.encode_into(&vox, &d, arena.intra(), &mut i_out);
+                        intra.encode_into(&vox, &d, arena.intra(), &mut i_out, Some(&mut reference));
                         assert_eq!(i_out, intra.encode(&vox, &d), "I: {at}");
-                        reference = intra.decode(&i_out, &d).unwrap().colors().to_vec();
+                        let decoded = intra.decode(&i_out, &d).unwrap();
+                        assert_eq!(reference, decoded.colors(), "reference: {at}");
                     } else {
                         codec.encode_into(&vox, &reference, &d, &mut arena, &mut p_out);
                         assert_eq!(p_out, codec.encode(&vox, &reference, &d), "P: {at}");

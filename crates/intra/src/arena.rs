@@ -3,8 +3,9 @@
 //! Every buffer the intra encoder touches per frame lives here, owned by
 //! the session-long encoder object. A session holds one [`FrameArena`]:
 //! `FrameEncoder` in `pcc-core` keeps it inside the inter codec's arena,
-//! and P-frames run their geometry and color gather through it too
-//! ([`crate::encode_geometry_into`]). The first few frames grow the
+//! and P-frames run their geometry, color gather and delta layer through
+//! it too ([`crate::encode_geometry_into`],
+//! [`crate::encode_delta_layer_into`]). The first few frames grow the
 //! vectors to the working-set size; after that warm-up, encoding a frame
 //! performs **zero heap allocations** — asserted by the counting-allocator
 //! test in `tests/alloc_steady_state.rs` at the workspace root (one and
@@ -14,8 +15,8 @@
 //!
 //! Only [`FrameArena`] is public, and it exposes no fields: the layout is
 //! an implementation detail of the encode pipeline, and callers interact
-//! with it solely through [`crate::IntraCodec::encode_into`] and
-//! [`crate::encode_geometry_into`].
+//! with it solely through [`crate::IntraCodec::encode_into`],
+//! [`crate::encode_geometry_into`] and [`crate::encode_delta_layer_into`].
 
 use pcc_morton::{MortonCode, SortedCodes};
 use pcc_octree::ParallelOctree;
@@ -45,7 +46,8 @@ pub(crate) struct GeometryScratch {
 
 /// Reusable buffers for the attribute pipeline
 /// ([`crate::attribute::encode_in`]): color gather, segmentation, and the
-/// two-layer base/residual quantization.
+/// two-layer base/residual quantization; a P-frame's delta layer reuses
+/// the layer buffers ([`crate::encode_delta_layer_into`]).
 #[derive(Debug, Default)]
 pub(crate) struct AttributeScratch {
     /// Per-voxel color sums (gather accumulator).
@@ -100,7 +102,8 @@ pub(crate) struct BrickScratch {
 }
 
 /// All per-frame scratch for one encode session: the whole of every
-/// I-frame's encode, and a P-frame's geometry and color gather.
+/// I-frame's encode, and a P-frame's geometry, color gather and delta
+/// layer.
 ///
 /// Construct once per encoder, pass to
 /// [`crate::IntraCodec::encode_into`] or [`crate::encode_geometry_into`]

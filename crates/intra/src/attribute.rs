@@ -1,12 +1,12 @@
 //! Proposed intra-frame attribute compression (paper Fig. 4d):
 //! sort → segment → Mid + Residual → quantize.
 
-use crate::arena::AttributeScratch;
+use crate::arena::{AttributeScratch, FrameArena};
 use crate::config::IntraConfig;
 use crate::geometry::GeometryEncoded;
 use crate::layer::{
-    decode_layer_threaded, encode_layer_with_starts_into, segment_starts_into, write_layer,
-    LayerEncoded,
+    decode_layer_threaded, dequantize, encode_layer_with_starts_into, segment_starts_into,
+    write_layer, LayerEncoded,
 };
 use pcc_edge::{calib, Device};
 use pcc_types::wire::{write_varint, Cursor};
@@ -20,20 +20,22 @@ use std::num::NonZeroUsize;
 ///
 /// This writes into arena-owned buffers: `scratch` carries the segment
 /// starts and both layers' base/residual buffers across frames;
-/// `payload` is cleared and refilled. The path performs no heap
-/// allocation once the buffers have warmed (asserted by
+/// `payload` is cleared and refilled, and the decoder's colors are
+/// appended to `reconstruction` when one is given. The path performs no
+/// heap allocation once the buffers have warmed (asserted by
 /// `tests/alloc_steady_state.rs`).
 pub(crate) fn encode_in(
     config: &IntraConfig,
     device: &Device,
     scratch: &mut AttributeScratch,
     payload: &mut Vec<u8>,
+    reconstruction: Option<&mut Vec<Rgb>>,
 ) {
     // 2-4. Segment + two-layer base/residual coding + packing over the
     //      gathered colors (shared with the per-brick encoder).
     scratch.values.clear();
     scratch.values.extend(scratch.voxel_colors.iter().map(|c| c.to_i32()));
-    encode_values_in(config, device, device.host_threads(), scratch, payload);
+    encode_values_in(config, device, device.host_threads(), scratch, payload, reconstruction);
     pcc_probe::add_bytes("intra/attribute", payload.len() as u64);
 }
 
@@ -43,12 +45,18 @@ pub(crate) fn encode_in(
 /// packing. The monolithic encoder runs it once per frame over every
 /// voxel; the brick encoder runs it once per brick over that brick's
 /// slice — same bytes for the same values.
+///
+/// With a `reconstruction`, the colors the decoder will produce from
+/// this payload are appended to it: the outer layer dequantized with
+/// the decoder's own [`dequantize`] and clamped. The inner layer is
+/// lossless, so it hands the decoder exactly these residuals.
 pub(crate) fn encode_values_in(
     config: &IntraConfig,
     device: &Device,
     threads: NonZeroUsize,
     scratch: &mut AttributeScratch,
     payload: &mut Vec<u8>,
+    reconstruction: Option<&mut Vec<Rgb>>,
 ) {
     let q = config.quant_step();
     let m = scratch.values.len();
@@ -65,6 +73,14 @@ pub(crate) fn encode_values_in(
     );
     device.charge_gpu("attribute/median", &calib::SEGMENT_MEDIAN, m.max(1));
     device.charge_gpu("attribute/delta", &calib::DELTA_QUANT, m.max(1));
+    if let Some(out) = reconstruction {
+        out.reserve_exact(m);
+        let ends = scratch.starts.iter().skip(1).map(|&e| e as usize).chain([m]);
+        for ((&start, end), &base) in scratch.starts.iter().zip(ends).zip(&scratch.bases) {
+            let segment = scratch.residuals.get(start as usize..end).unwrap_or_default();
+            out.extend(segment.iter().map(|&r| Rgb::from_i32_clamped(dequantize(base, r, q))));
+        }
+    }
 
     // Optional second layer: re-encode the residual stream as new
     // attributes (lossless inner layer).
@@ -93,6 +109,30 @@ pub(crate) fn encode_values_in(
         write_layer(payload, q, &scratch.starts, &scratch.bases, &scratch.residuals);
     }
     device.charge_gpu("attribute/pack", &calib::ATTR_PACK, m.max(1));
+}
+
+/// Runs a P-frame's delta layer in `arena`'s attribute scratch, which
+/// sits idle while a P-frame encodes. `assemble` gets the frame's
+/// gathered colors (what [`crate::encode_geometry_into`] returned) and
+/// fills the delta values and the start of each delta block, both
+/// cleared first. The values are then coded as one base+delta layer,
+/// each block a segment, at `quant_step` on `threads`, and the layer is
+/// appended to `payload`. Returns the number of delta values.
+pub fn encode_delta_layer_into(
+    arena: &mut FrameArena,
+    quant_step: i32,
+    threads: NonZeroUsize,
+    assemble: impl FnOnce(&[Rgb], &mut Vec<[i32; 3]>, &mut Vec<u32>),
+    payload: &mut Vec<u8>,
+) -> usize {
+    let AttributeScratch { voxel_colors, values, starts, bases, residuals, median, .. } =
+        &mut arena.attr;
+    values.clear();
+    starts.clear();
+    assemble(voxel_colors, values, starts);
+    encode_layer_with_starts_into(values, starts, quant_step, threads, bases, residuals, median);
+    write_layer(payload, quant_step, starts, bases, residuals);
+    values.len()
 }
 
 /// Decodes an attribute payload back to per-voxel colors (Morton order,
@@ -242,7 +282,7 @@ mod tests {
         let mut arena = FrameArena::new();
         crate::encode_geometry_into(vox, &d, &mut arena, &mut IntraFrame::default());
         let mut payload = Vec::new();
-        encode_in(config, &d, &mut arena.attr, &mut payload);
+        encode_in(config, &d, &mut arena.attr, &mut payload, None);
         let decoded = decode_with(&payload, &d, &Limits::default()).unwrap();
         (arena.geo, payload, arena.attr.voxel_colors, decoded)
     }

@@ -278,16 +278,19 @@ impl BrickIndex {
 /// clamped by the caller to `1..cloud.depth()`), writing into
 /// arena-owned buffers. Shares the Morton-product and color-gather
 /// stages with the monolithic path, then codes each brick's subtree and
-/// attribute slice independently.
+/// attribute slice independently, appending each brick's decoded colors
+/// to `reconstruction` (in cell order, as the decoder concatenates them)
+/// when one is given.
 pub(crate) fn encode_in(
     cloud: &VoxelizedCloud,
     config: &IntraConfig,
     brick_depth: u8,
     device: &Device,
-    threads: NonZeroUsize,
     arena: &mut FrameArena,
     out: &mut IntraFrame,
+    mut reconstruction: Option<&mut Vec<Rgb>>,
 ) {
+    let threads = device.host_threads();
     let depth = cloud.depth();
     debug_assert!(brick_depth >= 1 && brick_depth < depth);
     let sub = depth - brick_depth;
@@ -297,6 +300,11 @@ pub(crate) fn encode_in(
     geometry::morton_products_in(cloud, device, threads, &mut arena.geom, &mut arena.geo);
     attribute::gather_voxel_colors_into(cloud, &arena.geo, threads, &mut arena.attr);
     device.charge_gpu("attribute/gather", &calib::GATHER, n.max(1));
+    // Room for the whole frame up front: appending brick by brick would
+    // grow the held reference geometrically past the frame's size.
+    if let Some(colors) = reconstruction.as_deref_mut() {
+        colors.reserve_exact(arena.geo.unique_voxels);
+    }
 
     let geo = &arena.geo;
     let colors = &arena.attr.voxel_colors;
@@ -351,7 +359,14 @@ pub(crate) fn encode_in(
         if let Some(slice) = colors.get(s..e) {
             bricks.attr.values.extend(slice.iter().map(|c| c.to_i32()));
         }
-        attribute::encode_values_in(config, device, one, &mut bricks.attr, &mut bricks.attr_buf);
+        attribute::encode_values_in(
+            config,
+            device,
+            one,
+            &mut bricks.attr,
+            &mut bricks.attr_buf,
+            reconstruction.as_deref_mut(),
+        );
 
         let mut crc = Crc32::new();
         crc.update(&bricks.geom_buf);
@@ -650,9 +665,9 @@ fn verified_payload<'f>(frame: &'f IntraFrame, entry: &BrickEntry) -> Option<(&'
 }
 
 /// Decodes one CRC-verified brick payload and appends its points:
-/// occupancy expansion at the sub-tree depth, cell-relative → absolute
-/// coordinates, then the attribute layers. Appends nothing on error.
-/// Error offsets are positions in the frame's geometry and attribute
+/// occupancy expansion at the sub-tree depth straight into `coords`, the
+/// cell base ORed into those cell-relative leaves in place, then the
+/// attribute layers. Appends nothing on error. Error offsets are positions in the frame's geometry and attribute
 /// streams. Runs single-threaded — brick-level fan-out already
 /// saturates the host.
 fn decode_one(
@@ -663,38 +678,52 @@ fn decode_one(
     coords: &mut Vec<VoxelCoord>,
     colors: &mut Vec<Rgb>,
 ) -> Result<(), DecodeError> {
-    let mut g = Cursor::new(geom, entry.geom.start);
-    let rel = pcc_octree::decode_occupancy_from(&mut g, limits)?;
-    if rel.len() != entry.leaf_count {
-        return Err(DecodeError::Mismatch {
-            what: "brick leaves",
-            declared: entry.leaf_count,
-            decoded: rel.len(),
-        });
+    let at = coords.len();
+    let mut append = || {
+        let mut g = Cursor::new(geom, entry.geom.start);
+        let occupancy = pcc_octree::OccupancyHeader::read(&mut g)?;
+        let sp = pcc_probe::span("geometry/decode");
+        occupancy.expand(&mut g, limits, coords)?;
+        sp.stop();
+        let rel = coords.get_mut(at..).unwrap_or_default();
+        if rel.len() != entry.leaf_count {
+            return Err(DecodeError::Mismatch {
+                what: "brick leaves",
+                declared: entry.leaf_count,
+                decoded: rel.len(),
+            });
+        }
+        let sub = u32::from(index.sub_depth());
+        // A forged (CRC-valid) payload could claim a deeper subtree than
+        // the cut allows; keep every leaf inside its bounding cell.
+        if rel.iter().any(|rc| (rc.x | rc.y | rc.z) >> sub != 0) {
+            return Err(DecodeError::Corrupt {
+                what: "leaf outside its bounding cell",
+                offset: entry.geom.start,
+            });
+        }
+        let cell = MortonCode::from_raw(entry.cell).to_coord();
+        let (bx, by, bz) = (cell.x << sub, cell.y << sub, cell.z << sub);
+        for c in rel.iter_mut() {
+            *c = VoxelCoord::new(bx | c.x, by | c.y, bz | c.z);
+        }
+        let mut a = Cursor::new(attr, entry.attr.start);
+        let brick_colors = attribute::decode_payload(&mut a, NonZeroUsize::MIN, limits)?;
+        if brick_colors.len() != entry.leaf_count {
+            return Err(DecodeError::Mismatch {
+                what: "brick colors",
+                declared: entry.leaf_count,
+                decoded: brick_colors.len(),
+            });
+        }
+        colors.extend_from_slice(&brick_colors);
+        Ok(())
+    };
+    let decoded = append();
+    if decoded.is_err() {
+        coords.truncate(at);
     }
-    let sub = u32::from(index.sub_depth());
-    // A forged (CRC-valid) payload could claim a deeper subtree than the
-    // cut allows; keep every leaf inside its bounding cell.
-    if rel.iter().any(|rc| (rc.x | rc.y | rc.z) >> sub != 0) {
-        return Err(DecodeError::Corrupt {
-            what: "leaf outside its bounding cell",
-            offset: entry.geom.start,
-        });
-    }
-    let mut a = Cursor::new(attr, entry.attr.start);
-    let brick_colors = attribute::decode_payload(&mut a, NonZeroUsize::MIN, limits)?;
-    if brick_colors.len() != rel.len() {
-        return Err(DecodeError::Mismatch {
-            what: "brick colors",
-            declared: rel.len(),
-            decoded: brick_colors.len(),
-        });
-    }
-    let cell = MortonCode::from_raw(entry.cell).to_coord();
-    let (bx, by, bz) = (cell.x << sub, cell.y << sub, cell.z << sub);
-    coords.extend(rel.iter().map(|rc| VoxelCoord::new(bx | rc.x, by | rc.y, bz | rc.z)));
-    colors.extend_from_slice(&brick_colors);
-    Ok(())
+    decoded
 }
 
 #[cfg(test)]
@@ -722,6 +751,42 @@ mod tests {
 
     fn brick_codec(brick_depth: u8) -> IntraCodec {
         IntraCodec::new(IntraConfig::default().with_bricks(brick_depth))
+    }
+
+    #[test]
+    fn a_brick_failing_after_its_geometry_appends_nothing() {
+        let d = device();
+        let frame = brick_codec(2).encode(&cloud(3000), &d);
+        let index = BrickIndex::parse(&frame.geometry, &Limits::default()).unwrap();
+        let entry = &index.entries()[0];
+        let geom = &frame.geometry[entry.geom.clone()];
+        let attr = &frame.attribute[entry.attr.clone()];
+        let kept = (vec![VoxelCoord::new(1, 2, 3)], vec![Rgb::WHITE]);
+        let decode = |entry: &BrickEntry, payload| {
+            let (mut coords, mut colors) = kept.clone();
+            let limits = Limits::default();
+            let result = decode_one(&index, entry, payload, &limits, &mut coords, &mut colors);
+            (result, coords, colors)
+        };
+        let (ok, coords, _) = decode(entry, (geom, attr));
+        assert!(ok.is_ok() && coords.len() == 1 + entry.leaf_count);
+        // The geometry expands into the caller's vector, then the
+        // attribute payload fails to parse.
+        let (err, coords, colors) = decode(entry, (geom, &[0xff; 3]));
+        assert!(err.is_err());
+        assert_eq!((coords, colors), kept);
+        // A deeper subtree expands to a leaf outside the brick's cell.
+        let sub = index.sub_depth();
+        let leaf = VoxelCoord::new(1 << sub, 0, 0);
+        let deep = pcc_octree::ParallelOctree::from_coords(&[leaf], sub + 1).serialize();
+        let forged = BrickEntry { leaf_count: 1, ..entry.clone() };
+        let (err, coords, colors) = decode(&forged, (&deep, attr));
+        let outside = DecodeError::Corrupt {
+            what: "leaf outside its bounding cell",
+            offset: entry.geom.start,
+        };
+        assert_eq!(err, Err(outside));
+        assert_eq!((coords, colors), kept);
     }
 
     #[test]

@@ -54,7 +54,7 @@ impl IntraCodec {
     pub fn encode(&self, cloud: &VoxelizedCloud, device: &Device) -> IntraFrame {
         let mut arena = FrameArena::new();
         let mut out = IntraFrame::default();
-        self.encode_into(cloud, device, &mut arena, &mut out);
+        self.encode_into(cloud, device, &mut arena, &mut out, None);
         out
     }
 
@@ -65,28 +65,30 @@ impl IntraCodec {
     /// warm-up frames the encode performs zero heap allocations at one
     /// host thread or at two (asserted by `tests/alloc_steady_state.rs`);
     /// the bitstream is byte-identical to [`encode`](Self::encode).
+    ///
+    /// A `reconstruction`, when given, is cleared and refilled with the
+    /// colors [`decode`](Self::decode) returns for `out` (one per unique
+    /// voxel, Morton order), computed as the layers quantize: the
+    /// closed-loop reference of the P-frames that follow, without
+    /// decoding the frame.
     pub fn encode_into(
         &self,
         cloud: &VoxelizedCloud,
         device: &Device,
         arena: &mut FrameArena,
         out: &mut IntraFrame,
+        mut reconstruction: Option<&mut Vec<Rgb>>,
     ) {
+        if let Some(colors) = reconstruction.as_deref_mut() {
+            colors.clear();
+        }
         if let Some(brick_depth) = self.config.effective_brick_depth(cloud.depth()) {
-            brick::encode_in(
-                cloud,
-                &self.config,
-                brick_depth,
-                device,
-                device.host_threads(),
-                arena,
-                out,
-            );
+            brick::encode_in(cloud, &self.config, brick_depth, device, arena, out, reconstruction);
             return;
         }
         encode_geometry_into(cloud, device, arena, out);
         device.charge_gpu("attribute/gather", &calib::GATHER, cloud.len().max(1));
-        attribute::encode_in(&self.config, device, &mut arena.attr, &mut out.attribute);
+        attribute::encode_in(&self.config, device, &mut arena.attr, &mut out.attribute, reconstruction);
     }
 
     /// Decodes a frame back to a voxelized cloud (one color per unique
@@ -194,6 +196,8 @@ mod tests {
     use super::*;
     use pcc_edge::PowerMode;
     use pcc_types::{Point3, PointCloud, Rgb};
+    use proptest::prelude::*;
+    use std::num::NonZeroUsize;
 
     fn device() -> Device {
         Device::jetson_agx_xavier(PowerMode::W15)
@@ -304,7 +308,7 @@ mod tests {
         let mut frame = IntraFrame::default();
         for n in [500usize, 120, 333] {
             let vox = VoxelizedCloud::from_cloud(&cloud(n), 6);
-            codec.encode_into(&vox, &d, &mut arena, &mut frame);
+            codec.encode_into(&vox, &d, &mut arena, &mut frame, None);
             let fresh = codec.encode(&vox, &d);
             assert_eq!(frame, fresh, "n={n}");
         }
@@ -323,5 +327,39 @@ mod tests {
         assert!(t.stage_ms("attribute").as_f64() > 0.0);
         assert!(t.stage_ms("geometry_decode").as_f64() > 0.0);
         assert!(t.stage_ms("attribute_decode").as_f64() > 0.0);
+    }
+
+    proptest! {
+        /// The reconstruction an encode emits equals the colors a decode
+        /// of its frame returns, for monolithic and brick frames, one and
+        /// two layers, steps 1 to 16 and 1 and 2 host threads, through a
+        /// buffer holding another frame's colors; the frame's bytes are
+        /// those of a plain encode.
+        #[test]
+        fn reconstruction_equals_the_decoded_colors(
+            pts in prop::collection::vec((0u32..64, 0u32..64, 0u32..64, any::<u8>()), 0..3000),
+            (two_layer, quant_shift, bricks, threads) in
+                (any::<bool>(), 0u8..5, any::<bool>(), 1usize..=2),
+        ) {
+            let cloud: PointCloud = pts
+                .iter()
+                .map(|&(x, y, z, c)| {
+                    let at = Point3::new(x as f32, y as f32, z as f32);
+                    (at, Rgb::new(c, c.wrapping_mul(7), 255 - c))
+                })
+                .collect();
+            let vox = VoxelizedCloud::from_cloud(&cloud, 6);
+            let cfg = IntraConfig { two_layer, quant_shift, ..IntraConfig::paper() }
+                .with_bricks(if bricks { 3 } else { 0 });
+            let codec = IntraCodec::new(cfg);
+            let d = device().with_host_threads(NonZeroUsize::new(threads));
+            let mut frame = IntraFrame::default();
+            let mut reconstruction = vec![Rgb::WHITE; 7];
+            let arena = &mut FrameArena::new();
+            codec.encode_into(&vox, &d, arena, &mut frame, Some(&mut reconstruction));
+            prop_assert_eq!(&frame, &codec.encode(&vox, &d));
+            let decoded = codec.decode(&frame, &d).unwrap();
+            prop_assert_eq!(&reconstruction[..], decoded.colors());
+        }
     }
 }

@@ -147,7 +147,11 @@ pub fn decode_with(
 ) -> Result<GeometryDecoded, DecodeError> {
     let mut c = Cursor::new(stream, 0);
     let header = pcc_octree::read_grid_header(&mut c)?;
-    let coords = pcc_octree::decode_occupancy_from(&mut c, limits)?;
+    let occupancy = pcc_octree::OccupancyHeader::read(&mut c)?;
+    let mut coords = Vec::new();
+    let sp = pcc_probe::span("geometry/decode");
+    occupancy.expand(&mut c, limits, &mut coords)?;
+    sp.stop();
     device.charge_gpu("geometry_decode", &calib::GEOM_DECODE, coords.len().max(1));
     Ok(GeometryDecoded {
         coords,

@@ -354,7 +354,7 @@ pub fn decode_layer_threaded(layer: &LayerEncoded, threads: NonZeroUsize) -> Vec
 
 /// `base + r * q` per channel, wrapping: a hostile payload can carry
 /// residuals and steps whose product overflows, and must not panic.
-fn dequantize(base: [i32; 3], r: [i32; 3], q: i32) -> [i32; 3] {
+pub(crate) fn dequantize(base: [i32; 3], r: [i32; 3], q: i32) -> [i32; 3] {
     let ch = |b: i32, r: i32| b.wrapping_add(r.wrapping_mul(q));
     [ch(base[0], r[0]), ch(base[1], r[1]), ch(base[2], r[2])]
 }

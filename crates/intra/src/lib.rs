@@ -57,6 +57,7 @@ pub mod geometry;
 mod layer;
 
 pub use arena::FrameArena;
+pub use attribute::encode_delta_layer_into;
 pub use brick::{BrickDecode, BrickEntry, BrickIndex, BRICK_MAGIC, BRICK_VERSION};
 pub use config::IntraConfig;
 pub use frame::{encode_geometry_into, IntraCodec, IntraFrame};

@@ -1,6 +1,5 @@
 //! Self-describing occupancy streams and the geometry decoder.
 
-use pcc_morton::MortonCode;
 use pcc_types::wire::{write_varint, Cursor};
 use pcc_types::{DecodeError, Limits, VoxelCoord, VoxelizedCloud};
 
@@ -38,16 +37,16 @@ pub fn serialize_occupancy_into(
 /// under explicit resource [`Limits`].
 ///
 /// Expansion proceeds level by level: each occupancy byte of the current
-/// frontier spawns the child codes of its set bits; at the leaf level the
-/// codes decode to coordinates. Because the stream is breadth-first and
-/// codes are built high-bits-first, the output is exactly the sorted
-/// voxel set the encoder saw — geometry is *lossless at voxel precision*.
+/// frontier spawns the child cells of its set bits. Because the stream is
+/// breadth-first and children are emitted in slot order, the output is
+/// exactly the sorted voxel set the encoder saw — geometry is *lossless
+/// at voxel precision*.
 ///
 /// Enforces `limits.max_depth` on the declared depth and
 /// `limits.max_points` on both the declared leaf count and the expanding
 /// frontier at every level, so a hostile stream can neither declare an
 /// absurd leaf count nor grow the breadth-first frontier past the limit —
-/// the check fires before the level's expansion is retained.
+/// the check fires before the level is expanded.
 ///
 /// # Errors
 ///
@@ -74,8 +73,9 @@ pub fn decode_occupancy_with(
 
 /// [`decode_occupancy_with`] reading the stream from `cursor`, so a
 /// caller that parsed a header in front of it gets offsets in its own
-/// buffer: [`OccupancyHeader::read`], then [`OccupancyHeader::expand`].
-/// Consumes the occupancy bytes the expansion read.
+/// buffer. Consumes the occupancy bytes the expansion read. A caller
+/// that has a vector to append to reads the header with
+/// [`OccupancyHeader::read`] and calls [`OccupancyHeader::expand`].
 ///
 /// # Errors
 ///
@@ -84,7 +84,10 @@ pub fn decode_occupancy_from(
     cursor: &mut Cursor<'_>,
     limits: &Limits,
 ) -> Result<Vec<VoxelCoord>, DecodeError> {
-    OccupancyHeader::read(cursor)?.expand(cursor, limits)
+    let header = OccupancyHeader::read(cursor)?;
+    let mut coords = Vec::new();
+    header.expand(cursor, limits, &mut coords)?;
+    Ok(coords)
 }
 
 impl OccupancyHeader {
@@ -119,49 +122,88 @@ impl OccupancyHeader {
     }
 
     /// Expands the breadth-first occupancy bytes at `cursor` into this
-    /// header's voxels, in Morton order, under `limits`; consumes the
-    /// bytes it reads. Offsets in errors are the cursor's.
+    /// header's voxels, in Morton order, appending them to `out`, under
+    /// `limits`; consumes the bytes it reads. Offsets in errors are the
+    /// cursor's. On error `out` is left as it was.
+    ///
+    /// The frontier holds coordinates: a node's child in slot `s` is
+    /// `(2x | s&1, 2y | s>>1&1, 2z | s>>2)`, emitted for each set bit of
+    /// its byte in slot order, which is Morton order. Each level's width
+    /// is the popcount of its bytes, so the points limit and, at the leaf
+    /// level, the declared leaf count are checked before the level is
+    /// expanded; the leaf level is written straight into `out`.
     ///
     /// # Errors
     ///
     /// As [`decode_occupancy_with`], after the header: the depth and
-    /// leaf-count limits, truncated occupancy bytes, and a leaf count
+    /// leaf-count limits, truncated occupancy bytes (at the first missing
+    /// byte), the points limit on every level's width, and a leaf count
     /// that disagrees with the expansion.
     pub fn expand(
         self,
         cursor: &mut Cursor<'_>,
         limits: &Limits,
-    ) -> Result<Vec<VoxelCoord>, DecodeError> {
+        out: &mut Vec<VoxelCoord>,
+    ) -> Result<(), DecodeError> {
         limits.check_depth(self.depth)?;
         limits.check_points(self.leaf_count as u64)?;
-        let mut frontier: Vec<u64> = vec![0]; // root prefix
-        for _level in 0..self.depth {
-            // Each frontier node consumes one occupancy byte and spawns at
-            // most 8 children, so `next` is bounded by 8 × the bytes
-            // consumed this level — but a deep stream could still compound
-            // that. Cap every intermediate frontier at the leaf budget: in
-            // a well-formed breadth-first tree, no level is ever wider than
-            // the leaf level.
-            let mut next = Vec::new();
-            for &prefix in &frontier {
-                let byte = cursor.u8()?;
-                for slot in 0..8u64 {
-                    if byte & (1 << slot) != 0 {
-                        next.push((prefix << 3) | slot);
-                    }
-                }
+        let leaves = |decoded| DecodeError::Mismatch {
+            what: "leaves",
+            declared: self.leaf_count,
+            decoded,
+        };
+        let mut frontier = vec![VoxelCoord::default()]; // the root cell
+        let mut next = Vec::new();
+        for level in 1..=self.depth {
+            // One byte per frontier node. No level of a well-formed tree
+            // is wider than its leaf level, so every width is held to the
+            // leaf budget before it is expanded.
+            let bytes = take_level(cursor, frontier.len())?;
+            let width: usize = bytes.iter().map(|b| b.count_ones() as usize).sum();
+            limits.check_points(width as u64)?;
+            if level < self.depth {
+                next.clear();
+                expand_level(&frontier, bytes, width, &mut next);
+                std::mem::swap(&mut frontier, &mut next);
+            } else if width != self.leaf_count {
+                return Err(leaves(width));
+            } else {
+                expand_level(&frontier, bytes, width, out);
+                return Ok(());
             }
-            limits.check_points(next.len() as u64)?;
-            frontier = next;
         }
-        if frontier.len() != self.leaf_count {
-            return Err(DecodeError::Mismatch {
-                what: "leaves",
-                declared: self.leaf_count,
-                decoded: frontier.len(),
-            });
+        // A depth-0 header (only constructible field by field): the root
+        // is the one leaf.
+        if self.leaf_count != 1 {
+            return Err(leaves(1));
         }
-        Ok(frontier.into_iter().map(|c| MortonCode::from_raw(c).to_coord()).collect())
+        out.push(VoxelCoord::default());
+        Ok(())
+    }
+}
+
+/// The next `n` occupancy bytes of `cursor`. When fewer are left, the
+/// error is the one a byte-by-byte read reports: [`DecodeError::Truncated`]
+/// at the first missing byte, the end of the input.
+fn take_level<'a>(cursor: &mut Cursor<'a>, n: usize) -> Result<&'a [u8], DecodeError> {
+    if cursor.rest().len() < n {
+        cursor.take(cursor.rest().len())?;
+    }
+    cursor.take(n)
+}
+
+/// Appends the children of every `frontier` cell, whose occupancy bytes
+/// are `bytes`, to `out`, in Morton order; `width` is their total.
+fn expand_level(frontier: &[VoxelCoord], bytes: &[u8], width: usize, out: &mut Vec<VoxelCoord>) {
+    out.reserve(width);
+    for (parent, &byte) in frontier.iter().zip(bytes) {
+        let (x, y, z) = (parent.x << 1, parent.y << 1, parent.z << 1);
+        let mut rest = byte;
+        while rest != 0 {
+            let s = rest.trailing_zeros();
+            rest &= rest - 1;
+            out.push(VoxelCoord::new(x | (s & 1), y | (s >> 1 & 1), z | (s >> 2)));
+        }
     }
 }
 
@@ -351,7 +393,80 @@ mod tests {
             OccupancyHeader::new(22, 1, 40),
             Err(DecodeError::Corrupt { what: "octree depth", offset: 40 })
         );
-        assert_eq!(parsed.expand(&mut c, &Limits::default()), decode(&stream));
+        let mut appended = vec![VoxelCoord::new(9, 9, 9)];
+        parsed.expand(&mut c, &Limits::default(), &mut appended).unwrap();
+        assert_eq!(appended[1..], decode(&stream).unwrap()[..]);
+        assert_eq!(appended[0], VoxelCoord::new(9, 9, 9));
+    }
+
+    /// The reference expansion, the oracle for
+    /// [`OccupancyHeader::expand`]: Morton prefixes grown level by level
+    /// through an 8-slot loop, decoded to coordinates at the end.
+    fn expand_oracle(
+        header: OccupancyHeader,
+        cursor: &mut Cursor<'_>,
+        limits: &Limits,
+    ) -> Result<Vec<VoxelCoord>, DecodeError> {
+        limits.check_depth(header.depth)?;
+        limits.check_points(header.leaf_count as u64)?;
+        let mut frontier: Vec<u64> = vec![0];
+        for _level in 0..header.depth {
+            let mut next = Vec::new();
+            for &prefix in &frontier {
+                let byte = cursor.u8()?;
+                for slot in 0..8u64 {
+                    if byte & (1 << slot) != 0 {
+                        next.push((prefix << 3) | slot);
+                    }
+                }
+            }
+            limits.check_points(next.len() as u64)?;
+            frontier = next;
+        }
+        if frontier.len() != header.leaf_count {
+            return Err(DecodeError::Mismatch {
+                what: "leaves",
+                declared: header.leaf_count,
+                decoded: frontier.len(),
+            });
+        }
+        Ok(frontier
+            .into_iter()
+            .map(|c| pcc_morton::MortonCode::from_raw(c).to_coord())
+            .collect())
+    }
+
+    /// Both expansions of `stream` under `limits`: the whole result and
+    /// the offset each left its cursor at.
+    #[allow(clippy::type_complexity)]
+    fn both(
+        stream: &[u8],
+        limits: &Limits,
+    ) -> ((Result<Vec<VoxelCoord>, DecodeError>, usize), (Result<Vec<VoxelCoord>, DecodeError>, usize))
+    {
+        let run = |oracle: bool| {
+            let mut c = Cursor::new(stream, 0);
+            let result = OccupancyHeader::read(&mut c).and_then(|h| {
+                if oracle {
+                    return expand_oracle(h, &mut c, limits);
+                }
+                let mut out = Vec::new();
+                h.expand(&mut c, limits, &mut out).map(|()| out)
+            });
+            (result, c.offset())
+        };
+        (run(false), run(true))
+    }
+
+    #[test]
+    fn depth_zero_header_expands_to_the_root() {
+        for leaf_count in [0, 1, 2] {
+            let header = OccupancyHeader { depth: 0, leaf_count };
+            let mut out = Vec::new();
+            let got = header.expand(&mut Cursor::new(&[], 0), &Limits::default(), &mut out);
+            let oracle = expand_oracle(header, &mut Cursor::new(&[], 0), &Limits::default());
+            assert_eq!(got.map(|()| out), oracle);
+        }
     }
 
     proptest! {
@@ -364,6 +479,56 @@ mod tests {
             let tree = ParallelOctree::from_coords(&coords, 7);
             let decoded = decode(&tree.serialize()).unwrap();
             prop_assert_eq!(decoded, tree.leaves());
+        }
+
+        /// The coordinate expansion returns exactly the prefix
+        /// expansion's `Result` — voxels, or error kind and offset — and
+        /// consumes the same bytes, on random trees and on truncated,
+        /// bit-flipped, length-inflated and leaf-count-deflated copies of
+        /// them, under the default, strict and a tight points limit.
+        #[test]
+        fn expansion_equals_the_prefix_oracle(
+            coords in prop::collection::vec((0u32..1 << 12, 0u32..1 << 12, 0u32..1 << 12), 0..200),
+            depth in 1u8..=12,
+            flips in prop::collection::vec((any::<usize>(), 0u32..8), 0..4),
+            extra in prop::collection::vec(any::<u8>(), 0..24),
+            (cut, inflate, tight) in (any::<usize>(), 0usize..5, 1u64..200),
+        ) {
+            let mask = (1u32 << depth) - 1;
+            let coords: Vec<VoxelCoord> = coords
+                .into_iter()
+                .map(|(x, y, z)| VoxelCoord::new(x & mask, y & mask, z & mask))
+                .collect();
+            let tree = ParallelOctree::from_coords(&coords, depth);
+            let clean = tree.serialize();
+            let mut truncated = clean.clone();
+            truncated.truncate(cut % (clean.len() + 1));
+            let mut flipped = clean.clone();
+            for &(at, bit) in &flips {
+                let i = at % flipped.len();
+                flipped[i] ^= 1 << bit;
+            }
+            // Trailing bytes behind the stream, and a leaf count that
+            // overstates (or, at 0, restates) the tree or understates it,
+            // so an inner level can outgrow a limit the header passed.
+            let mut longer = clean.clone();
+            longer.extend_from_slice(&extra);
+            let mut occupancy = Cursor::new(&clean, 0);
+            OccupancyHeader::read(&mut occupancy).unwrap();
+            let (mut inflated, mut deflated) = (Vec::new(), Vec::new());
+            let leaf_count = tree.leaf_count() + inflate;
+            serialize_occupancy_into(depth, leaf_count, occupancy.rest(), &mut inflated);
+            inflated.extend_from_slice(&extra);
+            let leaf_count = tree.leaf_count() >> (inflate + 1);
+            serialize_occupancy_into(depth, leaf_count, occupancy.rest(), &mut deflated);
+            let tight = Limits { max_points: tight, ..Limits::default() };
+            for limits in [Limits::default(), Limits::strict(), tight] {
+                for stream in [&clean, &truncated, &flipped, &longer, &inflated, &deflated] {
+                    let (got, oracle) = both(stream, &limits);
+                    prop_assert_eq!(&got, &oracle, "stream {:?} under {:?}", stream, limits);
+                }
+            }
+            prop_assert_eq!(both(&clean, &Limits::default()).0 .0.unwrap(), tree.leaves());
         }
     }
 }

@@ -125,17 +125,17 @@ impl VoxelizedCloud {
         let cells = (1u32 << depth) as f32;
         let voxel_size = side / cells;
         let origin = cube.min();
-        let max_index = (1u32 << depth) - 1;
+        let max_index = i64::from((1u32 << depth) - 1);
+        // `as i64` truncates toward zero, saturating (NaN to 0); after
+        // the clamp that equals `floor`: the two differ only on (-1, 0),
+        // which both clamp to 0. It also avoids a libm call per axis.
+        let cell = |v: f32| (v as i64).clamp(0, max_index) as u32;
         let coords = cloud
             .positions()
             .iter()
             .map(|p| {
                 let rel = (*p - origin) / voxel_size;
-                VoxelCoord::new(
-                    (rel.x.floor() as i64).clamp(0, max_index as i64) as u32,
-                    (rel.y.floor() as i64).clamp(0, max_index as i64) as u32,
-                    (rel.z.floor() as i64).clamp(0, max_index as i64) as u32,
-                )
+                VoxelCoord::new(cell(rel.x), cell(rel.y), cell(rel.z))
             })
             .collect();
         VoxelizedCloud { coords, colors: cloud.colors().to_vec(), depth, origin, voxel_size }
@@ -490,5 +490,51 @@ mod tests {
         let vox = VoxelizedCloud::from_cloud(&cloud, 10);
         assert_eq!(vox.coords()[0], vox.coords()[1]);
         assert_ne!(vox.coords()[0], vox.coords()[2]);
+    }
+
+    /// One axis of a point in grid units relative to the box: inside,
+    /// outside, on exact cell boundaries, just below 0, large enough to
+    /// saturate the `i64` cast, and non-finite.
+    fn axis() -> impl proptest::Strategy<Value = f32> {
+        use proptest::Strategy;
+        (0u8..8, -40.0f32..300.0, -2i32..260, 1u32..1000).prop_map(|(pick, v, k, e)| match pick {
+            0 => v,
+            1 => k as f32,
+            2 => -(e as f32) * f32::EPSILON,
+            3 => [-f32::MIN_POSITIVE, -0.0, 1.0 - f32::EPSILON / 2.0][e as usize % 3],
+            4 => [1e19, -1e19, f32::MAX, f32::MIN][e as usize % 4],
+            5 => [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][e as usize % 3],
+            _ => v.fract() + k as f32,
+        })
+    }
+
+    proptest::proptest! {
+        /// The truncating cast equals the `floor` formula it replaced on
+        /// every input, in and out of the grid box.
+        #[test]
+        fn voxelize_equals_the_floor_formula(
+            pts in proptest::prelude::prop::collection::vec((axis(), axis(), axis()), 0..64),
+            min in (-50.0f32..50.0, -50.0f32..50.0, -50.0f32..50.0),
+            side in 0.5f32..40.0,
+            depth in 1u8..=21,
+        ) {
+            let lo = Point3::new(min.0, min.1, min.2);
+            let grid_box = Aabb::new(lo, lo + Point3::splat(side));
+            // Scale grid units back into world space, so boundary values
+            // land on (or a rounding step off) real cell edges.
+            let unit = grid_box.cubify_pow2().longest_side() / (1u32 << depth) as f32;
+            let cloud: PointCloud = pts
+                .iter()
+                .map(|&(x, y, z)| (lo + Point3::new(x, y, z) * unit, Rgb::BLACK))
+                .collect();
+            let vox = VoxelizedCloud::from_cloud_in_box(&cloud, depth, &grid_box);
+            let max_index = i64::from((1u32 << depth) - 1);
+            let floor = |v: f32| (v.floor() as i64).clamp(0, max_index) as u32;
+            for (p, c) in cloud.positions().iter().zip(vox.coords()) {
+                let rel = (*p - vox.origin()) / vox.voxel_size();
+                let expect = VoxelCoord::new(floor(rel.x), floor(rel.y), floor(rel.z));
+                proptest::prop_assert_eq!(*c, expect, "point {:?}", p);
+            }
+        }
     }
 }

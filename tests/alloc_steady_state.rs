@@ -9,7 +9,8 @@
 //! thread and at two on frames large enough that the inter kernels fan
 //! out (per-chunk scratch lives in the arena), with probes off and on —
 //! and for a session's real access pattern, I- and P-frames interleaved
-//! through ONE arena on frames that shrink and grow.
+//! through ONE arena on frames that shrink and grow, each I-frame
+//! reconstructing the held reference its P-frames predict from.
 //! The warm-up frames must count at least one allocation (a fresh arena
 //! grows), so a test binary whose allocator counts nothing cannot pass.
 //!
@@ -89,24 +90,24 @@ fn count_allocs(
 const GOF: usize = 3;
 
 /// Allocations counted while `frames` are encoded as I P P I P P …
-/// through one session arena, the I-frames by `intra` and the P-frames
-/// by `inter` against their group's reference in `anchors` (the decoded
-/// I-frames, built before counting).
+/// through one session arena, as a session encoder runs them: each
+/// I-frame by `intra`, reconstructing its colors into one held reference
+/// buffer, and the P-frames by `inter` predicting from that reference.
 fn count_session_allocs(
     frames: &[VoxelizedCloud],
-    anchors: &[Vec<Rgb>],
     intra: &IntraCodec,
     inter: &InterCodec,
     d: &Device,
 ) -> (u64, u64) {
     let mut arena = InterArena::new();
     let (mut i_out, mut p_out) = (IntraFrame::default(), InterEncoded::default());
+    let mut reference = Vec::new();
     let mut k = 0;
     count_allocs(frames, d, |vox| {
         if k % GOF == 0 {
-            intra.encode_into(vox, d, arena.intra(), &mut i_out);
+            intra.encode_into(vox, d, arena.intra(), &mut i_out, Some(&mut reference));
         } else {
-            inter.encode_into(vox, &anchors[k / GOF], d, &mut arena, &mut p_out);
+            inter.encode_into(vox, &reference, d, &mut arena, &mut p_out);
         }
         k += 1;
     })
@@ -162,13 +163,6 @@ fn encode_hot_path_is_allocation_free_after_warmup() {
     // The brick layout the lossy-recovery workload encodes.
     let bricks = IntraCodec::new(intra_cfg.with_bricks(3));
 
-    // The interleaved legs' references: each group's decoded I-frame,
-    // monolithic and brick.
-    let anchors_of = |codec: &IntraCodec| -> Vec<Vec<Rgb>> {
-        mixed.iter().step_by(GOF).map(|vox| reference_of(codec, vox, &d1)).collect()
-    };
-    let (mixed_refs, brick_refs) = (anchors_of(&intra), anchors_of(&bricks));
-
     // The two-thread legs must really fan out: the geometry and gather
     // kernels split the frame's points, the matcher its compared block
     // pairs, and the delta layer its values (every delta block holds at
@@ -195,12 +189,12 @@ fn encode_hot_path_is_allocation_free_after_warmup() {
         let mut arena = FrameArena::new();
         let mut out = IntraFrame::default();
         let intra_counts = count_allocs(&small, &d1, |vox| {
-            intra.encode_into(vox, &d1, &mut arena, &mut out);
+            intra.encode_into(vox, &d1, &mut arena, &mut out, None);
         });
         let mut arena = FrameArena::new();
         let mut out = IntraFrame::default();
         let brick_counts = count_allocs(&small, &d1, |vox| {
-            bricks.encode_into(vox, &d1, &mut arena, &mut out);
+            bricks.encode_into(vox, &d1, &mut arena, &mut out, None);
         });
         let mut arena = InterArena::new();
         let mut out = InterEncoded::default();
@@ -215,19 +209,18 @@ fn encode_hot_path_is_allocation_free_after_warmup() {
         let mut arena = FrameArena::new();
         let mut out = IntraFrame::default();
         let intra2_counts = count_allocs(&large, &d2, |vox| {
-            intra.encode_into(vox, &d2, &mut arena, &mut out);
+            intra.encode_into(vox, &d2, &mut arena, &mut out, None);
         });
         let mut arena = FrameArena::new();
         let mut out = IntraFrame::default();
         let brick2_counts = count_allocs(&large, &d2, |vox| {
-            bricks.encode_into(vox, &d2, &mut arena, &mut out);
+            bricks.encode_into(vox, &d2, &mut arena, &mut out, None);
         });
 
-        let session_counts = count_session_allocs(&mixed, &mixed_refs, &intra, &inter, &d1);
-        let brick_session_counts = count_session_allocs(&mixed, &brick_refs, &bricks, &inter, &d1);
-        let session2_counts = count_session_allocs(&mixed, &mixed_refs, &intra, &inter, &d2);
-        let brick_session2_counts =
-            count_session_allocs(&mixed, &brick_refs, &bricks, &inter, &d2);
+        let session_counts = count_session_allocs(&mixed, &intra, &inter, &d1);
+        let brick_session_counts = count_session_allocs(&mixed, &bricks, &inter, &d1);
+        let session2_counts = count_session_allocs(&mixed, &intra, &inter, &d2);
+        let brick_session2_counts = count_session_allocs(&mixed, &bricks, &inter, &d2);
 
         assert_steady("intra", probes, intra_counts);
         assert_steady("brick", probes, brick_counts);

@@ -160,7 +160,9 @@ fn measured_trace_covers_the_instrumented_pipeline() {
         "inter/match",
         "inter/delta",
         "frame/encode",
+        "frame/voxelize",
         "frame/decode",
+        "geometry/decode",
     ];
     for stage in expected {
         assert!(
