@@ -226,10 +226,8 @@ impl Report {
     fn to_json(&self) -> String {
         let mut out = format!(
             "{{\n  \"schema\": 2,\n  \"clock\": \"process_cpu\",\n  \"nproc\": {},\n  \
-             \"simd\": {},\n  \"kernel_points\": {KERNEL_POINTS},\n  \
-             \"frame_points\": {FRAME_POINTS}",
+             \"kernel_points\": {KERNEL_POINTS},\n  \"frame_points\": {FRAME_POINTS}",
             std::thread::available_parallelism().map_or(1, usize::from),
-            cfg!(feature = "simd"),
         );
         for m in &self.0 {
             out += &format!(",\n  \"{}\": {:.*}", m.key, m.decimals, m.value);
@@ -257,7 +255,7 @@ fn run() -> Report {
     let one = NonZeroUsize::new(1).expect("1 is non-zero");
     let allocs_at_start = alloc_count();
 
-    // -- Morton codegen: scalar loop vs. the batched SWAR/SIMD kernel.
+    // -- Morton codegen: scalar loop vs. the spread-table `encode_slice`.
     let coords = kernel_coords();
     // black_box on each input pins the reference to true point-at-a-time
     // encoding — without it LLVM vectorizes this loop too and the

@@ -82,10 +82,6 @@ pub(crate) struct AttributeScratch {
 /// so steady-state brick encoding allocates nothing new per frame.
 #[derive(Debug, Default)]
 pub(crate) struct BrickScratch {
-    /// Per-brick attribute pipeline buffers (the frame-level
-    /// [`AttributeScratch`] holds the gathered colors; this one is
-    /// re-segmented per brick).
-    pub(crate) attr: AttributeScratch,
     /// Brick boundaries into the sorted leaf codes (`bricks + 1` cuts).
     pub(crate) starts: Vec<u32>,
     /// One brick's leaf codes relative to its bounding cell.
@@ -116,7 +112,8 @@ pub struct FrameArena {
     /// attribute pass can read them without a fresh allocation.
     pub(crate) geo: GeometryEncoded,
     /// Attribute-pipeline buffers; after the gather, `attr.voxel_colors`
-    /// holds the frame's per-voxel colors in Morton order.
+    /// holds the frame's per-voxel colors in Morton order. Brick I-frames
+    /// code each brick's layers in the same buffers.
     pub(crate) attr: AttributeScratch,
     /// Brick-pipeline buffers (used only when
     /// [`crate::IntraConfig::brick_depth`] is non-zero).

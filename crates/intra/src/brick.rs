@@ -306,8 +306,11 @@ pub(crate) fn encode_in(
         colors.reserve_exact(arena.geo.unique_voxels);
     }
 
+    // The gathered colors leave the attribute scratch for the brick loop,
+    // so each brick's layers run in that scratch's idle layer buffers.
+    let colors = std::mem::take(&mut arena.attr.voxel_colors);
     let geo = &arena.geo;
-    let colors = &arena.attr.voxel_colors;
+    let attr = &mut arena.attr;
     let geom_scratch = &mut arena.geom;
     let bricks = &mut arena.brick;
 
@@ -355,15 +358,15 @@ pub(crate) fn encode_in(
             &mut bricks.geom_buf,
         );
 
-        bricks.attr.values.clear();
+        attr.values.clear();
         if let Some(slice) = colors.get(s..e) {
-            bricks.attr.values.extend(slice.iter().map(|c| c.to_i32()));
+            attr.values.extend(slice.iter().map(|c| c.to_i32()));
         }
         attribute::encode_values_in(
             config,
             device,
             one,
-            &mut bricks.attr,
+            attr,
             &mut bricks.attr_buf,
             reconstruction.as_deref_mut(),
         );
@@ -382,6 +385,7 @@ pub(crate) fn encode_in(
         out.attribute.extend_from_slice(&bricks.attr_buf);
     }
     bricks.starts = starts;
+    attr.voxel_colors = colors;
     device.charge_gpu("geometry/octree", &calib::OCTREE_BUILD, nodes.max(1));
     device.charge_gpu("geometry/occupy", &calib::OCCUPY_POST, nodes.max(1));
 

@@ -89,8 +89,8 @@ pub(crate) fn morton_products_in(
     let n = cloud.len();
 
     // 1. Morton code generation — one independent item per point, run as
-    //    a data-parallel kernel launch (chunked across host threads; SWAR
-    //    batched, AVX2 under the `simd` feature).
+    //    a data-parallel kernel launch (chunked across host threads, each
+    //    chunk through the spread-table kernel).
     pcc_morton::codes_of_into(cloud, threads, &mut scratch.codes);
     device.charge_gpu("geometry/morton", &calib::MORTON_GEN, n.max(1));
 

@@ -180,14 +180,12 @@ pub fn decode(code: MortonCode) -> VoxelCoord {
 
 /// Encodes a batch of coordinates, writing one code per input.
 ///
-/// This is the hot-path form of [`encode`]: instead of interleaving one
-/// point at a time, it runs the magic-shift SWAR expansion over blocks of
-/// coordinates so the per-step mask/shift chain is applied lane-wise
-/// across a whole block (which the compiler can keep in vector
-/// registers). With the `simd` cargo feature on an AVX2-capable x86-64
-/// host, blocks of four codes are interleaved by a 4×u64 vector kernel
-/// instead. Every path produces output bit-identical to the scalar
-/// [`encode`] reference — pinned by proptests in this module.
+/// This is the hot-path form of [`encode`]: instead of running the
+/// five-step magic-shift chain per axis, each axis is spread through
+/// three lookups into a 256-entry table (one table per axis, 6 KiB in
+/// all, so they stay in L1). The output is bit-identical to the scalar
+/// [`encode`] reference for every input — pinned by an exhaustive test
+/// and proptests in this module.
 ///
 /// # Panics
 ///
@@ -195,163 +193,48 @@ pub fn decode(code: MortonCode) -> VoxelCoord {
 /// panic if any component exceeds [`MAX_BITS_PER_AXIS`] bits.
 pub fn encode_slice(coords: &[VoxelCoord], out: &mut [MortonCode]) {
     assert_eq!(coords.len(), out.len(), "coords/out length mismatch");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        simd::encode_slice_avx2(coords, out);
-        return;
-    }
-    encode_slice_swar(coords, out);
-}
-
-/// Portable batched SWAR path: the five mask/shift steps of [`part1by2`]
-/// run over fixed-size blocks through local arrays, exposing the lane
-/// structure to the auto-vectorizer while staying safe code.
-fn encode_slice_swar(coords: &[VoxelCoord], out: &mut [MortonCode]) {
-    const B: usize = 8;
-    let mut in_blocks = coords.chunks_exact(B);
-    let mut out_blocks = out.chunks_exact_mut(B);
-    for (cs, os) in (&mut in_blocks).zip(&mut out_blocks) {
-        // Two stages on purpose: the transpose loop turns the strided
-        // 12-byte struct loads into three contiguous lane arrays, so the
-        // expansion loop below is pure contiguous u64 mask/shift work the
-        // auto-vectorizer can actually lift into vector registers (with
-        // the struct loads inline it stays scalar).
-        let mut xs = [0u64; B];
-        let mut ys = [0u64; B];
-        let mut zs = [0u64; B];
-        for i in 0..B {
-            xs[i] = cs[i].x as u64;
-            ys[i] = cs[i].y as u64;
-            zs[i] = cs[i].z as u64;
-        }
-        for i in 0..B {
-            os[i] = MortonCode(
-                part1by2_wide(xs[i]) | (part1by2_wide(ys[i]) << 1) | (part1by2_wide(zs[i]) << 2),
-            );
-        }
-        for c in cs {
-            debug_assert!(
-                c.x < (1 << MAX_BITS_PER_AXIS)
-                    && c.y < (1 << MAX_BITS_PER_AXIS)
-                    && c.z < (1 << MAX_BITS_PER_AXIS),
-                "coordinate {c:?} exceeds {MAX_BITS_PER_AXIS} bits per axis"
-            );
-        }
-    }
-    for (slot, &c) in out_blocks.into_remainder().iter_mut().zip(in_blocks.remainder()) {
-        *slot = encode(c);
+    for (slot, c) in out.iter_mut().zip(coords) {
+        debug_assert!(
+            c.x < (1 << MAX_BITS_PER_AXIS)
+                && c.y < (1 << MAX_BITS_PER_AXIS)
+                && c.z < (1 << MAX_BITS_PER_AXIS),
+            "coordinate {c:?} exceeds {MAX_BITS_PER_AXIS} bits per axis"
+        );
+        *slot = MortonCode(spread(&TX, c.x) | spread(&TY, c.y) | spread(&TZ, c.z));
     }
 }
 
-/// [`part1by2`] on an already-widened value — same magic-shift constants,
-/// expressed over `u64` end to end so the lane loop above vectorizes.
+/// Spread tables: `TX[b]` moves bit `i` of byte `b` to bit `3i`; `TY`
+/// and `TZ` are the same table pre-shifted into the y and z lanes.
+static TX: [u64; 256] = spread_table(0);
+static TY: [u64; 256] = spread_table(1);
+static TZ: [u64; 256] = spread_table(2);
+
+/// Builds the spread table for the lane at bit offset `lane`.
+const fn spread_table(lane: u32) -> [u64; 256] {
+    let mut table = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut bit = 0;
+        while bit < 8 {
+            table[b] |= ((b as u64 >> bit) & 1) << (3 * bit + lane);
+            bit += 1;
+        }
+        b += 1;
+    }
+    table
+}
+
+/// [`part1by2`] (shifted into `t`'s lane) by table lookup: the low two
+/// bytes of `v` and its next five bits, each spread and moved 24 bits
+/// per input byte. The `0x1f` mask drops bits above 21 exactly as
+/// [`part1by2`]'s `0x1f_ffff` does, and the masked indexes need no
+/// bounds checks.
 #[inline(always)]
-fn part1by2_wide(v: u64) -> u64 {
-    let mut x = v & 0x1F_FFFF;
-    x = (x | (x << 32)) & 0x1F_0000_0000_FFFF;
-    x = (x | (x << 16)) & 0x1F_0000_FF00_00FF;
-    x = (x | (x << 8)) & 0x100F_00F0_0F00_F00F;
-    x = (x | (x << 4)) & 0x10C3_0C30_C30C_30C3;
-    (x | (x << 2)) & 0x1249_2492_4924_9249
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[allow(unsafe_code)]
-mod simd {
-    //! AVX2 lane kernel: four 63-bit codes interleaved per iteration.
-    //! Runtime-gated by `is_x86_feature_detected!("avx2")` in
-    //! [`super::encode_slice`]; the masks are the exact constants of the
-    //! scalar [`super::part1by2`], so the output is bit-identical.
-
-    use super::{encode, MortonCode, VoxelCoord};
-    use std::arch::x86_64::{
-        __m256i, _mm256_and_si256, _mm256_loadu_si256, _mm256_or_si256, _mm256_set1_epi64x,
-        _mm256_slli_epi64, _mm256_storeu_si256,
-    };
-
-    /// # Safety
-    ///
-    /// The CPU must support AVX2.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn part1by2_x4(v: __m256i) -> __m256i {
-        // The shift immediates are const generics, so each magic-shift
-        // step is written out explicitly.
-        let mask = |m: u64| _mm256_set1_epi64x(m as i64);
-        let mut x = _mm256_and_si256(v, mask(0x1f_ffff));
-        x = _mm256_and_si256(
-            _mm256_or_si256(x, _mm256_slli_epi64::<32>(x)),
-            mask(0x001f_0000_0000_ffff),
-        );
-        x = _mm256_and_si256(
-            _mm256_or_si256(x, _mm256_slli_epi64::<16>(x)),
-            mask(0x001f_0000_ff00_00ff),
-        );
-        x = _mm256_and_si256(
-            _mm256_or_si256(x, _mm256_slli_epi64::<8>(x)),
-            mask(0x100f_00f0_0f00_f00f),
-        );
-        x = _mm256_and_si256(
-            _mm256_or_si256(x, _mm256_slli_epi64::<4>(x)),
-            mask(0x10c3_0c30_c30c_30c3),
-        );
-        _mm256_and_si256(
-            _mm256_or_si256(x, _mm256_slli_epi64::<2>(x)),
-            mask(0x1249_2492_4924_9249),
-        )
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn encode_blocks_avx2(coords: &[VoxelCoord], out: &mut [MortonCode]) {
-        const B: usize = 4;
-        debug_assert_eq!(coords.len(), out.len());
-        let mut in_blocks = coords.chunks_exact(B);
-        let mut out_blocks = out.chunks_exact_mut(B);
-        let mut xs = [0u64; B];
-        let mut ys = [0u64; B];
-        let mut zs = [0u64; B];
-        let mut codes = [0u64; B];
-        for (cs, os) in (&mut in_blocks).zip(&mut out_blocks) {
-            for i in 0..B {
-                xs[i] = cs[i].x as u64;
-                ys[i] = cs[i].y as u64;
-                zs[i] = cs[i].z as u64;
-            }
-            // SAFETY: loads/stores go through [u64; 4] locals, which are
-            // valid for exactly 256 bits; unaligned variants are used.
-            unsafe {
-                let px = part1by2_x4(_mm256_loadu_si256(xs.as_ptr().cast()));
-                let py = part1by2_x4(_mm256_loadu_si256(ys.as_ptr().cast()));
-                let pz = part1by2_x4(_mm256_loadu_si256(zs.as_ptr().cast()));
-                let code = _mm256_or_si256(
-                    px,
-                    _mm256_or_si256(_mm256_slli_epi64::<1>(py), _mm256_slli_epi64::<2>(pz)),
-                );
-                _mm256_storeu_si256(codes.as_mut_ptr().cast(), code);
-            }
-            for i in 0..B {
-                os[i] = MortonCode(codes[i]);
-            }
-        }
-        for (slot, &c) in out_blocks.into_remainder().iter_mut().zip(in_blocks.remainder()) {
-            *slot = encode(c);
-        }
-    }
-
-    pub(super) fn encode_slice_avx2(coords: &[VoxelCoord], out: &mut [MortonCode]) {
-        #[cfg(debug_assertions)]
-        for c in coords {
-            debug_assert!(
-                c.x < (1 << super::MAX_BITS_PER_AXIS)
-                    && c.y < (1 << super::MAX_BITS_PER_AXIS)
-                    && c.z < (1 << super::MAX_BITS_PER_AXIS),
-                "coordinate {c:?} exceeds {} bits per axis",
-                super::MAX_BITS_PER_AXIS
-            );
-        }
-        // SAFETY: the only caller checks is_x86_feature_detected!("avx2").
-        unsafe { encode_blocks_avx2(coords, out) }
-    }
+fn spread(t: &[u64; 256], v: u32) -> u64 {
+    t[(v & 0xff) as usize]
+        | (t[((v >> 8) & 0xff) as usize] << 24)
+        | (t[((v >> 16) & 0x1f) as usize] << 48)
 }
 
 /// Spreads the low 21 bits of `v` so each lands 3 positions apart
@@ -469,9 +352,19 @@ mod tests {
     }
 
     #[test]
+    fn spread_tables_match_part1by2_for_every_21_bit_value() {
+        for v in 0u32..1 << MAX_BITS_PER_AXIS {
+            let want = part1by2(v);
+            assert_eq!(spread(&TX, v), want, "x lane, v={v:#x}");
+            assert_eq!(spread(&TY, v), want << 1, "y lane, v={v:#x}");
+            assert_eq!(spread(&TZ, v), want << 2, "z lane, v={v:#x}");
+        }
+    }
+
+    #[test]
     fn encode_slice_matches_scalar_across_block_remainders() {
-        // Lengths straddling every batch-width remainder (SWAR blocks of 8,
-        // AVX2 blocks of 4), including the max coordinate.
+        // Every short length from empty up, including the max coordinate,
+        // so no loop-unrolling remainder of the table kernel goes untested.
         let max = (1u32 << MAX_BITS_PER_AXIS) - 1;
         for n in 0usize..=33 {
             let coords: Vec<VoxelCoord> = (0..n)
@@ -502,15 +395,20 @@ mod tests {
         fn encode_slice_matches_scalar_reference(
             coords in prop::collection::vec((0u32..1 << 21, 0u32..1 << 21, 0u32..1 << 21), 0..300)
         ) {
-            // The batched SWAR kernel (and, with the `simd` feature on an
-            // AVX2 host, the vector kernel) must be bit-identical to the
-            // scalar magic-shift reference for arbitrary coordinates.
+            // The spread-table kernel must be bit-identical to the scalar
+            // magic-shift reference for arbitrary coordinates.
             let coords: Vec<VoxelCoord> =
                 coords.into_iter().map(|(x, y, z)| VoxelCoord::new(x, y, z)).collect();
             let mut got = vec![MortonCode::ZERO; coords.len()];
             encode_slice(&coords, &mut got);
             let want: Vec<MortonCode> = coords.iter().map(|&c| encode(c)).collect();
             prop_assert_eq!(got, want);
+        }
+
+        #[test]
+        fn spread_matches_part1by2_above_21_bits(v in any::<u32>()) {
+            // Bits above the 21st are dropped by both forms alike.
+            prop_assert_eq!(spread(&TX, v), part1by2(v));
         }
 
         #[test]

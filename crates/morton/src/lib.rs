@@ -27,12 +27,7 @@
 //! assert_eq!(decode(code), VoxelCoord::new(3, 5, 1));
 //! ```
 
-// The crate is unsafe-free except for the optional AVX2 lane kernel in
-// `code::simd`, which exists only under the `simd` feature: the default
-// build keeps the blanket forbid, while the simd build downgrades it to
-// deny so that one module can carry a scoped, justified allow.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod code;

@@ -43,7 +43,7 @@ impl SortedCodes {
 /// independent, so on the modeled GPU it is one embarrassingly parallel
 /// pass (≈0.5 ms for a full frame). On the host the coordinate array is
 /// cut into contiguous chunks, one `pcc_parallel::run` item each, and the
-/// codes come from the batched SWAR / SIMD kernel [`crate::encode_slice`]. Chunking
+/// codes come from the spread-table kernel [`crate::encode_slice`]. Chunking
 /// is by index, so the output is byte-identical to the scalar reference
 /// at every thread count.
 ///

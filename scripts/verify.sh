@@ -36,15 +36,6 @@ echo "== glass-to-glass benchmark compiles against its lockfile =="
 # fails here rather than in the benchmark run.
 cargo check -q --offline --locked --manifest-path perfbench/Cargo.toml
 
-echo "== simd feature matrix =="
-# The AVX2 Morton lane path must keep compiling with the feature on and
-# off (it is runtime-detected, so one binary serves both hosts), and its
-# byte-identity proptests must hold with the lanes actually enabled.
-cargo check -q --offline -p pcc-morton
-cargo check -q --offline -p pcc-morton --features simd
-cargo check -q --offline -p pcc-bench --features simd
-cargo test -q --offline -p pcc-morton --features simd
-
 echo "== perf trajectory: hot-path benchmark gate =="
 # Re-measures the per-kernel ns/point, steady-state allocs/frame, and
 # end-to-end frame latency of BENCH_hotpath.json on the process CPU
@@ -52,7 +43,7 @@ echo "== perf trajectory: hot-path benchmark gate =="
 # (PCC_BENCH_TOLERANCE overrides), or a steady-state frame or fan-out
 # send that starts allocating, fails the gate.
 # Re-baseline an intentional change with PCC_BENCH_REFRESH=1.
-cargo run -q --release --offline -p pcc-bench --features simd --bin hotpath -- --check
+cargo run -q --release --offline -p pcc-bench --bin hotpath -- --check
 
 echo "== live streaming over loopback TCP + seeded-loss ARQ legs =="
 # The example asserts 12/12 frames delivered in order, a clean shutdown,
@@ -171,9 +162,9 @@ echo "== clippy: no unchecked indexing on the decode path, one spawn site =="
 # and binaries to the same rule; one that needs a thread of its own
 # carries a justified allow.
 cargo clippy -q --offline --workspace --all-targets -- -D clippy::disallowed_methods
-# The step above never builds pcc-morton's AVX2 lane module; this one
-# does, with every warning an error.
-cargo clippy -q --offline -p pcc-morton --features simd --all-targets -- -D warnings
+# The Morton crate holds the one codegen kernel, which every encode runs
+# first; it stays free of every clippy warning, not only the two above.
+cargo clippy -q --offline -p pcc-morton --all-targets -- -D warnings
 
 echo "== rustdoc: no warnings =="
 # Every rustdoc warning is an error here: a doc link to a renamed,
