@@ -398,7 +398,7 @@ impl CwipcCodec {
             self.config.threads,
         );
 
-        let (leaf_codes, attrs, _) = leaf_attributes(cloud, device.host_threads());
+        let (leaf_codes, attrs) = leaf_attributes(cloud, device.host_threads());
         let colors = attrs
             .iter()
             .map(|a| {
@@ -556,7 +556,7 @@ mod tests {
         let enc = codec.encode_intra(&vox, &d);
         let dec = codec.decode(&enc, None, &d).unwrap();
         assert_eq!(dec.len(), enc.unique_voxels);
-        let (_, attrs, _) = leaf_attributes(&vox, NonZeroUsize::MIN);
+        let (_, attrs) = leaf_attributes(&vox, NonZeroUsize::MIN);
         let max_err = 1i32 << codec.config().color_shift;
         for (orig, got) in attrs.iter().zip(dec.colors()) {
             for (o, g) in orig.iter().zip(got.to_i32()) {
@@ -627,7 +627,7 @@ mod tests {
         let enc_p = codec.encode_predicted(&p_frame, &dec_i, &d);
         assert!(enc_p.matched_blocks > 0, "blocks should still match");
         let dec_p = codec.decode(&enc_p, Some(&dec_i), &d).unwrap();
-        let (_, attrs, _) = leaf_attributes(&p_frame, NonZeroUsize::MIN);
+        let (_, attrs) = leaf_attributes(&p_frame, NonZeroUsize::MIN);
         let mut total_err = 0f64;
         for (orig, got) in attrs.iter().zip(dec_p.colors()) {
             total_err += (orig[0] - got.r as f64).abs();

@@ -137,7 +137,7 @@ impl Tmc13Codec {
         // After voxelization each occupied voxel is one unit-weight leaf
         // (weights must match the decoder, which cannot know the original
         // per-voxel point counts).
-        let (leaf_codes, attrs, _counts) = leaf_attributes(cloud, device.host_threads());
+        let (leaf_codes, attrs) = leaf_attributes(cloud, device.host_threads());
         let coeffs: Vec<[i64; 3]> = match self.attribute_mode {
             AttributeMode::Raht => {
                 let weights = vec![1.0; leaf_codes.len()];
@@ -295,40 +295,23 @@ impl Tmc13Codec {
     }
 }
 
-/// Unique leaf codes (sorted), their mean attributes, and point weights;
-/// the Morton codegen and sort run at `threads` host threads.
+/// Unique leaf codes (sorted) and their mean attributes, from the same
+/// leaf pass as the proposed encoder ([`pcc_morton::leaves_into`] over
+/// codes sorted with packed colors); the codegen, sort and pass run at
+/// `threads` host threads. Each mean is an exact integer sum over an
+/// exact count, both converted to `f64`.
 pub(crate) fn leaf_attributes(
     cloud: &VoxelizedCloud,
     threads: NonZeroUsize,
-) -> (Vec<MortonCode>, Vec<[f64; 3]>, Vec<f64>) {
-    let mut codes = Vec::new();
-    pcc_morton::codes_of_into(cloud, threads, &mut codes);
+) -> (Vec<MortonCode>, Vec<[f64; 3]>) {
     let mut sorted = SortedCodes::default();
-    pcc_morton::sort_codes_into(&codes, threads, &mut SortScratch::new(), &mut sorted);
-    let mut leaf_codes: Vec<MortonCode> = Vec::new();
-    let mut sums: Vec<[f64; 3]> = Vec::new();
-    let mut counts: Vec<f64> = Vec::new();
-    for (rank, &src) in sorted.perm.iter().enumerate() {
-        let code = sorted.codes[rank];
-        let c = cloud.colors()[src as usize].to_f64();
-        if leaf_codes.last() == Some(&code) {
-            let last = sums.len() - 1;
-            for ch in 0..3 {
-                sums[last][ch] += c[ch];
-            }
-            counts[last] += 1.0;
-        } else {
-            leaf_codes.push(code);
-            sums.push(c);
-            counts.push(1.0);
-        }
-    }
-    let attrs = sums
-        .iter()
-        .zip(&counts)
-        .map(|(s, &k)| [s[0] / k, s[1] / k, s[2] / k])
-        .collect();
-    (leaf_codes, attrs, counts)
+    pcc_morton::codes_of_into(cloud, threads, &mut sorted.codes);
+    let colors = cloud.colors().iter().map(|c| c.pack());
+    pcc_morton::sort_codes_into(&mut sorted, colors, threads, &mut SortScratch::new());
+    let (mut leaf_codes, mut attrs) = (Vec::new(), Vec::new());
+    let mean = |s: [u32; 3], k: u32| s.map(|v| f64::from(v) / f64::from(k));
+    pcc_morton::leaves_into(&sorted, threads, mean, &mut leaf_codes, &mut attrs, &mut Vec::new());
+    (leaf_codes, attrs)
 }
 
 #[cfg(test)]
@@ -405,7 +388,7 @@ mod tests {
         let d = device();
         let frame = codec.encode(&vox, &d);
         let dec = codec.decode(&frame, &d).unwrap();
-        let (_, attrs, _) = leaf_attributes(&vox, NonZeroUsize::MIN);
+        let (_, attrs) = leaf_attributes(&vox, NonZeroUsize::MIN);
         for (orig, got) in attrs.iter().zip(dec.colors()) {
             let g = got.to_f64();
             for ch in 0..3 {
@@ -508,7 +491,7 @@ mod attribute_mode_tests {
             let frame = codec.encode(&vox, &d);
             let dec = codec.decode(&frame, &d).unwrap_or_else(|e| panic!("{mode:?}: {e}"));
             assert_eq!(dec.len(), frame.unique_voxels, "{mode:?}");
-            let (_, attrs, _) = leaf_attributes(&vox, NonZeroUsize::MIN);
+            let (_, attrs) = leaf_attributes(&vox, NonZeroUsize::MIN);
             for (orig, got) in attrs.iter().zip(dec.colors()) {
                 let g = got.to_f64();
                 for ch in 0..3 {

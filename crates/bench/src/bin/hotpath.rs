@@ -273,11 +273,17 @@ fn run() -> Report {
         black_box(codes.last());
     });
 
-    // -- Radix sort on the generated codes, scratch warm across reps.
+    // -- Radix sort as the encoder runs it: the generated codes sorted in
+    //    place with a packed color each (here the code's low 24 bits),
+    //    scratch warm across reps. Each rep first copies the unsorted
+    //    codes back into the key buffer.
+    let colors: Vec<u32> = codes.iter().map(|c| c.value() as u32 & 0xFF_FFFF).collect();
     let mut sort_scratch = SortScratch::default();
     let mut sorted = SortedCodes::default();
     let sort_ns = min_ns(|| {
-        sort_codes_into(&codes, one, &mut sort_scratch, &mut sorted);
+        sorted.codes.clear();
+        sorted.codes.extend_from_slice(&codes);
+        sort_codes_into(&mut sorted, colors.iter().copied(), one, &mut sort_scratch);
         black_box(sorted.codes.last());
     });
 

@@ -8,7 +8,7 @@ use pcc_types::{Rgb, Video, VoxelizedCloud};
 /// delta metric, for a Morton-sorted frame split into `segments` blocks.
 pub fn spatial_deltas(vox: &VoxelizedCloud, segments: usize) -> Vec<u32> {
     let sorted = sorted_permutation(vox);
-    let gathered = vox.gather(&sorted.perm);
+    let gathered = vox.gather(&sorted.payload);
     let colors = gathered.colors();
     let mut starts = Vec::new();
     segment_starts_into(colors.len(), segments, &mut starts);
@@ -36,7 +36,7 @@ pub fn temporal_deltas(
 ) -> (Vec<u32>, Vec<u32>) {
     let sort = |v: &VoxelizedCloud| {
         let s = sorted_permutation(v);
-        v.gather(&s.perm)
+        v.gather(&s.payload)
     };
     let i_sorted = sort(i_vox);
     let p_sorted = sort(p_vox);

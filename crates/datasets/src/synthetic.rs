@@ -486,7 +486,7 @@ mod tests {
         let depth = crate::density_matched_depth(cloud.len());
         let vox = VoxelizedCloud::from_cloud(&cloud, depth);
         let sorted = pcc_morton::sorted_permutation(&vox);
-        let gathered = vox.gather(&sorted.perm);
+        let gathered = vox.gather(&sorted.payload);
         let colors = gathered.colors();
         // ~10 points per segment, the granularity of the paper's 10⁴–10⁵
         // segment operating points (tens of points per block at 727k).

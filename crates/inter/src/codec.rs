@@ -12,7 +12,7 @@ use pcc_types::{DecodeError, Point3, Rgb, VoxelizedCloud};
 
 /// The per-session encode arena of a stream of I- and P-frames. It wraps
 /// the session's one intra [`FrameArena`] — every I-frame encodes through
-/// it, and every P-frame runs its geometry, color gather and delta layer
+/// it, and every P-frame runs its geometry, leaf pass and delta layer
 /// through it ([`pcc_intra::encode_geometry_into`],
 /// [`pcc_intra::encode_delta_layer_into`]) — and adds only what P-frames
 /// alone need: block starts and the matcher's rows and block-match

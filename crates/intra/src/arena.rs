@@ -3,7 +3,7 @@
 //! Every buffer the intra encoder touches per frame lives here, owned by
 //! the session-long encoder object. A session holds one [`FrameArena`]:
 //! `FrameEncoder` in `pcc-core` keeps it inside the inter codec's arena,
-//! and P-frames run their geometry, color gather and delta layer through
+//! and P-frames run their geometry, leaf pass and delta layer through
 //! it too ([`crate::encode_geometry_into`],
 //! [`crate::encode_delta_layer_into`]). The first few frames grow the
 //! vectors to the working-set size; after that warm-up, encoding a frame
@@ -18,43 +18,38 @@
 //! with it solely through [`crate::IntraCodec::encode_into`],
 //! [`crate::encode_geometry_into`] and [`crate::encode_delta_layer_into`].
 
-use pcc_morton::{MortonCode, SortedCodes};
+use pcc_morton::{MortonCode, SortScratch, SortedCodes};
 use pcc_octree::ParallelOctree;
-use pcc_parallel::SortScratch;
 use pcc_types::Rgb;
 
-use crate::geometry::GeometryEncoded;
-
 /// Reusable buffers for the geometry pipeline
-/// ([`crate::geometry::encode_in`]): Morton codegen, radix sort, octree
-/// rebuild, and occupancy extraction.
+/// ([`crate::geometry::encode_in`]): Morton codegen, radix sort, the leaf
+/// pass, octree rebuild, and occupancy extraction.
 #[derive(Debug, Default)]
 pub(crate) struct GeometryScratch {
-    /// Radix-sort key/payload/count/staging buffers.
+    /// Radix-sort ping-pong and histogram buffers.
     pub(crate) sort: SortScratch,
-    /// Unsorted Morton codes for the current frame.
-    pub(crate) codes: Vec<MortonCode>,
-    /// Sorted codes + permutation (the sort output).
+    /// The frame's Morton codes, generated here and sorted in place with
+    /// each point's packed color.
     pub(crate) sorted: SortedCodes,
+    /// Sorted unique leaf codes (the octree's leaf level), from the leaf
+    /// pass.
+    pub(crate) leaf_codes: Vec<MortonCode>,
     /// Octree rebuilt in place each frame.
     pub(crate) tree: ParallelOctree,
     /// Per-node occupancy bytes before packing.
     pub(crate) occupancy: Vec<u8>,
-    /// Each chunk's first run index in the leaf compaction.
+    /// Each chunk's first run index in the leaf pass.
     pub(crate) run_bases: Vec<usize>,
 }
 
 /// Reusable buffers for the attribute pipeline
-/// ([`crate::attribute::encode_in`]): color gather, segmentation, and the
-/// two-layer base/residual quantization; a P-frame's delta layer reuses
-/// the layer buffers ([`crate::encode_delta_layer_into`]).
+/// ([`crate::attribute::encode_in`]): the per-voxel colors, segmentation,
+/// and the two-layer base/residual quantization; a P-frame's delta layer
+/// reuses the layer buffers ([`crate::encode_delta_layer_into`]).
 #[derive(Debug, Default)]
 pub(crate) struct AttributeScratch {
-    /// Per-voxel color sums (gather accumulator).
-    pub(crate) sums: Vec<[u32; 3]>,
-    /// Per-voxel point counts (gather accumulator).
-    pub(crate) counts: Vec<u32>,
-    /// Averaged per-voxel colors.
+    /// Per-voxel mean colors in Morton order, written by the leaf pass.
     pub(crate) voxel_colors: Vec<Rgb>,
     /// Colors widened to i32 triples in sorted-voxel order.
     pub(crate) values: Vec<[i32; 3]>,
@@ -98,7 +93,7 @@ pub(crate) struct BrickScratch {
 }
 
 /// All per-frame scratch for one encode session: the whole of every
-/// I-frame's encode, and a P-frame's geometry, color gather and delta
+/// I-frame's encode, and a P-frame's geometry, leaf pass and delta
 /// layer.
 ///
 /// Construct once per encoder, pass to
@@ -106,14 +101,13 @@ pub(crate) struct BrickScratch {
 /// every frame.
 #[derive(Debug, Default)]
 pub struct FrameArena {
-    /// Geometry-pipeline buffers.
+    /// Geometry-pipeline buffers; after the leaf pass,
+    /// `geom.leaf_codes` holds the frame's unique voxels in Morton order.
     pub(crate) geom: GeometryScratch,
-    /// Geometry by-products (permutation + voxel maps), reused so the
-    /// attribute pass can read them without a fresh allocation.
-    pub(crate) geo: GeometryEncoded,
-    /// Attribute-pipeline buffers; after the gather, `attr.voxel_colors`
-    /// holds the frame's per-voxel colors in Morton order. Brick I-frames
-    /// code each brick's layers in the same buffers.
+    /// Attribute-pipeline buffers; after the leaf pass,
+    /// `attr.voxel_colors` holds the frame's per-voxel colors in Morton
+    /// order. Brick I-frames code each brick's layers in the same
+    /// buffers.
     pub(crate) attr: AttributeScratch,
     /// Brick-pipeline buffers (used only when
     /// [`crate::IntraConfig::brick_depth`] is non-zero).

@@ -3,19 +3,18 @@
 
 use crate::arena::{AttributeScratch, FrameArena};
 use crate::config::IntraConfig;
-use crate::geometry::GeometryEncoded;
 use crate::layer::{
     decode_layer_threaded, dequantize, encode_layer_with_starts_into, segment_starts_into,
     write_layer, LayerEncoded,
 };
 use pcc_edge::{calib, Device};
 use pcc_types::wire::{write_varint, Cursor};
-use pcc_types::{DecodeError, Rgb, VoxelizedCloud};
+use pcc_types::{DecodeError, Rgb};
 use std::num::NonZeroUsize;
 
 /// Encodes the attributes of a frame from the colors the shared prefix
-/// ([`crate::encode_geometry_into`]) gathered into `scratch.voxel_colors`
-/// through the geometry pass's Morton order — the paper's headline reuse
+/// ([`crate::encode_geometry_into`]) left in `scratch.voxel_colors`,
+/// sorted with the geometry's Morton codes — the paper's headline reuse
 /// — at the device's [`host_threads`](Device::host_threads).
 ///
 /// This writes into arena-owned buffers: `scratch` carries the segment
@@ -32,7 +31,7 @@ pub(crate) fn encode_in(
     reconstruction: Option<&mut Vec<Rgb>>,
 ) {
     // 2-4. Segment + two-layer base/residual coding + packing over the
-    //      gathered colors (shared with the per-brick encoder).
+    //      per-voxel colors (shared with the per-brick encoder).
     scratch.values.clear();
     scratch.values.extend(scratch.voxel_colors.iter().map(|c| c.to_i32()));
     encode_values_in(config, device, device.host_threads(), scratch, payload, reconstruction);
@@ -113,7 +112,7 @@ pub(crate) fn encode_values_in(
 
 /// Runs a P-frame's delta layer in `arena`'s attribute scratch, which
 /// sits idle while a P-frame encodes. `assemble` gets the frame's
-/// gathered colors (what [`crate::encode_geometry_into`] returned) and
+/// per-voxel colors (what [`crate::encode_geometry_into`] returned) and
 /// fills the delta values and the start of each delta block, both
 /// cleared first. The values are then coded as one base+delta layer,
 /// each block a segment, at `quant_step` on `threads`, and the layer is
@@ -178,113 +177,29 @@ pub(crate) fn decode_payload(
     Ok(values.into_iter().map(Rgb::from_i32_clamped).collect())
 }
 
-/// Step 1 of the attribute pipeline: gathers per-voxel mean colors in
-/// Morton order into `scratch.voxel_colors`, reading each point's color
-/// through the geometry permutation and averaging the points that share
-/// a voxel.
-///
-/// `geo.point_to_voxel` is non-decreasing over sorted rank, so chunks
-/// aligned to voxel boundaries accumulate into disjoint contiguous slices
-/// of the per-voxel sums — no atomics, and identical sums (hence bytes)
-/// at every thread count.
-///
-/// The accumulators `scratch.sums`/`scratch.counts` and the averaged
-/// colors are cleared and refilled, so their capacity persists across
-/// frames and the path is allocation-free once warm.
-// Encoder side: ranks/perm/point_to_voxel come from the geometry pass
-// over the same cloud, so every index is in range by construction.
-#[allow(clippy::indexing_slicing)]
-pub(crate) fn gather_voxel_colors_into(
-    cloud: &VoxelizedCloud,
-    geo: &GeometryEncoded,
-    threads: NonZeroUsize,
-    scratch: &mut AttributeScratch,
-) {
-    let _sp = pcc_probe::span("intra/gather");
-    let AttributeScratch { sums, counts, voxel_colors: out, .. } = scratch;
-    let m = geo.unique_voxels;
-    let n = geo.perm.len();
-    sums.clear();
-    sums.resize(m, [0u32; 3]);
-    counts.clear();
-    counts.resize(m, 0u32);
-    let p2v = &geo.point_to_voxel;
-    let colors = cloud.colors();
-
-    let accumulate = |rank_range: std::ops::Range<usize>,
-                      sums_part: &mut [[u32; 3]],
-                      counts_part: &mut [u32]| {
-        let voxel_base = p2v.get(rank_range.start).map_or(0, |&v| v as usize);
-        for rank in rank_range {
-            let v = p2v[rank] as usize - voxel_base;
-            let c = colors[geo.perm[rank] as usize];
-            sums_part[v][0] += c.r as u32;
-            sums_part[v][1] += c.g as u32;
-            sums_part[v][2] += c.b as u32;
-            counts_part[v] += 1;
-        }
-    };
-
-    let fan = pcc_parallel::effective_threads(threads, n);
-    let ranges = pcc_parallel::aligned_chunks(n, fan, |i| p2v[i] != p2v[i - 1]);
-    let voxel_cuts = ranges.clone().skip(1).map(|r| p2v[r.start] as usize);
-    let sums_parts = pcc_parallel::split_at_cuts(sums, voxel_cuts.clone());
-    let counts_parts = pcc_parallel::split_at_cuts(counts, voxel_cuts);
-    pcc_parallel::run(
-        ranges.zip(sums_parts).zip(counts_parts),
-        |((rank_range, sums_part), counts_part)| accumulate(rank_range, sums_part, counts_part),
-        drop,
-    );
-
-    let average = |s: &[u32; 3], c: u32| {
-        let k = c.max(1);
-        Rgb::new(
-            ((s[0] + k / 2) / k) as u8,
-            ((s[1] + k / 2) / k) as u8,
-            ((s[2] + k / 2) / k) as u8,
-        )
-    };
-    out.clear();
-    out.resize(m, Rgb::BLACK);
-    let voxel_ranges = pcc_parallel::chunks(m, pcc_parallel::effective_threads(threads, m));
-    let parts = pcc_parallel::split_at_cuts(out, voxel_ranges.clone().skip(1).map(|r| r.start));
-    pcc_parallel::run(
-        voxel_ranges.zip(parts),
-        |(range, part)| {
-            for ((slot, s), &c) in part.iter_mut().zip(&sums[range.clone()]).zip(&counts[range]) {
-                *slot = average(s, c);
-            }
-        },
-        drop,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{FrameArena, IntraFrame};
     use pcc_edge::PowerMode;
-    use pcc_types::{Limits, Point3, PointCloud};
+    use pcc_types::{Limits, Point3, PointCloud, VoxelizedCloud};
     use proptest::prelude::*;
 
     fn device() -> Device {
         Device::jetson_agx_xavier(PowerMode::W15)
     }
 
-    /// Geometry, gather and attribute encode through a fresh arena, then
-    /// the attribute decode: `(geometry by-products, payload, gathered
-    /// colors, decoded colors)`.
-    fn round_trip(
-        vox: &VoxelizedCloud,
-        config: &IntraConfig,
-    ) -> (GeometryEncoded, Vec<u8>, Vec<Rgb>, Vec<Rgb>) {
+    /// Geometry with the leaf pass and attribute encode through a fresh
+    /// arena, then the attribute decode: `(payload, per-voxel colors,
+    /// decoded colors)`.
+    fn round_trip(vox: &VoxelizedCloud, config: &IntraConfig) -> (Vec<u8>, Vec<Rgb>, Vec<Rgb>) {
         let d = device();
         let mut arena = FrameArena::new();
         crate::encode_geometry_into(vox, &d, &mut arena, &mut IntraFrame::default());
         let mut payload = Vec::new();
         encode_in(config, &d, &mut arena.attr, &mut payload, None);
         let decoded = decode_with(&payload, &d, &Limits::default()).unwrap();
-        (arena.geo, payload, arena.attr.voxel_colors, decoded)
+        (payload, arena.attr.voxel_colors, decoded)
     }
 
     fn gradient_cloud(n: usize) -> VoxelizedCloud {
@@ -301,14 +216,14 @@ mod tests {
 
     #[test]
     fn lossless_config_round_trips_exactly() {
-        let (_, _, original, decoded) = round_trip(&gradient_cloud(300), &IntraConfig::lossless());
+        let (_, original, decoded) = round_trip(&gradient_cloud(300), &IntraConfig::lossless());
         assert_eq!(original, decoded);
     }
 
     #[test]
     fn quantized_error_bounded_by_half_step() {
         let cfg = IntraConfig::paper();
-        let (_, _, original, decoded) = round_trip(&gradient_cloud(300), &cfg);
+        let (_, original, decoded) = round_trip(&gradient_cloud(300), &cfg);
         let half = cfg.quant_step() / 2;
         for (o, d) in original.iter().zip(&decoded) {
             for (oc, dc) in o.to_i32().iter().zip(d.to_i32()) {
@@ -322,7 +237,7 @@ mod tests {
         let vox = gradient_cloud(200);
         let one = IntraConfig { two_layer: false, ..IntraConfig::lossless() };
         let two = IntraConfig::lossless();
-        assert_eq!(round_trip(&vox, &one).3, round_trip(&vox, &two).3);
+        assert_eq!(round_trip(&vox, &one).2, round_trip(&vox, &two).2);
     }
 
     #[test]
@@ -335,7 +250,7 @@ mod tests {
         .into_iter()
         .collect();
         let vox = VoxelizedCloud::from_cloud(&cloud, 4);
-        let (_, _, original, decoded) = round_trip(&vox, &IntraConfig::lossless());
+        let (_, original, decoded) = round_trip(&vox, &IntraConfig::lossless());
         assert_eq!(original.len(), 2);
         assert_eq!(decoded[0], Rgb::gray(102));
     }
@@ -343,7 +258,7 @@ mod tests {
     #[test]
     fn empty_cloud_round_trips() {
         let vox = VoxelizedCloud::from_cloud(&PointCloud::new(), 6);
-        let (_, _, _, decoded) = round_trip(&vox, &IntraConfig::paper());
+        let (_, _, decoded) = round_trip(&vox, &IntraConfig::paper());
         assert!(decoded.is_empty());
     }
 
@@ -359,8 +274,8 @@ mod tests {
             })
             .collect();
         let vox = VoxelizedCloud::from_cloud(&cloud, 4);
-        let (geo, payload, _, _) = round_trip(&vox, &IntraConfig::paper());
-        let bytes_per_voxel = payload.len() as f64 / geo.unique_voxels as f64;
+        let (payload, colors, _) = round_trip(&vox, &IntraConfig::paper());
+        let bytes_per_voxel = payload.len() as f64 / colors.len() as f64;
         assert!(bytes_per_voxel < 3.5, "{bytes_per_voxel} bytes/voxel");
     }
 
@@ -372,9 +287,7 @@ mod tests {
     }
 
     proptest! {
-        /// Decoded colors stay within half a quantization step, and the
-        /// gather yields the encoder's colors at 1, 2 and 3 threads even
-        /// through buffers dirtied by a larger, different cloud.
+        /// Decoded colors stay within half a quantization step.
         #[test]
         fn decoded_colors_within_quant_bound(
             pts in prop::collection::vec((0u32..32, 0u32..32, 0u32..32, any::<u8>()), 1..100),
@@ -388,23 +301,13 @@ mod tests {
                 .collect();
             let vox = VoxelizedCloud::from_cloud(&cloud, 5);
             let cfg = IntraConfig { quant_shift: shift, ..IntraConfig::paper() };
-            let (geo, _, original, decoded) = round_trip(&vox, &cfg);
+            let (_, original, decoded) = round_trip(&vox, &cfg);
             prop_assert_eq!(original.len(), decoded.len());
             let half = cfg.quant_step() / 2;
             for (o, d) in original.iter().zip(&decoded) {
                 for (oc, dc) in o.to_i32().iter().zip(d.to_i32()) {
                     prop_assert!((oc - dc).abs() <= half);
                 }
-            }
-
-            let dirty = gradient_cloud(pts.len() + 400);
-            let (dirty_geo, ..) = round_trip(&dirty, &cfg);
-            for t in [1usize, 2, 3] {
-                let threads = NonZeroUsize::new(t).unwrap();
-                let mut scratch = AttributeScratch::default();
-                gather_voxel_colors_into(&dirty, &dirty_geo, threads, &mut scratch);
-                gather_voxel_colors_into(&vox, &geo, threads, &mut scratch);
-                prop_assert_eq!(&scratch.voxel_colors, &original);
             }
         }
     }

@@ -39,7 +39,7 @@
 //! with it, so [`BrickIndex::detect`] routes frames per stream. See
 //! `IntraConfig::brick_depth` for the encode-side knob.
 
-use crate::arena::FrameArena;
+use crate::arena::{FrameArena, GeometryScratch};
 use crate::attribute;
 use crate::config::IntraConfig;
 use crate::frame::IntraFrame;
@@ -276,8 +276,8 @@ impl BrickIndex {
 
 /// Encodes `cloud` into the brick layout at `brick_depth` (already
 /// clamped by the caller to `1..cloud.depth()`), writing into
-/// arena-owned buffers. Shares the Morton-product and color-gather
-/// stages with the monolithic path, then codes each brick's subtree and
+/// arena-owned buffers. Shares the Morton codegen, sort and leaf pass
+/// with the monolithic path, then codes each brick's subtree and
 /// attribute slice independently, appending each brick's decoded colors
 /// to `reconstruction` (in cell order, as the decoder concatenates them)
 /// when one is given.
@@ -297,21 +297,20 @@ pub(crate) fn encode_in(
     let shift = 3 * u32::from(sub);
     let n = cloud.len();
 
-    geometry::morton_products_in(cloud, device, threads, &mut arena.geom, &mut arena.geo);
-    attribute::gather_voxel_colors_into(cloud, &arena.geo, threads, &mut arena.attr);
+    // The per-voxel colors leave the attribute scratch for the brick
+    // loop, so each brick's layers run in that scratch's idle layer
+    // buffers.
+    let mut colors = std::mem::take(&mut arena.attr.voxel_colors);
+    geometry::morton_products_in(cloud, device, threads, &mut arena.geom, &mut colors);
     device.charge_gpu("attribute/gather", &calib::GATHER, n.max(1));
     // Room for the whole frame up front: appending brick by brick would
     // grow the held reference geometrically past the frame's size.
-    if let Some(colors) = reconstruction.as_deref_mut() {
-        colors.reserve_exact(arena.geo.unique_voxels);
+    if let Some(reconstruction) = reconstruction.as_deref_mut() {
+        reconstruction.reserve_exact(colors.len());
     }
 
-    // The gathered colors leave the attribute scratch for the brick loop,
-    // so each brick's layers run in that scratch's idle layer buffers.
-    let colors = std::mem::take(&mut arena.attr.voxel_colors);
-    let geo = &arena.geo;
+    let GeometryScratch { leaf_codes, tree, occupancy, .. } = &mut arena.geom;
     let attr = &mut arena.attr;
-    let geom_scratch = &mut arena.geom;
     let bricks = &mut arena.brick;
 
     // Brick boundaries: sorted leaf codes make each brick a contiguous
@@ -319,14 +318,14 @@ pub(crate) fn encode_in(
     // never be a real cell (cells use at most 60 bits).
     bricks.starts.clear();
     let mut prev = u64::MAX;
-    for (i, c) in geo.leaf_codes.iter().enumerate() {
+    for (i, c) in leaf_codes.iter().enumerate() {
         let cell = c.value() >> shift;
         if cell != prev {
             bricks.starts.push(i as u32);
             prev = cell;
         }
     }
-    bricks.starts.push(geo.leaf_codes.len() as u32);
+    bricks.starts.push(leaf_codes.len() as u32);
 
     // Per-brick payloads. Each brick re-runs the octree + layer pipeline
     // over its slice at one thread — stages are thread-count invariant,
@@ -341,22 +340,17 @@ pub(crate) fn encode_in(
     let mut nodes = 0usize;
     for (&s, &e) in starts.iter().zip(starts.iter().skip(1)) {
         let (s, e) = (s as usize, e as usize);
-        let Some(codes) = geo.leaf_codes.get(s..e) else { continue };
+        let Some(codes) = leaf_codes.get(s..e) else { continue };
         let Some(first) = codes.first() else { continue };
         let cell = first.value() >> shift;
 
         bricks.rel_codes.clear();
         bricks.rel_codes.extend(codes.iter().map(|c| MortonCode::from_raw(c.value() & mask)));
-        geom_scratch.tree.rebuild_from_sorted_codes(&bricks.rel_codes, sub, one);
-        geom_scratch.tree.occupancy_into(one, &mut geom_scratch.occupancy);
-        nodes += geom_scratch.tree.node_count();
+        tree.rebuild_from_sorted_codes(&bricks.rel_codes, sub, one);
+        tree.occupancy_into(one, occupancy);
+        nodes += tree.node_count();
         bricks.geom_buf.clear();
-        pcc_octree::serialize_occupancy_into(
-            sub,
-            geom_scratch.tree.leaf_count(),
-            &geom_scratch.occupancy,
-            &mut bricks.geom_buf,
-        );
+        pcc_octree::serialize_occupancy_into(sub, tree.leaf_count(), occupancy, &mut bricks.geom_buf);
 
         attr.values.clear();
         if let Some(slice) = colors.get(s..e) {
@@ -410,7 +404,7 @@ pub(crate) fn encode_in(
     pcc_probe::add_bytes("intra/geometry", out.geometry.len() as u64);
     pcc_probe::add_bytes("intra/attribute", out.attribute.len() as u64);
 
-    out.unique_voxels = geo.unique_voxels;
+    out.unique_voxels = leaf_codes.len();
     out.raw_points = n;
 }
 

@@ -170,13 +170,13 @@ impl IntraCodec {
 /// The prefix every monolithic encode shares, I-frame or P-frame: the
 /// geometry pipeline at the device's
 /// [`host_threads`](Device::host_threads), its stream written straight
-/// into `out.geometry`, then the gather of per-voxel mean colors into
-/// Morton order. Fills `out` except its attribute payload and returns
-/// the gathered colors, which stay in `arena`.
+/// into `out.geometry`, whose leaf pass also yields each voxel's mean
+/// color in Morton order. Fills `out` except its attribute payload and
+/// returns the per-voxel colors, which stay in `arena`.
 ///
-/// The geometry kernels are charged to `device`; the gather is charged
-/// by the caller, under its own label. Like
-/// [`IntraCodec::encode_into`], the steady state allocates nothing.
+/// The geometry kernels are charged to `device`; the leaf pass is
+/// charged by the caller as the attribute gather, under its own label.
+/// Like [`IntraCodec::encode_into`], the steady state allocates nothing.
 pub fn encode_geometry_into<'a>(
     cloud: &VoxelizedCloud,
     device: &Device,
@@ -184,11 +184,11 @@ pub fn encode_geometry_into<'a>(
     out: &mut IntraFrame,
 ) -> &'a [Rgb] {
     let threads = device.host_threads();
-    geometry::encode_in(cloud, device, threads, &mut arena.geom, &mut arena.geo, &mut out.geometry);
-    attribute::gather_voxel_colors_into(cloud, &arena.geo, threads, &mut arena.attr);
-    out.unique_voxels = arena.geo.unique_voxels;
+    let colors = &mut arena.attr.voxel_colors;
+    geometry::encode_in(cloud, device, threads, &mut arena.geom, colors, &mut out.geometry);
+    out.unique_voxels = colors.len();
     out.raw_points = cloud.len();
-    &arena.attr.voxel_colors
+    colors
 }
 
 #[cfg(test)]

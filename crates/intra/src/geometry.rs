@@ -1,54 +1,40 @@
 //! Proposed intra-frame geometry compression (paper Fig. 4c).
 
 use pcc_edge::{calib, Device};
-use pcc_morton::MortonCode;
 use pcc_types::wire::Cursor;
-use pcc_types::{DecodeError, Limits, VoxelCoord, VoxelizedCloud};
+use pcc_types::{DecodeError, Limits, Rgb, VoxelCoord, VoxelizedCloud};
 use std::num::NonZeroUsize;
 
 use crate::arena::GeometryScratch;
 
-/// The by-products of geometry encoding the attribute pipeline reuses
-/// for free (the stream itself goes straight to the caller's buffer).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct GeometryEncoded {
-    /// Permutation sorting the input points into Morton order
-    /// (`perm[rank] = input index`).
-    pub perm: Vec<u32>,
-    /// For each sorted point, the index of its (deduplicated) voxel in
-    /// the unique-leaf array.
-    pub point_to_voxel: Vec<u32>,
-    /// Number of unique occupied voxels.
-    pub unique_voxels: usize,
-    /// Sorted unique leaf codes (the octree's leaf level).
-    pub leaf_codes: Vec<MortonCode>,
-}
-
 /// Encodes the geometry of a voxelized cloud with the Morton-parallel
 /// pipeline at `threads` host threads, charging each kernel to `device`.
 /// Every parallel stage partitions work by index ranges, so the stream is
-/// byte-identical at every thread count.
+/// byte-identical at every thread count. The leaf pass
+/// ([`morton_products_in`]) also leaves the per-voxel colors in
+/// `voxel_colors`.
 ///
 /// This writes into arena-owned buffers: `scratch` carries every
-/// intermediate (codes, sort staging, octree levels, occupancy bytes)
-/// across frames; `out` and `stream` are cleared and refilled. After the
-/// buffers warm to the working-set size, the path performs no heap
-/// allocation (asserted by `tests/alloc_steady_state.rs`).
+/// intermediate (codes and colors, sort buffers, leaf codes, octree
+/// levels, occupancy bytes) across frames; `voxel_colors` and `stream`
+/// are cleared and refilled. After the buffers warm to the working-set
+/// size, the path performs no heap allocation (asserted by
+/// `tests/alloc_steady_state.rs`).
 pub(crate) fn encode_in(
     cloud: &VoxelizedCloud,
     device: &Device,
     threads: NonZeroUsize,
     scratch: &mut GeometryScratch,
-    out: &mut GeometryEncoded,
+    voxel_colors: &mut Vec<Rgb>,
     stream: &mut Vec<u8>,
 ) {
     let n = cloud.len();
 
-    morton_products_in(cloud, device, threads, scratch, out);
+    morton_products_in(cloud, device, threads, scratch, voxel_colors);
 
     // 4. Parallel octree construction over the sorted unique codes,
     //    rebuilt in place into the arena's level arrays.
-    scratch.tree.rebuild_from_sorted_codes(&out.leaf_codes, cloud.depth(), threads);
+    scratch.tree.rebuild_from_sorted_codes(&scratch.leaf_codes, cloud.depth(), threads);
     device.charge_gpu("geometry/octree", &calib::OCTREE_BUILD, scratch.tree.node_count().max(1));
 
     // 5. Occupancy-byte post-processing (Algorithm 1).
@@ -73,48 +59,50 @@ pub(crate) fn encode_in(
     pcc_probe::add_bytes("intra/geometry", stream.len() as u64);
 }
 
-/// Steps 1–3 of the geometry pipeline — Morton codegen, radix sort, and
-/// run compaction to unique leaves — shared verbatim by the monolithic
-/// and brick encoders, so both produce the same sorted leaf codes,
-/// permutation, and point→voxel map from the same input. Fills
-/// `out.leaf_codes` / `out.perm` / `out.point_to_voxel` /
-/// `out.unique_voxels`.
+/// Steps 1–3 of the geometry pipeline — Morton codegen, radix sort with
+/// each point's packed color as the payload, and the leaf pass — shared
+/// verbatim by the monolithic and brick encoders, so both produce the
+/// same leaves from the same input. Fills `scratch.leaf_codes` with the
+/// sorted unique leaf codes and `voxel_colors` with each leaf's mean
+/// color (channel sums rounded half up over the points sharing it).
 pub(crate) fn morton_products_in(
     cloud: &VoxelizedCloud,
     device: &Device,
     threads: NonZeroUsize,
     scratch: &mut GeometryScratch,
-    out: &mut GeometryEncoded,
+    voxel_colors: &mut Vec<Rgb>,
 ) {
     let n = cloud.len();
 
     // 1. Morton code generation — one independent item per point, run as
-    //    a data-parallel kernel launch (chunked across host threads, each
-    //    chunk through the spread-table kernel).
-    pcc_morton::codes_of_into(cloud, threads, &mut scratch.codes);
+    //    a data-parallel kernel launch straight into the sort's key
+    //    buffer.
+    pcc_morton::codes_of_into(cloud, threads, &mut scratch.sorted.codes);
     device.charge_gpu("geometry/morton", &calib::MORTON_GEN, n.max(1));
 
-    // 2. Radix sort of the codes (parallel LSD passes, stable merge),
-    //    reusing the arena's key/payload/count staging.
-    pcc_morton::sort_codes_into(&scratch.codes, threads, &mut scratch.sort, &mut scratch.sorted);
+    // 2. Radix sort of the codes in place (parallel LSD passes, stable
+    //    merge), each carrying its point's packed color.
+    let colors = cloud.colors().iter().map(|c| c.pack());
+    pcc_morton::sort_codes_into(&mut scratch.sorted, colors, threads, &mut scratch.sort);
     device.charge_gpu("geometry/sort", &calib::RADIX_SORT, n);
 
-    // 3. Deduplicate to unique leaves, remembering each point's voxel —
-    //    a run compaction over the sorted codes, chunk-parallel with
-    //    run-aligned boundaries.
-    pcc_parallel::compact_runs_into(
-        &scratch.sorted.codes,
-        |&c| c,
+    // 3. The leaf pass: one run pass over the sorted (code, color) pairs
+    //    writes each unique leaf and its voxel's mean color, chunk-parallel
+    //    with run-aligned boundaries. The caller charges it as the
+    //    attribute gather.
+    let _sp = pcc_probe::span("intra/gather");
+    let mean = |s: [u32; 3], k: u32| {
+        let avg = |sum: u32| ((sum + k / 2) / k) as u8;
+        Rgb::new(avg(s[0]), avg(s[1]), avg(s[2]))
+    };
+    pcc_morton::leaves_into(
+        &scratch.sorted,
         threads,
-        &mut out.leaf_codes,
-        &mut out.point_to_voxel,
+        mean,
+        &mut scratch.leaf_codes,
+        voxel_colors,
         &mut scratch.run_bases,
     );
-    // The permutation moves to the output wholesale; the sort rebuilds
-    // scratch.sorted.perm from scratch next frame, so handing back last
-    // frame's buffer keeps both sides allocation-free.
-    std::mem::swap(&mut out.perm, &mut scratch.sorted.perm);
-    out.unique_voxels = out.leaf_codes.len();
 }
 
 /// The decoded geometry: unique voxels in Morton order plus the grid
@@ -165,19 +153,66 @@ pub fn decode_with(
 mod tests {
     use super::*;
     use pcc_edge::PowerMode;
-    use pcc_types::{Point3, PointCloud, Rgb};
+    use pcc_morton::MortonCode;
+    use pcc_types::{Point3, PointCloud};
     use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn device() -> Device {
         Device::jetson_agx_xavier(PowerMode::W15)
     }
 
     /// One encode through a fresh arena at the device's thread count:
-    /// the by-products and the stream.
-    fn encoded(vox: &VoxelizedCloud, d: &Device) -> (GeometryEncoded, Vec<u8>) {
-        let (mut out, mut stream) = (GeometryEncoded::default(), Vec::new());
-        encode_in(vox, d, d.host_threads(), &mut GeometryScratch::default(), &mut out, &mut stream);
-        (out, stream)
+    /// the scratch (holding the leaf codes) and the stream.
+    fn encoded(vox: &VoxelizedCloud, d: &Device) -> (GeometryScratch, Vec<u8>) {
+        let (mut scratch, mut stream) = (GeometryScratch::default(), Vec::new());
+        encode_in(vox, d, d.host_threads(), &mut scratch, &mut Vec::new(), &mut stream);
+        (scratch, stream)
+    }
+
+    /// The leaf pass's oracle: an index sort by Morton code, the colors
+    /// gathered through that permutation, and each voxel's mean rounded
+    /// half up.
+    fn reference_leaves(vox: &VoxelizedCloud) -> (Vec<MortonCode>, Vec<Rgb>) {
+        let codes: Vec<MortonCode> = vox.coords().iter().map(|&c| pcc_morton::encode(c)).collect();
+        let mut perm: Vec<usize> = (0..codes.len()).collect();
+        perm.sort_by_key(|&i| codes[i]);
+        let (mut leaves, mut sums) = (Vec::new(), Vec::<([u32; 3], u32)>::new());
+        for &i in &perm {
+            if leaves.last() != Some(&codes[i]) {
+                leaves.push(codes[i]);
+                sums.push(([0; 3], 0));
+            }
+            let (s, k) = sums.last_mut().unwrap();
+            for (sum, v) in s.iter_mut().zip(vox.colors()[i].to_array()) {
+                *sum += u32::from(v);
+            }
+            *k += 1;
+        }
+        let mean = |(s, k): &([u32; 3], u32)| s.map(|v| ((v + k / 2) / k) as u8);
+        let colors = sums.iter().map(mean).map(|[r, g, b]| Rgb::new(r, g, b)).collect();
+        (leaves, colors)
+    }
+
+    /// `n` random points on a `side`³ grid with random colors, `hot`
+    /// percent of them piled into one voxel.
+    fn crowded_cloud(seed: u64, n: usize, side: u32, hot: u32) -> VoxelizedCloud {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (mut coords, mut colors) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for _ in 0..n {
+            coords.push(if rng.random_range(0..100u32) < hot {
+                VoxelCoord::new(side / 2, side / 2, side / 2)
+            } else {
+                VoxelCoord::new(
+                    rng.random_range(0..side),
+                    rng.random_range(0..side),
+                    rng.random_range(0..side),
+                )
+            });
+            colors.push(Rgb::new(rng.random(), rng.random(), rng.random()));
+        }
+        VoxelizedCloud::from_grid(coords, colors, 6).unwrap()
     }
 
     fn vox_from(coords: &[(f32, f32, f32)], depth: u8) -> VoxelizedCloud {
@@ -194,30 +229,11 @@ mod tests {
         let d = device();
         let (enc, stream) = encoded(&vox, &d);
         let dec = decode_with(&stream, &d, &Limits::default()).unwrap();
-        assert_eq!(dec.coords.len(), enc.unique_voxels);
+        assert_eq!(dec.coords.len(), 3);
         assert_eq!(dec.depth, 5);
         // Decoded voxels are the sorted unique leaf codes.
         let expect: Vec<VoxelCoord> = enc.leaf_codes.iter().map(|c| c.to_coord()).collect();
         assert_eq!(dec.coords, expect);
-    }
-
-    #[test]
-    fn perm_and_point_to_voxel_are_consistent() {
-        let vox = vox_from(&[(3.0, 3.0, 3.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)], 4);
-        let d = device();
-        let (enc, _) = encoded(&vox, &d);
-        assert_eq!(enc.perm.len(), 3);
-        assert_eq!(enc.point_to_voxel.len(), 3);
-        assert_eq!(enc.unique_voxels, 2);
-        // The two duplicate points map to the same voxel index.
-        let sorted_coords: Vec<VoxelCoord> =
-            enc.perm.iter().map(|&i| vox.coords()[i as usize]).collect();
-        for (rank, &v) in enc.point_to_voxel.iter().enumerate() {
-            assert_eq!(
-                pcc_morton::encode(sorted_coords[rank]),
-                enc.leaf_codes[v as usize]
-            );
-        }
     }
 
     #[test]
@@ -256,6 +272,37 @@ mod tests {
             match decode_with(&stream[..cut], &d, &Limits::default()) {
                 Err(DecodeError::Truncated { offset }) => assert!(offset <= cut, "cut {cut}"),
                 other => panic!("cut {cut}: {other:?}"),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 16 })]
+
+        /// The leaf pass (codegen, the sort carrying packed colors, the
+        /// run reduce) equals the index sort plus gather plus rounded mean
+        /// on clouds averaging at least 4 points per voxel, at 1, 2 and 3
+        /// threads, through buffers dirtied by a larger cloud.
+        #[test]
+        fn leaf_pass_matches_index_sort_gather_and_mean(
+            seed in any::<u64>(),
+            extra in 0usize..8_000,
+            side_bits in 3u32..5,
+            hot in 0u32..40,
+        ) {
+            let n = 4 * 4_096 + extra;
+            let vox = crowded_cloud(seed, n, 1 << side_bits, hot);
+            let dirty = crowded_cloud(seed ^ 1, n + 6_000, 32, 10);
+            let (want_codes, want_colors) = reference_leaves(&vox);
+            prop_assert!(n >= 4 * want_codes.len());
+            let d = device();
+            for t in [1usize, 2, 3] {
+                let threads = NonZeroUsize::new(t).unwrap();
+                let (mut scratch, mut colors) = (GeometryScratch::default(), Vec::new());
+                morton_products_in(&dirty, &d, threads, &mut scratch, &mut colors);
+                morton_products_in(&vox, &d, threads, &mut scratch, &mut colors);
+                prop_assert_eq!(&scratch.leaf_codes, &want_codes, "threads={}", t);
+                prop_assert_eq!(&colors, &want_colors, "threads={}", t);
             }
         }
     }

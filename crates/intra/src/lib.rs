@@ -8,16 +8,18 @@
 //!   occupancy bytes (Algorithm 1), and pack. There is no entropy
 //!   coding stage: the paper measured it at ≈100 ms for ≈0.1× size and
 //!   discards it ([`pcc_edge::calib::ENTROPY_GPU`] models that cost).
-//! - **Attributes**: reuse the sorted order to gather colors, segment the
-//!   sorted sequence into ~30 000 blocks, store one median **base** per
-//!   segment plus quantized per-point **residuals**, applied twice (the
-//!   evaluated "2-layer encoder").
+//! - **Attributes**: the geometry's sort carries each point's color with
+//!   its Morton code, and one run pass over the sorted pairs writes each
+//!   voxel's mean color in Morton order. That sequence is segmented into
+//!   ~30 000 blocks, each stored as one median **base** plus quantized
+//!   per-point **residuals**, applied twice (the evaluated "2-layer
+//!   encoder").
 //!
 //! [`IntraCodec`] glues both into a frame codec, charging every stage to
 //! the [`pcc_edge::Device`] model so latency/energy figures regenerate.
-//! [`encode_geometry_into`] runs the geometry pipeline and the color
-//! gather alone: the prefix a P-frame (`pcc-inter`) shares with an
-//! I-frame, through the session's one [`FrameArena`].
+//! [`encode_geometry_into`] runs the geometry pipeline and its leaf pass
+//! alone: the prefix a P-frame (`pcc-inter`) shares with an I-frame,
+//! through the session's one [`FrameArena`].
 //!
 //! # Examples
 //!

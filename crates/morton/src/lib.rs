@@ -13,9 +13,11 @@
 //!   blocks across frames (temporal locality).
 //!
 //! This crate provides bit-interleaved [`encode`]/[`decode`] (up to 21 bits
-//! per axis, 63-bit codes), tree-navigation helpers on [`MortonCode`], and
-//! an LSD [radix sort](sort::sort_codes_into) that returns the permutation used
-//! to gather cloud data into Morton order.
+//! per axis, 63-bit codes), tree-navigation helpers on [`MortonCode`], an
+//! in-place LSD [radix sort](sort::sort_codes_into) that carries one `u32`
+//! payload per code (a packed color in the encoders), and the
+//! [leaf pass](sort::leaves_into) that turns the sorted pairs into unique
+//! leaves with their voxels' colors.
 //!
 //! # Examples
 //!
@@ -34,4 +36,6 @@ mod code;
 pub mod sort;
 
 pub use code::{decode, encode, encode_slice, MortonCode, MAX_BITS_PER_AXIS};
-pub use sort::{codes_of_into, sort_codes_into, sorted_permutation, SortScratch, SortedCodes};
+pub use sort::{
+    codes_of_into, leaves_into, sort_codes_into, sorted_permutation, SortScratch, SortedCodes,
+};

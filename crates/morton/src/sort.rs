@@ -1,39 +1,39 @@
-//! Morton-code computation and radix sorting.
+//! Morton-code computation, radix sorting and the leaf pass.
 //!
 //! Sorting by Morton code is the first step of every proposed pipeline in
 //! the paper: it is what turns an irregular point soup into a spatially
 //! coherent sequence whose octree topology is known up front. The sort is
-//! an LSD radix sort over the interleaved keys (8-bit digits), returning a
-//! *permutation* rather than moving the cloud itself, so positions and
-//! attributes can be gathered once, later, through
-//! [`pcc_types::VoxelizedCloud::gather`].
+//! an LSD radix sort over the interleaved keys (8-bit digits) that sorts
+//! the codes in place and carries one `u32` payload with each code. The
+//! encoders carry each point's packed color ([`Rgb::pack`]), so the
+//! attributes come out in Morton order with the codes (paper Sec. IV),
+//! and one run pass over the sorted pairs ([`leaves_into`]) yields each
+//! unique leaf with its voxel's color. [`sorted_permutation`] carries the
+//! input index instead, for code that gathers a whole cloud.
 
 use crate::{encode_slice, MortonCode};
-use pcc_types::VoxelizedCloud;
+use pcc_types::{Rgb, VoxelizedCloud};
 use std::num::NonZeroUsize;
 
-pub use pcc_parallel::SortScratch;
+/// The radix sort's reusable buffers, typed for Morton keys.
+pub type SortScratch = pcc_parallel::SortScratch<MortonCode>;
 
-/// The result of Morton-sorting a voxelized cloud.
+impl pcc_parallel::RadixKey for MortonCode {
+    fn radix(self) -> u64 {
+        self.value()
+    }
+}
+
+/// Morton codes in ascending order, each with the `u32` payload that was
+/// sorted with it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SortedCodes {
     /// Morton codes in ascending order (one per input voxel; duplicates
     /// preserved).
     pub codes: Vec<MortonCode>,
-    /// `perm[i]` is the input index of the voxel holding sorted rank `i`.
-    pub perm: Vec<u32>,
-}
-
-impl SortedCodes {
-    /// Number of codes.
-    pub fn len(&self) -> usize {
-        self.codes.len()
-    }
-
-    /// `true` if there are no codes.
-    pub fn is_empty(&self) -> bool {
-        self.codes.is_empty()
-    }
+    /// `payload[i]` travels with `codes[i]`: a point's packed color in
+    /// the encoders, its input index from [`sorted_permutation`].
+    pub payload: Vec<u32>,
 }
 
 /// Computes the Morton code of every voxel of `cloud`, in input order,
@@ -50,7 +50,8 @@ impl SortedCodes {
 /// `out` is cleared and refilled; its capacity persists across calls, so
 /// a steady-state caller (one codegen per frame, buffer owned by the
 /// frame arena) performs no heap allocation once the buffer has warmed
-/// to the frame size.
+/// to the frame size. The encoders write straight into the
+/// [`SortedCodes::codes`] they then sort.
 pub fn codes_of_into(cloud: &VoxelizedCloud, threads: NonZeroUsize, out: &mut Vec<MortonCode>) {
     let _sp = pcc_probe::span("morton/codegen");
     let coords = cloud.coords();
@@ -62,60 +63,81 @@ pub fn codes_of_into(cloud: &VoxelizedCloud, threads: NonZeroUsize, out: &mut Ve
     pcc_parallel::run(ranges.zip(parts), |(range, part)| encode_slice(&coords[range], part), drop);
 }
 
-/// Sorts `codes` ascending with an LSD radix sort into `out`: the sorted
-/// codes plus the permutation that produced them.
+/// Sorts `sorted.codes` ascending in place, carrying `payload`'s items
+/// (one per code, in code order; `sorted.payload` is refilled) with them.
 ///
-/// The sort is stable, so voxels with identical codes keep input order —
-/// this keeps attribute handling deterministic when a voxel holds several
-/// captured points. It runs as a parallel LSD radix sort
+/// The sort is stable, so voxels with identical codes keep input order.
+/// It runs as a parallel LSD radix sort
 /// ([`pcc_parallel::radix_sort_pairs`]): per-thread digit histograms over
 /// contiguous chunks are merged digit-major into global prefix offsets,
 /// reproducing the exact stable order of the sequential counting sort, so
-/// the output is byte-identical at every thread count.
+/// the output is byte-identical at every thread count. Once `scratch`
+/// and `sorted` have warmed to the frame size, a sort allocates nothing
+/// (`hotpath`'s `radix_sort_ns_per_point` times it with packed colors).
 ///
-/// `scratch` holds the ping-pong buffers and histogram matrix, and lends
-/// its staging buffer for the `u64` key array; `out.codes` / `out.perm`
-/// are cleared and refilled. Once every buffer has warmed to the frame
-/// size, a sort performs no heap allocation at all (`hotpath`'s
-/// `radix_sort_ns_per_point` times the sort on one warm scratch).
+/// # Panics
+///
+/// Panics if `payload` does not yield one item per code.
 pub fn sort_codes_into(
-    codes: &[MortonCode],
+    sorted: &mut SortedCodes,
+    payload: impl IntoIterator<Item = u32>,
     threads: NonZeroUsize,
     scratch: &mut SortScratch,
-    out: &mut SortedCodes,
 ) {
     let _sp = pcc_probe::span("morton/radix_sort");
-    let n = codes.len();
-    out.perm.clear();
-    out.perm.extend(0..n as u32);
-    out.codes.clear();
-    if n <= 1 {
-        out.codes.extend_from_slice(codes);
-        return;
-    }
-    let mut keys = scratch.take_staging();
-    keys.extend(codes.iter().map(|c| c.value()));
-    pcc_parallel::radix_sort_pairs(&mut keys, &mut out.perm, scratch, threads);
-    out.codes.extend(keys.iter().copied().map(MortonCode::from_raw));
-    scratch.restore_staging(keys);
+    sorted.payload.clear();
+    sorted.payload.extend(payload);
+    pcc_parallel::radix_sort_pairs(&mut sorted.codes, &mut sorted.payload, scratch, threads);
 }
 
-/// Convenience: computes codes for `cloud` and sorts them in one call, at
-/// the process default thread count ([`pcc_parallel::resolve`]).
+/// The leaf pass: one run pass over codes sorted with packed colors
+/// ([`Rgb::pack`]) writes each unique leaf code into `leaf_codes` and
+/// `reduce(sums, count)` into `leaf_values`, where `sums` are the integer
+/// channel sums of the `count` points in that leaf.
+///
+/// Runs go through [`pcc_parallel::reduce_runs_into`], whose chunks never
+/// split a run, and the sums are integers, so the outputs are identical
+/// at every thread count. `bases` is the caller's run-offset scratch; all
+/// three buffers are refilled, so a warm caller allocates nothing.
+pub fn leaves_into<R: Copy + Default + Send>(
+    sorted: &SortedCodes,
+    threads: NonZeroUsize,
+    reduce: impl Fn([u32; 3], u32) -> R + Sync,
+    leaf_codes: &mut Vec<MortonCode>,
+    leaf_values: &mut Vec<R>,
+    bases: &mut Vec<usize>,
+) {
+    let by_sums = |run: &[u32]| {
+        let mut sums = [0u32; 3];
+        for &p in run {
+            for (sum, v) in sums.iter_mut().zip(Rgb::unpack(p).to_array()) {
+                *sum += u32::from(v);
+            }
+        }
+        reduce(sums, run.len() as u32)
+    };
+    let (keys, values) = (&sorted.codes, &sorted.payload);
+    pcc_parallel::reduce_runs_into(keys, values, threads, by_sums, leaf_codes, leaf_values, bases);
+}
+
+/// Computes codes for `cloud` and sorts them with each voxel's input
+/// index as the payload, at the process default thread count
+/// ([`pcc_parallel::resolve`]): `payload[rank]` is the input index of the
+/// voxel holding sorted rank `rank`, the permutation
+/// [`VoxelizedCloud::gather`] takes.
 pub fn sorted_permutation(cloud: &VoxelizedCloud) -> SortedCodes {
     let threads = pcc_parallel::resolve(None);
-    let mut codes = Vec::new();
-    codes_of_into(cloud, threads, &mut codes);
-    let mut out = SortedCodes::default();
-    sort_codes_into(&codes, threads, &mut SortScratch::new(), &mut out);
-    out
+    let mut sorted = SortedCodes::default();
+    codes_of_into(cloud, threads, &mut sorted.codes);
+    sort_codes_into(&mut sorted, 0..cloud.len() as u32, threads, &mut SortScratch::new());
+    sorted
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::encode;
-    use pcc_types::{Rgb, VoxelCoord};
+    use pcc_types::VoxelCoord;
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -142,20 +164,27 @@ mod tests {
         cloud_from(coords)
     }
 
+    /// Sorts `codes` with their input indices as the payload, in `out`.
+    fn sort_in(codes: &[MortonCode], threads: usize, scratch: &mut SortScratch, out: &mut SortedCodes) {
+        out.codes.clear();
+        out.codes.extend_from_slice(codes);
+        sort_codes_into(out, 0..codes.len() as u32, nz(threads), scratch);
+    }
+
     /// One sort through fresh buffers.
     fn sort(codes: &[MortonCode], threads: usize) -> SortedCodes {
         let mut out = SortedCodes::default();
-        sort_codes_into(codes, nz(threads), &mut SortScratch::new(), &mut out);
+        sort_in(codes, threads, &mut SortScratch::new(), &mut out);
         out
     }
 
     #[test]
     fn empty_and_single() {
         let s = sort(&[], 1);
-        assert!(s.is_empty());
+        assert!(s.codes.is_empty());
         let s = sort(&[MortonCode::from_raw(42)], 1);
         assert_eq!(s.codes[0].value(), 42);
-        assert_eq!(s.perm, vec![0]);
+        assert_eq!(s.payload, vec![0]);
     }
 
     #[test]
@@ -169,11 +198,11 @@ mod tests {
         let cloud = cloud_from(coords.clone());
         let sorted = sorted_permutation(&cloud);
         assert!(sorted.codes.windows(2).all(|w| w[0] <= w[1]));
-        for (rank, &src) in sorted.perm.iter().enumerate() {
+        for (rank, &src) in sorted.payload.iter().enumerate() {
             assert_eq!(sorted.codes[rank], encode(coords[src as usize]));
         }
         // Expected Z-order: (0,0,0) < (1,0,0) < (3,3,3) < (7,7,7).
-        assert_eq!(sorted.perm, vec![1, 3, 2, 0]);
+        assert_eq!(sorted.payload, vec![1, 3, 2, 0]);
     }
 
     #[test]
@@ -185,7 +214,19 @@ mod tests {
             MortonCode::from_raw(5),
         ];
         let s = sort(&codes, 1);
-        assert_eq!(s.perm, vec![2, 0, 1, 3]);
+        assert_eq!(s.payload, vec![2, 0, 1, 3]);
+    }
+
+    #[test]
+    fn leaves_reduce_each_code_run_by_its_integer_color_sums() {
+        let codes = [5u64, 1, 5, 9, 5].map(MortonCode::from_raw);
+        let colors = [Rgb::gray(10), Rgb::new(1, 2, 3), Rgb::gray(11), Rgb::WHITE, Rgb::gray(12)];
+        let mut sorted = SortedCodes { codes: codes.to_vec(), payload: Vec::new() };
+        sort_codes_into(&mut sorted, colors.map(Rgb::pack), nz(1), &mut SortScratch::new());
+        let (mut leaves, mut sums) = (Vec::new(), Vec::new());
+        leaves_into(&sorted, nz(1), |s, k| (s, k), &mut leaves, &mut sums, &mut Vec::new());
+        assert_eq!(leaves, [1u64, 5, 9].map(MortonCode::from_raw));
+        assert_eq!(sums, [([1, 2, 3], 1), ([33, 33, 33], 3), ([255, 255, 255], 1)]);
     }
 
     #[test]
@@ -209,7 +250,7 @@ mod tests {
             MortonCode::from_raw(1u64 << 62),
         ];
         let s = sort(&codes, 1);
-        assert_eq!(s.perm, vec![1, 2, 0]);
+        assert_eq!(s.payload, vec![1, 2, 0]);
     }
 
     #[test]
@@ -223,10 +264,10 @@ mod tests {
         for threads in [2usize, 3, 7, 16] {
             let mut scratch = SortScratch::new();
             let mut s = SortedCodes::default();
-            sort_codes_into(&codes, nz(threads), &mut scratch, &mut s);
+            sort_in(&codes, threads, &mut scratch, &mut s);
             assert_eq!(s, base, "threads={threads}");
             // Scratch and output reuse must not change results either.
-            sort_codes_into(&codes, nz(threads), &mut scratch, &mut s);
+            sort_in(&codes, threads, &mut scratch, &mut s);
             assert_eq!(s, base, "threads={threads} (reused buffers)");
         }
     }
@@ -265,8 +306,8 @@ mod tests {
                 prop_assert_eq!(&sort(&codes, threads), &base);
                 let mut scratch = SortScratch::new();
                 let mut warm = SortedCodes::default();
-                sort_codes_into(&dirty, nz(threads), &mut scratch, &mut warm);
-                sort_codes_into(&codes, nz(threads), &mut scratch, &mut warm);
+                sort_in(&dirty, threads, &mut scratch, &mut warm);
+                sort_in(&codes, threads, &mut scratch, &mut warm);
                 prop_assert_eq!(&warm, &base);
             }
         }
@@ -277,10 +318,10 @@ mod tests {
             let s = sort(&codes, 2);
             prop_assert!(s.codes.windows(2).all(|w| w[0] <= w[1]));
             let mut seen = vec![false; codes.len()];
-            for &i in &s.perm {
+            for &i in &s.payload {
                 prop_assert!(!std::mem::replace(&mut seen[i as usize], true));
             }
-            for (rank, &src) in s.perm.iter().enumerate() {
+            for (rank, &src) in s.payload.iter().enumerate() {
                 prop_assert_eq!(s.codes[rank], codes[src as usize]);
             }
         }

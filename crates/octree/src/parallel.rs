@@ -6,7 +6,7 @@
 // serialize.rs, which stays index-free.
 #![allow(clippy::indexing_slicing)]
 
-use pcc_morton::{sort_codes_into, MortonCode, SortScratch, SortedCodes};
+use pcc_morton::MortonCode;
 use pcc_types::VoxelCoord;
 use std::num::NonZeroUsize;
 
@@ -171,12 +171,11 @@ impl ParallelOctree {
             assert!(c.fits_depth(depth), "coordinate {c:?} exceeds depth {depth}");
         }
         let threads = pcc_parallel::resolve(None);
-        let codes: Vec<MortonCode> = coords.iter().map(|&c| MortonCode::from_coord(c)).collect();
-        let mut sorted = SortedCodes::default();
-        sort_codes_into(&codes, threads, &mut SortScratch::new(), &mut sorted);
-        sorted.codes.dedup();
+        let mut codes: Vec<MortonCode> = coords.iter().map(|&c| MortonCode::from_coord(c)).collect();
+        codes.sort_unstable();
+        codes.dedup();
         let mut tree = ParallelOctree::default();
-        tree.rebuild_from_sorted_codes(&sorted.codes, depth, threads);
+        tree.rebuild_from_sorted_codes(&codes, depth, threads);
         tree
     }
 

@@ -278,45 +278,30 @@ impl<'a, T: Copy> SharedSliceMut<'a, T> {
 
 const RADIX_BUCKETS: usize = 256;
 
-/// Reusable buffers for [`radix_sort_pairs`], so repeated sorts (one per
-/// frame in video mode) do not reallocate the ping-pong arrays or the
-/// per-thread histograms. Buffers grow on demand and persist between calls.
+/// A key [`radix_sort_pairs`] can sort: a plain value ordered by its
+/// unsigned 64-bit image (Morton codes implement it in `pcc-morton`).
+pub trait RadixKey: Copy + Default + Send + Sync {
+    /// The key's sort order as an unsigned integer.
+    fn radix(self) -> u64;
+}
+
+/// Reusable buffers for [`radix_sort_pairs`] over keys of type `K`, so
+/// repeated sorts (one per frame in video mode) do not reallocate the
+/// ping-pong arrays or the per-thread histograms. Buffers grow on demand
+/// and persist between calls.
 #[derive(Debug, Default)]
-pub struct SortScratch {
-    keys_tmp: Vec<u64>,
+pub struct SortScratch<K> {
+    keys_tmp: Vec<K>,
     payload_tmp: Vec<u32>,
     /// Flattened `[thread][bucket]` histogram / offset matrix (sequential
     /// path: `[byte][bucket]`).
     counts: Vec<usize>,
-    /// Spare key buffer loaned to callers via [`SortScratch::take_staging`],
-    /// so call sites that must build a `u64` key array before sorting (e.g.
-    /// Morton codes unwrapped to raw values) can reuse one allocation across
-    /// frames.
-    staging: Vec<u64>,
 }
 
-impl SortScratch {
+impl<K: RadixKey> SortScratch<K> {
     /// An empty scratch; buffers are grown by the first sort that uses it.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Detaches the spare staging buffer (cleared, capacity preserved).
-    ///
-    /// Callers build their key array in it, sort, and hand it back with
-    /// [`SortScratch::restore_staging`] so the capacity survives to the
-    /// next frame. Taking twice without restoring simply yields a fresh
-    /// empty buffer.
-    pub fn take_staging(&mut self) -> Vec<u64> {
-        let mut buf = std::mem::take(&mut self.staging);
-        buf.clear();
-        buf
-    }
-
-    /// Returns a buffer obtained from [`SortScratch::take_staging`],
-    /// preserving its capacity for the next frame.
-    pub fn restore_staging(&mut self, buf: Vec<u64>) {
-        self.staging = buf;
     }
 }
 
@@ -330,10 +315,10 @@ impl SortScratch {
 /// scatters in parallel, each thread advancing its own private cursors.
 ///
 /// `keys` and `payload` must have equal length. Sorts in place.
-pub fn radix_sort_pairs(
-    keys: &mut Vec<u64>,
+pub fn radix_sort_pairs<K: RadixKey>(
+    keys: &mut Vec<K>,
     payload: &mut Vec<u32>,
-    scratch: &mut SortScratch,
+    scratch: &mut SortScratch<K>,
     threads: NonZeroUsize,
 ) -> usize {
     assert_eq!(keys.len(), payload.len(), "key/payload length mismatch");
@@ -341,13 +326,13 @@ pub fn radix_sort_pairs(
     if n <= 1 {
         return 0;
     }
-    let max_key = keys.iter().copied().max().unwrap_or(0);
+    let max_key = keys.iter().map(|k| k.radix()).max().unwrap_or(0);
     let used_bytes = (64 - max_key.leading_zeros() as usize).div_ceil(8);
     if used_bytes == 0 {
         return 0;
     }
 
-    scratch.keys_tmp.resize(n, 0);
+    scratch.keys_tmp.resize(n, K::default());
     scratch.payload_tmp.resize(n, 0);
     let fan = effective_threads(threads, n);
     if fan <= 1 {
@@ -357,9 +342,9 @@ pub fn radix_sort_pairs(
     counts.clear();
     counts.resize(fan * RADIX_BUCKETS, 0);
 
-    let mut src_keys: &mut Vec<u64> = keys;
+    let mut src_keys: &mut Vec<K> = keys;
     let mut src_payload: &mut Vec<u32> = payload;
-    let mut dst_keys: &mut Vec<u64> = &mut scratch.keys_tmp;
+    let mut dst_keys: &mut Vec<K> = &mut scratch.keys_tmp;
     let mut dst_payload: &mut Vec<u32> = &mut scratch.payload_tmp;
 
     for pass in 0..used_bytes {
@@ -373,7 +358,7 @@ pub fn radix_sort_pairs(
             |(r, row)| {
                 let mut hist = [0usize; RADIX_BUCKETS];
                 for &k in &src_k[r] {
-                    hist[(k >> shift) as usize & 0xff] += 1;
+                    hist[(k.radix() >> shift) as usize & 0xff] += 1;
                 }
                 row.copy_from_slice(&hist);
             },
@@ -403,7 +388,7 @@ pub fn radix_sort_pairs(
                     cursors.copy_from_slice(offsets);
                     for i in r {
                         let k = src_k[i];
-                        let d = (k >> shift) as usize & 0xff;
+                        let d = (k.radix() >> shift) as usize & 0xff;
                         let dest = cursors[d];
                         cursors[d] += 1;
                         // SAFETY: dest values across all chunks enumerate
@@ -442,18 +427,18 @@ pub fn radix_sort_pairs(
 /// constant digit is the identity permutation, so the output is
 /// byte-identical to performing it. Performs zero heap allocations once
 /// the scratch buffers have warmed to the input size.
-fn radix_sort_pairs_seq(
-    keys: &mut Vec<u64>,
+fn radix_sort_pairs_seq<K: RadixKey>(
+    keys: &mut Vec<K>,
     payload: &mut Vec<u32>,
-    scratch: &mut SortScratch,
+    scratch: &mut SortScratch<K>,
     used_bytes: usize,
 ) -> usize {
     let n = keys.len();
-    let SortScratch { keys_tmp, payload_tmp, counts, .. } = scratch;
+    let SortScratch { keys_tmp, payload_tmp, counts } = scratch;
     counts.clear();
     counts.resize(used_bytes * RADIX_BUCKETS, 0);
     for &k in keys.iter() {
-        let bytes = k.to_le_bytes();
+        let bytes = k.radix().to_le_bytes();
         for (b, &byte) in bytes.iter().take(used_bytes).enumerate() {
             counts[b * RADIX_BUCKETS + byte as usize] += 1;
         }
@@ -461,9 +446,9 @@ fn radix_sort_pairs_seq(
 
     let mut flipped = false;
     {
-        let mut src_k: &mut [u64] = keys;
+        let mut src_k: &mut [K] = keys;
         let mut src_p: &mut [u32] = payload;
-        let mut dst_k: &mut [u64] = keys_tmp;
+        let mut dst_k: &mut [K] = keys_tmp;
         let mut dst_p: &mut [u32] = payload_tmp;
         for pass in 0..used_bytes {
             let hist = &counts[pass * RADIX_BUCKETS..(pass + 1) * RADIX_BUCKETS];
@@ -479,7 +464,7 @@ fn radix_sort_pairs_seq(
             debug_assert_eq!(acc, n);
             let shift = pass * 8;
             for (&k, &p) in src_k.iter().zip(src_p.iter()) {
-                let d = (k >> shift) as usize & 0xff;
+                let d = (k.radix() >> shift) as usize & 0xff;
                 let dest = cursors[d];
                 cursors[d] += 1;
                 dst_k[dest] = k;
@@ -594,6 +579,85 @@ pub fn compact_runs_into<T, K, F>(
                     prev = Some(k);
                 }
                 runs[j] = base + local;
+            }
+        },
+        drop,
+    );
+}
+
+/// Reduces each run of equal keys to one value in parallel, into
+/// caller-owned buffers: the sibling of [`compact_runs_into`] that carries
+/// a value per item.
+///
+/// For `keys` whose equal keys are adjacent (e.g. sorted Morton codes),
+/// fills `unique` with each run's key and `reduced` with `reduce` of the
+/// run's slice of `values`. Chunks are aligned to run starts
+/// ([`aligned_chunks`]), so each run is reduced whole by one chunk;
+/// per-chunk run counts are prefix-summed into `bases` (the caller's
+/// scratch) and each chunk writes its own part of both outputs, so they
+/// are identical at every thread count. All three buffers are refilled,
+/// so a warm caller allocates nothing.
+///
+/// # Panics
+///
+/// Panics if `keys` and `values` differ in length.
+pub fn reduce_runs_into<K, V, R>(
+    keys: &[K],
+    values: &[V],
+    threads: NonZeroUsize,
+    reduce: impl Fn(&[V]) -> R + Sync,
+    unique: &mut Vec<K>,
+    reduced: &mut Vec<R>,
+    bases: &mut Vec<usize>,
+) where
+    K: Copy + Default + Eq + Send + Sync,
+    V: Sync,
+    R: Copy + Default + Send,
+{
+    assert_eq!(keys.len(), values.len(), "key/value length mismatch");
+    unique.clear();
+    reduced.clear();
+    let n = keys.len();
+    let fan = effective_threads(threads, n);
+    // The runs of `range`, in order, as index ranges.
+    let runs = |range: Range<usize>| {
+        let mut at = range.start;
+        std::iter::from_fn(move || {
+            let start = at;
+            let &key = keys[..range.end].get(start)?;
+            at += keys[start..range.end].iter().take_while(|&&k| k == key).count();
+            Some(start..at)
+        })
+    };
+    if fan <= 1 {
+        for run in runs(0..n) {
+            unique.push(keys[run.start]);
+            reduced.push(reduce(&values[run]));
+        }
+        return;
+    }
+    let ranges = aligned_chunks(n, fan, |i| keys[i] != keys[i - 1]);
+
+    // Pass A: count each chunk's runs; `bases` gets each chunk's first
+    // run index.
+    bases.clear();
+    let mut total = 0usize;
+    run(ranges.clone(), |r| runs(r).count(), |count| {
+        bases.push(total);
+        total += count;
+    });
+
+    // Pass B: each chunk reduces its runs into its part of both outputs.
+    unique.resize(total, K::default());
+    reduced.resize(total, R::default());
+    let unique_parts = split_at_cuts(unique, bases.iter().skip(1).copied());
+    let reduced_parts = split_at_cuts(reduced, bases.iter().skip(1).copied());
+    run(
+        ranges.zip(unique_parts).zip(reduced_parts),
+        |((range, uniq), red)| {
+            for ((run, u), r) in runs(range).zip(uniq).zip(red) {
+                *u = keys[run.start];
+                *r = reduce(&values[run]);
             }
         },
         drop,
@@ -834,6 +898,12 @@ mod tests {
         assert_eq!(parts[3], &[7, 8, 9]);
     }
 
+    impl RadixKey for u64 {
+        fn radix(self) -> u64 {
+            self
+        }
+    }
+
     fn ref_sort(keys: &[u64], payload: &[u32]) -> (Vec<u64>, Vec<u32>) {
         let mut idx: Vec<usize> = (0..keys.len()).collect();
         idx.sort_by_key(|&i| keys[i]); // stable
@@ -925,19 +995,6 @@ mod tests {
     }
 
     #[test]
-    fn staging_buffer_round_trips_with_capacity() {
-        let mut scratch = SortScratch::new();
-        let mut buf = scratch.take_staging();
-        buf.extend(0..1000u64);
-        let cap = buf.capacity();
-        scratch.restore_staging(buf);
-        let buf = scratch.take_staging();
-        assert!(buf.is_empty());
-        assert_eq!(buf.capacity(), cap, "staging capacity must survive the round trip");
-        scratch.restore_staging(buf);
-    }
-
-    #[test]
     fn compact_runs_matches_sequential_at_all_thread_counts() {
         let items: Vec<u64> = (0..30_000u64).map(|i| i / 7).collect();
         let map = |v: &u64| *v >> 2;
@@ -963,6 +1020,39 @@ mod tests {
             assert_eq!(unique, want_unique, "threads={threads} (warm buffers)");
             assert_eq!(runs, want_runs, "threads={threads} (warm buffers)");
         }
+    }
+
+    #[test]
+    fn reduce_runs_keeps_runs_that_straddle_the_even_cuts_whole() {
+        // 3 threads split 36_000 items at 12_000 and 24_000; runs of 7
+        // (plus a short first run) put both cuts inside a run, so the
+        // aligned chunks must move each cut to that run's start.
+        let n = 36_000u64;
+        let keys: Vec<u64> = (0..n).map(|i| (i + 1) / 7).collect();
+        assert!(keys[12_000] == keys[11_999] && keys[24_000] == keys[23_999]);
+        let values: Vec<u64> = (0..n).map(|i| i * i % 1_009).collect();
+        let sum = |run: &[u64]| run.iter().sum::<u64>() * 1_000 + run.len() as u64;
+        // Sequential reference.
+        let (mut want_unique, mut want_sums) = (Vec::new(), Vec::<u64>::new());
+        for (&k, &v) in keys.iter().zip(&values) {
+            if want_unique.last() == Some(&k) {
+                *want_sums.last_mut().unwrap() += v * 1_000 + 1;
+            } else {
+                want_unique.push(k);
+                want_sums.push(v * 1_000 + 1);
+            }
+        }
+        let dirty: Vec<u64> = (0..50_000u64).map(|i| i / 2 + 5).collect();
+        for threads in [1usize, 2, 3, 5] {
+            let (mut unique, mut sums, mut bases) = (Vec::new(), Vec::new(), Vec::new());
+            reduce_runs_into(&dirty, &dirty, nz(threads), sum, &mut unique, &mut sums, &mut bases);
+            reduce_runs_into(&keys, &values, nz(threads), sum, &mut unique, &mut sums, &mut bases);
+            assert_eq!(unique, want_unique, "threads={threads}");
+            assert_eq!(sums, want_sums, "threads={threads}");
+        }
+        let (mut unique, mut sums, mut bases) = (vec![1u64], vec![1u64], Vec::new());
+        reduce_runs_into(&[], &[], nz(3), sum, &mut unique, &mut sums, &mut bases);
+        assert!(unique.is_empty() && sums.is_empty());
     }
 
     #[test]

@@ -134,8 +134,9 @@ impl PointCloud {
     /// Returns a new cloud with points reordered by `perm`, where `perm[i]`
     /// is the source index of output point `i`.
     ///
-    /// This is how Morton sorting is materialized: the sort produces a
-    /// permutation, and geometry+attributes are gathered through it.
+    /// This materializes a whole cloud in Morton order from the
+    /// permutation `pcc_morton::sorted_permutation` returns (the encoders
+    /// instead sort each point's color with its code, and gather nothing).
     ///
     /// # Panics
     ///

@@ -186,6 +186,20 @@ impl Rgb {
         [self.r, self.g, self.b]
     }
 
+    /// Packs the channels into the low 24 bits of a `u32`
+    /// (`r | g << 8 | b << 16`): the payload the encoder sorts with each
+    /// point's Morton code.
+    #[inline]
+    pub const fn pack(self) -> u32 {
+        self.r as u32 | (self.g as u32) << 8 | (self.b as u32) << 16
+    }
+
+    /// The inverse of [`pack`](Self::pack); bits above 23 are ignored.
+    #[inline]
+    pub const fn unpack(p: u32) -> Self {
+        Rgb::new(p as u8, (p >> 8) as u8, (p >> 16) as u8)
+    }
+
     /// Returns the channels widened to `i32`, for signed delta arithmetic.
     #[inline]
     pub const fn to_i32(self) -> [i32; 3] {
@@ -313,6 +327,15 @@ mod tests {
             base.b as i32 + d[2],
         ]);
         assert_eq!(restored, a);
+    }
+
+    #[test]
+    fn rgb_pack_round_trips_and_orders_channels() {
+        let c = Rgb::new(0x12, 0x34, 0x56);
+        assert_eq!(c.pack(), 0x56_3412);
+        assert_eq!(Rgb::unpack(c.pack()), c);
+        assert_eq!(Rgb::unpack(0xff00_0000 | c.pack()), c);
+        assert_eq!(Rgb::WHITE.pack(), 0xff_ffff);
     }
 
     #[test]

@@ -194,7 +194,7 @@ fn predicting_transform_is_competitive_with_raht_on_real_frames() {
     let vox = pcc::types::VoxelizedCloud::from_cloud(&cloud, depth).dedup_mean();
     // Both transforms consume strictly ascending Morton codes.
     let sorted = pcc::morton::sorted_permutation(&vox);
-    let gathered = vox.gather(&sorted.perm);
+    let gathered = vox.gather(&sorted.payload);
     let codes = sorted.codes;
     let attrs: Vec<[f64; 3]> = gathered.colors().iter().map(|c| c.to_f64()).collect();
 
