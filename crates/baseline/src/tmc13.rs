@@ -297,9 +297,9 @@ impl Tmc13Codec {
 
 /// Unique leaf codes (sorted) and their mean attributes, from the same
 /// leaf pass as the proposed encoder ([`pcc_morton::leaves_into`] over
-/// codes sorted with packed colors); the codegen, sort and pass run at
-/// `threads` host threads. Each mean is an exact integer sum over an
-/// exact count, both converted to `f64`.
+/// codes sorted with packed colors); the codegen fans out over `threads`
+/// host threads. Each mean is an exact integer sum over an exact count,
+/// both converted to `f64`.
 pub(crate) fn leaf_attributes(
     cloud: &VoxelizedCloud,
     threads: NonZeroUsize,
@@ -307,10 +307,10 @@ pub(crate) fn leaf_attributes(
     let mut sorted = SortedCodes::default();
     pcc_morton::codes_of_into(cloud, threads, &mut sorted.codes);
     let colors = cloud.colors().iter().map(|c| c.pack());
-    pcc_morton::sort_codes_into(&mut sorted, colors, threads, &mut SortScratch::new());
+    pcc_morton::sort_codes_into(&mut sorted, colors, &mut SortScratch::new());
     let (mut leaf_codes, mut attrs) = (Vec::new(), Vec::new());
     let mean = |s: [u32; 3], k: u32| s.map(|v| f64::from(v) / f64::from(k));
-    pcc_morton::leaves_into(&sorted, threads, mean, &mut leaf_codes, &mut attrs, &mut Vec::new());
+    pcc_morton::leaves_into(&sorted, mean, &mut leaf_codes, &mut attrs);
     (leaf_codes, attrs)
 }
 

@@ -11,11 +11,12 @@
 //! Gated legs are timed on the process CPU clock
 //! ([`pcc_bench::clock::process_cpu`]), so time the process spends
 //! descheduled or stolen by other tenants does not count (their cache
-//! and memory contention still does). Eight rows are informational and
+//! and memory contention still does). Nine rows are informational and
 //! never gated: `fanout_dispatch_cpu_us`, the process CPU one 2-item
 //! `pcc_parallel::run` costs; the three parallel legs
 //! (`brick_parallel_decode_speedup`, `decode_parallel_speedup` and
-//! `intra_encode_parallel_speedup`), which are wall-clock ratios; and
+//! `intra_encode_parallel_speedup`) and `host_parallel_speedup`, the
+//! parallelism the host gave the run, which are wall-clock ratios; and
 //! four kernel costs on a workload frame, `inter_match_ns_per_pair` (the
 //! block matcher, per compared point pair), `layer_parse_ns_per_value`
 //! (reading and decoding a delta layer, per value triple),
@@ -83,6 +84,9 @@ const FANOUT_RING: usize = 16;
 const SCALING_POINTS: usize = 100_000;
 /// Fan-out dispatch leg: 2-item `pcc_parallel::run` calls per timed rep.
 const DISPATCH_CALLS: usize = 1_000;
+/// Host parallelism leg: xorshift steps per compute-only item (about a
+/// millisecond).
+const HOST_SPIN_STEPS: u64 = 1 << 20;
 
 struct XorShift(u64);
 
@@ -283,7 +287,7 @@ fn run() -> Report {
     let sort_ns = min_ns(|| {
         sorted.codes.clear();
         sorted.codes.extend_from_slice(&codes);
-        sort_codes_into(&mut sorted, colors.iter().copied(), one, &mut sort_scratch);
+        sort_codes_into(&mut sorted, colors.iter().copied(), &mut sort_scratch);
         black_box(sorted.codes.last());
     });
 
@@ -441,6 +445,25 @@ fn run() -> Report {
     let decode_speedup =
         min_wall_ns(|| plain_decode_on(&device)) / min_wall_ns(|| plain_decode_on(&wide_device));
 
+    // -- Host parallelism: the wall-clock ratio of two compute-only items
+    //    run one after the other on the calling thread against the same
+    //    two through `pcc_parallel::run` (informational, never gated). It
+    //    reads about 2 on two free cores and about 1 when the host gives
+    //    the process one core's worth, which bounds the three legs above.
+    let spin = |seed: u64| {
+        let mut rng = XorShift(black_box(seed));
+        (0..HOST_SPIN_STEPS).fold(0, |acc, _| acc ^ rng.next())
+    };
+    let inline_ns = min_wall_ns(|| {
+        black_box((spin(1), spin(2)));
+    });
+    let fanned_ns = min_wall_ns(|| {
+        pcc_parallel::run([1, 2], spin, |r| {
+            black_box(r);
+        })
+    });
+    let host_speedup = inline_ns / fanned_ns;
+
     // -- Voxelize and geometry decode on that frame at 1 thread
     //    (informational, never gated): quantizing the captured cloud onto
     //    the grid, output vectors included, and expanding the frame's
@@ -542,6 +565,7 @@ fn run() -> Report {
         metric("brick_parallel_decode_speedup", speedup, 2, Speedup),
         metric("decode_parallel_speedup", decode_speedup, 2, Speedup),
         metric("intra_encode_parallel_speedup", encode_speedup, 2, Speedup),
+        metric("host_parallel_speedup", host_speedup, 2, Speedup),
         metric("fanout_dispatch_cpu_us", dispatch_ns / 1e3, 2, Overhead),
         metric("inter_match_ns_per_pair", match_ns / match_pairs as f64, 3, Overhead),
         metric("layer_parse_ns_per_value", parse_ns / layer_values as f64, 3, Overhead),

@@ -39,8 +39,6 @@ pub(crate) struct GeometryScratch {
     pub(crate) tree: ParallelOctree,
     /// Per-node occupancy bytes before packing.
     pub(crate) occupancy: Vec<u8>,
-    /// Each chunk's first run index in the leaf pass.
-    pub(crate) run_bases: Vec<usize>,
 }
 
 /// Reusable buffers for the attribute pipeline

@@ -346,7 +346,7 @@ pub(crate) fn encode_in(
 
         bricks.rel_codes.clear();
         bricks.rel_codes.extend(codes.iter().map(|c| MortonCode::from_raw(c.value() & mask)));
-        tree.rebuild_from_sorted_codes(&bricks.rel_codes, sub, one);
+        tree.rebuild_from_sorted_codes(&bricks.rel_codes, sub);
         tree.occupancy_into(one, occupancy);
         nodes += tree.node_count();
         bricks.geom_buf.clear();

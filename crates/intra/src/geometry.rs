@@ -8,9 +8,10 @@ use std::num::NonZeroUsize;
 use crate::arena::GeometryScratch;
 
 /// Encodes the geometry of a voxelized cloud with the Morton-parallel
-/// pipeline at `threads` host threads, charging each kernel to `device`.
-/// Every parallel stage partitions work by index ranges, so the stream is
-/// byte-identical at every thread count. The leaf pass
+/// pipeline, fanning codegen and occupancy out over `threads` host
+/// threads and charging each kernel to `device`. The fanned-out stages
+/// partition work by index ranges and the rest run on one thread, so the
+/// stream is byte-identical at every thread count. The leaf pass
 /// ([`morton_products_in`]) also leaves the per-voxel colors in
 /// `voxel_colors`.
 ///
@@ -32,9 +33,9 @@ pub(crate) fn encode_in(
 
     morton_products_in(cloud, device, threads, scratch, voxel_colors);
 
-    // 4. Parallel octree construction over the sorted unique codes,
-    //    rebuilt in place into the arena's level arrays.
-    scratch.tree.rebuild_from_sorted_codes(&scratch.leaf_codes, cloud.depth(), threads);
+    // 4. Octree construction over the sorted unique codes, rebuilt in
+    //    place into the arena's level arrays.
+    scratch.tree.rebuild_from_sorted_codes(&scratch.leaf_codes, cloud.depth());
     device.charge_gpu("geometry/octree", &calib::OCTREE_BUILD, scratch.tree.node_count().max(1));
 
     // 5. Occupancy-byte post-processing (Algorithm 1).
@@ -80,29 +81,52 @@ pub(crate) fn morton_products_in(
     pcc_morton::codes_of_into(cloud, threads, &mut scratch.sorted.codes);
     device.charge_gpu("geometry/morton", &calib::MORTON_GEN, n.max(1));
 
-    // 2. Radix sort of the codes in place (parallel LSD passes, stable
-    //    merge), each carrying its point's packed color.
+    // 2. Radix sort of the codes in place (one-thread LSD passes), each
+    //    carrying its point's packed color.
     let colors = cloud.colors().iter().map(|c| c.pack());
-    pcc_morton::sort_codes_into(&mut scratch.sorted, colors, threads, &mut scratch.sort);
+    pcc_morton::sort_codes_into(&mut scratch.sorted, colors, &mut scratch.sort);
     device.charge_gpu("geometry/sort", &calib::RADIX_SORT, n);
 
     // 3. The leaf pass: one run pass over the sorted (code, color) pairs
-    //    writes each unique leaf and its voxel's mean color, chunk-parallel
-    //    with run-aligned boundaries. The caller charges it as the
-    //    attribute gather.
+    //    writes each unique leaf and its voxel's mean color. The caller
+    //    charges it as the attribute gather.
     let _sp = pcc_probe::span("intra/gather");
-    let mean = |s: [u32; 3], k: u32| {
-        let avg = |sum: u32| ((sum + k / 2) / k) as u8;
-        Rgb::new(avg(s[0]), avg(s[1]), avg(s[2]))
+    let (sorted, leaf_codes) = (&scratch.sorted, &mut scratch.leaf_codes);
+    pcc_morton::leaves_into(sorted, rounded_mean, leaf_codes, voxel_colors);
+}
+
+/// Leaves of fewer points than this divide by a reciprocal multiply. The
+/// workload frames' leaves hold at most 8 points (Longdress 100k: 44,553
+/// of 67,818 leaves single points, one of 8), so the table covers them
+/// all; the three divisions per leaf it saves are about 0.3 ms of the
+/// 100k-point frame's leaf pass.
+const RECIPROCAL_COUNTS: usize = 64;
+
+/// `RECIPROCALS[k] = ceil(2^32 / k)`. For `k < 64` and `x < 256 * k`,
+/// `(x * RECIPROCALS[k]) >> 32` is exactly `x / k`: the multiplier exceeds
+/// `2^32 / k` by under 1, so the quotient exceeds `x / k` by under
+/// `x / 2^32`, which is below `1 / k` and cannot reach the next integer.
+#[allow(clippy::indexing_slicing)] // `k` stays below the table's length
+const RECIPROCALS: [u64; RECIPROCAL_COUNTS] = {
+    let mut table = [0; RECIPROCAL_COUNTS];
+    let mut k = 1;
+    while k < RECIPROCAL_COUNTS {
+        table[k] = (1u64 << 32).div_ceil(k as u64);
+        k += 1;
+    }
+    table
+};
+
+/// A voxel's mean color from its `count` points' channel sums, each
+/// rounded half up: `(sum + count / 2) / count`, by a reciprocal multiply
+/// for the small counts most voxels have.
+fn rounded_mean(sums: [u32; 3], count: u32) -> Rgb {
+    let half = count / 2;
+    let avg = |sum: u32| match RECIPROCALS.get(count as usize) {
+        Some(&m) => ((u64::from(sum + half) * m) >> 32) as u8,
+        None => ((sum + half) / count) as u8,
     };
-    pcc_morton::leaves_into(
-        &scratch.sorted,
-        threads,
-        mean,
-        &mut scratch.leaf_codes,
-        voxel_colors,
-        &mut scratch.run_bases,
-    );
+    Rgb::new(avg(sums[0]), avg(sums[1]), avg(sums[2]))
 }
 
 /// The decoded geometry: unique voxels in Morton order plus the grid
@@ -221,6 +245,21 @@ mod tests {
             .map(|&(x, y, z)| (Point3::new(x, y, z), Rgb::gray(128)))
             .collect();
         VoxelizedCloud::from_cloud(&cloud, depth)
+    }
+
+    #[test]
+    fn rounded_mean_divides_exactly_for_every_sum() {
+        // Every channel sum of up to 255 per point, for every count the
+        // reciprocal table covers and a few past it.
+        for count in 1..RECIPROCAL_COUNTS as u32 + 8 {
+            for sum in 0..=255 * count {
+                let want = ((sum + count / 2) / count) as u8;
+                let got = rounded_mean([sum, 255 * count - sum, sum / 2], count);
+                let other = ((255 * count - sum + count / 2) / count) as u8;
+                let half = ((sum / 2 + count / 2) / count) as u8;
+                assert_eq!(got, Rgb::new(want, other, half), "sum {sum} count {count}");
+            }
+        }
     }
 
     #[test]

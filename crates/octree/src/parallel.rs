@@ -60,9 +60,6 @@ pub struct ParallelOctree {
     /// kept so a shallower build does not free them; they are not part of
     /// the tree.
     levels: Vec<LevelArrays>,
-    /// Compaction scratch (each chunk's first run index); not part of the
-    /// tree, so equality ignores it.
-    run_bases: Vec<usize>,
 }
 
 impl PartialEq for ParallelOctree {
@@ -85,24 +82,17 @@ impl ParallelOctree {
     /// heap allocation for tree construction once the level buffers have
     /// warmed to the working-set size.
     ///
-    /// Each level's compaction runs as a two-pass parallel scan
-    /// ([`pcc_parallel::compact_runs_into`]): chunks aligned to parent-run
-    /// boundaries count their unique parents, a prefix sum assigns each
-    /// chunk a contiguous output region, and the chunks then write parent
-    /// codes and parent links into disjoint slices. The resulting arrays
-    /// are byte-identical to the sequential compaction at every thread
-    /// count, and to a build into a fresh tree.
+    /// Each level is one run compaction of the level below
+    /// ([`pcc_parallel::compact_runs_into`]) on the calling thread: a
+    /// compare-only sweep counts the parents, and one pass writes the
+    /// parent codes and the child→parent links into arrays sized exactly.
+    /// The arrays equal a build into a fresh tree.
     ///
     /// # Panics
     ///
     /// Panics if `depth` is outside `1..=21`, if the codes are not
     /// strictly ascending, or if any code exceeds the depth.
-    pub fn rebuild_from_sorted_codes(
-        &mut self,
-        codes: &[MortonCode],
-        depth: u8,
-        threads: NonZeroUsize,
-    ) {
+    pub fn rebuild_from_sorted_codes(&mut self, codes: &[MortonCode], depth: u8) {
         assert!((1..=21).contains(&depth), "octree depth {depth} outside 1..=21");
         assert!(
             codes.windows(2).all(|w| w[0] < w[1]),
@@ -138,9 +128,7 @@ impl ParallelOctree {
         leaf.parent.clear();
 
         // Derive each shallower level by compacting `code >> 3`: a map
-        // producing parent codes, then a run-compaction scan. The scan is
-        // chunk-parallel with chunks aligned to parent-run boundaries, so
-        // every thread count produces the identical arrays.
+        // producing parent codes, then a run-compaction scan.
         let _sp = pcc_probe::span("octree/compact");
         for level in (0..depth as usize).rev() {
             let (upper, lower) = self.levels.split_at_mut(level + 1);
@@ -149,10 +137,8 @@ impl ParallelOctree {
             pcc_parallel::compact_runs_into(
                 &child_level.codes,
                 |c| c.parent(),
-                threads,
                 &mut parent_level.codes,
                 &mut child_level.parent,
-                &mut self.run_bases,
             );
         }
         let root_len = self.levels[0].codes.len();
@@ -170,12 +156,11 @@ impl ParallelOctree {
         for c in coords {
             assert!(c.fits_depth(depth), "coordinate {c:?} exceeds depth {depth}");
         }
-        let threads = pcc_parallel::resolve(None);
         let mut codes: Vec<MortonCode> = coords.iter().map(|&c| MortonCode::from_coord(c)).collect();
         codes.sort_unstable();
         codes.dedup();
         let mut tree = ParallelOctree::default();
-        tree.rebuild_from_sorted_codes(&codes, depth, threads);
+        tree.rebuild_from_sorted_codes(&codes, depth);
         tree
     }
 
@@ -299,10 +284,10 @@ mod tests {
         NonZeroUsize::new(n).unwrap()
     }
 
-    /// A fresh build of `codes` at `threads`, with its occupancy bytes.
+    /// A fresh build of `codes`, with its occupancy bytes at `threads`.
     fn build(codes: &[MortonCode], depth: u8, threads: usize) -> (ParallelOctree, Vec<u8>) {
         let mut tree = ParallelOctree::default();
-        tree.rebuild_from_sorted_codes(codes, depth, nz(threads));
+        tree.rebuild_from_sorted_codes(codes, depth);
         let mut occ = Vec::new();
         tree.occupancy_into(nz(threads), &mut occ);
         (tree, occ)
@@ -443,7 +428,7 @@ mod tests {
                 prop_assert_eq!(&tree, &base);
                 prop_assert_eq!(&occ, &base_occ);
                 let (mut warm, mut warm_occ) = build(&dirty, 7, threads);
-                warm.rebuild_from_sorted_codes(&codes, 6, nz(threads));
+                warm.rebuild_from_sorted_codes(&codes, 6);
                 warm.occupancy_into(nz(threads), &mut warm_occ);
                 prop_assert_eq!(&warm, &base);
                 prop_assert_eq!(&warm_occ, &base_occ);
@@ -482,7 +467,7 @@ mod tests {
         ];
         for codes in &clouds {
             for threads in [1usize, 2, 8] {
-                tree.rebuild_from_sorted_codes(codes, 7, nz(threads));
+                tree.rebuild_from_sorted_codes(codes, 7);
                 tree.occupancy_into(nz(threads), &mut occ);
                 let (fresh, fresh_occ) = build(codes, 7, threads);
                 assert_eq!(tree, fresh, "threads={threads} n={}", codes.len());
@@ -492,12 +477,12 @@ mod tests {
         // Depth changes must also be tracked by the reused tree, and a
         // shallower build keeps the deeper levels' buffers for the next
         // deep one.
-        tree.rebuild_from_sorted_codes(&clouds[1], 5, nz(1));
+        tree.rebuild_from_sorted_codes(&clouds[1], 5);
         assert_eq!(tree, build(&clouds[1], 5, 1).0);
         tree.occupancy_into(nz(1), &mut occ);
         assert_eq!(occ, build(&clouds[1], 5, 1).1);
         assert!(tree.levels[7].codes.capacity() >= 30_000, "level 7 was freed");
-        tree.rebuild_from_sorted_codes(&clouds[3], 7, nz(1));
+        tree.rebuild_from_sorted_codes(&clouds[3], 7);
         assert_eq!(tree, build(&clouds[3], 7, 1).0);
     }
 
